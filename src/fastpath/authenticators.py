@@ -484,13 +484,6 @@ def verify_reveal(commitment: bytes, reveal: RevealNode, path: AuthPath,
 
 # --- wire encodings -----------------------------------------------------------
 
-def encode_term(term: AuthTerm) -> bytes:
-    label = term.label
-    body = _fields_bytes(label, _term_fields(term))
-    kids = enc_seq(encode_term(c) for c in _term_children(term))
-    return bytes([label]) + enc_bytes(body) + kids
-
-
 def encode_path(path: AuthPath) -> bytes:
     if isinstance(path, LeafPath):
         return b"\x00"

@@ -15,13 +15,14 @@ import argparse
 import hashlib
 import sys
 
-from .simnet.invariants import check_invariants, verdicts
-from .simnet.runner import derive_seed, run
+from .simnet.invariants import Violation, check_invariants, verdicts
+from .simnet.runner import explore_schedules, run
 from .simnet.scenario import Scenario, ScenarioError
 from .simnet.trace import Trace
 
 
-def _summary_lines(trace: Trace, scenario_digest: str, seed: int) -> list[str]:
+def _summary_lines(trace: Trace, violations: list[Violation],
+                   scenario_digest: str, seed: int) -> list[str]:
     lines = [
         f"scenario_digest={scenario_digest}",
         f"seed={seed}",
@@ -38,9 +39,14 @@ def _summary_lines(trace: Trace, scenario_digest: str, seed: int) -> list[str]:
     lines.append(f"fast_path_round_trips={max(fast_rounds) if fast_rounds else 0}")
     lines.append(f"unlock_round_trips={max(unlock_rounds) if unlock_rounds else 0}")
     lines.append(f"unlocks_completed={len(trace.select('unlock_exec'))}")
-    for name, verdict in verdicts(trace).items():
+    for name, verdict in verdicts(violations).items():
         lines.append(f"check.{name}={verdict}")
     return lines
+
+
+def _print_violations(violations: list[Violation]) -> None:
+    for violation in violations:
+        print(f"violation.{violation.checker}={violation.message}")
 
 
 def _file_digest(path: str) -> str:
@@ -48,54 +54,49 @@ def _file_digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def cmd_run(scenario_path: str, seed_override: int | None,
-            trace_out: str | None) -> int:
+def _load(scenario_path: str, seed_override: int | None) -> Scenario | None:
+    """The scenario with its seed overridden, or None after printing why
+    it cannot be loaded."""
     try:
         scenario = Scenario.load(scenario_path)
         if seed_override is not None:
             scenario = scenario.with_seed(seed_override)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+    return scenario
+
+
+def cmd_run(scenario_path: str, seed_override: int | None,
+            trace_out: str | None) -> int:
+    scenario = _load(scenario_path, seed_override)
+    if scenario is None:
         return 2
     trace = run(scenario)
     if trace_out:
         trace.write(trace_out)
-    for line in _summary_lines(trace, _file_digest(scenario_path),
+    violations = check_invariants(trace)
+    for line in _summary_lines(trace, violations, _file_digest(scenario_path),
                                scenario.seed):
         print(line)
-    violations = check_invariants(trace)
-    for violation in violations:
-        print(f"violation.{violation.checker}={violation.message}")
+    _print_violations(violations)
     return 1 if violations else 0
 
 
 def cmd_explore(scenario_path: str, count: int,
                 seed_override: int | None) -> int:
-    try:
-        scenario = Scenario.load(scenario_path)
-        if seed_override is not None:
-            scenario = scenario.with_seed(seed_override)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    scenario = _load(scenario_path, seed_override)
+    if scenario is None:
         return 2
-    first_bad = None
-    bad = 0
-    for i in range(count):
-        seed = derive_seed(scenario.seed, i)
-        trace = run(scenario.with_seed(seed))
-        violations = check_invariants(trace)
-        if violations:
-            bad += 1
-            if first_bad is None:
-                first_bad = (seed, violations)
-    print(f"runs={count}")
-    print(f"violating_runs={bad}")
-    if first_bad is not None:
-        print(f"first_violating_seed={first_bad[0]}")
-        for violation in first_bad[1]:
-            print(f"violation.{violation.checker}={violation.message}")
-        return 1
-    return 0
+    verdict = explore_schedules(scenario, count)
+    print(f"runs={verdict.runs}")
+    print(f"violating_runs={len(verdict.violating)}")
+    if verdict.ok:
+        return 0
+    seed, violations = verdict.violating[0]
+    print(f"first_violating_seed={seed}")
+    _print_violations(violations)
+    return 1
 
 
 def cmd_check_only(trace_path: str) -> int:
@@ -104,11 +105,10 @@ def cmd_check_only(trace_path: str) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for name, verdict in verdicts(trace).items():
-        print(f"check.{name}={verdict}")
     violations = check_invariants(trace)
-    for violation in violations:
-        print(f"violation.{violation.checker}={violation.message}")
+    for name, verdict in verdicts(violations).items():
+        print(f"check.{name}={verdict}")
+    _print_violations(violations)
     return 1 if violations else 0
 
 

@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .types import (
-    Certificate,
-    CommitteeParams,
-    ErrorCode,
-    ProtocolError,
-    quorum,
-)
+from .types import Certificate, CommitteeParams
 
 FLAVOR_GROW = "grow"
 FLAVOR_USET = "uset"
@@ -61,10 +55,6 @@ class GCounter:
     def value(self) -> int:
         return sum(self.accepted.values())
 
-    def merge(self, other: "GCounter") -> None:
-        for tx_digest, amount in other.accepted.items():
-            self.accepted.setdefault(tx_digest, amount)
-
 
 @dataclass
 class USet:
@@ -77,9 +67,6 @@ class USet:
 
     def __contains__(self, item: bytes) -> bool:
         return item in self.items
-
-    def merge(self, other: "USet") -> None:
-        self.items |= other.items
 
 
 @dataclass
@@ -100,51 +87,6 @@ class PNSet:
 
     def members(self) -> set[bytes]:
         return self.additions.items - self.tombstones.items
-
-    def merge(self, other: "PNSet") -> None:
-        self.additions.merge(other.additions)
-        self.tombstones.merge(other.tombstones)
-
-
-@dataclass(frozen=True)
-class BoundedCounter:
-    """A validator's view of a debit-capable counter at one version."""
-
-    max_credit: int
-    budget: int
-    version: int
-
-
-def consolidate(counter: BoundedCounter, settled_deltas: dict[bytes, int],
-                replies: list[list[Certificate]],
-                params: CommitteeParams) -> tuple[BoundedCounter, list[Certificate]]:
-    """Outcome of sequencing a quorum of consolidation replies.
-
-    `settled_deltas` are the per-transaction deltas already finalized
-    through sequencing; `replies` carry each validator's certificates that
-    were seen but not yet checkpointed. Returns the reissued counter and
-    the union of carried certificates (deduplicated) that must execute
-    before the new counter takes effect. Outstanding value counts credits
-    in full and debits in full; budgets restart from the proof formula.
-    """
-    if len(replies) < quorum(params):
-        raise ProtocolError(ErrorCode.INSUFFICIENT_REPLIES,
-                            f"need {quorum(params)} replies, got {len(replies)}")
-    union: dict[bytes, Certificate] = {}
-    for reply in replies:
-        for cert in reply:
-            union.setdefault(cert.tx.digest, cert)
-    to_execute = [union[d] for d in sorted(union) if d not in settled_deltas]
-
-    outstanding = counter.max_credit + sum(settled_deltas.values())
-    for cert in to_execute:
-        amount = cert.tx.params.amount
-        outstanding += amount if cert.tx.kind.value == "credit" else -amount
-    outstanding = max(outstanding, 0)
-    fresh = BoundedCounter(max_credit=outstanding,
-                           budget=initial_budget(outstanding, params),
-                           version=counter.version + 1)
-    return fresh, to_execute
 
 
 @dataclass

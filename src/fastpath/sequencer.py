@@ -81,6 +81,3 @@ class Sequencer:
                 raise ProtocolError(ErrorCode.INVALID_ITEM, "bad end-of-epoch")
         else:
             raise ProtocolError(ErrorCode.INVALID_ITEM, f"unknown kind {kind}")
-
-    def read_from(self, cursor: int) -> list[SequencedItem]:
-        return self.log[cursor:]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .scenario import COVERED_KINDS, fault_bound_error
 from .trace import Trace
 
 
@@ -36,7 +37,7 @@ def _honest_ids(trace: Trace) -> set[str]:
     faults = trace.meta.get("faults", {})
     n = trace.meta["n"]
     return {f"v{i}" for i in range(n)
-            if faults.get(str(i), "honest") in ("honest", "crash")}
+            if faults.get(str(i), "honest") in COVERED_KINDS}
 
 
 def _live_honest(trace: Trace) -> set[str]:
@@ -49,12 +50,9 @@ def _live_honest(trace: Trace) -> set[str]:
 
 
 def check_byzantine_bound(trace: Trace) -> list[Violation]:
-    faults = trace.meta.get("faults", {})
-    bad = [v for v, kind in faults.items() if kind not in ("honest", "crash")]
-    if len(bad) > trace.meta["f"]:
-        return [Violation("byzantine_bound",
-                          f"{len(bad)} Byzantine validators exceed f")]
-    return []
+    error = fault_bound_error(trace.meta.get("faults", {}).values(),
+                              trace.meta["f"])
+    return [Violation("byzantine_bound", error)] if error else []
 
 
 def check_drop_budget(trace: Trace) -> list[Violation]:
@@ -362,9 +360,9 @@ def check_invariants(trace: Trace) -> list[Violation]:
     return out
 
 
-def verdicts(trace: Trace) -> dict[str, str]:
-    """Per-checker pass/fail map, every registered checker exactly once."""
-    result = {}
-    for name, checker in CHECKERS:
-        result[name] = "fail" if checker(trace) else "pass"
-    return result
+def verdicts(violations: list[Violation]) -> dict[str, str]:
+    """Per-checker pass/fail map over the result of `check_invariants`,
+    every registered checker exactly once."""
+    failed = {violation.checker for violation in violations}
+    return {name: "fail" if name in failed else "pass"
+            for name, _ in CHECKERS}

@@ -53,11 +53,9 @@ from ..types import (
     TxParams,
 )
 from ..validator import ValidatorState
+from .invariants import check_invariants
 from .scenario import Fault, Scenario, materialize_genesis, object_id_for
 from .trace import Trace, TraceRecorder
-
-_FAULT_MAP = {"equivocator": "equivocator", "stale_replier": "stale_replier",
-              "infinite_budget": "infinite_budget"}
 
 
 @dataclass
@@ -107,18 +105,14 @@ class ValidatorActor:
         self.fault = fault
         self.skew = skew
         self.crashed = False
-        state_fault = _FAULT_MAP.get(fault.kind, "honest")
         self.state = ValidatorState(
             vid, runner.scenario.params, scheme=runner.scheme,
-            auto_unlock_delay=runner.scenario.delta, fault=state_fault,
+            auto_unlock_delay=runner.scenario.delta, fault=fault.kind,
             event_oracle=event_facts(runner.scenario.events),
             sink=lambda kind, **f: runner.record(self.name, kind, **f))
         self.next_seq = 0
         self.seq_buffer: dict[int, SequencedItem] = {}
         self.requesters: dict[bytes, str] = {}
-
-    def honest(self) -> bool:
-        return self.fault.kind in ("honest", "crash")
 
     def _check_crash(self) -> bool:
         if self.fault.kind == "crash" and self.runner.now >= self.fault.at:
@@ -895,15 +889,13 @@ class ExploreVerdict:
         return not self.violating
 
 
-def explore_schedules(scenario: Scenario, k: int, check=None) -> ExploreVerdict:
+def explore_schedules(scenario: Scenario, k: int) -> ExploreVerdict:
     """Run k seeds derived from the base seed; report violating seeds."""
-    from .invariants import check_invariants
-    checker = check or check_invariants
     violating = []
     for i in range(k):
         seed = derive_seed(scenario.seed, i)
         trace = run(scenario.with_seed(seed))
-        violations = checker(trace)
+        violations = check_invariants(trace)
         if violations:
             violating.append((seed, violations))
     return ExploreVerdict(runs=k, violating=violating)

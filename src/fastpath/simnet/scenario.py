@@ -27,12 +27,14 @@ actions with tick triggers. Schema:
          to: bob, signers: [alice], on_locked: unlock, unlock_gas: g2}
 
 Fault kinds: honest, crash (with `at`), equivocator, vote_withholder,
-stale_replier, infinite_budget. At most f validators may be non-honest.
+stale_replier, infinite_budget, lazy_forwarder. At most f validators may be
+non-honest; a crash counts toward f like any other fault.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import yaml
@@ -56,12 +58,24 @@ from ..types import CommitteeParams, CounterValue, IntValue, Object, ObjectKey, 
 
 FAULT_KINDS = {"honest", "crash", "equivocator", "vote_withholder",
                "stale_replier", "infinite_budget", "lazy_forwarder"}
+# Validators the checkers' guarantees cover: a crashed validator stops, but
+# everything it did before the crash is honest behavior.
+COVERED_KINDS = frozenset({"honest", "crash"})
 ACTIONS = {"transfer", "swap", "noop", "mint", "credit", "debit",
            "unlock", "double_send", "spend_loop"}
 
 
 class ScenarioError(Exception):
     pass
+
+
+def fault_bound_error(kinds: Iterable[str], f: int) -> str | None:
+    """Why a committee whose validators have these fault kinds breaks the
+    f bound, or None; every kind other than honest counts toward f."""
+    faulty = sum(1 for kind in kinds if kind != "honest")
+    if faulty > f:
+        return f"{faulty} faulty validators exceed f={f}"
+    return None
 
 
 def object_id_for(name: str) -> bytes:
@@ -122,10 +136,6 @@ class Scenario:
         data["seed"] = seed
         return Scenario.from_dict(data)
 
-    def byzantine_ids(self) -> list[int]:
-        return sorted(v for v, fault in self.faults.items()
-                      if fault.kind != "honest")
-
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
         try:
@@ -145,10 +155,10 @@ class Scenario:
             if kind not in FAULT_KINDS:
                 raise ScenarioError(f"unknown fault kind {kind!r}")
             faults[vid] = Fault(kind, int(spec.get("at", 0)))
-        byzantine = [v for v, fb in faults.items() if fb.kind != "honest"]
-        if len(byzantine) > params.f:
-            raise ScenarioError(
-                f"{len(byzantine)} Byzantine validators exceed f={params.f}")
+        error = fault_bound_error((fb.kind for fb in faults.values()),
+                                  params.f)
+        if error:
+            raise ScenarioError(error)
 
         net = data.get("network") or {}
         network = NetworkSpec(

@@ -49,7 +49,6 @@ class ErrorCode(str, enum.Enum):
     PAUSED = "Paused"
     INCOMPLETE = "Incomplete"
     MIXED_REQUESTS = "MixedRequests"
-    INSUFFICIENT_REPLIES = "InsufficientReplies"
 
 
 class ProtocolError(Exception):
@@ -263,10 +262,6 @@ class Certificate:
 
     def signers(self) -> set[ValidatorId]:
         return {s.signer for s in self.signs}
-
-    def semantically_same(self, other: "Certificate") -> bool:
-        """Same transaction, regardless of which quorum signed."""
-        return self.tx.digest == other.tx.digest
 
 
 def verify_certificate(cert: Certificate, params: CommitteeParams,

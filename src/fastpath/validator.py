@@ -223,7 +223,7 @@ class ValidatorState:
         self.lock_times: dict[ObjectKey, int] = {}
         self.executed: dict[bytes, EffectSign] = {}
         self.counters: dict[bytes, CounterLocal] = {}
-        self.pending_checkpoint: list[Certificate] = []
+        self.pending_checkpoint: dict[bytes, Certificate] = {}
         self.forwarded: set[bytes] = set()
         self.sequenced_certs: set[bytes] = set()
         self.executed_unsequenced: set[bytes] = set()
@@ -399,7 +399,7 @@ class ValidatorState:
         forward = None
         if tx.digest not in self.forwarded:
             self.forwarded.add(tx.digest)
-            self.pending_checkpoint.append(cert)
+            self.pending_checkpoint[tx.digest] = cert
             forward = cert
             self.emit("cert_forwarded", tx=tx.digest.hex())
 
@@ -829,8 +829,7 @@ class ValidatorState:
         tx = cert.tx
         self.sequenced_certs.add(tx.digest)
         self.executed_unsequenced.discard(tx.digest)
-        self.pending_checkpoint = [c for c in self.pending_checkpoint
-                                   if c.tx.digest != tx.digest]
+        self.pending_checkpoint.pop(tx.digest, None)
         if tx.epoch != self.epoch:
             self.emit("checkpoint_skip", tx=tx.digest.hex(), reason="stale_epoch")
             return CheckpointOutcome("skipped", reason="stale_epoch")
@@ -866,7 +865,7 @@ class ValidatorState:
         checkpoint slot."""
         self.paused = True
         self.emit("epoch_pause", epoch=self.epoch)
-        return list(self.pending_checkpoint)
+        return list(self.pending_checkpoint.values())
 
     def end_of_epoch_ready(self) -> bool:
         return self.paused and not self.executed_unsequenced and not self.eoe_sent

@@ -1,9 +1,12 @@
 import json
 import pathlib
+from collections import Counter
 
 import yaml
 
 from fastpath.cli import main
+from fastpath.simnet import invariants
+from fastpath.simnet.trace import Trace
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -76,6 +79,43 @@ def test_check_only_flags_doctored_trace(tmp_path, capsys):
     assert main(["--check-only", str(out)]) == 1
     printed = capsys.readouterr().out
     assert "violation.starvation_freedom" in printed
+
+
+def test_each_checker_runs_once_per_command(tmp_path, capsys, monkeypatch):
+    calls = Counter()
+    checkers = list(invariants.CHECKERS)
+
+    def counted(name, checker):
+        def wrapper(trace):
+            calls[name] += 1
+            return checker(trace)
+        return wrapper
+
+    monkeypatch.setattr(invariants, "CHECKERS",
+                        [(name, counted(name, checker))
+                         for name, checker in checkers])
+
+    def check_lines(argv, trace_path):
+        calls.clear()
+        main(argv)
+        assert calls == {name: 1 for name, _ in checkers}
+        trace = Trace.load(str(trace_path))
+        expected = [f"check.{name}={'fail' if checker(trace) else 'pass'}"
+                    for name, checker in checkers]
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("check.")]
+        assert printed == expected
+        return printed
+
+    out = tmp_path / "trace.log"
+    check_lines(["--scenario", str(SCENARIOS / "swap_deadlock.yaml"),
+                 "--trace-out", str(out)], out)
+    check_lines(["--check-only", str(out)], out)
+    doctored = tmp_path / "doctored.log"
+    doctored.write_text(out.read_text().replace('"authorized":true',
+                                                '"authorized":false'))
+    assert "check.starvation_freedom=fail" in check_lines(
+        ["--check-only", str(doctored)], doctored)
 
 
 def test_explore_runs_derived_seeds(capsys):

@@ -2,12 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fastpath.counters import (
-    BoundedCounter,
     CounterLocal,
     GCounter,
     PNSet,
-    USet,
-    consolidate,
     credit_half,
     initial_budget,
 )
@@ -151,52 +148,38 @@ def test_grow_counters_are_credit_only():
 
 # --- consolidation ------------------------------------------------------------
 
-def test_consolidate_outstanding_math():
-    w = spender_world()
-    counter = BoundedCounter(max_credit=100, budget=0, version=0)
-    carried = [w.cert(debit(w, 25, "g0")), w.cert(debit(w, 15, "g1"))]
-    fresh, to_execute = consolidate(counter, {}, [carried, [], carried],
-                                    PARAMS)
-    assert [c.tx.params.amount for c in to_execute] in ([25, 15], [15, 25])
-    assert fresh.max_credit == 60
-    assert fresh.budget == initial_budget(60, PARAMS)
-    assert fresh.version == 1
-
-
-def test_consolidate_skips_already_settled():
-    w = spender_world()
-    counter = BoundedCounter(max_credit=100, budget=0, version=0)
-    cert = w.cert(debit(w, 40, "g0"))
-    fresh, to_execute = consolidate(counter, {cert.tx.digest: -40},
-                                    [[cert], [], [cert]], PARAMS)
-    assert to_execute == []
-    assert fresh.max_credit == 60
-
-
-def test_consolidate_counts_credits():
-    w = spender_world()
-    w.add_owned("bobgas", "bob", 30)
-    counter = BoundedCounter(max_credit=100, budget=0, version=0)
-    certs = [w.cert(debit(w, 40, "g0")), w.cert(credit(w, 10, "bobgas"))]
-    fresh, _ = consolidate(counter, {}, [certs, [], []], PARAMS)
-    assert fresh.max_credit == 70
-
-
-def test_consolidate_requires_quorum_of_replies():
-    counter = BoundedCounter(max_credit=10, budget=0, version=0)
-    with pytest.raises(ProtocolError) as err:
-        consolidate(counter, {}, [[], []], PARAMS)
-    assert err.value.code == ErrorCode.INSUFFICIENT_REPLIES
+# (certified transactions, validators that checkpointed them before the
+# unlock, reissued limit)
+CONSOLIDATIONS = [
+    ([(debit, 40, "g0")], [], 60),
+    # both carried debits count, each once
+    ([(debit, 25, "g0"), (debit, 15, "g3")], [], 60),
+    # a carried credit raises the outstanding value
+    ([(debit, 40, "g0"), (credit, 10, "bobgas")], [], 70),
+    # a debit checkpointed before the unlock is settled once, not carried
+    ([(debit, 40, "g0")], [0, 1, 2, 3], 60),
+    # carried by the replies of v2 or v3, yet settled once at v0 and v1
+    ([(debit, 40, "g0")], [0, 1], 60),
+]
 
 
 def test_consolidation_through_unlock_reissues_counter():
+    for certified, checkpointed, limit in CONSOLIDATIONS:
+        consolidate_through_unlock(certified, checkpointed, limit)
+
+
+def consolidate_through_unlock(certified, checkpointed, limit):
     from tests.test_validator import make_rqt
     w = spender_world()
+    w.add_owned("bobgas", "bob", 30)
     states = w.states()
     pool_key = w.key("pool")
-    cert = w.cert(debit(w, 40, "g0"))
-    for s in states:
-        s.process_cert(cert)
+    certs = [w.cert(make(w, amount, gas)) for make, amount, gas in certified]
+    for i, s in enumerate(states):
+        for cert in certs:
+            s.process_cert(cert)
+            if i in checkpointed:
+                s.process_checkpoint_cert(cert)
     rqt = make_rqt(w, [pool_key], "g1", "alice", ["alice"])
     # bounded counters always block the fast path at vote time
     votes = [s.process_unlock_rqt(rqt) for s in states]
@@ -204,15 +187,17 @@ def test_consolidation_through_unlock_reissues_counter():
         assert s.unlock_db[pool_key] == UNLOCKED
     from fastpath.client import assemble_unlock_cert
     ucert = assemble_unlock_cert(votes, rqt, w.params)
-    assert [c.tx.digest for c in ucert.carried_union()] == [cert.tx.digest]
+    carried = [] if len(checkpointed) == len(states) else certs
+    assert sorted(c.tx.digest for c in ucert.carried_union()) == \
+        sorted(c.tx.digest for c in carried)
     for s in states:
         out = s.process_unlock_cert(ucert)
         assert out.status == "executed"
         local = s.counters[pool_key.object_id]
-        assert local.limit == 60
-        assert local.budget == initial_budget(60, PARAMS)
+        assert local.limit == limit
+        assert local.budget == initial_budget(limit, PARAMS)
         new_obj = s.get_object(w.key("pool", 1))
-        assert new_obj.contents.limit == 60
+        assert new_obj.contents.limit == limit
     # transactions against the old counter version are now invalid
     stale = debit(w, 1, "g2")
     with pytest.raises(ProtocolError) as err:
@@ -228,18 +213,6 @@ def test_gcounter_accepts_each_certificate_once():
     g.accept(b"t1", 5)
     g.accept(b"t2", 3)
     assert g.value() == 8
-    other = GCounter()
-    other.accept(b"t3", 2)
-    g.merge(other)
-    assert g.value() == 10
-
-
-def test_uset_merge_is_union():
-    a, b = USet(), USet()
-    a.add(b"x")
-    b.add(b"y")
-    a.merge(b)
-    assert b"x" in a and b"y" in a
 
 
 @given(st.lists(st.tuples(st.booleans(), st.binary(min_size=1, max_size=4)),

@@ -56,17 +56,6 @@ def test_invalid_items_rejected_before_ordering(world):
     assert seq.log == []
 
 
-def test_read_from_returns_suffix(world):
-    seq = Sequencer(world.params)
-    a = world.cert(world.transfer("coin", "gas", "alice", "bob"))
-    b = world.cert(world.transfer("bcoin", "bgas", "bob", "alice"))
-    seq.submit(KIND_CHECKPOINT, a)
-    seq.submit(KIND_CHECKPOINT, b)
-    assert [i.seq for i in seq.read_from(0)] == [0, 1]
-    assert [i.seq for i in seq.read_from(1)] == [1]
-    assert seq.read_from(2) == []
-
-
 def test_end_of_epoch_deduplicates_per_validator(world):
     seq = Sequencer(world.params)
     assert seq.submit(KIND_END_OF_EPOCH, (1, 0)) is not None

@@ -4,6 +4,7 @@ import pytest
 
 from fastpath.simnet.invariants import (
     check_bounded_counters,
+    check_byzantine_bound,
     check_client_safety,
     check_conflicting_execution,
     check_convergence,
@@ -17,7 +18,7 @@ from fastpath.simnet.invariants import (
     CHECKERS,
 )
 from fastpath.simnet.runner import derive_seed, explore_schedules, run
-from fastpath.simnet.scenario import Scenario, ScenarioError
+from fastpath.simnet.scenario import FAULT_KINDS, Scenario, ScenarioError
 from fastpath.simnet.trace import Trace
 
 from tests.scenario_builders import (
@@ -58,6 +59,23 @@ def test_scenario_rejects_too_many_byzantine():
     }
     with pytest.raises(ScenarioError):
         Scenario.from_dict(data)
+
+
+@pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
+def test_loader_and_checker_agree_on_fault_bound(kind):
+    faults = {"0": kind, "1": "equivocator"}
+    try:
+        Scenario.from_dict({
+            "committee": {"n": 4, "f": 1},
+            "accounts": [],
+            "faults": {v: {"kind": k} for v, k in faults.items()},
+        })
+        rejected = False
+    except ScenarioError:
+        rejected = True
+    trace = Trace(meta={"n": 4, "f": 1, "faults": faults})
+    assert rejected == bool(check_byzantine_bound(trace))
+    assert rejected == (kind != "honest")
 
 
 def test_scenario_rejects_malformed_committee():
@@ -116,7 +134,7 @@ def test_derive_seed_is_stable():
 
 def test_verdicts_enumerate_every_checker():
     trace = run(plain_transfer(1))
-    result = verdicts(trace)
+    result = verdicts(check_invariants(trace))
     assert list(result) == [name for name, _ in CHECKERS]
     assert set(result.values()) == {"pass"}
 

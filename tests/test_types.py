@@ -88,16 +88,6 @@ def test_verify_certificate_order_insensitive(order):
     assert verify_certificate(cert, w.params)
 
 
-def test_semantic_certificate_equality(world):
-    tx = world.transfer("coin", "gas", "alice", "bob")
-    a = world.cert(tx, [0, 1, 2])
-    b = world.cert(tx, [1, 2, 3])
-    assert a != b
-    assert a.semantically_same(b)
-    other = world.transfer("coin", "gas", "alice", "carol")
-    assert not a.semantically_same(world.cert(other))
-
-
 def test_transaction_digest_ignores_evidence(world):
     tx = world.transfer("coin", "gas", "alice", "bob")
     bare = tx.with_evidence(None)
