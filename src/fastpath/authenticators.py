@@ -29,7 +29,7 @@ below, and `nonce_part` is 0x00 for no nonce or 0x01 plus the 32-byte nonce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 from .encoding import (

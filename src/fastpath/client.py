@@ -29,6 +29,7 @@ from .types import (
     quorum,
     validator_key,
     validity_threshold,
+    verified_once,
     verify_certificate,
 )
 
@@ -99,6 +100,7 @@ class UnlockVote:
                           UnlockVote._message(rqt_digest, carried))
         return UnlockVote(rqt_digest, carried, signer, sig)
 
+    @verified_once
     def verify(self, scheme) -> bool:
         return scheme.verify(validator_key(self.signer),
                              self._message(self.rqt_digest, self.carried),
@@ -123,6 +125,7 @@ class UnlockCert:
                 by_digest.setdefault(cert.tx.digest, cert)
         return tuple(by_digest[d] for d in sorted(by_digest))
 
+    @verified_once
     def verify(self, params: CommitteeParams, scheme=crypto.DEFAULT_SCHEME) -> bool:
         seen = set()
         for vote in self.votes:

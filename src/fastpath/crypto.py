@@ -10,6 +10,8 @@ would plug in a real scheme here.
 
 from __future__ import annotations
 
+import functools
+
 from .encoding import digest, enc_u64
 
 KEY_SIZE = 32
@@ -34,8 +36,12 @@ class KeyedDigestScheme:
 DEFAULT_SCHEME = KeyedDigestScheme()
 
 
+@functools.cache
 def validator_public_key(index: int) -> bytes:
-    """Identity key of committee member `index`, derived deterministically."""
+    """Identity key of committee member `index`, derived deterministically.
+
+    Cached, one entry per index looked up: committee members, plus any
+    out-of-range signer index a vote claims before it is range-checked."""
     _, pk = DEFAULT_SCHEME.keypair(b"validator:" + enc_u64(index))
     return pk
 

@@ -18,7 +18,7 @@ debit totals never exceed the credit the counter actually had.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .scenario import COVERED_KINDS, fault_bound_error
 from .trace import Trace

@@ -7,6 +7,11 @@ unordered collections, so a seed fully determines the trace. Message
 links between clients and validators lose at most `drop_budget` messages
 (eventually reliable); links to and from the sequencer model the consensus
 black box and only jitter.
+
+A message's tiebreak digest covers its `material()` bytes. A sequencer
+submission, the tuple ("submit", kind, payload), has no `material()`; its
+material is the tuple's `repr`, computed once per payload per run since
+every validator submits the same certificate object.
 """
 
 from __future__ import annotations
@@ -728,6 +733,7 @@ class Runner:
         self.now = 0
         self._heap: list = []
         self._push_count = 0
+        self._submit_material: dict[tuple[str, int], tuple[object, bytes]] = {}
 
         self.account_pk: dict[str, bytes] = {}
         self.account_sk: dict[str, bytes] = {}
@@ -786,11 +792,23 @@ class Runner:
             self.network.dropped += 1
             self.recorder.emit(self.now, "net", "drop", src=src, dst=dst)
             return
-        material = msg.material() if hasattr(msg, "material") else repr(msg).encode()
+        material = (msg.material() if hasattr(msg, "material")
+                    else self._submission_material(msg))
         tiebreak = digest(material + src.encode() + dst.encode()
                           + enc_u64(self._push_count))
         self._push(self.now + self.network.delay(), tiebreak,
                    ("deliver", src, dst, msg))
+
+    def _submission_material(self, msg: tuple) -> bytes:
+        """`repr(msg).encode()` for a ("submit", kind, payload) message,
+        computed once per payload. The payload is kept with its bytes, so
+        its id cannot be reused for another object within the run."""
+        _, kind, payload = msg
+        key = (kind, id(payload))
+        entry = self._submit_material.get(key)
+        if entry is None:
+            entry = self._submit_material[key] = (payload, repr(msg).encode())
+        return entry[1]
 
     def submit_item(self, src: str, kind: str, payload) -> None:
         self.send(src, "seq", ("submit", kind, payload), protected=True)

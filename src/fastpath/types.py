@@ -4,18 +4,25 @@ Everything here is an immutable value with a canonical byte encoding, so
 digests agree across validators and across runs. Object state is named by
 an (object id, version) pair; a version is consumed exactly once and every
 successful mutation produces version + 1.
+
+Because the values never change, pure work on them is done once per
+instance: encodings and digests are cached properties, and signature
+checks decorated with `verified_once` remember their verdict per
+(committee, scheme). Every actor of a simulation shares the same
+instances, so a certificate is verified once per run, not once per
+validator.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
+from typing import NamedTuple
 
 from . import crypto
 from .authenticators import Evidence
 from .encoding import (
-    digest,
     enc_bytes,
     enc_i64,
     enc_opt,
@@ -92,6 +99,24 @@ def validator_key(index: ValidatorId) -> bytes:
     return crypto.validator_public_key(index)
 
 
+def verified_once(check):
+    """Decorate a pure check of an immutable value so that it runs once per
+    value and argument tuple (committee, scheme).
+
+    The verdict is stored on the instance, so it lives exactly as long as
+    the value it describes; a copy with any field changed is a new instance
+    and is checked afresh.
+    """
+    @wraps(check)
+    def verify(value, *args) -> bool:
+        verdicts = value.__dict__.setdefault("_verdicts", {})
+        verdict = verdicts.get(args)
+        if verdict is None:
+            verdict = verdicts[args] = check(value, *args)
+        return verdict
+    return verify
+
+
 # --- objects -------------------------------------------------------------------
 
 class ObjectKind(str, enum.Enum):
@@ -101,8 +126,10 @@ class ObjectKind(str, enum.Enum):
     COMMUTATIVE = "commutative"
 
 
-@dataclass(frozen=True)
-class ObjectKey:
+class ObjectKey(NamedTuple):
+    """An object version. A named tuple, so hashing and equality run in C;
+    the hash equals `hash((object_id, version))`."""
+
     object_id: bytes
     version: int
 
@@ -165,6 +192,10 @@ class Object:
             raise ValueError(f"{self.kind.value} object owner mismatch")
 
     def canonical_bytes(self) -> bytes:
+        return self._encoded
+
+    @cached_property
+    def _encoded(self) -> bytes:
         return (self.key.canonical_bytes() + enc_str(self.kind.value)
                 + enc_opt(self.owner) + self.contents.canonical_bytes())
 
@@ -226,8 +257,10 @@ class Transaction:
             raise ProtocolError(ErrorCode.BAD_TRANSACTION, "gas must be an input")
 
     def with_evidence(self, evidence: Evidence) -> "Transaction":
-        return Transaction(self.inputs, self.shared_inputs, self.kind,
-                           self.params, self.gas, self.epoch, evidence)
+        tx = Transaction(self.inputs, self.shared_inputs, self.kind,
+                         self.params, self.gas, self.epoch, evidence)
+        tx.__dict__["digest"] = self.digest  # evidence is not in the digest
+        return tx
 
 
 # --- certificates -----------------------------------------------------------------
@@ -243,6 +276,7 @@ class CertSign:
         sig = scheme.sign(validator_key(signer), b"cert:" + tx.digest)
         return CertSign(tx.digest, signer, sig)
 
+    @verified_once
     def verify(self, scheme) -> bool:
         return scheme.verify(validator_key(self.signer),
                              b"cert:" + self.tx_digest, self.signature)
@@ -264,6 +298,7 @@ class Certificate:
         return {s.signer for s in self.signs}
 
 
+@verified_once
 def verify_certificate(cert: Certificate, params: CommitteeParams,
                        scheme=crypto.DEFAULT_SCHEME) -> bool:
     """Quorum of distinct committee members, each signature over the tx digest."""

@@ -17,7 +17,7 @@ one layer before re-executing on the consensus path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import crypto
 from .authenticators import AuthContext, PathError, RevealError, verify_reveal

@@ -147,3 +147,21 @@ def test_verify_effect_cert_needs_matching_quorum(world):
     other = EffectSummary(tx.digest, (), ())
     mismatched = signs[:2] + (EffectSign.make(other, 3, DEFAULT_SCHEME),)
     assert not verify_effect_cert(EffectCert(effects, mismatched), world.params)
+
+
+def test_object_key_contract():
+    from fastpath.types import ObjectKey
+    oid = bytes(range(32))
+    key = ObjectKey(oid, 3)
+    assert repr(key) == "ObjectKey(00010203..,v3)"
+    assert repr((key,)) == "(ObjectKey(00010203..,v3),)"
+    # the hash is the one a frozen dataclass over the same fields had, so
+    # set and dict iteration orders do not change
+    assert hash(key) == hash((oid, 3))
+    assert key == ObjectKey(oid, 3)
+    assert key != ObjectKey(oid, 4) and key != ObjectKey(bytes(32), 3)
+    assert (key.object_id, key.version) == (oid, 3)
+    assert key.bump() == ObjectKey(oid, 4) and key.version == 3
+    assert key.canonical_bytes() == (
+        len(oid).to_bytes(4, "big") + oid + (3).to_bytes(8, "big"))
+    assert len({key, ObjectKey(oid, 3), key.bump()}) == 2

@@ -1,0 +1,96 @@
+"""Verdicts cached on immutable protocol values stay sound.
+
+Signature checks remember their result on the value they checked, keyed by
+committee and scheme. A verdict reached under one committee must not leak
+to another, a copy with a tampered field must be checked afresh, and the
+sequencer must still reject an invalid item whose content it has already
+sequenced.
+"""
+
+import dataclasses
+import pathlib
+
+import pytest
+
+from fastpath.sequencer import KIND_CHECKPOINT, KIND_UNLOCK, Sequencer
+from fastpath.simnet.runner import Runner
+from fastpath.simnet.scenario import Scenario
+from fastpath.types import (
+    CommitteeParams,
+    ErrorCode,
+    ProtocolError,
+    verify_certificate,
+)
+from tests.test_sequencer import make_ucert
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+WIDER = CommitteeParams(7, 2)
+
+
+def tampered(sign):
+    return dataclasses.replace(sign, signature=bytes(32))
+
+
+def test_certificate_verdict_is_per_committee(world):
+    cert = world.cert(world.transfer("coin", "gas", "alice", "bob"), [0, 1, 2])
+    assert verify_certificate(cert, world.params)
+    # three signers are a quorum of n=4 but not of n=7
+    assert not verify_certificate(cert, WIDER)
+    assert verify_certificate(cert, world.params)
+
+
+def test_unlock_cert_verdict_is_per_committee(world):
+    ucert = make_ucert(world)
+    assert ucert.verify(world.params)
+    assert not ucert.verify(WIDER)
+    assert ucert.verify(world.params)
+
+
+def test_tampered_copy_of_verified_certificate_is_rejected(world):
+    cert = world.cert(world.transfer("coin", "gas", "alice", "bob"), [0, 1, 2])
+    assert verify_certificate(cert, world.params)
+    assert all(s.verify(world.scheme) for s in cert.signs)
+    bad = tampered(cert.signs[2])
+    assert not bad.verify(world.scheme)
+    forged = dataclasses.replace(cert, signs=cert.signs[:2] + (bad,))
+    assert not verify_certificate(forged, world.params)
+
+
+def test_tampered_copy_of_verified_unlock_cert_is_rejected(world):
+    ucert = make_ucert(world)
+    assert ucert.verify(world.params)
+    bad = tampered(ucert.votes[2])
+    assert not bad.verify(world.scheme)
+    forged = dataclasses.replace(ucert, votes=ucert.votes[:2] + (bad,))
+    assert not forged.verify(world.params)
+
+
+def test_sequencer_validates_duplicates_before_deduplicating(world):
+    seq = Sequencer(world.params)
+    cert = world.cert(world.transfer("coin", "gas", "alice", "bob"))
+    assert seq.submit(KIND_CHECKPOINT, cert) is not None
+    forged = dataclasses.replace(
+        cert, signs=cert.signs[:-1] + (tampered(cert.signs[-1]),))
+    with pytest.raises(ProtocolError) as err:
+        seq.submit(KIND_CHECKPOINT, forged)
+    assert err.value.code == ErrorCode.INVALID_ITEM
+
+    ucert = make_ucert(world)
+    assert seq.submit(KIND_UNLOCK, ucert) is not None
+    with pytest.raises(ProtocolError):
+        seq.submit(KIND_UNLOCK, dataclasses.replace(
+            ucert, votes=ucert.votes[:2] + (tampered(ucert.votes[2]),)))
+    assert len(seq.log) == 2
+
+
+def test_invalid_duplicate_submission_records_seq_rejected(world):
+    runner = Runner(Scenario.load(str(SCENARIOS / "swap_deadlock.yaml")))
+    assert runner.scenario.params == world.params
+    cert = world.cert(world.transfer("coin", "gas", "alice", "bob"))
+    runner.seq_actor.handle("v0", ("submit", KIND_CHECKPOINT, cert))
+    forged = dataclasses.replace(cert, signs=cert.signs[:2])
+    runner.seq_actor.handle("v1", ("submit", KIND_CHECKPOINT, forged))
+    runner.seq_actor.handle("v2", ("submit", KIND_CHECKPOINT, cert))
+    kinds = [(e["actor"], e["kind"]) for e in runner.recorder.events]
+    assert kinds == [("seq", "sequenced"), ("seq", "seq_rejected")]
+    assert runner.recorder.events[1]["code"] == ErrorCode.INVALID_ITEM.value
