@@ -580,8 +580,18 @@ class Evidence:
         return sigs + revs
 
     def signer_set(self, message: bytes, scheme) -> frozenset[bytes]:
-        return frozenset(pk for pk, sig in self.signatures
-                         if scheme.verify(pk, message, sig))
+        """Keys whose signature over `message` verifies under `scheme`.
+
+        Computed once per (message, scheme) and stored on this evidence, so
+        every validator checking the same evidence shares one verification.
+        """
+        sets = self.__dict__.setdefault("_signer_sets", {})
+        signers = sets.get((message, scheme))
+        if signers is None:
+            signers = sets[(message, scheme)] = frozenset(
+                pk for pk, sig in self.signatures
+                if scheme.verify(pk, message, sig))
+        return signers
 
     def for_object(self, oid: bytes):
         for entry_oid, rev, path in self.reveals:

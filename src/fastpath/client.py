@@ -152,7 +152,7 @@ def assemble_unlock_cert(votes, rqt: UnlockRqt, params: CommitteeParams,
         if vote.rqt_digest != rqt.digest:
             raise ProtocolError(ErrorCode.MIXED_REQUESTS,
                                 "votes span different unlock requests")
-        if vote.verify(scheme) and 0 <= vote.signer < params.n:
+        if 0 <= vote.signer < params.n and vote.verify(scheme):
             good.setdefault(vote.signer, vote)
     if len(good) < quorum(params):
         raise ProtocolError(ErrorCode.INCOMPLETE,
@@ -355,7 +355,9 @@ class FastPathDriver:
             return
         if isinstance(msg, TxVoteMsg) and self.phase == "vote":
             vote = msg.vote
-            if vote.tx_digest == self.tx.digest and vote.verify(self.scheme):
+            if (0 <= vote.signer < self.params.n
+                    and vote.tx_digest == self.tx.digest
+                    and vote.verify(self.scheme)):
                 self.votes.setdefault(vote.signer, vote)
             if len(self.votes) >= quorum(self.params) and self.cert is None:
                 signs = tuple(self.votes[s] for s in sorted(self.votes))
@@ -384,7 +386,9 @@ class FastPathDriver:
         elif isinstance(msg, CertReply) and self.phase == "exec":
             if msg.tx_digest != self.tx.digest:
                 return
-            if msg.status == "executed" and msg.sign and msg.sign.verify(self.scheme):
+            if (msg.status == "executed" and msg.sign
+                    and 0 <= msg.sign.signer < self.params.n
+                    and msg.sign.verify(self.scheme)):
                 group = self.effect_groups.setdefault(msg.sign.effects.digest, {})
                 group.setdefault(msg.sign.signer, msg.sign)
                 if len(group) >= quorum(self.params):
@@ -477,7 +481,9 @@ class FastUnlockDriver:
             return
         if isinstance(msg, UnlockVoteMsg) and self.phase == "vote":
             vote = msg.vote
-            if vote.rqt_digest == self.rqt.digest and vote.verify(self.scheme):
+            if (0 <= vote.signer < self.params.n
+                    and vote.rqt_digest == self.rqt.digest
+                    and vote.verify(self.scheme)):
                 self.votes.setdefault(vote.signer, vote)
             enough = len(self.votes) >= quorum(self.params)
             if self.wait_all:
@@ -516,7 +522,8 @@ class FastUnlockDriver:
                                               key=lambda k: (k.object_id,
                                                              k.version))))
                 return
-            if not all(s.verify(self.scheme) for s in msg.signs):
+            if not all(0 <= s.signer < self.params.n and s.verify(self.scheme)
+                       for s in msg.signs):
                 return
             shape = tuple(sorted(s.effects.digest for s in msg.signs))
             group = self.outcome_groups.setdefault(shape, {})

@@ -40,8 +40,8 @@ DEFAULT_SCHEME = KeyedDigestScheme()
 def validator_public_key(index: int) -> bytes:
     """Identity key of committee member `index`, derived deterministically.
 
-    Cached, one entry per index looked up: committee members, plus any
-    out-of-range signer index a vote claims before it is range-checked."""
+    Cached, one entry per index looked up: the committee members, since a
+    claimed signer index is range-checked before its key is looked up."""
     _, pk = DEFAULT_SCHEME.keypair(b"validator:" + enc_u64(index))
     return pk
 

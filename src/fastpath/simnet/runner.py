@@ -16,6 +16,7 @@ every validator submits the same certificate object.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from dataclasses import dataclass
@@ -114,7 +115,7 @@ class ValidatorActor:
             vid, runner.scenario.params, scheme=runner.scheme,
             auto_unlock_delay=runner.scenario.delta, fault=fault.kind,
             event_oracle=event_facts(runner.scenario.events),
-            sink=lambda kind, **f: runner.record(self.name, kind, **f))
+            sink=functools.partial(runner.record, self.name))
         self.next_seq = 0
         self.seq_buffer: dict[int, SequencedItem] = {}
         self.requesters: dict[bytes, str] = {}

@@ -6,10 +6,12 @@ an (object id, version) pair; a version is consumed exactly once and every
 successful mutation produces version + 1.
 
 Because the values never change, pure work on them is done once per
-instance: encodings and digests are cached properties, and signature
-checks decorated with `verified_once` remember their verdict per
-(committee, scheme). Every actor of a simulation shares the same
-instances, so a certificate is verified once per run, not once per
+instance: encodings and digests are cached properties, signature checks
+decorated with `verified_once` remember their verdict per (committee,
+scheme), `Evidence.signer_set` remembers its signer set per (message,
+scheme), and `validator.execute` remembers its plan per input content.
+Every actor of a simulation shares the same instances, so a certificate
+is verified, and a transaction executed, once per run, not once per
 validator.
 """
 

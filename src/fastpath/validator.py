@@ -13,6 +13,13 @@ none -> unlocked -> confirmed, or none -> confirmed.
 Fast-path executions are provisional until sequenced: the pre-image of
 each consumed key is retained so that a no-commit unlock can undo exactly
 one layer before re-executing on the consensus path.
+
+Execution is pure, so its plans are memoized per transaction instance,
+keyed by the content of the inputs. The dry run when signing, the
+fast-path execution of the certificate and a sequenced execution over the
+same inputs share one plan, and so do all validators of a simulation,
+which share the transaction instance: one `EffectSummary`, whose digest is
+computed once, and one set of produced objects, each encoded once.
 """
 
 from __future__ import annotations
@@ -121,7 +128,22 @@ def execute(tx: Transaction, loaded: dict[ObjectKey, Object],
     shared inputs are consumed (reappearing at version + 1); commutative
     inputs only contribute deltas; read-only inputs are untouched. The gas
     input always pays the flat fee.
+
+    A successful plan is memoized on the transaction instance, keyed by the
+    canonical encoding (key, kind, owner and contents) of every input and
+    shared object plus the fee, and shared by every caller, on any
+    validator, that executes this instance over the same content. The key
+    is content, not `ObjectKey`, so a re-execution after an undo sees the
+    objects it is given. A failure is not stored: its `ProtocolError` is
+    raised again on every call.
     """
+    plans = tx.__dict__.setdefault("_plans", {})
+    memo_key = (tuple(loaded[k].canonical_bytes() for k in tx.inputs),
+                tuple(o.canonical_bytes() for o in shared), fee)
+    plan = plans.get(memo_key)
+    if plan is not None:
+        return plan
+
     gas_obj = loaded[tx.gas]
     if gas_obj.kind != ObjectKind.OWNED or not isinstance(gas_obj.contents, IntValue):
         raise ProtocolError(ErrorCode.BAD_TRANSACTION, "gas must be an owned balance")
@@ -197,7 +219,8 @@ def execute(tx: Transaction, loaded: dict[ObjectKey, Object],
                      if loaded[k].kind == ObjectKind.OWNED)
     consumed += tuple(obj.key for obj in shared)
     effects = EffectSummary(tx.digest, consumed, tuple(produced), tuple(deltas))
-    return ExecPlan(effects, tuple(produced))
+    plan = plans[memo_key] = ExecPlan(effects, tuple(produced))
+    return plan
 
 
 # --- validator state --------------------------------------------------------------

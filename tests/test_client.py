@@ -3,14 +3,21 @@ import itertools
 import pytest
 
 from fastpath.client import (
+    CertReply,
+    FastPathDriver,
+    FastUnlockDriver,
+    TxVoteMsg,
     UnlockCert,
+    UnlockOutcomeMsg,
     UnlockRqt,
     UnlockVote,
+    UnlockVoteMsg,
     assemble_unlock_cert,
     retry_after_unlock,
 )
 from fastpath.crypto import DEFAULT_SCHEME
 from fastpath.types import (
+    CertSign,
     EffectCert,
     EffectSign,
     EffectSummary,
@@ -21,6 +28,7 @@ from fastpath.types import (
     ObjectKind,
     ProtocolError,
     TxKind,
+    quorum,
 )
 
 
@@ -126,3 +134,95 @@ def test_retry_leaves_untouched_inputs_alone(world):
     versions = {k.object_id: k.version for k in rebuilt.inputs}
     assert versions[world.key("coin").object_id] == 1
     assert versions[world.key("bcoin").object_id] == 0
+
+
+class RecordingEnv:
+    """The simulator as a driver sees it: records emitted event kinds and
+    sequencer submissions, and sends nothing."""
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, kind, **fields):
+        self.events.append(kind)
+
+    def broadcast(self, msg):
+        pass
+
+    def send_validator(self, vid, msg):
+        pass
+
+    def set_timer(self, delay, token):
+        pass
+
+    def submit_sequencer(self, item):
+        self.events.append("submitted")
+
+
+def test_out_of_range_unlock_votes_are_dropped(world):
+    rqt = simple_rqt(world)
+    n = world.params.n
+    negative = UnlockVote(rqt.digest, (), -1, b"\x00" * 32)
+    # a vote signed by index n verifies under the keyed-digest scheme
+    assert vote(rqt, n).verify(DEFAULT_SCHEME)
+    with pytest.raises(ProtocolError) as err:
+        assemble_unlock_cert([vote(rqt, 0), vote(rqt, 1), negative, vote(rqt, n)],
+                             rqt, world.params)
+    assert err.value.code == ErrorCode.INCOMPLETE
+
+    env = RecordingEnv()
+    driver = FastUnlockDriver("d", rqt, world.params)
+    driver.start(env)
+    for v in (vote(rqt, 0), negative, vote(rqt, 1), vote(rqt, n)):
+        driver.on_message(env, UnlockVoteMsg(v))
+    assert sorted(driver.votes) == [0, 1]
+    assert driver.ucert is None and "submitted" not in env.events
+
+
+def test_out_of_range_tx_votes_are_dropped(world):
+    tx = world.transfer("coin", "gas", "alice", "bob")
+    n = world.params.n
+    env = RecordingEnv()
+    driver = FastPathDriver("d", tx, world.params)
+    driver.start(env)
+    votes = (CertSign.make(tx, 0, DEFAULT_SCHEME),
+             CertSign(tx.digest, -1, bytes(32)),
+             CertSign.make(tx, 1, DEFAULT_SCHEME),
+             CertSign.make(tx, n, DEFAULT_SCHEME))
+    for v in votes:
+        driver.on_message(env, TxVoteMsg(v))
+    assert sorted(driver.votes) == [0, 1]
+    assert driver.cert is None and driver.phase == "vote"
+
+
+def effect_sign(effects, signer):
+    if signer < 0:
+        return EffectSign(effects, signer, b"\x00" * 32)
+    return EffectSign.make(effects, signer, DEFAULT_SCHEME)
+
+
+def test_out_of_range_effect_signs_do_not_finalize(world):
+    tx = world.transfer("coin", "gas", "alice", "bob")
+    n = world.params.n
+    env = RecordingEnv()
+    driver = FastPathDriver("d", tx, world.params)
+    driver.start(env)
+    for vid in range(quorum(world.params)):
+        driver.on_message(env, TxVoteMsg(CertSign.make(tx, vid, DEFAULT_SCHEME)))
+    assert driver.phase == "exec"
+    effects = EffectSummary(tx.digest, (), ())
+    for signer in (0, -1, 1, n):
+        driver.on_message(env, CertReply(tx.digest, "executed", signer,
+                                         effect_sign(effects, signer)))
+    assert driver.result is None
+    assert sorted(driver.effect_groups[effects.digest]) == [0, 1]
+
+    rqt = simple_rqt(world)
+    unlock = FastUnlockDriver("u", rqt, world.params)
+    unlock.start(env)
+    # (message sender, signer of the sign it carries)
+    for sender, signer in ((0, 0), (3, -1), (1, 1), (2, n)):
+        unlock.on_message(env, UnlockOutcomeMsg(rqt.digest, "executed", sender,
+                                                (effect_sign(effects, signer),)))
+    assert unlock.result is None
+    assert [sorted(g) for g in unlock.outcome_groups.values()] == [[0, 1]]

@@ -32,3 +32,108 @@ def test_no_unused_module_level_imports():
     assert modules
     unused = [line for path in modules for line in unused_imports(path)]
     assert unused == []
+
+
+# A cache that lives at module level outlives the run that filled it and is
+# shared by every caller in the process; memoized results live on the
+# immutable value or the run they describe instead. The one exception is a
+# pure function of a committee index.
+ALLOWED_CACHES = {"crypto.validator_public_key"}
+CACHE_DECORATORS = {"cache", "lru_cache"}
+CONTAINER_CALLS = {"dict", "set", "defaultdict", "OrderedDict"}
+FILLERS = {"add", "update", "setdefault", "__setitem__"}
+
+
+def _callee_name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _module_containers(tree: ast.Module) -> set[str]:
+    """Names the module binds at top level to a dict or set."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp)) or (
+                isinstance(value, ast.Call)
+                and _callee_name(value) in CONTAINER_CALLS):
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _filled(node: ast.AST, containers: set[str]) -> str | None:
+    """The module-level container `node` adds an entry to, if any."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        target = node.value
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in FILLERS:
+        target = node.func.value
+    elif isinstance(node, ast.AugAssign):
+        target = node.target
+    else:
+        return None
+    if isinstance(target, ast.Name) and target.id in containers:
+        return target.id
+    return None
+
+
+def process_wide_caches(tree: ast.Module, module: str) -> list[str]:
+    """Cache decorators, and module-level dicts or sets that a function
+    adds entries to, outside `ALLOWED_CACHES`."""
+    containers = _module_containers(tree)
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in fn.decorator_list:
+            if (_callee_name(dec) in CACHE_DECORATORS
+                    and f"{module}.{fn.name}" not in ALLOWED_CACHES):
+                found.append(f"{module}:{dec.lineno} caches {fn.name}")
+        for node in ast.walk(fn):
+            name = _filled(node, containers)
+            if name is not None:
+                found.append(f"{module}:{node.lineno} {fn.name} writes "
+                             f"module-level {name}")
+    return found
+
+
+def test_no_process_wide_caches():
+    modules = sorted(SRC.rglob("*.py"))
+    found = []
+    for path in modules:
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        found += process_wide_caches(ast.parse(path.read_text()), module)
+    assert found == []
+
+
+def test_cache_check_flags_planted_caches():
+    planted = ast.parse(
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "_SEEN = {}\n"
+        "_KEYS: set = set()\n"
+        "_CONST = {1: 2}\n"
+        "@functools.cache\n"
+        "def a(x): return x\n"
+        "@lru_cache(maxsize=None)\n"
+        "def b(x): return x\n"
+        "def c(x):\n"
+        "    _SEEN[x] = 1\n"
+        "    _KEYS.add(x)\n"
+        "    return _CONST[x]\n"
+        "@functools.cache\n"
+        "def validator_public_key(i): return i\n")
+    assert process_wide_caches(planted, "crypto") == [
+        "crypto:6 caches a", "crypto:8 caches b",
+        "crypto:11 c writes module-level _SEEN",
+        "crypto:12 c writes module-level _KEYS"]
