@@ -27,6 +27,7 @@ from .types import (
     ProtocolError,
     Transaction,
     quorum,
+    quorum_signed,
     validator_key,
     validity_threshold,
     verified_once,
@@ -127,17 +128,9 @@ class UnlockCert:
 
     @verified_once
     def verify(self, params: CommitteeParams, scheme=crypto.DEFAULT_SCHEME) -> bool:
-        seen = set()
-        for vote in self.votes:
-            if vote.signer in seen or not 0 <= vote.signer < params.n:
-                return False
-            if vote.rqt_digest != self.rqt.digest or not vote.verify(scheme):
-                return False
-            seen.add(vote.signer)
-        if len(seen) < quorum(params):
-            return False
-        return all(verify_certificate(c, params, scheme)
-                   for c in self.carried_union())
+        return quorum_signed(self.votes, params, lambda v: (
+            v.rqt_digest == self.rqt.digest and v.verify(scheme))) and all(
+            verify_certificate(c, params, scheme) for c in self.carried_union())
 
 
 def assemble_unlock_cert(votes, rqt: UnlockRqt, params: CommitteeParams,
@@ -288,44 +281,89 @@ class UnlockOutcomeMsg:
 
 # --- drivers ---------------------------------------------------------------------
 
-def _produced_fields(effects) -> list:
-    """Trace form of produced objects: id, version, and a state fingerprint
-    that final snapshots can be diffed against."""
-    return [[o.key.object_id.hex(), o.key.version,
-             o.canonical_bytes().hex()[:32]] for o in effects.produced]
+def _emit_effect_cert(env, effects, **fields) -> None:
+    """Trace a finalized effect certificate; each produced object carries a
+    state fingerprint that final snapshots can be diffed against."""
+    env.emit("effect_cert", effects=effects.digest.hex(),
+             produced=[[o.key.object_id.hex(), o.key.version,
+                        o.canonical_bytes().hex()[:32]] for o in effects.produced],
+             counters=[[d.object_id.hex(), d.delta]
+                       for d in effects.counter_deltas],
+             **fields)
 
 
 @dataclass
 class DriverResult:
     status: str
     effect_certs: list[EffectCert] = field(default_factory=list)
-    codes: list[str] = field(default_factory=list)
     confirmed_keys: list[ObjectKey] = field(default_factory=list)
 
 
-class FastPathDriver:
+class _Driver:
+    """The lifecycle both drivers share: one finish (a `<kind>_driver_finished`
+    event, then `on_done`) and the retry tick, which resends `_resend`'s
+    request to every validator that has not answered."""
+
+    kind = ""
+
+    def __init__(self, driver_id: str, label: dict, params: CommitteeParams,
+                 scheme, on_done):
+        self.driver_id = driver_id
+        self.label = label
+        self.params = params
+        self.scheme = scheme
+        self.on_done = on_done
+        self.phase = "vote"
+        self.rejections: dict[int, str] = {}
+        self.result: DriverResult | None = None
+        self.round_trips = 0
+        self.retries = 0
+
+    def _member(self, signer: int) -> bool:
+        return 0 <= signer < self.params.n
+
+    def _finish(self, env, result: DriverResult) -> None:
+        if self.result is None:
+            self.result = result
+            self.phase = "done"
+            env.emit(f"{self.kind}_driver_finished", **self.label,
+                     status=result.status, rounds=self.round_trips,
+                     retries=self.retries)
+            if self.on_done:
+                self.on_done(env, self, result)
+
+    def _retry(self, env) -> None:
+        if self.phase == "done":
+            return
+        self.retries += 1
+        if self.retries > MAX_RETRIES:
+            self._finish(env, DriverResult("timeout"))
+            return
+        answered, request = self._resend()
+        for vid in range(self.params.n):
+            if vid not in answered:
+                env.send_validator(vid, request)
+        env.set_timer(RETRY_DELAY, self.driver_id)
+
+
+class FastPathDriver(_Driver):
     """Drives one transaction: collect votes, form the certificate,
     collect matching effect signatures."""
+
+    kind = "fast"
 
     def __init__(self, driver_id: str, tx: Transaction, params: CommitteeParams,
                  scheme=crypto.DEFAULT_SCHEME, on_done=None, first_to=None,
                  cert_to=None):
-        self.driver_id = driver_id
+        super().__init__(driver_id, {"tx": tx.digest.hex()}, params, scheme,
+                         on_done)
         self.tx = tx
-        self.params = params
-        self.scheme = scheme
-        self.on_done = on_done
         self.first_to = first_to  # initial partial broadcast; retries reach everyone
         self.cert_to = cert_to  # submit the certificate here and walk away
-        self.phase = "vote"
         self.votes: dict[int, CertSign] = {}
-        self.rejections: dict[int, str] = {}
         self.effect_groups: dict[bytes, dict[int, EffectSign]] = {}
         self.superseded: set[int] = set()
         self.cert: Certificate | None = None
-        self.result: DriverResult | None = None
-        self.round_trips = 0
-        self.retries = 0
 
     def start(self, env) -> None:
         self.round_trips = 1
@@ -336,26 +374,12 @@ class FastPathDriver:
             env.broadcast(SubmitTx(self.tx, self.driver_id))
         env.set_timer(RETRY_DELAY, self.driver_id)
 
-    def _finish(self, env, result: DriverResult) -> None:
-        if self.result is None:
-            self.result = result
-            self.phase = "done"
-            env.emit("fast_driver_finished", tx=self.tx.digest.hex(),
-                     status=result.status, rounds=self.round_trips,
-                     retries=self.retries)
-            if self.on_done:
-                self.on_done(env, self, result)
-
-    def _impossible(self) -> bool:
-        # too many distinct rejectors for any quorum to remain reachable
-        return len(self.rejections) > self.params.n - quorum(self.params)
-
     def on_message(self, env, msg) -> None:
         if self.phase == "done":
             return
         if isinstance(msg, TxVoteMsg) and self.phase == "vote":
             vote = msg.vote
-            if (0 <= vote.signer < self.params.n
+            if (self._member(vote.signer)
                     and vote.tx_digest == self.tx.digest
                     and vote.verify(self.scheme)):
                 self.votes.setdefault(vote.signer, vote)
@@ -374,88 +398,70 @@ class FastPathDriver:
                     return
                 env.broadcast(SubmitCert(self.cert, self.driver_id))
         elif isinstance(msg, TxErrorMsg) and self.phase == "vote":
-            if msg.tx_digest == self.tx.digest:
+            if msg.tx_digest == self.tx.digest and self._member(msg.signer):
                 self.rejections.setdefault(msg.signer, msg.code)
-                if self._impossible():
+                # too many distinct rejectors for any quorum to remain reachable
+                if len(self.rejections) > self.params.n - quorum(self.params):
                     codes = sorted(set(self.rejections.values()))
                     status = ("locked" if ErrorCode.CONFLICTING_LOCK.value in codes
                               else "rejected")
                     env.emit("fast_path_blocked", tx=self.tx.digest.hex(),
                              status=status, codes=codes)
-                    self._finish(env, DriverResult(status, codes=codes))
+                    self._finish(env, DriverResult(status))
         elif isinstance(msg, CertReply) and self.phase == "exec":
             if msg.tx_digest != self.tx.digest:
                 return
             if (msg.status == "executed" and msg.sign
-                    and 0 <= msg.sign.signer < self.params.n
+                    and self._member(msg.sign.signer)
                     and msg.sign.verify(self.scheme)):
                 group = self.effect_groups.setdefault(msg.sign.effects.digest, {})
                 group.setdefault(msg.sign.signer, msg.sign)
                 if len(group) >= quorum(self.params):
                     cert = EffectCert(msg.sign.effects,
                                       tuple(group[s] for s in sorted(group)))
-                    env.emit("effect_cert", tx=self.tx.digest.hex(),
-                             effects=msg.sign.effects.digest.hex(),
-                             produced=_produced_fields(msg.sign.effects),
-                             tx_kind=self.tx.kind.value,
-                             amount=self.tx.params.amount,
-                             counters=[[d.object_id.hex(), d.delta]
-                                       for d in msg.sign.effects.counter_deltas],
-                             path="fast")
+                    _emit_effect_cert(env, cert.effects,
+                                      tx=self.tx.digest.hex(),
+                                      tx_kind=self.tx.kind.value,
+                                      amount=self.tx.params.amount, path="fast")
                     self._finish(env, DriverResult("finalized",
                                                    effect_certs=[cert]))
-            elif msg.status == "superseded":
+            elif msg.status == "superseded" and self._member(msg.signer):
                 self.superseded.add(msg.signer)
                 if len(self.superseded) >= quorum(self.params):
                     self._finish(env, DriverResult("superseded"))
             # deferred replies just mean: ask again later
 
-    def on_timer(self, env) -> None:
-        if self.phase == "done":
-            return
-        self.retries += 1
-        if self.retries > MAX_RETRIES:
-            self._finish(env, DriverResult("timeout"))
-            return
+    def _resend(self):
         if self.phase == "vote":
             # re-poll voters too: their state may have moved to a terminal
             # answer (executed elsewhere, unlocked, confirmed) since
-            for vid in range(self.params.n):
-                if vid not in self.rejections:
-                    env.send_validator(vid, SubmitTx(self.tx, self.driver_id))
-        else:
-            answered = set().union(*[set(g) for g in self.effect_groups.values()]) \
-                if self.effect_groups else set()
-            for vid in range(self.params.n):
-                if vid not in answered:
-                    env.send_validator(vid, SubmitCert(self.cert, self.driver_id))
-        env.set_timer(RETRY_DELAY, self.driver_id)
+            return self.rejections, SubmitTx(self.tx, self.driver_id)
+        return (set().union(*self.effect_groups.values()),
+                SubmitCert(self.cert, self.driver_id))
+
+    def on_timer(self, env) -> None:
+        self._retry(env)
 
 
-class FastUnlockDriver:
+class FastUnlockDriver(_Driver):
     """Drives an unlock: gather votes, sequence the unlock certificate,
     and collect the sequenced execution's effect signatures."""
+
+    kind = "unlock"
 
     def __init__(self, driver_id: str, rqt: UnlockRqt, params: CommitteeParams,
                  scheme=crypto.DEFAULT_SCHEME, authorized: bool = True,
                  on_done=None, wait_all: bool = False):
-        self.driver_id = driver_id
+        super().__init__(driver_id, {"rqt": rqt.digest.hex()}, params, scheme,
+                         on_done)
         self.rqt = rqt
-        self.params = params
-        self.scheme = scheme
         self.authorized = authorized
-        self.on_done = on_done
         self.wait_all = wait_all  # gather every validator's vote, not just a quorum
-        self.phase = "vote"
         self.votes: dict[int, UnlockVote] = {}
-        self.rejections: dict[int, str] = {}
         self.outcome_groups: dict[tuple, dict[int, UnlockOutcomeMsg]] = {}
         self.ignored: set[int] = set()
         self._confirmed_seen: set[ObjectKey] = set()
         self.ucert: UnlockCert | None = None
-        self.result: DriverResult | None = None
-        self.round_trips = 0
-        self.retries = 0
 
     def start(self, env) -> None:
         self.round_trips = 1
@@ -466,30 +472,18 @@ class FastUnlockDriver:
         env.broadcast(SubmitUnlockRqt(self.rqt, self.driver_id))
         env.set_timer(RETRY_DELAY, self.driver_id)
 
-    def _finish(self, env, result: DriverResult) -> None:
-        if self.result is None:
-            self.result = result
-            self.phase = "done"
-            env.emit("unlock_driver_finished", rqt=self.rqt.digest.hex(),
-                     status=result.status, rounds=self.round_trips,
-                     retries=self.retries)
-            if self.on_done:
-                self.on_done(env, self, result)
-
     def on_message(self, env, msg) -> None:
         if self.phase == "done":
             return
         if isinstance(msg, UnlockVoteMsg) and self.phase == "vote":
             vote = msg.vote
-            if (0 <= vote.signer < self.params.n
+            if (self._member(vote.signer)
                     and vote.rqt_digest == self.rqt.digest
                     and vote.verify(self.scheme)):
                 self.votes.setdefault(vote.signer, vote)
-            enough = len(self.votes) >= quorum(self.params)
-            if self.wait_all:
-                enough = (len(self.votes) >= quorum(self.params)
-                          and len(self.votes) + len(self.rejections)
-                          >= self.params.n)
+            enough = len(self.votes) >= quorum(self.params) and (
+                not self.wait_all
+                or len(self.votes) + len(self.rejections) >= self.params.n)
             if enough and self.ucert is None:
                 self.ucert = assemble_unlock_cert(
                     self.votes.values(), self.rqt, self.params, self.scheme)
@@ -503,26 +497,22 @@ class FastUnlockDriver:
                                for k in self.rqt.object_keys])
                 env.submit_sequencer(self.ucert)
         elif isinstance(msg, UnlockErrorMsg) and self.phase == "vote":
-            if msg.rqt_digest == self.rqt.digest:
+            if msg.rqt_digest == self.rqt.digest and self._member(msg.signer):
                 self.rejections.setdefault(msg.signer, msg.code)
                 if msg.code == "AlreadyConfirmed":
                     self._confirmed_seen.update(msg.keys)
                 self._maybe_refuse(env)
         elif isinstance(msg, UnlockOutcomeMsg):
-            if msg.rqt_digest != self.rqt.digest:
+            if msg.rqt_digest != self.rqt.digest or not self._member(msg.signer):
                 return
             if msg.status == "ignored":
                 self.ignored.add(msg.signer)
                 self._confirmed_seen.update(msg.confirmed)
                 if len(self.ignored) >= quorum(self.params):
-                    env.emit("unlock_superseded", rqt=self.rqt.digest.hex())
-                    self._finish(env, DriverResult(
-                        "superseded",
-                        confirmed_keys=sorted(self._confirmed_seen,
-                                              key=lambda k: (k.object_id,
-                                                             k.version))))
+                    self._superseded(env)
                 return
-            if not all(0 <= s.signer < self.params.n and s.verify(self.scheme)
+            # a validator reports only its own execution's signatures
+            if not all(s.signer == msg.signer and s.verify(self.scheme)
                        for s in msg.signs):
                 return
             shape = tuple(sorted(s.effects.digest for s in msg.signs))
@@ -531,15 +521,18 @@ class FastUnlockDriver:
             if len(group) >= quorum(self.params):
                 certs = self._effect_certs(group)
                 for cert in certs:
-                    env.emit("effect_cert", tx=cert.effects.tx_digest.hex(),
-                             effects=cert.effects.digest.hex(),
-                             produced=_produced_fields(cert.effects),
-                             tx_kind="unlock", amount=0,
-                             counters=[[d.object_id.hex(), d.delta]
-                                       for d in cert.effects.counter_deltas],
-                             rqt=self.rqt.digest.hex(),
-                             path="unlock")
+                    _emit_effect_cert(env, cert.effects,
+                                      tx=cert.effects.tx_digest.hex(),
+                                      tx_kind="unlock", amount=0,
+                                      rqt=self.rqt.digest.hex(), path="unlock")
                 self._finish(env, DriverResult("unlocked", effect_certs=certs))
+
+    def _superseded(self, env) -> None:
+        env.emit("unlock_superseded", rqt=self.rqt.digest.hex())
+        self._finish(env, DriverResult(
+            "superseded",
+            confirmed_keys=sorted(self._confirmed_seen,
+                                  key=lambda k: (k.object_id, k.version))))
 
     def _maybe_refuse(self, env) -> None:
         """Decide how a rejected unlock ends once enough validators have
@@ -553,41 +546,25 @@ class FastUnlockDriver:
         everyone_answered = len(self.votes) + len(self.rejections) >= self.params.n
         if confirmed_says >= validity_threshold(self.params) or (
                 everyone_answered and confirmed_says > 0):
-            env.emit("unlock_superseded", rqt=self.rqt.digest.hex())
-            self._finish(env, DriverResult(
-                "superseded",
-                confirmed_keys=sorted(self._confirmed_seen,
-                                      key=lambda k: (k.object_id, k.version))))
+            self._superseded(env)
         elif len(codes) - confirmed_says > spare or (
                 everyone_answered and confirmed_says == 0):
             codes = sorted(set(codes))
             env.emit("unlock_refused", rqt=self.rqt.digest.hex(), codes=codes)
-            self._finish(env, DriverResult("unauthorized", codes=codes))
+            self._finish(env, DriverResult("unauthorized"))
 
     def _effect_certs(self, group: dict[int, UnlockOutcomeMsg]) -> list[EffectCert]:
-        certs = []
-        sample = group[sorted(group)[0]]
-        for i, _ in enumerate(sample.signs):
-            signs = tuple(group[vid].signs[i] for vid in sorted(group))
-            certs.append(EffectCert(signs[0].effects, signs))
-        return certs
+        # the i-th certificate takes every validator's i-th sign
+        rows = [group[vid].signs for vid in sorted(group)]
+        return [EffectCert(signs[0].effects, signs) for signs in zip(*rows)]
 
-    def on_timer(self, env) -> None:
-        if self.phase == "done":
-            return
-        self.retries += 1
-        if self.retries > MAX_RETRIES:
-            self._finish(env, DriverResult("timeout"))
-            return
+    def _resend(self):
         if self.phase == "vote":
             # voters may have settled the keys since; poll them again too
-            missing = [v for v in range(self.params.n)
-                       if v not in self.rejections]
+            answered = self.rejections
         else:
-            heard = set(self.ignored)
-            for g in self.outcome_groups.values():
-                heard |= set(g)
-            missing = [v for v in range(self.params.n) if v not in heard]
-        for vid in missing:
-            env.send_validator(vid, SubmitUnlockRqt(self.rqt, self.driver_id))
-        env.set_timer(RETRY_DELAY, self.driver_id)
+            answered = self.ignored.union(*self.outcome_groups.values())
+        return answered, SubmitUnlockRqt(self.rqt, self.driver_id)
+
+    def on_timer(self, env) -> None:
+        self._retry(env)

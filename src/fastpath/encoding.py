@@ -54,7 +54,3 @@ def digest(data: bytes) -> bytes:
 def tagged_digest(tag: str, data: bytes) -> bytes:
     """Domain-separated digest; `tag` names the message kind."""
     return hashlib.sha256(enc_str(tag) + data).digest()
-
-
-def hx(data: bytes) -> str:
-    return data.hex()

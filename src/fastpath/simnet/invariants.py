@@ -29,9 +29,6 @@ class Violation:
     checker: str
     message: str
 
-    def as_dict(self) -> dict:
-        return {"checker": self.checker, "message": self.message}
-
 
 def _honest_ids(trace: Trace) -> set[str]:
     faults = trace.meta.get("faults", {})

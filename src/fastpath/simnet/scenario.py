@@ -61,8 +61,14 @@ FAULT_KINDS = {"honest", "crash", "equivocator", "vote_withholder",
 # Validators the checkers' guarantees cover: a crashed validator stops, but
 # everything it did before the crash is honest behavior.
 COVERED_KINDS = frozenset({"honest", "crash"})
-ACTIONS = {"transfer", "swap", "noop", "mint", "credit", "debit",
-           "unlock", "double_send", "spend_loop"}
+TX_ACTIONS = ("transfer", "swap", "noop", "mint", "credit", "debit")
+ACTIONS = {*TX_ACTIONS, "unlock", "double_send", "spend_loop"}
+# Fields an action cannot run without; recovering by unlock (`on_locked:
+# unlock`, and every double send) also spends `unlock_gas`.
+REQUIRED_FIELDS = {**{name: ("gas",) for name in TX_ACTIONS},
+                   "double_send": ("gas", "unlock_gas"),
+                   "unlock": ("keys", "gas"),
+                   "spend_loop": ("counter", "gas_pool", "unlock_gas_pool")}
 
 
 class ScenarioError(Exception):
@@ -104,7 +110,7 @@ class NetworkSpec:
 class ObjectSpec:
     name: str
     kind: ObjectKind
-    owner_spec: dict | None
+    term: AuthTerm | None  # the owner policy, resolved at load
     contents: int
     flavor: str | None
     limit: int
@@ -175,15 +181,22 @@ class Scenario:
         accounts = list(data.get("accounts") or [])
         if len(set(accounts)) != len(accounts):
             raise ScenarioError("duplicate account names")
+        account_keys = {name: user_keypair(name)[1] for name in accounts}
 
         objects = []
         seen_names = set()
-        for spec in data.get("objects") or []:
+        for i, spec in enumerate(data.get("objects") or []):
+            if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
+                raise ScenarioError(f"object entry {i} needs a name")
             name = spec["name"]
             if name in seen_names:
                 raise ScenarioError(f"duplicate object name {name!r}")
             seen_names.add(name)
-            kind = ObjectKind(spec.get("kind", "owned"))
+            try:
+                kind = ObjectKind(spec.get("kind", "owned"))
+            except ValueError:
+                raise ScenarioError(f"object {name!r} has unknown kind "
+                                    f"{spec.get('kind')!r}") from None
             owner_spec = spec.get("owner")
             if kind in (ObjectKind.OWNED, ObjectKind.COMMUTATIVE):
                 if owner_spec is None:
@@ -194,19 +207,29 @@ class Scenario:
             if kind == ObjectKind.COMMUTATIVE and flavor not in (
                     "grow", "uset", "pnset", "bounded"):
                 raise ScenarioError(f"object {name!r} needs a counter flavor")
+            try:
+                term = (term_from_spec(owner_spec, account_keys)
+                        if owner_spec is not None else None)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ScenarioError(f"object {name!r}: bad owner term "
+                                    f"{owner_spec!r}: {exc}") from exc
             objects.append(ObjectSpec(
-                name=name, kind=kind, owner_spec=owner_spec,
+                name=name, kind=kind, term=term,
                 contents=int(spec.get("contents", 0)), flavor=flavor,
                 limit=int(spec.get("limit", 0)),
                 hidden=bool(spec.get("hidden", False))))
 
         script = []
         for i, action in enumerate(data.get("script") or []):
-            name = action.get("action")
+            name = action.get("action") if isinstance(action, dict) else None
             if name not in ACTIONS:
                 raise ScenarioError(f"script entry {i}: unknown action {name!r}")
             if action.get("client") not in accounts:
                 raise ScenarioError(f"script entry {i}: unknown client")
+            missing = _missing_fields(action)
+            if missing:
+                raise ScenarioError(f"script entry {i} ({name}): missing "
+                                    f"{', '.join(missing)}")
             script.append(dict(action))
 
         return Scenario(
@@ -243,6 +266,19 @@ class Scenario:
         return Scenario.from_dict(data)
 
 
+def _missing_fields(action: dict) -> list[str]:
+    required = REQUIRED_FIELDS[action["action"]]
+    if action.get("on_locked") == "unlock":
+        required += ("unlock_gas",)
+    missing = [f for f in required if action.get(f) is None]
+    replacement = action.get("replacement")
+    if replacement:
+        missing += [f"replacement.{f}" for f in ("action", "gas")
+                    if not isinstance(replacement, dict)
+                    or replacement.get(f) is None]
+    return missing
+
+
 def term_from_spec(spec: dict, account_keys: dict[str, bytes]) -> AuthTerm:
     """Build a policy term from its scenario description."""
     if not isinstance(spec, dict) or len(spec) != 1:
@@ -277,28 +313,23 @@ def term_from_spec(spec: dict, account_keys: dict[str, bytes]) -> AuthTerm:
 class GenesisObject:
     spec: ObjectSpec
     obj: Object
-    term: AuthTerm | None
     nonce_seed: bytes | None
 
 
-def materialize_genesis(scenario: Scenario) -> tuple[dict[str, bytes],
-                                                     list[GenesisObject]]:
-    """Resolve account keys and build every genesis object."""
-    account_keys = {name: user_keypair(name)[1] for name in scenario.accounts}
+def materialize_genesis(scenario: Scenario) -> list[GenesisObject]:
+    """Build every genesis object, committing to its owner term."""
     out = []
     for spec in scenario.objects:
-        term = None
         nonce_seed = None
         owner = None
-        if spec.owner_spec is not None:
-            term = term_from_spec(spec.owner_spec, account_keys)
+        if spec.term is not None:
             nonce_seed = nonce_seed_for(spec.name) if spec.hidden else None
             stream = NonceStream(nonce_seed) if nonce_seed else None
-            owner = commit(term, stream)
+            owner = commit(spec.term, stream)
         if spec.kind == ObjectKind.COMMUTATIVE:
             contents = CounterValue(spec.flavor, spec.limit)
         else:
             contents = IntValue(spec.contents)
         obj = Object(ObjectKey(spec.object_id(), 0), spec.kind, owner, contents)
-        out.append(GenesisObject(spec, obj, term, nonce_seed))
-    return account_keys, out
+        out.append(GenesisObject(spec, obj, nonce_seed))
+    return out

@@ -1,0 +1,503 @@
+"""Client workflows: what each scripted action does.
+
+`ClientActor` turns a script action into signed transactions and unlock
+requests, drives them with the drivers of `fastpath.client`, and runs the
+workflows built on them: recovery of a blocked transaction (unlock, then
+retry), the double send, and the bounded-counter spend loop. `ObjectInfo`
+is the clients' view of each object's owner policy. The harness a client
+runs in (network, validator and sequencer actors, queue) is `runner.py`.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+
+from ..authenticators import AuthContext, Evidence, NonceStream, PublicKey, \
+    build_reveal, commit, event_facts, find_path
+from ..client import (
+    CertReply,
+    FastPathDriver,
+    FastUnlockDriver,
+    TxErrorMsg,
+    TxVoteMsg,
+    UnlockErrorMsg,
+    UnlockOutcomeMsg,
+    UnlockRqt,
+    UnlockVoteMsg,
+    retry_after_unlock,
+)
+from ..counters import initial_budget
+from ..crypto import user_keypair
+from ..sequencer import KIND_UNLOCK
+from ..types import (
+    CounterValue,
+    ObjectKey,
+    ObjectKind,
+    Transaction,
+    TxKind,
+    TxParams,
+)
+from .scenario import TX_ACTIONS, object_id_for
+
+
+@dataclass
+class ObjectInfo:
+    """Client-side knowledge about one object: its kind and the owner
+    policy in force at each version (ownership persists until a transfer
+    or swap rewrites it)."""
+
+    name: str
+    kind: ObjectKind
+    policies: dict[int, tuple[object, bytes | None]]
+    flavor: str | None
+    limit: int
+
+    def policy_at(self, version: int) -> tuple[object, bytes | None]:
+        known = [v for v in self.policies if v <= version]
+        if not known:
+            return None, None
+        return self.policies[max(known)]
+
+
+class ClientActor:
+    def __init__(self, runner, name: str):
+        self.runner = runner
+        self.name = name
+        self.pk = user_keypair(name)[1]
+        self.versions: dict[bytes, int] = {}
+        self.limits: dict[bytes, int] = {}
+        self.drivers: dict[str, object] = {}
+        self.interest: dict[bytes, object] = {}
+        self.counter = 0
+
+    # -- driver environment --
+
+    @property
+    def now(self) -> int:
+        return self.runner.now
+
+    def broadcast(self, msg) -> None:
+        for vid in range(self.runner.scenario.params.n):
+            self.runner.send(self.name, f"v{vid}", msg)
+
+    def send_validator(self, vid: int, msg) -> None:
+        self.runner.send(self.name, f"v{vid}", msg)
+
+    def submit_sequencer(self, ucert) -> None:
+        self.runner.submit_item(self.name, KIND_UNLOCK, ucert)
+
+    def set_timer(self, delay: int, token: str) -> None:
+        self.runner.schedule_timer(self.name, delay, token)
+
+    def emit(self, kind: str, **fields) -> None:
+        self.runner.record(self.name, kind, **fields)
+
+    # -- message plumbing --
+
+    def handle(self, src: str, msg) -> None:
+        if isinstance(msg, tuple) and msg and msg[0] == "action":
+            self._start_action(msg[1])
+            return
+        key = None
+        if isinstance(msg, TxVoteMsg):
+            key = msg.vote.tx_digest
+        elif isinstance(msg, (TxErrorMsg, CertReply)):
+            key = msg.tx_digest
+        elif isinstance(msg, UnlockVoteMsg):
+            key = msg.vote.rqt_digest
+        elif isinstance(msg, (UnlockErrorMsg, UnlockOutcomeMsg)):
+            key = msg.rqt_digest
+        driver = self.interest.get(key)
+        if driver is not None:
+            driver.on_message(self, msg)
+
+    def handle_timer(self, token: str) -> None:
+        driver = self.drivers.get(token)
+        if driver is not None and driver.result is None:
+            driver.on_timer(self)
+
+    # -- building blocks --
+
+    def _driver_id(self) -> str:
+        self.counter += 1
+        return f"{self.name}#{self.counter}"
+
+    def key_of(self, name: str) -> ObjectKey:
+        oid = object_id_for(name)
+        return ObjectKey(oid, self.versions.get(oid, 0))
+
+    def _evidence(self, message: bytes, signer_names, owned_keys,
+                  all_oids) -> Evidence:
+        keys = [(self.runner.account_sk[n], self.runner.account_pk[n])
+                for n in signer_names]
+        ctx = AuthContext(signers=frozenset(pk for _, pk in keys),
+                          included_oids=frozenset(all_oids),
+                          local_time=self.now,
+                          event_oracle=event_facts(self.runner.scenario.events))
+        reveals = []
+        for key in owned_keys:
+            info = self.runner.object_info[key.object_id]
+            term, nonce_seed = info.policy_at(key.version)
+            if term is None:
+                continue
+            path = find_path(term, ctx)
+            if path is None:
+                continue  # cannot authorize this object; validators will say so
+            stream = NonceStream(nonce_seed) if nonce_seed else None
+            reveals.append((key.object_id, build_reveal(term, path, stream),
+                            path))
+        return Evidence.build(message, keys, reveals, self.runner.scheme)
+
+    def _build_tx(self, action: dict) -> Transaction:
+        input_names = list(action.get("inputs", []))
+        gas_name = action["gas"]
+        if gas_name not in input_names:
+            input_names.append(gas_name)
+        inputs = tuple(self.key_of(n) for n in input_names)
+        gas_key = self.key_of(gas_name)
+        shared = tuple(object_id_for(n) for n in action.get("shared", []))
+        kind = (TxKind(action["action"]) if action["action"] in TX_ACTIONS
+                else TxKind.NOOP)
+        params = TxParams(
+            amount=int(action.get("amount", 0)),
+            new_owner=(commit(PublicKey(self.runner.account_pk[action["to"]]))
+                       if action.get("to") else None),
+            new_object_id=(object_id_for(action["new_object"])
+                           if action.get("new_object") else None),
+            item=(action["item"].encode() if action.get("item") else None),
+            memo=action.get("memo", "").encode(),
+        )
+        tx = Transaction(inputs, shared, kind, params, gas_key,
+                         int(action.get("epoch", 0)))
+        if kind == TxKind.MINT and action.get("new_object"):
+            self._register_minted(action["new_object"],
+                                  action.get("to", self.name))
+        return self._sign_tx(tx, action.get("signers", [self.name]))
+
+    def _register_minted(self, name: str, owner_account: str) -> None:
+        oid = object_id_for(name)
+        if oid not in self.runner.object_info:
+            term = PublicKey(self.runner.account_pk[owner_account])
+            self.runner.object_info[oid] = ObjectInfo(
+                name=name, kind=ObjectKind.OWNED, policies={0: (term, None)},
+                flavor=None, limit=0)
+
+    def _sign_tx(self, tx: Transaction, signers) -> Transaction:
+        owned = [k for k in tx.inputs if self._needs_evidence(k.object_id, tx)]
+        all_oids = {k.object_id for k in tx.inputs} | set(tx.shared_inputs)
+        return tx.with_evidence(self._evidence(tx.digest, signers, owned, all_oids))
+
+    def _needs_evidence(self, oid: bytes, tx: Transaction) -> bool:
+        info = self.runner.object_info.get(oid)
+        if info is None or not info.policies:
+            return False
+        if info.kind == ObjectKind.OWNED:
+            return True
+        return info.kind == ObjectKind.COMMUTATIVE and tx.kind == TxKind.DEBIT
+
+    def _owned_keys(self, tx: Transaction) -> tuple[ObjectKey, ...]:
+        info = self.runner.object_info
+        return tuple(k for k in tx.inputs if k.object_id in info
+                     and info[k.object_id].kind == ObjectKind.OWNED)
+
+    def _update_view(self, effect_certs) -> None:
+        for cert in effect_certs:
+            for obj in cert.effects.produced:
+                oid = obj.key.object_id
+                if obj.key.version > self.versions.get(oid, -1):
+                    self.versions[oid] = obj.key.version
+                if isinstance(obj.contents, CounterValue):
+                    self.limits[oid] = obj.contents.limit
+
+    def _launch(self, driver_cls, subject, on_done, **options) -> None:
+        """Start a driver for `subject`, a transaction or an unlock request;
+        replies about its digest and its timer ticks reach the driver."""
+        driver = driver_cls(self._driver_id(), subject,
+                            self.runner.scenario.params, self.runner.scheme,
+                            on_done=on_done, **options)
+        self.drivers[driver.driver_id] = driver
+        self.interest[subject.digest] = driver
+        driver.start(self)
+
+    # -- actions --
+
+    def _start_action(self, action: dict) -> None:
+        name = action["action"]
+        if name in TX_ACTIONS:
+            self._launch_tx(action, self._build_tx(action),
+                            int(action.get("max_recoveries", 2)),
+                            first_to=action.get("first_to"),
+                            cert_to=action.get("cert_to"))
+        elif name == "unlock":
+            self._run_unlock_action(action)
+        elif name == "double_send":
+            self._run_double_send(action)
+        elif name == "spend_loop":
+            self._run_spend_loop(action)
+
+    def _finish_action(self, action: dict, driver, status: str) -> None:
+        self.emit("driver_done", action=action["action"], status=status,
+                  rounds=driver.round_trips, retries=driver.retries)
+
+    def _launch_tx(self, action: dict, tx: Transaction, recoveries: int,
+                   retried: bool = False, first_to=None, cert_to=None) -> None:
+        """Drive `tx` on the fast path; a locked result recovers while
+        `on_locked: unlock` and `recoveries` allow it."""
+
+        def done(env, driver, result):
+            if result.status == "finalized":
+                self._update_view(result.effect_certs)
+                self._after_transfer_bookkeeping(action, tx)
+                status = "finalized_after_unlock" if retried else "finalized"
+            elif result.status == "locked" and recoveries > 0 \
+                    and action.get("on_locked") == "unlock":
+                self._recover(action, tx, recoveries)
+                return
+            else:
+                status = (f"retry_{result.status}" if retried
+                          else result.status)
+            self._finish_action(action, driver, status)
+
+        self._launch(FastPathDriver, tx, done, first_to=first_to,
+                     cert_to=cert_to)
+
+    def _after_transfer_bookkeeping(self, action: dict, tx: Transaction) -> None:
+        # record the owner policy of the produced versions; older versions
+        # keep their historical policies for evidence against stored state
+        if tx.kind == TxKind.TRANSFER and action.get("to"):
+            to_pk = self.runner.account_pk[action["to"]]
+            for key in self._owned_keys(tx):
+                if key != tx.gas:
+                    info = self.runner.object_info[key.object_id]
+                    info.policies[key.version + 1] = (PublicKey(to_pk), None)
+        elif tx.kind == TxKind.SWAP:
+            working = [k for k in self._owned_keys(tx) if k != tx.gas]
+            if len(working) == 2:
+                a, b = working
+                info = self.runner.object_info
+                policy_a = info[a.object_id].policy_at(a.version)
+                policy_b = info[b.object_id].policy_at(b.version)
+                info[a.object_id].policies[a.version + 1] = policy_b
+                info[b.object_id].policies[b.version + 1] = policy_a
+
+    def _recover(self, action: dict, tx: Transaction, recoveries: int,
+                 keys=None, gas_pool=None) -> None:
+        """Unlock every owned input of the blocked transaction, then retry."""
+        keys = tuple(keys) if keys is not None else self._owned_keys(tx)
+        signers = action.get("signers", [self.name])
+        if gas_pool is None:
+            pool = action.get("unlock_gas")
+            gas_pool = list(pool) if isinstance(pool, list) else [pool]
+        if not gas_pool:
+            self.emit("driver_done", action=action["action"],
+                      status="unlock_out_of_gas", rounds=0, retries=0)
+            return
+        gas_name, rest_pool = gas_pool[0], gas_pool[1:]
+        rqt = self._make_unlock_rqt(keys, None, gas_name, signers,
+                                    int(action.get("epoch", 0)))
+
+        def unlock_done(env, driver, result):
+            if result.status == "superseded" and recoveries > 0:
+                # another sequenced outcome beat us to part of the key set;
+                # release whatever is still reserved, without retrying the
+                # now-dead transaction. Gas was spent only if our unlock
+                # certificate reached the sequencer; otherwise it sits
+                # wedged under this request's lock and gets unlocked too.
+                remaining = [k for k in keys if k not in result.confirmed_keys]
+                if driver.ucert is not None:
+                    self.versions[rqt.gas.object_id] = rqt.gas.version + 1
+                elif rqt.gas not in remaining:
+                    remaining.append(rqt.gas)
+                if remaining:
+                    self._recover({**action, "retry": False}, tx,
+                                  recoveries - 1, keys=remaining,
+                                  gas_pool=rest_pool)
+                else:
+                    self._finish_action(action, driver, "superseded")
+                return
+            if result.status != "unlocked":
+                self._finish_action(action, driver, f"unlock_{result.status}")
+                return
+            self._update_view(result.effect_certs)
+            self.versions[rqt.gas.object_id] = rqt.gas.version + 1
+            finalized = any(c.effects.tx_digest == tx.digest
+                            for c in result.effect_certs)
+            if finalized or not action.get("retry", True):
+                self._finish_action(action, driver,
+                                    "finalized_by_unlock" if finalized
+                                    else "unlocked")
+                return
+            rebuilt = retry_after_unlock(tx, result.effect_certs[0])
+            self._launch_tx(action, self._sign_tx(rebuilt, signers),
+                            recoveries - 1, retried=True)
+
+        self._launch(FastUnlockDriver, rqt, unlock_done)
+
+    def _make_unlock_rqt(self, keys, replacement, gas_name, signers,
+                         epoch: int, authorized: bool = True) -> UnlockRqt:
+        gas_key = self.key_of(gas_name)
+        rqt = UnlockRqt(tuple(keys), replacement, gas_key, epoch, self.pk)
+        listed_owned = [k for k in keys
+                        if self.runner.object_info[k.object_id].policies]
+        if not authorized:
+            # sign, but only prove control of the gas object
+            listed_owned = []
+        evidence = self._evidence(rqt.signing_digest, signers,
+                                  listed_owned + [gas_key],
+                                  {k.object_id for k in keys}
+                                  | {gas_key.object_id})
+        return UnlockRqt(tuple(keys), replacement, gas_key, epoch, self.pk,
+                         evidence)
+
+    def _run_unlock_action(self, action: dict) -> None:
+        keys = [self.key_of(n) for n in action["keys"]]
+        authorized = bool(action.get("authorized", True))
+        replacement = None
+        if action.get("replacement"):
+            replacement = self._build_tx(action["replacement"])
+        rqt = self._make_unlock_rqt(keys, replacement, action["gas"],
+                                    action.get("signers", [self.name]),
+                                    int(action.get("epoch", 0)), authorized)
+
+        def done(env, driver, result):
+            if result.status == "unlocked" or (
+                    result.status == "superseded" and driver.ucert is not None):
+                self._update_view(result.effect_certs)
+                self.versions[rqt.gas.object_id] = rqt.gas.version + 1
+            self._finish_action(action, driver, result.status)
+
+        self._launch(FastUnlockDriver, rqt, done, authorized=authorized,
+                     wait_all=bool(action.get("wait_all", False)))
+
+    def _run_double_send(self, action: dict) -> None:
+        """Buggy-wallet behavior: the same intent submitted twice as two
+        byte-distinct conflicting transactions."""
+        first = self._build_tx({**action, "action": "transfer", "memo": "dup-a"})
+        second = self._build_tx({**action, "action": "transfer", "memo": "dup-b"})
+        outcomes: dict[str, object] = {}
+
+        def settle(slot, env, driver, result):
+            outcomes[slot] = result
+            if len(outcomes) < 2:
+                return
+            results = list(outcomes.values())
+            if any(r.status == "finalized" for r in results):
+                winner = next(r for r in results if r.status == "finalized")
+                self._update_view(winner.effect_certs)
+                self.emit("driver_done", action="double_send", status="finalized",
+                          rounds=2, retries=0)
+            elif any(r.status == "locked" for r in results):
+                self._recover({**action, "action": "transfer",
+                               "memo": "dup-a"}, first, 1)
+            else:
+                self.emit("driver_done", action="double_send",
+                          status=results[0].status, rounds=2, retries=0)
+
+        self._launch(FastPathDriver, first, functools.partial(settle, "first"),
+                     first_to=action.get("first_to"))
+        self._launch(FastPathDriver, second, functools.partial(settle, "second"),
+                     first_to=action.get("first_to_second"))
+
+    # -- bounded-counter spend loop --
+
+    def _run_spend_loop(self, action: dict) -> None:
+        counter_oid = object_id_for(action["counter"])
+        self.limits.setdefault(counter_oid,
+                               self.runner.object_info[counter_oid].limit)
+        state = {
+            "remaining": int(action.get("target", self.limits[counter_oid])),
+            "amounts": (list(action["amounts"])
+                        if isinstance(action.get("amounts"), list) else None),
+            "gas_pool": list(action["gas_pool"]),
+            "unlock_gas_pool": list(action["unlock_gas_pool"]),
+            "consolidations": 0,
+        }
+        self._spend_step(action, state)
+
+    def _spend_done(self, action: dict, state: dict, **reason) -> None:
+        self.emit("spend_done", counter=object_id_for(action["counter"]).hex(),
+                  remaining=state["remaining"],
+                  consolidations=state["consolidations"], **reason)
+
+    def _spend_step(self, action: dict, state: dict) -> None:
+        counter_oid = object_id_for(action["counter"])
+        amounts = state["amounts"]
+        if (state["remaining"] <= 0 or self.limits.get(counter_oid, 0) <= 0
+                or amounts == []):  # the fixed list of amounts is spent
+            self._spend_done(action, state)
+            return
+        if amounts is not None:
+            amount = amounts[0]
+        else:
+            budget = initial_budget(self.limits[counter_oid],
+                                    self.runner.scenario.params)
+            amount = min(budget, state["remaining"])
+            if amount == 0:
+                self._spend_via_replacement(action, state)
+                return
+        if not state["gas_pool"]:
+            self._spend_done(action, state, reason="out_of_gas")
+            return
+        tx = self._build_tx({**action, "action": "debit", "amount": amount,
+                             "inputs": [action["counter"]],
+                             "gas": state["gas_pool"][0]})
+
+        def done(env, driver, result):
+            if result.status == "finalized":
+                self._update_view(result.effect_certs)
+                state["remaining"] -= amount
+                if amounts is not None:
+                    amounts.pop(0)
+                    self._spend_step(action, state)
+                else:
+                    # greedy mode drained the budgets; consolidate right away
+                    self._consolidate(action, state)
+            elif result.status in ("rejected", "locked"):
+                state["gas_pool"].pop(0)  # parts of this gas may now be locked
+                self._consolidate(action, state)
+            else:
+                self._spend_done(action, state, reason=result.status)
+
+        self._launch(FastPathDriver, tx, done)
+
+    def _consolidate(self, action: dict, state: dict,
+                     replacement: Transaction | None = None) -> None:
+        if not state["unlock_gas_pool"]:
+            self._spend_done(action, state, reason="out_of_unlock_gas")
+            return
+        keys = [self.key_of(action["counter"])]
+        rqt = self._make_unlock_rqt(keys, replacement,
+                                    state["unlock_gas_pool"][0],
+                                    action.get("signers", [self.name]),
+                                    int(action.get("epoch", 0)))
+
+        def done(env, driver, result):
+            state["unlock_gas_pool"].pop(0)
+            if result.status != "unlocked":
+                self._spend_done(action, state,
+                                 reason=f"consolidate_{result.status}")
+                return
+            state["consolidations"] += 1
+            self._update_view(result.effect_certs)
+            self.versions[rqt.gas.object_id] = rqt.gas.version + 1
+            if replacement is not None and any(
+                    c.effects.tx_digest == replacement.digest
+                    for c in result.effect_certs):
+                state["remaining"] -= replacement.params.amount
+            self._spend_step(action, state)
+
+        self._launch(FastUnlockDriver, rqt, done)
+
+    def _spend_via_replacement(self, action: dict, state: dict) -> None:
+        """Budgets rounded to zero: push the remainder through consensus."""
+        counter_oid = object_id_for(action["counter"])
+        amount = min(state["remaining"], self.limits.get(counter_oid, 0))
+        if amount <= 0 or not state["gas_pool"]:
+            self._spend_done(action, state, reason="exhausted")
+            return
+        replacement = self._build_tx({**action, "action": "debit",
+                                      "amount": amount,
+                                      "inputs": [action["counter"]],
+                                      "gas": state["gas_pool"].pop(0)})
+        self._consolidate(action, state, replacement)

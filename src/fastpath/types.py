@@ -97,6 +97,19 @@ def validity_threshold(params: CommitteeParams) -> int:
     return params.f + 1
 
 
+def quorum_signed(signs, params: CommitteeParams, valid) -> bool:
+    """True when `signs` come from a quorum of distinct committee members
+    and each passes `valid`. A repeated or out-of-range signer fails the
+    whole set before `valid` runs on it."""
+    seen: set[ValidatorId] = set()
+    for sign in signs:
+        if (sign.signer in seen or not 0 <= sign.signer < params.n
+                or not valid(sign)):
+            return False
+        seen.add(sign.signer)
+    return len(seen) >= quorum(params)
+
+
 def validator_key(index: ValidatorId) -> bytes:
     return crypto.validator_public_key(index)
 
@@ -304,14 +317,8 @@ class Certificate:
 def verify_certificate(cert: Certificate, params: CommitteeParams,
                        scheme=crypto.DEFAULT_SCHEME) -> bool:
     """Quorum of distinct committee members, each signature over the tx digest."""
-    seen: set[ValidatorId] = set()
-    for sign in cert.signs:
-        if sign.signer in seen or not 0 <= sign.signer < params.n:
-            return False
-        if sign.tx_digest != cert.tx.digest or not sign.verify(scheme):
-            return False
-        seen.add(sign.signer)
-    return len(seen) >= quorum(params)
+    return quorum_signed(cert.signs, params, lambda s: (
+        s.tx_digest == cert.tx.digest and s.verify(scheme)))
 
 
 # --- execution effects ---------------------------------------------------------------
@@ -369,11 +376,5 @@ class EffectCert:
 def verify_effect_cert(cert: EffectCert, params: CommitteeParams,
                        scheme=crypto.DEFAULT_SCHEME) -> bool:
     """Quorum of distinct signers, all over bit-identical effects."""
-    seen: set[ValidatorId] = set()
-    for sign in cert.signs:
-        if sign.signer in seen or not 0 <= sign.signer < params.n:
-            return False
-        if sign.effects.digest != cert.effects.digest or not sign.verify(scheme):
-            return False
-        seen.add(sign.signer)
-    return len(seen) >= quorum(params)
+    return quorum_signed(cert.signs, params, lambda s: (
+        s.effects.digest == cert.effects.digest and s.verify(scheme)))

@@ -76,9 +76,7 @@ def _nothing(kind: str, **fields) -> None:
 @dataclass
 class LockEntry:
     holder: bytes  # tx digest, or unlock request digest for unlock gas
-    tx: Transaction | None = None
     cert: Certificate | None = None
-    unlock_gas: bool = False
 
 
 @dataclass(frozen=True)
@@ -300,7 +298,11 @@ class ValidatorState:
                                 f"{key!r} behind v{self.latest[oid]}")
         return self.objects[oid][key.version]
 
-    def _auth_ctx(self, signers: frozenset[bytes], oids) -> AuthContext:
+    def _auth_ctx(self, evidence, message: bytes, oids) -> AuthContext:
+        """What this validator knows when judging `evidence` over `message`:
+        the keys that signed it, the objects included, its own clock."""
+        signers = (evidence.signer_set(message, self.scheme)
+                   if evidence else frozenset())
         oracle = self.event_oracle or (lambda c, e: False)
         return AuthContext(signers=signers, included_oids=frozenset(oids),
                            local_time=self.clock, event_oracle=oracle)
@@ -365,18 +367,12 @@ class ValidatorState:
         commutative = [k for k in tx.inputs
                        if loaded[k].kind == ObjectKind.COMMUTATIVE]
 
-        evidence = tx.evidence
-        signers = (evidence.signer_set(tx.digest, self.scheme)
-                   if evidence else frozenset())
         oids = {k.object_id for k in tx.inputs} | set(tx.shared_inputs)
-        ctx = self._auth_ctx(signers, oids)
-        for key in owned:
-            if not self._evidence_ok(evidence, loaded[key], ctx):
+        ctx = self._auth_ctx(tx.evidence, tx.digest, oids)
+        debited = commutative if tx.kind == TxKind.DEBIT else []
+        for key in owned + debited:
+            if not self._evidence_ok(tx.evidence, loaded[key], ctx):
                 raise ProtocolError(ErrorCode.BAD_EVIDENCE, repr(key))
-        if tx.kind == TxKind.DEBIT:
-            for key in commutative:
-                if not self._evidence_ok(evidence, loaded[key], ctx):
-                    raise ProtocolError(ErrorCode.BAD_EVIDENCE, repr(key))
 
         for key in tx.inputs:
             if self.unlock_db.get(key) == UNLOCKED:
@@ -405,7 +401,7 @@ class ValidatorState:
 
         for key in owned:
             if key not in self.lock_db:
-                self.lock_db[key] = LockEntry(holder=tx.digest, tx=tx)
+                self.lock_db[key] = LockEntry(tx.digest)
                 self.lock_times.setdefault(key, self.clock)
                 self.emit("lock_set", key=[key.object_id.hex(), key.version],
                           tx=tx.digest.hex())
@@ -433,17 +429,15 @@ class ValidatorState:
         loaded: dict[ObjectKey, Object] = {}
         for key in tx.inputs:
             obj = self.get_object(key)
-            if obj is None:
-                if key.object_id not in self.latest:
-                    raise ProtocolError(ErrorCode.MISSING_OBJECT, repr(key))
-                obj = None
+            if obj is None and key.object_id not in self.latest:
+                raise ProtocolError(ErrorCode.MISSING_OBJECT, repr(key))
             loaded[key] = obj
         for key in tx.inputs:
             obj = loaded[key]
             if obj is not None and obj.kind == ObjectKind.OWNED:
                 entry = self.lock_db.get(key)
                 if entry is None or entry.cert is None:
-                    self.lock_db[key] = LockEntry(holder=tx.digest, tx=tx, cert=cert)
+                    self.lock_db[key] = LockEntry(tx.digest, cert)
                     self.lock_times.setdefault(key, self.clock)
             if obj is not None and obj.kind == ObjectKind.COMMUTATIVE:
                 local = self.counters[key.object_id]
@@ -462,7 +456,12 @@ class ValidatorState:
 
         strict = {k: self._check_key(k) for k in tx.inputs}
         plan = execute(tx, strict)
-        self._apply_fast(cert, plan)
+        self._apply_plan(tx.digest, plan)
+        self.fast_records[tx.digest] = FastRecord(
+            tx.digest, plan.effects.consumed,
+            tuple(o.key for o in plan.produced), plan.effects.counter_deltas)
+        for key in plan.effects.consumed:
+            self.key_fast_tx[key] = tx.digest
         sign = EffectSign.make(plan.effects, self.vid, self.scheme)
         self.executed[tx.digest] = sign
         if tx.digest not in self.sequenced_certs:
@@ -475,17 +474,13 @@ class ValidatorState:
                             for o in plan.produced])
         return CertOutcome("executed", sign, forward)
 
-    def _apply_fast(self, cert: Certificate, plan: ExecPlan) -> None:
+    def _apply_plan(self, tx_digest: bytes, plan: ExecPlan) -> None:
+        """Store the plan's produced objects and apply its counter deltas;
+        the fast and the sequenced path both write through here."""
         for obj in plan.produced:
             self._put_object(obj)
         for delta in plan.effects.counter_deltas:
-            self._apply_delta(cert.tx.digest, delta)
-        rec = FastRecord(cert.tx.digest, plan.effects.consumed,
-                         tuple(o.key for o in plan.produced),
-                         plan.effects.counter_deltas)
-        self.fast_records[cert.tx.digest] = rec
-        for key in plan.effects.consumed:
-            self.key_fast_tx[key] = cert.tx.digest
+            self._apply_delta(tx_digest, delta)
 
     def _apply_delta(self, tx_digest: bytes, delta: CounterDelta) -> None:
         local = self.counters[delta.object_id]
@@ -518,9 +513,8 @@ class ValidatorState:
     def unlock_authorized(self, rqt: UnlockRqt) -> bool:
         if rqt.evidence is None:
             return False
-        signers = rqt.evidence.signer_set(rqt.signing_digest, self.scheme)
         oids = {k.object_id for k in rqt.object_keys} | {rqt.gas.object_id}
-        ctx = self._auth_ctx(signers, oids)
+        ctx = self._auth_ctx(rqt.evidence, rqt.signing_digest, oids)
         for key in rqt.object_keys:
             obj = self.get_object(key)
             if obj is None or not self._evidence_ok(rqt.evidence, obj, ctx):
@@ -591,10 +585,8 @@ class ValidatorState:
     def _check_replacement_evidence(self, rqt: UnlockRqt) -> None:
         tx = rqt.replacement_tx
         tx.validate()
-        signers = (tx.evidence.signer_set(tx.digest, self.scheme)
-                   if tx.evidence else frozenset())
-        oids = {k.object_id for k in tx.inputs}
-        ctx = self._auth_ctx(signers, oids)
+        ctx = self._auth_ctx(tx.evidence, tx.digest,
+                             {k.object_id for k in tx.inputs})
         for key in tx.inputs:
             obj = self.get_object(key) or (
                 self.get_object(self.latest_key(key.object_id))
@@ -617,15 +609,14 @@ class ValidatorState:
             raise ProtocolError(ErrorCode.BAD_GAS, "gas unusable")
         if rqt.evidence is None:
             raise ProtocolError(ErrorCode.BAD_GAS, "gas needs owner evidence")
-        signers = rqt.evidence.signer_set(rqt.signing_digest, self.scheme)
-        ctx = self._auth_ctx(signers, {oid})
+        ctx = self._auth_ctx(rqt.evidence, rqt.signing_digest, {oid})
         if not self._evidence_ok(rqt.evidence, obj, ctx):
             raise ProtocolError(ErrorCode.BAD_GAS, "gas evidence invalid")
         entry = self.lock_db.get(key)
         if entry is not None and entry.holder != rqt.digest:
             raise ProtocolError(ErrorCode.BAD_GAS, "gas already locked")
         if entry is None:
-            self.lock_db[key] = LockEntry(holder=rqt.digest, unlock_gas=True)
+            self.lock_db[key] = LockEntry(rqt.digest)
             self.lock_times.setdefault(key, self.clock)
 
     # -- sequenced unlock certificates --
@@ -673,7 +664,7 @@ class ValidatorState:
                     self.emit("unlock_cert_skip", rqt=rqt.digest.hex(),
                               tx=cert.tx.digest.hex())
                     continue
-                sign = self._execute_sequenced(cert.tx, via="unlock", cert=cert)
+                sign = self._execute_sequenced(cert.tx, via="unlock")
                 if sign is not None:
                     signs.append(sign)
                 for key in owned_keys:
@@ -784,22 +775,19 @@ class ValidatorState:
         return EffectSign.make(effects, self.vid, self.scheme)
 
     def _reissue_counter(self, key: ObjectKey, obj: Object) -> Object:
+        """The bounded counter at its next version, holding what is still
+        unspent; the local budget and bookkeeping restart from that."""
         local = self.counters[key.object_id]
-        outstanding = local.outstanding()
-        fresh = Object(key.bump(), ObjectKind.COMMUTATIVE, obj.owner,
-                       CounterValue(FLAVOR_BOUNDED, outstanding))
-        self._reset_counter(key.object_id, local)
-        return fresh
-
-    def _reset_counter(self, oid: bytes, local: CounterLocal) -> None:
         outstanding = local.outstanding()
         local.limit = outstanding
         local.budget = initial_budget(outstanding, self.params)
         local.version += 1
         local.settled = {}
         local.seen = {}
-        self.emit("consolidate", counter=oid.hex(), limit=outstanding,
+        self.emit("consolidate", counter=key.object_id.hex(), limit=outstanding,
                   budget=local.budget, version=local.version)
+        return Object(key.bump(), ObjectKind.COMMUTATIVE, obj.owner,
+                      CounterValue(FLAVOR_BOUNDED, outstanding))
 
     def _settle_delta(self, tx_digest: bytes, deltas) -> None:
         for delta in deltas:
@@ -818,9 +806,10 @@ class ValidatorState:
                   counters=[[d.object_id.hex(), d.delta]
                             for d in effects.counter_deltas])
 
-    def _execute_sequenced(self, tx: Transaction, via: str,
-                           cert: Certificate | None = None) -> EffectSign | None:
-        """Execute on the consensus path; idempotent over the tx digest."""
+    def _execute_sequenced(self, tx: Transaction, via: str) -> EffectSign | None:
+        """Execute on the consensus path; idempotent over the tx digest: an
+        already executed transaction is settled and acknowledged (`<via>_ack`)
+        with the signature it has."""
         if tx.digest in self.executed:
             sign = self.executed[tx.digest]
             self._settle_delta(tx.digest, sign.effects.counter_deltas)
@@ -835,10 +824,7 @@ class ValidatorState:
             self.emit("sequenced_exec_failed", tx=tx.digest.hex(),
                       via=via, code=err.code.value)
             return None
-        for obj in plan.produced:
-            self._put_object(obj)
-        for delta in plan.effects.counter_deltas:
-            self._apply_delta(tx.digest, delta)
+        self._apply_plan(tx.digest, plan)
         self._settle_delta(tx.digest, plan.effects.counter_deltas)
         sign = EffectSign.make(plan.effects, self.vid, self.scheme)
         self.executed[tx.digest] = sign
@@ -857,29 +843,21 @@ class ValidatorState:
             self.emit("checkpoint_skip", tx=tx.digest.hex(), reason="stale_epoch")
             return CheckpointOutcome("skipped", reason="stale_epoch")
 
-        if tx.digest in self.executed:
-            sign = self.executed[tx.digest]
-            self._settle_delta(tx.digest, sign.effects.counter_deltas)
-            self._emit_seq_exec(sign.effects, via="checkpoint_ack")
-            for key in sign.effects.consumed:
-                self._confirm(key)
-            self.emit("checkpoint_exec", tx=tx.digest.hex(), mode="already",
-                      effects=sign.effects.digest.hex())
-            return CheckpointOutcome("already", sign)
-
-        owned_keys = self._owned_input_keys(tx)
-        if any(self.unlock_db.get(k) == CONFIRMED for k in owned_keys):
+        already = tx.digest in self.executed
+        if not already and any(self.unlock_db.get(k) == CONFIRMED
+                               for k in self._owned_input_keys(tx)):
             self.emit("checkpoint_skip", tx=tx.digest.hex(), reason="confirmed")
             return CheckpointOutcome("skipped", reason="confirmed")
 
-        sign = self._execute_sequenced(tx, via="checkpoint", cert=cert)
+        sign = self._execute_sequenced(tx, via="checkpoint")
         if sign is None:
             return CheckpointOutcome("skipped", reason="unexecutable")
         for key in sign.effects.consumed:
             self._confirm(key)
-        self.emit("checkpoint_exec", tx=tx.digest.hex(), mode="fresh",
+        self.emit("checkpoint_exec", tx=tx.digest.hex(),
+                  mode="already" if already else "fresh",
                   effects=sign.effects.digest.hex())
-        return CheckpointOutcome("executed", sign)
+        return CheckpointOutcome("already" if already else "executed", sign)
 
     # -- epoch change --
 

@@ -2,6 +2,7 @@ import json
 import pathlib
 from collections import Counter
 
+import pytest
 import yaml
 
 from fastpath.cli import main
@@ -169,3 +170,38 @@ def test_transfer_summary_reports_two_round_trips(tmp_path, capsys):
     assert main(["--scenario", str(path)]) == 0
     out = capsys.readouterr().out
     assert "fast_path_round_trips=2" in out
+
+
+def _without_gas(data):
+    del data["script"][0]["gas"]
+
+
+def _unnamed_object(data):
+    del data["objects"][0]["name"]
+
+
+def _bogus_kind(data):
+    data["objects"][0]["kind"] = "bogus"
+
+
+def _unknown_owner_account(data):
+    data["objects"][0]["owner"] = {"pk": "mallory"}
+
+
+def _recovery_without_unlock_gas(data):
+    data["script"][0]["on_locked"] = "unlock"
+
+
+@pytest.mark.parametrize("mutate", [_bogus_kind, _unnamed_object,
+                                    _unknown_owner_account, _without_gas,
+                                    _recovery_without_unlock_gas])
+@pytest.mark.parametrize("mode", [[], ["--explore", "2"]])
+def test_malformed_scenario_is_exit_2(tmp_path, capsys, mutate, mode):
+    data = yaml.safe_load((SCENARIOS / "epoch_change.yaml").read_text())
+    mutate(data)
+    path = tmp_path / "malformed.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["--scenario", str(path), *mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""

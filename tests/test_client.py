@@ -6,8 +6,10 @@ from fastpath.client import (
     CertReply,
     FastPathDriver,
     FastUnlockDriver,
+    TxErrorMsg,
     TxVoteMsg,
     UnlockCert,
+    UnlockErrorMsg,
     UnlockOutcomeMsg,
     UnlockRqt,
     UnlockVote,
@@ -29,8 +31,8 @@ from fastpath.types import (
     ProtocolError,
     TxKind,
     quorum,
+    verify_effect_cert,
 )
-
 
 
 def simple_rqt(world, key_names=("coin",), gas="gas2"):
@@ -226,3 +228,76 @@ def test_out_of_range_effect_signs_do_not_finalize(world):
                                                 (effect_sign(effects, signer),)))
     assert unlock.result is None
     assert [sorted(g) for g in unlock.outcome_groups.values()] == [[0, 1]]
+
+
+def test_outcome_counts_only_its_senders_own_signs(world):
+    # three senders relaying validator 0's one sign are one signer, not three
+    rqt = simple_rqt(world)
+    effects = EffectSummary(b"\x03" * 32, (), ())
+    env = RecordingEnv()
+    driver = FastUnlockDriver("u", rqt, world.params)
+    driver.start(env)
+    for sender in range(quorum(world.params)):
+        driver.on_message(env, UnlockOutcomeMsg(rqt.digest, "executed", sender,
+                                                (effect_sign(effects, 0),)))
+    assert driver.result is None
+    assert [sorted(g) for g in driver.outcome_groups.values()] == [[0]]
+
+    for sender in range(1, quorum(world.params)):
+        driver.on_message(env, UnlockOutcomeMsg(rqt.digest, "executed", sender,
+                                                (effect_sign(effects, sender),)))
+    assert driver.result.status == "unlocked"
+    cert, = driver.result.effect_certs
+    assert verify_effect_cert(cert, world.params)
+
+
+def _tx_driver(world, env):
+    driver = FastPathDriver("d", world.transfer("coin", "gas", "alice", "bob"),
+                            world.params)
+    driver.start(env)
+    return driver
+
+
+def _exec_driver(world, env):
+    driver = _tx_driver(world, env)
+    for vid in range(quorum(world.params)):
+        driver.on_message(env, TxVoteMsg(CertSign.make(driver.tx, vid,
+                                                       DEFAULT_SCHEME)))
+    assert driver.phase == "exec"
+    return driver
+
+
+def _unlock_driver(world, env):
+    driver = FastUnlockDriver("u", simple_rqt(world), world.params)
+    driver.start(env)
+    return driver
+
+
+# a driver in a phase where the reply can settle it, and that reply as sent
+# by a claimed validator index
+SENDER_CASES = {
+    "tx_locked": (_tx_driver, lambda d, s: TxErrorMsg(
+        d.tx.digest, ErrorCode.CONFLICTING_LOCK.value, s)),
+    "tx_rejected": (_tx_driver, lambda d, s: TxErrorMsg(
+        d.tx.digest, ErrorCode.BAD_EVIDENCE.value, s)),
+    "cert_superseded": (_exec_driver, lambda d, s: CertReply(
+        d.tx.digest, "superseded", s)),
+    "unlock_refused": (_unlock_driver, lambda d, s: UnlockErrorMsg(
+        d.rqt.digest, ErrorCode.BAD_EVIDENCE.value, s)),
+    "unlock_confirmed": (_unlock_driver, lambda d, s: UnlockErrorMsg(
+        d.rqt.digest, ErrorCode.ALREADY_CONFIRMED.value, s)),
+    "unlock_ignored": (_unlock_driver, lambda d, s: UnlockOutcomeMsg(
+        d.rqt.digest, "ignored", s)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SENDER_CASES))
+def test_out_of_range_senders_do_not_settle_drivers(world, case):
+    make_driver, reply = SENDER_CASES[case]
+    env = RecordingEnv()
+    driver = make_driver(world, env)
+    # -1 and n, each twice, then validator 0: one in-range sender only
+    for sender in (-1, world.params.n, -1, world.params.n, 0):
+        driver.on_message(env, reply(driver, sender))
+    assert driver.result is None
+    assert driver.phase != "done"

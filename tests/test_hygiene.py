@@ -1,9 +1,13 @@
 """Source hygiene checks that need no third-party linter."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fastpath"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fastpath"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -137,3 +141,29 @@ def test_cache_check_flags_planted_caches():
         "crypto:6 caches a", "crypto:8 caches b",
         "crypto:11 c writes module-level _SEEN",
         "crypto:12 c writes module-level _KEYS"]
+
+
+def _span_targets() -> list[tuple[str, str, str]]:
+    """`TARGETS` of the benchmark's span module, loaded from its file
+    without registering or installing anything."""
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_every_span_target_resolves():
+    # The benchmark wraps a method through `cls.__dict__[attr]`, so a method
+    # the class only inherits cannot be wrapped; a function is re-bound as
+    # a module attribute.
+    unresolved = []
+    for name, module_name, path in _span_targets():
+        module = importlib.import_module(module_name)
+        if "." in path:
+            cls_name, attr = path.split(".")
+            found = attr in vars(getattr(module, cls_name, object))
+        else:
+            found = hasattr(module, path)
+        if not found:
+            unresolved.append(f"{name}: {module_name}.{path}")
+    assert unresolved == []
