@@ -247,16 +247,11 @@ def _node_digest(label: int, fields: tuple, child_digests: list[bytes],
                   + enc_seq(child_digests) + enc_opt(nonce))
 
 
-def term_depth(term: AuthTerm) -> int:
-    children = _term_children(term)
-    if not children:
-        return 1
-    return 1 + max(term_depth(c) for c in children)
-
-
-def check_depth(term: AuthTerm) -> None:
-    if term_depth(term) > MAX_DEPTH:
+def check_depth(term: AuthTerm, depth: int = 1) -> None:
+    if depth > MAX_DEPTH:
         raise TermDepthError(f"term deeper than {MAX_DEPTH}")
+    for child in _term_children(term):
+        check_depth(child, depth + 1)
 
 
 # --- evaluation --------------------------------------------------------------
@@ -278,7 +273,7 @@ def _eval(node, path: AuthPath, ctx: AuthContext, depth: int) -> bool:
         raise TermDepthError(f"term deeper than {MAX_DEPTH}")
     if isinstance(node, Hidden):
         raise RevealError("path descends into a hidden branch")
-    label, fields, children = _view(node)
+    label, fields, children = node.kind, node.fields, node.children
 
     if label in _LEAF_LABELS:
         if not isinstance(path, LeafPath):
@@ -313,28 +308,13 @@ def _eval(node, path: AuthPath, ctx: AuthContext, depth: int) -> bool:
     return total >= need
 
 
-def _view(node) -> tuple[int, tuple, tuple]:
-    if isinstance(node, Revealed):
-        return node.kind, node.fields, node.children
-    return node.label, _term_fields(node), _term_children(node)
-
-
-def evaluate(term: AuthTerm, path: AuthPath, ctx: AuthContext) -> bool:
-    """True iff the path-selected subterms all hold under `ctx`.
-
-    A path that does not fit the term raises PathError rather than
-    returning False, so callers can tell bad evidence from a false policy.
-    """
-    return _eval(term, path, ctx, 1)
-
-
 def find_path(term: AuthTerm, ctx: AuthContext) -> AuthPath | None:
     """Prover-side search for a satisfying path; None if nothing satisfies.
 
     Selections are made in child order, and threshold selection stops as
     soon as enough weight accumulates, keeping the eventual reveal small.
     """
-    label, fields, children = _view(term)
+    label, fields, children = term.label, _term_fields(term), _term_children(term)
     if label in _LEAF_LABELS:
         return LEAF if _leaf_true(label, fields, ctx) else None
     if label == LABEL_ALL:
@@ -430,7 +410,6 @@ RevealNode = Union[Revealed, Hidden]
 def build_reveal(term: AuthTerm, path: AuthPath,
                  nonce_source: NonceStream | None = None) -> RevealNode:
     """Reveal exactly the branches `path` needs; everything else stays a digest."""
-    check_depth(term)
     ann = _annotate(term, nonce_source, 1)
     return _reveal_from(ann, path)
 
@@ -464,10 +443,20 @@ def _reveal_from(ann: _Annotated, path: AuthPath) -> RevealNode:
 
 
 def reveal_root(node: RevealNode) -> bytes:
+    """The Merkle root the reveal hashes back to.
+
+    A revealed node is frozen, so its root is computed once and stored on
+    the instance; every validator checking the same evidence shares one
+    hashing. A copy with any field changed is a new instance, hashed afresh.
+    """
     if isinstance(node, Hidden):
         return node.node_digest
-    child_digests = [reveal_root(c) for c in node.children]
-    return _node_digest(node.kind, node.fields, child_digests, node.nonce)
+    root = node.__dict__.get("_root")
+    if root is None:
+        root = node.__dict__["_root"] = _node_digest(
+            node.kind, node.fields, [reveal_root(c) for c in node.children],
+            node.nonce)
+    return root
 
 
 def verify_reveal(commitment: bytes, reveal: RevealNode, path: AuthPath,
@@ -475,7 +464,9 @@ def verify_reveal(commitment: bytes, reveal: RevealNode, path: AuthPath,
     """True iff the reveal hashes back to the commitment and the path holds.
 
     A digest mismatch is an ordinary False; a reveal whose shape cannot be
-    evaluated (path leads into a hidden branch) raises RevealError.
+    evaluated (path leads into a hidden branch) raises RevealError, and a
+    path that does not fit the revealed term raises PathError, so callers
+    can tell bad evidence from a false policy.
     """
     if reveal_root(reveal) != commitment:
         return False
@@ -500,62 +491,6 @@ def encode_reveal(node: RevealNode) -> bytes:
     body = _fields_bytes(node.kind, node.fields)
     kids = enc_seq(encode_reveal(c) for c in node.children)
     return b"\x01" + bytes([node.kind]) + enc_bytes(body) + enc_opt(node.nonce) + kids
-
-
-def decode_reveal(data: bytes) -> RevealNode:
-    node, rest = _decode_reveal(data)
-    if rest:
-        raise RevealError("trailing bytes after reveal")
-    return node
-
-
-def _decode_reveal(data: bytes) -> tuple[RevealNode, bytes]:
-    if not data:
-        raise RevealError("truncated reveal")
-    marker, data = data[0], data[1:]
-    if marker == 0x00:
-        if len(data) < 32:
-            raise RevealError("truncated hidden digest")
-        return Hidden(data[:32]), data[32:]
-    if marker != 0x01:
-        raise RevealError("bad reveal marker")
-    label, data = data[0], data[1:]
-    size = int.from_bytes(data[:4], "big")
-    body, data = data[4:4 + size], data[4 + size:]
-    fields = _decode_fields(label, body)
-    nonce = None
-    flag, data = data[0], data[1:]
-    if flag == 0x01:
-        nonce, data = data[:32], data[32:]
-    count = int.from_bytes(data[:4], "big")
-    data = data[4:]
-    kids = []
-    for _ in range(count):
-        kid, data = _decode_reveal(data)
-        kids.append(kid)
-    return Revealed(label, fields, nonce, tuple(kids)), data
-
-
-def _decode_fields(label: int, body: bytes) -> tuple:
-    if label in (LABEL_PK, LABEL_OID):
-        return (body,)
-    if label in (LABEL_BEFORE, LABEL_AFTER):
-        return (int.from_bytes(body, "big"),)
-    if label == LABEL_EVENT:
-        size = int.from_bytes(body[:4], "big")
-        chain = body[4:4 + size].decode("utf-8")
-        rest = body[4 + size:]
-        size2 = int.from_bytes(rest[:4], "big")
-        return (chain, rest[4:4 + size2].decode("utf-8"))
-    if label == LABEL_THRESHOLD:
-        need = int.from_bytes(body[:8], "big")
-        count = int.from_bytes(body[8:12], "big")
-        weights = tuple(
-            int.from_bytes(body[12 + 8 * i:20 + 8 * i], "big") for i in range(count))
-        return (need, weights)
-    if label in (LABEL_ALL, LABEL_ANY):
-        return ()
-    raise RevealError(f"unknown node label {label}")
 
 
 # --- transaction evidence ------------------------------------------------------

@@ -16,16 +16,11 @@ DIGEST_SIZE = 32
 ID_SIZE = 32
 
 
-def enc_u32(value: int) -> bytes:
-    return struct.pack(">I", value)
-
-
-def enc_u64(value: int) -> bytes:
-    return struct.pack(">Q", value)
-
-
-def enc_i64(value: int) -> bytes:
-    return struct.pack(">q", value)
+# Fixed-width big-endian integers; bound methods of compiled structs, so an
+# encoding costs no Python frame.
+enc_u32 = struct.Struct(">I").pack
+enc_u64 = struct.Struct(">Q").pack
+enc_i64 = struct.Struct(">q").pack
 
 
 def enc_bytes(data: bytes) -> bytes:
@@ -33,7 +28,8 @@ def enc_bytes(data: bytes) -> bytes:
 
 
 def enc_str(text: str) -> bytes:
-    return enc_bytes(text.encode("utf-8"))
+    data = text.encode("utf-8")
+    return enc_u32(len(data)) + data
 
 
 def enc_seq(chunks: Iterable[bytes]) -> bytes:

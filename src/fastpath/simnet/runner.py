@@ -14,6 +14,10 @@ A message's tiebreak digest covers its `material()` bytes. A sequencer
 submission, the tuple ("submit", kind, payload), has no `material()`; its
 material is the tuple's `repr`, computed once per payload per run since
 every validator submits the same certificate object.
+
+Each actor's `emit`, which its validator state machine calls too, is the
+run's `TraceRecorder.emit` bound to the actor's name. A finished run
+releases its actors, so that no reference cycle outlives it.
 """
 
 from __future__ import annotations
@@ -81,11 +85,11 @@ class ValidatorActor:
         self.fault = fault
         self.skew = skew
         self.crashed = False
+        self.emit = functools.partial(runner.recorder.emit, self.name)
         self.state = ValidatorState(
             vid, runner.scenario.params, scheme=runner.scheme,
             auto_unlock_delay=runner.scenario.delta, fault=fault.kind,
-            event_oracle=event_facts(runner.scenario.events),
-            sink=functools.partial(runner.record, self.name))
+            event_oracle=event_facts(runner.scenario.events), sink=self.emit)
         self.next_seq = 0
         self.seq_buffer: dict[int, SequencedItem] = {}
         self.requesters: dict[bytes, str] = {}
@@ -94,7 +98,7 @@ class ValidatorActor:
         if self.fault.kind == "crash" and self.runner.now >= self.fault.at:
             if not self.crashed:
                 self.crashed = True
-                self.runner.record(self.name, "crash")
+                self.emit("crash")
             return True
         return False
 
@@ -124,8 +128,8 @@ class ValidatorActor:
             vote = self.state.process_tx(msg.tx)
             self._reply(msg.reply_to, TxVoteMsg(vote))
         except ProtocolError as err:
-            self.runner.record(self.name, "tx_rejected", tx=msg.tx.digest.hex(),
-                               code=err.code.value)
+            self.emit("tx_rejected", tx=msg.tx.digest.hex(),
+                      code=err.code.value)
             self._reply(msg.reply_to, TxErrorMsg(msg.tx.digest, err.code.value,
                                                  self.vid))
 
@@ -156,8 +160,8 @@ class ValidatorActor:
             vote = self.state.process_unlock_rqt(msg.rqt)
             self._reply(msg.reply_to, UnlockVoteMsg(vote))
         except ProtocolError as err:
-            self.runner.record(self.name, "unlock_rejected",
-                               rqt=msg.rqt.digest.hex(), code=err.code.value)
+            self.emit("unlock_rejected", rqt=msg.rqt.digest.hex(),
+                      code=err.code.value)
             self._reply(msg.reply_to, UnlockErrorMsg(msg.rqt.digest,
                                                      err.code.value, self.vid,
                                                      tuple(err.keys)))
@@ -168,8 +172,8 @@ class ValidatorActor:
             try:
                 out = self.state.process_unlock_cert(item.payload)
             except ProtocolError as err:
-                self.runner.record(self.name, "unlock_cert_invalid",
-                                   rqt=rqt.digest.hex(), code=err.code.value)
+                self.emit("unlock_cert_invalid", rqt=rqt.digest.hex(),
+                          code=err.code.value)
                 out = None
             if out is not None:
                 client = self.runner.client_of_pk.get(rqt.requester)
@@ -199,6 +203,7 @@ class SequencerActor:
     def __init__(self, runner: "Runner"):
         self.runner = runner
         self.name = "seq"
+        self.emit = functools.partial(runner.recorder.emit, self.name)
         self.sequencer = Sequencer(runner.scenario.params, runner.scheme)
 
     def handle(self, src: str, msg) -> None:
@@ -206,14 +211,12 @@ class SequencerActor:
         try:
             item = self.sequencer.submit(kind, payload)
         except ProtocolError as err:
-            self.runner.record(self.name, "seq_rejected", code=err.code.value,
-                               item_kind=kind)
+            self.emit("seq_rejected", code=err.code.value, item_kind=kind)
             return
         if item is None:
             return
-        self.runner.record(self.name, "sequenced", seq=item.seq,
-                           item_kind=item.kind,
-                           item=item.payload_digest.hex())
+        self.emit("sequenced", seq=item.seq, item_kind=item.kind,
+                  item=item.payload_digest.hex())
         for vid in range(self.runner.scenario.params.n):
             self.runner.send(self.name, f"v{vid}", item, protected=True)
 
@@ -274,7 +277,7 @@ class Runner:
         self.network.sent += 1
         if not protected and self.network.should_drop():
             self.network.dropped += 1
-            self.recorder.emit(self.now, "net", "drop", src=src, dst=dst)
+            self.recorder.emit("net", "drop", src=src, dst=dst)
             return
         material = (msg.material() if hasattr(msg, "material")
                     else self._submission_material(msg))
@@ -302,9 +305,6 @@ class Runner:
                           + enc_u64(self._push_count))
         self._push(self.now + delay, tiebreak, ("timer", actor, token))
 
-    def record(self, actor: str, kind: str, **fields) -> None:
-        self.recorder.emit(self.now, actor, kind, **fields)
-
     # -- main loop --
 
     def run(self) -> Trace:
@@ -326,7 +326,7 @@ class Runner:
             if tick > self.scenario.tick_limit:
                 quiesced = False
                 break
-            self.now = last_tick = tick
+            self.now = last_tick = self.recorder.tick = tick
             if entry[0] == "deliver":
                 _, src, dst, msg = entry
                 actor = self._actors.get(dst)
@@ -364,10 +364,23 @@ class Runner:
                 "contents": entry.spec.contents,
             } for entry in self.genesis},
         }
-        return Trace(meta=meta, events=self.recorder.events,
-                     snapshots=snapshots, quiesced=quiesced,
-                     ticks=last_tick, sent=self.network.sent,
-                     dropped=self.network.dropped)
+        trace = Trace(meta=meta, events=self.recorder.events,
+                      snapshots=snapshots, quiesced=quiesced,
+                      ticks=last_tick, sent=self.network.sent,
+                      dropped=self.network.dropped)
+        self._release()
+        return trace
+
+    def _release(self) -> None:
+        """Cut the run's reference cycles (actors and runner point at each
+        other; drivers hold `on_done` closures over their client), so that
+        refcounting frees the run without the cycle collector."""
+        for actor in self._actors.values():
+            actor.runner = None
+        for client in self.clients.values():
+            client.drivers.clear()
+            client.interest.clear()
+        self._heap.clear()
 
 
 def run(scenario: Scenario) -> Trace:

@@ -37,8 +37,6 @@ import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-import yaml
-
 from ..authenticators import (
     AllOf,
     AnyOf,
@@ -49,7 +47,9 @@ from ..authenticators import (
     IncludesObject,
     NonceStream,
     PublicKey,
+    TermDepthError,
     Threshold,
+    check_depth,
     commit,
 )
 from ..crypto import user_keypair
@@ -69,6 +69,11 @@ REQUIRED_FIELDS = {**{name: ("gas",) for name in TX_ACTIONS},
                    "double_send": ("gas", "unlock_gas"),
                    "unlock": ("keys", "gas"),
                    "spend_loop": ("counter", "gas_pool", "unlock_gas_pool")}
+# Action fields that name accounts, and fields that name objects; a
+# `replacement` is an action of its own.
+ACCOUNT_FIELDS = ("to", "signers")
+OBJECT_FIELDS = ("inputs", "gas", "shared", "unlock_gas", "keys", "counter",
+                 "gas_pool", "unlock_gas_pool")
 
 
 class ScenarioError(Exception):
@@ -184,14 +189,14 @@ class Scenario:
         account_keys = {name: user_keypair(name)[1] for name in accounts}
 
         objects = []
-        seen_names = set()
+        object_names = set()
         for i, spec in enumerate(data.get("objects") or []):
             if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
                 raise ScenarioError(f"object entry {i} needs a name")
             name = spec["name"]
-            if name in seen_names:
+            if name in object_names:
                 raise ScenarioError(f"duplicate object name {name!r}")
-            seen_names.add(name)
+            object_names.add(name)
             try:
                 kind = ObjectKind(spec.get("kind", "owned"))
             except ValueError:
@@ -210,7 +215,9 @@ class Scenario:
             try:
                 term = (term_from_spec(owner_spec, account_keys)
                         if owner_spec is not None else None)
-            except (KeyError, TypeError, ValueError) as exc:
+                if term is not None:
+                    check_depth(term)
+            except (KeyError, TypeError, ValueError, TermDepthError) as exc:
                 raise ScenarioError(f"object {name!r}: bad owner term "
                                     f"{owner_spec!r}: {exc}") from exc
             objects.append(ObjectSpec(
@@ -230,6 +237,12 @@ class Scenario:
             if missing:
                 raise ScenarioError(f"script entry {i} ({name}): missing "
                                     f"{', '.join(missing)}")
+            undeclared = _undeclared_names(action, account_keys, object_names)
+            if undeclared:
+                raise ScenarioError(f"script entry {i} ({name}): undeclared "
+                                    f"{', '.join(undeclared)}")
+            if name == "mint" and isinstance(action.get("new_object"), str):
+                object_names.add(action["new_object"])  # for later entries
             script.append(dict(action))
 
         return Scenario(
@@ -254,6 +267,8 @@ class Scenario:
     def load(path: str) -> "Scenario":
         with open(path) as fh:
             text = fh.read()
+        import yaml  # only files need a parser; from_dict and traces do not
+
         try:
             if path.endswith(".json"):
                 data = json.loads(text)
@@ -277,6 +292,26 @@ def _missing_fields(action: dict) -> list[str]:
                     if not isinstance(replacement, dict)
                     or replacement.get(f) is None]
     return missing
+
+
+def _undeclared_names(action: dict, accounts, objects) -> list[str]:
+    """Names in `action` and its replacement that no account or object
+    declares, as "field 'name'"."""
+    out = []
+    for fields, declared in ((ACCOUNT_FIELDS, accounts),
+                             (OBJECT_FIELDS, objects)):
+        for f in fields:
+            value = action.get(f)
+            if not value:
+                continue
+            out += [f"{f} {name!r}" for name in
+                    (value if isinstance(value, list) else [value])
+                    if not isinstance(name, str) or name not in declared]
+    replacement = action.get("replacement")
+    if isinstance(replacement, dict):
+        out += [f"replacement.{entry}" for entry in
+                _undeclared_names(replacement, accounts, objects)]
+    return out
 
 
 def term_from_spec(spec: dict, account_keys: dict[str, bytes]) -> AuthTerm:

@@ -4,12 +4,19 @@ A trace serializes to line-delimited JSON with sorted keys: one meta line,
 one line per event, one snapshot line per validator, and a closing line.
 Replaying a scenario with the same seed reproduces the file byte for byte,
 which is itself one of the checked guarantees.
+
+`TraceRecorder.emit` is the only writer of events. An actor's `emit` is the
+recorder's `emit` bound to the actor's name, so an event reaches the
+recorder in one call; the runner advances the recorder's `tick`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+# Meta keys the invariant checkers read.
+META_KEYS = ("n", "f", "faults", "drop_budget", "epoch_length", "objects")
 
 
 @dataclass
@@ -45,10 +52,22 @@ class Trace:
 
     @staticmethod
     def parse(text: str) -> "Trace":
+        """Read a serialized trace. Raises ValueError for one the checkers
+        cannot judge: no meta record first, a meta record without a key
+        the checkers read, or no `end` record last (a cut trace)."""
         lines = [json.loads(line) for line in text.splitlines() if line.strip()]
+        if not all(isinstance(record, dict) for record in lines):
+            raise ValueError("every trace line must be a JSON object")
         if not lines or lines[0].get("kind") != "meta":
             raise ValueError("trace must start with a meta record")
         meta = {k: v for k, v in lines[0].items() if k != "kind"}
+        missing = [key for key in META_KEYS if key not in meta]
+        if missing:
+            raise ValueError(f"trace meta lacks {', '.join(missing)}")
+        end = lines[-1]
+        if end.get("kind") != "end" or "quiesced" not in end \
+                or "ticks" not in end:
+            raise ValueError("trace must finish with an end record")
         trace = Trace(meta=meta)
         for record in lines[1:]:
             kind = record.get("kind")
@@ -75,8 +94,12 @@ class Trace:
 class TraceRecorder:
     def __init__(self):
         self.events: list[dict] = []
+        self.tick = 0
 
-    def emit(self, tick: int, actor: str, kind: str, **fields) -> None:
-        record = {"tick": tick, "actor": actor, "kind": kind}
-        record.update(fields)
-        self.events.append(record)
+    def emit(self, actor: str, kind: str, **fields) -> None:
+        """Record one event. `fields` is this call's own dict and becomes
+        the record; no emit site passes a field named tick, actor or kind."""
+        fields["tick"] = self.tick
+        fields["actor"] = actor
+        fields["kind"] = kind
+        self.events.append(fields)

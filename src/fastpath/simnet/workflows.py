@@ -64,6 +64,7 @@ class ClientActor:
     def __init__(self, runner, name: str):
         self.runner = runner
         self.name = name
+        self.emit = functools.partial(runner.recorder.emit, name)
         self.pk = user_keypair(name)[1]
         self.versions: dict[bytes, int] = {}
         self.limits: dict[bytes, int] = {}
@@ -89,9 +90,6 @@ class ClientActor:
 
     def set_timer(self, delay: int, token: str) -> None:
         self.runner.schedule_timer(self.name, delay, token)
-
-    def emit(self, kind: str, **fields) -> None:
-        self.runner.record(self.name, kind, **fields)
 
     # -- message plumbing --
 

@@ -9,7 +9,8 @@ Because the values never change, pure work on them is done once per
 instance: encodings and digests are cached properties, signature checks
 decorated with `verified_once` remember their verdict per (committee,
 scheme), `Evidence.signer_set` remembers its signer set per (message,
-scheme), and `validator.execute` remembers its plan per input content.
+scheme), `authenticators.reveal_root` remembers each reveal's Merkle root,
+and `validator.execute` remembers its plan per input content.
 Every actor of a simulation shares the same instances, so a certificate
 is verified, and a transaction executed, once per run, not once per
 validator.

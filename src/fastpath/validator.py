@@ -233,7 +233,8 @@ class ValidatorState:
         self.auto_unlock_delay = auto_unlock_delay
         self.fault = fault
         self.event_oracle = event_oracle
-        self.sink = sink or _nothing
+        # emit(kind, **fields) records one trace event; it is `sink` itself
+        self.emit = sink or _nothing
 
         self.epoch = 0
         self.clock = 0
@@ -256,9 +257,6 @@ class ValidatorState:
         self.eoe_seen: set[int] = set()
 
     # -- plumbing --
-
-    def emit(self, kind: str, **fields) -> None:
-        self.sink(kind, **fields)
 
     def seed_object(self, obj: Object) -> None:
         """Install a genesis object (and counter bookkeeping if commutative)."""

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -15,6 +16,7 @@ from fastpath.authenticators import (
     EventObserved,
     Hidden,
     IncludesObject,
+    LABEL_PK,
     NonceStream,
     PathError,
     PublicKey,
@@ -24,11 +26,10 @@ from fastpath.authenticators import (
     TermDepthError,
     build_reveal,
     commit,
-    decode_reveal,
     encode_reveal,
-    evaluate,
     event_facts,
     find_path,
+    reveal_root,
     verify_reveal,
 )
 from fastpath.crypto import user_keypair
@@ -42,6 +43,14 @@ def ctx(signers=(), oids=(), time=0, events=()):
     return AuthContext(signers=frozenset(signers),
                        included_oids=frozenset(oids), local_time=time,
                        event_oracle=event_facts(events))
+
+
+def evaluate(term, path, context, reveal_path=None):
+    """Judge `path` against `term` the way a validator judges evidence: a
+    reveal built for `reveal_path` (default: `path`) is checked against the
+    term's commitment."""
+    reveal = build_reveal(term, path if reveal_path is None else reveal_path)
+    return verify_reveal(commit(term), reveal, path, context)
 
 
 def oracle_sat(term, context):
@@ -114,18 +123,27 @@ def test_included_object_and_event_leaves():
 
 
 def test_malformed_path_is_an_error_not_false():
+    # each reveal is built for a well-formed path, so the malformed path is
+    # caught where evidence is checked, by verify_reveal
     term = AnyOf((PublicKey(A), PublicKey(B)))
     with pytest.raises(PathError):
-        evaluate(term, AnyPath(5, LEAF), ctx(signers=[A]))
+        evaluate(term, AnyPath(5, LEAF), ctx(signers=[A]),
+                 reveal_path=AnyPath(0, LEAF))
     with pytest.raises(PathError):
-        evaluate(term, LEAF, ctx(signers=[A]))
+        evaluate(term, LEAF, ctx(signers=[A]), reveal_path=AnyPath(0, LEAF))
     with pytest.raises(PathError):
-        evaluate(PublicKey(A), AnyPath(0, LEAF), ctx(signers=[A]))
+        evaluate(PublicKey(A), AnyPath(0, LEAF), ctx(signers=[A]),
+                 reveal_path=LEAF)
     with pytest.raises(PathError):
-        evaluate(AllOf((PublicKey(A),)), AllPath((LEAF, LEAF)), ctx())
+        evaluate(AllOf((PublicKey(A),)), AllPath((LEAF, LEAF)), ctx(),
+                 reveal_path=AllPath((LEAF,)))
     with pytest.raises(PathError):
         evaluate(Threshold.of(1, (1, PublicKey(A))),
-                 ThresholdPath(((0, LEAF), (0, LEAF))), ctx(signers=[A]))
+                 ThresholdPath(((0, LEAF), (0, LEAF))), ctx(signers=[A]),
+                 reveal_path=ThresholdPath(((0, LEAF),)))
+    # the prover side refuses to reveal along a path that does not fit
+    with pytest.raises(PathError):
+        build_reveal(term, AnyPath(5, LEAF))
 
 
 def test_depth_bound_enforced():
@@ -190,8 +208,10 @@ def test_unrevealed_branch_stays_opaque():
     seed = NonceStream(b"hid")
     root = commit(term, NonceStream(b"hid"))
     path = AnyPath(0, LEAF)
-    reveal = decode_reveal(encode_reveal(build_reveal(term, path, seed)))
+    reveal = build_reveal(term, path, seed)
     assert isinstance(reveal.children[1], Hidden)
+    wire = encode_reveal(reveal)
+    assert A in wire and B not in wire
 
     def leaf_payloads(node):
         if isinstance(node, Hidden):
@@ -205,6 +225,24 @@ def test_unrevealed_branch_stays_opaque():
     assert (A,) in payloads
     assert all(B not in fields for fields in payloads)
     assert verify_reveal(root, reveal, path, ctx(signers=[A]))
+
+
+def test_memoized_root_does_not_follow_a_changed_copy():
+    term = AnyOf((PublicKey(A), PublicKey(B)))
+    root = commit(term)
+    path = AnyPath(0, LEAF)
+    reveal = build_reveal(term, path)
+    assert verify_reveal(root, reveal, path, ctx(signers=[A]))
+    assert reveal_root(reveal) == root  # now stored on the instance
+    swapped = dataclasses.replace(
+        reveal, children=(Revealed(LABEL_PK, (C,), None),
+                          reveal.children[1]))
+    assert not verify_reveal(root, swapped, path, ctx(signers=[C]))
+    leaf = reveal.children[0]
+    assert reveal_root(leaf) == commit(PublicKey(A))
+    assert not verify_reveal(commit(PublicKey(A)),
+                             dataclasses.replace(leaf, fields=(C,)), LEAF,
+                             ctx(signers=[C]))
 
 
 def test_hidden_commitment_looks_like_plain_address():
@@ -279,7 +317,6 @@ def test_reveal_soundness(term, context):
         return
     root = commit(term, NonceStream(b"prop"))
     reveal = build_reveal(term, path, NonceStream(b"prop"))
-    reveal = decode_reveal(encode_reveal(reveal))
     assert verify_reveal(root, reveal, path, context)
     assert evaluate(term, path, context)
 

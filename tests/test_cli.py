@@ -7,6 +7,7 @@ import yaml
 
 from fastpath.cli import main
 from fastpath.simnet import invariants
+from fastpath.simnet.scenario import Scenario, ScenarioError
 from fastpath.simnet.trace import Trace
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -192,9 +193,26 @@ def _recovery_without_unlock_gas(data):
     data["script"][0]["on_locked"] = "unlock"
 
 
+def _undeclared_recipient(data):
+    data["script"][0]["to"] = "nobody"
+
+
+def _undeclared_input(data):
+    data["script"][1]["inputs"] = ["ghost"]
+
+
+def _owner_deeper_than_bound(data):
+    term = {"pk": "alice"}
+    for _ in range(40):
+        term = {"all": [term]}
+    data["objects"][0]["owner"] = term
+
+
 @pytest.mark.parametrize("mutate", [_bogus_kind, _unnamed_object,
                                     _unknown_owner_account, _without_gas,
-                                    _recovery_without_unlock_gas])
+                                    _recovery_without_unlock_gas,
+                                    _undeclared_recipient, _undeclared_input,
+                                    _owner_deeper_than_bound])
 @pytest.mark.parametrize("mode", [[], ["--explore", "2"]])
 def test_malformed_scenario_is_exit_2(tmp_path, capsys, mutate, mode):
     data = yaml.safe_load((SCENARIOS / "epoch_change.yaml").read_text())
@@ -202,6 +220,41 @@ def test_malformed_scenario_is_exit_2(tmp_path, capsys, mutate, mode):
     path = tmp_path / "malformed.yaml"
     path.write_text(yaml.safe_dump(data))
     assert main(["--scenario", str(path), *mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_mint_declares_its_object_for_later_actions():
+    data = yaml.safe_load((SCENARIOS / "epoch_change.yaml").read_text())
+    data["script"].insert(0, {"at": 10, "client": "alice", "action": "mint",
+                              "gas": "g1", "new_object": "fresh"})
+    data["script"][1]["inputs"] = ["fresh"]
+    assert Scenario.from_dict(data).script[1]["inputs"] == ["fresh"]
+    data["script"].append(data["script"].pop(0))  # the mint now comes last
+    with pytest.raises(ScenarioError, match="undeclared inputs 'fresh'"):
+        Scenario.from_dict(data)
+
+
+def _without_meta_n(lines):
+    meta = json.loads(lines[0])
+    del meta["n"]
+    return [json.dumps(meta, sort_keys=True, separators=(",", ":")),
+            *lines[1:]]
+
+
+def _cut_after_60_lines(lines):
+    return lines[:60]
+
+
+@pytest.mark.parametrize("mutate", [_without_meta_n, _cut_after_60_lines])
+def test_malformed_trace_is_exit_2(tmp_path, capsys, mutate):
+    out = tmp_path / "trace.log"
+    assert main(["--scenario", str(SCENARIOS / "swap_deadlock.yaml"),
+                 "--trace-out", str(out)]) == 0
+    out.write_text("\n".join(mutate(out.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert main(["--check-only", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""

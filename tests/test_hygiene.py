@@ -143,6 +143,68 @@ def test_cache_check_flags_planted_caches():
         "crypto:12 c writes module-level _KEYS"]
 
 
+# The trace recorder sets these on every event itself, over the fields it
+# was passed, so an emit site that passed one would lose it silently.
+RECORD_KEYS = {"tick", "actor", "kind"}
+
+
+def _emit_forwarders(trees) -> set[str]:
+    """`emit`, plus every function that passes its own `**kwargs` on to an
+    emit call."""
+    names = {"emit"}
+    for tree in trees:
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or fn.args.kwarg is None:
+                continue
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and _callee_name(call) == "emit" \
+                        and any(k.arg is None and isinstance(k.value, ast.Name)
+                                and k.value.id == fn.args.kwarg.arg
+                                for k in call.keywords):
+                    names.add(fn.name)
+    return names
+
+
+def emit_field_clashes(trees: dict[str, ast.Module]) -> list[str]:
+    """Calls of emit, or of a function forwarding to it, that pass a field
+    named tick, actor or kind, by keyword or in a `**{...}` literal."""
+    forwarders = _emit_forwarders(trees.values())
+    found = []
+    for module, tree in trees.items():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call) \
+                    or _callee_name(call) not in forwarders:
+                continue
+            names = [k.arg for k in call.keywords if k.arg is not None]
+            for k in call.keywords:
+                if k.arg is None and isinstance(k.value, ast.Dict):
+                    names += [key.value for key in k.value.keys
+                              if isinstance(key, ast.Constant)]
+            found += [f"{module}:{call.lineno} passes {name}"
+                      for name in names if name in RECORD_KEYS]
+    return found
+
+
+def test_no_emit_site_passes_a_record_key():
+    trees = {".".join(path.relative_to(SRC).with_suffix("").parts):
+             ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    assert emit_field_clashes(trees) == []
+
+
+def test_record_key_check_flags_planted_clashes():
+    planted = ast.parse(
+        "def note(env, **fields):\n"
+        "    env.emit('note', **fields)\n"
+        "def a(env):\n"
+        "    env.emit('x', tick=1, ok=True)\n"
+        "    env.emit('y', **{'actor': 'v0'})\n"
+        "    note(env, kind='z')\n"
+        "    env.emit('fine', tx='ab')\n")
+    assert emit_field_clashes({"m": planted}) == [
+        "m:4 passes tick", "m:5 passes actor", "m:6 passes kind"]
+
+
 def _span_targets() -> list[tuple[str, str, str]]:
     """`TARGETS` of the benchmark's span module, loaded from its file
     without registering or installing anything."""

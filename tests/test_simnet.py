@@ -1,4 +1,6 @@
 import copy
+import gc
+import pathlib
 
 import pytest
 
@@ -29,6 +31,8 @@ from tests.scenario_builders import (
     unauthorized_unlock,
 )
 
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
 
 def test_same_seed_same_trace():
     a = run(swap_deadlock(123)).serialize()
@@ -40,6 +44,23 @@ def test_different_seed_different_schedule():
     a = run(swap_deadlock(1)).serialize()
     b = run(swap_deadlock(2)).serialize()
     assert a != b
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")),
+                         ids=lambda path: path.stem)
+def test_finished_run_leaves_no_cyclic_garbage(path):
+    # a finished run releases its actor graph, so refcounting frees all of
+    # it and the cycle collector finds nothing left to trace
+    scenario = Scenario.load(str(path))
+    gc.collect()
+    gc.disable()
+    try:
+        trace = run(scenario)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert trace.quiesced
+    assert unreachable == 0
 
 
 def test_trace_round_trips_through_serialization():
