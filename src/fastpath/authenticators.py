@@ -8,6 +8,9 @@ from a plain single-owner address until used. A transaction proves
 authorization by revealing just the branches a chosen path needs, keeping
 the rest of the policy hidden.
 
+One tree shape serves commits and reveals: a commitment is the root of the
+fully revealed tree, and a reveal hides the branches a path does not need.
+
 Node hashing rules (fixed so commitments are reproducible):
 
     leaf   digest = sha256(b"authleaf:" + label + payload + nonce_part)
@@ -268,44 +271,46 @@ def _leaf_true(label: int, fields: tuple, ctx: AuthContext) -> bool:
     return ctx.event_oracle(fields[0], fields[1])
 
 
+def _selected(node: Revealed, path: AuthPath) -> tuple:
+    """The (child index, child path) pairs `path` selects at branch `node`,
+    in path order; PathError when the path does not fit the branch."""
+    count = len(node.children)
+    if node.kind == LABEL_ALL:
+        if not isinstance(path, AllPath) or len(path.children) != count:
+            raise PathError("AllOf path must cover every child")
+        return tuple(enumerate(path.children))
+    if node.kind == LABEL_ANY:
+        if not isinstance(path, AnyPath):
+            raise PathError("AnyOf term needs a selection path")
+        if not 0 <= path.index < count:
+            raise PathError("AnyOf selection out of range")
+        return ((path.index, path.child),)
+    if not isinstance(path, ThresholdPath):
+        raise PathError("Threshold term needs a selection path")
+    indices = [index for index, _ in path.selected]
+    if len(set(indices)) != len(indices) or not all(
+            0 <= index < count for index in indices):
+        raise PathError("Threshold selection out of range or duplicated")
+    return path.selected
+
+
 def _eval(node, path: AuthPath, ctx: AuthContext, depth: int) -> bool:
     if depth > MAX_DEPTH:
         raise TermDepthError(f"term deeper than {MAX_DEPTH}")
     if isinstance(node, Hidden):
         raise RevealError("path descends into a hidden branch")
-    label, fields, children = node.kind, node.fields, node.children
-
-    if label in _LEAF_LABELS:
+    if node.kind in _LEAF_LABELS:
         if not isinstance(path, LeafPath):
             raise PathError("leaf term given a branch path")
-        return _leaf_true(label, fields, ctx)
-
-    if label == LABEL_ALL:
-        if not isinstance(path, AllPath) or len(path.children) != len(children):
-            raise PathError("AllOf path must cover every child")
-        return all(_eval(c, p, ctx, depth + 1)
-                   for c, p in zip(children, path.children))
-
-    if label == LABEL_ANY:
-        if not isinstance(path, AnyPath):
-            raise PathError("AnyOf term needs a selection path")
-        if not 0 <= path.index < len(children):
-            raise PathError("AnyOf selection out of range")
-        return _eval(children[path.index], path.child, ctx, depth + 1)
-
+        return _leaf_true(node.kind, node.fields, ctx)
+    picked = _selected(node, path)
+    if node.kind != LABEL_THRESHOLD:
+        return all(_eval(node.children[i], sub, ctx, depth + 1)
+                   for i, sub in picked)
     # threshold: sum the weights of selected children that hold
-    if not isinstance(path, ThresholdPath):
-        raise PathError("Threshold term needs a selection path")
-    need, weights = fields
-    seen = set()
-    total = 0
-    for index, sub in path.selected:
-        if not 0 <= index < len(children) or index in seen:
-            raise PathError("Threshold selection out of range or duplicated")
-        seen.add(index)
-        if _eval(children[index], sub, ctx, depth + 1):
-            total += weights[index]
-    return total >= need
+    need, weights = node.fields
+    return sum(weights[i] for i, sub in picked
+               if _eval(node.children[i], sub, ctx, depth + 1)) >= need
 
 
 def find_path(term: AuthTerm, ctx: AuthContext) -> AuthPath | None:
@@ -361,36 +366,6 @@ class NonceStream:
         return nonce
 
 
-@dataclass
-class _Annotated:
-    term: AuthTerm
-    nonce: bytes | None
-    children: tuple["_Annotated", ...]
-    node_digest: bytes
-
-
-def _annotate(term: AuthTerm, stream: NonceStream | None, depth: int) -> _Annotated:
-    if depth > MAX_DEPTH:
-        raise TermDepthError(f"term deeper than {MAX_DEPTH}")
-    nonce = stream.take() if stream is not None else None
-    children = tuple(_annotate(c, stream, depth + 1) for c in _term_children(term))
-    node = _node_digest(term.label, _term_fields(term),
-                        [c.node_digest for c in children], nonce)
-    return _Annotated(term, nonce, children, node)
-
-
-def commit(term: AuthTerm, nonce_source: NonceStream | None = None) -> bytes:
-    """Merkle root over the (optionally nonce-blinded) term tree.
-
-    Nonces are drawn from the stream in pre-order, one per node, so the
-    owner can later regenerate them for reveals. Without nonces the
-    commitment of a bare PublicKey leaf doubles as a plain address.
-    """
-    return _annotate(term, nonce_source, 1).node_digest
-
-
-# --- reveals ------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class Hidden:
     node_digest: bytes
@@ -407,39 +382,44 @@ class Revealed:
 RevealNode = Union[Revealed, Hidden]
 
 
+def _annotate(term: AuthTerm, stream: NonceStream | None, depth: int) -> Revealed:
+    """The term as a fully revealed tree, with nonces drawn in pre-order."""
+    if depth > MAX_DEPTH:
+        raise TermDepthError(f"term deeper than {MAX_DEPTH}")
+    nonce = stream.take() if stream is not None else None
+    return Revealed(term.label, _term_fields(term), nonce,
+                    tuple(_annotate(c, stream, depth + 1)
+                          for c in _term_children(term)))
+
+
+def commit(term: AuthTerm, nonce_source: NonceStream | None = None) -> bytes:
+    """Merkle root over the (optionally nonce-blinded) term tree.
+
+    Nonces are drawn from the stream in pre-order, one per node, so the
+    owner can later regenerate them for reveals. Without nonces the
+    commitment of a bare PublicKey leaf doubles as a plain address.
+    """
+    return reveal_root(_annotate(term, nonce_source, 1))
+
+
+# --- reveals ------------------------------------------------------------------
+
 def build_reveal(term: AuthTerm, path: AuthPath,
                  nonce_source: NonceStream | None = None) -> RevealNode:
     """Reveal exactly the branches `path` needs; everything else stays a digest."""
-    ann = _annotate(term, nonce_source, 1)
-    return _reveal_from(ann, path)
+    return _reveal_from(_annotate(term, nonce_source, 1), path)
 
 
-def _reveal_from(ann: _Annotated, path: AuthPath) -> RevealNode:
-    label = ann.term.label
-    fields = _term_fields(ann.term)
-    if label in _LEAF_LABELS:
+def _reveal_from(node: Revealed, path: AuthPath) -> RevealNode:
+    if node.kind in _LEAF_LABELS:
         if not isinstance(path, LeafPath):
             raise PathError("leaf term given a branch path")
-        return Revealed(label, fields, ann.nonce)
-    if label == LABEL_ALL:
-        if not isinstance(path, AllPath) or len(path.children) != len(ann.children):
-            raise PathError("AllOf path must cover every child")
-        kids = tuple(_reveal_from(c, p) for c, p in zip(ann.children, path.children))
-        return Revealed(label, fields, ann.nonce, kids)
-    if label == LABEL_ANY:
-        if not isinstance(path, AnyPath) or not 0 <= path.index < len(ann.children):
-            raise PathError("AnyOf selection out of range")
-        kids = tuple(
-            _reveal_from(c, path.child) if i == path.index else Hidden(c.node_digest)
-            for i, c in enumerate(ann.children))
-        return Revealed(label, fields, ann.nonce, kids)
-    if not isinstance(path, ThresholdPath):
-        raise PathError("Threshold term needs a selection path")
-    chosen = dict(path.selected)
+        return node
+    chosen = dict(_selected(node, path))
     kids = tuple(
-        _reveal_from(c, chosen[i]) if i in chosen else Hidden(c.node_digest)
-        for i, c in enumerate(ann.children))
-    return Revealed(label, fields, ann.nonce, kids)
+        _reveal_from(c, chosen[i]) if i in chosen else Hidden(reveal_root(c))
+        for i, c in enumerate(node.children))
+    return Revealed(node.kind, node.fields, node.nonce, kids)
 
 
 def reveal_root(node: RevealNode) -> bytes:

@@ -9,13 +9,16 @@ which settles every outstanding certificate and reissues the counter at
 the next version with fresh budgets. Each consolidation at least halves
 what is left, so a counter of value M fully drains within about log2(M)
 consolidations.
+
+A validator's replica of each such object, with all of its bookkeeping,
+lives here in `CounterLocal`; the validator calls its methods and emits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .types import Certificate, CommitteeParams
+from .types import Certificate, CommitteeParams, CounterDelta
 
 FLAVOR_GROW = "grow"
 FLAVOR_USET = "uset"
@@ -44,58 +47,14 @@ def credit_half(amount: int) -> int:
 
 
 @dataclass
-class GCounter:
-    """Grow-only counter: a log of accepted credit certificates."""
-
-    accepted: dict[bytes, int] = field(default_factory=dict)
-
-    def accept(self, tx_digest: bytes, amount: int) -> None:
-        self.accepted.setdefault(tx_digest, amount)
-
-    def value(self) -> int:
-        return sum(self.accepted.values())
-
-
-@dataclass
-class USet:
-    """Union set: items can only be added."""
-
-    items: set[bytes] = field(default_factory=set)
-
-    def add(self, item: bytes) -> None:
-        self.items.add(item)
-
-    def __contains__(self, item: bytes) -> bool:
-        return item in self.items
-
-
-@dataclass
-class PNSet:
-    """Add/remove set built from two union sets; removal adds a tombstone."""
-
-    additions: USet = field(default_factory=USet)
-    tombstones: USet = field(default_factory=USet)
-
-    def add(self, item: bytes) -> None:
-        self.additions.add(item)
-
-    def remove(self, item: bytes) -> None:
-        self.tombstones.add(item)
-
-    def __contains__(self, item: bytes) -> bool:
-        return item in self.additions and item not in self.tombstones
-
-    def members(self) -> set[bytes]:
-        return self.additions.items - self.tombstones.items
-
-
-@dataclass
 class CounterLocal:
-    """Validator-local bookkeeping for one commutative object.
+    """One validator's replica of one commutative object.
 
     `seen` holds valid certificates received but not yet sequenced (these
     are what consolidation replies carry); `settled` holds the signed
     delta of every certificate acknowledged by the sequenced stream.
+    `grown` is a grow counter's log of credits; a set keeps its `added`
+    items and its `removed` tombstones.
     """
 
     flavor: str
@@ -104,8 +63,9 @@ class CounterLocal:
     version: int = 0
     seen: dict[bytes, Certificate] = field(default_factory=dict)
     settled: dict[bytes, int] = field(default_factory=dict)
-    grow: GCounter = field(default_factory=GCounter)
-    pnset: PNSet = field(default_factory=PNSet)
+    grown: dict[bytes, int] = field(default_factory=dict)
+    added: set[bytes] = field(default_factory=set)
+    removed: set[bytes] = field(default_factory=set)
 
     def try_debit(self, amount: int) -> bool:
         """Atomically subtract from the budget; restore and refuse if it
@@ -116,11 +76,49 @@ class CounterLocal:
         self.budget = remaining
         return True
 
-    def refund(self, amount: int) -> None:
-        self.budget += amount
+    def apply(self, tx_digest: bytes, delta: CounterDelta) -> int | None:
+        """Apply an executed delta. A credit to a bounded counter returns
+        the budget it released, possibly 0; any other delta returns None."""
+        if self.flavor == FLAVOR_GROW:
+            self.grown.setdefault(tx_digest, delta.delta)
+        elif self.flavor != FLAVOR_BOUNDED:
+            (self.added if delta.delta >= 0 else self.removed).add(delta.item)
+        elif delta.delta > 0:
+            self.budget += credit_half(delta.delta)
+            return credit_half(delta.delta)
+        return None
 
-    def outstanding(self) -> int:
-        return max(self.limit + sum(self.settled.values()), 0)
+    def unapply(self, tx_digest: bytes, delta: CounterDelta) -> None:
+        """Take back a delta applied on the fast path."""
+        if self.flavor == FLAVOR_GROW:
+            self.grown.pop(tx_digest, None)
+        elif self.flavor != FLAVOR_BOUNDED:
+            (self.added if delta.delta >= 0 else self.removed).discard(delta.item)
+        elif delta.delta > 0:
+            self.budget = max(self.budget - credit_half(delta.delta), 0)
+
+    def note_seen(self, cert: Certificate) -> None:
+        if cert.tx.digest not in self.settled:
+            self.seen.setdefault(cert.tx.digest, cert)
+
+    def unsettled(self) -> list[Certificate]:
+        return [self.seen[d] for d in sorted(self.seen) if d not in self.settled]
+
+    def settle(self, tx_digest: bytes, delta: CounterDelta) -> None:
+        """Record a delta acknowledged by the sequenced stream."""
+        self.seen.pop(tx_digest, None)
+        if self.flavor in (FLAVOR_BOUNDED, FLAVOR_GROW):
+            self.settled.setdefault(tx_digest, delta.delta)
+
+    def reissue(self, params: CommitteeParams) -> int:
+        """Move to the next version holding what is still unspent, with a
+        fresh budget; returns that new limit."""
+        self.limit = max(self.limit + sum(self.settled.values()), 0)
+        self.budget = initial_budget(self.limit, params)
+        self.version += 1
+        self.settled = {}
+        self.seen = {}
+        return self.limit
 
     def snapshot(self) -> dict:
         data = {
@@ -130,7 +128,7 @@ class CounterLocal:
             "settled": {d.hex(): v for d, v in sorted(self.settled.items())},
         }
         if self.flavor == FLAVOR_GROW:
-            data["value"] = self.grow.value()
+            data["value"] = sum(self.grown.values())
         if self.flavor in (FLAVOR_USET, FLAVOR_PNSET):
-            data["members"] = sorted(i.hex() for i in self.pnset.members())
+            data["members"] = sorted(i.hex() for i in self.added - self.removed)
         return data

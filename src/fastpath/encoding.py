@@ -12,10 +12,6 @@ import hashlib
 import struct
 from typing import Iterable
 
-DIGEST_SIZE = 32
-ID_SIZE = 32
-
-
 # Fixed-width big-endian integers; bound methods of compiled structs, so an
 # encoding costs no Python frame.
 enc_u32 = struct.Struct(">I").pack

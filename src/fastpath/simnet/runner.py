@@ -37,7 +37,6 @@ from ..client import (
     TxErrorMsg,
     TxVoteMsg,
     UnlockErrorMsg,
-    UnlockOutcomeMsg,
     UnlockVoteMsg,
 )
 from ..crypto import user_keypair
@@ -89,7 +88,7 @@ class ValidatorActor:
         self.state = ValidatorState(
             vid, runner.scenario.params, scheme=runner.scheme,
             auto_unlock_delay=runner.scenario.delta, fault=fault.kind,
-            event_oracle=event_facts(runner.scenario.events), sink=self.emit)
+            event_oracle=runner.event_oracle, sink=self.emit)
         self.next_seq = 0
         self.seq_buffer: dict[int, SequencedItem] = {}
         self.requesters: dict[bytes, str] = {}
@@ -152,9 +151,7 @@ class ValidatorActor:
             return
         stored = self.state.unlock_outcomes.get(msg.rqt.digest)
         if stored is not None:
-            self._reply(msg.reply_to, UnlockOutcomeMsg(
-                msg.rqt.digest, stored.status, self.vid, stored.signs,
-                stored.confirmed))
+            self._reply(msg.reply_to, stored)
             return
         try:
             vote = self.state.process_unlock_rqt(msg.rqt)
@@ -178,9 +175,7 @@ class ValidatorActor:
             if out is not None:
                 client = self.runner.client_of_pk.get(rqt.requester)
                 if client is not None:
-                    self.runner.send(self.name, client, UnlockOutcomeMsg(
-                        rqt.digest, out.status, self.vid, out.signs,
-                        out.confirmed))
+                    self.runner.send(self.name, client, out)
         elif item.kind == KIND_CHECKPOINT:
             self.state.process_checkpoint_cert(item.payload)
         elif item.kind == KIND_END_OF_EPOCH:
@@ -227,6 +222,7 @@ class Runner:
         self.scheme = crypto.DEFAULT_SCHEME
         self.rng = random.Random(scenario.seed)
         self.recorder = TraceRecorder()
+        self.event_oracle = event_facts(scenario.events)
         self.network = _Network(scenario.network, self.rng)
         self.now = 0
         self._heap: list = []
@@ -249,8 +245,7 @@ class Runner:
             if entry.spec.term is not None:
                 policies[0] = (entry.spec.term, entry.nonce_seed)
             self.object_info[entry.spec.object_id()] = ObjectInfo(
-                name=entry.spec.name, kind=entry.spec.kind, policies=policies,
-                flavor=entry.spec.flavor, limit=entry.spec.limit)
+                kind=entry.spec.kind, policies=policies, limit=entry.spec.limit)
 
         self.validators = [
             ValidatorActor(self, vid,

@@ -33,9 +33,10 @@ non-honest; a crash counts toward f like any other fault.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..authenticators import (
     AllOf,
@@ -69,11 +70,27 @@ REQUIRED_FIELDS = {**{name: ("gas",) for name in TX_ACTIONS},
                    "double_send": ("gas", "unlock_gas"),
                    "unlock": ("keys", "gas"),
                    "spend_loop": ("counter", "gas_pool", "unlock_gas_pool")}
-# Action fields that name accounts, and fields that name objects; a
+# Every action field a run reads: its type, and whether it names accounts
+# or objects (one name, or a list of names). An int field holds what int()
+# reads, kept as written: the queue tiebreaks on the action as written. A
 # `replacement` is an action of its own.
-ACCOUNT_FIELDS = ("to", "signers")
-OBJECT_FIELDS = ("inputs", "gas", "shared", "unlock_gas", "keys", "counter",
-                 "gas_pool", "unlock_gas_pool")
+FIELDS = {
+    **dict.fromkeys(("at", "amount", "epoch", "max_recoveries", "target"),
+                    (int, None)),
+    **dict.fromkeys(("action", "new_object", "item", "memo"), (str, None)),
+    **dict.fromkeys(("amounts", "first_to", "first_to_second", "cert_to"),
+                    (list, None)),
+    "replacement": (dict, None), "to": (str, "account"),
+    "signers": (list, "account"), "gas": (str, "object"),
+    "counter": (str, "object"), "unlock_gas": ((str, list), "object"),
+    **dict.fromkeys(("inputs", "shared", "keys", "gas_pool",
+                     "unlock_gas_pool"), (list, "object"))}
+# Every validator runs in this one process, which bounds the committee.
+MAX_COMMITTEE = 100
+# Top-level entries that hold a mapping or a list.
+SHAPES = {"committee": dict, "faults": dict, "network": dict,
+          "clock_skew": dict, "events": list, "accounts": list,
+          "objects": list, "script": list}
 
 
 class ScenarioError(Exception):
@@ -87,6 +104,17 @@ def fault_bound_error(kinds: Iterable[str], f: int) -> str | None:
     if faulty > f:
         return f"{faulty} faulty validators exceed f={f}"
     return None
+
+
+def _number(value, what: str, low: int = -2**63, high: int = 2**63 - 1,
+         kind=int):
+    """`kind(value)` if it lies in [low, high]; ScenarioError otherwise."""
+    try:
+        if low <= kind(value) <= high:
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ScenarioError(f"{what} must lie in [{low}, {high}], not {value!r}")
 
 
 def object_id_for(name: str) -> bytes:
@@ -140,32 +168,30 @@ class Scenario:
     accounts: list[str]
     objects: list[ObjectSpec]
     script: list[dict]
-    raw: dict = field(default_factory=dict)
 
     def with_seed(self, seed: int) -> "Scenario":
-        data = dict(self.raw)
-        data["seed"] = seed
-        return Scenario.from_dict(data)
+        return dataclasses.replace(self, seed=_number(seed, "seed", 0, 2**64 - 1))
 
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
+        for key, shape in SHAPES.items():
+            if not isinstance(data.get(key) or shape(), shape):
+                raise ScenarioError(f"{key} must be a {shape.__name__}")
         try:
-            committee = data.get("committee", {})
-            params = CommitteeParams(int(committee["n"]), int(committee["f"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"bad committee: {exc}") from exc
+            committee = data.get("committee") or {}
+            params = CommitteeParams(
+                _number(committee.get("n"), "committee n", 1, MAX_COMMITTEE),
+                _number(committee.get("f"), "committee f"))
         except ProtocolError as exc:
             raise ScenarioError(str(exc)) from exc
 
         faults: dict[int, Fault] = {}
         for key, spec in (data.get("faults") or {}).items():
-            vid = int(key)
-            if not 0 <= vid < params.n:
-                raise ScenarioError(f"fault entry for unknown validator {vid}")
-            kind = spec.get("kind", "honest")
-            if kind not in FAULT_KINDS:
-                raise ScenarioError(f"unknown fault kind {kind!r}")
-            faults[vid] = Fault(kind, int(spec.get("at", 0)))
+            vid = _number(key, "fault entry validator", 0, params.n - 1)
+            kind = spec.get("kind", "honest") if isinstance(spec, dict) else None
+            if not isinstance(kind, str) or kind not in FAULT_KINDS:
+                raise ScenarioError(f"fault entry {key!r}: unknown fault {spec!r}")
+            faults[vid] = Fault(kind, _number(spec.get("at", 0), "fault at"))
         error = fault_bound_error((fb.kind for fb in faults.values()),
                                   params.f)
         if error:
@@ -173,20 +199,23 @@ class Scenario:
 
         net = data.get("network") or {}
         network = NetworkSpec(
-            min_delay=int(net.get("min_delay", 1)),
-            max_delay=int(net.get("max_delay", 8)),
-            drop_budget=int(net.get("drop_budget", 0)),
-            drop_rate=float(net.get("drop_rate", 0.2)),
+            min_delay=_number(net.get("min_delay", 1), "min_delay", 1),
+            max_delay=_number(net.get("max_delay", 8), "max_delay", 1),
+            drop_budget=_number(net.get("drop_budget", 0), "drop_budget", 0),
+            drop_rate=_number(net.get("drop_rate", 0.2), "drop_rate", 0, 1, float),
         )
-        if network.min_delay < 1 or network.max_delay < network.min_delay:
+        if network.max_delay < network.min_delay:
             raise ScenarioError("network delays must satisfy 1 <= min <= max")
-        if network.drop_budget < 0:
-            raise ScenarioError("drop budget must be finite and non-negative")
 
         accounts = list(data.get("accounts") or [])
-        if len(set(accounts)) != len(accounts):
-            raise ScenarioError("duplicate account names")
+        if not all(isinstance(name, str) for name in accounts) \
+                or len(set(accounts)) != len(accounts):
+            raise ScenarioError("account names must be distinct strings")
         account_keys = {name: user_keypair(name)[1] for name in accounts}
+
+        events = data.get("events") or []
+        if not all(isinstance(e, list) and len(e) == 2 for e in events):
+            raise ScenarioError("events must be [chain, event] pairs")
 
         objects = []
         object_names = set()
@@ -217,50 +246,47 @@ class Scenario:
                         if owner_spec is not None else None)
                 if term is not None:
                     check_depth(term)
-            except (KeyError, TypeError, ValueError, TermDepthError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError,
+                    TermDepthError) as exc:
                 raise ScenarioError(f"object {name!r}: bad owner term "
                                     f"{owner_spec!r}: {exc}") from exc
             objects.append(ObjectSpec(
                 name=name, kind=kind, term=term,
-                contents=int(spec.get("contents", 0)), flavor=flavor,
-                limit=int(spec.get("limit", 0)),
+                contents=_number(spec.get("contents", 0), "contents"),
+                flavor=flavor, limit=_number(spec.get("limit", 0), "limit", 0),
                 hidden=bool(spec.get("hidden", False))))
 
         script = []
         for i, action in enumerate(data.get("script") or []):
             name = action.get("action") if isinstance(action, dict) else None
-            if name not in ACTIONS:
+            if not isinstance(name, str) or name not in ACTIONS:
                 raise ScenarioError(f"script entry {i}: unknown action {name!r}")
             if action.get("client") not in accounts:
                 raise ScenarioError(f"script entry {i}: unknown client")
-            missing = _missing_fields(action)
-            if missing:
-                raise ScenarioError(f"script entry {i} ({name}): missing "
-                                    f"{', '.join(missing)}")
-            undeclared = _undeclared_names(action, account_keys, object_names)
-            if undeclared:
-                raise ScenarioError(f"script entry {i} ({name}): undeclared "
-                                    f"{', '.join(undeclared)}")
-            if name == "mint" and isinstance(action.get("new_object"), str):
+            required = REQUIRED_FIELDS[name]
+            if action.get("on_locked") == "unlock":
+                required += ("unlock_gas",)
+            _check_action(action, f"script entry {i} ({name})", required,
+                          {"account": account_keys, "object": object_names})
+            if name == "mint" and action.get("new_object"):
                 object_names.add(action["new_object"])  # for later entries
             script.append(dict(action))
 
         return Scenario(
             params=params,
-            seed=int(data.get("seed", 0)),
-            tick_limit=int(data.get("ticks", 20000)),
-            delta=int(data.get("delta", 200)),
-            epoch_length=int(data.get("epoch_length", 10000)),
+            seed=_number(data.get("seed", 0), "seed", 0, 2**64 - 1),
+            tick_limit=_number(data.get("ticks", 20000), "ticks"),
+            delta=_number(data.get("delta", 200), "delta"),
+            epoch_length=_number(data.get("epoch_length", 10000), "epoch_length"),
             epoch_change=bool(data.get("epoch_change", False)),
             network=network,
             faults=faults,
-            clock_skew={int(k): int(v)
+            clock_skew={_number(k, "clock_skew validator"): _number(v, "clock_skew")
                         for k, v in (data.get("clock_skew") or {}).items()},
-            events=[(str(c), str(e)) for c, e in (data.get("events") or [])],
+            events=[(str(c), str(e)) for c, e in events],
             accounts=accounts,
             objects=objects,
             script=script,
-            raw=data,
         )
 
     @staticmethod
@@ -281,37 +307,30 @@ class Scenario:
         return Scenario.from_dict(data)
 
 
-def _missing_fields(action: dict) -> list[str]:
-    required = REQUIRED_FIELDS[action["action"]]
-    if action.get("on_locked") == "unlock":
-        required += ("unlock_gas",)
-    missing = [f for f in required if action.get(f) is None]
-    replacement = action.get("replacement")
-    if replacement:
-        missing += [f"replacement.{f}" for f in ("action", "gas")
-                    if not isinstance(replacement, dict)
-                    or replacement.get(f) is None]
-    return missing
-
-
-def _undeclared_names(action: dict, accounts, objects) -> list[str]:
-    """Names in `action` and its replacement that no account or object
-    declares, as "field 'name'"."""
-    out = []
-    for fields, declared in ((ACCOUNT_FIELDS, accounts),
-                             (OBJECT_FIELDS, objects)):
-        for f in fields:
-            value = action.get(f)
-            if not value:
-                continue
-            out += [f"{f} {name!r}" for name in
-                    (value if isinstance(value, list) else [value])
-                    if not isinstance(name, str) or name not in declared]
-    replacement = action.get("replacement")
-    if isinstance(replacement, dict):
-        out += [f"replacement.{entry}" for entry in
-                _undeclared_names(replacement, accounts, objects)]
-    return out
+def _check_action(action: dict, where: str, required, declared) -> None:
+    """ScenarioError for the first field of `action`, or of its replacement,
+    that is missing, holds the wrong type or an int outside [0, 2**63), or
+    names an account or object `declared` does not hold."""
+    for f in required:
+        if action.get(f) is None:
+            raise ScenarioError(f"{where}: missing {f}")
+    for f, (kind, names) in FIELDS.items():
+        if f not in action:
+            continue
+        value = action[f]
+        if kind is int:
+            _number(value, f"{where}: {f}", 0)
+        elif not isinstance(value, kind):
+            raise ScenarioError(f"{where}: bad {f} {value!r}")
+        for name in (value if isinstance(value, list) else [value]):
+            if names and (not isinstance(name, str)
+                          or name not in declared[names]):
+                raise ScenarioError(f"{where}: undeclared {f} {name!r}")
+    for amount in action.get("amounts", []):
+        _number(amount, f"{where}: amounts", 0)
+    if action.get("replacement"):
+        _check_action(action["replacement"], f"{where}: replacement",
+                      ("action", "gas"), declared)
 
 
 def term_from_spec(spec: dict, account_keys: dict[str, bytes]) -> AuthTerm:
@@ -326,17 +345,17 @@ def term_from_spec(spec: dict, account_keys: dict[str, bytes]) -> AuthTerm:
     if tag == "oid":
         return IncludesObject(object_id_for(body))
     if tag == "before":
-        return BeforeTime(int(body))
+        return BeforeTime(_number(body, "before", 0))
     if tag == "after":
-        return AfterTime(int(body))
+        return AfterTime(_number(body, "after", 0))
     if tag == "event":
         chain, event = body
         return EventObserved(str(chain), str(event))
     if tag == "threshold":
-        branches = [(int(child["weight"]),
+        branches = [(_number(child["weight"], "weight"),
                      term_from_spec(child["term"], account_keys))
                     for child in body["children"]]
-        return Threshold.of(int(body["need"]), *branches)
+        return Threshold.of(_number(body["need"], "need"), *branches)
     if tag == "all":
         return AllOf(tuple(term_from_spec(s, account_keys) for s in body))
     if tag == "any":

@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 
 from ..authenticators import AuthContext, Evidence, NonceStream, PublicKey, \
-    build_reveal, commit, event_facts, find_path
+    build_reveal, commit, find_path
 from ..client import (
     CertReply,
     FastPathDriver,
@@ -47,10 +47,8 @@ class ObjectInfo:
     policy in force at each version (ownership persists until a transfer
     or swap rewrites it)."""
 
-    name: str
     kind: ObjectKind
     policies: dict[int, tuple[object, bytes | None]]
-    flavor: str | None
     limit: int
 
     def policy_at(self, version: int) -> tuple[object, bytes | None]:
@@ -132,7 +130,7 @@ class ClientActor:
         ctx = AuthContext(signers=frozenset(pk for _, pk in keys),
                           included_oids=frozenset(all_oids),
                           local_time=self.now,
-                          event_oracle=event_facts(self.runner.scenario.events))
+                          event_oracle=self.runner.event_oracle)
         reveals = []
         for key in owned_keys:
             info = self.runner.object_info[key.object_id]
@@ -178,8 +176,7 @@ class ClientActor:
         if oid not in self.runner.object_info:
             term = PublicKey(self.runner.account_pk[owner_account])
             self.runner.object_info[oid] = ObjectInfo(
-                name=name, kind=ObjectKind.OWNED, policies={0: (term, None)},
-                flavor=None, limit=0)
+                kind=ObjectKind.OWNED, policies={0: (term, None)}, limit=0)
 
     def _sign_tx(self, tx: Transaction, signers) -> Transaction:
         owned = [k for k in tx.inputs if self._needs_evidence(k.object_id, tx)]
@@ -426,7 +423,7 @@ class ClientActor:
             self._spend_done(action, state)
             return
         if amounts is not None:
-            amount = amounts[0]
+            amount = int(amounts[0])
         else:
             budget = initial_budget(self.limits[counter_oid],
                                     self.runner.scenario.params)

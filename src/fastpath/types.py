@@ -168,14 +168,6 @@ class IntValue:
 
 
 @dataclass(frozen=True)
-class BlobValue:
-    data: bytes
-
-    def canonical_bytes(self) -> bytes:
-        return b"\x02" + enc_bytes(self.data)
-
-
-@dataclass(frozen=True)
 class CounterValue:
     """Contents of a commutative object.
 
@@ -191,7 +183,7 @@ class CounterValue:
         return b"\x03" + enc_str(self.flavor) + enc_u64(self.limit)
 
 
-Contents = IntValue | BlobValue | CounterValue
+Contents = IntValue | CounterValue
 
 
 @dataclass(frozen=True)
@@ -309,9 +301,6 @@ class Certificate:
             enc_u64(s.signer) + enc_bytes(s.signature)
             for s in sorted(self.signs, key=lambda s: s.signer))
         return tagged_digest("cert", body)
-
-    def signers(self) -> set[ValidatorId]:
-        return {s.signer for s in self.signs}
 
 
 @verified_once

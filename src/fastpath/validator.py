@@ -5,7 +5,8 @@ execute a certificate, vote on an unlock) and three sequenced inputs
 (unlock certificates, checkpointed certificates, end-of-epoch markers).
 State lives in per-key tables: the object store (full version history per
 object id), the lock table mapping each object version to the transaction
-or certificate holding it, and the unlock table recording whether a
+or certificate holding it and the local time it was first locked (its age
+gates unauthenticated unlocks), and the unlock table recording whether a
 version is reserved for the consensus path ("unlocked") or settled by a
 sequenced execution ("confirmed"). Unlock entries only move forward:
 none -> unlocked -> confirmed, or none -> confirmed.
@@ -28,14 +29,13 @@ from dataclasses import dataclass
 
 from . import crypto
 from .authenticators import AuthContext, PathError, RevealError, verify_reveal
-from .client import UnlockCert, UnlockRqt, UnlockVote
+from .client import UnlockCert, UnlockOutcomeMsg, UnlockRqt, UnlockVote
 from .counters import (
     FLAVOR_BOUNDED,
     FLAVOR_GROW,
     FLAVOR_PNSET,
     FLAVOR_USET,
     CounterLocal,
-    credit_half,
     initial_budget,
 )
 from .encoding import tagged_digest
@@ -76,6 +76,7 @@ def _nothing(kind: str, **fields) -> None:
 @dataclass
 class LockEntry:
     holder: bytes  # tx digest, or unlock request digest for unlock gas
+    since: int  # local clock when the key was first locked this epoch
     cert: Certificate | None = None
 
 
@@ -94,31 +95,16 @@ class CertOutcome:
 
 
 @dataclass(frozen=True)
-class UnlockProcessed:
-    status: str  # executed | ignored
-    signs: tuple[EffectSign, ...] = ()
-    confirmed: tuple[ObjectKey, ...] = ()  # listed keys already settled
-
-
-@dataclass(frozen=True)
 class CheckpointOutcome:
     status: str  # executed | already | skipped
     sign: EffectSign | None = None
     reason: str = ""
 
 
-@dataclass
-class FastRecord:
-    tx_digest: bytes
-    consumed: tuple[ObjectKey, ...]
-    produced: tuple[ObjectKey, ...]
-    deltas: tuple[CounterDelta, ...]
-
-
 # --- pure execution -------------------------------------------------------------
 
 def execute(tx: Transaction, loaded: dict[ObjectKey, Object],
-            shared: tuple[Object, ...] = (), fee: int = GAS_FEE) -> ExecPlan:
+            shared: tuple[Object, ...] = ()) -> ExecPlan:
     """Deterministic execution of the toy instruction set.
 
     `loaded` maps every key in tx.inputs to its object; `shared` holds the
@@ -129,7 +115,7 @@ def execute(tx: Transaction, loaded: dict[ObjectKey, Object],
 
     A successful plan is memoized on the transaction instance, keyed by the
     canonical encoding (key, kind, owner and contents) of every input and
-    shared object plus the fee, and shared by every caller, on any
+    shared object, and shared by every caller, on any
     validator, that executes this instance over the same content. The key
     is content, not `ObjectKey`, so a re-execution after an undo sees the
     objects it is given. A failure is not stored: its `ProtocolError` is
@@ -137,7 +123,7 @@ def execute(tx: Transaction, loaded: dict[ObjectKey, Object],
     """
     plans = tx.__dict__.setdefault("_plans", {})
     memo_key = (tuple(loaded[k].canonical_bytes() for k in tx.inputs),
-                tuple(o.canonical_bytes() for o in shared), fee)
+                tuple(o.canonical_bytes() for o in shared))
     plan = plans.get(memo_key)
     if plan is not None:
         return plan
@@ -145,9 +131,9 @@ def execute(tx: Transaction, loaded: dict[ObjectKey, Object],
     gas_obj = loaded[tx.gas]
     if gas_obj.kind != ObjectKind.OWNED or not isinstance(gas_obj.contents, IntValue):
         raise ProtocolError(ErrorCode.BAD_TRANSACTION, "gas must be an owned balance")
-    if gas_obj.contents.amount < fee:
+    if gas_obj.contents.amount < GAS_FEE:
         raise ProtocolError(ErrorCode.INSUFFICIENT_GAS,
-                            f"gas balance {gas_obj.contents.amount} < fee {fee}")
+                            f"gas balance {gas_obj.contents.amount} < fee {GAS_FEE}")
 
     working = [loaded[k] for k in tx.inputs
                if k != tx.gas and loaded[k].kind == ObjectKind.OWNED]
@@ -211,7 +197,7 @@ def execute(tx: Transaction, loaded: dict[ObjectKey, Object],
     for obj in shared:
         produced.append(Object(obj.key.bump(), obj.kind, obj.owner, obj.contents))
     produced.append(Object(gas_obj.key.bump(), gas_obj.kind, gas_obj.owner,
-                           IntValue(gas_obj.contents.amount - fee)))
+                           IntValue(gas_obj.contents.amount - GAS_FEE)))
 
     consumed = tuple(k for k in tx.inputs
                      if loaded[k].kind == ObjectKind.OWNED)
@@ -242,16 +228,15 @@ class ValidatorState:
         self.latest: dict[bytes, int] = {}
         self.lock_db: dict[ObjectKey, LockEntry] = {}
         self.unlock_db: dict[ObjectKey, str] = {}
-        self.lock_times: dict[ObjectKey, int] = {}
         self.executed: dict[bytes, EffectSign] = {}
         self.counters: dict[bytes, CounterLocal] = {}
         self.pending_checkpoint: dict[bytes, Certificate] = {}
         self.forwarded: set[bytes] = set()
         self.sequenced_certs: set[bytes] = set()
         self.executed_unsequenced: set[bytes] = set()
-        self.fast_records: dict[bytes, FastRecord] = {}
+        self.fast_records: dict[bytes, ExecPlan] = {}  # undoable fast layer
         self.key_fast_tx: dict[ObjectKey, bytes] = {}
-        self.unlock_outcomes: dict[bytes, UnlockProcessed] = {}
+        self.unlock_outcomes: dict[bytes, UnlockOutcomeMsg] = {}
         self.paused = False
         self.eoe_sent = False
         self.eoe_seen: set[int] = set()
@@ -275,11 +260,6 @@ class ValidatorState:
         versions[obj.key.version] = obj
         if obj.key.version > self.latest.get(oid, -1):
             self.latest[oid] = obj.key.version
-
-    def latest_key(self, oid: bytes) -> ObjectKey | None:
-        if oid not in self.latest:
-            return None
-        return ObjectKey(oid, self.latest[oid])
 
     def get_object(self, key: ObjectKey) -> Object | None:
         return self.objects.get(key.object_id, {}).get(key.version)
@@ -332,9 +312,9 @@ class ValidatorState:
         # a sequenced outcome settled this key: the fast layer is no longer undoable
         tx_digest = self.key_fast_tx.get(key)
         if tx_digest is not None:
-            rec = self.fast_records.pop(tx_digest, None)
-            if rec:
-                for k in rec.consumed:
+            plan = self.fast_records.pop(tx_digest, None)
+            if plan:
+                for k in plan.effects.consumed:
                     self.key_fast_tx.pop(k, None)
 
     # -- transaction signing (fast-path step one) --
@@ -399,8 +379,7 @@ class ValidatorState:
 
         for key in owned:
             if key not in self.lock_db:
-                self.lock_db[key] = LockEntry(tx.digest)
-                self.lock_times.setdefault(key, self.clock)
+                self.lock_db[key] = LockEntry(tx.digest, self.clock)
                 self.emit("lock_set", key=[key.object_id.hex(), key.version],
                           tx=tx.digest.hex())
         self.emit("tx_signed", tx=tx.digest.hex())
@@ -435,12 +414,10 @@ class ValidatorState:
             if obj is not None and obj.kind == ObjectKind.OWNED:
                 entry = self.lock_db.get(key)
                 if entry is None or entry.cert is None:
-                    self.lock_db[key] = LockEntry(tx.digest, cert)
-                    self.lock_times.setdefault(key, self.clock)
+                    since = entry.since if entry else self.clock
+                    self.lock_db[key] = LockEntry(tx.digest, since, cert)
             if obj is not None and obj.kind == ObjectKind.COMMUTATIVE:
-                local = self.counters[key.object_id]
-                if tx.digest not in local.settled:
-                    local.seen.setdefault(tx.digest, cert)
+                self.counters[key.object_id].note_seen(cert)
 
         states = [self.unlock_db.get(k) for k in tx.inputs]
         if any(s == CONFIRMED for s in states):
@@ -455,9 +432,7 @@ class ValidatorState:
         strict = {k: self._check_key(k) for k in tx.inputs}
         plan = execute(tx, strict)
         self._apply_plan(tx.digest, plan)
-        self.fast_records[tx.digest] = FastRecord(
-            tx.digest, plan.effects.consumed,
-            tuple(o.key for o in plan.produced), plan.effects.counter_deltas)
+        self.fast_records[tx.digest] = plan
         for key in plan.effects.consumed:
             self.key_fast_tx[key] = tx.digest
         sign = EffectSign.make(plan.effects, self.vid, self.scheme)
@@ -478,33 +453,11 @@ class ValidatorState:
         for obj in plan.produced:
             self._put_object(obj)
         for delta in plan.effects.counter_deltas:
-            self._apply_delta(tx_digest, delta)
-
-    def _apply_delta(self, tx_digest: bytes, delta: CounterDelta) -> None:
-        local = self.counters[delta.object_id]
-        if delta.flavor == FLAVOR_GROW:
-            local.grow.accept(tx_digest, delta.delta)
-        elif delta.flavor in (FLAVOR_USET, FLAVOR_PNSET):
-            if delta.delta >= 0:
-                local.pnset.add(delta.item)
-            else:
-                local.pnset.remove(delta.item)
-        elif delta.flavor == FLAVOR_BOUNDED and delta.delta > 0:
-            local.refund(credit_half(delta.delta))
-            self.emit("budget_credit", counter=delta.object_id.hex(),
-                      amount=credit_half(delta.delta), budget=local.budget)
-
-    def _unapply_delta(self, tx_digest: bytes, delta: CounterDelta) -> None:
-        local = self.counters[delta.object_id]
-        if delta.flavor == FLAVOR_GROW:
-            local.grow.accepted.pop(tx_digest, None)
-        elif delta.flavor in (FLAVOR_USET, FLAVOR_PNSET):
-            if delta.delta >= 0:
-                local.pnset.additions.items.discard(delta.item)
-            else:
-                local.pnset.tombstones.items.discard(delta.item)
-        elif delta.flavor == FLAVOR_BOUNDED and delta.delta > 0:
-            local.budget = max(local.budget - credit_half(delta.delta), 0)
+            local = self.counters[delta.object_id]
+            released = local.apply(tx_digest, delta)
+            if released is not None:
+                self.emit("budget_credit", counter=delta.object_id.hex(),
+                          amount=released, budget=local.budget)
 
     # -- unlock votes (consensus-path entry) --
 
@@ -526,8 +479,8 @@ class ValidatorState:
         if self.unlock_authorized(rqt):
             return True
         for key in rqt.object_keys:
-            locked_at = self.lock_times.get(key)
-            if locked_at is None or now - locked_at < delta:
+            entry = self.lock_db.get(key)
+            if entry is None or now - entry.since < delta:
                 return False
         return True
 
@@ -560,9 +513,8 @@ class ValidatorState:
                     carried.setdefault(entry.cert.tx.digest, entry.cert)
                 local = self.counters.get(key.object_id)
                 if local is not None and local.flavor == FLAVOR_BOUNDED:
-                    for d in sorted(local.seen):
-                        if d not in local.settled:
-                            carried.setdefault(d, local.seen[d])
+                    for cert in local.unsettled():
+                        carried.setdefault(cert.tx.digest, cert)
 
         # single protocol reserves the keys unconditionally; the multi
         # protocol only when nothing was certified. Bounded counters are
@@ -586,9 +538,8 @@ class ValidatorState:
         ctx = self._auth_ctx(tx.evidence, tx.digest,
                              {k.object_id for k in tx.inputs})
         for key in tx.inputs:
-            obj = self.get_object(key) or (
-                self.get_object(self.latest_key(key.object_id))
-                if key.object_id in self.latest else None)
+            obj = self.get_object(key) or self.get_object(
+                ObjectKey(key.object_id, self.latest.get(key.object_id, -1)))
             if obj is None:
                 raise ProtocolError(ErrorCode.MISSING_OBJECT, repr(key))
             if obj.kind == ObjectKind.OWNED and not self._evidence_ok(
@@ -614,12 +565,13 @@ class ValidatorState:
         if entry is not None and entry.holder != rqt.digest:
             raise ProtocolError(ErrorCode.BAD_GAS, "gas already locked")
         if entry is None:
-            self.lock_db[key] = LockEntry(rqt.digest)
-            self.lock_times.setdefault(key, self.clock)
+            self.lock_db[key] = LockEntry(rqt.digest, self.clock)
 
     # -- sequenced unlock certificates --
 
-    def process_unlock_cert(self, ucert: UnlockCert) -> UnlockProcessed:
+    def process_unlock_cert(self, ucert: UnlockCert) -> UnlockOutcomeMsg:
+        """Execute a sequenced unlock certificate once; the outcome is stored
+        as the reply sent to the requester, and to anyone asking again."""
         rqt = ucert.rqt
         if rqt.digest in self.unlock_outcomes:
             return self.unlock_outcomes[rqt.digest]
@@ -631,7 +583,8 @@ class ValidatorState:
         settled = tuple(k for k in rqt.object_keys
                         if self.unlock_db.get(k) == CONFIRMED)
         if settled:
-            out = UnlockProcessed("ignored", confirmed=settled)
+            out = UnlockOutcomeMsg(rqt.digest, "ignored", self.vid,
+                                   confirmed=settled)
             self.unlock_outcomes[rqt.digest] = out
             self.emit("unlock_ignored", rqt=rqt.digest.hex())
             return out
@@ -674,7 +627,7 @@ class ValidatorState:
             # unlocked: a later no-commit unlock can still release them
             branch = "carried"
 
-        out = UnlockProcessed("executed", tuple(signs))
+        out = UnlockOutcomeMsg(rqt.digest, "executed", self.vid, tuple(signs))
         self.unlock_outcomes[rqt.digest] = out
         self.emit("unlock_exec", rqt=rqt.digest.hex(), branch=branch,
                   effects=[s.effects.digest.hex() for s in signs],
@@ -707,12 +660,13 @@ class ValidatorState:
         tx_digest = self.key_fast_tx.pop(key, None)
         if tx_digest is None:
             return
-        rec = self.fast_records.pop(tx_digest, None)
-        if rec is None:
+        plan = self.fast_records.pop(tx_digest, None)
+        if plan is None:
             return
-        for k in rec.consumed:
+        consumed = plan.effects.consumed
+        for k in consumed:
             self.key_fast_tx.pop(k, None)
-        for k in rec.produced:
+        for k in (o.key for o in plan.produced):
             versions = self.objects.get(k.object_id, {})
             versions.pop(k.version, None)
             if versions:
@@ -720,12 +674,12 @@ class ValidatorState:
             else:
                 self.objects.pop(k.object_id, None)
                 self.latest.pop(k.object_id, None)
-        for delta in rec.deltas:
-            self._unapply_delta(tx_digest, delta)
+        for delta in plan.effects.counter_deltas:
+            self.counters[delta.object_id].unapply(tx_digest, delta)
         self.executed.pop(tx_digest, None)
         self.executed_unsequenced.discard(tx_digest)
         self.emit("undo", tx=tx_digest.hex(),
-                  keys=[[k.object_id.hex(), k.version] for k in rec.consumed])
+                  keys=[[k.object_id.hex(), k.version] for k in consumed])
 
     def _execute_noop(self, rqt: UnlockRqt) -> EffectSign:
         """Version-bumping no-op over the listed keys; contents untouched."""
@@ -776,25 +730,17 @@ class ValidatorState:
         """The bounded counter at its next version, holding what is still
         unspent; the local budget and bookkeeping restart from that."""
         local = self.counters[key.object_id]
-        outstanding = local.outstanding()
-        local.limit = outstanding
-        local.budget = initial_budget(outstanding, self.params)
-        local.version += 1
-        local.settled = {}
-        local.seen = {}
-        self.emit("consolidate", counter=key.object_id.hex(), limit=outstanding,
+        limit = local.reissue(self.params)
+        self.emit("consolidate", counter=key.object_id.hex(), limit=limit,
                   budget=local.budget, version=local.version)
         return Object(key.bump(), ObjectKind.COMMUTATIVE, obj.owner,
-                      CounterValue(FLAVOR_BOUNDED, outstanding))
+                      CounterValue(FLAVOR_BOUNDED, limit))
 
     def _settle_delta(self, tx_digest: bytes, deltas) -> None:
         for delta in deltas:
             local = self.counters.get(delta.object_id)
-            if local is None:
-                continue
-            local.seen.pop(tx_digest, None)
-            if delta.flavor in (FLAVOR_BOUNDED, FLAVOR_GROW):
-                local.settled.setdefault(tx_digest, delta.delta)
+            if local is not None:
+                local.settle(tx_digest, delta)
 
     def _emit_seq_exec(self, effects: EffectSummary, via: str) -> None:
         self.emit("seq_exec", tx=effects.tx_digest.hex(),
@@ -887,7 +833,6 @@ class ValidatorState:
     def _advance_epoch(self) -> None:
         self.epoch += 1
         self.lock_db.clear()
-        self.lock_times.clear()
         self.unlock_db = {k: v for k, v in self.unlock_db.items() if v == CONFIRMED}
         self.pending_checkpoint.clear()
         self.executed_unsequenced.clear()

@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import pathlib
 from collections import Counter
 
 import pytest
 import yaml
+from hypothesis import given, seed, settings, strategies as st
 
 from fastpath.cli import main
 from fastpath.simnet import invariants
@@ -52,6 +58,13 @@ def test_seed_override_produces_identical_trace_files(tmp_path, capsys):
     assert main(["--scenario", scenario, "--seed", "7",
                  "--trace-out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_override_is_exit_2(capsys, seed):
+    scenario = str(SCENARIOS / "double_send.yaml")
+    assert main(["--scenario", scenario, "--seed", seed, "--explore", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: seed")
 
 
 def test_check_only_round_trip(tmp_path, capsys):
@@ -208,11 +221,28 @@ def _owner_deeper_than_bound(data):
     data["objects"][0]["owner"] = term
 
 
-@pytest.mark.parametrize("mutate", [_bogus_kind, _unnamed_object,
-                                    _unknown_owner_account, _without_gas,
-                                    _recovery_without_unlock_gas,
-                                    _undeclared_recipient, _undeclared_input,
-                                    _owner_deeper_than_bound])
+def _setting(*path_and_value):
+    """A mutation that sets the entry at the path to the value."""
+    *path, value = path_and_value
+
+    def mutate(data):
+        functools.reduce(operator.getitem, path[:-1], data)[path[-1]] = value
+    mutate.__name__ = f"{'.'.join(map(str, path))}={value!r}"
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _bogus_kind, _unnamed_object, _unknown_owner_account, _without_gas,
+    _recovery_without_unlock_gas, _undeclared_recipient, _undeclared_input,
+    _owner_deeper_than_bound,
+    _setting("script", 0, "at", "soon"), _setting("script", 0, "amount", "ten"),
+    _setting("script", 0, "max_recoveries", "many"),
+    _setting("script", 0, "memo", 5),
+    _setting("faults", {"x": {"kind": "crash"}}),
+    _setting("faults", {"1": "crash"}),
+    _setting("network", "min_delay", "fast"),
+    _setting("clock_skew", {"0": "late"}),
+    _setting("objects", 0, "contents", "lots"), _setting("seed", "abc")])
 @pytest.mark.parametrize("mode", [[], ["--explore", "2"]])
 def test_malformed_scenario_is_exit_2(tmp_path, capsys, mutate, mode):
     data = yaml.safe_load((SCENARIOS / "epoch_change.yaml").read_text())
@@ -223,6 +253,60 @@ def test_malformed_scenario_is_exit_2(tmp_path, capsys, mutate, mode):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+BUNDLED = {path.name: yaml.safe_load(path.read_text())
+           for path in sorted(SCENARIOS.glob("*.yaml"))}
+OTHER_TYPES = st.one_of(
+    st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+def _sites(node, path=()):
+    """The path to every value under `node`, and whether a mapping holds it."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield path + (key,), isinstance(node, dict)
+            yield from _sites(value, path + (key,))
+
+
+@st.composite
+def one_field_mutations(draw):
+    """A bundled scenario with one value replaced by a value of another
+    type, a negative number or None, or with one key dropped."""
+    data = copy.deepcopy(BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))])
+    path, keyed = draw(st.sampled_from(list(_sites(data))))
+    holder = functools.reduce(operator.getitem, path[:-1], data)
+    old = holder[path[-1]]
+    how = draw(st.sampled_from(["other", "negative", "none"]
+                               + ["drop"] * keyed))
+    if how == "drop":
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = draw({
+            "other": OTHER_TYPES.filter(lambda v: type(v) is not type(old)),
+            "negative": st.integers(max_value=-1), "none": st.none()}[how])
+    return data
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(data=one_field_mutations(),
+       mode=st.sampled_from([[], ["--explore", "2"]]))
+def test_mutated_scenario_runs_or_is_exit_2(tmp_path_factory, data, mode):
+    try:
+        Scenario.from_dict(data)
+        loads = True
+    except ScenarioError:
+        loads = False
+    path = tmp_path_factory.mktemp("mutated") / "scenario.json"
+    path.write_text(json.dumps(data))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--scenario", str(path), *mode])
+    assert code in ((0, 1) if loads else (2,))
 
 
 def test_mint_declares_its_object_for_later_actions():

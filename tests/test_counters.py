@@ -2,14 +2,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fastpath.counters import (
+    FLAVOR_BOUNDED,
+    FLAVOR_GROW,
+    FLAVOR_PNSET,
+    FLAVOR_USET,
     CounterLocal,
-    GCounter,
-    PNSet,
     credit_half,
     initial_budget,
 )
 from fastpath.types import (
     CommitteeParams,
+    CounterDelta,
     ErrorCode,
     ProtocolError,
     TxKind,
@@ -207,28 +210,49 @@ def consolidate_through_unlock(certified, checkpointed, limit):
 
 # --- replicated data structures -------------------------------------------------
 
+COUNTER = b"\x07" * 32
+
+
 def test_gcounter_accepts_each_certificate_once():
-    g = GCounter()
-    g.accept(b"t1", 5)
-    g.accept(b"t1", 5)
-    g.accept(b"t2", 3)
-    assert g.value() == 8
+    local = CounterLocal(flavor=FLAVOR_GROW)
+    for tx_digest, amount in ((b"t1", 5), (b"t1", 5), (b"t2", 3)):
+        delta = CounterDelta(COUNTER, FLAVOR_GROW, amount)
+        assert local.apply(tx_digest, delta) is None
+    assert local.snapshot()["value"] == 8
 
 
 @given(st.lists(st.tuples(st.booleans(), st.binary(min_size=1, max_size=4)),
                 max_size=30),
        st.binary(min_size=1, max_size=4))
 def test_pnset_membership_law(ops, probe):
-    s = PNSet()
-    for is_add, item in ops:
-        if is_add:
-            s.add(item)
-        else:
-            s.remove(item)
-    for item in {item for _, item in ops} | {probe}:
-        expected = item in s.additions and item not in s.tombstones
-        assert (item in s) == expected
-    assert s.members() == s.additions.items - s.tombstones.items
+    local = CounterLocal(flavor=FLAVOR_PNSET)
+    for i, (is_add, item) in enumerate(ops):
+        local.apply(bytes([i]), CounterDelta(COUNTER, FLAVOR_PNSET,
+                                             1 if is_add else -1, item))
+    additions = {item for is_add, item in ops if is_add}
+    tombstones = {item for is_add, item in ops if not is_add}
+    members = local.snapshot()["members"]
+    for item in additions | tombstones | {probe}:
+        expected = item in additions and item not in tombstones
+        assert (item.hex() in members) == expected
+    assert members == sorted(i.hex() for i in additions - tombstones)
+
+
+@given(st.sampled_from([FLAVOR_GROW, FLAVOR_USET, FLAVOR_PNSET,
+                        FLAVOR_BOUNDED]),
+       st.integers(-50, 50), st.binary(min_size=1, max_size=4))
+def test_unapply_after_apply_restores_a_fresh_replica(flavor, amount, item):
+    limit = 100 if flavor == FLAVOR_BOUNDED else 0
+    local = CounterLocal(flavor=flavor, limit=limit,
+                         budget=initial_budget(limit, PARAMS))
+    before = (local.snapshot(), local.budget)
+    delta = CounterDelta(COUNTER, flavor, amount, item)
+    released = local.apply(b"t1", delta)
+    # only a bounded credit releases budget, and a credit of 1 releases 0
+    bounded_credit = flavor == FLAVOR_BOUNDED and amount > 0
+    assert released == (credit_half(amount) if bounded_credit else None)
+    local.unapply(b"t1", delta)
+    assert (local.snapshot(), local.budget) == before
 
 
 def test_counter_local_snapshot_shape():

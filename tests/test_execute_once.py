@@ -58,10 +58,8 @@ def test_same_key_different_content_gets_its_own_plan(world):
     assert plans["contents"].produced[0].contents == IntValue(7)
     assert plans["owner"].produced[-1].owner == world.objects["bcoin"].owner
     assert plans["gas"].produced[-1].contents == IntValue(8)
-    fee = execute(tx, loaded_for(world, tx), fee=2)
-    assert fee.produced[-1].contents == IntValue(gas.contents.amount - 2)
-    digests = {p.effects.digest for p in (plain, fee, *plans.values())}
-    assert len(digests) == 5
+    digests = {p.effects.digest for p in (plain, *plans.values())}
+    assert len(digests) == 4
     # the first content is still served its own plan
     assert execute(tx, loaded_for(world, tx)) is plain
 

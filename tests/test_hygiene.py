@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fastpath"
@@ -229,3 +230,90 @@ def test_every_span_target_resolves():
         if not found:
             unresolved.append(f"{name}: {module_name}.{path}")
     assert unresolved == []
+
+
+# Code that nothing but its own tests uses gets deleted: every top-level
+# name of the package must be used somewhere in src/ or by the benchmark
+# scripts, which name some program functions in strings.
+BENCH_SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
+EXEMPT = {"__all__", "main"}
+
+
+def _top_level_names(tree: ast.Module) -> dict[str, int]:
+    """Names a module defines at top level, with their line, outside its
+    `__all__` and `main`."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update((t.id, node.lineno) for t in targets
+                         if isinstance(t, ast.Name))
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported = {elt.value for elt in node.value.elts}
+    return {name: line for name, line in names.items()
+            if name not in EXEMPT and name not in exported}
+
+
+def _uses(tree: ast.Module) -> set[str]:
+    """Identifiers a module reads: loaded names, attributes, imported
+    names, and dotted names spelled as a whole string constant."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+            used.update(node.value.split("."))
+    return used
+
+
+def unreferenced_names(modules: dict[str, ast.Module],
+                       others: list[ast.Module]) -> list[str]:
+    """Top-level names of `modules` that no module, `others` included,
+    uses."""
+    used = set()
+    for tree in [*modules.values(), *others]:
+        used |= _uses(tree)
+    return [f"{module}:{line} {name}"
+            for module, tree in modules.items()
+            for name, line in _top_level_names(tree).items()
+            if name not in used]
+
+
+def test_no_unreferenced_top_level_names():
+    modules = {".".join(path.relative_to(SRC).with_suffix("").parts):
+               ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    bench = [ast.parse(path.read_text()) for path in BENCH_SCRIPTS]
+    assert bench
+    assert unreferenced_names(modules, bench) == []
+
+
+def test_unreferenced_name_check_flags_planted_names():
+    defining = ast.parse(
+        "import struct\n"
+        "__all__ = ['exported']\n"
+        "SIZE = 32\n"
+        "WIDTH = 8\n"
+        "def exported(): return WIDTH\n"
+        "def helper(): pass\n"
+        "def dead(): return helper()\n"
+        "class Unused: pass\n"
+        "class Named: pass\n"
+        "def main(): pass\n")
+    other = ast.parse("from m import helper as h\n"
+                      "TARGETS = [('x', 'm', 'Named.method')]\n"
+                      "'''dead is mentioned in a docstring'''\n")
+    assert unreferenced_names({"m": defining}, [other]) == [
+        "m:3 SIZE", "m:7 dead", "m:8 Unused"]

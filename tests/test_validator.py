@@ -384,6 +384,22 @@ def test_auto_unlock_delay(world):
     assert state.check_auto_unlock(authorized, now=11, delta=100)
 
 
+def test_lock_age_survives_certificate_replacement(world):
+    world.add_owned("egas", "eve", 50)
+    state = world.state()
+    tx = world.transfer("coin", "gas", "alice", "bob")
+    state.clock = 10
+    state.process_tx(tx)
+    state.clock = 60
+    state.process_cert(world.cert(tx))
+    assert state.lock_db[world.key("coin")].cert is not None
+    rqt = make_rqt(world, [world.key("coin")], "egas", "eve", ["eve"],
+                   evidence=False)
+    # the lock's age counts from signing (10), not from the certificate (60)
+    assert not state.check_auto_unlock(rqt, now=105, delta=100)
+    assert state.check_auto_unlock(rqt, now=115, delta=100)
+
+
 def test_auto_unlock_of_never_locked_key_rejected(world):
     world.add_owned("egas", "eve", 50)
     state = world.state()
