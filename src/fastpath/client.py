@@ -15,7 +15,7 @@ from functools import cached_property
 
 from . import crypto
 from .authenticators import Evidence
-from .encoding import enc_bytes, enc_opt, enc_seq, enc_str, enc_u64, tagged_digest
+from .encoding import enc_bytes, enc_opt, enc_seq, enc_u64, tagged_digest
 from .types import (
     CertSign,
     Certificate,
@@ -187,17 +187,10 @@ class SubmitTx:
     tx: Transaction
     reply_to: str
 
-    def material(self) -> bytes:
-        return b"submit-tx" + self.tx.digest + enc_str(self.reply_to)
-
 
 @dataclass(frozen=True)
 class TxVoteMsg:
     vote: CertSign
-
-    def material(self) -> bytes:
-        return (b"tx-vote" + self.vote.tx_digest + enc_u64(self.vote.signer)
-                + self.vote.signature)
 
 
 @dataclass(frozen=True)
@@ -206,17 +199,11 @@ class TxErrorMsg:
     code: str
     signer: int
 
-    def material(self) -> bytes:
-        return b"tx-err" + self.tx_digest + enc_str(self.code) + enc_u64(self.signer)
-
 
 @dataclass(frozen=True)
 class SubmitCert:
     cert: Certificate
     reply_to: str
-
-    def material(self) -> bytes:
-        return b"submit-cert" + self.cert.digest + enc_str(self.reply_to)
 
 
 @dataclass(frozen=True)
@@ -227,28 +214,16 @@ class CertReply:
     sign: EffectSign | None = None
     code: str = ""
 
-    def material(self) -> bytes:
-        extra = self.sign.effects.digest if self.sign else b""
-        return (b"cert-reply" + self.tx_digest + enc_str(self.status)
-                + enc_u64(self.signer) + enc_str(self.code) + extra)
-
 
 @dataclass(frozen=True)
 class SubmitUnlockRqt:
     rqt: UnlockRqt
     reply_to: str
 
-    def material(self) -> bytes:
-        return b"submit-unlock" + self.rqt.digest + enc_str(self.reply_to)
-
 
 @dataclass(frozen=True)
 class UnlockVoteMsg:
     vote: UnlockVote
-
-    def material(self) -> bytes:
-        return (b"unlock-vote-msg" + self.vote.rqt_digest
-                + enc_u64(self.vote.signer) + self.vote.signature)
 
 
 @dataclass(frozen=True)
@@ -258,11 +233,6 @@ class UnlockErrorMsg:
     signer: int
     keys: tuple[ObjectKey, ...] = ()
 
-    def material(self) -> bytes:
-        body = b"".join(k.canonical_bytes() for k in self.keys)
-        return (b"unlock-err" + self.rqt_digest + enc_str(self.code)
-                + enc_u64(self.signer) + body)
-
 
 @dataclass(frozen=True)
 class UnlockOutcomeMsg:
@@ -271,12 +241,6 @@ class UnlockOutcomeMsg:
     signer: int
     signs: tuple[EffectSign, ...] = ()
     confirmed: tuple[ObjectKey, ...] = ()
-
-    def material(self) -> bytes:
-        body = b"".join(s.effects.digest for s in self.signs)
-        body += b"".join(k.canonical_bytes() for k in self.confirmed)
-        return (b"unlock-outcome" + self.rqt_digest + enc_str(self.status)
-                + enc_u64(self.signer) + body)
 
 
 # --- drivers ---------------------------------------------------------------------

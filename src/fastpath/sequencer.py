@@ -34,9 +34,6 @@ class SequencedItem:
     payload: object  # UnlockCert | Certificate | (validator id, epoch)
     payload_digest: bytes
 
-    def material(self) -> bytes:
-        return b"sequenced" + enc_u64(self.seq) + self.payload_digest
-
 
 def item_digest(kind: str, payload) -> bytes:
     if kind == KIND_UNLOCK:

@@ -3,17 +3,15 @@ and sequencer actors, the event queue, `run` and `explore_schedules`. What
 a client does with a scripted action lives in `workflows.py`.
 
 One priority queue drives validators, clients, and the sequencer. Queue
-entries order by (delivery tick, tiebreak digest, insertion counter), all
-randomness flows from the scenario seed, and actors never iterate
-unordered collections, so a seed fully determines the trace. Message
-links between clients and validators lose at most `drop_budget` messages
-(eventually reliable); links to and from the sequencer model the consensus
-black box and only jitter.
-
-A message's tiebreak digest covers its `material()` bytes. A sequencer
-submission, the tuple ("submit", kind, payload), has no `material()`; its
-material is the tuple's `repr`, computed once per payload per run since
-every validator submits the same certificate object.
+entries order by (delivery tick, order draw, insertion counter): every
+push, whether a send, a timer, a scripted action or an epoch change, takes
+one draw from the run's order stream, so entries due at the same tick pop
+in a seeded shuffle. The run has two sources of randomness, both derived
+from the scenario seed: the order stream and the network stream (delays
+and drops). Actors never iterate unordered collections, so a seed fully
+determines the trace. Message links between clients and validators lose at
+most `drop_budget` messages (eventually reliable); links to and from the
+sequencer model the consensus black box and only jitter.
 
 Each actor's `emit`, which its validator state machine calls too, is the
 run's `TraceRecorder.emit` bound to the actor's name. A finished run
@@ -220,14 +218,13 @@ class Runner:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.scheme = crypto.DEFAULT_SCHEME
-        self.rng = random.Random(scenario.seed)
         self.recorder = TraceRecorder()
         self.event_oracle = event_facts(scenario.events)
-        self.network = _Network(scenario.network, self.rng)
+        self.network = _Network(scenario.network, random.Random(scenario.seed))
+        self._order = random.Random(b"order:" + enc_u64(scenario.seed))
         self.now = 0
         self._heap: list = []
         self._push_count = 0
-        self._submit_material: dict[tuple[str, int], tuple[object, bytes]] = {}
 
         self.account_pk: dict[str, bytes] = {}
         self.account_sk: dict[str, bytes] = {}
@@ -264,9 +261,10 @@ class Runner:
 
     # -- event queue --
 
-    def _push(self, tick: int, tiebreak: bytes, entry) -> None:
+    def _push(self, tick: int, entry) -> None:
         self._push_count += 1
-        heapq.heappush(self._heap, (tick, tiebreak, self._push_count, entry))
+        heapq.heappush(self._heap, (tick, self._order.random(),
+                                    self._push_count, entry))
 
     def send(self, src: str, dst: str, msg, protected: bool = False) -> None:
         self.network.sent += 1
@@ -274,44 +272,24 @@ class Runner:
             self.network.dropped += 1
             self.recorder.emit("net", "drop", src=src, dst=dst)
             return
-        material = (msg.material() if hasattr(msg, "material")
-                    else self._submission_material(msg))
-        tiebreak = digest(material + src.encode() + dst.encode()
-                          + enc_u64(self._push_count))
-        self._push(self.now + self.network.delay(), tiebreak,
-                   ("deliver", src, dst, msg))
-
-    def _submission_material(self, msg: tuple) -> bytes:
-        """`repr(msg).encode()` for a ("submit", kind, payload) message,
-        computed once per payload. The payload is kept with its bytes, so
-        its id cannot be reused for another object within the run."""
-        _, kind, payload = msg
-        key = (kind, id(payload))
-        entry = self._submit_material.get(key)
-        if entry is None:
-            entry = self._submit_material[key] = (payload, repr(msg).encode())
-        return entry[1]
+        self._push(self.now + self.network.delay(), ("deliver", src, dst, msg))
 
     def submit_item(self, src: str, kind: str, payload) -> None:
         self.send(src, "seq", ("submit", kind, payload), protected=True)
 
     def schedule_timer(self, actor: str, delay: int, token: str) -> None:
-        tiebreak = digest(b"timer" + actor.encode() + token.encode()
-                          + enc_u64(self._push_count))
-        self._push(self.now + delay, tiebreak, ("timer", actor, token))
+        self._push(self.now + delay, ("timer", actor, token))
 
     # -- main loop --
 
     def run(self) -> Trace:
         for action in self.scenario.script:
-            tiebreak = digest(b"action" + repr(sorted(action.items())).encode())
-            self._push(int(action.get("at", 0)), tiebreak,
+            self._push(int(action.get("at", 0)),
                        ("deliver", "script", action["client"],
                         ("action", action)))
         if self.scenario.epoch_change:
             for vid in range(self.scenario.params.n):
                 self._push(self.scenario.epoch_length,
-                           digest(b"epoch" + enc_u64(vid)),
                            ("deliver", "script", f"v{vid}", "epoch_change"))
 
         quiesced = True

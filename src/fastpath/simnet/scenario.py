@@ -72,8 +72,7 @@ REQUIRED_FIELDS = {**{name: ("gas",) for name in TX_ACTIONS},
                    "spend_loop": ("counter", "gas_pool", "unlock_gas_pool")}
 # Every action field a run reads: its type, and whether it names accounts
 # or objects (one name, or a list of names). An int field holds what int()
-# reads, kept as written: the queue tiebreaks on the action as written. A
-# `replacement` is an action of its own.
+# reads and is kept as written. A `replacement` is an action of its own.
 FIELDS = {
     **dict.fromkeys(("at", "amount", "epoch", "max_recoveries", "target"),
                     (int, None)),
@@ -267,7 +266,8 @@ class Scenario:
             if action.get("on_locked") == "unlock":
                 required += ("unlock_gas",)
             _check_action(action, f"script entry {i} ({name})", required,
-                          {"account": account_keys, "object": object_names})
+                          {"account": account_keys, "object": object_names},
+                          params.n)
             if name == "mint" and action.get("new_object"):
                 object_names.add(action["new_object"])  # for later entries
             script.append(dict(action))
@@ -281,7 +281,8 @@ class Scenario:
             epoch_change=bool(data.get("epoch_change", False)),
             network=network,
             faults=faults,
-            clock_skew={_number(k, "clock_skew validator"): _number(v, "clock_skew")
+            clock_skew={_number(k, "clock_skew validator", 0, params.n - 1):
+                        _number(v, "clock_skew")
                         for k, v in (data.get("clock_skew") or {}).items()},
             events=[(str(c), str(e)) for c, e in events],
             accounts=accounts,
@@ -307,10 +308,12 @@ class Scenario:
         return Scenario.from_dict(data)
 
 
-def _check_action(action: dict, where: str, required, declared) -> None:
+def _check_action(action: dict, where: str, required, declared,
+                  n: int) -> None:
     """ScenarioError for the first field of `action`, or of its replacement,
-    that is missing, holds the wrong type or an int outside [0, 2**63), or
-    names an account or object `declared` does not hold."""
+    that is missing, holds the wrong type or an int outside [0, 2**63),
+    names an account or object `declared` does not hold, or names a
+    validator outside [0, n)."""
     for f in required:
         if action.get(f) is None:
             raise ScenarioError(f"{where}: missing {f}")
@@ -328,9 +331,15 @@ def _check_action(action: dict, where: str, required, declared) -> None:
                 raise ScenarioError(f"{where}: undeclared {f} {name!r}")
     for amount in action.get("amounts", []):
         _number(amount, f"{where}: amounts", 0)
+    # a validator index is sent to as written, so it must be an int itself
+    for f in ("first_to", "first_to_second", "cert_to"):
+        for vid in action.get(f, []):
+            if type(vid) is not int:
+                raise ScenarioError(f"{where}: bad {f} validator {vid!r}")
+            _number(vid, f"{where}: {f} validator", 0, n - 1)
     if action.get("replacement"):
         _check_action(action["replacement"], f"{where}: replacement",
-                      ("action", "gas"), declared)
+                      ("action", "gas"), declared, n)
 
 
 def term_from_spec(spec: dict, account_keys: dict[str, bytes]) -> AuthTerm:

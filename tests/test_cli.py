@@ -241,7 +241,12 @@ def _setting(*path_and_value):
     _setting("faults", {"x": {"kind": "crash"}}),
     _setting("faults", {"1": "crash"}),
     _setting("network", "min_delay", "fast"),
-    _setting("clock_skew", {"0": "late"}),
+    _setting("clock_skew", {"0": "late"}), _setting("clock_skew", {"12": 500}),
+    _setting("script", 0, "first_to", [7, 9]),
+    _setting("script", 0, "first_to", [0, 1.0]),
+    _setting("script", 0, "cert_to", [4]),
+    _setting("script", 0, "replacement",
+             {"action": "transfer", "gas": "g2", "first_to_second": [-1]}),
     _setting("objects", 0, "contents", "lots"), _setting("seed", "abc")])
 @pytest.mark.parametrize("mode", [[], ["--explore", "2"]])
 def test_malformed_scenario_is_exit_2(tmp_path, capsys, mutate, mode):
