@@ -5,7 +5,8 @@
     fastpath --check-only recorded-trace.log
 
 Exit status: 0 when every invariant checker passes, 1 on any violation,
-2 when the scenario (or trace) cannot be loaded. The summary prints as
+2 when the scenario cannot be loaded, or the trace cannot be loaded or
+holds a record the checkers cannot read. The summary prints as
 key=value lines; verdicts cover every registered checker exactly once.
 """
 
@@ -61,7 +62,7 @@ def _load(scenario_path: str, seed_override: int | None) -> Scenario | None:
         scenario = Scenario.load(scenario_path)
         if seed_override is not None:
             scenario = scenario.with_seed(seed_override)
-    except (ScenarioError, OSError) as exc:
+    except (ScenarioError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
     return scenario
@@ -102,10 +103,15 @@ def cmd_explore(scenario_path: str, count: int,
 def cmd_check_only(trace_path: str) -> int:
     try:
         trace = Trace.load(trace_path)
-    except (OSError, ValueError) as exc:
+        violations = check_invariants(trace)
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    violations = check_invariants(trace)
+    except (LookupError, TypeError, AttributeError) as exc:
+        # a record lacks a field the checkers read, or holds another type
+        print(f"error: unreadable trace record: {type(exc).__name__} {exc}",
+              file=sys.stderr)
+        return 2
     for name, verdict in verdicts(violations).items():
         print(f"check.{name}={verdict}")
     _print_violations(violations)

@@ -6,6 +6,11 @@ quorums, and settle on an outcome. The fast path takes two request/reply
 rounds (transaction votes, then certificate effects); the unlock path
 takes a vote round followed by sequencer submission and a wait for the
 sequenced execution's effect signatures.
+
+Drivers send the protocol values themselves: a `Transaction`, its
+`Certificate` or an `UnlockRqt`. Validators answer with the `CertSign` or
+`UnlockVote` they produce, or with one of the reply messages below, each
+of which names the validator that sent it.
 """
 
 from __future__ import annotations
@@ -180,18 +185,7 @@ def retry_after_unlock(tx: Transaction, unlock_effects: EffectCert) -> Transacti
     )
 
 
-# --- wire messages -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SubmitTx:
-    tx: Transaction
-    reply_to: str
-
-
-@dataclass(frozen=True)
-class TxVoteMsg:
-    vote: CertSign
-
+# --- reply messages ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TxErrorMsg:
@@ -201,29 +195,12 @@ class TxErrorMsg:
 
 
 @dataclass(frozen=True)
-class SubmitCert:
-    cert: Certificate
-    reply_to: str
-
-
-@dataclass(frozen=True)
 class CertReply:
     tx_digest: bytes
     status: str  # executed | deferred | superseded | error
     signer: int
     sign: EffectSign | None = None
     code: str = ""
-
-
-@dataclass(frozen=True)
-class SubmitUnlockRqt:
-    rqt: UnlockRqt
-    reply_to: str
-
-
-@dataclass(frozen=True)
-class UnlockVoteMsg:
-    vote: UnlockVote
 
 
 @dataclass(frozen=True)
@@ -270,9 +247,7 @@ class _Driver:
 
     kind = ""
 
-    def __init__(self, driver_id: str, label: dict, params: CommitteeParams,
-                 scheme, on_done):
-        self.driver_id = driver_id
+    def __init__(self, label: dict, params: CommitteeParams, scheme, on_done):
         self.label = label
         self.params = params
         self.scheme = scheme
@@ -294,7 +269,7 @@ class _Driver:
                      status=result.status, rounds=self.round_trips,
                      retries=self.retries)
             if self.on_done:
-                self.on_done(env, self, result)
+                self.on_done(self, result)
 
     def _retry(self, env) -> None:
         if self.phase == "done":
@@ -307,7 +282,7 @@ class _Driver:
         for vid in range(self.params.n):
             if vid not in answered:
                 env.send_validator(vid, request)
-        env.set_timer(RETRY_DELAY, self.driver_id)
+        env.set_timer(RETRY_DELAY, self)
 
 
 class FastPathDriver(_Driver):
@@ -316,11 +291,10 @@ class FastPathDriver(_Driver):
 
     kind = "fast"
 
-    def __init__(self, driver_id: str, tx: Transaction, params: CommitteeParams,
+    def __init__(self, tx: Transaction, params: CommitteeParams,
                  scheme=crypto.DEFAULT_SCHEME, on_done=None, first_to=None,
                  cert_to=None):
-        super().__init__(driver_id, {"tx": tx.digest.hex()}, params, scheme,
-                         on_done)
+        super().__init__({"tx": tx.digest.hex()}, params, scheme, on_done)
         self.tx = tx
         self.first_to = first_to  # initial partial broadcast; retries reach everyone
         self.cert_to = cert_to  # submit the certificate here and walk away
@@ -333,20 +307,19 @@ class FastPathDriver(_Driver):
         self.round_trips = 1
         if self.first_to is not None:
             for vid in self.first_to:
-                env.send_validator(vid, SubmitTx(self.tx, self.driver_id))
+                env.send_validator(vid, self.tx)
         else:
-            env.broadcast(SubmitTx(self.tx, self.driver_id))
-        env.set_timer(RETRY_DELAY, self.driver_id)
+            env.broadcast(self.tx)
+        env.set_timer(RETRY_DELAY, self)
 
     def on_message(self, env, msg) -> None:
         if self.phase == "done":
             return
-        if isinstance(msg, TxVoteMsg) and self.phase == "vote":
-            vote = msg.vote
-            if (self._member(vote.signer)
-                    and vote.tx_digest == self.tx.digest
-                    and vote.verify(self.scheme)):
-                self.votes.setdefault(vote.signer, vote)
+        if isinstance(msg, CertSign) and self.phase == "vote":
+            if (self._member(msg.signer)
+                    and msg.tx_digest == self.tx.digest
+                    and msg.verify(self.scheme)):
+                self.votes.setdefault(msg.signer, msg)
             if len(self.votes) >= quorum(self.params) and self.cert is None:
                 signs = tuple(self.votes[s] for s in sorted(self.votes))
                 self.cert = Certificate(self.tx, signs)
@@ -356,11 +329,10 @@ class FastPathDriver(_Driver):
                          signers=sorted(self.votes))
                 if self.cert_to is not None:
                     for vid in self.cert_to:
-                        env.send_validator(vid, SubmitCert(self.cert,
-                                                           self.driver_id))
+                        env.send_validator(vid, self.cert)
                     self._finish(env, DriverResult("certified_abandoned"))
                     return
-                env.broadcast(SubmitCert(self.cert, self.driver_id))
+                env.broadcast(self.cert)
         elif isinstance(msg, TxErrorMsg) and self.phase == "vote":
             if msg.tx_digest == self.tx.digest and self._member(msg.signer):
                 self.rejections.setdefault(msg.signer, msg.code)
@@ -399,9 +371,8 @@ class FastPathDriver(_Driver):
         if self.phase == "vote":
             # re-poll voters too: their state may have moved to a terminal
             # answer (executed elsewhere, unlocked, confirmed) since
-            return self.rejections, SubmitTx(self.tx, self.driver_id)
-        return (set().union(*self.effect_groups.values()),
-                SubmitCert(self.cert, self.driver_id))
+            return self.rejections, self.tx
+        return set().union(*self.effect_groups.values()), self.cert
 
     def on_timer(self, env) -> None:
         self._retry(env)
@@ -413,11 +384,10 @@ class FastUnlockDriver(_Driver):
 
     kind = "unlock"
 
-    def __init__(self, driver_id: str, rqt: UnlockRqt, params: CommitteeParams,
+    def __init__(self, rqt: UnlockRqt, params: CommitteeParams,
                  scheme=crypto.DEFAULT_SCHEME, authorized: bool = True,
                  on_done=None, wait_all: bool = False):
-        super().__init__(driver_id, {"rqt": rqt.digest.hex()}, params, scheme,
-                         on_done)
+        super().__init__({"rqt": rqt.digest.hex()}, params, scheme, on_done)
         self.rqt = rqt
         self.authorized = authorized
         self.wait_all = wait_all  # gather every validator's vote, not just a quorum
@@ -433,18 +403,17 @@ class FastUnlockDriver(_Driver):
                  authorized=self.authorized,
                  keys=[[k.object_id.hex(), k.version]
                        for k in self.rqt.object_keys])
-        env.broadcast(SubmitUnlockRqt(self.rqt, self.driver_id))
-        env.set_timer(RETRY_DELAY, self.driver_id)
+        env.broadcast(self.rqt)
+        env.set_timer(RETRY_DELAY, self)
 
     def on_message(self, env, msg) -> None:
         if self.phase == "done":
             return
-        if isinstance(msg, UnlockVoteMsg) and self.phase == "vote":
-            vote = msg.vote
-            if (self._member(vote.signer)
-                    and vote.rqt_digest == self.rqt.digest
-                    and vote.verify(self.scheme)):
-                self.votes.setdefault(vote.signer, vote)
+        if isinstance(msg, UnlockVote) and self.phase == "vote":
+            if (self._member(msg.signer)
+                    and msg.rqt_digest == self.rqt.digest
+                    and msg.verify(self.scheme)):
+                self.votes.setdefault(msg.signer, msg)
             enough = len(self.votes) >= quorum(self.params) and (
                 not self.wait_all
                 or len(self.votes) + len(self.rejections) >= self.params.n)
@@ -528,7 +497,7 @@ class FastUnlockDriver(_Driver):
             answered = self.rejections
         else:
             answered = self.ignored.union(*self.outcome_groups.values())
-        return answered, SubmitUnlockRqt(self.rqt, self.driver_id)
+        return answered, self.rqt
 
     def on_timer(self, env) -> None:
         self._retry(env)

@@ -2,16 +2,23 @@
 and sequencer actors, the event queue, `run` and `explore_schedules`. What
 a client does with a scripted action lives in `workflows.py`.
 
-One priority queue drives validators, clients, and the sequencer. Queue
-entries order by (delivery tick, order draw, insertion counter): every
-push, whether a send, a timer, a scripted action or an epoch change, takes
-one draw from the run's order stream, so entries due at the same tick pop
-in a seeded shuffle. The run has two sources of randomness, both derived
-from the scenario seed: the order stream and the network stream (delays
-and drops). Actors never iterate unordered collections, so a seed fully
-determines the trace. Message links between clients and validators lose at
-most `drop_budget` messages (eventually reliable); links to and from the
-sequencer model the consensus black box and only jitter.
+One priority queue drives validators, clients, and the sequencer. Every
+queue entry is `(src, dst, msg)`, and popping it calls the `dst` actor's
+`handle(src, msg)`. A send comes from an actor; a scripted action
+(`("script", client, action)`) and an epoch change (`("script", vid,
+"epoch_change")`) come from `script`; a client's retry tick (`("timer",
+client, driver)`) comes from `timer` and carries the driver that armed it.
+Only sends cross the network; script entries and ticks are never dropped
+or counted as sent.
+Entries order by (delivery tick, order draw, insertion counter): every
+push takes one draw from the run's order stream, so entries due at the
+same tick pop in a seeded shuffle. The run has two sources of randomness,
+both derived from the scenario seed: the order stream and the network
+stream (delays and drops). Actors never iterate unordered collections, so
+a seed fully determines the trace. Message links between clients and
+validators lose at most `drop_budget` messages (eventually reliable);
+links to and from the sequencer model the consensus black box and only
+jitter.
 
 Each actor's `emit`, which its validator state machine calls too, is the
 run's `TraceRecorder.emit` bound to the actor's name. A finished run
@@ -27,16 +34,7 @@ from dataclasses import dataclass
 
 from .. import crypto
 from ..authenticators import event_facts
-from ..client import (
-    CertReply,
-    SubmitCert,
-    SubmitTx,
-    SubmitUnlockRqt,
-    TxErrorMsg,
-    TxVoteMsg,
-    UnlockErrorMsg,
-    UnlockVoteMsg,
-)
+from ..client import CertReply, TxErrorMsg, UnlockErrorMsg, UnlockRqt
 from ..crypto import user_keypair
 from ..encoding import digest, enc_u64
 from ..sequencer import (
@@ -46,7 +44,7 @@ from ..sequencer import (
     SequencedItem,
     Sequencer,
 )
-from ..types import ProtocolError
+from ..types import Certificate, ProtocolError, Transaction
 from ..validator import ValidatorState
 from .invariants import check_invariants
 from .scenario import Fault, Scenario, materialize_genesis
@@ -89,7 +87,6 @@ class ValidatorActor:
             event_oracle=runner.event_oracle, sink=self.emit)
         self.next_seq = 0
         self.seq_buffer: dict[int, SequencedItem] = {}
-        self.requesters: dict[bytes, str] = {}
 
     def _check_crash(self) -> bool:
         if self.fault.kind == "crash" and self.runner.now >= self.fault.at:
@@ -103,12 +100,12 @@ class ValidatorActor:
         if self._check_crash():
             return
         self.state.clock = self.runner.now + self.skew
-        if isinstance(msg, SubmitTx):
-            self._on_tx(msg)
-        elif isinstance(msg, SubmitCert):
-            self._on_cert(msg)
-        elif isinstance(msg, SubmitUnlockRqt):
-            self._on_unlock_rqt(msg)
+        if isinstance(msg, Transaction):
+            self._on_tx(src, msg)
+        elif isinstance(msg, Certificate):
+            self._on_cert(src, msg)
+        elif isinstance(msg, UnlockRqt):
+            self._on_unlock_rqt(src, msg)
         elif isinstance(msg, SequencedItem):
             self.seq_buffer[msg.seq] = msg
             while self.next_seq in self.seq_buffer:
@@ -117,49 +114,40 @@ class ValidatorActor:
         elif msg == "epoch_change":
             self._on_epoch_change()
 
-    def _reply(self, driver_id: str, msg) -> None:
-        self.runner.send(self.name, driver_id.split("#")[0], msg)
-
-    def _on_tx(self, msg: SubmitTx) -> None:
+    def _on_tx(self, src: str, tx: Transaction) -> None:
         try:
-            vote = self.state.process_tx(msg.tx)
-            self._reply(msg.reply_to, TxVoteMsg(vote))
+            reply = self.state.process_tx(tx)
         except ProtocolError as err:
-            self.emit("tx_rejected", tx=msg.tx.digest.hex(),
-                      code=err.code.value)
-            self._reply(msg.reply_to, TxErrorMsg(msg.tx.digest, err.code.value,
-                                                 self.vid))
+            self.emit("tx_rejected", tx=tx.digest.hex(), code=err.code.value)
+            reply = TxErrorMsg(tx.digest, err.code.value, self.vid)
+        self.runner.send(self.name, src, reply)
 
-    def _on_cert(self, msg: SubmitCert) -> None:
-        self.requesters[msg.cert.tx.digest] = msg.reply_to
+    def _on_cert(self, src: str, cert: Certificate) -> None:
         try:
-            outcome = self.state.process_cert(msg.cert)
+            outcome = self.state.process_cert(cert)
         except ProtocolError as err:
-            self._reply(msg.reply_to, CertReply(msg.cert.tx.digest, "error",
-                                                self.vid, code=err.code.value))
+            self.runner.send(self.name, src, CertReply(
+                cert.tx.digest, "error", self.vid, code=err.code.value))
             return
         if outcome.forward is not None and self.fault.kind != "lazy_forwarder":
             self.runner.submit_item(self.name, KIND_CHECKPOINT, outcome.forward)
-        self._reply(msg.reply_to, CertReply(
-            msg.cert.tx.digest, outcome.status, self.vid, sign=outcome.sign,
+        self.runner.send(self.name, src, CertReply(
+            cert.tx.digest, outcome.status, self.vid, sign=outcome.sign,
             code=outcome.reason))
 
-    def _on_unlock_rqt(self, msg: SubmitUnlockRqt) -> None:
+    def _on_unlock_rqt(self, src: str, rqt: UnlockRqt) -> None:
         if self.fault.kind == "vote_withholder":
             return
-        stored = self.state.unlock_outcomes.get(msg.rqt.digest)
-        if stored is not None:
-            self._reply(msg.reply_to, stored)
-            return
-        try:
-            vote = self.state.process_unlock_rqt(msg.rqt)
-            self._reply(msg.reply_to, UnlockVoteMsg(vote))
-        except ProtocolError as err:
-            self.emit("unlock_rejected", rqt=msg.rqt.digest.hex(),
-                      code=err.code.value)
-            self._reply(msg.reply_to, UnlockErrorMsg(msg.rqt.digest,
-                                                     err.code.value, self.vid,
-                                                     tuple(err.keys)))
+        reply = self.state.unlock_outcomes.get(rqt.digest)
+        if reply is None:
+            try:
+                reply = self.state.process_unlock_rqt(rqt)
+            except ProtocolError as err:
+                self.emit("unlock_rejected", rqt=rqt.digest.hex(),
+                          code=err.code.value)
+                reply = UnlockErrorMsg(rqt.digest, err.code.value, self.vid,
+                                       tuple(err.keys))
+        self.runner.send(self.name, src, reply)
 
     def _on_sequenced(self, item: SequencedItem) -> None:
         if item.kind == KIND_UNLOCK:
@@ -200,7 +188,7 @@ class SequencerActor:
         self.sequencer = Sequencer(runner.scenario.params, runner.scheme)
 
     def handle(self, src: str, msg) -> None:
-        _, kind, payload = msg
+        kind, payload = msg
         try:
             item = self.sequencer.submit(kind, payload)
         except ProtocolError as err:
@@ -272,12 +260,12 @@ class Runner:
             self.network.dropped += 1
             self.recorder.emit("net", "drop", src=src, dst=dst)
             return
-        self._push(self.now + self.network.delay(), ("deliver", src, dst, msg))
+        self._push(self.now + self.network.delay(), (src, dst, msg))
 
     def submit_item(self, src: str, kind: str, payload) -> None:
-        self.send(src, "seq", ("submit", kind, payload), protected=True)
+        self.send(src, "seq", (kind, payload), protected=True)
 
-    def schedule_timer(self, actor: str, delay: int, token: str) -> None:
+    def schedule_timer(self, actor: str, delay: int, token) -> None:
         self._push(self.now + delay, ("timer", actor, token))
 
     # -- main loop --
@@ -285,31 +273,21 @@ class Runner:
     def run(self) -> Trace:
         for action in self.scenario.script:
             self._push(int(action.get("at", 0)),
-                       ("deliver", "script", action["client"],
-                        ("action", action)))
+                       ("script", action["client"], action))
         if self.scenario.epoch_change:
             for vid in range(self.scenario.params.n):
                 self._push(self.scenario.epoch_length,
-                           ("deliver", "script", f"v{vid}", "epoch_change"))
+                           ("script", f"v{vid}", "epoch_change"))
 
         quiesced = True
         last_tick = 0
         while self._heap:
-            tick, _, _, entry = heapq.heappop(self._heap)
+            tick, _, _, (src, dst, msg) = heapq.heappop(self._heap)
             if tick > self.scenario.tick_limit:
                 quiesced = False
                 break
             self.now = last_tick = self.recorder.tick = tick
-            if entry[0] == "deliver":
-                _, src, dst, msg = entry
-                actor = self._actors.get(dst)
-                if actor is not None:
-                    actor.handle(src, msg)
-            elif entry[0] == "timer":
-                _, name, token = entry
-                client = self.clients.get(name)
-                if client is not None:
-                    client.handle_timer(token)
+            self._actors[dst].handle(src, msg)
 
         snapshots = {}
         for actor in self.validators:
@@ -352,7 +330,6 @@ class Runner:
             actor.runner = None
         for client in self.clients.values():
             client.drivers.clear()
-            client.interest.clear()
         self._heap.clear()
 
 

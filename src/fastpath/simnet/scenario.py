@@ -28,7 +28,9 @@ actions with tick triggers. Schema:
 
 Fault kinds: honest, crash (with `at`), equivocator, vote_withholder,
 stale_replier, infinite_budget, lazy_forwarder. At most f validators may be
-non-honest; a crash counts toward f like any other fault.
+non-honest; a crash counts toward f like any other fault. An account may
+not be named `seq` or `v<i>` for i in [0, n), the names of the sequencer
+and the validators.
 """
 
 from __future__ import annotations
@@ -210,6 +212,12 @@ class Scenario:
         if not all(isinstance(name, str) for name in accounts) \
                 or len(set(accounts)) != len(accounts):
             raise ScenarioError("account names must be distinct strings")
+        # clients, validators and the sequencer are addressed by name
+        actors = {"seq", *(f"v{vid}" for vid in range(params.n))}
+        for name in accounts:
+            if name in actors:
+                raise ScenarioError(f"account {name!r} has the name of a "
+                                    f"validator or the sequencer")
         account_keys = {name: user_keypair(name)[1] for name in accounts}
 
         events = data.get("events") or []

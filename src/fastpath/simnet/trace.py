@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .scenario import MAX_COMMITTEE
+
 # Meta keys the invariant checkers read.
 META_KEYS = ("n", "f", "faults", "drop_budget", "epoch_length", "objects")
 
@@ -54,7 +56,10 @@ class Trace:
     def parse(text: str) -> "Trace":
         """Read a serialized trace. Raises ValueError for one the checkers
         cannot judge: no meta record first, a meta record without a key
-        the checkers read, or no `end` record last (a cut trace)."""
+        the checkers read, a committee size `n` that is not an int in
+        [1, MAX_COMMITTEE] (the checkers name every validator), a fault
+        bound `f` that is not an int of at least 0, or no `end` record
+        last (a cut trace)."""
         lines = [json.loads(line) for line in text.splitlines() if line.strip()]
         if not all(isinstance(record, dict) for record in lines):
             raise ValueError("every trace line must be a JSON object")
@@ -64,6 +69,12 @@ class Trace:
         missing = [key for key in META_KEYS if key not in meta]
         if missing:
             raise ValueError(f"trace meta lacks {', '.join(missing)}")
+        n, f = meta["n"], meta["f"]
+        if type(n) is not int or not 1 <= n <= MAX_COMMITTEE:
+            raise ValueError(f"trace meta n must be an int in "
+                             f"[1, {MAX_COMMITTEE}], not {n!r}")
+        if type(f) is not int or f < 0:
+            raise ValueError(f"trace meta f must be an int >= 0, not {f!r}")
         end = lines[-1]
         if end.get("kind") != "end" or "quiesced" not in end \
                 or "ticks" not in end:

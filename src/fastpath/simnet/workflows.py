@@ -6,6 +6,12 @@ workflows built on them: recovery of a blocked transaction (unlock, then
 retry), the double send, and the bounded-counter spend loop. `ObjectInfo`
 is the clients' view of each object's owner policy. The harness a client
 runs in (network, validator and sequencer actors, queue) is `runner.py`.
+
+A client holds one driver table keyed by subject digest, the digest of the
+transaction or unlock request a driver carries. A validator's reply names
+that digest and reaches the newest driver launched for it. A retry tick
+carries the driver that armed it, so it reaches that driver alone, even
+when a newer driver has since taken over its digest.
 """
 
 from __future__ import annotations
@@ -20,17 +26,14 @@ from ..client import (
     FastPathDriver,
     FastUnlockDriver,
     TxErrorMsg,
-    TxVoteMsg,
-    UnlockErrorMsg,
-    UnlockOutcomeMsg,
     UnlockRqt,
-    UnlockVoteMsg,
     retry_after_unlock,
 )
 from ..counters import initial_budget
 from ..crypto import user_keypair
 from ..sequencer import KIND_UNLOCK
 from ..types import (
+    CertSign,
     CounterValue,
     ObjectKey,
     ObjectKind,
@@ -66,9 +69,7 @@ class ClientActor:
         self.pk = user_keypair(name)[1]
         self.versions: dict[bytes, int] = {}
         self.limits: dict[bytes, int] = {}
-        self.drivers: dict[str, object] = {}
-        self.interest: dict[bytes, object] = {}
-        self.counter = 0
+        self.drivers: dict[bytes, object] = {}
 
     # -- driver environment --
 
@@ -86,38 +87,26 @@ class ClientActor:
     def submit_sequencer(self, ucert) -> None:
         self.runner.submit_item(self.name, KIND_UNLOCK, ucert)
 
-    def set_timer(self, delay: int, token: str) -> None:
-        self.runner.schedule_timer(self.name, delay, token)
+    def set_timer(self, delay: int, driver) -> None:
+        self.runner.schedule_timer(self.name, delay, driver)
 
     # -- message plumbing --
 
     def handle(self, src: str, msg) -> None:
-        if isinstance(msg, tuple) and msg and msg[0] == "action":
-            self._start_action(msg[1])
-            return
-        key = None
-        if isinstance(msg, TxVoteMsg):
-            key = msg.vote.tx_digest
-        elif isinstance(msg, (TxErrorMsg, CertReply)):
-            key = msg.tx_digest
-        elif isinstance(msg, UnlockVoteMsg):
-            key = msg.vote.rqt_digest
-        elif isinstance(msg, (UnlockErrorMsg, UnlockOutcomeMsg)):
-            key = msg.rqt_digest
-        driver = self.interest.get(key)
-        if driver is not None:
-            driver.on_message(self, msg)
-
-    def handle_timer(self, token: str) -> None:
-        driver = self.drivers.get(token)
-        if driver is not None and driver.result is None:
-            driver.on_timer(self)
+        if src == "script":
+            self._start_action(msg)
+        elif src == "timer":
+            if msg.result is None:
+                msg.on_timer(self)
+        else:
+            key = (msg.tx_digest
+                   if isinstance(msg, (CertSign, TxErrorMsg, CertReply))
+                   else msg.rqt_digest)
+            driver = self.drivers.get(key)
+            if driver is not None:
+                driver.on_message(self, msg)
 
     # -- building blocks --
-
-    def _driver_id(self) -> str:
-        self.counter += 1
-        return f"{self.name}#{self.counter}"
 
     def key_of(self, name: str) -> ObjectKey:
         oid = object_id_for(name)
@@ -207,12 +196,10 @@ class ClientActor:
 
     def _launch(self, driver_cls, subject, on_done, **options) -> None:
         """Start a driver for `subject`, a transaction or an unlock request;
-        replies about its digest and its timer ticks reach the driver."""
-        driver = driver_cls(self._driver_id(), subject,
-                            self.runner.scenario.params, self.runner.scheme,
-                            on_done=on_done, **options)
-        self.drivers[driver.driver_id] = driver
-        self.interest[subject.digest] = driver
+        replies about its digest reach the driver."""
+        driver = driver_cls(subject, self.runner.scenario.params,
+                            self.runner.scheme, on_done=on_done, **options)
+        self.drivers[subject.digest] = driver
         driver.start(self)
 
     # -- actions --
@@ -240,7 +227,7 @@ class ClientActor:
         """Drive `tx` on the fast path; a locked result recovers while
         `on_locked: unlock` and `recoveries` allow it."""
 
-        def done(env, driver, result):
+        def done(driver, result):
             if result.status == "finalized":
                 self._update_view(result.effect_certs)
                 self._after_transfer_bookkeeping(action, tx)
@@ -292,7 +279,7 @@ class ClientActor:
         rqt = self._make_unlock_rqt(keys, None, gas_name, signers,
                                     int(action.get("epoch", 0)))
 
-        def unlock_done(env, driver, result):
+        def unlock_done(driver, result):
             if result.status == "superseded" and recoveries > 0:
                 # another sequenced outcome beat us to part of the key set;
                 # release whatever is still reserved, without retrying the
@@ -355,7 +342,7 @@ class ClientActor:
                                     action.get("signers", [self.name]),
                                     int(action.get("epoch", 0)), authorized)
 
-        def done(env, driver, result):
+        def done(driver, result):
             if result.status == "unlocked" or (
                     result.status == "superseded" and driver.ucert is not None):
                 self._update_view(result.effect_certs)
@@ -372,7 +359,7 @@ class ClientActor:
         second = self._build_tx({**action, "action": "transfer", "memo": "dup-b"})
         outcomes: dict[str, object] = {}
 
-        def settle(slot, env, driver, result):
+        def settle(slot, driver, result):
             outcomes[slot] = result
             if len(outcomes) < 2:
                 return
@@ -438,7 +425,7 @@ class ClientActor:
                              "inputs": [action["counter"]],
                              "gas": state["gas_pool"][0]})
 
-        def done(env, driver, result):
+        def done(driver, result):
             if result.status == "finalized":
                 self._update_view(result.effect_certs)
                 state["remaining"] -= amount
@@ -467,7 +454,7 @@ class ClientActor:
                                     action.get("signers", [self.name]),
                                     int(action.get("epoch", 0)))
 
-        def done(env, driver, result):
+        def done(driver, result):
             state["unlock_gas_pool"].pop(0)
             if result.status != "unlocked":
                 self._spend_done(action, state,

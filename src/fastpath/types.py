@@ -65,7 +65,6 @@ class ProtocolError(Exception):
     def __init__(self, code: ErrorCode, detail: str = "", keys: tuple = ()):
         super().__init__(f"{code.value}: {detail}" if detail else code.value)
         self.code = code
-        self.detail = detail
         self.keys = keys  # object keys the error is about, when that helps
 
 

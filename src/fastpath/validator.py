@@ -94,13 +94,6 @@ class CertOutcome:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class CheckpointOutcome:
-    status: str  # executed | already | skipped
-    sign: EffectSign | None = None
-    reason: str = ""
-
-
 # --- pure execution -------------------------------------------------------------
 
 def execute(tx: Transaction, loaded: dict[ObjectKey, Object],
@@ -778,30 +771,29 @@ class ValidatorState:
 
     # -- sequenced checkpoint certificates --
 
-    def process_checkpoint_cert(self, cert: Certificate) -> CheckpointOutcome:
+    def process_checkpoint_cert(self, cert: Certificate) -> None:
         tx = cert.tx
         self.sequenced_certs.add(tx.digest)
         self.executed_unsequenced.discard(tx.digest)
         self.pending_checkpoint.pop(tx.digest, None)
         if tx.epoch != self.epoch:
             self.emit("checkpoint_skip", tx=tx.digest.hex(), reason="stale_epoch")
-            return CheckpointOutcome("skipped", reason="stale_epoch")
+            return
 
         already = tx.digest in self.executed
         if not already and any(self.unlock_db.get(k) == CONFIRMED
                                for k in self._owned_input_keys(tx)):
             self.emit("checkpoint_skip", tx=tx.digest.hex(), reason="confirmed")
-            return CheckpointOutcome("skipped", reason="confirmed")
+            return
 
         sign = self._execute_sequenced(tx, via="checkpoint")
         if sign is None:
-            return CheckpointOutcome("skipped", reason="unexecutable")
+            return
         for key in sign.effects.consumed:
             self._confirm(key)
         self.emit("checkpoint_exec", tx=tx.digest.hex(),
                   mode="already" if already else "fresh",
                   effects=sign.effects.digest.hex())
-        return CheckpointOutcome("already" if already else "executed", sign)
 
     # -- epoch change --
 
@@ -820,15 +812,14 @@ class ValidatorState:
         self.emit("end_of_epoch_sent", epoch=self.epoch)
         return (self.vid, self.epoch)
 
-    def note_end_of_epoch(self, sender: int, epoch: int) -> bool:
-        """Returns True when this marker completed the epoch change."""
+    def note_end_of_epoch(self, sender: int, epoch: int) -> None:
+        """Count `sender`'s end-of-epoch marker; a quorum of markers for the
+        current epoch completes the epoch change."""
         if epoch != self.epoch:
-            return False
+            return
         self.eoe_seen.add(sender)
         if self.paused and len(self.eoe_seen) >= quorum(self.params):
             self._advance_epoch()
-            return True
-        return False
 
     def _advance_epoch(self) -> None:
         self.epoch += 1

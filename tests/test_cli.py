@@ -13,6 +13,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from fastpath.cli import main
 from fastpath.simnet import invariants
+from fastpath.simnet.runner import run
 from fastpath.simnet.scenario import Scenario, ScenarioError
 from fastpath.simnet.trace import Trace
 
@@ -47,6 +48,9 @@ def test_unreadable_scenario_is_exit_2(tmp_path):
     garbled = tmp_path / "garbled.yaml"
     garbled.write_text("{notyaml: [")
     assert main(["--scenario", str(garbled)]) == 2
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["--scenario", str(nested)]) == 2
 
 
 def test_seed_override_produces_identical_trace_files(tmp_path, capsys):
@@ -247,7 +251,9 @@ def _setting(*path_and_value):
     _setting("script", 0, "cert_to", [4]),
     _setting("script", 0, "replacement",
              {"action": "transfer", "gas": "g2", "first_to_second": [-1]}),
-    _setting("objects", 0, "contents", "lots"), _setting("seed", "abc")])
+    _setting("objects", 0, "contents", "lots"), _setting("seed", "abc"),
+    _setting("accounts", ["alice", "bob", "v1"]),
+    _setting("accounts", ["alice", "bob", "seq"])])
 @pytest.mark.parametrize("mode", [[], ["--explore", "2"]])
 def test_malformed_scenario_is_exit_2(tmp_path, capsys, mutate, mode):
     data = yaml.safe_load((SCENARIOS / "epoch_change.yaml").read_text())
@@ -262,6 +268,11 @@ def test_malformed_scenario_is_exit_2(tmp_path, capsys, mutate, mode):
 
 BUNDLED = {path.name: yaml.safe_load(path.read_text())
            for path in sorted(SCENARIOS.glob("*.yaml"))}
+# No bundled scenario has faults, clock skew or external events.
+BASES = {**BUNDLED, "epoch_change.yaml with faults": {
+    **BUNDLED["epoch_change.yaml"],
+    "faults": {"1": {"kind": "crash", "at": 300}},
+    "clock_skew": {"0": 3, "2": 5}, "events": [["eth", "deposit"]]}}
 OTHER_TYPES = st.one_of(
     st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
     st.lists(st.integers(), max_size=2),
@@ -278,10 +289,10 @@ def _sites(node, path=()):
 
 
 @st.composite
-def one_field_mutations(draw):
-    """A bundled scenario with one value replaced by a value of another
-    type, a negative number or None, or with one key dropped."""
-    data = copy.deepcopy(BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))])
+def one_field_mutations(draw, bases):
+    """One of `bases` with one value replaced by a value of another type, a
+    negative number or None, or with one key dropped."""
+    data = copy.deepcopy(bases[draw(st.sampled_from(sorted(bases)))])
     path, keyed = draw(st.sampled_from(list(_sites(data))))
     holder = functools.reduce(operator.getitem, path[:-1], data)
     old = holder[path[-1]]
@@ -298,7 +309,7 @@ def one_field_mutations(draw):
 
 @seed(20261018)
 @settings(max_examples=300, deadline=None)
-@given(data=one_field_mutations(),
+@given(data=one_field_mutations(BASES),
        mode=st.sampled_from([[], ["--explore", "2"]]))
 def test_mutated_scenario_runs_or_is_exit_2(tmp_path_factory, data, mode):
     try:
@@ -336,7 +347,30 @@ def _cut_after_60_lines(lines):
     return lines[:60]
 
 
-@pytest.mark.parametrize("mutate", [_without_meta_n, _cut_after_60_lines])
+def _nested_too_deep(lines):
+    return [lines[0], "[" * 100_000 + "]" * 100_000, *lines[1:]]
+
+
+def _editing(kind, edit, name):
+    """A mutation that applies `edit` to the first record of `kind`."""
+    def mutate(lines):
+        records = [json.loads(line) for line in lines]
+        edit(next(r for r in records if r["kind"] == kind))
+        return [json.dumps(r, sort_keys=True, separators=(",", ":"))
+                for r in records]
+    mutate.__name__ = name
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _without_meta_n, _cut_after_60_lines, _nested_too_deep,
+    _editing("effect_cert", lambda r: r.pop("produced"), "no_produced"),
+    _editing("snapshot", lambda r: next(iter(r["state"]["objects"].values()))
+             .clear(), "object_without_versions"),
+    _editing("seq_exec", lambda r: r.pop("actor"), "seq_exec_without_actor"),
+    _editing("lock_set", lambda r: r.pop("kind"), "event_without_kind"),
+    _editing("meta", lambda r: r.update(n="four"), "meta_n_four"),
+    _editing("meta", lambda r: r.update(n=10**12), "meta_n_huge")])
 def test_malformed_trace_is_exit_2(tmp_path, capsys, mutate):
     out = tmp_path / "trace.log"
     assert main(["--scenario", str(SCENARIOS / "swap_deadlock.yaml"),
@@ -347,3 +381,22 @@ def test_malformed_trace_is_exit_2(tmp_path, capsys, mutate):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+RECORDED = {path.name: [json.loads(line) for line in
+                        run(Scenario.load(str(path))).to_lines()]
+            for path in (SCENARIOS / "swap_deadlock.yaml",
+                         SCENARIOS / "bounded_counter.yaml")}
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(records=one_field_mutations(RECORDED))
+def test_mutated_trace_is_checked_or_is_exit_2(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("mutated") / "trace.log"
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                            for r in records))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--check-only", str(path)])
+    assert code in (0, 1, 2)

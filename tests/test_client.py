@@ -7,13 +7,11 @@ from fastpath.client import (
     FastPathDriver,
     FastUnlockDriver,
     TxErrorMsg,
-    TxVoteMsg,
     UnlockCert,
     UnlockErrorMsg,
     UnlockOutcomeMsg,
     UnlockRqt,
     UnlockVote,
-    UnlockVoteMsg,
     assemble_unlock_cert,
     retry_after_unlock,
 )
@@ -173,10 +171,10 @@ def test_out_of_range_unlock_votes_are_dropped(world):
     assert err.value.code == ErrorCode.INCOMPLETE
 
     env = RecordingEnv()
-    driver = FastUnlockDriver("d", rqt, world.params)
+    driver = FastUnlockDriver(rqt, world.params)
     driver.start(env)
     for v in (vote(rqt, 0), negative, vote(rqt, 1), vote(rqt, n)):
-        driver.on_message(env, UnlockVoteMsg(v))
+        driver.on_message(env, v)
     assert sorted(driver.votes) == [0, 1]
     assert driver.ucert is None and "submitted" not in env.events
 
@@ -185,14 +183,14 @@ def test_out_of_range_tx_votes_are_dropped(world):
     tx = world.transfer("coin", "gas", "alice", "bob")
     n = world.params.n
     env = RecordingEnv()
-    driver = FastPathDriver("d", tx, world.params)
+    driver = FastPathDriver(tx, world.params)
     driver.start(env)
     votes = (CertSign.make(tx, 0, DEFAULT_SCHEME),
              CertSign(tx.digest, -1, bytes(32)),
              CertSign.make(tx, 1, DEFAULT_SCHEME),
              CertSign.make(tx, n, DEFAULT_SCHEME))
     for v in votes:
-        driver.on_message(env, TxVoteMsg(v))
+        driver.on_message(env, v)
     assert sorted(driver.votes) == [0, 1]
     assert driver.cert is None and driver.phase == "vote"
 
@@ -207,10 +205,10 @@ def test_out_of_range_effect_signs_do_not_finalize(world):
     tx = world.transfer("coin", "gas", "alice", "bob")
     n = world.params.n
     env = RecordingEnv()
-    driver = FastPathDriver("d", tx, world.params)
+    driver = FastPathDriver(tx, world.params)
     driver.start(env)
     for vid in range(quorum(world.params)):
-        driver.on_message(env, TxVoteMsg(CertSign.make(tx, vid, DEFAULT_SCHEME)))
+        driver.on_message(env, CertSign.make(tx, vid, DEFAULT_SCHEME))
     assert driver.phase == "exec"
     effects = EffectSummary(tx.digest, (), ())
     for signer in (0, -1, 1, n):
@@ -220,7 +218,7 @@ def test_out_of_range_effect_signs_do_not_finalize(world):
     assert sorted(driver.effect_groups[effects.digest]) == [0, 1]
 
     rqt = simple_rqt(world)
-    unlock = FastUnlockDriver("u", rqt, world.params)
+    unlock = FastUnlockDriver(rqt, world.params)
     unlock.start(env)
     # (message sender, signer of the sign it carries)
     for sender, signer in ((0, 0), (3, -1), (1, 1), (2, n)):
@@ -235,7 +233,7 @@ def test_outcome_counts_only_its_senders_own_signs(world):
     rqt = simple_rqt(world)
     effects = EffectSummary(b"\x03" * 32, (), ())
     env = RecordingEnv()
-    driver = FastUnlockDriver("u", rqt, world.params)
+    driver = FastUnlockDriver(rqt, world.params)
     driver.start(env)
     for sender in range(quorum(world.params)):
         driver.on_message(env, UnlockOutcomeMsg(rqt.digest, "executed", sender,
@@ -252,7 +250,7 @@ def test_outcome_counts_only_its_senders_own_signs(world):
 
 
 def _tx_driver(world, env):
-    driver = FastPathDriver("d", world.transfer("coin", "gas", "alice", "bob"),
+    driver = FastPathDriver(world.transfer("coin", "gas", "alice", "bob"),
                             world.params)
     driver.start(env)
     return driver
@@ -261,14 +259,13 @@ def _tx_driver(world, env):
 def _exec_driver(world, env):
     driver = _tx_driver(world, env)
     for vid in range(quorum(world.params)):
-        driver.on_message(env, TxVoteMsg(CertSign.make(driver.tx, vid,
-                                                       DEFAULT_SCHEME)))
+        driver.on_message(env, CertSign.make(driver.tx, vid, DEFAULT_SCHEME))
     assert driver.phase == "exec"
     return driver
 
 
 def _unlock_driver(world, env):
-    driver = FastUnlockDriver("u", simple_rqt(world), world.params)
+    driver = FastUnlockDriver(simple_rqt(world), world.params)
     driver.start(env)
     return driver
 

@@ -317,3 +317,59 @@ def test_unreferenced_name_check_flags_planted_names():
                       "'''dead is mentioned in a docstring'''\n")
     assert unreferenced_names({"m": defining}, [other]) == [
         "m:3 SIZE", "m:7 dead", "m:8 Unused"]
+
+
+# An attribute that is stored and never read is dead state. A store into
+# an entry, `self.x[k] = v`, writes the attribute's value; it does not read
+# it.
+def write_only_attributes(modules: dict[str, ast.Module],
+                          others: list[ast.Module]) -> list[str]:
+    """The first `self.x = ...` store, per module and attribute, of every
+    attribute of `modules` that no module, `others` included, reads."""
+    read = set()
+    for tree in [*modules.values(), *others]:
+        entry_stores = {id(node.value) for node in ast.walk(tree)
+                        if isinstance(node, ast.Subscript)
+                        and isinstance(node.ctx, (ast.Store, ast.Del))}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)
+                 and id(node) not in entry_stores}
+    found = {}
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "self" and node.attr not in read:
+                key = (module, node.attr)
+                found[key] = min(found.get(key, node.lineno), node.lineno)
+    return [f"{module}:{line} self.{attr}"
+            for (module, attr), line in sorted(found.items())]
+
+
+def test_no_write_only_attributes():
+    modules = {".".join(path.relative_to(SRC).with_suffix("").parts):
+               ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    bench = [ast.parse(path.read_text()) for path in BENCH_SCRIPTS]
+    assert write_only_attributes(modules, bench) == []
+
+
+def test_write_only_check_flags_planted_attributes():
+    planted = ast.parse(
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.kept = 1\n"
+        "        self.dead = 2\n"
+        "        self.table = {}\n"
+        "        self.used = []\n"
+        "        self.external = 3\n"
+        "    def step(self, k):\n"
+        "        self.count = 0\n"
+        "        self.count += 1\n"
+        "        self.table[k] = 1\n"
+        "        self.used.append(k)\n"
+        "        return self.kept\n")
+    other = ast.parse("def peek(a): return a.external\n")
+    assert write_only_attributes({"m": planted}, [other]) == [
+        "m:9 self.count", "m:4 self.dead", "m:5 self.table"]

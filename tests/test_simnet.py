@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 import gc
 import heapq
 import pathlib
 
 import pytest
 
+from fastpath.client import MAX_RETRIES, FastPathDriver
 from fastpath.simnet.invariants import (
     check_bounded_counters,
     check_byzantine_bound,
@@ -59,6 +61,32 @@ def test_same_tick_order_is_a_seeded_shuffle():
     assert order == _same_tick_pops(1)
     assert order != [str(i) for i in range(30)]
     assert order != _same_tick_pops(2)
+
+
+def test_replies_reach_the_newest_driver_and_ticks_the_one_that_armed_them(
+        monkeypatch):
+    # Two drivers of one client carry the same transaction. Replies name its
+    # digest and reach the newer driver; each retry tick reaches the driver
+    # that armed it, so the older one, never answered, retries to its end.
+    launched = []
+    start = FastPathDriver.start
+
+    def recording_start(driver, env):
+        launched.append(driver)
+        start(driver, env)
+
+    monkeypatch.setattr(FastPathDriver, "start", recording_start)
+    runner = Runner(dataclasses.replace(plain_transfer(1), script=[]))
+    client = runner.clients["alice"]
+    tx = client._build_tx({"action": "transfer", "inputs": ["coin"],
+                           "gas": "gas_a", "to": "bob"})
+    client._launch(FastPathDriver, tx, None)
+    client._launch(FastPathDriver, tx, None)
+    runner.run()
+    older, newer = launched
+    assert newer.result.status == "finalized"
+    assert older.votes == {} and older.result.status == "timeout"
+    assert older.retries == MAX_RETRIES + 1
 
 
 def test_different_seed_different_schedule():

@@ -26,6 +26,14 @@ def make_rqt(world, keys, gas, requester, signers, replacement=None,
                      world.account(requester), ev)
 
 
+def recorded(world, vid=0):
+    """A validator state, and the kind and fields of each event it emits."""
+    events = []
+    state = world.state(vid, sink=lambda kind, **fields:
+                        events.append((kind, fields)))
+    return state, events
+
+
 def drive_unlock(world, states, rqt):
     votes = [s.process_unlock_rqt(rqt) for s in states]
     ucert = assemble_unlock_cert(votes, rqt, world.params)
@@ -130,13 +138,14 @@ def test_cert_for_unlocked_key_is_deferred(world):
 
 def test_cert_with_shared_input_is_deferred(world):
     world.add_shared("board")
-    state = world.state()
+    state, events = recorded(world)
     tx = world.tx(TxKind.NOOP, ["coin"], "gas", ["alice"], shared=["board"])
     out = state.process_cert(world.cert(tx))
     assert out.status == "deferred"
     # sequenced delivery then executes it with an assigned shared version
-    ck = state.process_checkpoint_cert(world.cert(tx))
-    assert ck.status == "executed"
+    state.process_checkpoint_cert(world.cert(tx))
+    assert [f["mode"] for kind, f in events if kind == "checkpoint_exec"] \
+        == ["fresh"]
     assert state.latest[world.objects["board"].key.object_id] == 1
 
 
@@ -329,26 +338,29 @@ def test_invalid_unlock_cert_rejected_without_gas_consumption(world):
 # --- checkpointed certificates -------------------------------------------------------
 
 def test_checkpoint_after_fast_execution_is_idempotent(world):
-    state = world.state()
+    state, events = recorded(world)
     tx = world.transfer("coin", "gas", "alice", "bob")
     cert = world.cert(tx)
     state.process_cert(cert)
     snapshot = state.snapshot()
-    out = state.process_checkpoint_cert(cert)
-    assert out.status == "already"
+    state.process_checkpoint_cert(cert)
+    assert [f["mode"] for kind, f in events if kind == "checkpoint_exec"] \
+        == ["already"]
     assert state.snapshot()["objects"] == snapshot["objects"]
     assert state.unlock_db[world.key("coin")] == CONFIRMED
 
 
 def test_checkpoint_skipped_after_conflicting_unlock(world):
-    states = world.states()
+    state, events = recorded(world)
+    states = [state, *(world.state(vid) for vid in range(1, world.params.n))]
     tx = world.transfer("coin", "gas", "alice", "bob")
     cert = world.cert(tx)
     rqt = make_rqt(world, [world.key("coin"), world.key("gas")], "gas2",
                    "alice", ["alice"])
     drive_unlock(world, states, rqt)
-    out = states[0].process_checkpoint_cert(cert)
-    assert out.status == "skipped"
+    state.process_checkpoint_cert(cert)
+    assert [f["reason"] for kind, f in events if kind == "checkpoint_skip"] \
+        == ["confirmed"]
     assert tx.digest not in states[0].executed
 
 

@@ -87,10 +87,10 @@ def test_invalid_duplicate_submission_records_seq_rejected(world):
     runner = Runner(Scenario.load(str(SCENARIOS / "swap_deadlock.yaml")))
     assert runner.scenario.params == world.params
     cert = world.cert(world.transfer("coin", "gas", "alice", "bob"))
-    runner.seq_actor.handle("v0", ("submit", KIND_CHECKPOINT, cert))
+    runner.seq_actor.handle("v0", (KIND_CHECKPOINT, cert))
     forged = dataclasses.replace(cert, signs=cert.signs[:2])
-    runner.seq_actor.handle("v1", ("submit", KIND_CHECKPOINT, forged))
-    runner.seq_actor.handle("v2", ("submit", KIND_CHECKPOINT, cert))
+    runner.seq_actor.handle("v1", (KIND_CHECKPOINT, forged))
+    runner.seq_actor.handle("v2", (KIND_CHECKPOINT, cert))
     kinds = [(e["actor"], e["kind"]) for e in runner.recorder.events]
     assert kinds == [("seq", "sequenced"), ("seq", "seq_rejected")]
     assert runner.recorder.events[1]["code"] == ErrorCode.INVALID_ITEM.value
