@@ -1,4 +1,5 @@
-"""Client-side protocol drivers and the unlock message triple.
+"""Client-side protocol drivers, the unlock message triple and the two
+reply shapes.
 
 Drivers are event-driven state machines: the surrounding harness feeds
 them replies and timer ticks, and they broadcast requests, assemble
@@ -9,20 +10,23 @@ sequenced execution's effect signatures.
 
 Drivers send the protocol values themselves: a `Transaction`, its
 `Certificate` or an `UnlockRqt`. Validators answer with the `CertSign` or
-`UnlockVote` they produce, or with one of the reply messages below, each
-of which names the validator that sent it.
+`UnlockVote` they produce, or in one of two reply shapes: a `Rejection` or
+an `Outcome`. Every answer names its signer and its `subject`, the digest
+of the transaction or unlock request it is about. Both drivers count
+answers with one tally, `_Driver._tally`: a quorum of matching effect
+signatures is finality, and a quorum of `superseded` outcomes means that
+consensus settled the keys first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import crypto
 from .authenticators import Evidence
 from .encoding import enc_bytes, enc_opt, enc_seq, enc_u64, tagged_digest
 from .types import (
-    CertSign,
     Certificate,
     CommitteeParams,
     EffectCert,
@@ -106,6 +110,10 @@ class UnlockVote:
                           UnlockVote._message(rqt_digest, carried))
         return UnlockVote(rqt_digest, carried, signer, sig)
 
+    @property
+    def subject(self) -> bytes:
+        return self.rqt_digest
+
     @verified_once
     def verify(self, scheme) -> bool:
         return scheme.verify(validator_key(self.signer),
@@ -185,36 +193,27 @@ def retry_after_unlock(tx: Transaction, unlock_effects: EffectCert) -> Transacti
     )
 
 
-# --- reply messages ------------------------------------------------------------
+# --- replies -------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TxErrorMsg:
-    tx_digest: bytes
-    code: str
-    signer: int
+class Rejection:
+    """A validator refused the request about `subject`; an `AlreadyConfirmed`
+    refusal lists the keys consensus had settled."""
 
-
-@dataclass(frozen=True)
-class CertReply:
-    tx_digest: bytes
-    status: str  # executed | deferred | superseded | error
-    signer: int
-    sign: EffectSign | None = None
-    code: str = ""
-
-
-@dataclass(frozen=True)
-class UnlockErrorMsg:
-    rqt_digest: bytes
+    subject: bytes
     code: str
     signer: int
     keys: tuple[ObjectKey, ...] = ()
 
 
 @dataclass(frozen=True)
-class UnlockOutcomeMsg:
-    rqt_digest: bytes
-    status: str  # executed | ignored
+class Outcome:
+    """What a validator did with a certificate or a sequenced unlock
+    certificate: `executed`, with its executions' effect signs in order;
+    `deferred`; or `superseded`, with the keys consensus settled first."""
+
+    subject: bytes
+    status: str  # executed | deferred | superseded
     signer: int
     signs: tuple[EffectSign, ...] = ()
     confirmed: tuple[ObjectKey, ...] = ()
@@ -233,50 +232,97 @@ def _emit_effect_cert(env, effects, **fields) -> None:
              **fields)
 
 
-@dataclass
-class DriverResult:
-    status: str
-    effect_certs: list[EffectCert] = field(default_factory=list)
-    confirmed_keys: list[ObjectKey] = field(default_factory=list)
-
-
 class _Driver:
-    """The lifecycle both drivers share: one finish (a `<kind>_driver_finished`
-    event, then `on_done`) and the retry tick, which resends `_resend`'s
-    request to every validator that has not answered."""
+    """The tally and lifecycle both drivers share.
+
+    Only replies about the driver's subject from committee members count.
+    Votes and rejections count in the vote phase: a quorum of verified
+    votes goes to `_certify`, and `_maybe_refuse` judges the rejections. A
+    quorum of `superseded` outcomes ends the driver as superseded. An
+    `executed` outcome counts when each of its signs is its sender's own
+    and verifies; a quorum reporting the same effects in the same order
+    finishes the driver, the i-th `EffectCert` taking every member's i-th
+    sign. Once `phase == "done"`, the driver holds its `status`,
+    `effect_certs` and `confirmed` keys, and `on_done(driver)` has run. The
+    retry tick resends `_resend`'s request to every validator that has not
+    answered."""
 
     kind = ""
+    finalized = ""  # the status a quorum of matching executions ends in
 
-    def __init__(self, label: dict, params: CommitteeParams, scheme, on_done):
+    def __init__(self, subject: bytes, label: dict, params: CommitteeParams,
+                 scheme, on_done):
+        self.subject = subject
         self.label = label
         self.params = params
         self.scheme = scheme
         self.on_done = on_done
         self.phase = "vote"
+        self.votes: dict[int, object] = {}
         self.rejections: dict[int, str] = {}
-        self.result: DriverResult | None = None
+        self.superseded: set[int] = set()
+        self.outcome_groups: dict[tuple, dict[int, Outcome]] = {}
+        self.status = ""
+        self.effect_certs: list[EffectCert] = []
+        self.confirmed: set[ObjectKey] = set()
         self.round_trips = 0
         self.retries = 0
 
-    def _member(self, signer: int) -> bool:
-        return 0 <= signer < self.params.n
+    def _tally(self, env, msg) -> None:
+        if self.phase == "done" or msg.subject != self.subject \
+                or not 0 <= msg.signer < self.params.n:
+            return
+        if isinstance(msg, Outcome):
+            if msg.status == "superseded":
+                self.superseded.add(msg.signer)
+                self.confirmed.update(msg.confirmed)
+                if len(self.superseded) >= quorum(self.params):
+                    self._superseded(env)
+            elif msg.status == "executed" and all(
+                    s.signer == msg.signer and s.verify(self.scheme)
+                    for s in msg.signs):
+                self._count_execution(env, msg)
+        elif self.phase != "vote":
+            return
+        elif isinstance(msg, Rejection):
+            self.rejections.setdefault(msg.signer, msg.code)
+            if msg.code == ErrorCode.ALREADY_CONFIRMED.value:
+                self.confirmed.update(msg.keys)
+            self._maybe_refuse(env)
+        elif msg.verify(self.scheme):
+            self.votes.setdefault(msg.signer, msg)
+            if len(self.votes) >= quorum(self.params):
+                self._certify(env)
 
-    def _finish(self, env, result: DriverResult) -> None:
-        if self.result is None:
-            self.result = result
-            self.phase = "done"
-            env.emit(f"{self.kind}_driver_finished", **self.label,
-                     status=result.status, rounds=self.round_trips,
-                     retries=self.retries)
-            if self.on_done:
-                self.on_done(self, result)
+    def _count_execution(self, env, msg: Outcome) -> None:
+        group = self.outcome_groups.setdefault(
+            tuple(s.effects.digest for s in msg.signs), {})
+        group.setdefault(msg.signer, msg)
+        if len(group) >= quorum(self.params):
+            rows = [group[vid].signs for vid in sorted(group)]
+            self.effect_certs = [EffectCert(signs[0].effects, signs)
+                                 for signs in zip(*rows)]
+            for cert in self.effect_certs:
+                _emit_effect_cert(env, cert.effects, **self._cert_fields(cert))
+            self._finish(env, self.finalized)
+
+    def _superseded(self, env) -> None:
+        self._finish(env, "superseded")
+
+    def _finish(self, env, status: str) -> None:
+        self.status = status
+        self.phase = "done"
+        env.emit(f"{self.kind}_driver_finished", **self.label, status=status,
+                 rounds=self.round_trips, retries=self.retries)
+        if self.on_done:
+            self.on_done(self)
 
     def _retry(self, env) -> None:
         if self.phase == "done":
             return
         self.retries += 1
         if self.retries > MAX_RETRIES:
-            self._finish(env, DriverResult("timeout"))
+            self._finish(env, "timeout")
             return
         answered, request = self._resend()
         for vid in range(self.params.n):
@@ -290,17 +336,16 @@ class FastPathDriver(_Driver):
     collect matching effect signatures."""
 
     kind = "fast"
+    finalized = "finalized"
 
     def __init__(self, tx: Transaction, params: CommitteeParams,
                  scheme=crypto.DEFAULT_SCHEME, on_done=None, first_to=None,
                  cert_to=None):
-        super().__init__({"tx": tx.digest.hex()}, params, scheme, on_done)
+        super().__init__(tx.digest, {"tx": tx.digest.hex()}, params, scheme,
+                         on_done)
         self.tx = tx
         self.first_to = first_to  # initial partial broadcast; retries reach everyone
         self.cert_to = cert_to  # submit the certificate here and walk away
-        self.votes: dict[int, CertSign] = {}
-        self.effect_groups: dict[bytes, dict[int, EffectSign]] = {}
-        self.superseded: set[int] = set()
         self.cert: Certificate | None = None
 
     def start(self, env) -> None:
@@ -313,66 +358,43 @@ class FastPathDriver(_Driver):
         env.set_timer(RETRY_DELAY, self)
 
     def on_message(self, env, msg) -> None:
-        if self.phase == "done":
+        self._tally(env, msg)
+
+    def _certify(self, env) -> None:
+        self.cert = Certificate(self.tx,
+                                tuple(self.votes[s] for s in sorted(self.votes)))
+        self.phase = "exec"
+        self.round_trips += 1
+        env.emit("cert_assembled", tx=self.tx.digest.hex(),
+                 signers=sorted(self.votes))
+        if self.cert_to is not None:
+            for vid in self.cert_to:
+                env.send_validator(vid, self.cert)
+            self._finish(env, "certified_abandoned")
             return
-        if isinstance(msg, CertSign) and self.phase == "vote":
-            if (self._member(msg.signer)
-                    and msg.tx_digest == self.tx.digest
-                    and msg.verify(self.scheme)):
-                self.votes.setdefault(msg.signer, msg)
-            if len(self.votes) >= quorum(self.params) and self.cert is None:
-                signs = tuple(self.votes[s] for s in sorted(self.votes))
-                self.cert = Certificate(self.tx, signs)
-                self.phase = "exec"
-                self.round_trips += 1
-                env.emit("cert_assembled", tx=self.tx.digest.hex(),
-                         signers=sorted(self.votes))
-                if self.cert_to is not None:
-                    for vid in self.cert_to:
-                        env.send_validator(vid, self.cert)
-                    self._finish(env, DriverResult("certified_abandoned"))
-                    return
-                env.broadcast(self.cert)
-        elif isinstance(msg, TxErrorMsg) and self.phase == "vote":
-            if msg.tx_digest == self.tx.digest and self._member(msg.signer):
-                self.rejections.setdefault(msg.signer, msg.code)
-                # too many distinct rejectors for any quorum to remain reachable
-                if len(self.rejections) > self.params.n - quorum(self.params):
-                    codes = sorted(set(self.rejections.values()))
-                    status = ("locked" if ErrorCode.CONFLICTING_LOCK.value in codes
-                              else "rejected")
-                    env.emit("fast_path_blocked", tx=self.tx.digest.hex(),
-                             status=status, codes=codes)
-                    self._finish(env, DriverResult(status))
-        elif isinstance(msg, CertReply) and self.phase == "exec":
-            if msg.tx_digest != self.tx.digest:
-                return
-            if (msg.status == "executed" and msg.sign
-                    and self._member(msg.sign.signer)
-                    and msg.sign.verify(self.scheme)):
-                group = self.effect_groups.setdefault(msg.sign.effects.digest, {})
-                group.setdefault(msg.sign.signer, msg.sign)
-                if len(group) >= quorum(self.params):
-                    cert = EffectCert(msg.sign.effects,
-                                      tuple(group[s] for s in sorted(group)))
-                    _emit_effect_cert(env, cert.effects,
-                                      tx=self.tx.digest.hex(),
-                                      tx_kind=self.tx.kind.value,
-                                      amount=self.tx.params.amount, path="fast")
-                    self._finish(env, DriverResult("finalized",
-                                                   effect_certs=[cert]))
-            elif msg.status == "superseded" and self._member(msg.signer):
-                self.superseded.add(msg.signer)
-                if len(self.superseded) >= quorum(self.params):
-                    self._finish(env, DriverResult("superseded"))
-            # deferred replies just mean: ask again later
+        env.broadcast(self.cert)
+
+    def _maybe_refuse(self, env) -> None:
+        # too many distinct rejectors for any quorum to remain reachable
+        if len(self.rejections) > self.params.n - quorum(self.params):
+            codes = sorted(set(self.rejections.values()))
+            status = ("locked" if ErrorCode.CONFLICTING_LOCK.value in codes
+                      else "rejected")
+            env.emit("fast_path_blocked", tx=self.tx.digest.hex(),
+                     status=status, codes=codes)
+            self._finish(env, status)
+
+    def _cert_fields(self, cert: EffectCert) -> dict:
+        return {"tx": self.tx.digest.hex(), "tx_kind": self.tx.kind.value,
+                "amount": self.tx.params.amount, "path": "fast"}
 
     def _resend(self):
         if self.phase == "vote":
             # re-poll voters too: their state may have moved to a terminal
             # answer (executed elsewhere, unlocked, confirmed) since
             return self.rejections, self.tx
-        return set().union(*self.effect_groups.values()), self.cert
+        # validators that answered superseded are polled again too
+        return set().union(*self.outcome_groups.values()), self.cert
 
     def on_timer(self, env) -> None:
         self._retry(env)
@@ -383,18 +405,16 @@ class FastUnlockDriver(_Driver):
     and collect the sequenced execution's effect signatures."""
 
     kind = "unlock"
+    finalized = "unlocked"
 
     def __init__(self, rqt: UnlockRqt, params: CommitteeParams,
                  scheme=crypto.DEFAULT_SCHEME, authorized: bool = True,
                  on_done=None, wait_all: bool = False):
-        super().__init__({"rqt": rqt.digest.hex()}, params, scheme, on_done)
+        super().__init__(rqt.digest, {"rqt": rqt.digest.hex()}, params, scheme,
+                         on_done)
         self.rqt = rqt
         self.authorized = authorized
         self.wait_all = wait_all  # gather every validator's vote, not just a quorum
-        self.votes: dict[int, UnlockVote] = {}
-        self.outcome_groups: dict[tuple, dict[int, UnlockOutcomeMsg]] = {}
-        self.ignored: set[int] = set()
-        self._confirmed_seen: set[ObjectKey] = set()
         self.ucert: UnlockCert | None = None
 
     def start(self, env) -> None:
@@ -407,65 +427,26 @@ class FastUnlockDriver(_Driver):
         env.set_timer(RETRY_DELAY, self)
 
     def on_message(self, env, msg) -> None:
-        if self.phase == "done":
+        self._tally(env, msg)
+
+    def _certify(self, env) -> None:
+        if self.wait_all and len(self.votes) + len(self.rejections) < self.params.n:
             return
-        if isinstance(msg, UnlockVote) and self.phase == "vote":
-            if (self._member(msg.signer)
-                    and msg.rqt_digest == self.rqt.digest
-                    and msg.verify(self.scheme)):
-                self.votes.setdefault(msg.signer, msg)
-            enough = len(self.votes) >= quorum(self.params) and (
-                not self.wait_all
-                or len(self.votes) + len(self.rejections) >= self.params.n)
-            if enough and self.ucert is None:
-                self.ucert = assemble_unlock_cert(
-                    self.votes.values(), self.rqt, self.params, self.scheme)
-                self.phase = "sequenced"
-                self.round_trips += 1
-                env.emit("ucert_assembled", rqt=self.rqt.digest.hex(),
-                         carried=[c.tx.digest.hex()
-                                  for c in self.ucert.carried_union()],
-                         authorized=self.authorized,
-                         keys=[[k.object_id.hex(), k.version]
-                               for k in self.rqt.object_keys])
-                env.submit_sequencer(self.ucert)
-        elif isinstance(msg, UnlockErrorMsg) and self.phase == "vote":
-            if msg.rqt_digest == self.rqt.digest and self._member(msg.signer):
-                self.rejections.setdefault(msg.signer, msg.code)
-                if msg.code == "AlreadyConfirmed":
-                    self._confirmed_seen.update(msg.keys)
-                self._maybe_refuse(env)
-        elif isinstance(msg, UnlockOutcomeMsg):
-            if msg.rqt_digest != self.rqt.digest or not self._member(msg.signer):
-                return
-            if msg.status == "ignored":
-                self.ignored.add(msg.signer)
-                self._confirmed_seen.update(msg.confirmed)
-                if len(self.ignored) >= quorum(self.params):
-                    self._superseded(env)
-                return
-            # a validator reports only its own execution's signatures
-            if not all(s.signer == msg.signer and s.verify(self.scheme)
-                       for s in msg.signs):
-                return
-            shape = tuple(sorted(s.effects.digest for s in msg.signs))
-            group = self.outcome_groups.setdefault(shape, {})
-            group.setdefault(msg.signer, msg)
-            if len(group) >= quorum(self.params):
-                certs = self._effect_certs(group)
-                for cert in certs:
-                    _emit_effect_cert(env, cert.effects,
-                                      tx=cert.effects.tx_digest.hex(),
-                                      tx_kind="unlock", amount=0,
-                                      rqt=self.rqt.digest.hex(), path="unlock")
-                self._finish(env, DriverResult("unlocked", effect_certs=certs))
+        self.ucert = assemble_unlock_cert(
+            self.votes.values(), self.rqt, self.params, self.scheme)
+        self.phase = "sequenced"
+        self.round_trips += 1
+        env.emit("ucert_assembled", rqt=self.rqt.digest.hex(),
+                 carried=[c.tx.digest.hex()
+                          for c in self.ucert.carried_union()],
+                 authorized=self.authorized,
+                 keys=[[k.object_id.hex(), k.version]
+                       for k in self.rqt.object_keys])
+        env.submit_sequencer(self.ucert)
 
     def _superseded(self, env) -> None:
         env.emit("unlock_superseded", rqt=self.rqt.digest.hex())
-        self._finish(env, DriverResult(
-            "superseded",
-            confirmed_keys=sorted(self._confirmed_seen,
-                                  key=lambda k: (k.object_id, k.version))))
+        self._finish(env, "superseded")
 
     def _maybe_refuse(self, env) -> None:
         """Decide how a rejected unlock ends once enough validators have
@@ -475,7 +456,7 @@ class FastUnlockDriver(_Driver):
         if len(self.rejections) <= spare:
             return
         codes = list(self.rejections.values())
-        confirmed_says = sum(1 for c in codes if c == "AlreadyConfirmed")
+        confirmed_says = codes.count(ErrorCode.ALREADY_CONFIRMED.value)
         everyone_answered = len(self.votes) + len(self.rejections) >= self.params.n
         if confirmed_says >= validity_threshold(self.params) or (
                 everyone_answered and confirmed_says > 0):
@@ -484,19 +465,18 @@ class FastUnlockDriver(_Driver):
                 everyone_answered and confirmed_says == 0):
             codes = sorted(set(codes))
             env.emit("unlock_refused", rqt=self.rqt.digest.hex(), codes=codes)
-            self._finish(env, DriverResult("unauthorized"))
+            self._finish(env, "unauthorized")
 
-    def _effect_certs(self, group: dict[int, UnlockOutcomeMsg]) -> list[EffectCert]:
-        # the i-th certificate takes every validator's i-th sign
-        rows = [group[vid].signs for vid in sorted(group)]
-        return [EffectCert(signs[0].effects, signs) for signs in zip(*rows)]
+    def _cert_fields(self, cert: EffectCert) -> dict:
+        return {"tx": cert.effects.tx_digest.hex(), "tx_kind": "unlock",
+                "amount": 0, "rqt": self.rqt.digest.hex(), "path": "unlock"}
 
     def _resend(self):
         if self.phase == "vote":
             # voters may have settled the keys since; poll them again too
             answered = self.rejections
         else:
-            answered = self.ignored.union(*self.outcome_groups.values())
+            answered = self.superseded.union(*self.outcome_groups.values())
         return answered, self.rqt
 
     def on_timer(self, env) -> None:

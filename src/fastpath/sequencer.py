@@ -10,6 +10,7 @@ controls only delivery timing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import crypto
 from .client import UnlockCert
@@ -22,26 +23,33 @@ from .types import (
     verify_certificate,
 )
 
-KIND_UNLOCK = "unlock_cert"
-KIND_CHECKPOINT = "checkpoint"
-KIND_END_OF_EPOCH = "end_of_epoch"
+
+class EndOfEpoch(NamedTuple):
+    """A validator's marker that it has nothing left to sequence in `epoch`."""
+
+    validator: int
+    epoch: int
+
+
+# the trace's name for each item type
+ITEM_KINDS = {UnlockCert: "unlock_cert", Certificate: "checkpoint",
+              EndOfEpoch: "end_of_epoch"}
 
 
 @dataclass(frozen=True)
 class SequencedItem:
     seq: int
-    kind: str
-    payload: object  # UnlockCert | Certificate | (validator id, epoch)
+    payload: UnlockCert | Certificate | EndOfEpoch
     payload_digest: bytes
 
 
-def item_digest(kind: str, payload) -> bytes:
-    if kind == KIND_UNLOCK:
+def item_digest(payload) -> bytes:
+    if isinstance(payload, UnlockCert):
         return tagged_digest("seq-unlock", payload.digest)
-    if kind == KIND_CHECKPOINT:
+    if isinstance(payload, Certificate):
         return tagged_digest("seq-checkpoint", payload.tx.digest)
-    vid, epoch = payload
-    return tagged_digest("seq-eoe", enc_u64(vid) + enc_u64(epoch))
+    return tagged_digest("seq-eoe", enc_u64(payload.validator)
+                         + enc_u64(payload.epoch))
 
 
 class Sequencer:
@@ -51,30 +59,28 @@ class Sequencer:
         self.log: list[SequencedItem] = []
         self._seen: set[bytes] = set()
 
-    def submit(self, kind: str, payload) -> SequencedItem | None:
+    def submit(self, payload) -> SequencedItem | None:
         """Order an item; returns None if the same content was already
         sequenced. Structurally invalid items are rejected before ordering."""
-        self._validate(kind, payload)
-        digest = item_digest(kind, payload)
+        self._validate(payload)
+        digest = item_digest(payload)
         if digest in self._seen:
             return None
         self._seen.add(digest)
-        item = SequencedItem(len(self.log), kind, payload, digest)
+        item = SequencedItem(len(self.log), payload, digest)
         self.log.append(item)
         return item
 
-    def _validate(self, kind: str, payload) -> None:
-        if kind == KIND_UNLOCK:
-            if not isinstance(payload, UnlockCert) or not payload.verify(
-                    self.params, self.scheme):
+    def _validate(self, payload) -> None:
+        if isinstance(payload, UnlockCert):
+            if not payload.verify(self.params, self.scheme):
                 raise ProtocolError(ErrorCode.INVALID_ITEM, "bad unlock cert")
-        elif kind == KIND_CHECKPOINT:
-            if not isinstance(payload, Certificate) or not verify_certificate(
-                    payload, self.params, self.scheme):
+        elif isinstance(payload, Certificate):
+            if not verify_certificate(payload, self.params, self.scheme):
                 raise ProtocolError(ErrorCode.INVALID_ITEM, "bad certificate")
-        elif kind == KIND_END_OF_EPOCH:
-            vid, epoch = payload
-            if not (0 <= vid < self.params.n) or epoch < 0:
+        elif isinstance(payload, EndOfEpoch):
+            if not (0 <= payload.validator < self.params.n) or payload.epoch < 0:
                 raise ProtocolError(ErrorCode.INVALID_ITEM, "bad end-of-epoch")
         else:
-            raise ProtocolError(ErrorCode.INVALID_ITEM, f"unknown kind {kind}")
+            raise ProtocolError(ErrorCode.INVALID_ITEM,
+                                f"unknown item {type(payload).__name__}")

@@ -235,8 +235,9 @@ def check_starvation_freedom(trace: Trace) -> list[Violation]:
 
 def check_unlock_liveness(trace: Trace) -> list[Violation]:
     """On quiescent runs, every authorized unlock reaches a terminal
-    outcome within the epoch-length bound; truncated runs are inconclusive
-    and report nothing."""
+    outcome (its effect certificates, superseded, or refused by the
+    validators) within the epoch-length bound; truncated runs are
+    inconclusive and report nothing."""
     if not trace.quiesced:
         return []
     out = []
@@ -247,7 +248,7 @@ def check_unlock_liveness(trace: Trace) -> list[Violation]:
         if rqt is None:
             continue
         if (event["kind"] == "effect_cert" and event.get("path") == "unlock") \
-                or event["kind"] == "unlock_superseded":
+                or event["kind"] in ("unlock_superseded", "unlock_refused"):
             completions.setdefault(rqt, event["tick"])
     for event in trace.select("unlock_started"):
         if not event.get("authorized", True):

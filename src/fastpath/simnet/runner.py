@@ -10,6 +10,16 @@ queue entry is `(src, dst, msg)`, and popping it calls the `dst` actor's
 client, driver)`) comes from `timer` and carries the driver that armed it.
 Only sends cross the network; script entries and ticks are never dropped
 or counted as sent.
+
+Every message is a protocol value, and the receiver dispatches on its
+type. A validator answers a client's `Transaction`, `Certificate` or
+`UnlockRqt` with a `CertSign` or `UnlockVote`, a `Rejection` or an
+`Outcome`, each naming its `subject` digest, by which the client routes it
+to a driver. A sequencer submission is the item itself: an `UnlockCert`
+(from a client), a `Certificate` for its checkpoint slot or an
+`EndOfEpoch` marker (from a validator); the sequencer hands validators each
+one as a `SequencedItem`.
+
 Entries order by (delivery tick, order draw, insertion counter): every
 push takes one draw from the run's order stream, so entries due at the
 same tick pop in a seeded shuffle. The run has two sources of randomness,
@@ -34,16 +44,10 @@ from dataclasses import dataclass
 
 from .. import crypto
 from ..authenticators import event_facts
-from ..client import CertReply, TxErrorMsg, UnlockErrorMsg, UnlockRqt
+from ..client import Rejection, UnlockCert, UnlockRqt
 from ..crypto import user_keypair
 from ..encoding import digest, enc_u64
-from ..sequencer import (
-    KIND_CHECKPOINT,
-    KIND_END_OF_EPOCH,
-    KIND_UNLOCK,
-    SequencedItem,
-    Sequencer,
-)
+from ..sequencer import ITEM_KINDS, SequencedItem, Sequencer
 from ..types import Certificate, ProtocolError, Transaction
 from ..validator import ValidatorState
 from .invariants import check_invariants
@@ -119,21 +123,21 @@ class ValidatorActor:
             reply = self.state.process_tx(tx)
         except ProtocolError as err:
             self.emit("tx_rejected", tx=tx.digest.hex(), code=err.code.value)
-            reply = TxErrorMsg(tx.digest, err.code.value, self.vid)
+            reply = Rejection(tx.digest, err.code.value, self.vid)
         self.runner.send(self.name, src, reply)
 
     def _on_cert(self, src: str, cert: Certificate) -> None:
+        # the first certificate accepted for a transaction goes to the
+        # sequencer for its checkpoint slot, before the reply
+        first = cert.tx.digest not in self.state.forwarded
         try:
-            outcome = self.state.process_cert(cert)
+            reply = self.state.process_cert(cert)
         except ProtocolError as err:
-            self.runner.send(self.name, src, CertReply(
-                cert.tx.digest, "error", self.vid, code=err.code.value))
-            return
-        if outcome.forward is not None and self.fault.kind != "lazy_forwarder":
-            self.runner.submit_item(self.name, KIND_CHECKPOINT, outcome.forward)
-        self.runner.send(self.name, src, CertReply(
-            cert.tx.digest, outcome.status, self.vid, sign=outcome.sign,
-            code=outcome.reason))
+            reply = Rejection(cert.tx.digest, err.code.value, self.vid)
+        else:
+            if first and self.fault.kind != "lazy_forwarder":
+                self.runner.submit_item(self.name, cert)
+        self.runner.send(self.name, src, reply)
 
     def _on_unlock_rqt(self, src: str, rqt: UnlockRqt) -> None:
         if self.fault.kind == "vote_withholder":
@@ -145,15 +149,16 @@ class ValidatorActor:
             except ProtocolError as err:
                 self.emit("unlock_rejected", rqt=rqt.digest.hex(),
                           code=err.code.value)
-                reply = UnlockErrorMsg(rqt.digest, err.code.value, self.vid,
-                                       tuple(err.keys))
+                reply = Rejection(rqt.digest, err.code.value, self.vid,
+                                  tuple(err.keys))
         self.runner.send(self.name, src, reply)
 
     def _on_sequenced(self, item: SequencedItem) -> None:
-        if item.kind == KIND_UNLOCK:
-            rqt = item.payload.rqt
+        payload = item.payload
+        if isinstance(payload, UnlockCert):
+            rqt = payload.rqt
             try:
-                out = self.state.process_unlock_cert(item.payload)
+                out = self.state.process_unlock_cert(payload)
             except ProtocolError as err:
                 self.emit("unlock_cert_invalid", rqt=rqt.digest.hex(),
                           code=err.code.value)
@@ -162,22 +167,20 @@ class ValidatorActor:
                 client = self.runner.client_of_pk.get(rqt.requester)
                 if client is not None:
                     self.runner.send(self.name, client, out)
-        elif item.kind == KIND_CHECKPOINT:
-            self.state.process_checkpoint_cert(item.payload)
-        elif item.kind == KIND_END_OF_EPOCH:
-            vid, epoch = item.payload
-            self.state.note_end_of_epoch(vid, epoch)
+        elif isinstance(payload, Certificate):
+            self.state.process_checkpoint_cert(payload)
+        else:
+            self.state.note_end_of_epoch(payload.validator, payload.epoch)
         self._submit_end_of_epoch()
 
     def _on_epoch_change(self) -> None:
         for cert in self.state.begin_epoch_change():
-            self.runner.submit_item(self.name, KIND_CHECKPOINT, cert)
+            self.runner.submit_item(self.name, cert)
         self._submit_end_of_epoch()
 
     def _submit_end_of_epoch(self) -> None:
         if self.state.end_of_epoch_ready():
-            self.runner.submit_item(self.name, KIND_END_OF_EPOCH,
-                                    self.state.make_end_of_epoch())
+            self.runner.submit_item(self.name, self.state.make_end_of_epoch())
 
 
 class SequencerActor:
@@ -188,15 +191,16 @@ class SequencerActor:
         self.sequencer = Sequencer(runner.scenario.params, runner.scheme)
 
     def handle(self, src: str, msg) -> None:
-        kind, payload = msg
         try:
-            item = self.sequencer.submit(kind, payload)
+            item = self.sequencer.submit(msg)
         except ProtocolError as err:
-            self.emit("seq_rejected", code=err.code.value, item_kind=kind)
+            self.emit("seq_rejected", code=err.code.value,
+                      item_kind=ITEM_KINDS.get(type(msg)))
             return
         if item is None:
             return
-        self.emit("sequenced", seq=item.seq, item_kind=item.kind,
+        self.emit("sequenced", seq=item.seq,
+                  item_kind=ITEM_KINDS[type(item.payload)],
                   item=item.payload_digest.hex())
         for vid in range(self.runner.scenario.params.n):
             self.runner.send(self.name, f"v{vid}", item, protected=True)
@@ -262,8 +266,8 @@ class Runner:
             return
         self._push(self.now + self.network.delay(), (src, dst, msg))
 
-    def submit_item(self, src: str, kind: str, payload) -> None:
-        self.send(src, "seq", (kind, payload), protected=True)
+    def submit_item(self, src: str, payload) -> None:
+        self.send(src, "seq", payload, protected=True)
 
     def schedule_timer(self, actor: str, delay: int, token) -> None:
         self._push(self.now + delay, ("timer", actor, token))

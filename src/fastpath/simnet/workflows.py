@@ -8,10 +8,14 @@ is the clients' view of each object's owner policy. The harness a client
 runs in (network, validator and sequencer actors, queue) is `runner.py`.
 
 A client holds one driver table keyed by subject digest, the digest of the
-transaction or unlock request a driver carries. A validator's reply names
-that digest and reaches the newest driver launched for it. A retry tick
-carries the driver that armed it, so it reaches that driver alone, even
-when a newer driver has since taken over its digest.
+transaction or unlock request a driver carries. Every validator answer (a
+`CertSign` or `UnlockVote`, a `Rejection` or an `Outcome`) names that digest
+as its `subject` and reaches the newest driver launched for it. A retry
+tick carries the driver that armed it, so it reaches that driver alone,
+even when a newer driver has since taken over its digest. A finished
+driver is its own result: `on_done(driver)` reads its `status`,
+`effect_certs` and `confirmed` keys. An unlock driver submits its
+`UnlockCert` to the sequencer as it is.
 """
 
 from __future__ import annotations
@@ -22,18 +26,14 @@ from dataclasses import dataclass
 from ..authenticators import AuthContext, Evidence, NonceStream, PublicKey, \
     build_reveal, commit, find_path
 from ..client import (
-    CertReply,
     FastPathDriver,
     FastUnlockDriver,
-    TxErrorMsg,
     UnlockRqt,
     retry_after_unlock,
 )
 from ..counters import initial_budget
 from ..crypto import user_keypair
-from ..sequencer import KIND_UNLOCK
 from ..types import (
-    CertSign,
     CounterValue,
     ObjectKey,
     ObjectKind,
@@ -85,7 +85,7 @@ class ClientActor:
         self.runner.send(self.name, f"v{vid}", msg)
 
     def submit_sequencer(self, ucert) -> None:
-        self.runner.submit_item(self.name, KIND_UNLOCK, ucert)
+        self.runner.submit_item(self.name, ucert)
 
     def set_timer(self, delay: int, driver) -> None:
         self.runner.schedule_timer(self.name, delay, driver)
@@ -96,13 +96,9 @@ class ClientActor:
         if src == "script":
             self._start_action(msg)
         elif src == "timer":
-            if msg.result is None:
-                msg.on_timer(self)
+            msg.on_timer(self)
         else:
-            key = (msg.tx_digest
-                   if isinstance(msg, (CertSign, TxErrorMsg, CertReply))
-                   else msg.rqt_digest)
-            driver = self.drivers.get(key)
+            driver = self.drivers.get(msg.subject)
             if driver is not None:
                 driver.on_message(self, msg)
 
@@ -227,18 +223,18 @@ class ClientActor:
         """Drive `tx` on the fast path; a locked result recovers while
         `on_locked: unlock` and `recoveries` allow it."""
 
-        def done(driver, result):
-            if result.status == "finalized":
-                self._update_view(result.effect_certs)
+        def done(driver):
+            if driver.status == "finalized":
+                self._update_view(driver.effect_certs)
                 self._after_transfer_bookkeeping(action, tx)
                 status = "finalized_after_unlock" if retried else "finalized"
-            elif result.status == "locked" and recoveries > 0 \
+            elif driver.status == "locked" and recoveries > 0 \
                     and action.get("on_locked") == "unlock":
                 self._recover(action, tx, recoveries)
                 return
             else:
-                status = (f"retry_{result.status}" if retried
-                          else result.status)
+                status = (f"retry_{driver.status}" if retried
+                          else driver.status)
             self._finish_action(action, driver, status)
 
         self._launch(FastPathDriver, tx, done, first_to=first_to,
@@ -279,14 +275,14 @@ class ClientActor:
         rqt = self._make_unlock_rqt(keys, None, gas_name, signers,
                                     int(action.get("epoch", 0)))
 
-        def unlock_done(driver, result):
-            if result.status == "superseded" and recoveries > 0:
+        def unlock_done(driver):
+            if driver.status == "superseded" and recoveries > 0:
                 # another sequenced outcome beat us to part of the key set;
                 # release whatever is still reserved, without retrying the
                 # now-dead transaction. Gas was spent only if our unlock
                 # certificate reached the sequencer; otherwise it sits
                 # wedged under this request's lock and gets unlocked too.
-                remaining = [k for k in keys if k not in result.confirmed_keys]
+                remaining = [k for k in keys if k not in driver.confirmed]
                 if driver.ucert is not None:
                     self.versions[rqt.gas.object_id] = rqt.gas.version + 1
                 elif rqt.gas not in remaining:
@@ -298,19 +294,19 @@ class ClientActor:
                 else:
                     self._finish_action(action, driver, "superseded")
                 return
-            if result.status != "unlocked":
-                self._finish_action(action, driver, f"unlock_{result.status}")
+            if driver.status != "unlocked":
+                self._finish_action(action, driver, f"unlock_{driver.status}")
                 return
-            self._update_view(result.effect_certs)
+            self._update_view(driver.effect_certs)
             self.versions[rqt.gas.object_id] = rqt.gas.version + 1
             finalized = any(c.effects.tx_digest == tx.digest
-                            for c in result.effect_certs)
+                            for c in driver.effect_certs)
             if finalized or not action.get("retry", True):
                 self._finish_action(action, driver,
                                     "finalized_by_unlock" if finalized
                                     else "unlocked")
                 return
-            rebuilt = retry_after_unlock(tx, result.effect_certs[0])
+            rebuilt = retry_after_unlock(tx, driver.effect_certs[0])
             self._launch_tx(action, self._sign_tx(rebuilt, signers),
                             recoveries - 1, retried=True)
 
@@ -342,12 +338,12 @@ class ClientActor:
                                     action.get("signers", [self.name]),
                                     int(action.get("epoch", 0)), authorized)
 
-        def done(driver, result):
-            if result.status == "unlocked" or (
-                    result.status == "superseded" and driver.ucert is not None):
-                self._update_view(result.effect_certs)
+        def done(driver):
+            if driver.status == "unlocked" or (
+                    driver.status == "superseded" and driver.ucert is not None):
+                self._update_view(driver.effect_certs)
                 self.versions[rqt.gas.object_id] = rqt.gas.version + 1
-            self._finish_action(action, driver, result.status)
+            self._finish_action(action, driver, driver.status)
 
         self._launch(FastUnlockDriver, rqt, done, authorized=authorized,
                      wait_all=bool(action.get("wait_all", False)))
@@ -357,24 +353,26 @@ class ClientActor:
         byte-distinct conflicting transactions."""
         first = self._build_tx({**action, "action": "transfer", "memo": "dup-a"})
         second = self._build_tx({**action, "action": "transfer", "memo": "dup-b"})
-        outcomes: dict[str, object] = {}
+        # (status, effect certificates) per finished driver; holding the
+        # drivers themselves would close a reference cycle through `settle`
+        outcomes: dict[str, tuple] = {}
 
-        def settle(slot, driver, result):
-            outcomes[slot] = result
+        def settle(slot, driver):
+            outcomes[slot] = driver.status, driver.effect_certs
             if len(outcomes) < 2:
                 return
-            results = list(outcomes.values())
-            if any(r.status == "finalized" for r in results):
-                winner = next(r for r in results if r.status == "finalized")
-                self._update_view(winner.effect_certs)
+            statuses = [status for status, _ in outcomes.values()]
+            if "finalized" in statuses:
+                self._update_view(next(certs for status, certs in outcomes.values()
+                                       if status == "finalized"))
                 self.emit("driver_done", action="double_send", status="finalized",
                           rounds=2, retries=0)
-            elif any(r.status == "locked" for r in results):
+            elif "locked" in statuses:
                 self._recover({**action, "action": "transfer",
                                "memo": "dup-a"}, first, 1)
             else:
                 self.emit("driver_done", action="double_send",
-                          status=results[0].status, rounds=2, retries=0)
+                          status=statuses[0], rounds=2, retries=0)
 
         self._launch(FastPathDriver, first, functools.partial(settle, "first"),
                      first_to=action.get("first_to"))
@@ -425,9 +423,9 @@ class ClientActor:
                              "inputs": [action["counter"]],
                              "gas": state["gas_pool"][0]})
 
-        def done(driver, result):
-            if result.status == "finalized":
-                self._update_view(result.effect_certs)
+        def done(driver):
+            if driver.status == "finalized":
+                self._update_view(driver.effect_certs)
                 state["remaining"] -= amount
                 if amounts is not None:
                     amounts.pop(0)
@@ -435,11 +433,11 @@ class ClientActor:
                 else:
                     # greedy mode drained the budgets; consolidate right away
                     self._consolidate(action, state)
-            elif result.status in ("rejected", "locked"):
+            elif driver.status in ("rejected", "locked"):
                 state["gas_pool"].pop(0)  # parts of this gas may now be locked
                 self._consolidate(action, state)
             else:
-                self._spend_done(action, state, reason=result.status)
+                self._spend_done(action, state, reason=driver.status)
 
         self._launch(FastPathDriver, tx, done)
 
@@ -454,18 +452,18 @@ class ClientActor:
                                     action.get("signers", [self.name]),
                                     int(action.get("epoch", 0)))
 
-        def done(driver, result):
+        def done(driver):
             state["unlock_gas_pool"].pop(0)
-            if result.status != "unlocked":
+            if driver.status != "unlocked":
                 self._spend_done(action, state,
-                                 reason=f"consolidate_{result.status}")
+                                 reason=f"consolidate_{driver.status}")
                 return
             state["consolidations"] += 1
-            self._update_view(result.effect_certs)
+            self._update_view(driver.effect_certs)
             self.versions[rqt.gas.object_id] = rqt.gas.version + 1
             if replacement is not None and any(
                     c.effects.tx_digest == replacement.digest
-                    for c in result.effect_certs):
+                    for c in driver.effect_certs):
                 state["remaining"] -= replacement.params.amount
             self._spend_step(action, state)
 

@@ -283,6 +283,10 @@ class CertSign:
         sig = scheme.sign(validator_key(signer), b"cert:" + tx.digest)
         return CertSign(tx.digest, signer, sig)
 
+    @property
+    def subject(self) -> bytes:
+        return self.tx_digest
+
     @verified_once
     def verify(self, scheme) -> bool:
         return scheme.verify(validator_key(self.signer),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .authenticators import AuthContext, PathError, RevealError, verify_reveal
-from .client import UnlockCert, UnlockOutcomeMsg, UnlockRqt, UnlockVote
+from .client import Outcome, UnlockCert, UnlockRqt, UnlockVote
 from .counters import (
     FLAVOR_BOUNDED,
     FLAVOR_GROW,
@@ -39,6 +39,7 @@ from .counters import (
     initial_budget,
 )
 from .encoding import tagged_digest
+from .sequencer import EndOfEpoch
 from .types import (
     GAS_FEE,
     CertSign,
@@ -84,14 +85,6 @@ class LockEntry:
 class ExecPlan:
     effects: EffectSummary
     produced: tuple[Object, ...]
-
-
-@dataclass(frozen=True)
-class CertOutcome:
-    status: str  # executed | deferred | superseded
-    sign: EffectSign | None = None
-    forward: Certificate | None = None
-    reason: str = ""
 
 
 # --- pure execution -------------------------------------------------------------
@@ -229,7 +222,7 @@ class ValidatorState:
         self.executed_unsequenced: set[bytes] = set()
         self.fast_records: dict[bytes, ExecPlan] = {}  # undoable fast layer
         self.key_fast_tx: dict[ObjectKey, bytes] = {}
-        self.unlock_outcomes: dict[bytes, UnlockOutcomeMsg] = {}
+        self.unlock_outcomes: dict[bytes, Outcome] = {}
         self.paused = False
         self.eoe_sent = False
         self.eoe_seen: set[int] = set()
@@ -380,20 +373,19 @@ class ValidatorState:
 
     # -- certificate execution (fast-path step two) --
 
-    def process_cert(self, cert: Certificate) -> CertOutcome:
+    def process_cert(self, cert: Certificate) -> Outcome:
         if cert.tx.epoch != self.epoch or not verify_certificate(
                 cert, self.params, self.scheme):
             raise ProtocolError(ErrorCode.INVALID_CERTIFICATE, "bad quorum or epoch")
         tx = cert.tx
-        forward = None
         if tx.digest not in self.forwarded:
             self.forwarded.add(tx.digest)
             self.pending_checkpoint[tx.digest] = cert
-            forward = cert
             self.emit("cert_forwarded", tx=tx.digest.hex())
 
         if tx.digest in self.executed:
-            return CertOutcome("executed", self.executed[tx.digest], forward)
+            return Outcome(tx.digest, "executed", self.vid,
+                           (self.executed[tx.digest],))
 
         # make the certificate retrievable by unlock votes
         loaded: dict[ObjectKey, Object] = {}
@@ -414,13 +406,13 @@ class ValidatorState:
 
         states = [self.unlock_db.get(k) for k in tx.inputs]
         if any(s == CONFIRMED for s in states):
-            return CertOutcome("superseded", None, forward, "key settled by consensus")
+            return Outcome(tx.digest, "superseded", self.vid)
         if any(s == UNLOCKED for s in states):
             self.emit("cert_deferred", tx=tx.digest.hex(), reason="unlocked")
-            return CertOutcome("deferred", None, forward, "unlock in progress")
+            return Outcome(tx.digest, "deferred", self.vid)
         if tx.shared_inputs:
             self.emit("cert_deferred", tx=tx.digest.hex(), reason="shared")
-            return CertOutcome("deferred", None, forward, "awaiting sequencing")
+            return Outcome(tx.digest, "deferred", self.vid)
 
         strict = {k: self._check_key(k) for k in tx.inputs}
         plan = execute(tx, strict)
@@ -438,7 +430,7 @@ class ValidatorState:
                             for k in plan.effects.consumed],
                   produced=[[o.key.object_id.hex(), o.key.version]
                             for o in plan.produced])
-        return CertOutcome("executed", sign, forward)
+        return Outcome(tx.digest, "executed", self.vid, (sign,))
 
     def _apply_plan(self, tx_digest: bytes, plan: ExecPlan) -> None:
         """Store the plan's produced objects and apply its counter deltas;
@@ -562,7 +554,7 @@ class ValidatorState:
 
     # -- sequenced unlock certificates --
 
-    def process_unlock_cert(self, ucert: UnlockCert) -> UnlockOutcomeMsg:
+    def process_unlock_cert(self, ucert: UnlockCert) -> Outcome:
         """Execute a sequenced unlock certificate once; the outcome is stored
         as the reply sent to the requester, and to anyone asking again."""
         rqt = ucert.rqt
@@ -576,8 +568,8 @@ class ValidatorState:
         settled = tuple(k for k in rqt.object_keys
                         if self.unlock_db.get(k) == CONFIRMED)
         if settled:
-            out = UnlockOutcomeMsg(rqt.digest, "ignored", self.vid,
-                                   confirmed=settled)
+            out = Outcome(rqt.digest, "superseded", self.vid,
+                          confirmed=settled)
             self.unlock_outcomes[rqt.digest] = out
             self.emit("unlock_ignored", rqt=rqt.digest.hex())
             return out
@@ -620,7 +612,7 @@ class ValidatorState:
             # unlocked: a later no-commit unlock can still release them
             branch = "carried"
 
-        out = UnlockOutcomeMsg(rqt.digest, "executed", self.vid, tuple(signs))
+        out = Outcome(rqt.digest, "executed", self.vid, tuple(signs))
         self.unlock_outcomes[rqt.digest] = out
         self.emit("unlock_exec", rqt=rqt.digest.hex(), branch=branch,
                   effects=[s.effects.digest.hex() for s in signs],
@@ -807,10 +799,10 @@ class ValidatorState:
     def end_of_epoch_ready(self) -> bool:
         return self.paused and not self.executed_unsequenced and not self.eoe_sent
 
-    def make_end_of_epoch(self) -> tuple[int, int]:
+    def make_end_of_epoch(self) -> EndOfEpoch:
         self.eoe_sent = True
         self.emit("end_of_epoch_sent", epoch=self.epoch)
-        return (self.vid, self.epoch)
+        return EndOfEpoch(self.vid, self.epoch)
 
     def note_end_of_epoch(self, sender: int, epoch: int) -> None:
         """Count `sender`'s end-of-epoch marker; a quorum of markers for the

@@ -325,6 +325,37 @@ def test_mutated_scenario_runs_or_is_exit_2(tmp_path_factory, data, mode):
     assert code in ((0, 1) if loads else (2,))
 
 
+def _object_contents(name, value):
+    def mutate(data):
+        next(o for o in data["objects"] if o["name"] == name)["contents"] = value
+    mutate.__name__ = f"{name}.contents={value!r}"
+    return mutate
+
+
+def _unlock_claims_authority(data):
+    del data["script"][0]["authorized"]
+
+
+# Honest validators refuse each of these unlocks: their gas cannot pay
+# (BadGas), or the requester holds no authority over the key
+# (BadEvidence). A refusal is a terminal outcome, not a hung unlock.
+@pytest.mark.parametrize("name, mutate", [
+    ("swap_deadlock.yaml", _object_contents("gb2", 0)),
+    ("double_send.yaml", _object_contents("g2", -1609)),
+    ("unauthorized_unlock.yaml", _unlock_claims_authority)],
+    ids=lambda value: getattr(value, "__name__", value))
+def test_refused_unlock_is_not_a_liveness_violation(tmp_path, capsys, name,
+                                                     mutate):
+    data = copy.deepcopy(BUNDLED[name])
+    mutate(data)
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(data))
+    trace_path = tmp_path / "trace.log"
+    assert main(["--scenario", str(path), "--trace-out", str(trace_path)]) == 0
+    assert "check.unlock_liveness=pass" in capsys.readouterr().out
+    assert Trace.load(str(trace_path)).select("unlock_refused")
+
+
 def test_mint_declares_its_object_for_later_actions():
     data = yaml.safe_load((SCENARIOS / "epoch_change.yaml").read_text())
     data["script"].insert(0, {"at": 10, "client": "alice", "action": "mint",

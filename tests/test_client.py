@@ -3,13 +3,11 @@ import itertools
 import pytest
 
 from fastpath.client import (
-    CertReply,
     FastPathDriver,
     FastUnlockDriver,
-    TxErrorMsg,
+    Outcome,
+    Rejection,
     UnlockCert,
-    UnlockErrorMsg,
-    UnlockOutcomeMsg,
     UnlockRqt,
     UnlockVote,
     assemble_unlock_cert,
@@ -212,41 +210,58 @@ def test_out_of_range_effect_signs_do_not_finalize(world):
     assert driver.phase == "exec"
     effects = EffectSummary(tx.digest, (), ())
     for signer in (0, -1, 1, n):
-        driver.on_message(env, CertReply(tx.digest, "executed", signer,
-                                         effect_sign(effects, signer)))
-    assert driver.result is None
-    assert sorted(driver.effect_groups[effects.digest]) == [0, 1]
+        driver.on_message(env, Outcome(tx.digest, "executed", signer,
+                                       (effect_sign(effects, signer),)))
+    assert driver.phase != "done"
+    assert sorted(driver.outcome_groups[(effects.digest,)]) == [0, 1]
 
     rqt = simple_rqt(world)
     unlock = FastUnlockDriver(rqt, world.params)
     unlock.start(env)
     # (message sender, signer of the sign it carries)
     for sender, signer in ((0, 0), (3, -1), (1, 1), (2, n)):
-        unlock.on_message(env, UnlockOutcomeMsg(rqt.digest, "executed", sender,
-                                                (effect_sign(effects, signer),)))
-    assert unlock.result is None
+        unlock.on_message(env, Outcome(rqt.digest, "executed", sender,
+                                       (effect_sign(effects, signer),)))
+    assert unlock.phase != "done"
     assert [sorted(g) for g in unlock.outcome_groups.values()] == [[0, 1]]
 
 
 def test_outcome_counts_only_its_senders_own_signs(world):
-    # three senders relaying validator 0's one sign are one signer, not three
-    rqt = simple_rqt(world)
+    # three senders relaying validator 0's one sign are one signer, not
+    # three, on the fast path and on the unlock path alike
     effects = EffectSummary(b"\x03" * 32, (), ())
     env = RecordingEnv()
-    driver = FastUnlockDriver(rqt, world.params)
-    driver.start(env)
-    for sender in range(quorum(world.params)):
-        driver.on_message(env, UnlockOutcomeMsg(rqt.digest, "executed", sender,
-                                                (effect_sign(effects, 0),)))
-    assert driver.result is None
-    assert [sorted(g) for g in driver.outcome_groups.values()] == [[0]]
+    for make_driver in (_exec_driver, _unlock_driver):
+        driver = make_driver(world, env)
+        for sender in range(quorum(world.params)):
+            driver.on_message(env, Outcome(driver.subject, "executed", sender,
+                                           (effect_sign(effects, 0),)))
+        assert driver.phase != "done"
+        assert [sorted(g) for g in driver.outcome_groups.values()] == [[0]]
 
-    for sender in range(1, quorum(world.params)):
-        driver.on_message(env, UnlockOutcomeMsg(rqt.digest, "executed", sender,
-                                                (effect_sign(effects, sender),)))
-    assert driver.result.status == "unlocked"
-    cert, = driver.result.effect_certs
-    assert verify_effect_cert(cert, world.params)
+        for sender in range(1, quorum(world.params)):
+            driver.on_message(env, Outcome(driver.subject, "executed", sender,
+                                           (effect_sign(effects, sender),)))
+        assert driver.status == driver.finalized
+        cert, = driver.effect_certs
+        assert verify_effect_cert(cert, world.params)
+
+
+def test_outcomes_listing_the_same_effects_in_another_order_do_not_mix(world):
+    # validator 0 lists the same two executions in reverse order; the
+    # others' outcomes finalize, and each certificate takes matching signs
+    first = EffectSummary(b"\x04" * 32, (), ())
+    second = EffectSummary(b"\x05" * 32, (), ())
+    env = RecordingEnv()
+    driver = _unlock_driver(world, env)
+    for sender in range(world.params.n):
+        signs = (effect_sign(first, sender), effect_sign(second, sender))
+        driver.on_message(env, Outcome(driver.subject, "executed", sender,
+                                       signs[::-1] if sender == 0 else signs))
+    assert driver.status == "unlocked"
+    assert [c.effects for c in driver.effect_certs] == [first, second]
+    assert all(verify_effect_cert(c, world.params)
+               for c in driver.effect_certs)
 
 
 def _tx_driver(world, env):
@@ -273,18 +288,26 @@ def _unlock_driver(world, env):
 # a driver in a phase where the reply can settle it, and that reply as sent
 # by a claimed validator index
 SENDER_CASES = {
-    "tx_locked": (_tx_driver, lambda d, s: TxErrorMsg(
+    "tx_locked": (_tx_driver, lambda d, s: Rejection(
         d.tx.digest, ErrorCode.CONFLICTING_LOCK.value, s)),
-    "tx_rejected": (_tx_driver, lambda d, s: TxErrorMsg(
+    "tx_rejected": (_tx_driver, lambda d, s: Rejection(
         d.tx.digest, ErrorCode.BAD_EVIDENCE.value, s)),
-    "cert_superseded": (_exec_driver, lambda d, s: CertReply(
+    "tx_superseded": (_tx_driver, lambda d, s: Outcome(
         d.tx.digest, "superseded", s)),
-    "unlock_refused": (_unlock_driver, lambda d, s: UnlockErrorMsg(
+    "cert_superseded": (_exec_driver, lambda d, s: Outcome(
+        d.tx.digest, "superseded", s)),
+    "cert_executed": (_exec_driver, lambda d, s: Outcome(
+        d.tx.digest, "executed", s,
+        (effect_sign(EffectSummary(d.tx.digest, (), ()), s),))),
+    "unlock_refused": (_unlock_driver, lambda d, s: Rejection(
         d.rqt.digest, ErrorCode.BAD_EVIDENCE.value, s)),
-    "unlock_confirmed": (_unlock_driver, lambda d, s: UnlockErrorMsg(
+    "unlock_confirmed": (_unlock_driver, lambda d, s: Rejection(
         d.rqt.digest, ErrorCode.ALREADY_CONFIRMED.value, s)),
-    "unlock_ignored": (_unlock_driver, lambda d, s: UnlockOutcomeMsg(
-        d.rqt.digest, "ignored", s)),
+    "unlock_ignored": (_unlock_driver, lambda d, s: Outcome(
+        d.rqt.digest, "superseded", s)),
+    "unlock_executed": (_unlock_driver, lambda d, s: Outcome(
+        d.rqt.digest, "executed", s,
+        (effect_sign(EffectSummary(b"\x06" * 32, (), ()), s),))),
 }
 
 
@@ -296,5 +319,4 @@ def test_out_of_range_senders_do_not_settle_drivers(world, case):
     # -1 and n, each twice, then validator 0: one in-range sender only
     for sender in (-1, world.params.n, -1, world.params.n, 0):
         driver.on_message(env, reply(driver, sender))
-    assert driver.result is None
     assert driver.phase != "done"

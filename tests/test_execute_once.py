@@ -32,8 +32,8 @@ def test_validators_share_one_effect_summary(world):
         state.process_tx(tx)  # the dry run stores the plan
     outcomes = [state.process_cert(cert) for state in states]
     assert all(o.status == "executed" for o in outcomes)
-    first = outcomes[0].sign.effects
-    assert all(o.sign.effects is first for o in outcomes)
+    first = outcomes[0].signs[0].effects
+    assert all(o.signs[0].effects is first for o in outcomes)
     assert execute(tx, loaded_for(world, tx)).effects is first
     assert all(state.get_object(obj.key) is obj
                for state in states for obj in first.produced)

@@ -2,12 +2,7 @@ import pytest
 
 from fastpath.client import UnlockCert, UnlockRqt, UnlockVote
 from fastpath.crypto import DEFAULT_SCHEME
-from fastpath.sequencer import (
-    KIND_CHECKPOINT,
-    KIND_END_OF_EPOCH,
-    KIND_UNLOCK,
-    Sequencer,
-)
+from fastpath.sequencer import EndOfEpoch, Sequencer
 from fastpath.types import ErrorCode, ProtocolError
 
 
@@ -27,8 +22,8 @@ def make_ucert(world):
 def test_duplicate_submission_sequenced_once(world):
     seq = Sequencer(world.params)
     cert = world.cert(world.transfer("coin", "gas", "alice", "bob"))
-    first = seq.submit(KIND_CHECKPOINT, cert)
-    dup = seq.submit(KIND_CHECKPOINT, cert)
+    first = seq.submit(cert)
+    dup = seq.submit(cert)
     assert first.seq == 0
     assert dup is None
     assert len(seq.log) == 1
@@ -36,10 +31,9 @@ def test_duplicate_submission_sequenced_once(world):
 
 def test_sequence_numbers_are_gapless(world):
     seq = Sequencer(world.params)
-    seq.submit(KIND_CHECKPOINT,
-               world.cert(world.transfer("coin", "gas", "alice", "bob")))
-    seq.submit(KIND_UNLOCK, make_ucert(world))
-    seq.submit(KIND_END_OF_EPOCH, (2, 0))
+    seq.submit(world.cert(world.transfer("coin", "gas", "alice", "bob")))
+    seq.submit(make_ucert(world))
+    seq.submit(EndOfEpoch(2, 0))
     assert [item.seq for item in seq.log] == [0, 1, 2]
 
 
@@ -47,18 +41,18 @@ def test_invalid_items_rejected_before_ordering(world):
     seq = Sequencer(world.params)
     weak = world.cert(world.transfer("coin", "gas", "alice", "bob"), [0, 1])
     with pytest.raises(ProtocolError) as err:
-        seq.submit(KIND_CHECKPOINT, weak)
+        seq.submit(weak)
     assert err.value.code == ErrorCode.INVALID_ITEM
     with pytest.raises(ProtocolError):
-        seq.submit(KIND_END_OF_EPOCH, (99, 0))
+        seq.submit(EndOfEpoch(99, 0))
     with pytest.raises(ProtocolError):
-        seq.submit("mystery", object())
+        seq.submit(object())
     assert seq.log == []
 
 
 def test_end_of_epoch_deduplicates_per_validator(world):
     seq = Sequencer(world.params)
-    assert seq.submit(KIND_END_OF_EPOCH, (1, 0)) is not None
-    assert seq.submit(KIND_END_OF_EPOCH, (1, 0)) is None
-    assert seq.submit(KIND_END_OF_EPOCH, (1, 1)) is not None
-    assert seq.submit(KIND_END_OF_EPOCH, (2, 0)) is not None
+    assert seq.submit(EndOfEpoch(1, 0)) is not None
+    assert seq.submit(EndOfEpoch(1, 0)) is None
+    assert seq.submit(EndOfEpoch(1, 1)) is not None
+    assert seq.submit(EndOfEpoch(2, 0)) is not None

@@ -6,7 +6,15 @@ import pathlib
 
 import pytest
 
-from fastpath.client import MAX_RETRIES, FastPathDriver
+from fastpath.client import (
+    MAX_RETRIES,
+    FastPathDriver,
+    Outcome,
+    Rejection,
+    UnlockCert,
+    UnlockVote,
+)
+from fastpath.sequencer import EndOfEpoch
 from fastpath.simnet.invariants import (
     check_bounded_counters,
     check_byzantine_bound,
@@ -16,6 +24,7 @@ from fastpath.simnet.invariants import (
     check_gas_conservation,
     check_invariants,
     check_starvation_freedom,
+    check_unlock_liveness,
     check_unlock_monotonic,
     check_per_key_linearity,
     check_version_continuity,
@@ -23,8 +32,9 @@ from fastpath.simnet.invariants import (
     CHECKERS,
 )
 from fastpath.simnet.runner import Runner, derive_seed, explore_schedules, run
-from fastpath.simnet.scenario import FAULT_KINDS, Scenario, ScenarioError
+from fastpath.simnet.scenario import FAULT_KINDS, Fault, Scenario, ScenarioError
 from fastpath.simnet.trace import Trace
+from fastpath.types import CertSign, Certificate
 
 from tests.scenario_builders import (
     bounded_spend,
@@ -84,9 +94,88 @@ def test_replies_reach_the_newest_driver_and_ticks_the_one_that_armed_them(
     client._launch(FastPathDriver, tx, None)
     runner.run()
     older, newer = launched
-    assert newer.result.status == "finalized"
-    assert older.votes == {} and older.result.status == "timeout"
+    assert newer.status == "finalized"
+    assert older.votes == {} and older.status == "timeout"
     assert older.retries == MAX_RETRIES + 1
+
+
+def test_a_validator_sends_each_certificate_to_the_sequencer_once(monkeypatch):
+    # The first certificate a validator accepts for a transaction goes to
+    # the sequencer, once; a refused one does not, and a lazy forwarder
+    # (v1) never sends it.
+    scenario = dataclasses.replace(plain_transfer(1), script=[],
+                                   faults={1: Fault("lazy_forwarder")})
+    runner = Runner(scenario)
+    submitted = []
+    monkeypatch.setattr(runner, "submit_item",
+                        lambda src, payload: submitted.append((src, payload)))
+    tx = runner.clients["alice"]._build_tx({
+        "action": "transfer", "inputs": ["coin"], "gas": "gas_a", "to": "bob"})
+    cert = Certificate(tx, tuple(CertSign.make(tx, vid, runner.scheme)
+                                 for vid in range(3)))
+    weak = Certificate(tx, cert.signs[:2])
+    for actor in runner.validators[:2]:
+        for msg in (weak, cert, cert):
+            actor.handle("alice", msg)
+    assert submitted == [("v0", cert)]
+    events = [(e["actor"], e["kind"]) for e in runner.recorder.events]
+    assert events.count(("v0", "cert_forwarded")) == 1
+    assert events.count(("v1", "cert_forwarded")) == 1
+
+
+def test_unlock_liveness_counts_a_refusal_but_not_a_hang_or_a_late_end():
+    # eve claims authority she lacks; the validators refuse her unlock
+    base = Scenario.load(str(SCENARIOS / "unauthorized_unlock.yaml"))
+    trace = run(dataclasses.replace(base, script=[
+        {k: v for k, v in action.items() if k != "authorized"}
+        for action in base.script]))
+    started, = trace.select("unlock_started")
+    refused, = trace.select("unlock_refused")
+    assert trace.quiesced and started["authorized"]
+    assert check_unlock_liveness(trace) == []
+
+    def doctored(edit):
+        events = [edit(e) for e in copy.deepcopy(trace.events)]
+        return dataclasses.replace(trace, events=[e for e in events if e])
+
+    def timed_out(event):
+        # no refusal: the driver ran out of retries instead
+        if event["kind"] == "unlock_refused":
+            return None
+        if event["kind"] == "unlock_driver_finished":
+            event["status"] = "timeout"
+        return event
+
+    def late(event):
+        if event["kind"] == "unlock_refused":
+            event["tick"] = started["tick"] + trace.meta["epoch_length"] + 1
+        return event
+
+    hung, = check_unlock_liveness(doctored(timed_out))
+    assert "never completed" in hung.message
+    slow, = check_unlock_liveness(doctored(late))
+    assert f"took {trace.meta['epoch_length'] + 1} ticks" in slow.message
+
+
+def test_validators_answer_in_four_shapes_and_sequence_three(monkeypatch):
+    # over the bundled scenarios, every message a validator sends a client
+    # is a vote or one of the two reply shapes, and every sequencer
+    # submission is a protocol value
+    seen = {"client": set(), "seq": set()}
+    send = Runner.send
+
+    def recording_send(runner, src, dst, msg, protected=False):
+        if dst == "seq":
+            seen["seq"].add(type(msg))
+        elif dst in runner.clients:
+            seen["client"].add(type(msg))
+        send(runner, src, dst, msg, protected)
+
+    monkeypatch.setattr(Runner, "send", recording_send)
+    for path in sorted(SCENARIOS.glob("*.yaml")):
+        run(Scenario.load(str(path)))
+    assert seen == {"client": {CertSign, UnlockVote, Rejection, Outcome},
+                    "seq": {UnlockCert, Certificate, EndOfEpoch}}
 
 
 def test_different_seed_different_schedule():

@@ -120,7 +120,8 @@ def test_fast_execution_bumps_versions(world):
     assert out.status == "executed"
     assert state.latest[world.key("coin").object_id] == 1
     assert state.latest[world.key("gas").object_id] == 1
-    produced = {o.key.version for o in out.sign.effects.produced}
+    sign, = out.signs
+    produced = {o.key.version for o in sign.effects.produced}
     assert produced == {1}
     # gas paid the flat fee
     gas_obj = state.get_object(world.key("gas", 1))
@@ -158,13 +159,13 @@ def test_invalid_certificate_rejected(world):
 
 
 def test_every_valid_cert_is_forwarded_once(world):
-    state = world.state()
+    state, events = recorded(world)
     tx = world.transfer("coin", "gas", "alice", "bob")
     first = state.process_cert(world.cert(tx))
     again = state.process_cert(world.cert(tx))
-    assert first.forward is not None
-    assert again.forward is None
-    assert again.sign == first.sign
+    assert [kind for kind, _ in events].count("cert_forwarded") == 1
+    assert state.pending_checkpoint == {tx.digest: world.cert(tx)}
+    assert again.signs == first.signs
 
 
 # --- unlock votes ------------------------------------------------------------------
@@ -271,7 +272,7 @@ def test_second_unlock_cert_is_ignored(world):
     replay = states[0].process_unlock_cert(ucert)
     assert replay == first  # stored outcome, no double execution
     second = states[0].process_unlock_cert(ucert2)
-    assert second.status == "ignored"
+    assert second.status == "superseded"
     assert second.confirmed == (coin,)
     assert states[0].latest[coin.object_id] == 1  # exactly one bump
 
@@ -375,7 +376,7 @@ def test_unlock_after_checkpoint_is_ignored_but_pays_gas(world):
         state.process_checkpoint_cert(cert)
     for state in states:
         out = state.process_unlock_cert(ucert)
-        assert out.status == "ignored"
+        assert out.status == "superseded"
         assert state.latest[world.key("gas2").object_id] == 1
 
 

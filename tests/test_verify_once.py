@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from fastpath.sequencer import KIND_CHECKPOINT, KIND_UNLOCK, Sequencer
+from fastpath.sequencer import Sequencer
 from fastpath.simnet.runner import Runner
 from fastpath.simnet.scenario import Scenario
 from fastpath.types import (
@@ -68,17 +68,17 @@ def test_tampered_copy_of_verified_unlock_cert_is_rejected(world):
 def test_sequencer_validates_duplicates_before_deduplicating(world):
     seq = Sequencer(world.params)
     cert = world.cert(world.transfer("coin", "gas", "alice", "bob"))
-    assert seq.submit(KIND_CHECKPOINT, cert) is not None
+    assert seq.submit(cert) is not None
     forged = dataclasses.replace(
         cert, signs=cert.signs[:-1] + (tampered(cert.signs[-1]),))
     with pytest.raises(ProtocolError) as err:
-        seq.submit(KIND_CHECKPOINT, forged)
+        seq.submit(forged)
     assert err.value.code == ErrorCode.INVALID_ITEM
 
     ucert = make_ucert(world)
-    assert seq.submit(KIND_UNLOCK, ucert) is not None
+    assert seq.submit(ucert) is not None
     with pytest.raises(ProtocolError):
-        seq.submit(KIND_UNLOCK, dataclasses.replace(
+        seq.submit(dataclasses.replace(
             ucert, votes=ucert.votes[:2] + (tampered(ucert.votes[2]),)))
     assert len(seq.log) == 2
 
@@ -87,10 +87,10 @@ def test_invalid_duplicate_submission_records_seq_rejected(world):
     runner = Runner(Scenario.load(str(SCENARIOS / "swap_deadlock.yaml")))
     assert runner.scenario.params == world.params
     cert = world.cert(world.transfer("coin", "gas", "alice", "bob"))
-    runner.seq_actor.handle("v0", (KIND_CHECKPOINT, cert))
+    runner.seq_actor.handle("v0", cert)
     forged = dataclasses.replace(cert, signs=cert.signs[:2])
-    runner.seq_actor.handle("v1", (KIND_CHECKPOINT, forged))
-    runner.seq_actor.handle("v2", (KIND_CHECKPOINT, cert))
+    runner.seq_actor.handle("v1", forged)
+    runner.seq_actor.handle("v2", cert)
     kinds = [(e["actor"], e["kind"]) for e in runner.recorder.events]
     assert kinds == [("seq", "sequenced"), ("seq", "seq_rejected")]
     assert runner.recorder.events[1]["code"] == ErrorCode.INVALID_ITEM.value
