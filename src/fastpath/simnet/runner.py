@@ -1,6 +1,7 @@
-"""Deterministic discrete-event harness: the network model, the validator
-and sequencer actors, the event queue, `run` and `explore_schedules`. What
-a client does with a scripted action lives in `workflows.py`.
+"""Deterministic discrete-event harness: the network model, the sequencer
+actor, the event queue, `run` and `explore_schedules`. The validator actor
+and its fault kinds live in `faults.py`; what a client does with a
+scripted action lives in `workflows.py`.
 
 One priority queue drives validators, clients, and the sequencer. Every
 queue entry is `(src, dst, msg)`, and popping it calls the `dst` actor's
@@ -12,13 +13,10 @@ Only sends cross the network; script entries and ticks are never dropped
 or counted as sent.
 
 Every message is a protocol value, and the receiver dispatches on its
-type. A validator answers a client's `Transaction`, `Certificate` or
-`UnlockRqt` with a `CertSign` or `UnlockVote`, a `Rejection` or an
-`Outcome`, each naming its `subject` digest, by which the client routes it
-to a driver. A sequencer submission is the item itself: an `UnlockCert`
-(from a client), a `Certificate` for its checkpoint slot or an
-`EndOfEpoch` marker (from a validator); the sequencer hands validators each
-one as a `SequencedItem`.
+type. A sequencer submission is the item itself: an `UnlockCert` (from a
+client), a `Certificate` for its checkpoint slot or an `EndOfEpoch` marker
+(from a validator); the sequencer hands validators each one as a
+`SequencedItem`.
 
 Entries order by (delivery tick, order draw, insertion counter): every
 push takes one draw from the run's order stream, so entries due at the
@@ -44,12 +42,11 @@ from dataclasses import dataclass
 
 from .. import crypto
 from ..authenticators import event_facts
-from ..client import Rejection, UnlockCert, UnlockRqt
 from ..crypto import user_keypair
 from ..encoding import digest, enc_u64
-from ..sequencer import ITEM_KINDS, SequencedItem, Sequencer
-from ..types import Certificate, ProtocolError, Transaction
-from ..validator import ValidatorState
+from ..sequencer import ITEM_KINDS, Sequencer
+from ..types import ProtocolError
+from .faults import FAULTS
 from .invariants import check_invariants
 from .scenario import Fault, Scenario, materialize_genesis
 from .trace import Trace, TraceRecorder
@@ -74,113 +71,6 @@ class _Network:
             self.budget -= 1
             return True
         return False
-
-
-class ValidatorActor:
-    def __init__(self, runner: "Runner", vid: int, fault, skew: int):
-        self.runner = runner
-        self.vid = vid
-        self.name = f"v{vid}"
-        self.fault = fault
-        self.skew = skew
-        self.crashed = False
-        self.emit = functools.partial(runner.recorder.emit, self.name)
-        self.state = ValidatorState(
-            vid, runner.scenario.params, scheme=runner.scheme,
-            auto_unlock_delay=runner.scenario.delta, fault=fault.kind,
-            event_oracle=runner.event_oracle, sink=self.emit)
-        self.next_seq = 0
-        self.seq_buffer: dict[int, SequencedItem] = {}
-
-    def _check_crash(self) -> bool:
-        if self.fault.kind == "crash" and self.runner.now >= self.fault.at:
-            if not self.crashed:
-                self.crashed = True
-                self.emit("crash")
-            return True
-        return False
-
-    def handle(self, src: str, msg) -> None:
-        if self._check_crash():
-            return
-        self.state.clock = self.runner.now + self.skew
-        if isinstance(msg, Transaction):
-            self._on_tx(src, msg)
-        elif isinstance(msg, Certificate):
-            self._on_cert(src, msg)
-        elif isinstance(msg, UnlockRqt):
-            self._on_unlock_rqt(src, msg)
-        elif isinstance(msg, SequencedItem):
-            self.seq_buffer[msg.seq] = msg
-            while self.next_seq in self.seq_buffer:
-                self._on_sequenced(self.seq_buffer.pop(self.next_seq))
-                self.next_seq += 1
-        elif msg == "epoch_change":
-            self._on_epoch_change()
-
-    def _on_tx(self, src: str, tx: Transaction) -> None:
-        try:
-            reply = self.state.process_tx(tx)
-        except ProtocolError as err:
-            self.emit("tx_rejected", tx=tx.digest.hex(), code=err.code.value)
-            reply = Rejection(tx.digest, err.code.value, self.vid)
-        self.runner.send(self.name, src, reply)
-
-    def _on_cert(self, src: str, cert: Certificate) -> None:
-        # the first certificate accepted for a transaction goes to the
-        # sequencer for its checkpoint slot, before the reply
-        first = cert.tx.digest not in self.state.forwarded
-        try:
-            reply = self.state.process_cert(cert)
-        except ProtocolError as err:
-            reply = Rejection(cert.tx.digest, err.code.value, self.vid)
-        else:
-            if first and self.fault.kind != "lazy_forwarder":
-                self.runner.submit_item(self.name, cert)
-        self.runner.send(self.name, src, reply)
-
-    def _on_unlock_rqt(self, src: str, rqt: UnlockRqt) -> None:
-        if self.fault.kind == "vote_withholder":
-            return
-        reply = self.state.unlock_outcomes.get(rqt.digest)
-        if reply is None:
-            try:
-                reply = self.state.process_unlock_rqt(rqt)
-            except ProtocolError as err:
-                self.emit("unlock_rejected", rqt=rqt.digest.hex(),
-                          code=err.code.value)
-                reply = Rejection(rqt.digest, err.code.value, self.vid,
-                                  tuple(err.keys))
-        self.runner.send(self.name, src, reply)
-
-    def _on_sequenced(self, item: SequencedItem) -> None:
-        payload = item.payload
-        if isinstance(payload, UnlockCert):
-            rqt = payload.rqt
-            try:
-                out = self.state.process_unlock_cert(payload)
-            except ProtocolError as err:
-                self.emit("unlock_cert_invalid", rqt=rqt.digest.hex(),
-                          code=err.code.value)
-                out = None
-            if out is not None:
-                client = self.runner.client_of_pk.get(rqt.requester)
-                if client is not None:
-                    self.runner.send(self.name, client, out)
-        elif isinstance(payload, Certificate):
-            self.state.process_checkpoint_cert(payload)
-        else:
-            self.state.note_end_of_epoch(payload.validator, payload.epoch)
-        self._submit_end_of_epoch()
-
-    def _on_epoch_change(self) -> None:
-        for cert in self.state.begin_epoch_change():
-            self.runner.submit_item(self.name, cert)
-        self._submit_end_of_epoch()
-
-    def _submit_end_of_epoch(self) -> None:
-        if self.state.end_of_epoch_ready():
-            self.runner.submit_item(self.name, self.state.make_end_of_epoch())
 
 
 class SequencerActor:
@@ -236,11 +126,12 @@ class Runner:
             self.object_info[entry.spec.object_id()] = ObjectInfo(
                 kind=entry.spec.kind, policies=policies, limit=entry.spec.limit)
 
-        self.validators = [
-            ValidatorActor(self, vid,
-                           scenario.faults.get(vid, Fault("honest")),
-                           scenario.clock_skew.get(vid, 0))
-            for vid in range(scenario.params.n)]
+        self.validators = []
+        for vid in range(scenario.params.n):
+            fault = scenario.faults.get(vid, Fault("honest"))
+            actor_cls, state_cls = FAULTS[fault.kind]
+            self.validators.append(actor_cls(
+                self, vid, fault, scenario.clock_skew.get(vid, 0), state_cls))
         for actor in self.validators:
             for entry in genesis:
                 actor.state.seed_object(entry.obj)

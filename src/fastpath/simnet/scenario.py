@@ -26,8 +26,8 @@ actions with tick triggers. Schema:
       - {at: 5, client: alice, action: transfer, inputs: [coin], gas: g1,
          to: bob, signers: [alice], on_locked: unlock, unlock_gas: g2}
 
-Fault kinds: honest, crash (with `at`), equivocator, vote_withholder,
-stale_replier, infinite_budget, lazy_forwarder. At most f validators may be
+The fault kinds are the keys of `faults.FAULTS`, where each kind's class
+says what it does; `crash` stops at tick `at`. At most f validators may be
 non-honest; a crash counts toward f like any other fault. An account may
 not be named `seq` or `v<i>` for i in [0, n), the names of the sequencer
 and the validators.
@@ -58,9 +58,9 @@ from ..authenticators import (
 from ..crypto import user_keypair
 from ..encoding import digest
 from ..types import CommitteeParams, CounterValue, IntValue, Object, ObjectKey, ObjectKind, ProtocolError
+from .faults import FAULTS
 
-FAULT_KINDS = {"honest", "crash", "equivocator", "vote_withholder",
-               "stale_replier", "infinite_budget", "lazy_forwarder"}
+FAULT_KINDS = FAULTS.keys()
 # Validators the checkers' guarantees cover: a crashed validator stops, but
 # everything it did before the crash is honest behavior.
 COVERED_KINDS = frozenset({"honest", "crash"})

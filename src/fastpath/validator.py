@@ -64,11 +64,6 @@ from .types import (
 UNLOCKED = "unlocked"
 CONFIRMED = "confirmed"
 
-FAULT_HONEST = "honest"
-FAULT_EQUIVOCATOR = "equivocator"
-FAULT_STALE_REPLIER = "stale_replier"
-FAULT_INFINITE_BUDGET = "infinite_budget"
-
 
 def _nothing(kind: str, **fields) -> None:
     return None
@@ -198,12 +193,11 @@ def execute(tx: Transaction, loaded: dict[ObjectKey, Object],
 class ValidatorState:
     def __init__(self, vid: int, params: CommitteeParams, *,
                  scheme=crypto.DEFAULT_SCHEME, auto_unlock_delay: int = 100,
-                 fault: str = FAULT_HONEST, event_oracle=None, sink=None):
+                 event_oracle=None, sink=None):
         self.vid = vid
         self.params = params
         self.scheme = scheme
         self.auto_unlock_delay = auto_unlock_delay
-        self.fault = fault
         self.event_oracle = event_oracle
         # emit(kind, **fields) records one trace event; it is `sink` itself
         self.emit = sink or _nothing
@@ -250,14 +244,11 @@ class ValidatorState:
     def get_object(self, key: ObjectKey) -> Object | None:
         return self.objects.get(key.object_id, {}).get(key.version)
 
-    def _check_key(self, key: ObjectKey, allow_stale: bool = False) -> Object:
+    def _check_key(self, key: ObjectKey) -> Object:
         oid = key.object_id
         if oid not in self.latest or key.version > self.latest[oid]:
             raise ProtocolError(ErrorCode.MISSING_OBJECT, repr(key))
         if key.version < self.latest[oid]:
-            obj = self.objects[oid].get(key.version)
-            if allow_stale and obj is not None:
-                return obj
             raise ProtocolError(ErrorCode.STALE_VERSION,
                                 f"{key!r} behind v{self.latest[oid]}")
         return self.objects[oid][key.version]
@@ -315,10 +306,9 @@ class ValidatorState:
         if tx.digest in self.executed:
             return CertSign.make(tx, self.vid, self.scheme)
 
-        allow_stale = self.fault == FAULT_STALE_REPLIER
         loaded: dict[ObjectKey, Object] = {}
         for key in tx.inputs:
-            obj = self._check_key(key, allow_stale=allow_stale)
+            obj = self._signable(key)
             if obj.kind == ObjectKind.SHARED:
                 raise ProtocolError(ErrorCode.BAD_TRANSACTION,
                                     "shared objects go in shared_inputs")
@@ -346,15 +336,11 @@ class ValidatorState:
             raise ProtocolError(ErrorCode.BAD_TRANSACTION, "minted id exists")
         execute(tx, loaded)  # dry run: reject unexecutable transactions up front
 
-        if self.fault != FAULT_EQUIVOCATOR:
-            for key in owned:
-                entry = self.lock_db.get(key)
-                if entry is not None and entry.holder != tx.digest:
-                    raise ProtocolError(ErrorCode.CONFLICTING_LOCK, repr(key))
+        self._check_locks(tx, owned)
 
         if tx.kind == TxKind.DEBIT and commutative:
             local = self.counters[commutative[0].object_id]
-            if local.flavor == FLAVOR_BOUNDED and self.fault != FAULT_INFINITE_BUDGET:
+            if self._budgeted(local):
                 if not local.try_debit(tx.params.amount):
                     self.emit("budget_reject", counter=commutative[0].object_id.hex(),
                               amount=tx.params.amount, budget=local.budget)
@@ -370,6 +356,21 @@ class ValidatorState:
                           tx=tx.digest.hex())
         self.emit("tx_signed", tx=tx.digest.hex())
         return CertSign.make(tx, self.vid, self.scheme)
+
+    def _signable(self, key: ObjectKey) -> Object:
+        """The input object a transaction may be signed over: the latest."""
+        return self._check_key(key)
+
+    def _check_locks(self, tx: Transaction, owned: list[ObjectKey]) -> None:
+        """Refuse to sign over an owned key another transaction holds."""
+        for key in owned:
+            entry = self.lock_db.get(key)
+            if entry is not None and entry.holder != tx.digest:
+                raise ProtocolError(ErrorCode.CONFLICTING_LOCK, repr(key))
+
+    def _budgeted(self, local: CounterLocal) -> bool:
+        """Whether a debit of this counter draws on the local budget."""
+        return local.flavor == FLAVOR_BOUNDED
 
     # -- certificate execution (fast-path step two) --
 
@@ -490,17 +491,7 @@ class ValidatorState:
             self._check_replacement_evidence(rqt)
         self._lock_unlock_gas(rqt)
 
-        carried: dict[bytes, Certificate] = {}
-        if self.fault != FAULT_STALE_REPLIER:
-            for key in rqt.object_keys:
-                entry = self.lock_db.get(key)
-                if entry is not None and entry.cert is not None:
-                    carried.setdefault(entry.cert.tx.digest, entry.cert)
-                local = self.counters.get(key.object_id)
-                if local is not None and local.flavor == FLAVOR_BOUNDED:
-                    for cert in local.unsettled():
-                        carried.setdefault(cert.tx.digest, cert)
-
+        carried = self._carried(rqt)
         # single protocol reserves the keys unconditionally; the multi
         # protocol only when nothing was certified. Bounded counters are
         # always reserved so no further fast-path spend can finalize
@@ -516,6 +507,20 @@ class ValidatorState:
         self.emit("unlock_vote", rqt=rqt.digest.hex(),
                   carried=[c.tx.digest.hex() for c in ordered])
         return UnlockVote.make(rqt.digest, ordered, self.vid, self.scheme)
+
+    def _carried(self, rqt: UnlockRqt) -> dict[bytes, Certificate]:
+        """The certificates a vote carries, by tx digest: those locking a
+        listed key, and each unsettled spend of a listed bounded counter."""
+        carried: dict[bytes, Certificate] = {}
+        for key in rqt.object_keys:
+            entry = self.lock_db.get(key)
+            if entry is not None and entry.cert is not None:
+                carried.setdefault(entry.cert.tx.digest, entry.cert)
+            local = self.counters.get(key.object_id)
+            if local is not None and local.flavor == FLAVOR_BOUNDED:
+                for cert in local.unsettled():
+                    carried.setdefault(cert.tx.digest, cert)
+        return carried
 
     def _check_replacement_evidence(self, rqt: UnlockRqt) -> None:
         tx = rqt.replacement_tx

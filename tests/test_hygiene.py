@@ -373,3 +373,68 @@ def test_write_only_check_flags_planted_attributes():
     other = ast.parse("def peek(a): return a.external\n")
     assert write_only_attributes({"m": planted}, [other]) == [
         "m:9 self.count", "m:4 self.dead", "m:5 self.table"]
+
+
+# Byzantine behaviour lives in the simulator's fault table only. Each fault
+# class replaces the hook methods named here, each defined on the honest
+# class it derives from, and never a `process_*` handler, which the
+# benchmark wraps on `ValidatorState` itself.
+FAULT_HOOKS = {"crash": {"handle"}, "lazy_forwarder": {"_forward"},
+               "vote_withholder": {"_on_unlock_rqt"},
+               "equivocator": {"_check_locks"},
+               "stale_replier": {"_signable", "_carried"},
+               "infinite_budget": {"_budgeted"}}
+
+
+def test_fault_classes_override_only_honest_hooks():
+    from fastpath.simnet.faults import FAULTS
+    from fastpath.simnet.scenario import FAULT_KINDS
+
+    assert FAULT_KINDS == set(FAULTS) == {"honest", *FAULT_HOOKS}
+    honest = FAULTS["honest"]
+    for kind, classes in FAULTS.items():
+        overrides = set()
+        for cls, base in zip(classes, honest):
+            if cls is base:
+                continue
+            assert cls.__bases__ == (base,), kind
+            methods = {name for name, value in vars(cls).items()
+                       if callable(value)}
+            assert all(callable(getattr(base, name, None)) for name in methods)
+            assert not any(name.startswith("process_") for name in methods)
+            overrides |= methods
+        assert overrides == FAULT_HOOKS.get(kind, set()), kind
+
+
+def _identifiers(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        for field in ("id", "attr", "arg", "name"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                names.add(value)
+    return names
+
+
+def test_protocol_library_names_no_fault():
+    from fastpath.simnet.faults import FAULTS
+
+    tree = ast.parse((SRC / "validator.py").read_text())
+    names = _identifiers(tree)
+    assert not {n for n in names if n.lower() == "fault"
+                or n.startswith("FAULT_") or n == "allow_stale"}
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not strings & set(FAULTS)
+
+
+def test_runner_compares_no_fault_kind():
+    from fastpath.simnet.faults import FAULTS
+
+    tree = ast.parse((SRC / "simnet" / "runner.py").read_text())
+    compared = {node.value for cmp in ast.walk(tree)
+                if isinstance(cmp, ast.Compare)
+                for operand in [cmp.left, *cmp.comparators]
+                for node in ast.walk(operand)
+                if isinstance(node, ast.Constant)}
+    assert not compared & set(FAULTS)
