@@ -89,12 +89,12 @@ def cmd_explore(scenario_path: str, count: int,
     scenario = _load(scenario_path, seed_override)
     if scenario is None:
         return 2
-    verdict = explore_schedules(scenario, count)
-    print(f"runs={verdict.runs}")
-    print(f"violating_runs={len(verdict.violating)}")
-    if verdict.ok:
+    violating = explore_schedules(scenario, count)
+    print(f"runs={count}")
+    print(f"violating_runs={len(violating)}")
+    if not violating:
         return 0
-    seed, violations = verdict.violating[0]
+    seed, violations = violating[0]
     print(f"first_violating_seed={seed}")
     _print_violations(violations)
     return 1

@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import heapq
 import random
-from dataclasses import dataclass
 
 from .. import crypto
 from ..authenticators import event_facts
@@ -239,18 +238,9 @@ def derive_seed(base: int, index: int) -> int:
                                  + enc_u64(index))[:8], "big")
 
 
-@dataclass
-class ExploreVerdict:
-    runs: int
-    violating: list[tuple[int, list]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violating
-
-
-def explore_schedules(scenario: Scenario, k: int) -> ExploreVerdict:
-    """Run k seeds derived from the base seed; report violating seeds."""
+def explore_schedules(scenario: Scenario, k: int) -> list[tuple[int, list]]:
+    """Run k seeds derived from the base seed; return (seed, violations)
+    for each violating one, in seed order."""
     violating = []
     for i in range(k):
         seed = derive_seed(scenario.seed, i)
@@ -258,4 +248,4 @@ def explore_schedules(scenario: Scenario, k: int) -> ExploreVerdict:
         violations = check_invariants(trace)
         if violations:
             violating.append((seed, violations))
-    return ExploreVerdict(runs=k, violating=violating)
+    return violating

@@ -286,9 +286,7 @@ def test_unauthorized_unlock_never_assembles():
 
 
 def test_explore_schedules_aggregates():
-    verdict = explore_schedules(plain_transfer(0), 3)
-    assert verdict.runs == 3
-    assert verdict.ok
+    assert explore_schedules(plain_transfer(0), 3) == []
 
 
 def test_derive_seed_is_stable():
