@@ -1,15 +1,12 @@
 """The validator actor and the fault table.
 
-`ValidatorActor` runs one validator's `ValidatorState` in a run: it sets
-the state's clock to its skewed tick, dispatches each delivered message on
-its type, answers with the state's reply or a `Rejection`, and submits
-certificates and end-of-epoch markers to the sequencer.
-
 The protocol library is honest; Byzantine behaviour lives here. Each fault
-kind is a subclass of the actor or of the state that overrides a hook of
-the honest class, never a `process_*` handler, and `FAULTS` maps each kind
-a scenario may name to its (actor class, state class).
+kind is a subclass of `ValidatorActor` or of `ValidatorState` that
+overrides a hook of the honest class, never a `process_*` handler, and
+`FAULTS` maps each kind a scenario may name to its (actor class, state
+class).
 """
+
 from __future__ import annotations
 
 import functools
@@ -21,14 +18,16 @@ from ..validator import ValidatorState
 
 
 class ValidatorActor:
+    """Delivers each message of a run to one validator's state machine."""
+
     crashed = False
 
-    def __init__(self, runner, vid: int, fault, skew: int, state_cls):
+    def __init__(self, runner, vid: int, fault, state_cls):
         self.runner = runner
         self.vid = vid
         self.name = f"v{vid}"
         self.fault = fault
-        self.skew = skew
+        self.skew = runner.scenario.clock_skew.get(vid, 0)
         self.emit = functools.partial(runner.recorder.emit, self.name)
         self.state = state_cls(
             vid, runner.scenario.params, scheme=runner.scheme,
@@ -123,12 +122,11 @@ class Crash(ValidatorActor):
     """Handles nothing from tick `at` on; the first drop emits `crash`."""
 
     def handle(self, src: str, msg) -> None:
-        if self.runner.now >= self.fault.at:
-            if not self.crashed:
-                self.crashed = True
-                self.emit("crash")
-            return
-        super().handle(src, msg)
+        if self.runner.now < self.fault.at:
+            super().handle(src, msg)
+        elif not self.crashed:
+            self.crashed = True
+            self.emit("crash")
 
 
 class LazyForwarder(ValidatorActor):
@@ -157,8 +155,7 @@ class StaleReplier(ValidatorState):
     unlocks as if it had seen no certificate."""
 
     def _signable(self, key: ObjectKey):
-        obj = self.get_object(key)
-        return obj if obj is not None else self._check_key(key)
+        return self.get_object(key) or self._check_key(key)
 
     def _carried(self, rqt: UnlockRqt) -> dict:
         return {}

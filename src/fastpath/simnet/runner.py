@@ -129,8 +129,7 @@ class Runner:
         for vid in range(scenario.params.n):
             fault = scenario.faults.get(vid, Fault("honest"))
             actor_cls, state_cls = FAULTS[fault.kind]
-            self.validators.append(actor_cls(
-                self, vid, fault, scenario.clock_skew.get(vid, 0), state_cls))
+            self.validators.append(actor_cls(self, vid, fault, state_cls))
         for actor in self.validators:
             for entry in genesis:
                 actor.state.seed_object(entry.obj)
