@@ -182,12 +182,8 @@ class Runner:
             self.now = last_tick = self.recorder.tick = tick
             self._actors[dst].handle(src, msg)
 
-        snapshots = {}
-        for actor in self.validators:
-            snap = actor.state.snapshot()
-            snap["fault"] = actor.fault.kind
-            snap["crashed"] = actor.crashed
-            snapshots[actor.name] = snap
+        snapshots = {a.name: {**a.state.snapshot(), "crashed": a.crashed}
+                     for a in self.validators}
 
         meta = {
             "n": self.scenario.params.n,

@@ -26,6 +26,7 @@ from typing import NamedTuple
 from . import crypto
 from .authenticators import Evidence
 from .encoding import (
+    digest,
     enc_bytes,
     enc_i64,
     enc_opt,
@@ -200,6 +201,10 @@ class Object:
 
     def canonical_bytes(self) -> bytes:
         return self._encoded
+
+    def fingerprint(self) -> str:
+        """What traces record of the object: a digest of its encoding."""
+        return digest(self._encoded)[:16].hex()
 
     @cached_property
     def _encoded(self) -> bytes:

@@ -31,10 +31,12 @@ from fastpath.simnet.invariants import (
     verdicts,
     CHECKERS,
 )
+from fastpath.simnet.faults import FAULTS, ValidatorActor
 from fastpath.simnet.runner import Runner, derive_seed, explore_schedules, run
 from fastpath.simnet.scenario import FAULT_KINDS, Fault, Scenario, ScenarioError
 from fastpath.simnet.trace import Trace
-from fastpath.types import CertSign, Certificate
+from fastpath.types import CertSign, Certificate, IntValue, Object
+from fastpath.validator import ValidatorState
 
 from tests.scenario_builders import (
     bounded_spend,
@@ -389,6 +391,25 @@ def test_checker_flags_diverged_stores():
     oid = next(iter(doctored.snapshots["v0"]["objects"]))
     doctored.snapshots["v0"]["objects"][oid]["0"] = "c" * 32
     assert check_convergence(doctored)
+
+
+class InflatingStore(ValidatorState):
+    """v0 adds 1,000 to every balance it stores; the others are honest."""
+
+    def _put_object(self, obj):
+        if self.vid == 0 and isinstance(obj.contents, IntValue):
+            obj = Object(obj.key, obj.kind, obj.owner,
+                         IntValue(obj.contents.amount + 1000))
+        super()._put_object(obj)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.yaml")))
+def test_checkers_see_stored_contents(name, monkeypatch):
+    # a fingerprint of the object id alone would let v0 pass both checks
+    monkeypatch.setitem(FAULTS, "honest", (ValidatorActor, InflatingStore))
+    trace = run(Scenario.load(str(SCENARIOS / name)))
+    flagged = {v.checker for v in check_invariants(trace)}
+    assert {"client_safety", "convergence"} <= flagged
 
 
 def test_checker_flags_overspent_counter():
