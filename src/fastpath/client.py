@@ -226,7 +226,7 @@ def _emit_effect_cert(env, effects, **fields) -> None:
     state fingerprint that final snapshots can be diffed against."""
     env.emit("effect_cert", effects=effects.digest.hex(),
              produced=[[o.key.object_id.hex(), o.key.version,
-                        o.fingerprint()] for o in effects.produced],
+                        o.fingerprint] for o in effects.produced],
              counters=[[d.object_id.hex(), d.delta]
                        for d in effects.counter_deltas],
              **fields)

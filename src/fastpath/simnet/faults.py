@@ -24,7 +24,6 @@ class ValidatorActor:
 
     def __init__(self, runner, vid: int, fault, state_cls):
         self.runner = runner
-        self.vid = vid
         self.name = f"v{vid}"
         self.fault = fault
         self.skew = runner.scenario.clock_skew.get(vid, 0)
@@ -57,7 +56,7 @@ class ValidatorActor:
             reply = self.state.process_tx(tx)
         except ProtocolError as err:
             self.emit("tx_rejected", tx=tx.digest.hex(), code=err.code.value)
-            reply = Rejection(tx.digest, err.code.value, self.vid)
+            reply = Rejection(tx.digest, err.code.value, self.state.vid)
         self.runner.send(self.name, src, reply)
 
     def _on_cert(self, src: str, cert: Certificate) -> None:
@@ -67,7 +66,7 @@ class ValidatorActor:
         try:
             reply = self.state.process_cert(cert)
         except ProtocolError as err:
-            reply = Rejection(cert.tx.digest, err.code.value, self.vid)
+            reply = Rejection(cert.tx.digest, err.code.value, self.state.vid)
         else:
             if first:
                 self._forward(cert)
@@ -84,7 +83,7 @@ class ValidatorActor:
             except ProtocolError as err:
                 self.emit("unlock_rejected", rqt=rqt.digest.hex(),
                           code=err.code.value)
-                reply = Rejection(rqt.digest, err.code.value, self.vid,
+                reply = Rejection(rqt.digest, err.code.value, self.state.vid,
                                   tuple(err.keys))
         self.runner.send(self.name, src, reply)
 

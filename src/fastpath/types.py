@@ -202,6 +202,7 @@ class Object:
     def canonical_bytes(self) -> bytes:
         return self._encoded
 
+    @cached_property
     def fingerprint(self) -> str:
         """What traces record of the object: a digest of its encoding."""
         return digest(self._encoded)[:16].hex()

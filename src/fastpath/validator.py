@@ -838,7 +838,7 @@ class ValidatorState:
         for oid in sorted(self.objects):
             versions = self.objects[oid]
             objects[oid.hex()] = {
-                str(v): versions[v].fingerprint()
+                str(v): versions[v].fingerprint
                 for v in sorted(versions)}
         return {
             "validator": self.vid,
