@@ -118,7 +118,7 @@ class ValidatorActor:
 
 
 class Crash(ValidatorActor):
-    """Handles nothing from tick `at` on; the first drop emits `crash`."""
+    """Stops at tick `at`, emitting `crash` on the first message it ignores."""
 
     def handle(self, src: str, msg) -> None:
         if self.runner.now < self.fault.at:
