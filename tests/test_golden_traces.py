@@ -92,8 +92,8 @@ def test_fault_trace_digests_unchanged(kind):
     assert {str(seed): _digest(trace) for seed, trace in runs} == golden[kind]
     if kind != "honest":
         # a fault hook that is never called would pin honest behaviour
-        honest = FAULT_BUILDERS.get(kind, swap_deadlock)
-        assert any(trace.events != run(honest(seed, fault="honest")).events
+        build = FAULT_BUILDERS.get(kind, swap_deadlock)
+        assert any(trace.events != run(build(seed, fault="honest")).events
                    for seed, trace in runs)
 
 
