@@ -5,9 +5,10 @@
     fastpath --check-only recorded-trace.log
 
 Exit status: 0 when every invariant checker passes, 1 on any violation,
-2 when the scenario cannot be loaded, or the trace cannot be loaded or
-holds a record the checkers cannot read. The summary prints as
-key=value lines; verdicts cover every registered checker exactly once.
+2 when the scenario cannot be loaded, the `--trace-out` file cannot be
+written, or the trace cannot be loaded or holds a record the checkers
+cannot read. The summary prints as key=value lines; verdicts cover every
+registered checker exactly once.
 """
 
 from __future__ import annotations
@@ -75,7 +76,11 @@ def cmd_run(scenario_path: str, seed_override: int | None,
         return 2
     trace = run(scenario)
     if trace_out:
-        trace.write(trace_out)
+        try:
+            trace.write(trace_out)
+        except OSError as exc:
+            print(f"error: cannot write the trace: {exc}", file=sys.stderr)
+            return 2
     violations = check_invariants(trace)
     for line in _summary_lines(trace, violations, _file_digest(scenario_path),
                                scenario.seed):

@@ -300,8 +300,11 @@ class Scenario:
 
     @staticmethod
     def load(path: str) -> "Scenario":
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ScenarioError(f"scenario file is not UTF-8: {exc}") from exc
         import yaml  # only files need a parser; from_dict and traces do not
 
         try:

@@ -266,6 +266,26 @@ def test_malformed_scenario_is_exit_2(tmp_path, capsys, mutate, mode):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("name", ["bytes.yaml", "bytes.json"])
+@pytest.mark.parametrize("mode", [[], ["--explore", "2"]])
+def test_undecodable_scenario_is_exit_2(tmp_path, capsys, name, mode):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe")  # not UTF-8
+    assert main(["--scenario", str(path), *mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_unwritable_trace_out_is_exit_2(tmp_path, capsys):
+    scenario = str(SCENARIOS / "double_send.yaml")
+    for target in (tmp_path / "missing" / "t.log", tmp_path):
+        assert main(["--scenario", scenario, "--trace-out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+
 BUNDLED = {path.name: yaml.safe_load(path.read_text())
            for path in sorted(SCENARIOS.glob("*.yaml"))}
 # No bundled scenario has faults, clock skew or external events.
