@@ -32,8 +32,7 @@ below, and `nonce_part` is 0x00 for no nonce or 0x01 plus the 32-byte nonce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .encoding import (
     digest,
@@ -73,51 +72,51 @@ class TermDepthError(Exception):
 
 # --- terms ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PublicKey:
+class PublicKey(NamedTuple):
     pk: bytes
     label = LABEL_PK
 
 
-@dataclass(frozen=True)
-class IncludesObject:
+class IncludesObject(NamedTuple):
     oid: bytes
     label = LABEL_OID
 
 
-@dataclass(frozen=True)
-class BeforeTime:
+class BeforeTime(NamedTuple):
     tick: int
     label = LABEL_BEFORE
 
 
-@dataclass(frozen=True)
-class AfterTime:
+class AfterTime(NamedTuple):
     tick: int
     label = LABEL_AFTER
 
 
-@dataclass(frozen=True)
-class EventObserved:
+class EventObserved(NamedTuple):
     chain: str
     event: str
     label = LABEL_EVENT
 
 
-@dataclass(frozen=True)
-class Threshold:
+class _Threshold(NamedTuple):
     need: int
     weights: tuple[int, ...]
     children: tuple["AuthTerm", ...]
+
+
+class Threshold(_Threshold):
+    __slots__ = ()
     label = LABEL_THRESHOLD
 
-    def __post_init__(self):
-        if self.need < 1:
+    def __new__(cls, need: int, weights: tuple[int, ...],
+                children: tuple["AuthTerm", ...]):
+        if need < 1:
             raise ValueError("threshold must be at least 1")
-        if len(self.weights) != len(self.children) or not self.children:
+        if len(weights) != len(children) or not children:
             raise ValueError("threshold needs one weight per child")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise ValueError("threshold weights must be positive")
+        return super().__new__(cls, need, weights, children)
 
     @classmethod
     def of(cls, need: int, *branches: tuple[int, "AuthTerm"]) -> "Threshold":
@@ -126,24 +125,29 @@ class Threshold:
         return cls(need, weights, children)
 
 
-@dataclass(frozen=True)
-class AllOf:
+class _Children(NamedTuple):
     children: tuple["AuthTerm", ...]
+
+
+class _Branch(_Children):
+    """An all-of or any-of term: at least one child."""
+
+    __slots__ = ()
+
+    def __new__(cls, children: tuple["AuthTerm", ...]):
+        if not children:
+            raise ValueError(f"{cls.__name__} needs at least one child")
+        return super().__new__(cls, children)
+
+
+class AllOf(_Branch):
+    __slots__ = ()
     label = LABEL_ALL
 
-    def __post_init__(self):
-        if not self.children:
-            raise ValueError("AllOf needs at least one child")
 
-
-@dataclass(frozen=True)
-class AnyOf:
-    children: tuple["AuthTerm", ...]
+class AnyOf(_Branch):
+    __slots__ = ()
     label = LABEL_ANY
-
-    def __post_init__(self):
-        if not self.children:
-            raise ValueError("AnyOf needs at least one child")
 
 
 AuthTerm = Union[
@@ -154,27 +158,23 @@ AuthTerm = Union[
 
 # --- paths ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LeafPath:
+class LeafPath(NamedTuple):
     pass
 
 
 LEAF = LeafPath()
 
 
-@dataclass(frozen=True)
-class AllPath:
+class AllPath(NamedTuple):
     children: tuple["AuthPath", ...]
 
 
-@dataclass(frozen=True)
-class AnyPath:
+class AnyPath(NamedTuple):
     index: int
     child: "AuthPath"
 
 
-@dataclass(frozen=True)
-class ThresholdPath:
+class ThresholdPath(NamedTuple):
     selected: tuple[tuple[int, "AuthPath"], ...]
 
 
@@ -187,8 +187,7 @@ def _no_events(chain: str, event: str) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class AuthContext:
+class AuthContext(NamedTuple):
     """What a validator knows when judging a policy.
 
     `local_time` is the receiving validator's own clock; validators with
@@ -223,18 +222,9 @@ def _fields_bytes(label: int, fields: tuple) -> bytes:
 
 
 def _term_fields(term: AuthTerm) -> tuple:
-    label = term.label
-    if label == LABEL_PK:
-        return (term.pk,)
-    if label == LABEL_OID:
-        return (term.oid,)
-    if label in (LABEL_BEFORE, LABEL_AFTER):
-        return (term.tick,)
-    if label == LABEL_EVENT:
-        return (term.chain, term.event)
-    if label == LABEL_THRESHOLD:
-        return (term.need, term.weights)
-    return ()
+    """What a node hashes besides its children: every field of a leaf, and
+    every field but the last, `children`, of a branch."""
+    return tuple(term) if term.label in _LEAF_LABELS else term[:-1]
 
 
 def _term_children(term: AuthTerm) -> tuple:
@@ -366,17 +356,19 @@ class NonceStream:
         return nonce
 
 
-@dataclass(frozen=True)
-class Hidden:
+class Hidden(NamedTuple):
     node_digest: bytes
 
 
-@dataclass(frozen=True)
-class Revealed:
+class _Revealed(NamedTuple):
     kind: int
     fields: tuple
     nonce: bytes | None
     children: tuple["RevealNode", ...] = ()
+
+
+class Revealed(_Revealed):
+    """A revealed node; `reveal_root` stores its root in the `__dict__`."""
 
 
 RevealNode = Union[Revealed, Hidden]
@@ -475,17 +467,18 @@ def encode_reveal(node: RevealNode) -> bytes:
 
 # --- transaction evidence ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Evidence:
+class _Evidence(NamedTuple):
+    signatures: tuple[tuple[bytes, bytes], ...] = ()
+    reveals: tuple[tuple[bytes, RevealNode, AuthPath], ...] = ()
+
+
+class Evidence(_Evidence):
     """Signatures plus per-object reveals carried alongside a transaction.
 
     Evidence is conceptually part of the signature layer: it is excluded
     from the digests that get countersigned, so the authorizing logic never
     leaks into the transaction identity.
     """
-
-    signatures: tuple[tuple[bytes, bytes], ...] = ()
-    reveals: tuple[tuple[bytes, RevealNode, AuthPath], ...] = ()
 
     def canonical_bytes(self) -> bytes:
         sigs = enc_seq(enc_bytes(pk) + enc_bytes(sig) for pk, sig in self.signatures)

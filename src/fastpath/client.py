@@ -20,8 +20,8 @@ consensus settled the keys first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import crypto
 from .authenticators import Evidence
@@ -49,8 +49,16 @@ MAX_RETRIES = 20
 
 # --- unlock messages ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnlockRqt:
+class _UnlockRqt(NamedTuple):
+    object_keys: tuple[ObjectKey, ...]
+    replacement_tx: Transaction | None
+    gas: ObjectKey
+    epoch: int
+    requester: bytes
+    evidence: Evidence | None = None
+
+
+class UnlockRqt(_UnlockRqt):
     """Request to move the listed object versions off the fast path.
 
     With a replacement transaction this runs the multi-object protocol
@@ -59,13 +67,6 @@ class UnlockRqt:
     gas object pays for the sequenced step. `evidence` may be absent for
     delay-gated unauthenticated requests.
     """
-
-    object_keys: tuple[ObjectKey, ...]
-    replacement_tx: Transaction | None
-    gas: ObjectKey
-    epoch: int
-    requester: bytes
-    evidence: Evidence | None = None
 
     def signing_bytes(self) -> bytes:
         return (enc_seq(k.canonical_bytes() for k in self.object_keys)
@@ -91,13 +92,14 @@ class UnlockRqt:
         return self.replacement_tx is not None
 
 
-@dataclass(frozen=True)
-class UnlockVote:
+class _UnlockVote(NamedTuple):
     rqt_digest: bytes
     carried: tuple[Certificate, ...]
     signer: int
     signature: bytes
 
+
+class UnlockVote(_UnlockVote):
     @staticmethod
     def _message(rqt_digest: bytes, carried) -> bytes:
         return (b"unlock-vote:" + rqt_digest
@@ -121,11 +123,12 @@ class UnlockVote:
                              self.signature)
 
 
-@dataclass(frozen=True)
-class UnlockCert:
+class _UnlockCert(NamedTuple):
     rqt: UnlockRqt
     votes: tuple[UnlockVote, ...]
 
+
+class UnlockCert(_UnlockCert):
     @cached_property
     def digest(self) -> bytes:
         body = self.rqt.digest + enc_seq(
@@ -182,21 +185,13 @@ def retry_after_unlock(tx: Transaction, unlock_effects: EffectCert) -> Transacti
             return ObjectKey(key.object_id, bumped[key.object_id])
         return key
 
-    return Transaction(
-        inputs=tuple(remap(k) for k in tx.inputs),
-        shared_inputs=tx.shared_inputs,
-        kind=tx.kind,
-        params=tx.params,
-        gas=remap(tx.gas),
-        epoch=tx.epoch,
-        evidence=None,
-    )
+    return tx._replace(inputs=tuple(remap(k) for k in tx.inputs),
+                       gas=remap(tx.gas), evidence=None)
 
 
 # --- replies -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     """A validator refused the request about `subject`; an `AlreadyConfirmed`
     refusal lists the keys consensus had settled."""
 
@@ -206,8 +201,7 @@ class Rejection:
     keys: tuple[ObjectKey, ...] = ()
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """What a validator did with a certificate or a sequenced unlock
     certificate: `executed`, with its executions' effect signs in order;
     `deferred`; or `superseded`, with the keys consensus settled first."""

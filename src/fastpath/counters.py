@@ -16,8 +16,6 @@ lives here in `CounterLocal`; the validator calls its methods and emits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .types import Certificate, CommitteeParams, CounterDelta
 
 FLAVOR_GROW = "grow"
@@ -46,7 +44,6 @@ def credit_half(amount: int) -> int:
     return amount // 2
 
 
-@dataclass
 class CounterLocal:
     """One validator's replica of one commutative object.
 
@@ -57,15 +54,17 @@ class CounterLocal:
     items and its `removed` tombstones.
     """
 
-    flavor: str
-    limit: int = 0
-    budget: int = 0
-    version: int = 0
-    seen: dict[bytes, Certificate] = field(default_factory=dict)
-    settled: dict[bytes, int] = field(default_factory=dict)
-    grown: dict[bytes, int] = field(default_factory=dict)
-    added: set[bytes] = field(default_factory=set)
-    removed: set[bytes] = field(default_factory=set)
+    def __init__(self, flavor: str, limit: int = 0, budget: int = 0,
+                 version: int = 0):
+        self.flavor = flavor
+        self.limit = limit
+        self.budget = budget
+        self.version = version
+        self.seen: dict[bytes, Certificate] = {}
+        self.settled: dict[bytes, int] = {}
+        self.grown: dict[bytes, int] = {}
+        self.added: set[bytes] = set()
+        self.removed: set[bytes] = set()
 
     def try_debit(self, amount: int) -> bool:
         """Atomically subtract from the budget; restore and refuse if it

@@ -9,7 +9,6 @@ controls only delivery timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import crypto
@@ -36,8 +35,7 @@ ITEM_KINDS = {UnlockCert: "unlock_cert", Certificate: "checkpoint",
               EndOfEpoch: "end_of_epoch"}
 
 
-@dataclass(frozen=True)
-class SequencedItem:
+class SequencedItem(NamedTuple):
     seq: int
     payload: UnlockCert | Certificate | EndOfEpoch
     payload_digest: bytes

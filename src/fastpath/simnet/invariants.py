@@ -18,14 +18,13 @@ debit totals never exceed the credit the counter actually had.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scenario import COVERED_KINDS, fault_bound_error
 from .trace import Trace
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     checker: str
     message: str
 

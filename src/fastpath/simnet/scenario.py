@@ -35,10 +35,9 @@ and the validators.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..authenticators import (
     AllOf,
@@ -126,22 +125,19 @@ def nonce_seed_for(name: str) -> bytes:
     return digest(b"nonces:" + name.encode("utf-8"))
 
 
-@dataclass(frozen=True)
-class Fault:
+class Fault(NamedTuple):
     kind: str
     at: int = 0
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(NamedTuple):
     min_delay: int = 1
     max_delay: int = 8
     drop_budget: int = 0
     drop_rate: float = 0.2
 
 
-@dataclass
-class ObjectSpec:
+class ObjectSpec(NamedTuple):
     name: str
     kind: ObjectKind
     term: AuthTerm | None  # the owner policy, resolved at load
@@ -154,8 +150,7 @@ class ObjectSpec:
         return object_id_for(self.name)
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     params: CommitteeParams
     seed: int
     tick_limit: int
@@ -171,7 +166,7 @@ class Scenario:
     script: list[dict]
 
     def with_seed(self, seed: int) -> "Scenario":
-        return dataclasses.replace(self, seed=_number(seed, "seed", 0, 2**64 - 1))
+        return self._replace(seed=_number(seed, "seed", 0, 2**64 - 1))
 
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
@@ -383,8 +378,7 @@ def term_from_spec(spec: dict, account_keys: dict[str, bytes]) -> AuthTerm:
     raise ScenarioError(f"unknown owner term tag {tag!r}")
 
 
-@dataclass
-class GenesisObject:
+class GenesisObject(NamedTuple):
     spec: ObjectSpec
     obj: Object
     nonce_seed: bytes | None

@@ -13,7 +13,6 @@ recorder in one call; the runner advances the recorder's `tick`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .scenario import MAX_COMMITTEE
 
@@ -21,15 +20,18 @@ from .scenario import MAX_COMMITTEE
 META_KEYS = ("n", "f", "faults", "drop_budget", "epoch_length", "objects")
 
 
-@dataclass
 class Trace:
-    meta: dict
-    events: list[dict] = field(default_factory=list)
-    snapshots: dict[str, dict] = field(default_factory=dict)
-    quiesced: bool = True
-    ticks: int = 0
-    sent: int = 0
-    dropped: int = 0
+    def __init__(self, meta: dict, events: list[dict] | None = None,
+                 snapshots: dict[str, dict] | None = None,
+                 quiesced: bool = True, ticks: int = 0, sent: int = 0,
+                 dropped: int = 0):
+        self.meta = meta
+        self.events = [] if events is None else events
+        self.snapshots = {} if snapshots is None else snapshots
+        self.quiesced = quiesced
+        self.ticks = ticks
+        self.sent = sent
+        self.dropped = dropped
 
     def to_lines(self) -> list[str]:
         def enc(record):

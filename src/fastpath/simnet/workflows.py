@@ -21,7 +21,7 @@ driver is its own result: `on_done(driver)` reads its `status`,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..authenticators import AuthContext, Evidence, NonceStream, PublicKey, \
     build_reveal, commit, find_path
@@ -44,8 +44,7 @@ from ..types import (
 from .scenario import TX_ACTIONS, object_id_for
 
 
-@dataclass
-class ObjectInfo:
+class ObjectInfo(NamedTuple):
     """Client-side knowledge about one object: its kind and the owner
     policy in force at each version (ownership persists until a transfer
     or swap rewrites it)."""
@@ -325,8 +324,7 @@ class ClientActor:
                                   listed_owned + [gas_key],
                                   {k.object_id for k in keys}
                                   | {gas_key.object_id})
-        return UnlockRqt(tuple(keys), replacement, gas_key, epoch, self.pk,
-                         evidence)
+        return rqt._replace(evidence=evidence)
 
     def _run_unlock_action(self, action: dict) -> None:
         keys = [self.key_of(n) for n in action["keys"]]

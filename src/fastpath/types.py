@@ -5,21 +5,29 @@ digests agree across validators and across runs. Object state is named by
 an (object id, version) pair; a version is consumed exactly once and every
 successful mutation produces version + 1.
 
+Every value type is a named tuple: hashing, equality and field access run
+in C, and a class costs little to create at import. A type whose
+constructor validates subclasses its named tuple and checks in `__new__`;
+`_make` and `_replace` skip that check, so no caller uses them on it.
+
 Because the values never change, pure work on them is done once per
 instance: encodings and digests are cached properties, signature checks
 decorated with `verified_once` remember their verdict per (committee,
 scheme), `Evidence.signer_set` remembers its signer set per (message,
 scheme), `authenticators.reveal_root` remembers each reveal's Merkle root,
-and `validator.execute` remembers its plan per input content.
-Every actor of a simulation shares the same instances, so a certificate
-is verified, and a transaction executed, once per run, not once per
-validator.
+and `validator.execute` remembers its plan per input content. A type
+that memoizes subclasses its named tuple without `__slots__`, so each
+instance keeps a `__dict__` for the memo: `Object`, `Transaction`,
+`CertSign`, `Certificate`, `EffectSummary`, `Evidence`, `Revealed` and the
+three unlock messages. A copy with any field changed is a new instance
+with an empty memo. Every actor of a simulation shares the same
+instances, so a certificate is verified, and a transaction executed, once
+per run, not once per validator.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import NamedTuple
 
@@ -71,15 +79,19 @@ class ProtocolError(Exception):
 
 # --- committee ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CommitteeParams:
+class _CommitteeParams(NamedTuple):
     n: int
     f: int
 
-    def __post_init__(self):
-        if self.f < 0 or self.n < 3 * self.f + 1:
+
+class CommitteeParams(_CommitteeParams):
+    __slots__ = ()
+
+    def __new__(cls, n: int, f: int):
+        if f < 0 or n < 3 * f + 1:
             raise ProtocolError(ErrorCode.MALFORMED_COMMITTEE,
-                                f"n={self.n} f={self.f} violates n >= 3f+1")
+                                f"n={n} f={f} violates n >= 3f+1")
+        return super().__new__(cls, n, f)
 
 
 def quorum(params: CommitteeParams) -> int:
@@ -159,16 +171,14 @@ class ObjectKey(NamedTuple):
         return f"ObjectKey({self.object_id[:4].hex()}..,v{self.version})"
 
 
-@dataclass(frozen=True)
-class IntValue:
+class IntValue(NamedTuple):
     amount: int
 
     def canonical_bytes(self) -> bytes:
         return b"\x01" + enc_i64(self.amount)
 
 
-@dataclass(frozen=True)
-class CounterValue:
+class CounterValue(NamedTuple):
     """Contents of a commutative object.
 
     `flavor` selects the replication discipline (grow, uset, pnset, or
@@ -186,18 +196,20 @@ class CounterValue:
 Contents = IntValue | CounterValue
 
 
-@dataclass(frozen=True)
-class Object:
+class _Object(NamedTuple):
     key: ObjectKey
     kind: ObjectKind
     owner: bytes | None
     contents: Contents
 
-    def __post_init__(self):
-        has_owner = self.owner is not None
-        needs_owner = self.kind in (ObjectKind.OWNED, ObjectKind.COMMUTATIVE)
-        if has_owner != needs_owner:
-            raise ValueError(f"{self.kind.value} object owner mismatch")
+
+class Object(_Object):
+    def __new__(cls, key: ObjectKey, kind: ObjectKind, owner: bytes | None,
+                contents: Contents):
+        needs_owner = kind in (ObjectKind.OWNED, ObjectKind.COMMUTATIVE)
+        if (owner is not None) != needs_owner:
+            raise ValueError(f"{kind.value} object owner mismatch")
+        return super().__new__(cls, key, kind, owner, contents)
 
     def canonical_bytes(self) -> bytes:
         return self._encoded
@@ -224,8 +236,7 @@ class TxKind(str, enum.Enum):
     DEBIT = "debit"
 
 
-@dataclass(frozen=True)
-class TxParams:
+class TxParams(NamedTuple):
     amount: int = 0
     new_owner: bytes | None = None
     new_object_id: bytes | None = None
@@ -238,8 +249,7 @@ class TxParams:
                 + enc_bytes(self.memo))
 
 
-@dataclass(frozen=True)
-class Transaction:
+class _Transaction(NamedTuple):
     inputs: tuple[ObjectKey, ...]
     shared_inputs: tuple[bytes, ...]
     kind: TxKind
@@ -248,6 +258,8 @@ class Transaction:
     epoch: int
     evidence: Evidence | None = None
 
+
+class Transaction(_Transaction):
     def signing_bytes(self) -> bytes:
         # evidence is part of the signature layer, never of the identity
         return (enc_seq(k.canonical_bytes() for k in self.inputs)
@@ -270,20 +282,20 @@ class Transaction:
             raise ProtocolError(ErrorCode.BAD_TRANSACTION, "gas must be an input")
 
     def with_evidence(self, evidence: Evidence) -> "Transaction":
-        tx = Transaction(self.inputs, self.shared_inputs, self.kind,
-                         self.params, self.gas, self.epoch, evidence)
+        tx = self._replace(evidence=evidence)
         tx.__dict__["digest"] = self.digest  # evidence is not in the digest
         return tx
 
 
 # --- certificates -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CertSign:
+class _CertSign(NamedTuple):
     tx_digest: bytes
     signer: ValidatorId
     signature: bytes
 
+
+class CertSign(_CertSign):
     @staticmethod
     def make(tx: Transaction, signer: ValidatorId, scheme) -> "CertSign":
         sig = scheme.sign(validator_key(signer), b"cert:" + tx.digest)
@@ -299,11 +311,12 @@ class CertSign:
                              b"cert:" + self.tx_digest, self.signature)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class _Certificate(NamedTuple):
     tx: Transaction
     signs: tuple[CertSign, ...]
 
+
+class Certificate(_Certificate):
     @cached_property
     def digest(self) -> bytes:
         body = self.tx.digest + enc_seq(
@@ -322,8 +335,7 @@ def verify_certificate(cert: Certificate, params: CommitteeParams,
 
 # --- execution effects ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CounterDelta:
+class CounterDelta(NamedTuple):
     object_id: bytes
     flavor: str
     delta: int
@@ -334,13 +346,14 @@ class CounterDelta:
                 + enc_i64(self.delta) + enc_opt(self.item))
 
 
-@dataclass(frozen=True)
-class EffectSummary:
+class _EffectSummary(NamedTuple):
     tx_digest: bytes
     consumed: tuple[ObjectKey, ...]
     produced: tuple[Object, ...]
     counter_deltas: tuple[CounterDelta, ...] = ()
 
+
+class EffectSummary(_EffectSummary):
     @cached_property
     def digest(self) -> bytes:
         body = (self.tx_digest
@@ -350,8 +363,7 @@ class EffectSummary:
         return tagged_digest("effects", body)
 
 
-@dataclass(frozen=True)
-class EffectSign:
+class EffectSign(NamedTuple):
     effects: EffectSummary
     signer: ValidatorId
     signature: bytes
@@ -366,8 +378,7 @@ class EffectSign:
                              b"effects:" + self.effects.digest, self.signature)
 
 
-@dataclass(frozen=True)
-class EffectCert:
+class EffectCert(NamedTuple):
     effects: EffectSummary
     signs: tuple[EffectSign, ...]
 

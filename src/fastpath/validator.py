@@ -25,7 +25,7 @@ computed once, and one set of produced objects, each encoded once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import crypto
 from .authenticators import AuthContext, PathError, RevealError, verify_reveal
@@ -69,15 +69,13 @@ def _nothing(kind: str, **fields) -> None:
     return None
 
 
-@dataclass
-class LockEntry:
+class LockEntry(NamedTuple):
     holder: bytes  # tx digest, or unlock request digest for unlock gas
     since: int  # local clock when the key was first locked this epoch
     cert: Certificate | None = None
 
 
-@dataclass(frozen=True)
-class ExecPlan:
+class ExecPlan(NamedTuple):
     effects: EffectSummary
     produced: tuple[Object, ...]
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 
 import pytest
@@ -146,6 +145,20 @@ def test_malformed_path_is_an_error_not_false():
         build_reveal(term, AnyPath(5, LEAF))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Threshold.of(0, (1, PublicKey(A))),
+    lambda: Threshold(1, (1, 1), (PublicKey(A),)),
+    lambda: Threshold.of(1),
+    lambda: Threshold.of(1, (0, PublicKey(A))),
+    lambda: AllOf(()),
+    lambda: AnyOf(()),
+], ids=["need 0", "weights and children differ", "no children",
+        "weight 0", "empty all", "empty any"])
+def test_malformed_branch_is_refused(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_depth_bound_enforced():
     term = PublicKey(A)
     for _ in range(40):
@@ -234,14 +247,15 @@ def test_memoized_root_does_not_follow_a_changed_copy():
     reveal = build_reveal(term, path)
     assert verify_reveal(root, reveal, path, ctx(signers=[A]))
     assert reveal_root(reveal) == root  # now stored on the instance
-    swapped = dataclasses.replace(
-        reveal, children=(Revealed(LABEL_PK, (C,), None),
-                          reveal.children[1]))
+    swapped = reveal._replace(children=(Revealed(LABEL_PK, (C,), None),
+                                        reveal.children[1]))
+    assert "_root" not in swapped.__dict__
     assert not verify_reveal(root, swapped, path, ctx(signers=[C]))
     leaf = reveal.children[0]
     assert reveal_root(leaf) == commit(PublicKey(A))
-    assert not verify_reveal(commit(PublicKey(A)),
-                             dataclasses.replace(leaf, fields=(C,)), LEAF,
+    changed = leaf._replace(fields=(C,))
+    assert "_root" in leaf.__dict__ and "_root" not in changed.__dict__
+    assert not verify_reveal(commit(PublicKey(A)), changed, LEAF,
                              ctx(signers=[C]))
 
 

@@ -7,8 +7,6 @@ caller sharing an instance must share the result, and every caller with
 different content must get its own.
 """
 
-import dataclasses
-
 import pytest
 
 from fastpath.crypto import KeyedDigestScheme
@@ -47,12 +45,12 @@ def test_same_key_different_content_gets_its_own_plan(world):
     gas = world.objects["gas"]
     plain = execute(tx, loaded_for(world, tx))
     variants = {
-        "contents": loaded_for(world, tx, coin=dataclasses.replace(
-            coin, contents=IntValue(7))),
-        "owner": loaded_for(world, tx, gas=dataclasses.replace(
-            gas, owner=world.objects["bcoin"].owner)),
-        "gas": loaded_for(world, tx, gas=dataclasses.replace(
-            gas, contents=IntValue(9))),
+        "contents": loaded_for(world, tx, coin=coin._replace(
+            contents=IntValue(7))),
+        "owner": loaded_for(world, tx, gas=gas._replace(
+            owner=world.objects["bcoin"].owner)),
+        "gas": loaded_for(world, tx, gas=gas._replace(
+            contents=IntValue(9))),
     }
     plans = {name: execute(tx, loaded) for name, loaded in variants.items()}
     assert plans["contents"].produced[0].contents == IntValue(7)
@@ -62,6 +60,9 @@ def test_same_key_different_content_gets_its_own_plan(world):
     assert len(digests) == 4
     # the first content is still served its own plan
     assert execute(tx, loaded_for(world, tx)) is plain
+    # a copy of the transaction is a new instance and starts with no plans
+    assert "_plans" in tx.__dict__
+    assert "_plans" not in tx._replace(evidence=None).__dict__
 
 
 def test_shared_object_content_is_part_of_the_key(world):
@@ -69,7 +70,7 @@ def test_shared_object_content_is_part_of_the_key(world):
     tx = world.tx(TxKind.NOOP, [], "gas", ["alice"], shared=("pool",))
     loaded = loaded_for(world, tx)
     first = execute(tx, loaded, (pool,))
-    other = execute(tx, loaded, (dataclasses.replace(pool, contents=IntValue(6)),))
+    other = execute(tx, loaded, (pool._replace(contents=IntValue(6)),))
     assert first.produced[0].contents == IntValue(5)
     assert other.produced[0].contents == IntValue(6)
     assert execute(tx, loaded, (pool,)) is first

@@ -3,8 +3,11 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fastpath"
@@ -37,6 +40,43 @@ def test_no_unused_module_level_imports():
     assert modules
     unused = [line for path in modules for line in unused_imports(path)]
     assert unused == []
+
+
+# Value types are named tuples: a dataclass costs its generated methods,
+# and the imports of `dataclasses` and `inspect`, on every start of the
+# package.
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level names of every module that `tree` imports, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    found = [f"{path.relative_to(SRC.parent)} imports {name}"
+             for path in sorted(SRC.rglob("*.py"))
+             for name in imported_modules(ast.parse(path.read_text()))
+             if name in SLOW_IMPORTS]
+    assert found == []
+
+
+def test_importing_the_simulator_loads_no_slow_module():
+    probe = ("import sys; before = set(sys.modules); import fastpath.simnet; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    loaded = set(done.stdout.split())
+    assert "fastpath.simnet" in loaded
+    assert loaded & SLOW_IMPORTS == set()
 
 
 # A cache that lives at module level outlives the run that filled it and is

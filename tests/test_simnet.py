@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import heapq
 import pathlib
@@ -88,7 +87,7 @@ def test_replies_reach_the_newest_driver_and_ticks_the_one_that_armed_them(
         start(driver, env)
 
     monkeypatch.setattr(FastPathDriver, "start", recording_start)
-    runner = Runner(dataclasses.replace(plain_transfer(1), script=[]))
+    runner = Runner(plain_transfer(1)._replace(script=[]))
     client = runner.clients["alice"]
     tx = client._build_tx({"action": "transfer", "inputs": ["coin"],
                            "gas": "gas_a", "to": "bob"})
@@ -105,8 +104,8 @@ def test_a_validator_sends_each_certificate_to_the_sequencer_once(monkeypatch):
     # The first certificate a validator accepts for a transaction goes to
     # the sequencer, once; a refused one does not, and a lazy forwarder
     # (v1) never sends it.
-    scenario = dataclasses.replace(plain_transfer(1), script=[],
-                                   faults={1: Fault("lazy_forwarder")})
+    scenario = plain_transfer(1)._replace(script=[],
+                                          faults={1: Fault("lazy_forwarder")})
     runner = Runner(scenario)
     submitted = []
     monkeypatch.setattr(runner, "submit_item",
@@ -128,7 +127,7 @@ def test_a_validator_sends_each_certificate_to_the_sequencer_once(monkeypatch):
 def test_unlock_liveness_counts_a_refusal_but_not_a_hang_or_a_late_end():
     # eve claims authority she lacks; the validators refuse her unlock
     base = Scenario.load(str(SCENARIOS / "unauthorized_unlock.yaml"))
-    trace = run(dataclasses.replace(base, script=[
+    trace = run(base._replace(script=[
         {k: v for k, v in action.items() if k != "authorized"}
         for action in base.script]))
     started, = trace.select("unlock_started")
@@ -138,7 +137,9 @@ def test_unlock_liveness_counts_a_refusal_but_not_a_hang_or_a_late_end():
 
     def doctored(edit):
         events = [edit(e) for e in copy.deepcopy(trace.events)]
-        return dataclasses.replace(trace, events=[e for e in events if e])
+        copied = copy.copy(trace)
+        copied.events = [e for e in events if e]
+        return copied
 
     def timed_out(event):
         # no refusal: the driver ran out of retries instead

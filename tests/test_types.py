@@ -9,6 +9,10 @@ from fastpath.types import (
     Certificate,
     CommitteeParams,
     ErrorCode,
+    IntValue,
+    Object,
+    ObjectKey,
+    ObjectKind,
     ProtocolError,
     quorum,
     validity_threshold,
@@ -21,10 +25,19 @@ def test_quorum_examples():
     assert quorum(CommitteeParams(7, 2)) == 5
 
 
-def test_malformed_committee_rejected():
+@pytest.mark.parametrize("n, f", [(4, 2), (4, -1)])
+def test_malformed_committee_rejected(n, f):
     with pytest.raises(ProtocolError) as err:
-        CommitteeParams(4, 2)
+        CommitteeParams(n, f)
     assert err.value.code == ErrorCode.MALFORMED_COMMITTEE
+
+
+@pytest.mark.parametrize("kind, owner", [
+    (ObjectKind.OWNED, None), (ObjectKind.COMMUTATIVE, None),
+    (ObjectKind.SHARED, b"o" * 32), (ObjectKind.READ_ONLY, b"o" * 32)])
+def test_object_owner_must_match_its_kind(kind, owner):
+    with pytest.raises(ValueError):
+        Object(ObjectKey(bytes(32), 0), kind, owner, IntValue(1))
 
 
 def test_validity_threshold_examples():

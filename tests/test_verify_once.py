@@ -7,7 +7,6 @@ sequencer must still reject an invalid item whose content it has already
 sequenced.
 """
 
-import dataclasses
 import pathlib
 
 import pytest
@@ -28,7 +27,9 @@ WIDER = CommitteeParams(7, 2)
 
 
 def tampered(sign):
-    return dataclasses.replace(sign, signature=bytes(32))
+    copy = sign._replace(signature=bytes(32))
+    assert "_verdicts" not in copy.__dict__  # a copy starts unverified
+    return copy
 
 
 def test_certificate_verdict_is_per_committee(world):
@@ -52,7 +53,8 @@ def test_tampered_copy_of_verified_certificate_is_rejected(world):
     assert all(s.verify(world.scheme) for s in cert.signs)
     bad = tampered(cert.signs[2])
     assert not bad.verify(world.scheme)
-    forged = dataclasses.replace(cert, signs=cert.signs[:2] + (bad,))
+    forged = cert._replace(signs=cert.signs[:2] + (bad,))
+    assert "_verdicts" in cert.__dict__ and "_verdicts" not in forged.__dict__
     assert not verify_certificate(forged, world.params)
 
 
@@ -61,7 +63,8 @@ def test_tampered_copy_of_verified_unlock_cert_is_rejected(world):
     assert ucert.verify(world.params)
     bad = tampered(ucert.votes[2])
     assert not bad.verify(world.scheme)
-    forged = dataclasses.replace(ucert, votes=ucert.votes[:2] + (bad,))
+    forged = ucert._replace(votes=ucert.votes[:2] + (bad,))
+    assert "_verdicts" in ucert.__dict__ and "_verdicts" not in forged.__dict__
     assert not forged.verify(world.params)
 
 
@@ -69,8 +72,8 @@ def test_sequencer_validates_duplicates_before_deduplicating(world):
     seq = Sequencer(world.params)
     cert = world.cert(world.transfer("coin", "gas", "alice", "bob"))
     assert seq.submit(cert) is not None
-    forged = dataclasses.replace(
-        cert, signs=cert.signs[:-1] + (tampered(cert.signs[-1]),))
+    forged = cert._replace(
+        signs=cert.signs[:-1] + (tampered(cert.signs[-1]),))
     with pytest.raises(ProtocolError) as err:
         seq.submit(forged)
     assert err.value.code == ErrorCode.INVALID_ITEM
@@ -78,8 +81,8 @@ def test_sequencer_validates_duplicates_before_deduplicating(world):
     ucert = make_ucert(world)
     assert seq.submit(ucert) is not None
     with pytest.raises(ProtocolError):
-        seq.submit(dataclasses.replace(
-            ucert, votes=ucert.votes[:2] + (tampered(ucert.votes[2]),)))
+        seq.submit(ucert._replace(
+            votes=ucert.votes[:2] + (tampered(ucert.votes[2]),)))
     assert len(seq.log) == 2
 
 
@@ -88,7 +91,7 @@ def test_invalid_duplicate_submission_records_seq_rejected(world):
     assert runner.scenario.params == world.params
     cert = world.cert(world.transfer("coin", "gas", "alice", "bob"))
     runner.seq_actor.handle("v0", cert)
-    forged = dataclasses.replace(cert, signs=cert.signs[:2])
+    forged = cert._replace(signs=cert.signs[:2])
     runner.seq_actor.handle("v1", forged)
     runner.seq_actor.handle("v2", cert)
     kinds = [(e["actor"], e["kind"]) for e in runner.recorder.events]
