@@ -159,7 +159,7 @@ AuthTerm = Union[
 # --- paths ------------------------------------------------------------------
 
 class LeafPath(NamedTuple):
-    pass
+    """A leaf's path. An empty tuple is false, so test paths with `is None`."""
 
 
 LEAF = LeafPath()

@@ -25,11 +25,11 @@ def test_quorum_examples():
     assert quorum(CommitteeParams(7, 2)) == 5
 
 
-@pytest.mark.parametrize("n, f", [(4, 2), (4, -1)])
-def test_malformed_committee_rejected(n, f):
-    with pytest.raises(ProtocolError) as err:
-        CommitteeParams(n, f)
-    assert err.value.code == ErrorCode.MALFORMED_COMMITTEE
+def test_malformed_committee_rejected():
+    for n, f in ((4, 2), (4, -1)):
+        with pytest.raises(ProtocolError) as err:
+            CommitteeParams(n, f)
+        assert err.value.code == ErrorCode.MALFORMED_COMMITTEE
 
 
 @pytest.mark.parametrize("kind, owner", [
