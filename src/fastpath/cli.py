@@ -4,8 +4,12 @@
     fastpath --scenario swap_deadlock.yaml --explore 100
     fastpath --check-only recorded-trace.log
 
+`--trace-out` cannot be combined with `--explore`, and `--check-only` with
+none of `--scenario`, `--seed`, `--explore` or `--trace-out`; such a call is
+a usage error.
+
 Exit status: 0 when every invariant checker passes, 1 on any violation,
-2 when the scenario cannot be loaded, the `--trace-out` file cannot be
+2 on a usage error, when the scenario cannot be loaded, the `--trace-out` file cannot be
 written, or the trace cannot be loaded or holds a record the checkers
 cannot read. The summary prints as key=value lines; verdicts cover every
 registered checker exactly once.
@@ -140,13 +144,21 @@ def main(argv=None) -> int:
                         help="re-check a recorded trace file")
     args = parser.parse_args(argv)
 
-    if args.check_only:
+    if args.check_only is not None:
+        ignored = [flag for flag, value in (
+            ("--scenario", args.scenario), ("--seed", args.seed),
+            ("--explore", args.explore), ("--trace-out", args.trace_out))
+            if value is not None]
+        if ignored:
+            parser.error(f"--check-only cannot be combined with {', '.join(ignored)}")
         return cmd_check_only(args.check_only)
     if not args.scenario:
         parser.error("--scenario or --check-only is required")
     if args.explore is not None:
         if args.explore < 1:
             parser.error("--explore must be at least 1")
+        if args.trace_out is not None:
+            parser.error("--trace-out cannot be combined with --explore")
         return cmd_explore(args.scenario, args.explore, args.seed)
     return cmd_run(args.scenario, args.seed, args.trace_out)
 

@@ -15,12 +15,17 @@ Fast-path executions are provisional until sequenced: the pre-image of
 each consumed key is retained so that a no-commit unlock can undo exactly
 one layer before re-executing on the consensus path.
 
-Execution is pure, so its plans are memoized per transaction instance,
-keyed by the content of the inputs. The dry run when signing, the
-fast-path execution of the certificate and a sequenced execution over the
-same inputs share one plan, and so do all validators of a simulation,
-which share the transaction instance: one `EffectSummary`, whose digest is
-computed once, and one set of produced objects, each encoded once.
+Execution is pure, so its plans are memoized on the instance that every
+validator of a simulation shares, keyed by the content of the inputs. A
+transaction's plans live on the `Transaction`: the dry run when signing,
+the fast-path execution of the certificate and a sequenced execution over
+the same inputs share one. An unlock's live on its `UnlockRqt`: the no-op,
+the consolidation of bounded counters and the gas payment. Sharers get one
+`EffectSummary`, digested once, and one set of produced objects, each
+encoded once. The key is content, not object versions, because validators
+can disagree on what a version holds (after an undo, or when Byzantine)
+and on a counter's reissued limit; each validator keeps its own state
+changes, trace events and signature.
 """
 
 from __future__ import annotations
@@ -75,15 +80,10 @@ class LockEntry(NamedTuple):
     cert: Certificate | None = None
 
 
-class ExecPlan(NamedTuple):
-    effects: EffectSummary
-    produced: tuple[Object, ...]
-
-
 # --- pure execution -------------------------------------------------------------
 
 def execute(tx: Transaction, loaded: dict[ObjectKey, Object],
-            shared: tuple[Object, ...] = ()) -> ExecPlan:
+            shared: tuple[Object, ...] = ()) -> EffectSummary:
     """Deterministic execution of the toy instruction set.
 
     `loaded` maps every key in tx.inputs to its object; `shared` holds the
@@ -92,21 +92,31 @@ def execute(tx: Transaction, loaded: dict[ObjectKey, Object],
     inputs only contribute deltas; read-only inputs are untouched. The gas
     input always pays the flat fee.
 
-    A successful plan is memoized on the transaction instance, keyed by the
-    canonical encoding (key, kind, owner and contents) of every input and
-    shared object, and shared by every caller, on any
+    The plan, an `EffectSummary`, is memoized on the transaction instance,
+    keyed by the canonical encoding (key, kind, owner and contents) of every
+    input and shared object, and shared by every caller, on any
     validator, that executes this instance over the same content. The key
     is content, not `ObjectKey`, so a re-execution after an undo sees the
     objects it is given. A failure is not stored: its `ProtocolError` is
     raised again on every call.
     """
-    plans = tx.__dict__.setdefault("_plans", {})
-    memo_key = (tuple(loaded[k].canonical_bytes() for k in tx.inputs),
-                tuple(o.canonical_bytes() for o in shared))
-    plan = plans.get(memo_key)
-    if plan is not None:
-        return plan
+    return _memoized(tx, [loaded[k] for k in tx.inputs] + list(shared), (),
+                     _execute, tx, loaded, shared)
 
+
+def _memoized(subject, objects, extra, build, *args):
+    """`build(*args)`, stored on `subject` under `build`, `extra` and the
+    encoding of `objects`: all that the build reads. Errors are not stored."""
+    key = (build, extra, *[o.canonical_bytes() for o in objects])
+    plans = subject.__dict__.setdefault("_plans", {})
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = build(*args)
+    return plan
+
+
+def _execute(tx: Transaction, loaded: dict[ObjectKey, Object],
+             shared: tuple[Object, ...]) -> EffectSummary:
     gas_obj = loaded[tx.gas]
     if gas_obj.kind != ObjectKind.OWNED or not isinstance(gas_obj.contents, IntValue):
         raise ProtocolError(ErrorCode.BAD_TRANSACTION, "gas must be an owned balance")
@@ -181,9 +191,23 @@ def execute(tx: Transaction, loaded: dict[ObjectKey, Object],
     consumed = tuple(k for k in tx.inputs
                      if loaded[k].kind == ObjectKind.OWNED)
     consumed += tuple(obj.key for obj in shared)
-    effects = EffectSummary(tx.digest, consumed, tuple(produced), tuple(deltas))
-    plan = plans[memo_key] = ExecPlan(effects, tuple(produced))
-    return plan
+    return EffectSummary(tx.digest, consumed, tuple(produced), tuple(deltas))
+
+
+def _reissued(tag: str, rqt: UnlockRqt, inputs: list[Object],
+              limits: list[int | None]) -> EffectSummary:
+    """The effects of the unlock step `tag`: each input at its next version,
+    unchanged, or a bounded counter reissued holding its limit."""
+    produced = tuple(Object(o.key.bump(), o.kind, o.owner, o.contents if limit is None
+                            else CounterValue(FLAVOR_BOUNDED, limit))
+                     for o, limit in zip(inputs, limits))
+    return EffectSummary(tagged_digest(tag, rqt.digest),
+                         tuple(o.key for o in inputs), produced)
+
+
+def _gas_paid(gas: Object) -> Object:
+    return Object(gas.key.bump(), gas.kind, gas.owner,
+                  IntValue(gas.contents.amount - GAS_FEE))
 
 
 # --- validator state --------------------------------------------------------------
@@ -212,7 +236,7 @@ class ValidatorState:
         self.forwarded: set[bytes] = set()
         self.sequenced_certs: set[bytes] = set()
         self.executed_unsequenced: set[bytes] = set()
-        self.fast_records: dict[bytes, ExecPlan] = {}  # undoable fast layer
+        self.fast_records: dict[bytes, EffectSummary] = {}  # undoable fast layer
         self.key_fast_tx: dict[ObjectKey, bytes] = {}
         self.unlock_outcomes: dict[bytes, Outcome] = {}
         self.paused = False
@@ -289,7 +313,7 @@ class ValidatorState:
         if tx_digest is not None:
             plan = self.fast_records.pop(tx_digest, None)
             if plan:
-                for k in plan.effects.consumed:
+                for k in plan.consumed:
                     self.key_fast_tx.pop(k, None)
 
     # -- transaction signing (fast-path step one) --
@@ -417,26 +441,26 @@ class ValidatorState:
         plan = execute(tx, strict)
         self._apply_plan(tx.digest, plan)
         self.fast_records[tx.digest] = plan
-        for key in plan.effects.consumed:
+        for key in plan.consumed:
             self.key_fast_tx[key] = tx.digest
-        sign = EffectSign.make(plan.effects, self.vid, self.scheme)
+        sign = EffectSign.make(plan, self.vid, self.scheme)
         self.executed[tx.digest] = sign
         if tx.digest not in self.sequenced_certs:
             self.executed_unsequenced.add(tx.digest)
         self.emit("fast_exec", tx=tx.digest.hex(),
-                  effects=plan.effects.digest.hex(),
+                  effects=plan.digest.hex(),
                   consumed=[[k.object_id.hex(), k.version]
-                            for k in plan.effects.consumed],
+                            for k in plan.consumed],
                   produced=[[o.key.object_id.hex(), o.key.version]
                             for o in plan.produced])
         return Outcome(tx.digest, "executed", self.vid, (sign,))
 
-    def _apply_plan(self, tx_digest: bytes, plan: ExecPlan) -> None:
+    def _apply_plan(self, tx_digest: bytes, plan: EffectSummary) -> None:
         """Store the plan's produced objects and apply its counter deltas;
         the fast and the sequenced path both write through here."""
         for obj in plan.produced:
             self._put_object(obj)
-        for delta in plan.effects.counter_deltas:
+        for delta in plan.counter_deltas:
             local = self.counters[delta.object_id]
             released = local.apply(tx_digest, delta)
             if released is not None:
@@ -639,8 +663,7 @@ class ValidatorState:
         obj = self.objects[oid][key.version]
         if not isinstance(obj.contents, IntValue) or obj.contents.amount < GAS_FEE:
             return
-        self._put_object(Object(key.bump(), obj.kind, obj.owner,
-                                IntValue(obj.contents.amount - GAS_FEE)))
+        self._put_object(_memoized(rqt, [obj], (), _gas_paid, obj))
         self.emit("gas_consumed", rqt=rqt.digest.hex(),
                   key=[oid.hex(), key.version])
 
@@ -651,7 +674,7 @@ class ValidatorState:
         plan = self.fast_records.pop(tx_digest, None)
         if plan is None:
             return
-        consumed = plan.effects.consumed
+        consumed = plan.consumed
         for k in consumed:
             self.key_fast_tx.pop(k, None)
         for k in (o.key for o in plan.produced):
@@ -662,7 +685,7 @@ class ValidatorState:
             else:
                 self.objects.pop(k.object_id, None)
                 self.latest.pop(k.object_id, None)
-        for delta in plan.effects.counter_deltas:
+        for delta in plan.counter_deltas:
             self.counters[delta.object_id].unapply(tx_digest, delta)
         self.executed.pop(tx_digest, None)
         self.executed_unsequenced.discard(tx_digest)
@@ -670,59 +693,54 @@ class ValidatorState:
                   keys=[[k.object_id.hex(), k.version] for k in consumed])
 
     def _execute_noop(self, rqt: UnlockRqt) -> EffectSign:
-        """Version-bumping no-op over the listed keys; contents untouched."""
-        produced = []
-        applied = []
+        """Version-bumping no-op over the listed keys; contents untouched,
+        except that a bounded counter is reissued."""
+        inputs, limits = [], []
         for key in rqt.object_keys:
-            obj = self._check_key(key)
+            inputs.append(self._check_key(key))
             local = self.counters.get(key.object_id)
             if local is not None and local.flavor == FLAVOR_BOUNDED:
-                fresh = self._reissue_counter(key, obj)
+                limits.append(local.reissue(self.params))
+                self._emit_consolidate(key.object_id)
             else:
-                fresh = Object(key.bump(), obj.kind, obj.owner, obj.contents)
-            produced.append(fresh)
-            applied.append([key.object_id.hex(), key.version,
-                            fresh.key.version, fresh.contents == obj.contents])
-        for obj in produced:
+                limits.append(None)
+        effects = _memoized(rqt, inputs, ("unlock-noop", tuple(limits)),
+                            _reissued, "unlock-noop", rqt, inputs, limits)
+        for obj in effects.produced:
             self._put_object(obj)
-        effects = EffectSummary(tagged_digest("unlock-noop", rqt.digest),
-                                tuple(rqt.object_keys), tuple(produced))
-        self.emit("noop_applied", rqt=rqt.digest.hex(), keys=applied)
+        self.emit("noop_applied", rqt=rqt.digest.hex(),
+                  keys=[[o.key.object_id.hex(), o.key.version, fresh.key.version,
+                         fresh.contents == o.contents]
+                        for o, fresh in zip(inputs, effects.produced)])
         self._emit_seq_exec(effects, via="noop")
         return EffectSign.make(effects, self.vid, self.scheme)
 
     def _consolidate_listed(self, rqt: UnlockRqt) -> EffectSign | None:
-        """Reissue every listed bounded counter at the next version."""
-        consumed = []
-        consolidated = []
+        """Reissue every listed bounded counter at the next version, holding
+        what is still unspent; the local budget and bookkeeping restart from
+        that."""
+        inputs, limits = [], []
         for key in rqt.object_keys:
             local = self.counters.get(key.object_id)
-            if local is None or local.flavor != FLAVOR_BOUNDED:
-                continue
-            if self.unlock_db.get(key) == CONFIRMED:
-                continue
-            obj = self.get_object(key)
-            fresh = self._reissue_counter(key, obj)
-            self._put_object(fresh)
-            consumed.append(key)
-            consolidated.append(fresh)
-            self._confirm(key)
-        if not consolidated:
+            if (local is not None and local.flavor == FLAVOR_BOUNDED
+                    and self.unlock_db.get(key) != CONFIRMED):
+                inputs.append(self.get_object(key))
+                limits.append(local.reissue(self.params))
+        if not inputs:
             return None
-        effects = EffectSummary(tagged_digest("consolidate", rqt.digest),
-                                tuple(consumed), tuple(consolidated))
+        effects = _memoized(rqt, inputs, ("consolidate", tuple(limits)),
+                            _reissued, "consolidate", rqt, inputs, limits)
+        for key, fresh in zip(effects.consumed, effects.produced):
+            self._emit_consolidate(key.object_id)
+            self._put_object(fresh)
+            self._confirm(key)
         self._emit_seq_exec(effects, via="consolidate")
         return EffectSign.make(effects, self.vid, self.scheme)
 
-    def _reissue_counter(self, key: ObjectKey, obj: Object) -> Object:
-        """The bounded counter at its next version, holding what is still
-        unspent; the local budget and bookkeeping restart from that."""
-        local = self.counters[key.object_id]
-        limit = local.reissue(self.params)
-        self.emit("consolidate", counter=key.object_id.hex(), limit=limit,
+    def _emit_consolidate(self, oid: bytes) -> None:
+        local = self.counters[oid]
+        self.emit("consolidate", counter=oid.hex(), limit=local.limit,
                   budget=local.budget, version=local.version)
-        return Object(key.bump(), ObjectKind.COMMUTATIVE, obj.owner,
-                      CounterValue(FLAVOR_BOUNDED, limit))
 
     def _settle_delta(self, tx_digest: bytes, deltas) -> None:
         for delta in deltas:
@@ -757,11 +775,11 @@ class ValidatorState:
                       via=via, code=err.code.value)
             return None
         self._apply_plan(tx.digest, plan)
-        self._settle_delta(tx.digest, plan.effects.counter_deltas)
-        sign = EffectSign.make(plan.effects, self.vid, self.scheme)
+        self._settle_delta(tx.digest, plan.counter_deltas)
+        sign = EffectSign.make(plan, self.vid, self.scheme)
         self.executed[tx.digest] = sign
         self.sequenced_certs.add(tx.digest)
-        self._emit_seq_exec(plan.effects, via=via)
+        self._emit_seq_exec(plan, via=via)
         return sign
 
     # -- sequenced checkpoint certificates --

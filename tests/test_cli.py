@@ -137,6 +137,40 @@ def test_each_checker_runs_once_per_command(tmp_path, capsys, monkeypatch):
         ["--check-only", str(doctored)], doctored)
 
 
+@pytest.mark.parametrize("extra", [
+    ["--scenario", "missing.yaml"], ["--seed", "5"], ["--explore", "3"],
+    ["--trace-out", "t.log"], ["--scenario", "missing.yaml", "--seed", "5"]])
+def test_check_only_refuses_the_flags_it_would_ignore(tmp_path, monkeypatch,
+                                                      capsys, extra):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "trace.log"
+    assert main(["--scenario", str(SCENARIOS / "double_send.yaml"),
+                 "--trace-out", str(out)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--check-only", str(out), *extra])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--check-only cannot be combined with {extra[0]}" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.log"]
+
+
+def test_explore_refuses_trace_out(tmp_path, capsys):
+    out = tmp_path / "t.log"
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", str(SCENARIOS / "swap_deadlock.yaml"),
+              "--explore", "3", "--trace-out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trace-out cannot be combined with --explore" in captured.err
+    assert not out.exists()
+    # a seed still sets the base of the explored seeds
+    assert main(["--scenario", str(SCENARIOS / "swap_deadlock.yaml"),
+                 "--explore", "2", "--seed", "9"]) == 0
+
+
 def test_explore_runs_derived_seeds(capsys):
     code = main(["--scenario", str(SCENARIOS / "unauthorized_unlock.yaml"),
                  "--explore", "3"])

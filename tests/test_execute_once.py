@@ -1,17 +1,26 @@
 """Execution plans and evidence signer sets are memoized soundly.
 
 `execute` stores each successful plan on the transaction instance, keyed by
-the content of its inputs, shared objects and fee; `Evidence.signer_set`
-stores each signer set on the evidence, keyed by message and scheme. Every
-caller sharing an instance must share the result, and every caller with
-different content must get its own.
+the content of its inputs and shared objects. A sequenced unlock stores its
+plans on the `UnlockRqt` instance its certificate carries: the no-op keyed
+by the listed objects and each bounded counter's reissued limit, the
+consolidation by the counters and their limits, and the gas payment by the
+gas object. The key is content because validators can hold different
+objects under one version, or reissue a counter at a different limit.
+`Evidence.signer_set` stores each signer set on the evidence, keyed by
+message and scheme. Every caller sharing an instance must share the result,
+and every caller with different content must get its own.
 """
 
 import pytest
 
+from fastpath.client import assemble_unlock_cert
 from fastpath.crypto import KeyedDigestScheme
 from fastpath.types import ErrorCode, IntValue, ProtocolError, TxKind
 from fastpath.validator import execute
+
+from tests.conftest import World
+from tests.test_validator import make_rqt
 
 
 def loaded_for(world, tx, **replaced):
@@ -32,7 +41,7 @@ def test_validators_share_one_effect_summary(world):
     assert all(o.status == "executed" for o in outcomes)
     first = outcomes[0].signs[0].effects
     assert all(o.signs[0].effects is first for o in outcomes)
-    assert execute(tx, loaded_for(world, tx)).effects is first
+    assert execute(tx, loaded_for(world, tx)) is first
     assert all(state.get_object(obj.key) is obj
                for state in states for obj in first.produced)
 
@@ -56,7 +65,7 @@ def test_same_key_different_content_gets_its_own_plan(world):
     assert plans["contents"].produced[0].contents == IntValue(7)
     assert plans["owner"].produced[-1].owner == world.objects["bcoin"].owner
     assert plans["gas"].produced[-1].contents == IntValue(8)
-    digests = {p.effects.digest for p in (plain, *plans.values())}
+    digests = {p.digest for p in (plain, *plans.values())}
     assert len(digests) == 4
     # the first content is still served its own plan
     assert execute(tx, loaded_for(world, tx)) is plain
@@ -85,6 +94,118 @@ def test_failed_execution_raises_every_time_and_stores_nothing(world):
             execute(tx, loaded)
         assert err.value.code == ErrorCode.INSUFFICIENT_GAS
     assert not tx.__dict__.get("_plans")
+
+
+def unlock_world():
+    w = World()
+    w.add_owned("coin", "alice", 100)
+    w.add_owned("gas", "alice", 50)
+    w.add_owned("gas2", "alice", 50)
+    w.add_counter("pool", "alice", "bounded", 100)
+    w.add_counter("pool2", "alice", "bounded", 100)
+    return w
+
+
+def unlock(world, states, names, carried=()):
+    """Each state's outcome of one sequenced unlock of the named keys, paid
+    with gas2, after every state executed the `carried` certificates."""
+    for cert in carried:
+        for state in states:
+            state.process_cert(cert)
+    rqt = make_rqt(world, [world.key(n) for n in names], "gas2", "alice", ["alice"])
+    votes = [state.process_unlock_rqt(rqt) for state in states]
+    ucert = assemble_unlock_cert(votes, rqt, world.params)
+    return rqt, [state.process_unlock_cert(ucert) for state in states]
+
+
+def debit_cert(world, amount=40):
+    return world.cert(world.tx(TxKind.DEBIT, ["pool"], "gas", ["alice"],
+                               amount=amount))
+
+
+@pytest.mark.parametrize("branch", ["noop", "consolidate"])
+def test_validators_share_unlock_plans(branch):
+    world = unlock_world()
+    states = world.states()
+    carried = [debit_cert(world)] if branch == "consolidate" else []
+    _, outcomes = unlock(world, states, ["coin", "pool"], carried)
+    assert all(o.status == "executed" for o in outcomes)
+    # the no-op, or the consolidation after the carried debit, signs last
+    first = outcomes[0].signs[-1].effects
+    assert all(o.signs[-1].effects is first for o in outcomes)
+    assert first.produced
+    paid = states[0].get_object(world.key("gas2", 1))
+    for state in states:
+        assert all(state.get_object(obj.key) is obj for obj in first.produced)
+        assert state.get_object(world.key("gas2", 1)) is paid
+    assert paid.contents == IntValue(49)
+
+
+def test_unlock_plans_follow_content():
+    world = unlock_world()
+    states = world.states()
+    coin_oid = world.key("coin").object_id
+    gas_oid = world.key("gas2").object_id
+    # v1 holds other contents under the listed version and the gas version;
+    # v2 settled a spend the others did not, so it reissues at another limit
+    states[1].objects[coin_oid][0] = world.objects["coin"]._replace(
+        contents=IntValue(7))
+    states[1].objects[gas_oid][0] = world.objects["gas2"]._replace(
+        contents=IntValue(20))
+    states[2].counters[world.key("pool").object_id].settled[b"d" * 32] = -30
+    rqt, outcomes = unlock(world, states, ["coin", "pool"])
+    effects = [o.signs[0].effects for o in outcomes]
+    assert effects[0] is effects[3]
+    assert len({id(e) for e in effects}) == 3
+    assert len({e.digest for e in effects}) == 3
+    assert effects[1].produced[0].contents == IntValue(7)
+    assert effects[2].produced[1].contents.limit == 70
+    assert effects[0].produced[1].contents.limit == 100
+    paid = [s.get_object(world.key("gas2", 1)) for s in states]
+    assert paid[0] is paid[2] is paid[3] is not paid[1]
+    assert paid[1].contents == IntValue(19)
+    # a copy of the request is a new instance and starts with no plans
+    assert "_plans" in rqt.__dict__
+    assert "_plans" not in rqt._replace(evidence=None).__dict__
+
+
+def recording_states(world):
+    """One state per validator, and the kind and fields of each event each
+    of them emits."""
+    events = [[] for _ in range(world.params.n)]
+    states = [world.state(vid, sink=lambda kind, _log=log, **fields:
+                          _log.append((kind, fields)))
+              for vid, log in enumerate(events)]
+    return states, events
+
+
+def test_shared_consolidation_keeps_the_per_key_event_order():
+    world = unlock_world()
+    states, events = recording_states(world)
+    unlock(world, states, ["pool", "pool2"], [debit_cert(world)])
+    pools = {world.key(n).object_id.hex(): n for n in ("pool", "pool2")}
+    steps = []
+    for kind, fields in events[0]:
+        if kind == "consolidate":
+            steps.append((kind, pools[fields["counter"]]))
+        elif kind == "unlock_db_set" and fields["key"][0] in pools:
+            steps.append((kind, pools[fields["key"][0]], fields["state"]))
+    assert steps[-4:] == [("consolidate", "pool"),
+                          ("unlock_db_set", "pool", "confirmed"),
+                          ("consolidate", "pool2"),
+                          ("unlock_db_set", "pool2", "confirmed")]
+
+
+def test_noop_events_get_their_own_rows():
+    # tests and tools edit trace records in place
+    world = unlock_world()
+    states, events = recording_states(world)
+    unlock(world, states, ["coin", "pool"])
+    rows = [next(f["keys"] for k, f in log if k == "noop_applied") for log in events]
+    assert rows[0] == rows[1]
+    rows[0][0][3] = "edited"
+    rows[0].append("edited")
+    assert rows[1] == rows[2] and rows[1][0][3] is True and len(rows[1]) == 2
 
 
 class RejectingScheme(KeyedDigestScheme):
