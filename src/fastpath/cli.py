@@ -4,15 +4,13 @@
     fastpath --scenario swap_deadlock.yaml --explore 100
     fastpath --check-only recorded-trace.log
 
-`--trace-out` cannot be combined with `--explore`, and `--check-only` with
-none of `--scenario`, `--seed`, `--explore` or `--trace-out`; such a call is
-a usage error.
-
 Exit status: 0 when every invariant checker passes, 1 on any violation,
-2 on a usage error, when the scenario cannot be loaded, the `--trace-out` file cannot be
-written, or the trace cannot be loaded or holds a record the checkers
-cannot read. The summary prints as key=value lines; verdicts cover every
-registered checker exactly once.
+2 on a usage error (`--trace-out` with `--explore`, or `--check-only` with
+any of `--scenario`, `--seed`, `--explore` or `--trace-out`), when the
+scenario cannot be loaded, the `--trace-out` file cannot be written, or
+the trace cannot be loaded or holds a record the checkers cannot read. The
+summary prints as key=value lines; verdicts cover every registered checker
+exactly once.
 """
 
 from __future__ import annotations
@@ -145,12 +143,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.check_only is not None:
-        ignored = [flag for flag, value in (
-            ("--scenario", args.scenario), ("--seed", args.seed),
-            ("--explore", args.explore), ("--trace-out", args.trace_out))
-            if value is not None]
-        if ignored:
-            parser.error(f"--check-only cannot be combined with {', '.join(ignored)}")
+        if (args.scenario, args.seed, args.explore, args.trace_out) != (None,) * 4:
+            parser.error("--check-only takes no --scenario, --seed, --explore or --trace-out")
         return cmd_check_only(args.check_only)
     if not args.scenario:
         parser.error("--scenario or --check-only is required")
@@ -158,7 +152,7 @@ def main(argv=None) -> int:
         if args.explore < 1:
             parser.error("--explore must be at least 1")
         if args.trace_out is not None:
-            parser.error("--trace-out cannot be combined with --explore")
+            parser.error("--explore takes no --trace-out")
         return cmd_explore(args.scenario, args.explore, args.seed)
     return cmd_run(args.scenario, args.seed, args.trace_out)
 

@@ -15,17 +15,13 @@ Fast-path executions are provisional until sequenced: the pre-image of
 each consumed key is retained so that a no-commit unlock can undo exactly
 one layer before re-executing on the consensus path.
 
-Execution is pure, so its plans are memoized on the instance that every
-validator of a simulation shares, keyed by the content of the inputs. A
-transaction's plans live on the `Transaction`: the dry run when signing,
-the fast-path execution of the certificate and a sequenced execution over
-the same inputs share one. An unlock's live on its `UnlockRqt`: the no-op,
-the consolidation of bounded counters and the gas payment. Sharers get one
-`EffectSummary`, digested once, and one set of produced objects, each
-encoded once. The key is content, not object versions, because validators
-can disagree on what a version holds (after an undo, or when Byzantine)
-and on a counter's reissued limit; each validator keeps its own state
-changes, trace events and signature.
+Execution is pure, so each plan is memoized on the message all validators
+share, keyed by the content of its inputs: a transaction's dry run, fast-path
+and sequenced execution on the `Transaction`; an unlock's no-op, counter
+consolidation and gas payment on the `UnlockRqt`. Sharers get one
+`EffectSummary`, digested once, and produced objects each encoded once. The
+key is content because validators can differ on what a version holds (after
+an undo, or when Byzantine) and on a counter's reissued limit.
 """
 
 from __future__ import annotations
@@ -105,8 +101,8 @@ def execute(tx: Transaction, loaded: dict[ObjectKey, Object],
 
 
 def _memoized(subject, objects, extra, build, *args):
-    """`build(*args)`, stored on `subject` under `build`, `extra` and the
-    encoding of `objects`: all that the build reads. Errors are not stored."""
+    """`build(*args)`, stored on `subject` by `build`, `extra` and the
+    encoding of `objects`, all that it reads; an error is not stored."""
     key = (build, extra, *[o.canonical_bytes() for o in objects])
     plans = subject.__dict__.setdefault("_plans", {})
     plan = plans.get(key)
@@ -693,8 +689,8 @@ class ValidatorState:
                   keys=[[k.object_id.hex(), k.version] for k in consumed])
 
     def _execute_noop(self, rqt: UnlockRqt) -> EffectSign:
-        """Version-bumping no-op over the listed keys; contents untouched,
-        except that a bounded counter is reissued."""
+        """Version-bumping no-op over the listed keys; a bounded counter is
+        reissued, other contents are untouched."""
         inputs, limits = [], []
         for key in rqt.object_keys:
             inputs.append(self._check_key(key))
@@ -716,9 +712,8 @@ class ValidatorState:
         return EffectSign.make(effects, self.vid, self.scheme)
 
     def _consolidate_listed(self, rqt: UnlockRqt) -> EffectSign | None:
-        """Reissue every listed bounded counter at the next version, holding
-        what is still unspent; the local budget and bookkeeping restart from
-        that."""
+        """Reissue every listed bounded counter at the next version holding
+        what is still unspent; its budget and bookkeeping restart from that."""
         inputs, limits = [], []
         for key in rqt.object_keys:
             local = self.counters.get(key.object_id)

@@ -152,7 +152,8 @@ def test_check_only_refuses_the_flags_it_would_ignore(tmp_path, monkeypatch,
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"--check-only cannot be combined with {extra[0]}" in captured.err
+    assert ("--check-only takes no --scenario, --seed, --explore or --trace-out"
+            in captured.err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.log"]
 
 
@@ -164,7 +165,7 @@ def test_explore_refuses_trace_out(tmp_path, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--trace-out cannot be combined with --explore" in captured.err
+    assert "--explore takes no --trace-out" in captured.err
     assert not out.exists()
     # a seed still sets the base of the explored seeds
     assert main(["--scenario", str(SCENARIOS / "swap_deadlock.yaml"),
