@@ -183,7 +183,7 @@ AuthPath = Union[LeafPath, AllPath, AnyPath, ThresholdPath]
 
 # --- context ----------------------------------------------------------------
 
-def _no_events(chain: str, event: str) -> bool:
+def no_events(chain: str, event: str) -> bool:
     return False
 
 
@@ -197,7 +197,7 @@ class AuthContext(NamedTuple):
     signers: frozenset[bytes] = frozenset()
     included_oids: frozenset[bytes] = frozenset()
     local_time: int = 0
-    event_oracle: Callable[[str, str], bool] = _no_events
+    event_oracle: Callable[[str, str], bool] = no_events
 
 
 def event_facts(pairs) -> Callable[[str, str], bool]:

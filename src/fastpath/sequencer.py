@@ -54,7 +54,6 @@ class Sequencer:
     def __init__(self, params: CommitteeParams, scheme=crypto.DEFAULT_SCHEME):
         self.params = params
         self.scheme = scheme
-        self.log: list[SequencedItem] = []
         self._seen: set[bytes] = set()
 
     def submit(self, payload) -> SequencedItem | None:
@@ -64,9 +63,8 @@ class Sequencer:
         digest = item_digest(payload)
         if digest in self._seen:
             return None
+        item = SequencedItem(len(self._seen), payload, digest)
         self._seen.add(digest)
-        item = SequencedItem(len(self.log), payload, digest)
-        self.log.append(item)
         return item
 
     def _validate(self, payload) -> None:

@@ -1,7 +1,9 @@
 """Deterministic discrete-event harness: the network model, the sequencer
 actor, the event queue, `run` and `explore_schedules`. The validator actor
 and its fault kinds live in `faults.py`; what a client does with a
-scripted action lives in `workflows.py`.
+scripted action lives in `workflows.py`. The runner holds what clients
+know of objects and owners: it seeds that from genesis, clients add what
+they see.
 
 One priority queue drives validators, clients, and the sequencer. Every
 queue entry is `(src, dst, msg)`, and popping it calls the `dst` actor's
@@ -40,16 +42,16 @@ import heapq
 import random
 
 from .. import crypto
-from ..authenticators import event_facts
+from ..authenticators import AuthTerm, event_facts
 from ..crypto import user_keypair
 from ..encoding import digest, enc_u64
 from ..sequencer import ITEM_KINDS, Sequencer
-from ..types import ProtocolError
+from ..types import Object, ProtocolError
 from .faults import FAULTS
 from .invariants import check_invariants
 from .scenario import Fault, Scenario, materialize_genesis
 from .trace import Trace, TraceRecorder
-from .workflows import ClientActor, ObjectInfo
+from .workflows import ClientActor
 
 
 class _Network:
@@ -110,7 +112,9 @@ class Runner:
         self.account_pk: dict[str, bytes] = {}
         self.account_sk: dict[str, bytes] = {}
         self.client_of_pk: dict[bytes, str] = {}
-        self.object_info: dict[bytes, ObjectInfo] = {}
+        # what clients know of objects and owners (see workflows.py)
+        self.seen: dict[bytes, dict[int, Object]] = {}
+        self.owner_terms: dict[bytes, tuple[AuthTerm, bytes | None]] = {}
 
         genesis = materialize_genesis(scenario)
         for name in scenario.accounts:
@@ -119,11 +123,10 @@ class Runner:
             self.client_of_pk[pk] = name
         self.genesis = genesis
         for entry in genesis:
-            policies = {}
+            self.seen[entry.obj.key.object_id] = {0: entry.obj}
             if entry.spec.term is not None:
-                policies[0] = (entry.spec.term, entry.nonce_seed)
-            self.object_info[entry.spec.object_id()] = ObjectInfo(
-                kind=entry.spec.kind, policies=policies, limit=entry.spec.limit)
+                self.owner_terms[entry.obj.owner] = (entry.spec.term,
+                                                     entry.nonce_seed)
 
         self.validators = []
         for vid in range(scenario.params.n):
@@ -197,7 +200,7 @@ class Runner:
             "faults": {str(v): fb.kind for v, fb in
                        sorted(self.scenario.faults.items())},
             "objects": {entry.spec.name: {
-                "oid": entry.spec.object_id().hex(),
+                "oid": entry.obj.key.object_id.hex(),
                 "kind": entry.spec.kind.value,
                 "flavor": entry.spec.flavor,
                 "limit": entry.spec.limit,

@@ -73,11 +73,14 @@ REQUIRED_FIELDS = {**{name: ("gas",) for name in TX_ACTIONS},
                    "spend_loop": ("counter", "gas_pool", "unlock_gas_pool")}
 # Every action field a run reads: its type, and whether it names accounts
 # or objects (one name, or a list of names). An int field holds what int()
-# reads and is kept as written. A `replacement` is an action of its own.
+# reads and is kept as written. A `replacement` is an action of its own;
+# `on_locked` names the one recovery there is, `unlock`.
 FIELDS = {
     **dict.fromkeys(("at", "amount", "epoch", "max_recoveries", "target"),
                     (int, None)),
-    **dict.fromkeys(("action", "new_object", "item", "memo"), (str, None)),
+    **dict.fromkeys(("action", "new_object", "item", "memo", "on_locked"),
+                    (str, None)),
+    **dict.fromkeys(("authorized", "wait_all"), (bool, None)),
     **dict.fromkeys(("amounts", "first_to", "first_to_second", "cert_to"),
                     (list, None)),
     "replacement": (dict, None), "to": (str, "account"),
@@ -145,9 +148,6 @@ class ObjectSpec(NamedTuple):
     flavor: str | None
     limit: int
     hidden: bool
-
-    def object_id(self) -> bytes:
-        return object_id_for(self.name)
 
 
 class Scenario(NamedTuple):
@@ -335,6 +335,8 @@ def _check_action(action: dict, where: str, required, declared,
             if names and (not isinstance(name, str)
                           or name not in declared[names]):
                 raise ScenarioError(f"{where}: undeclared {f} {name!r}")
+    if action.get("on_locked", "unlock") != "unlock":
+        raise ScenarioError(f"{where}: bad on_locked {action['on_locked']!r}")
     for amount in action.get("amounts", []):
         _number(amount, f"{where}: amounts", 0)
     # a validator index is sent to as written, so it must be an int itself
@@ -398,6 +400,7 @@ def materialize_genesis(scenario: Scenario) -> list[GenesisObject]:
             contents = CounterValue(spec.flavor, spec.limit)
         else:
             contents = IntValue(spec.contents)
-        obj = Object(ObjectKey(spec.object_id(), 0), spec.kind, owner, contents)
+        obj = Object(ObjectKey(object_id_for(spec.name), 0), spec.kind, owner,
+                     contents)
         out.append(GenesisObject(spec, obj, nonce_seed))
     return out

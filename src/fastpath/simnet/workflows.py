@@ -3,9 +3,16 @@
 `ClientActor` turns a script action into signed transactions and unlock
 requests, drives them with the drivers of `fastpath.client`, and runs the
 workflows built on them: recovery of a blocked transaction (unlock, then
-retry), the double send, and the bounded-counter spend loop. `ObjectInfo`
-is the clients' view of each object's owner policy. The harness a client
-runs in (network, validator and sequencer actors, queue) is `runner.py`.
+retry), the double send, and the bounded-counter spend loop. The harness a
+client runs in (network, validator and sequencer actors, queue) is
+`runner.py`.
+
+Clients learn owners only from what the protocol shows them, kept in two
+maps of the run: `seen`, every object version clients saw (genesis, and
+each output of a finalized effect certificate), and `owner_terms`, the
+owner term behind each commitment they can open. A key's kind, owner and
+counter limit are those of the object seen at its version, or at the
+latest earlier version seen; `execute` alone decides ownership.
 
 A client holds one driver table keyed by subject digest, the digest of the
 transaction or unlock request a driver carries. Every validator answer (a
@@ -21,7 +28,6 @@ driver is its own result: `on_done(driver)` reads its `status`,
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 from ..authenticators import AuthContext, Evidence, NonceStream, PublicKey, \
     build_reveal, commit, find_path
@@ -34,7 +40,7 @@ from ..client import (
 from ..counters import initial_budget
 from ..crypto import user_keypair
 from ..types import (
-    CounterValue,
+    Object,
     ObjectKey,
     ObjectKind,
     Transaction,
@@ -44,22 +50,6 @@ from ..types import (
 from .scenario import TX_ACTIONS, object_id_for
 
 
-class ObjectInfo(NamedTuple):
-    """Client-side knowledge about one object: its kind and the owner
-    policy in force at each version (ownership persists until a transfer
-    or swap rewrites it)."""
-
-    kind: ObjectKind
-    policies: dict[int, tuple[object, bytes | None]]
-    limit: int
-
-    def policy_at(self, version: int) -> tuple[object, bytes | None]:
-        known = [v for v in self.policies if v <= version]
-        if not known:
-            return None, None
-        return self.policies[max(known)]
-
-
 class ClientActor:
     def __init__(self, runner, name: str):
         self.runner = runner
@@ -67,7 +57,6 @@ class ClientActor:
         self.emit = functools.partial(runner.recorder.emit, name)
         self.pk = user_keypair(name)[1]
         self.versions: dict[bytes, int] = {}
-        self.limits: dict[bytes, int] = {}
         self.drivers: dict[bytes, object] = {}
 
     # -- driver environment --
@@ -107,8 +96,28 @@ class ClientActor:
         oid = object_id_for(name)
         return ObjectKey(oid, self.versions.get(oid, 0))
 
-    def _evidence(self, message: bytes, signer_names, owned_keys,
+    def seen_at(self, key: ObjectKey) -> Object | None:
+        """The object at `key` as clients saw it, or at the latest earlier
+        version they saw: an unlock's gas payment makes a version that no
+        effect certificate shows, and it keeps the owner."""
+        versions = self.runner.seen.get(key.object_id, {})
+        known = [v for v in versions if v <= key.version]
+        return versions[max(known)] if known else None
+
+    def _kind(self, key: ObjectKey) -> ObjectKind | None:
+        obj = self.seen_at(key)
+        return obj.kind if obj is not None else None
+
+    def _counter_limit(self, name: str) -> int:
+        """The spendable credit of the counter at this client's version."""
+        obj = self.seen_at(self.key_of(name))
+        return getattr(obj.contents, "limit", 0) if obj is not None else 0
+
+    def _evidence(self, message: bytes, signer_names, object_keys,
                   all_oids) -> Evidence:
+        """Signatures over `message`, and a reveal for each of
+        `object_keys` whose owner term the clients can open and the signers
+        can satisfy."""
         keys = [(self.runner.account_sk[n], self.runner.account_pk[n])
                 for n in signer_names]
         ctx = AuthContext(signers=frozenset(pk for _, pk in keys),
@@ -116,11 +125,12 @@ class ClientActor:
                           local_time=self.now,
                           event_oracle=self.runner.event_oracle)
         reveals = []
-        for key in owned_keys:
-            info = self.runner.object_info[key.object_id]
-            term, nonce_seed = info.policy_at(key.version)
-            if term is None:
-                continue
+        for key in object_keys:
+            obj = self.seen_at(key)
+            opened = self.runner.owner_terms.get(obj.owner) if obj else None
+            if opened is None:
+                continue  # no owner, or one that no client can open
+            term, nonce_seed = opened
             path = find_path(term, ctx)
             if path is None:
                 continue  # cannot authorize this object; validators will say so
@@ -139,10 +149,14 @@ class ClientActor:
         shared = tuple(object_id_for(n) for n in action.get("shared", []))
         kind = (TxKind(action["action"]) if action["action"] in TX_ACTIONS
                 else TxKind.NOOP)
+        new_owner = None
+        if action.get("to"):
+            term = PublicKey(self.runner.account_pk[action["to"]])
+            new_owner = commit(term)
+            self.runner.owner_terms[new_owner] = term, None
         params = TxParams(
             amount=int(action.get("amount", 0)),
-            new_owner=(commit(PublicKey(self.runner.account_pk[action["to"]]))
-                       if action.get("to") else None),
+            new_owner=new_owner,
             new_object_id=(object_id_for(action["new_object"])
                            if action.get("new_object") else None),
             item=(action["item"].encode() if action.get("item") else None),
@@ -150,44 +164,26 @@ class ClientActor:
         )
         tx = Transaction(inputs, shared, kind, params, gas_key,
                          int(action.get("epoch", 0)))
-        if kind == TxKind.MINT and action.get("new_object"):
-            self._register_minted(action["new_object"],
-                                  action.get("to", self.name))
         return self._sign_tx(tx, action.get("signers", [self.name]))
 
-    def _register_minted(self, name: str, owner_account: str) -> None:
-        oid = object_id_for(name)
-        if oid not in self.runner.object_info:
-            term = PublicKey(self.runner.account_pk[owner_account])
-            self.runner.object_info[oid] = ObjectInfo(
-                kind=ObjectKind.OWNED, policies={0: (term, None)}, limit=0)
-
     def _sign_tx(self, tx: Transaction, signers) -> Transaction:
-        owned = [k for k in tx.inputs if self._needs_evidence(k.object_id, tx)]
+        # a commutative input needs its owner's consent only to be debited
+        keys = [k for k in tx.inputs if tx.kind == TxKind.DEBIT
+                or self._kind(k) != ObjectKind.COMMUTATIVE]
         all_oids = {k.object_id for k in tx.inputs} | set(tx.shared_inputs)
-        return tx.with_evidence(self._evidence(tx.digest, signers, owned, all_oids))
-
-    def _needs_evidence(self, oid: bytes, tx: Transaction) -> bool:
-        info = self.runner.object_info.get(oid)
-        if info is None or not info.policies:
-            return False
-        if info.kind == ObjectKind.OWNED:
-            return True
-        return info.kind == ObjectKind.COMMUTATIVE and tx.kind == TxKind.DEBIT
+        return tx.with_evidence(self._evidence(tx.digest, signers, keys, all_oids))
 
     def _owned_keys(self, tx: Transaction) -> tuple[ObjectKey, ...]:
-        info = self.runner.object_info
-        return tuple(k for k in tx.inputs if k.object_id in info
-                     and info[k.object_id].kind == ObjectKind.OWNED)
+        return tuple(k for k in tx.inputs if self._kind(k) == ObjectKind.OWNED)
 
     def _update_view(self, effect_certs) -> None:
+        seen = self.runner.seen
         for cert in effect_certs:
             for obj in cert.effects.produced:
-                oid = obj.key.object_id
-                if obj.key.version > self.versions.get(oid, -1):
-                    self.versions[oid] = obj.key.version
-                if isinstance(obj.contents, CounterValue):
-                    self.limits[oid] = obj.contents.limit
+                oid, version = obj.key
+                seen.setdefault(oid, {})[version] = obj
+                if version > self.versions.get(oid, -1):
+                    self.versions[oid] = version
 
     def _launch(self, driver_cls, subject, on_done, **options) -> None:
         """Start a driver for `subject`, a transaction or an unlock request;
@@ -225,7 +221,6 @@ class ClientActor:
         def done(driver):
             if driver.status == "finalized":
                 self._update_view(driver.effect_certs)
-                self._after_transfer_bookkeeping(action, tx)
                 status = "finalized_after_unlock" if retried else "finalized"
             elif driver.status == "locked" and recoveries > 0 \
                     and action.get("on_locked") == "unlock":
@@ -239,28 +234,10 @@ class ClientActor:
         self._launch(FastPathDriver, tx, done, first_to=first_to,
                      cert_to=cert_to)
 
-    def _after_transfer_bookkeeping(self, action: dict, tx: Transaction) -> None:
-        # record the owner policy of the produced versions; older versions
-        # keep their historical policies for evidence against stored state
-        if tx.kind == TxKind.TRANSFER and action.get("to"):
-            to_pk = self.runner.account_pk[action["to"]]
-            for key in self._owned_keys(tx):
-                if key != tx.gas:
-                    info = self.runner.object_info[key.object_id]
-                    info.policies[key.version + 1] = (PublicKey(to_pk), None)
-        elif tx.kind == TxKind.SWAP:
-            working = [k for k in self._owned_keys(tx) if k != tx.gas]
-            if len(working) == 2:
-                a, b = working
-                info = self.runner.object_info
-                policy_a = info[a.object_id].policy_at(a.version)
-                policy_b = info[b.object_id].policy_at(b.version)
-                info[a.object_id].policies[a.version + 1] = policy_b
-                info[b.object_id].policies[b.version + 1] = policy_a
-
     def _recover(self, action: dict, tx: Transaction, recoveries: int,
-                 keys=None, gas_pool=None) -> None:
-        """Unlock every owned input of the blocked transaction, then retry."""
+                 keys=None, gas_pool=None, retry: bool = True) -> None:
+        """Unlock every owned input of the blocked transaction (or `keys`),
+        then retry it if `retry` and it did not finalize by the unlock."""
         keys = tuple(keys) if keys is not None else self._owned_keys(tx)
         signers = action.get("signers", [self.name])
         if gas_pool is None:
@@ -287,9 +264,8 @@ class ClientActor:
                 elif rqt.gas not in remaining:
                     remaining.append(rqt.gas)
                 if remaining:
-                    self._recover({**action, "retry": False}, tx,
-                                  recoveries - 1, keys=remaining,
-                                  gas_pool=rest_pool)
+                    self._recover(action, tx, recoveries - 1, keys=remaining,
+                                  gas_pool=rest_pool, retry=False)
                 else:
                     self._finish_action(action, driver, "superseded")
                 return
@@ -300,7 +276,7 @@ class ClientActor:
             self.versions[rqt.gas.object_id] = rqt.gas.version + 1
             finalized = any(c.effects.tx_digest == tx.digest
                             for c in driver.effect_certs)
-            if finalized or not action.get("retry", True):
+            if finalized or not retry:
                 self._finish_action(action, driver,
                                     "finalized_by_unlock" if finalized
                                     else "unlocked")
@@ -315,20 +291,16 @@ class ClientActor:
                          epoch: int, authorized: bool = True) -> UnlockRqt:
         gas_key = self.key_of(gas_name)
         rqt = UnlockRqt(tuple(keys), replacement, gas_key, epoch, self.pk)
-        listed_owned = [k for k in keys
-                        if self.runner.object_info[k.object_id].policies]
-        if not authorized:
-            # sign, but only prove control of the gas object
-            listed_owned = []
-        evidence = self._evidence(rqt.signing_digest, signers,
-                                  listed_owned + [gas_key],
+        # unauthorized: sign, but only prove control of the gas object
+        proved = [*keys, gas_key] if authorized else [gas_key]
+        evidence = self._evidence(rqt.signing_digest, signers, proved,
                                   {k.object_id for k in keys}
                                   | {gas_key.object_id})
         return rqt._replace(evidence=evidence)
 
     def _run_unlock_action(self, action: dict) -> None:
         keys = [self.key_of(n) for n in action["keys"]]
-        authorized = bool(action.get("authorized", True))
+        authorized = action.get("authorized", True)
         replacement = None
         if action.get("replacement"):
             replacement = self._build_tx(action["replacement"])
@@ -344,7 +316,7 @@ class ClientActor:
             self._finish_action(action, driver, driver.status)
 
         self._launch(FastUnlockDriver, rqt, done, authorized=authorized,
-                     wait_all=bool(action.get("wait_all", False)))
+                     wait_all=action.get("wait_all", False))
 
     def _run_double_send(self, action: dict) -> None:
         """Buggy-wallet behavior: the same intent submitted twice as two
@@ -380,11 +352,9 @@ class ClientActor:
     # -- bounded-counter spend loop --
 
     def _run_spend_loop(self, action: dict) -> None:
-        counter_oid = object_id_for(action["counter"])
-        self.limits.setdefault(counter_oid,
-                               self.runner.object_info[counter_oid].limit)
+        target = action.get("target", self._counter_limit(action["counter"]))
         state = {
-            "remaining": int(action.get("target", self.limits[counter_oid])),
+            "remaining": int(target),
             "amounts": (list(action["amounts"])
                         if isinstance(action.get("amounts"), list) else None),
             "gas_pool": list(action["gas_pool"]),
@@ -399,17 +369,16 @@ class ClientActor:
                   consolidations=state["consolidations"], **reason)
 
     def _spend_step(self, action: dict, state: dict) -> None:
-        counter_oid = object_id_for(action["counter"])
+        limit = self._counter_limit(action["counter"])
         amounts = state["amounts"]
-        if (state["remaining"] <= 0 or self.limits.get(counter_oid, 0) <= 0
+        if (state["remaining"] <= 0 or limit <= 0
                 or amounts == []):  # the fixed list of amounts is spent
             self._spend_done(action, state)
             return
         if amounts is not None:
             amount = int(amounts[0])
         else:
-            budget = initial_budget(self.limits[counter_oid],
-                                    self.runner.scenario.params)
+            budget = initial_budget(limit, self.runner.scenario.params)
             amount = min(budget, state["remaining"])
             if amount == 0:
                 self._spend_via_replacement(action, state)
@@ -469,8 +438,8 @@ class ClientActor:
 
     def _spend_via_replacement(self, action: dict, state: dict) -> None:
         """Budgets rounded to zero: push the remainder through consensus."""
-        counter_oid = object_id_for(action["counter"])
-        amount = min(state["remaining"], self.limits.get(counter_oid, 0))
+        amount = min(state["remaining"],
+                     self._counter_limit(action["counter"]))
         if amount <= 0 or not state["gas_pool"]:
             self._spend_done(action, state, reason="exhausted")
             return

@@ -317,12 +317,7 @@ class _Certificate(NamedTuple):
 
 
 class Certificate(_Certificate):
-    @cached_property
-    def digest(self) -> bytes:
-        body = self.tx.digest + enc_seq(
-            enc_u64(s.signer) + enc_bytes(s.signature)
-            for s in sorted(self.signs, key=lambda s: s.signer))
-        return tagged_digest("cert", body)
+    """A transaction with a quorum of its `CertSign`s."""
 
 
 @verified_once

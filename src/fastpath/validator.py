@@ -29,7 +29,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import crypto
-from .authenticators import AuthContext, PathError, RevealError, verify_reveal
+from .authenticators import AuthContext, PathError, RevealError, no_events, \
+    verify_reveal
 from .client import Outcome, UnlockCert, UnlockRqt, UnlockVote
 from .counters import (
     FLAVOR_BOUNDED,
@@ -216,7 +217,7 @@ class ValidatorState:
         self.params = params
         self.scheme = scheme
         self.auto_unlock_delay = auto_unlock_delay
-        self.event_oracle = event_oracle
+        self.event_oracle = event_oracle or no_events
         # emit(kind, **fields) records one trace event; it is `sink` itself
         self.emit = sink or _nothing
 
@@ -276,9 +277,9 @@ class ValidatorState:
         the keys that signed it, the objects included, its own clock."""
         signers = (evidence.signer_set(message, self.scheme)
                    if evidence else frozenset())
-        oracle = self.event_oracle or (lambda c, e: False)
         return AuthContext(signers=signers, included_oids=frozenset(oids),
-                           local_time=self.clock, event_oracle=oracle)
+                           local_time=self.clock,
+                           event_oracle=self.event_oracle)
 
     def _evidence_ok(self, evidence, obj: Object, ctx: AuthContext) -> bool:
         if evidence is None or obj.owner is None:

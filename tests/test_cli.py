@@ -13,9 +13,11 @@ from hypothesis import given, seed, settings, strategies as st
 
 from fastpath.cli import main
 from fastpath.simnet import invariants
-from fastpath.simnet.runner import run
+from fastpath.simnet.faults import FAULTS, ValidatorActor
+from fastpath.simnet.runner import derive_seed, run
 from fastpath.simnet.scenario import Scenario, ScenarioError
 from fastpath.simnet.trace import Trace
+from tests.test_simnet import InflatingStore
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -172,6 +174,20 @@ def test_explore_refuses_trace_out(tmp_path, capsys):
                  "--explore", "2", "--seed", "9"]) == 0
 
 
+def test_explore_reports_the_first_violating_run(monkeypatch, capsys):
+    # v0 stores inflated balances, so every explored run is flagged
+    monkeypatch.setitem(FAULTS, "honest", (ValidatorActor, InflatingStore))
+    path = SCENARIOS / "swap_deadlock.yaml"
+    assert main(["--scenario", str(path), "--explore", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    first = derive_seed(Scenario.load(str(path)).seed, 0)
+    assert lines[:3] == ["runs=3", "violating_runs=3",
+                         f"first_violating_seed={first}"]
+    checkers = {line.split("=", 1)[0] for line in lines[3:]}
+    assert {"violation.client_safety", "violation.convergence"} <= checkers
+    assert all(line.startswith("violation.") for line in lines[3:])
+
+
 def test_explore_runs_derived_seeds(capsys):
     code = main(["--scenario", str(SCENARIOS / "unauthorized_unlock.yaml"),
                  "--explore", "3"])
@@ -288,7 +304,10 @@ def _setting(*path_and_value):
              {"action": "transfer", "gas": "g2", "first_to_second": [-1]}),
     _setting("objects", 0, "contents", "lots"), _setting("seed", "abc"),
     _setting("accounts", ["alice", "bob", "v1"]),
-    _setting("accounts", ["alice", "bob", "seq"])])
+    _setting("accounts", ["alice", "bob", "seq"]),
+    _setting("script", 0, "authorized", "false"),
+    _setting("script", 0, "wait_all", "yes"),
+    _setting("script", 0, "on_locked", "unlok")])
 @pytest.mark.parametrize("mode", [[], ["--explore", "2"]])
 def test_malformed_scenario_is_exit_2(tmp_path, capsys, mutate, mode):
     data = yaml.safe_load((SCENARIOS / "epoch_change.yaml").read_text())

@@ -2,6 +2,17 @@ import itertools
 
 import pytest
 
+from fastpath.authenticators import (
+    LEAF,
+    AllOf,
+    AllPath,
+    AnyOf,
+    AnyPath,
+    PublicKey,
+    Threshold,
+    ThresholdPath,
+    build_reveal,
+)
 from fastpath.client import (
     FastPathDriver,
     FastUnlockDriver,
@@ -41,6 +52,22 @@ def simple_rqt(world, key_names=("coin",), gas="gas2"):
 
 def vote(rqt, signer, carried=()):
     return UnlockVote.make(rqt.digest, carried, signer, DEFAULT_SCHEME)
+
+
+def test_unlock_request_digest_covers_the_chosen_path(world):
+    # a transaction digest leaves evidence out, but an unlock request's
+    # digest covers it; these requests differ only in the path of one reveal
+    a, b, c = (PublicKey(world.account(n)) for n in ("alice", "bob", "carol"))
+    term = AnyOf((AllOf((a, b)), Threshold.of(1, (1, a), (1, c))))
+    paths = [AnyPath(0, AllPath((LEAF, LEAF))),
+             AnyPath(1, ThresholdPath(((0, LEAF),))),
+             AnyPath(1, ThresholdPath(((1, LEAF),)))]
+    reveal = build_reveal(term, paths[0])
+    rqt = simple_rqt(world)
+    oid = world.key("coin").object_id
+    digests = {rqt._replace(evidence=rqt.evidence._replace(
+        reveals=((oid, reveal, path),))).digest for path in paths}
+    assert len(digests) == len(paths)
 
 
 def test_union_of_empty_votes_is_no_commit(world):

@@ -246,6 +246,48 @@ def test_record_key_check_flags_planted_clashes():
         "m:4 passes tick", "m:5 passes actor", "m:6 passes kind"]
 
 
+# The loader checks each action field that `scenario.FIELDS` declares, so a
+# field the client workflows read without declaring it reaches them as
+# written, of any type and spelling.
+def undeclared_action_fields(tree: ast.Module, declared) -> list[str]:
+    """Fields read as `action.get("f", ...)` or `action["f"]` that
+    `declared` lacks, each at its first line."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "get" and node.args:
+            target, field = node.func.value, node.args[0]
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            target, field = node.value, node.slice
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id == "action" \
+                and isinstance(field, ast.Constant) \
+                and field.value not in declared:
+            found[field.value] = min(found.get(field.value, node.lineno),
+                                     node.lineno)
+    return [f"{line} {field}" for field, line in sorted(found.items(),
+                                                        key=lambda f: f[1])]
+
+
+def test_workflows_read_only_declared_action_fields():
+    from fastpath.simnet.scenario import FIELDS
+
+    tree = ast.parse((SRC / "simnet" / "workflows.py").read_text())
+    assert undeclared_action_fields(tree, FIELDS) == []
+
+
+def test_action_field_check_flags_planted_fields():
+    planted = ast.parse(
+        "def start(self, action, other):\n"
+        "    gas = action['gas']\n"
+        "    fast = action.get('fast', False)\n"
+        "    hidden = other.get('hidden'), other['hidden']\n"
+        "    again = {**action, 'extra': 1}\n"
+        "    return action['bogus'], action.get('gas'), action.get('fast')\n")
+    assert undeclared_action_fields(planted, {"gas"}) == ["3 fast", "6 bogus"]
+
+
 def _span_targets() -> list[tuple[str, str, str]]:
     """`TARGETS` of the benchmark's span module, loaded from its file
     without registering or installing anything."""

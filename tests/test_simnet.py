@@ -413,6 +413,28 @@ def test_checkers_see_stored_contents(name, monkeypatch):
     assert {"client_safety", "convergence"} <= flagged
 
 
+def test_a_minted_object_belongs_to_whom_execute_names():
+    # bob mints with alice's gas and names no recipient, so the gas owner,
+    # alice, owns the minted object and can transfer it on
+    scenario = Scenario.from_dict({
+        "committee": {"n": 4, "f": 1}, "seed": 3,
+        "network": {"min_delay": 1, "max_delay": 4},
+        "accounts": ["alice", "bob", "carol"],
+        "objects": [{"name": "g1", "owner": {"pk": "alice"}, "contents": 50},
+                    {"name": "g2", "owner": {"pk": "alice"}, "contents": 50}],
+        "script": [
+            {"at": 5, "client": "bob", "action": "mint",
+             "new_object": "fresh", "amount": 7, "gas": "g1",
+             "signers": ["alice"]},
+            {"at": 200, "client": "alice", "action": "transfer",
+             "inputs": ["fresh"], "gas": "g2", "to": "carol"}]})
+    trace = run(scenario)
+    assert [(e["action"], e["status"]) for e in trace.select("driver_done")] \
+        == [("mint", "finalized"), ("transfer", "finalized")]
+    assert not trace.select("tx_rejected")
+    assert check_invariants(trace) == []
+
+
 def test_checker_flags_overspent_counter():
     trace = run(bounded_spend(11))
     assert check_bounded_counters(trace) == []
