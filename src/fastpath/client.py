@@ -20,7 +20,6 @@ consensus settled the keys first.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 from . import crypto
@@ -35,6 +34,7 @@ from .types import (
     ObjectKey,
     ProtocolError,
     Transaction,
+    cached_property,
     quorum,
     quorum_signed,
     validator_key,
@@ -86,6 +86,8 @@ class UnlockRqt(_UnlockRqt):
                 if self.replacement_tx else b"")
         return tagged_digest("unlock-rqt",
                              self.signing_bytes() + enc_bytes(repl) + extra)
+
+    hexdigest = cached_property(lambda self: self.digest.hex())
 
     @property
     def multi(self) -> bool:
@@ -218,7 +220,7 @@ class Outcome(NamedTuple):
 def _emit_effect_cert(env, effects, **fields) -> None:
     """Trace a finalized effect certificate; each produced object carries a
     state fingerprint that final snapshots can be diffed against."""
-    env.emit("effect_cert", effects=effects.digest.hex(),
+    env.emit("effect_cert", effects=effects.hexdigest,
              produced=[[o.key.object_id.hex(), o.key.version,
                         o.fingerprint] for o in effects.produced],
              counters=[[d.object_id.hex(), d.delta]
@@ -335,7 +337,7 @@ class FastPathDriver(_Driver):
     def __init__(self, tx: Transaction, params: CommitteeParams,
                  scheme=crypto.DEFAULT_SCHEME, on_done=None, first_to=None,
                  cert_to=None):
-        super().__init__(tx.digest, {"tx": tx.digest.hex()}, params, scheme,
+        super().__init__(tx.digest, {"tx": tx.hexdigest}, params, scheme,
                          on_done)
         self.tx = tx
         self.first_to = first_to  # initial partial broadcast; retries reach everyone
@@ -359,7 +361,7 @@ class FastPathDriver(_Driver):
                                 tuple(self.votes[s] for s in sorted(self.votes)))
         self.phase = "exec"
         self.round_trips += 1
-        env.emit("cert_assembled", tx=self.tx.digest.hex(),
+        env.emit("cert_assembled", tx=self.tx.hexdigest,
                  signers=sorted(self.votes))
         if self.cert_to is not None:
             for vid in self.cert_to:
@@ -374,12 +376,12 @@ class FastPathDriver(_Driver):
             codes = sorted(set(self.rejections.values()))
             status = ("locked" if ErrorCode.CONFLICTING_LOCK.value in codes
                       else "rejected")
-            env.emit("fast_path_blocked", tx=self.tx.digest.hex(),
+            env.emit("fast_path_blocked", tx=self.tx.hexdigest,
                      status=status, codes=codes)
             self._finish(env, status)
 
     def _cert_fields(self, cert: EffectCert) -> dict:
-        return {"tx": self.tx.digest.hex(), "tx_kind": self.tx.kind.value,
+        return {"tx": self.tx.hexdigest, "tx_kind": self.tx.kind.value,
                 "amount": self.tx.params.amount, "path": "fast"}
 
     def _resend(self):
@@ -404,7 +406,7 @@ class FastUnlockDriver(_Driver):
     def __init__(self, rqt: UnlockRqt, params: CommitteeParams,
                  scheme=crypto.DEFAULT_SCHEME, authorized: bool = True,
                  on_done=None, wait_all: bool = False):
-        super().__init__(rqt.digest, {"rqt": rqt.digest.hex()}, params, scheme,
+        super().__init__(rqt.digest, {"rqt": rqt.hexdigest}, params, scheme,
                          on_done)
         self.rqt = rqt
         self.authorized = authorized
@@ -413,7 +415,7 @@ class FastUnlockDriver(_Driver):
 
     def start(self, env) -> None:
         self.round_trips = 1
-        env.emit("unlock_started", rqt=self.rqt.digest.hex(),
+        env.emit("unlock_started", rqt=self.rqt.hexdigest,
                  authorized=self.authorized,
                  keys=[[k.object_id.hex(), k.version]
                        for k in self.rqt.object_keys])
@@ -430,16 +432,15 @@ class FastUnlockDriver(_Driver):
             self.votes.values(), self.rqt, self.params, self.scheme)
         self.phase = "sequenced"
         self.round_trips += 1
-        env.emit("ucert_assembled", rqt=self.rqt.digest.hex(),
-                 carried=[c.tx.digest.hex()
-                          for c in self.ucert.carried_union()],
+        env.emit("ucert_assembled", rqt=self.rqt.hexdigest,
+                 carried=[c.tx.hexdigest for c in self.ucert.carried_union()],
                  authorized=self.authorized,
                  keys=[[k.object_id.hex(), k.version]
                        for k in self.rqt.object_keys])
         env.submit_sequencer(self.ucert)
 
     def _superseded(self, env) -> None:
-        env.emit("unlock_superseded", rqt=self.rqt.digest.hex())
+        env.emit("unlock_superseded", rqt=self.rqt.hexdigest)
         self._finish(env, "superseded")
 
     def _maybe_refuse(self, env) -> None:
@@ -458,12 +459,12 @@ class FastUnlockDriver(_Driver):
         elif len(codes) - confirmed_says > spare or (
                 everyone_answered and confirmed_says == 0):
             codes = sorted(set(codes))
-            env.emit("unlock_refused", rqt=self.rqt.digest.hex(), codes=codes)
+            env.emit("unlock_refused", rqt=self.rqt.hexdigest, codes=codes)
             self._finish(env, "unauthorized")
 
     def _cert_fields(self, cert: EffectCert) -> dict:
         return {"tx": cert.effects.tx_digest.hex(), "tx_kind": "unlock",
-                "amount": 0, "rqt": self.rqt.digest.hex(), "path": "unlock"}
+                "amount": 0, "rqt": self.rqt.hexdigest, "path": "unlock"}
 
     def _resend(self):
         if self.phase == "vote":

@@ -55,7 +55,7 @@ class ValidatorActor:
         try:
             reply = self.state.process_tx(tx)
         except ProtocolError as err:
-            self.emit("tx_rejected", tx=tx.digest.hex(), code=err.code.value)
+            self.emit("tx_rejected", tx=tx.hexdigest, code=err.code.value)
             reply = Rejection(tx.digest, err.code.value, self.state.vid)
         self.runner.send(self.name, src, reply)
 
@@ -81,7 +81,7 @@ class ValidatorActor:
             try:
                 reply = self.state.process_unlock_rqt(rqt)
             except ProtocolError as err:
-                self.emit("unlock_rejected", rqt=rqt.digest.hex(),
+                self.emit("unlock_rejected", rqt=rqt.hexdigest,
                           code=err.code.value)
                 reply = Rejection(rqt.digest, err.code.value, self.state.vid,
                                   tuple(err.keys))
@@ -94,7 +94,7 @@ class ValidatorActor:
             try:
                 out = self.state.process_unlock_cert(payload)
             except ProtocolError as err:
-                self.emit("unlock_cert_invalid", rqt=rqt.digest.hex(),
+                self.emit("unlock_cert_invalid", rqt=rqt.hexdigest,
                           code=err.code.value)
                 out = None
             if out is not None:

@@ -24,8 +24,10 @@ Entries order by (delivery tick, order draw, insertion counter): every
 push takes one draw from the run's order stream, so entries due at the
 same tick pop in a seeded shuffle. The run has two sources of randomness,
 both derived from the scenario seed: the order stream and the network
-stream (delays and drops). Actors never iterate unordered collections, so
-a seed fully determines the trace. Message links between clients and
+stream (delays and drops). A delay is randint's own draw, inlined:
+`getrandbits(k)`, k the bit length of the delay span, until it falls
+below the span. Actors never iterate unordered collections, so a seed
+fully determines the trace. Message links between clients and
 validators lose at most `drop_budget` messages (eventually reliable);
 links to and from the sequencer model the consensus black box and only
 jitter.
@@ -61,9 +63,14 @@ class _Network:
         self.budget = spec.drop_budget
         self.sent = 0
         self.dropped = 0
+        self._span = spec.max_delay - spec.min_delay + 1  # the loader checks >= 1
+        self._bits = self._span.bit_length()
 
     def delay(self) -> int:
-        return self.rng.randint(self.spec.min_delay, self.spec.max_delay)
+        draw = self.rng.getrandbits(self._bits)
+        while draw >= self._span:
+            draw = self.rng.getrandbits(self._bits)
+        return self.spec.min_delay + draw
 
     def should_drop(self) -> bool:
         if self.budget <= 0:
@@ -114,6 +121,7 @@ class Runner:
         self.client_of_pk: dict[bytes, str] = {}
         # what clients know of objects and owners (see workflows.py)
         self.seen: dict[bytes, dict[int, Object]] = {}
+        self.versions: dict[bytes, int] = {}
         self.owner_terms: dict[bytes, tuple[AuthTerm, bytes | None]] = {}
 
         genesis = materialize_genesis(scenario)

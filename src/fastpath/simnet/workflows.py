@@ -7,11 +7,12 @@ retry), the double send, and the bounded-counter spend loop. The harness a
 client runs in (network, validator and sequencer actors, queue) is
 `runner.py`.
 
-Clients learn owners only from what the protocol shows them, kept in two
-maps of the run: `seen`, every object version clients saw (genesis, and
-each output of a finalized effect certificate), and `owner_terms`, the
-owner term behind each commitment they can open. A key's kind, owner and
-counter limit are those of the object seen at its version, or at the
+Clients learn owners only from what the protocol shows them, kept in
+three maps that all clients of a run share: `seen`, every object version
+clients saw (genesis, and each output of a finalized effect certificate),
+`versions`, the version each object is spent at next, and `owner_terms`,
+the owner term behind each commitment they can open. A key's kind, owner
+and counter limit are those of the object seen at its version, or at the
 latest earlier version seen; `execute` alone decides ownership.
 
 A client holds one driver table keyed by subject digest, the digest of the
@@ -56,7 +57,6 @@ class ClientActor:
         self.name = name
         self.emit = functools.partial(runner.recorder.emit, name)
         self.pk = user_keypair(name)[1]
-        self.versions: dict[bytes, int] = {}
         self.drivers: dict[bytes, object] = {}
 
     # -- driver environment --
@@ -94,7 +94,7 @@ class ClientActor:
 
     def key_of(self, name: str) -> ObjectKey:
         oid = object_id_for(name)
-        return ObjectKey(oid, self.versions.get(oid, 0))
+        return ObjectKey(oid, self.runner.versions.get(oid, 0))
 
     def seen_at(self, key: ObjectKey) -> Object | None:
         """The object at `key` as clients saw it, or at the latest earlier
@@ -177,13 +177,13 @@ class ClientActor:
         return tuple(k for k in tx.inputs if self._kind(k) == ObjectKind.OWNED)
 
     def _update_view(self, effect_certs) -> None:
-        seen = self.runner.seen
+        seen, versions = self.runner.seen, self.runner.versions
         for cert in effect_certs:
             for obj in cert.effects.produced:
                 oid, version = obj.key
                 seen.setdefault(oid, {})[version] = obj
-                if version > self.versions.get(oid, -1):
-                    self.versions[oid] = version
+                if version > versions.get(oid, -1):
+                    versions[oid] = version
 
     def _launch(self, driver_cls, subject, on_done, **options) -> None:
         """Start a driver for `subject`, a transaction or an unlock request;
@@ -260,7 +260,7 @@ class ClientActor:
                 # wedged under this request's lock and gets unlocked too.
                 remaining = [k for k in keys if k not in driver.confirmed]
                 if driver.ucert is not None:
-                    self.versions[rqt.gas.object_id] = rqt.gas.version + 1
+                    self.runner.versions[rqt.gas.object_id] = rqt.gas.version + 1
                 elif rqt.gas not in remaining:
                     remaining.append(rqt.gas)
                 if remaining:
@@ -273,7 +273,7 @@ class ClientActor:
                 self._finish_action(action, driver, f"unlock_{driver.status}")
                 return
             self._update_view(driver.effect_certs)
-            self.versions[rqt.gas.object_id] = rqt.gas.version + 1
+            self.runner.versions[rqt.gas.object_id] = rqt.gas.version + 1
             finalized = any(c.effects.tx_digest == tx.digest
                             for c in driver.effect_certs)
             if finalized or not retry:
@@ -312,7 +312,7 @@ class ClientActor:
             if driver.status == "unlocked" or (
                     driver.status == "superseded" and driver.ucert is not None):
                 self._update_view(driver.effect_certs)
-                self.versions[rqt.gas.object_id] = rqt.gas.version + 1
+                self.runner.versions[rqt.gas.object_id] = rqt.gas.version + 1
             self._finish_action(action, driver, driver.status)
 
         self._launch(FastUnlockDriver, rqt, done, authorized=authorized,
@@ -427,7 +427,7 @@ class ClientActor:
                 return
             state["consolidations"] += 1
             self._update_view(driver.effect_certs)
-            self.versions[rqt.gas.object_id] = rqt.gas.version + 1
+            self.runner.versions[rqt.gas.object_id] = rqt.gas.version + 1
             if replacement is not None and any(
                     c.effects.tx_digest == replacement.digest
                     for c in driver.effect_certs):

@@ -11,8 +11,9 @@ constructor validates subclasses its named tuple and checks in `__new__`;
 `_make` and `_replace` skip that check, so no caller uses them on it.
 
 Because the values never change, pure work on them is done once per
-instance: encodings and digests are cached properties, signature checks
-decorated with `verified_once` remember their verdict per (committee,
+instance: encodings, digests and their hex (`hexdigest`) are lock-free
+`cached_property`s, `Transaction.validate` stores a success (never a
+failure), `verified_once` checks remember their verdict per (committee,
 scheme), `Evidence.signer_set` remembers its signer set per (message,
 scheme), `authenticators.reveal_root` remembers each reveal's Merkle root,
 and `validator.execute` remembers its plan per input content. A type
@@ -28,7 +29,7 @@ per run, not once per validator.
 from __future__ import annotations
 
 import enum
-from functools import cached_property, wraps
+from functools import wraps
 from typing import NamedTuple
 
 from . import crypto
@@ -125,6 +126,23 @@ def quorum_signed(signs, params: CommitteeParams, valid) -> bool:
 
 def validator_key(index: ValidatorId) -> bytes:
     return crypto.validator_public_key(index)
+
+
+class cached_property:
+    """`functools.cached_property` without the class-wide lock that Python
+    3.11's takes on every first access: the value goes in `__dict__`."""
+
+    def __init__(self, func):
+        self.func = func
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def verified_once(check):
@@ -273,13 +291,19 @@ class Transaction(_Transaction):
     def digest(self) -> bytes:
         return tagged_digest("tx", self.signing_bytes())
 
+    hexdigest = cached_property(lambda self: self.digest.hex())
+
     def validate(self) -> None:
-        if len({k for k in self.inputs}) != len(self.inputs):
+        """Raise `BAD_TRANSACTION` for bad inputs; only a success is stored."""
+        if "_valid" in self.__dict__:
+            return
+        if len(set(self.inputs)) != len(self.inputs):
             raise ProtocolError(ErrorCode.BAD_TRANSACTION, "duplicate inputs")
         if len(set(self.shared_inputs)) != len(self.shared_inputs):
             raise ProtocolError(ErrorCode.BAD_TRANSACTION, "duplicate shared inputs")
         if self.gas not in self.inputs:
             raise ProtocolError(ErrorCode.BAD_TRANSACTION, "gas must be an input")
+        self.__dict__["_valid"] = True
 
     def with_evidence(self, evidence: Evidence) -> "Transaction":
         tx = self._replace(evidence=evidence)
@@ -356,6 +380,8 @@ class EffectSummary(_EffectSummary):
                 + enc_seq(o.canonical_bytes() for o in self.produced)
                 + enc_seq(d.canonical_bytes() for d in self.counter_deltas))
         return tagged_digest("effects", body)
+
+    hexdigest = cached_property(lambda self: self.digest.hex())
 
 
 class EffectSign(NamedTuple):

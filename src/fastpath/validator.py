@@ -104,7 +104,7 @@ def execute(tx: Transaction, loaded: dict[ObjectKey, Object],
 def _memoized(subject, objects, extra, build, *args):
     """`build(*args)`, stored on `subject` by `build`, `extra` and the
     encoding of `objects`, all that it reads; an error is not stored."""
-    key = (build, extra, *[o.canonical_bytes() for o in objects])
+    key = (build, extra, *[o._encoded for o in objects])
     plans = subject.__dict__.setdefault("_plans", {})
     plan = plans.get(key)
     if plan is None:
@@ -326,19 +326,19 @@ class ValidatorState:
             return CertSign.make(tx, self.vid, self.scheme)
 
         loaded: dict[ObjectKey, Object] = {}
+        owned, commutative = [], []
         for key in tx.inputs:
-            obj = self._signable(key)
-            if obj.kind == ObjectKind.SHARED:
+            obj = loaded[key] = self._signable(key)
+            if obj.kind == ObjectKind.OWNED:
+                owned.append(key)
+            elif obj.kind == ObjectKind.COMMUTATIVE:
+                commutative.append(key)
+            elif obj.kind == ObjectKind.SHARED:
                 raise ProtocolError(ErrorCode.BAD_TRANSACTION,
                                     "shared objects go in shared_inputs")
-            loaded[key] = obj
         for oid in tx.shared_inputs:
             if oid not in self.latest:
                 raise ProtocolError(ErrorCode.MISSING_OBJECT, oid.hex())
-
-        owned = [k for k in tx.inputs if loaded[k].kind == ObjectKind.OWNED]
-        commutative = [k for k in tx.inputs
-                       if loaded[k].kind == ObjectKind.COMMUTATIVE]
 
         oids = {k.object_id for k in tx.inputs} | set(tx.shared_inputs)
         ctx = self._auth_ctx(tx.evidence, tx.digest, oids)
@@ -372,8 +372,8 @@ class ValidatorState:
             if key not in self.lock_db:
                 self.lock_db[key] = LockEntry(tx.digest, self.clock)
                 self.emit("lock_set", key=[key.object_id.hex(), key.version],
-                          tx=tx.digest.hex())
-        self.emit("tx_signed", tx=tx.digest.hex())
+                          tx=tx.hexdigest)
+        self.emit("tx_signed", tx=tx.hexdigest)
         return CertSign.make(tx, self.vid, self.scheme)
 
     def _signable(self, key: ObjectKey) -> Object:
@@ -401,7 +401,7 @@ class ValidatorState:
         if tx.digest not in self.forwarded:
             self.forwarded.add(tx.digest)
             self.pending_checkpoint[tx.digest] = cert
-            self.emit("cert_forwarded", tx=tx.digest.hex())
+            self.emit("cert_forwarded", tx=tx.hexdigest)
 
         if tx.digest in self.executed:
             return Outcome(tx.digest, "executed", self.vid,
@@ -428,10 +428,10 @@ class ValidatorState:
         if any(s == CONFIRMED for s in states):
             return Outcome(tx.digest, "superseded", self.vid)
         if any(s == UNLOCKED for s in states):
-            self.emit("cert_deferred", tx=tx.digest.hex(), reason="unlocked")
+            self.emit("cert_deferred", tx=tx.hexdigest, reason="unlocked")
             return Outcome(tx.digest, "deferred", self.vid)
         if tx.shared_inputs:
-            self.emit("cert_deferred", tx=tx.digest.hex(), reason="shared")
+            self.emit("cert_deferred", tx=tx.hexdigest, reason="shared")
             return Outcome(tx.digest, "deferred", self.vid)
 
         strict = {k: self._check_key(k) for k in tx.inputs}
@@ -444,8 +444,7 @@ class ValidatorState:
         self.executed[tx.digest] = sign
         if tx.digest not in self.sequenced_certs:
             self.executed_unsequenced.add(tx.digest)
-        self.emit("fast_exec", tx=tx.digest.hex(),
-                  effects=plan.digest.hex(),
+        self.emit("fast_exec", tx=tx.hexdigest, effects=plan.hexdigest,
                   consumed=[[k.object_id.hex(), k.version]
                             for k in plan.consumed],
                   produced=[[o.key.object_id.hex(), o.key.version]
@@ -523,8 +522,8 @@ class ValidatorState:
                 self._set_unlock(key, UNLOCKED)
 
         ordered = tuple(carried[d] for d in sorted(carried))
-        self.emit("unlock_vote", rqt=rqt.digest.hex(),
-                  carried=[c.tx.digest.hex() for c in ordered])
+        self.emit("unlock_vote", rqt=rqt.hexdigest,
+                  carried=[c.tx.hexdigest for c in ordered])
         return UnlockVote.make(rqt.digest, ordered, self.vid, self.scheme)
 
     def _carried(self, rqt: UnlockRqt) -> dict[bytes, Certificate]:
@@ -595,7 +594,7 @@ class ValidatorState:
             out = Outcome(rqt.digest, "superseded", self.vid,
                           confirmed=settled)
             self.unlock_outcomes[rqt.digest] = out
-            self.emit("unlock_ignored", rqt=rqt.digest.hex())
+            self.emit("unlock_ignored", rqt=rqt.hexdigest)
             return out
 
         carried = ucert.carried_union()
@@ -621,8 +620,8 @@ class ValidatorState:
             for cert in carried:
                 owned_keys = self._owned_input_keys(cert.tx)
                 if any(self.unlock_db.get(k) == CONFIRMED for k in owned_keys):
-                    self.emit("unlock_cert_skip", rqt=rqt.digest.hex(),
-                              tx=cert.tx.digest.hex())
+                    self.emit("unlock_cert_skip", rqt=rqt.hexdigest,
+                              tx=cert.tx.hexdigest)
                     continue
                 sign = self._execute_sequenced(cert.tx, via="unlock")
                 if sign is not None:
@@ -638,8 +637,8 @@ class ValidatorState:
 
         out = Outcome(rqt.digest, "executed", self.vid, tuple(signs))
         self.unlock_outcomes[rqt.digest] = out
-        self.emit("unlock_exec", rqt=rqt.digest.hex(), branch=branch,
-                  effects=[s.effects.digest.hex() for s in signs],
+        self.emit("unlock_exec", rqt=rqt.hexdigest, branch=branch,
+                  effects=[s.effects.hexdigest for s in signs],
                   produced=[[o.key.object_id.hex(), o.key.version]
                             for s in signs for o in s.effects.produced])
         return out
@@ -661,7 +660,7 @@ class ValidatorState:
         if not isinstance(obj.contents, IntValue) or obj.contents.amount < GAS_FEE:
             return
         self._put_object(_memoized(rqt, [obj], (), _gas_paid, obj))
-        self.emit("gas_consumed", rqt=rqt.digest.hex(),
+        self.emit("gas_consumed", rqt=rqt.hexdigest,
                   key=[oid.hex(), key.version])
 
     def _undo_fast(self, key: ObjectKey) -> None:
@@ -705,7 +704,7 @@ class ValidatorState:
                             _reissued, "unlock-noop", rqt, inputs, limits)
         for obj in effects.produced:
             self._put_object(obj)
-        self.emit("noop_applied", rqt=rqt.digest.hex(),
+        self.emit("noop_applied", rqt=rqt.hexdigest,
                   keys=[[o.key.object_id.hex(), o.key.version, fresh.key.version,
                          fresh.contents == o.contents]
                         for o, fresh in zip(inputs, effects.produced)])
@@ -746,7 +745,7 @@ class ValidatorState:
 
     def _emit_seq_exec(self, effects: EffectSummary, via: str) -> None:
         self.emit("seq_exec", tx=effects.tx_digest.hex(),
-                  effects=effects.digest.hex(), via=via,
+                  effects=effects.hexdigest, via=via,
                   consumed=[[k.object_id.hex(), k.version]
                             for k in effects.consumed],
                   counters=[[d.object_id.hex(), d.delta]
@@ -767,7 +766,7 @@ class ValidatorState:
                            for oid in tx.shared_inputs)
             plan = execute(tx, loaded, shared)
         except ProtocolError as err:
-            self.emit("sequenced_exec_failed", tx=tx.digest.hex(),
+            self.emit("sequenced_exec_failed", tx=tx.hexdigest,
                       via=via, code=err.code.value)
             return None
         self._apply_plan(tx.digest, plan)
@@ -786,13 +785,13 @@ class ValidatorState:
         self.executed_unsequenced.discard(tx.digest)
         self.pending_checkpoint.pop(tx.digest, None)
         if tx.epoch != self.epoch:
-            self.emit("checkpoint_skip", tx=tx.digest.hex(), reason="stale_epoch")
+            self.emit("checkpoint_skip", tx=tx.hexdigest, reason="stale_epoch")
             return
 
         already = tx.digest in self.executed
         if not already and any(self.unlock_db.get(k) == CONFIRMED
                                for k in self._owned_input_keys(tx)):
-            self.emit("checkpoint_skip", tx=tx.digest.hex(), reason="confirmed")
+            self.emit("checkpoint_skip", tx=tx.hexdigest, reason="confirmed")
             return
 
         sign = self._execute_sequenced(tx, via="checkpoint")
@@ -800,9 +799,9 @@ class ValidatorState:
             return
         for key in sign.effects.consumed:
             self._confirm(key)
-        self.emit("checkpoint_exec", tx=tx.digest.hex(),
+        self.emit("checkpoint_exec", tx=tx.hexdigest,
                   mode="already" if already else "fresh",
-                  effects=sign.effects.digest.hex())
+                  effects=sign.effects.hexdigest)
 
     # -- epoch change --
 
@@ -858,13 +857,9 @@ class ValidatorState:
             "objects": objects,
             "latest": {oid.hex(): v for oid, v in sorted(self.latest.items())},
             "unlock_db": {f"{k.object_id.hex()}:{k.version}": v
-                          for k, v in sorted(self.unlock_db.items(),
-                                             key=lambda kv: (kv[0].object_id,
-                                                             kv[0].version))},
+                          for k, v in sorted(self.unlock_db.items())},
             "locks": {f"{k.object_id.hex()}:{k.version}": e.holder.hex()
-                      for k, e in sorted(self.lock_db.items(),
-                                         key=lambda kv: (kv[0].object_id,
-                                                         kv[0].version))},
+                      for k, e in sorted(self.lock_db.items())},
             "executed": sorted(d.hex() for d in self.executed),
             "counters": {oid.hex(): self.counters[oid].snapshot()
                          for oid in sorted(self.counters)},

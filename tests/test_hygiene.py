@@ -184,6 +184,57 @@ def test_cache_check_flags_planted_caches():
         "crypto:12 c writes module-level _KEYS"]
 
 
+# Python 3.11's `functools.cached_property` takes a class-wide lock on every
+# first access of every instance; memos use the lock-free
+# `types.cached_property`.
+def locking_memos(tree: ast.Module, module: str) -> list[str]:
+    """Imports of `functools.cached_property`, and reads of it through a
+    name bound to the `functools` module."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "functools"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools" \
+                and any(a.name == "cached_property" for a in node.names):
+            found.append(f"{module}:{node.lineno} imports cached_property")
+        elif isinstance(node, ast.Attribute) \
+                and node.attr == "cached_property" \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases:
+            found.append(f"{module}:{node.lineno} uses {node.value.id}"
+                         ".cached_property")
+    return found
+
+
+def test_no_locking_memo():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        found += locking_memos(ast.parse(path.read_text()), module)
+    assert found == []
+
+
+def test_locking_memo_check_flags_planted_uses():
+    planted = ast.parse(
+        "import functools\n"
+        "import functools as ft\n"
+        "from functools import wraps, cached_property\n"
+        "from functools import cached_property as memo\n"
+        "from .types import cached_property as fine\n"
+        "class A:\n"
+        "    @functools.cached_property\n"
+        "    def a(self): return 1\n"
+        "    @ft.cached_property\n"
+        "    def b(self): return 2\n"
+        "    @fine\n"
+        "    def c(self): return 3\n"
+        "    def d(self, types): return types.cached_property\n")
+    assert locking_memos(planted, "m") == [
+        "m:3 imports cached_property", "m:4 imports cached_property",
+        "m:7 uses functools.cached_property", "m:9 uses ft.cached_property"]
+
+
 # The trace recorder sets these on every event itself, over the fields it
 # was passed, so an emit site that passed one would lose it silently.
 RECORD_KEYS = {"tick", "actor", "kind"}

@@ -2,8 +2,10 @@ import copy
 import gc
 import heapq
 import pathlib
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastpath.client import (
     MAX_RETRIES,
@@ -31,8 +33,20 @@ from fastpath.simnet.invariants import (
     CHECKERS,
 )
 from fastpath.simnet.faults import FAULTS, ValidatorActor
-from fastpath.simnet.runner import Runner, derive_seed, explore_schedules, run
-from fastpath.simnet.scenario import FAULT_KINDS, Fault, Scenario, ScenarioError
+from fastpath.simnet.runner import (
+    Runner,
+    _Network,
+    derive_seed,
+    explore_schedules,
+    run,
+)
+from fastpath.simnet.scenario import (
+    FAULT_KINDS,
+    Fault,
+    NetworkSpec,
+    Scenario,
+    ScenarioError,
+)
 from fastpath.simnet.trace import Trace
 from fastpath.types import CertSign, Certificate, IntValue, Object
 from fastpath.validator import ValidatorState
@@ -433,6 +447,47 @@ def test_a_minted_object_belongs_to_whom_execute_names():
         == [("mint", "finalized"), ("transfer", "finalized")]
     assert not trace.select("tx_rejected")
     assert check_invariants(trace) == []
+
+
+def test_a_recipient_spends_what_it_was_sent():
+    # bob builds his transfer at the version alice's transfer produced,
+    # although only alice's client saw that effect certificate
+    scenario = Scenario.from_dict({
+        "committee": {"n": 4, "f": 1}, "seed": 3,
+        "network": {"min_delay": 1, "max_delay": 4},
+        "accounts": ["alice", "bob", "carol"],
+        "objects": [{"name": "coin", "owner": {"pk": "alice"}, "contents": 10},
+                    {"name": "ga", "owner": {"pk": "alice"}, "contents": 50},
+                    {"name": "gb", "owner": {"pk": "bob"}, "contents": 50}],
+        "script": [
+            {"at": 5, "client": "alice", "action": "transfer",
+             "inputs": ["coin"], "gas": "ga", "to": "bob"},
+            {"at": 300, "client": "bob", "action": "transfer",
+             "inputs": ["coin"], "gas": "gb", "to": "carol"}]})
+    trace = run(scenario)
+    assert [e["status"] for e in trace.select("driver_done")] \
+        == ["finalized", "finalized"]
+    assert not trace.select("tx_rejected")
+    assert check_invariants(trace) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), low=st.integers(1, 8),
+       span=st.integers(1, 70) | st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+       draws=st.lists(st.booleans(), max_size=40))
+def test_network_delay_draws_as_randint(seed, low, span, draws):
+    # the delay draw is randint's own, inlined: interleaved with the drop
+    # draws it leaves the network stream where randint leaves it
+    high = low + span - 1
+    network = _Network(NetworkSpec(low, high, len(draws), 0.5),
+                       random.Random(seed))
+    reference = random.Random(seed)
+    for is_delay in draws:
+        if is_delay:
+            assert network.delay() == reference.randint(low, high)
+        else:
+            assert network.should_drop() == (reference.random() < 0.5)
+    assert network.delay() == reference.randint(low, high)
 
 
 def test_checker_flags_overspent_counter():

@@ -4,7 +4,8 @@ Signature checks remember their result on the value they checked, keyed by
 committee and scheme. A verdict reached under one committee must not leak
 to another, a copy with a tampered field must be checked afresh, and the
 sequencer must still reject an invalid item whose content it has already
-sequenced.
+sequenced. A transaction remembers that it is well formed, never that it
+is not.
 """
 
 import pathlib
@@ -97,3 +98,21 @@ def test_invalid_duplicate_submission_records_seq_rejected(world):
     kinds = [(e["actor"], e["kind"]) for e in runner.recorder.events]
     assert kinds == [("seq", "sequenced"), ("seq", "seq_rejected")]
     assert runner.recorder.events[1]["code"] == ErrorCode.INVALID_ITEM.value
+
+
+def test_transaction_validity_is_stored_per_instance(world):
+    tx = world.transfer("coin", "gas", "alice", "bob")
+    state = world.state()
+    state.process_tx(tx)
+    # copies of a transaction that validated start unvalidated
+    duplicated = tx._replace(inputs=tx.inputs + tx.inputs[:1])
+    gas_outside = tx._replace(inputs=tx.inputs[:1], gas=world.key("gas2"))
+    for bad in (duplicated, gas_outside):
+        for _ in range(2):  # a failure is not stored: it is raised each time
+            with pytest.raises(ProtocolError) as err:
+                bad.validate()
+            assert err.value.code == ErrorCode.BAD_TRANSACTION
+            with pytest.raises(ProtocolError) as err:
+                state.process_tx(bad)
+            assert err.value.code == ErrorCode.BAD_TRANSACTION
+    tx.validate()
