@@ -7,6 +7,11 @@ events from Byzantine actors are evidence of behavior, not subjects of
 the guarantees. The registry below is fixed so run summaries enumerate
 every checker exactly once.
 
+`check_invariants` reads the trace once: one pass builds a `TraceIndex`,
+and every checker reads that index, only the kinds of event it judges,
+instead of the events. A checker called alone on a `Trace` builds a
+fresh index.
+
 Covered claims: finalized effects are never reverted; sequenced execution
 per object version is unique and bit-identical across honest validators;
 unlock table entries move only forward; per-object versions stay gapless;
@@ -18,6 +23,9 @@ debit totals never exceed the credit the counter actually had.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Iterator
+from itertools import chain
 from typing import NamedTuple
 
 from .scenario import COVERED_KINDS, fault_bound_error
@@ -29,29 +37,55 @@ class Violation(NamedTuple):
     message: str
 
 
-def _honest_ids(trace: Trace) -> set[str]:
-    faults = trace.meta.get("faults", {})
-    n = trace.meta["n"]
-    return {f"v{i}" for i in range(n)
-            if faults.get(str(i), "honest") in COVERED_KINDS}
+class TraceIndex:
+    """What the checkers read of one trace: its meta, snapshots, end flag
+    and drop count, where each kind's events sit, the honest validator
+    names (`honest`) and, sorted, those with a snapshot that did not crash
+    (`live_honest`). An event whose kind is unhashable (a list, in a
+    doctored trace) is of no kind, as `Trace.select` never returns it."""
+
+    def __init__(self, trace: Trace):
+        self.meta = trace.meta
+        self.snapshots = trace.snapshots
+        self.quiesced = trace.quiesced
+        self.dropped = trace.dropped
+        self._events = trace.events
+        positions: defaultdict[str, list[int]] = defaultdict(list)
+        for position, event in enumerate(trace.events):
+            try:
+                positions[event["kind"]].append(position)
+            except TypeError:
+                pass
+        self._positions = positions
+        faults = trace.meta.get("faults", {})
+        self.honest = {f"v{i}" for i in range(trace.meta["n"])
+                       if faults.get(str(i), "honest") in COVERED_KINDS}
+        live = []
+        for name in self.honest:
+            snap = trace.snapshots.get(name)
+            if snap is not None and not snap.get("crashed", False):
+                live.append(name)
+        self.live_honest = sorted(live)
+
+    def of(self, *kinds: str) -> Iterator[dict]:
+        """The events of these kinds, in trace order."""
+        groups = [self._positions.get(kind, ()) for kind in kinds]
+        positions = groups[0] if len(groups) == 1 \
+            else sorted(chain.from_iterable(groups))
+        return map(self._events.__getitem__, positions)
 
 
-def _live_honest(trace: Trace) -> set[str]:
-    out = set()
-    for name in _honest_ids(trace):
-        snap = trace.snapshots.get(name)
-        if snap is not None and not snap.get("crashed", False):
-            out.add(name)
-    return out
+def _indexed(trace: Trace | TraceIndex) -> TraceIndex:
+    return trace if isinstance(trace, TraceIndex) else TraceIndex(trace)
 
 
-def check_byzantine_bound(trace: Trace) -> list[Violation]:
+def check_byzantine_bound(trace: Trace | TraceIndex) -> list[Violation]:
     error = fault_bound_error(trace.meta.get("faults", {}).values(),
                               trace.meta["f"])
     return [Violation("byzantine_bound", error)] if error else []
 
 
-def check_drop_budget(trace: Trace) -> list[Violation]:
+def check_drop_budget(trace: Trace | TraceIndex) -> list[Violation]:
     budget = trace.meta.get("drop_budget", 0)
     if trace.dropped > budget:
         return [Violation("drop_budget",
@@ -59,16 +93,19 @@ def check_drop_budget(trace: Trace) -> list[Violation]:
     return []
 
 
-def check_client_safety(trace: Trace) -> list[Violation]:
+def check_client_safety(trace: Trace | TraceIndex) -> list[Violation]:
     """Finalized effects must be present in every live honest validator's
     final state: an effect certificate is a promise of permanence."""
     out = []
-    validators = _live_honest(trace)
-    for event in trace.select("effect_cert"):
+    index = _indexed(trace)
+    stores = [(name, index.snapshots[name].get("objects", {}))
+              for name in index.live_honest]
+    no_versions: dict = {}
+    for event in index.of("effect_cert"):
         for oid, version, fingerprint in event["produced"]:
-            for name in sorted(validators):
-                objects = trace.snapshots[name].get("objects", {})
-                stored = objects.get(oid, {}).get(str(version))
+            version_key = str(version)
+            for name, objects in stores:
+                stored = objects.get(oid, no_versions).get(version_key)
                 if stored != fingerprint:
                     out.append(Violation(
                         "client_safety",
@@ -77,29 +114,33 @@ def check_client_safety(trace: Trace) -> list[Violation]:
     return out
 
 
-def check_conflicting_execution(trace: Trace) -> list[Violation]:
+def check_conflicting_execution(trace: Trace | TraceIndex) -> list[Violation]:
     """Sequenced executions: per object version at most one, and the same
     transaction with bit-identical effects at every honest validator."""
     out = []
-    per_validator: dict[str, dict[str, str]] = {}
-    key_execs: dict[str, dict[tuple, set[str]]] = {}
-    honest = _honest_ids(trace)
-    for event in trace.select("seq_exec"):
+    index = _indexed(trace)
+    honest = index.honest
+    per_validator = defaultdict(dict)
+    key_execs = defaultdict(lambda: defaultdict(set))
+    for event in index.of("seq_exec"):
         actor = event["actor"]
         if actor not in honest:
             continue
-        txs = per_validator.setdefault(actor, {})
-        prior = txs.get(event["tx"])
-        if prior is not None and prior != event["effects"]:
+        txs = per_validator[actor]
+        tx = event["tx"]
+        prior = txs.get(tx)
+        effects = event["effects"]
+        if prior is not None and prior != effects:
             out.append(Violation(
                 "conflicting_execution",
-                f"{actor} produced two effect variants for {event['tx'][:16]}"))
-        txs[event["tx"]] = event["effects"]
-        keys = key_execs.setdefault(actor, {})
+                f"{actor} produced two effect variants for {tx[:16]}"))
+        txs[tx] = effects
+        keys = key_execs[actor]
         for oid, version in event["consumed"]:
-            keys.setdefault((oid, version), set()).add(event["tx"])
+            keys[(oid, version)].add(tx)
     for actor, keys in sorted(key_execs.items()):
-        for key, txs in sorted(keys.items()):
+        for key in sorted(keys):
+            txs = keys[key]
             if len(txs) > 1:
                 out.append(Violation(
                     "conflicting_execution",
@@ -117,30 +158,28 @@ def check_conflicting_execution(trace: Trace) -> list[Violation]:
     return out
 
 
-def check_per_key_linearity(trace: Trace) -> list[Violation]:
+def check_per_key_linearity(trace: Trace | TraceIndex) -> list[Violation]:
     """At most one surviving state-mutating execution per object version,
     across the fast, unlock, and checkpoint paths."""
     out = []
-    honest = _honest_ids(trace)
-    surviving: dict[str, dict[tuple, set[str]]] = {}
-    for event in trace.events:
+    index = _indexed(trace)
+    honest = index.honest
+    surviving = defaultdict(lambda: defaultdict(set))
+    no_txs: set[str] = set()
+    for event in index.of("fast_exec", "undo", "seq_exec"):
         actor = event.get("actor")
         if actor not in honest:
             continue
-        if event["kind"] == "fast_exec":
-            book = surviving.setdefault(actor, {})
-            for oid, version in event["consumed"]:
-                book.setdefault((oid, version), set()).add(event["tx"])
-        elif event["kind"] == "undo":
-            book = surviving.setdefault(actor, {})
+        book = surviving[actor]
+        if event["kind"] == "undo":
             for oid, version in event["keys"]:
-                book.get((oid, version), set()).discard(event["tx"])
-        elif event["kind"] == "seq_exec":
-            book = surviving.setdefault(actor, {})
+                book.get((oid, version), no_txs).discard(event["tx"])
+        else:
             for oid, version in event["consumed"]:
-                book.setdefault((oid, version), set()).add(event["tx"])
+                book[(oid, version)].add(event["tx"])
     for actor, book in sorted(surviving.items()):
-        for key, txs in sorted(book.items()):
+        for key in sorted(book):
+            txs = book[key]
             if len(txs) > 1:
                 out.append(Violation(
                     "per_key_linearity",
@@ -153,56 +192,68 @@ _ALLOWED_TRANSITIONS = {("none", "unlocked"), ("none", "confirmed"),
                         ("unlocked", "confirmed")}
 
 
-def check_unlock_monotonic(trace: Trace) -> list[Violation]:
+def check_unlock_monotonic(trace: Trace | TraceIndex) -> list[Violation]:
     out = []
-    honest = _honest_ids(trace)
+    index = _indexed(trace)
+    honest = index.honest
     states: dict[tuple, str] = {}
-    for event in trace.select("unlock_db_set"):
-        if event["actor"] not in honest:
+    for event in index.of("unlock_db_set"):
+        actor = event["actor"]
+        if actor not in honest:
             continue
-        key = (event["actor"], tuple(event["key"]))
+        key = (actor, *event["key"])
         prev_seen = states.get(key, "none")
         prev, state = event["prev"], event["state"]
         if prev != prev_seen or (prev, state) not in _ALLOWED_TRANSITIONS:
             out.append(Violation(
                 "unlock_monotonic",
-                f"{event['actor']} moved {event['key'][0][:16]}"
+                f"{actor} moved {event['key'][0][:16]}"
                 f" v{event['key'][1]} {prev_seen}->{state}"))
         states[key] = state
     return out
 
 
-def check_version_continuity(trace: Trace) -> list[Violation]:
+def check_version_continuity(trace: Trace | TraceIndex) -> list[Violation]:
     out = []
-    for name in sorted(_honest_ids(trace)):
-        snap = trace.snapshots.get(name)
+    index = _indexed(trace)
+    # objects share a few version sets, so each set is judged once: its
+    # sorted versions if they have a gap, else None
+    gapped: dict[tuple, list[int] | None] = {}
+    for name in sorted(index.honest):
+        snap = index.snapshots.get(name)
         if snap is None:
             continue
         for oid, versions in snap.get("objects", {}).items():
-            present = sorted(int(v) for v in versions)
-            expected = list(range(present[0], present[0] + len(present)))
-            if present != expected:
+            keys = tuple(versions)
+            if keys not in gapped:
+                present = sorted(map(int, keys))
+                expected = list(range(present[0], present[0] + len(present)))
+                gapped[keys] = None if present == expected else present
+            present = gapped[keys]
+            if present is not None:
                 out.append(Violation(
                     "version_continuity",
                     f"{name}: object {oid[:16]} versions {present} have gaps"))
     return out
 
 
-def check_gas_conservation(trace: Trace) -> list[Violation]:
+def check_gas_conservation(trace: Trace | TraceIndex) -> list[Violation]:
     """Every sequenced unlock certificate pays with its gas object exactly
     once per honest validator, in all outcome cases."""
     out = []
-    honest = _honest_ids(trace)
+    index = _indexed(trace)
+    honest = index.honest
     consumed: dict[tuple, int] = {}
-    outcomes: set[tuple] = set()
-    for event in trace.events:
-        if event.get("actor") not in honest:
-            continue
-        if event["kind"] == "gas_consumed":
-            pair = (event["actor"], event["rqt"])
+    for event in index.of("gas_consumed"):
+        actor = event.get("actor")
+        if actor in honest:
+            pair = (actor, event["rqt"])
             consumed[pair] = consumed.get(pair, 0) + 1
-        elif event["kind"] in ("unlock_exec", "unlock_ignored"):
-            outcomes.add((event["actor"], event["rqt"]))
+    outcomes: set[tuple] = set()
+    for event in index.of("unlock_exec", "unlock_ignored"):
+        actor = event.get("actor")
+        if actor in honest:
+            outcomes.add((actor, event["rqt"]))
     for pair in sorted(outcomes):
         count = consumed.get(pair, 0)
         if count != 1:
@@ -213,26 +264,26 @@ def check_gas_conservation(trace: Trace) -> list[Violation]:
     return out
 
 
-def check_starvation_freedom(trace: Trace) -> list[Violation]:
+def check_starvation_freedom(trace: Trace | TraceIndex) -> list[Violation]:
     out = []
+    index = _indexed(trace)
     unauthorized = set()
-    for event in trace.select("ucert_assembled"):
+    for event in index.of("ucert_assembled"):
         if not event.get("authorized", True):
             unauthorized.add(event["rqt"])
             out.append(Violation(
                 "starvation_freedom",
                 f"unauthorized requester assembled unlock cert"
                 f" {event['rqt'][:16]}"))
-    honest = _honest_ids(trace)
-    for event in trace.select("unlock_exec"):
-        if event["actor"] in honest and event["rqt"] in unauthorized:
+    for event in index.of("unlock_exec"):
+        if event["actor"] in index.honest and event["rqt"] in unauthorized:
             out.append(Violation(
                 "starvation_freedom",
                 f"{event['actor']} executed an unauthorized unlock"))
     return out
 
 
-def check_unlock_liveness(trace: Trace) -> list[Violation]:
+def check_unlock_liveness(trace: Trace | TraceIndex) -> list[Violation]:
     """On quiescent runs, every authorized unlock reaches a terminal
     outcome (its effect certificates, superseded, or refused by the
     validators) within the epoch-length bound; truncated runs are
@@ -240,16 +291,17 @@ def check_unlock_liveness(trace: Trace) -> list[Violation]:
     if not trace.quiesced:
         return []
     out = []
-    bound = trace.meta.get("epoch_length", 0)
+    index = _indexed(trace)
+    bound = index.meta.get("epoch_length", 0)
     completions: dict[str, int] = {}
-    for event in trace.events:
+    for event in index.of("effect_cert", "unlock_superseded",
+                          "unlock_refused"):
         rqt = event.get("rqt")
         if rqt is None:
             continue
-        if (event["kind"] == "effect_cert" and event.get("path") == "unlock") \
-                or event["kind"] in ("unlock_superseded", "unlock_refused"):
+        if event["kind"] != "effect_cert" or event.get("path") == "unlock":
             completions.setdefault(rqt, event["tick"])
-    for event in trace.select("unlock_started"):
+    for event in index.of("unlock_started"):
         if not event.get("authorized", True):
             continue
         done_at = completions.get(event["rqt"])
@@ -265,7 +317,7 @@ def check_unlock_liveness(trace: Trace) -> list[Violation]:
     return out
 
 
-def check_bounded_counters(trace: Trace) -> list[Violation]:
+def check_bounded_counters(trace: Trace | TraceIndex) -> list[Violation]:
     """Across everything that finalized, a bounded counter's debits never
     exceed its initial credit plus finalized credits."""
     out = []
@@ -275,14 +327,14 @@ def check_bounded_counters(trace: Trace) -> list[Violation]:
             limits[spec["oid"]] = spec["limit"]
     if not limits:
         return out
-    honest = _honest_ids(trace)
+    index = _indexed(trace)
+    honest = index.honest
     finalized: dict[str, list] = {}
-    for event in trace.events:
+    for event in index.of("effect_cert", "seq_exec"):
         counters = event.get("counters")
         if not counters:
             continue
-        if event["kind"] == "effect_cert" or (
-                event["kind"] == "seq_exec" and event["actor"] in honest):
+        if event["kind"] == "effect_cert" or event["actor"] in honest:
             finalized.setdefault(event["tx"], counters)
     debits = {oid: 0 for oid in limits}
     credits = {oid: 0 for oid in limits}
@@ -304,18 +356,19 @@ def check_bounded_counters(trace: Trace) -> list[Violation]:
     return out
 
 
-def check_convergence(trace: Trace) -> list[Violation]:
+def check_convergence(trace: Trace | TraceIndex) -> list[Violation]:
     """After quiescence, live honest validators agree on object state and
     on the sequenced counter history."""
     if not trace.quiesced:
         return []
     out = []
-    names = sorted(_live_honest(trace))
+    index = _indexed(trace)
+    names = index.live_honest
     if len(names) < 2:
         return out
-    baseline = trace.snapshots[names[0]]
+    baseline = index.snapshots[names[0]]
     for name in names[1:]:
-        snap = trace.snapshots[name]
+        snap = index.snapshots[name]
         for field_name in ("objects", "latest"):
             if snap.get(field_name) != baseline.get(field_name):
                 out.append(Violation(
@@ -350,10 +403,12 @@ CHECKERS = [
 
 
 def check_invariants(trace: Trace) -> list[Violation]:
-    """Run every registered checker; empty result means all claims held."""
+    """Run every registered checker on one index of the trace; empty
+    result means all claims held."""
+    index = TraceIndex(trace)
     out: list[Violation] = []
     for _, checker in CHECKERS:
-        out.extend(checker(trace))
+        out.extend(checker(index))
     return out
 
 

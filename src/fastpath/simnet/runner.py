@@ -63,7 +63,7 @@ class _Network:
         self.budget = spec.drop_budget
         self.sent = 0
         self.dropped = 0
-        self._span = spec.max_delay - spec.min_delay + 1  # the loader checks >= 1
+        self._span = spec.max_delay - spec.min_delay + 1  # NetworkSpec checks >= 1
         self._bits = self._span.bit_length()
 
     def delay(self) -> int:

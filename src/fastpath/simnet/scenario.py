@@ -133,11 +133,23 @@ class Fault(NamedTuple):
     at: int = 0
 
 
-class NetworkSpec(NamedTuple):
+class _NetworkSpec(NamedTuple):
     min_delay: int = 1
     max_delay: int = 8
     drop_budget: int = 0
     drop_rate: float = 0.2
+
+
+class NetworkSpec(_NetworkSpec):
+    """Delays are drawn from [min_delay, max_delay]; a spec whose range is
+    empty or reaches below 1 raises ValueError."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if not 1 <= spec.min_delay <= spec.max_delay:
+            raise ValueError("network delays must satisfy 1 <= min <= max")
+        return spec
 
 
 class ObjectSpec(NamedTuple):
@@ -194,14 +206,16 @@ class Scenario(NamedTuple):
             raise ScenarioError(error)
 
         net = data.get("network") or {}
-        network = NetworkSpec(
-            min_delay=_number(net.get("min_delay", 1), "min_delay", 1),
-            max_delay=_number(net.get("max_delay", 8), "max_delay", 1),
-            drop_budget=_number(net.get("drop_budget", 0), "drop_budget", 0),
-            drop_rate=_number(net.get("drop_rate", 0.2), "drop_rate", 0, 1, float),
-        )
-        if network.max_delay < network.min_delay:
-            raise ScenarioError("network delays must satisfy 1 <= min <= max")
+        try:
+            network = NetworkSpec(
+                min_delay=_number(net.get("min_delay", 1), "min_delay", 1),
+                max_delay=_number(net.get("max_delay", 8), "max_delay", 1),
+                drop_budget=_number(net.get("drop_budget", 0), "drop_budget", 0),
+                drop_rate=_number(net.get("drop_rate", 0.2), "drop_rate", 0, 1,
+                                  float),
+            )
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
 
         accounts = list(data.get("accounts") or [])
         if not all(isinstance(name, str) for name in accounts) \

@@ -60,8 +60,9 @@ class Trace:
         cannot judge: no meta record first, a meta record without a key
         the checkers read, a committee size `n` that is not an int in
         [1, MAX_COMMITTEE] (the checkers name every validator), a fault
-        bound `f` that is not an int of at least 0, or no `end` record
-        last (a cut trace)."""
+        bound `f` that is not an int of at least 0, an event whose actor
+        is a list or an object (the checkers look actors up in a set), or
+        no `end` record last (a cut trace)."""
         lines = [json.loads(line) for line in text.splitlines() if line.strip()]
         if not all(isinstance(record, dict) for record in lines):
             raise ValueError("every trace line must be a JSON object")
@@ -91,6 +92,9 @@ class Trace:
                 trace.ticks = record["ticks"]
                 trace.sent = record.get("sent", 0)
                 trace.dropped = record.get("dropped", 0)
+            elif isinstance(record.get("actor"), (list, dict)):
+                raise ValueError("an event's actor cannot be a list or an "
+                                 "object")
             else:
                 trace.events.append(record)
         return trace

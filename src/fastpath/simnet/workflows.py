@@ -39,7 +39,6 @@ from ..client import (
     retry_after_unlock,
 )
 from ..counters import initial_budget
-from ..crypto import user_keypair
 from ..types import (
     Object,
     ObjectKey,
@@ -56,7 +55,7 @@ class ClientActor:
         self.runner = runner
         self.name = name
         self.emit = functools.partial(runner.recorder.emit, name)
-        self.pk = user_keypair(name)[1]
+        self.pk = runner.account_pk[name]
         self.drivers: dict[bytes, object] = {}
 
     # -- driver environment --

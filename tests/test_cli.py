@@ -474,6 +474,8 @@ def _editing(kind, edit, name):
              .clear(), "object_without_versions"),
     _editing("seq_exec", lambda r: r.pop("actor"), "seq_exec_without_actor"),
     _editing("lock_set", lambda r: r.pop("kind"), "event_without_kind"),
+    _editing("lock_set", lambda r: r.update(actor=["v0"]),
+             "event_actor_a_list"),
     _editing("meta", lambda r: r.update(n="four"), "meta_n_four"),
     _editing("meta", lambda r: r.update(n=10**12), "meta_n_huge")])
 def test_malformed_trace_is_exit_2(tmp_path, capsys, mutate):

@@ -235,6 +235,55 @@ def test_locking_memo_check_flags_planted_uses():
         "m:7 uses functools.cached_property", "m:9 uses ft.cached_property"]
 
 
+# `check_invariants` reads a trace in one pass, into the `TraceIndex` it
+# hands every checker; a checker that walked the events itself would add a
+# pass of its own.
+def trace_scans(tree: ast.Module, functions: set[str]) -> list[str]:
+    """In the named top-level functions: reads of an `.events` attribute
+    and calls of a `.select` method, in line order."""
+    found = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name not in functions:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr == "events":
+                found.append((node.lineno, f"{fn.name}:{node.lineno} reads"
+                                           " .events"))
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "select":
+                found.append((node.lineno, f"{fn.name}:{node.lineno} calls"
+                                           " .select"))
+    return [line for _, line in sorted(found)]
+
+
+def test_checkers_read_the_trace_index():
+    from fastpath.simnet.invariants import CHECKERS
+
+    tree = ast.parse((SRC / "simnet" / "invariants.py").read_text())
+    checkers = {checker.__name__ for _, checker in CHECKERS}
+    assert checkers <= {node.name for node in tree.body
+                        if isinstance(node, ast.FunctionDef)}
+    assert trace_scans(tree, checkers) == []
+
+
+def test_trace_scan_check_flags_planted_scans():
+    planted = ast.parse(
+        "def scans(trace):\n"
+        "    for event in trace.events:\n"
+        "        pass\n"
+        "    return trace.select('x')\n"
+        "def walks(trace):\n"
+        "    return [e for i, e in enumerate(trace.events)]\n"
+        "def reads_index(index):\n"
+        "    return list(index.of('x', 'y')), index.meta, index.honest\n"
+        "def not_a_checker(trace):\n"
+        "    return trace.select('y'), trace.events\n")
+    assert trace_scans(planted, {"scans", "walks", "reads_index"}) == [
+        "scans:2 reads .events", "scans:4 calls .select",
+        "walks:6 reads .events"]
+
+
 # The trace recorder sets these on every event itself, over the fields it
 # was passed, so an emit site that passed one would lose it silently.
 RECORD_KEYS = {"tick", "actor", "kind"}

@@ -408,6 +408,112 @@ def test_checker_flags_diverged_stores():
     assert check_convergence(doctored)
 
 
+# --- checkers judge events in trace order, on the trace as it is now --------
+
+def _bare_trace(events, objects=None) -> Trace:
+    """One honest validator, v0, and the given events, ticked in order
+    unless an event names its own tick."""
+    meta = {"n": 1, "f": 0, "faults": {}, "drop_budget": 0,
+            "epoch_length": 30, "objects": {}}
+    snapshots = {"v0": {"objects": objects or {}}}
+    return Trace(meta, [{"tick": i, "actor": "v0", **event}
+                        for i, event in enumerate(events)], snapshots)
+
+
+def _exec(kind, tx, field="consumed"):
+    return {"kind": kind, "tx": tx, field: [["k" * 64, 0]]}
+
+
+def test_an_undo_before_its_execution_does_not_cancel_it():
+    undo = _exec("undo", "a" * 64, "keys")
+    first, second = _exec("fast_exec", "a" * 64), _exec("fast_exec", "b" * 64)
+    early = _bare_trace([undo, first, second])
+    assert [v.message for v in check_per_key_linearity(early)] == [
+        f"v0: 2 surviving executions consumed {'k' * 16} v0"]
+    assert check_per_key_linearity(_bare_trace([first, undo, second])) == []
+
+
+def test_a_sequenced_execution_after_an_undo_survives_it():
+    events = [_exec("fast_exec", "a" * 64), _exec("undo", "a" * 64, "keys"),
+              _exec("seq_exec", "a" * 64), _exec("fast_exec", "b" * 64)]
+    assert check_per_key_linearity(_bare_trace(events))
+    assert check_per_key_linearity(_bare_trace(events[:2] + events[3:])) == []
+
+
+@pytest.mark.parametrize("late_kind", ["effect_cert", "unlock_refused"])
+def test_unlock_liveness_takes_the_first_completion_in_trace_order(late_kind):
+    # the first completion in the trace is at tick 50, 40 ticks after the
+    # start (bound 30); a later record claims an earlier tick
+    rqt = "r" * 64
+    kinds = {"effect_cert", "unlock_refused"}
+    first_kind, = kinds - {late_kind}
+    completion = {"rqt": rqt, "path": "unlock", "tx": "t" * 64,
+                  "produced": [], "counters": []}
+    trace = _bare_trace([
+        {"kind": "unlock_started", "rqt": rqt, "authorized": True, "tick": 10},
+        {**completion, "kind": first_kind, "tick": 50},
+        {**completion, "kind": late_kind, "tick": 20}])
+    assert [v.message for v in check_unlock_liveness(trace)] == [
+        f"unlock {'r' * 16} took 40 ticks (bound 30)"]
+
+
+@pytest.mark.parametrize("versions", [["1", "01"], ["1", "01", "3"]])
+def test_version_continuity_flags_duplicate_versions(versions):
+    # "1" and "01" are one version twice; with "3" their span looks whole
+    trace = _bare_trace([], {"o" * 64: {v: "f" * 32 for v in versions}})
+    assert check_version_continuity(trace)
+
+
+def _doctored_trace():
+    doctored = copy.deepcopy(_clean_trace())
+    doctored.events.append(copy.deepcopy(doctored.select("gas_consumed")[0]))
+    seq = copy.deepcopy(doctored.select("seq_exec")[0])
+    seq["tx"] = "b" * 64
+    doctored.events.append(seq)
+    doctored.snapshots["v1"]["objects"].popitem()
+    return doctored
+
+
+@pytest.mark.parametrize("name", [
+    *sorted(p.name for p in SCENARIOS.glob("*.yaml")), "doctored"])
+def test_one_index_gives_what_each_checker_finds_alone(name):
+    if name == "doctored":
+        trace = _doctored_trace()
+    else:
+        trace = run(Scenario.load(str(SCENARIOS / name)))
+    assert check_invariants(trace) == [
+        violation for _, checker in CHECKERS for violation in checker(trace)]
+    if name == "doctored":
+        assert {v.checker for v in check_invariants(trace)} >= {
+            "gas_conservation", "per_key_linearity", "conflicting_execution",
+            "client_safety", "convergence"}
+
+
+def test_a_checker_reads_events_appended_after_its_last_call():
+    trace = _clean_trace()
+    before = check_invariants(trace)
+    trace.events.append(copy.deepcopy(trace.select("gas_consumed")[0]))
+    assert check_gas_conservation(trace) and check_invariants(trace) != before
+
+
+def test_network_spec_rejects_an_empty_delay_range():
+    # checked on construction, so a run never draws from an empty range
+    for low, high in [(5, 2), (0, 3), (-2, -1)]:
+        with pytest.raises(ValueError):
+            NetworkSpec(min_delay=low, max_delay=high)
+    assert NetworkSpec(3, 3).max_delay == 3
+    with pytest.raises(ScenarioError):
+        Scenario.from_dict({"committee": {"n": 4, "f": 1},
+                            "network": {"min_delay": 5, "max_delay": 2}})
+
+
+def test_clients_use_the_run_keys():
+    runner = Runner(plain_transfer(1))
+    assert runner.clients
+    for name, client in runner.clients.items():
+        assert client.pk is runner.account_pk[name]
+
+
 class InflatingStore(ValidatorState):
     """v0 adds 1,000 to every balance it stores; the others are honest."""
 
