@@ -374,13 +374,15 @@ class Revealed(_Revealed):
 RevealNode = Union[Revealed, Hidden]
 
 
-def _annotate(term: AuthTerm, stream: NonceStream | None, depth: int) -> Revealed:
-    """The term as a fully revealed tree, with nonces drawn in pre-order."""
+def annotate(term: AuthTerm, stream: NonceStream | None = None,
+             depth: int = 1) -> Revealed:
+    """The term as a fully revealed tree, with nonces drawn in pre-order;
+    its root is the commitment, and `reveal_from` cuts reveals from it."""
     if depth > MAX_DEPTH:
         raise TermDepthError(f"term deeper than {MAX_DEPTH}")
     nonce = stream.take() if stream is not None else None
     return Revealed(term.label, _term_fields(term), nonce,
-                    tuple(_annotate(c, stream, depth + 1)
+                    tuple(annotate(c, stream, depth + 1)
                           for c in _term_children(term)))
 
 
@@ -391,7 +393,7 @@ def commit(term: AuthTerm, nonce_source: NonceStream | None = None) -> bytes:
     owner can later regenerate them for reveals. Without nonces the
     commitment of a bare PublicKey leaf doubles as a plain address.
     """
-    return reveal_root(_annotate(term, nonce_source, 1))
+    return reveal_root(annotate(term, nonce_source))
 
 
 # --- reveals ------------------------------------------------------------------
@@ -399,17 +401,19 @@ def commit(term: AuthTerm, nonce_source: NonceStream | None = None) -> bytes:
 def build_reveal(term: AuthTerm, path: AuthPath,
                  nonce_source: NonceStream | None = None) -> RevealNode:
     """Reveal exactly the branches `path` needs; everything else stays a digest."""
-    return _reveal_from(_annotate(term, nonce_source, 1), path)
+    return reveal_from(annotate(term, nonce_source), path)
 
 
-def _reveal_from(node: Revealed, path: AuthPath) -> RevealNode:
+def reveal_from(node: Revealed, path: AuthPath) -> RevealNode:
+    """The reveal `path` needs, cut from the annotated tree `node`; its
+    leaves are the tree's own nodes, so their roots are hashed once."""
     if node.kind in _LEAF_LABELS:
         if not isinstance(path, LeafPath):
             raise PathError("leaf term given a branch path")
         return node
     chosen = dict(_selected(node, path))
     kids = tuple(
-        _reveal_from(c, chosen[i]) if i in chosen else Hidden(reveal_root(c))
+        reveal_from(c, chosen[i]) if i in chosen else Hidden(reveal_root(c))
         for i, c in enumerate(node.children))
     return Revealed(node.kind, node.fields, node.nonce, kids)
 

@@ -88,6 +88,8 @@ class UnlockRqt(_UnlockRqt):
                              self.signing_bytes() + enc_bytes(repl) + extra)
 
     hexdigest = cached_property(lambda self: self.digest.hex())
+    key_ids = cached_property(
+        lambda self: tuple(k.ids for k in self.object_keys))
 
     @property
     def multi(self) -> bool:
@@ -221,11 +223,9 @@ def _emit_effect_cert(env, effects, **fields) -> None:
     """Trace a finalized effect certificate; each produced object carries a
     state fingerprint that final snapshots can be diffed against."""
     env.emit("effect_cert", effects=effects.hexdigest,
-             produced=[[o.key.object_id.hex(), o.key.version,
-                        o.fingerprint] for o in effects.produced],
-             counters=[[d.object_id.hex(), d.delta]
-                       for d in effects.counter_deltas],
-             **fields)
+             produced=[(*ids, o.fingerprint) for ids, o
+                       in zip(effects.produced_ids, effects.produced)],
+             counters=effects.counter_ids, **fields)
 
 
 class _Driver:
@@ -416,9 +416,7 @@ class FastUnlockDriver(_Driver):
     def start(self, env) -> None:
         self.round_trips = 1
         env.emit("unlock_started", rqt=self.rqt.hexdigest,
-                 authorized=self.authorized,
-                 keys=[[k.object_id.hex(), k.version]
-                       for k in self.rqt.object_keys])
+                 authorized=self.authorized, keys=self.rqt.key_ids)
         env.broadcast(self.rqt)
         env.set_timer(RETRY_DELAY, self)
 
@@ -434,9 +432,7 @@ class FastUnlockDriver(_Driver):
         self.round_trips += 1
         env.emit("ucert_assembled", rqt=self.rqt.hexdigest,
                  carried=[c.tx.hexdigest for c in self.ucert.carried_union()],
-                 authorized=self.authorized,
-                 keys=[[k.object_id.hex(), k.version]
-                       for k in self.rqt.object_keys])
+                 authorized=self.authorized, keys=self.rqt.key_ids)
         env.submit_sequencer(self.ucert)
 
     def _superseded(self, env) -> None:

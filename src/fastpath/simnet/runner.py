@@ -44,7 +44,7 @@ import heapq
 import random
 
 from .. import crypto
-from ..authenticators import AuthTerm, event_facts
+from ..authenticators import AuthTerm, Revealed, event_facts
 from ..crypto import user_keypair
 from ..encoding import digest, enc_u64
 from ..sequencer import ITEM_KINDS, Sequencer
@@ -122,7 +122,9 @@ class Runner:
         # what clients know of objects and owners (see workflows.py)
         self.seen: dict[bytes, dict[int, Object]] = {}
         self.versions: dict[bytes, int] = {}
-        self.owner_terms: dict[bytes, tuple[AuthTerm, bytes | None]] = {}
+        self.owner_terms: dict[bytes, tuple[AuthTerm, Revealed]] = {}
+        self.object_ids: dict[str, bytes] = {}
+        self.commitments: dict[str, bytes] = {}
 
         genesis = materialize_genesis(scenario)
         for name in scenario.accounts:
@@ -131,10 +133,10 @@ class Runner:
             self.client_of_pk[pk] = name
         self.genesis = genesis
         for entry in genesis:
+            self.object_ids[entry.spec.name] = entry.obj.key.object_id
             self.seen[entry.obj.key.object_id] = {0: entry.obj}
-            if entry.spec.term is not None:
-                self.owner_terms[entry.obj.owner] = (entry.spec.term,
-                                                     entry.nonce_seed)
+            if entry.tree is not None:
+                self.owner_terms[entry.obj.owner] = entry.spec.term, entry.tree
 
         self.validators = []
         for vid in range(scenario.params.n):

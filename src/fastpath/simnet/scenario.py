@@ -49,10 +49,12 @@ from ..authenticators import (
     IncludesObject,
     NonceStream,
     PublicKey,
+    Revealed,
     TermDepthError,
     Threshold,
+    annotate,
     check_depth,
-    commit,
+    reveal_root,
 )
 from ..crypto import user_keypair
 from ..encoding import digest
@@ -142,7 +144,7 @@ class _NetworkSpec(NamedTuple):
 
 class NetworkSpec(_NetworkSpec):
     """Delays are drawn from [min_delay, max_delay]; a spec whose range is
-    empty or reaches below 1 raises ValueError."""
+    empty or reaches below 1, built or `_replace`d, raises ValueError."""
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -150,6 +152,10 @@ class NetworkSpec(_NetworkSpec):
         if not 1 <= spec.min_delay <= spec.max_delay:
             raise ValueError("network delays must satisfy 1 <= min <= max")
         return spec
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so `_replace` checks too
 
 
 class ObjectSpec(NamedTuple):
@@ -397,24 +403,24 @@ def term_from_spec(spec: dict, account_keys: dict[str, bytes]) -> AuthTerm:
 class GenesisObject(NamedTuple):
     spec: ObjectSpec
     obj: Object
-    nonce_seed: bytes | None
+    tree: Revealed | None  # the owner term annotated, its root the owner
 
 
 def materialize_genesis(scenario: Scenario) -> list[GenesisObject]:
     """Build every genesis object, committing to its owner term."""
     out = []
     for spec in scenario.objects:
-        nonce_seed = None
-        owner = None
+        tree = owner = None
         if spec.term is not None:
-            nonce_seed = nonce_seed_for(spec.name) if spec.hidden else None
-            stream = NonceStream(nonce_seed) if nonce_seed else None
-            owner = commit(spec.term, stream)
+            stream = (NonceStream(nonce_seed_for(spec.name)) if spec.hidden
+                      else None)
+            tree = annotate(spec.term, stream)
+            owner = reveal_root(tree)
         if spec.kind == ObjectKind.COMMUTATIVE:
             contents = CounterValue(spec.flavor, spec.limit)
         else:
             contents = IntValue(spec.contents)
         obj = Object(ObjectKey(object_id_for(spec.name), 0), spec.kind, owner,
                      contents)
-        out.append(GenesisObject(spec, obj, nonce_seed))
+        out.append(GenesisObject(spec, obj, tree))
     return out

@@ -8,6 +8,10 @@ which is itself one of the checked guarantees.
 `TraceRecorder.emit` is the only writer of events. An actor's `emit` is the
 recorder's `emit` bound to the actor's name, so an event reaches the
 recorder in one call; the runner advances the recorder's `tick`.
+
+A live trace's sequence payloads (keys, key lists, counter deltas) are
+tuples shared by every event that records them; a parsed trace's are lists.
+JSON writes both as arrays, so either serializes to the same bytes.
 """
 
 from __future__ import annotations

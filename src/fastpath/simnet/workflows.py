@@ -8,12 +8,16 @@ client runs in (network, validator and sequencer actors, queue) is
 `runner.py`.
 
 Clients learn owners only from what the protocol shows them, kept in
-three maps that all clients of a run share: `seen`, every object version
-clients saw (genesis, and each output of a finalized effect certificate),
+maps that all clients of a run share: `seen`, every object version clients
+saw (genesis, and each output of a finalized effect certificate),
 `versions`, the version each object is spent at next, and `owner_terms`,
-the owner term behind each commitment they can open. A key's kind, owner
-and counter limit are those of the object seen at its version, or at the
-latest earlier version seen; `execute` alone decides ownership.
+the owner term behind each commitment they can open, with its committed
+tree. A key's kind, owner and counter limit are those of the object seen at
+its version, or at the latest earlier version seen; `execute` alone decides
+ownership. The pure work of building a transaction is done once per run:
+`object_ids` holds each object name's id, `commitments` each recipient's
+owner commitment, and every reveal is cut from the stored tree
+(`authenticators.reveal_from`).
 
 A client holds one driver table keyed by subject digest, the digest of the
 transaction or unlock request a driver carries. Every validator answer (a
@@ -30,8 +34,8 @@ from __future__ import annotations
 
 import functools
 
-from ..authenticators import AuthContext, Evidence, NonceStream, PublicKey, \
-    build_reveal, commit, find_path
+from ..authenticators import AuthContext, Evidence, PublicKey, annotate, \
+    commit, find_path, reveal_from
 from ..client import (
     FastPathDriver,
     FastUnlockDriver,
@@ -91,9 +95,24 @@ class ClientActor:
 
     # -- building blocks --
 
+    def _oid(self, name: str) -> bytes:
+        oid = self.runner.object_ids.get(name)
+        if oid is None:  # a minted object's
+            oid = self.runner.object_ids[name] = object_id_for(name)
+        return oid
+
     def key_of(self, name: str) -> ObjectKey:
-        oid = object_id_for(name)
+        oid = self._oid(name)
         return ObjectKey(oid, self.runner.versions.get(oid, 0))
+
+    def _owner_for(self, account: str) -> bytes:
+        """The commitment to `account`'s bare key, made once per run."""
+        owner = self.runner.commitments.get(account)
+        if owner is None:
+            term = PublicKey(self.runner.account_pk[account])
+            owner = self.runner.commitments[account] = commit(term)
+            self.runner.owner_terms[owner] = term, annotate(term)
+        return owner
 
     def seen_at(self, key: ObjectKey) -> Object | None:
         """The object at `key` as clients saw it, or at the latest earlier
@@ -129,13 +148,11 @@ class ClientActor:
             opened = self.runner.owner_terms.get(obj.owner) if obj else None
             if opened is None:
                 continue  # no owner, or one that no client can open
-            term, nonce_seed = opened
+            term, tree = opened
             path = find_path(term, ctx)
             if path is None:
                 continue  # cannot authorize this object; validators will say so
-            stream = NonceStream(nonce_seed) if nonce_seed else None
-            reveals.append((key.object_id, build_reveal(term, path, stream),
-                            path))
+            reveals.append((key.object_id, reveal_from(tree, path), path))
         return Evidence.build(message, keys, reveals, self.runner.scheme)
 
     def _build_tx(self, action: dict) -> Transaction:
@@ -145,18 +162,14 @@ class ClientActor:
             input_names.append(gas_name)
         inputs = tuple(self.key_of(n) for n in input_names)
         gas_key = self.key_of(gas_name)
-        shared = tuple(object_id_for(n) for n in action.get("shared", []))
+        shared = tuple(self._oid(n) for n in action.get("shared", []))
         kind = (TxKind(action["action"]) if action["action"] in TX_ACTIONS
                 else TxKind.NOOP)
-        new_owner = None
-        if action.get("to"):
-            term = PublicKey(self.runner.account_pk[action["to"]])
-            new_owner = commit(term)
-            self.runner.owner_terms[new_owner] = term, None
         params = TxParams(
             amount=int(action.get("amount", 0)),
-            new_owner=new_owner,
-            new_object_id=(object_id_for(action["new_object"])
+            new_owner=(self._owner_for(action["to"]) if action.get("to")
+                       else None),
+            new_object_id=(self._oid(action["new_object"])
                            if action.get("new_object") else None),
             item=(action["item"].encode() if action.get("item") else None),
             memo=action.get("memo", "").encode(),
@@ -363,7 +376,7 @@ class ClientActor:
         self._spend_step(action, state)
 
     def _spend_done(self, action: dict, state: dict, **reason) -> None:
-        self.emit("spend_done", counter=object_id_for(action["counter"]).hex(),
+        self.emit("spend_done", counter=self._oid(action["counter"]).hex(),
                   remaining=state["remaining"],
                   consolidations=state["consolidations"], **reason)
 

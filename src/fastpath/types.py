@@ -8,7 +8,8 @@ successful mutation produces version + 1.
 Every value type is a named tuple: hashing, equality and field access run
 in C, and a class costs little to create at import. A type whose
 constructor validates subclasses its named tuple and checks in `__new__`;
-`_make` and `_replace` skip that check, so no caller uses them on it.
+its `_make`, which `_replace` calls, goes through the constructor, so a
+copy is checked too.
 
 Because the values never change, pure work on them is done once per
 instance: encodings, digests and their hex (`hexdigest`) are lock-free
@@ -16,14 +17,17 @@ instance: encodings, digests and their hex (`hexdigest`) are lock-free
 failure), `verified_once` checks remember their verdict per (committee,
 scheme), `Evidence.signer_set` remembers its signer set per (message,
 scheme), `authenticators.reveal_root` remembers each reveal's Merkle root,
-and `validator.execute` remembers its plan per input content. A type
-that memoizes subclasses its named tuple without `__slots__`, so each
-instance keeps a `__dict__` for the memo: `Object`, `Transaction`,
-`CertSign`, `Certificate`, `EffectSummary`, `Evidence`, `Revealed` and the
-three unlock messages. A copy with any field changed is a new instance
-with an empty memo. Every actor of a simulation shares the same
-instances, so a certificate is verified, and a transaction executed, once
-per run, not once per validator.
+and `validator.execute` remembers its plan per input content. What traces
+record of a value is memoized too, as tuples every event shares:
+`ObjectKey.ids`, an `EffectSummary`'s `consumed_ids`, `produced_ids` and
+`counter_ids`, and `UnlockRqt.key_ids`. A type that memoizes subclasses
+its named tuple without `__slots__`, so each instance keeps a `__dict__`
+for the memo: `ObjectKey`, `Object`, `Transaction`, `CertSign`,
+`Certificate`, `EffectSummary`, `Evidence`, `Revealed` and the three
+unlock messages. A copy with any field changed is a new instance with an
+empty memo. Every actor of a simulation shares the same instances, so a
+certificate is verified, a transaction executed, and a key's hex taken,
+once per run, not once per validator.
 """
 
 from __future__ import annotations
@@ -93,6 +97,10 @@ class CommitteeParams(_CommitteeParams):
             raise ProtocolError(ErrorCode.MALFORMED_COMMITTEE,
                                 f"n={n} f={f} violates n >= 3f+1")
         return super().__new__(cls, n, f)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so `_replace` checks too
 
 
 def quorum(params: CommitteeParams) -> int:
@@ -172,12 +180,17 @@ class ObjectKind(str, enum.Enum):
     COMMUTATIVE = "commutative"
 
 
-class ObjectKey(NamedTuple):
+class _ObjectKey(NamedTuple):
+    object_id: bytes
+    version: int
+
+
+class ObjectKey(_ObjectKey):
     """An object version. A named tuple, so hashing and equality run in C;
     the hash equals `hash((object_id, version))`."""
 
-    object_id: bytes
-    version: int
+    # the key as traces record it
+    ids = cached_property(lambda self: (self.object_id.hex(), self.version))
 
     def canonical_bytes(self) -> bytes:
         return enc_bytes(self.object_id) + enc_u64(self.version)
@@ -382,6 +395,13 @@ class EffectSummary(_EffectSummary):
         return tagged_digest("effects", body)
 
     hexdigest = cached_property(lambda self: self.digest.hex())
+    # what traces record of the effects, shared by every event that writes it
+    consumed_ids = cached_property(
+        lambda self: tuple(k.ids for k in self.consumed))
+    produced_ids = cached_property(
+        lambda self: tuple(o.key.ids for o in self.produced))
+    counter_ids = cached_property(lambda self: tuple(
+        (d.object_id.hex(), d.delta) for d in self.counter_deltas))
 
 
 class EffectSign(NamedTuple):

@@ -300,8 +300,8 @@ class ValidatorState:
         if prev == CONFIRMED:
             return  # confirmed entries never move backwards
         self.unlock_db[key] = state
-        self.emit("unlock_db_set", key=[key.object_id.hex(), key.version],
-                  prev=prev or "none", state=state)
+        self.emit("unlock_db_set", key=key.ids, prev=prev or "none",
+                  state=state)
 
     def _confirm(self, key: ObjectKey) -> None:
         self._set_unlock(key, CONFIRMED)
@@ -371,8 +371,7 @@ class ValidatorState:
         for key in owned:
             if key not in self.lock_db:
                 self.lock_db[key] = LockEntry(tx.digest, self.clock)
-                self.emit("lock_set", key=[key.object_id.hex(), key.version],
-                          tx=tx.hexdigest)
+                self.emit("lock_set", key=key.ids, tx=tx.hexdigest)
         self.emit("tx_signed", tx=tx.hexdigest)
         return CertSign.make(tx, self.vid, self.scheme)
 
@@ -445,10 +444,7 @@ class ValidatorState:
         if tx.digest not in self.sequenced_certs:
             self.executed_unsequenced.add(tx.digest)
         self.emit("fast_exec", tx=tx.hexdigest, effects=plan.hexdigest,
-                  consumed=[[k.object_id.hex(), k.version]
-                            for k in plan.consumed],
-                  produced=[[o.key.object_id.hex(), o.key.version]
-                            for o in plan.produced])
+                  consumed=plan.consumed_ids, produced=plan.produced_ids)
         return Outcome(tx.digest, "executed", self.vid, (sign,))
 
     def _apply_plan(self, tx_digest: bytes, plan: EffectSummary) -> None:
@@ -639,8 +635,8 @@ class ValidatorState:
         self.unlock_outcomes[rqt.digest] = out
         self.emit("unlock_exec", rqt=rqt.hexdigest, branch=branch,
                   effects=[s.effects.hexdigest for s in signs],
-                  produced=[[o.key.object_id.hex(), o.key.version]
-                            for s in signs for o in s.effects.produced])
+                  produced=[ids for s in signs
+                            for ids in s.effects.produced_ids])
         return out
 
     def _owned_input_keys(self, tx: Transaction) -> list[ObjectKey]:
@@ -660,8 +656,7 @@ class ValidatorState:
         if not isinstance(obj.contents, IntValue) or obj.contents.amount < GAS_FEE:
             return
         self._put_object(_memoized(rqt, [obj], (), _gas_paid, obj))
-        self.emit("gas_consumed", rqt=rqt.hexdigest,
-                  key=[oid.hex(), key.version])
+        self.emit("gas_consumed", rqt=rqt.hexdigest, key=key.ids)
 
     def _undo_fast(self, key: ObjectKey) -> None:
         tx_digest = self.key_fast_tx.pop(key, None)
@@ -670,8 +665,7 @@ class ValidatorState:
         plan = self.fast_records.pop(tx_digest, None)
         if plan is None:
             return
-        consumed = plan.consumed
-        for k in consumed:
+        for k in plan.consumed:
             self.key_fast_tx.pop(k, None)
         for k in (o.key for o in plan.produced):
             versions = self.objects.get(k.object_id, {})
@@ -685,8 +679,7 @@ class ValidatorState:
             self.counters[delta.object_id].unapply(tx_digest, delta)
         self.executed.pop(tx_digest, None)
         self.executed_unsequenced.discard(tx_digest)
-        self.emit("undo", tx=tx_digest.hex(),
-                  keys=[[k.object_id.hex(), k.version] for k in consumed])
+        self.emit("undo", tx=tx_digest.hex(), keys=plan.consumed_ids)
 
     def _execute_noop(self, rqt: UnlockRqt) -> EffectSign:
         """Version-bumping no-op over the listed keys; a bounded counter is
@@ -704,8 +697,9 @@ class ValidatorState:
                             _reissued, "unlock-noop", rqt, inputs, limits)
         for obj in effects.produced:
             self._put_object(obj)
+        # each validator's rows are its own lists, which readers may edit
         self.emit("noop_applied", rqt=rqt.hexdigest,
-                  keys=[[o.key.object_id.hex(), o.key.version, fresh.key.version,
+                  keys=[[*o.key.ids, fresh.key.version,
                          fresh.contents == o.contents]
                         for o, fresh in zip(inputs, effects.produced)])
         self._emit_seq_exec(effects, via="noop")
@@ -746,10 +740,7 @@ class ValidatorState:
     def _emit_seq_exec(self, effects: EffectSummary, via: str) -> None:
         self.emit("seq_exec", tx=effects.tx_digest.hex(),
                   effects=effects.hexdigest, via=via,
-                  consumed=[[k.object_id.hex(), k.version]
-                            for k in effects.consumed],
-                  counters=[[d.object_id.hex(), d.delta]
-                            for d in effects.counter_deltas])
+                  consumed=effects.consumed_ids, counters=effects.counter_ids)
 
     def _execute_sequenced(self, tx: Transaction, via: str) -> EffectSign | None:
         """Execute on the consensus path; idempotent over the tx digest: an
@@ -856,9 +847,9 @@ class ValidatorState:
             "epoch": self.epoch,
             "objects": objects,
             "latest": {oid.hex(): v for oid, v in sorted(self.latest.items())},
-            "unlock_db": {f"{k.object_id.hex()}:{k.version}": v
+            "unlock_db": {"%s:%d" % k.ids: v
                           for k, v in sorted(self.unlock_db.items())},
-            "locks": {f"{k.object_id.hex()}:{k.version}": e.holder.hex()
+            "locks": {"%s:%d" % k.ids: e.holder.hex()
                       for k, e in sorted(self.lock_db.items())},
             "executed": sorted(d.hex() for d in self.executed),
             "counters": {oid.hex(): self.counters[oid].snapshot()

@@ -161,6 +161,36 @@ def plain_transfer(seed, n=4):
     })
 
 
+def transfer_flood(seed, transfers=12):
+    """Owned transfers to one recipient, one starting per tick; every fourth
+    coin sits under a hidden 2-of-3 threshold owner."""
+    objects, script = [], []
+    for i in range(transfers):
+        sender, signers = f"s{i}", [f"s{i}"]
+        owner = {"pk": sender}
+        if i % 4 == 0:
+            owner = {"threshold": {"need": 2, "children": [
+                {"weight": 1, "term": {"pk": sender}},
+                {"weight": 1, "term": {"pk": "co_a"}},
+                {"weight": 1, "term": {"pk": "co_b"}}]}}
+            signers = [sender, "co_a"]
+        objects.append({"name": f"coin{i}", "kind": "owned", "owner": owner,
+                        "contents": 10 + i, "hidden": i % 4 == 0})
+        objects.extend(gas_objects(sender, [f"gas{i}"]))
+        script.append({"at": 5 + i, "client": sender, "action": "transfer",
+                       "inputs": [f"coin{i}"], "gas": f"gas{i}", "to": "sink",
+                       "signers": signers})
+    return Scenario.from_dict({
+        "committee": {"n": 4, "f": 1},
+        "seed": seed, "ticks": 20000, "delta": 300, "epoch_length": 15000,
+        "network": {"min_delay": 1, "max_delay": 4},
+        "accounts": [f"s{i}" for i in range(transfers)]
+        + ["co_a", "co_b", "sink"],
+        "objects": objects,
+        "script": script,
+    })
+
+
 def gas_case_carried(seed):
     """The unlock certificate carries a transaction certificate that only a
     forward-withholding validator ever executed."""

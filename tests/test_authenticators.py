@@ -23,11 +23,13 @@ from fastpath.authenticators import (
     Threshold,
     ThresholdPath,
     TermDepthError,
+    annotate,
     build_reveal,
     commit,
     encode_reveal,
     event_facts,
     find_path,
+    reveal_from,
     reveal_root,
     verify_reveal,
 )
@@ -342,6 +344,46 @@ def test_find_path_agrees_with_truth_table(term, context):
     assert (path is not None) == oracle_sat(term, context)
     if path is not None:
         assert evaluate(term, path, context)
+
+
+def _owner_terms():
+    """Owner terms as scenarios write them: keys under any, all and
+    threshold branches."""
+    def extend(children):
+        kids = st.lists(children, min_size=1, max_size=3)
+        return st.one_of(
+            st.builds(lambda cs: AnyOf(tuple(cs)), kids),
+            st.builds(lambda cs: AllOf(tuple(cs)), kids),
+            st.builds(lambda pairs: Threshold.of(
+                max(1, sum(w for w, _ in pairs) // 2), *pairs),
+                st.lists(st.tuples(st.integers(1, 3), children),
+                         min_size=1, max_size=3)))
+
+    keys = st.sampled_from([PublicKey(A), PublicKey(B), PublicKey(C)])
+    return st.recursive(keys, extend, max_leaves=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_owner_terms(), st.one_of(st.none(), st.binary(min_size=1, max_size=8)),
+       st.lists(st.sets(st.sampled_from([A, B, C]), min_size=1), min_size=1,
+                max_size=3))
+def test_a_reveal_cut_from_a_kept_tree_is_the_one_built_afresh(
+        term, seed, signer_sets):
+    def stream():
+        return NonceStream(seed) if seed is not None else None
+
+    tree = annotate(term, stream())
+    root = commit(term, stream())
+    assert reveal_root(tree) == root
+    for signers in signer_sets:  # one tree serves every reveal, in any order
+        context = ctx(signers=signers)
+        path = find_path(term, context)
+        if path is None:
+            continue
+        reveal = reveal_from(tree, path)
+        assert reveal == build_reveal(term, path, stream())
+        assert verify_reveal(root, reveal, path, context)
+    assert tree == annotate(term, stream())
 
 
 def test_threshold_ignores_unselected_children_even_if_true():

@@ -1,0 +1,122 @@
+"""Generated scenarios: actions that never overlap must all finalize.
+
+A hypothesis strategy draws well-formed scenario dicts: 2-4 accounts, each
+with a gas object; coins under `pk`, `any`, `all` and `threshold` owners,
+some hidden; and a script whose actions start far enough apart that each
+finishes before the next starts: transfer chains, swaps, mints with and
+without `to`, credits, debits and noops. The strategy follows every coin's
+owner through the script, so each action is sent by one of the coin's
+owners and signed by keys that open its owner term. With honest validators
+and no drops, every action must end `finalized` and every checker pass.
+A drawn scenario that fails is a bug to fix, never one to filter out.
+"""
+
+import yaml
+from hypothesis import given, note, settings, strategies as st
+
+from fastpath.simnet import Scenario, check_invariants, run
+
+ACCOUNTS = ("a", "b", "c", "d")
+# Ticks between actions. A fast path over the default 1-8 tick delays
+# takes two round trips, at most 32 ticks.
+GAP = 100
+TX_KINDS = ("transfer", "swap", "mint", "credit", "debit", "noop")
+
+
+@st.composite
+def owner_terms(draw, accounts):
+    """An owner term over `accounts`, and signers that open it."""
+    shape = draw(st.sampled_from(("pk", "any", "all", "threshold")))
+    if shape == "pk":
+        owner = draw(st.sampled_from(accounts))
+        return {"pk": owner}, [owner]
+    members = draw(st.lists(st.sampled_from(accounts), min_size=2,
+                            max_size=3, unique=True))
+    leaves = [{"pk": m} for m in members]
+    if shape == "any":
+        return {"any": leaves}, [draw(st.sampled_from(members))]
+    if shape == "all":
+        return {"all": leaves}, members
+    need = draw(st.integers(1, len(members)))
+    term = {"threshold": {"need": need, "children": [
+        {"weight": 1, "term": leaf} for leaf in leaves]}}
+    return term, draw(st.permutations(members))[:need]
+
+
+@st.composite
+def scenarios(draw):
+    accounts = list(ACCOUNTS[:draw(st.integers(2, 4))])
+    objects = [{"name": f"gas_{a}", "kind": "owned", "owner": {"pk": a},
+                "contents": 100, "hidden": draw(st.booleans())}
+               for a in accounts]
+    signers = {}  # coin -> the accounts whose keys open its owner
+    balance = {}
+    for i in range(draw(st.integers(2, 4))):
+        term, opened_by = draw(owner_terms(accounts))
+        name = f"coin{i}"
+        balance[name] = draw(st.integers(0, 20))
+        signers[name] = opened_by
+        objects.append({"name": name, "kind": "owned", "owner": term,
+                        "contents": balance[name],
+                        "hidden": draw(st.booleans())})
+
+    script = []
+    for step in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(TX_KINDS))
+        coins = sorted(signers)
+        if kind == "swap":
+            inputs = draw(st.lists(st.sampled_from(coins), min_size=2,
+                                   max_size=2, unique=True))
+        elif kind in ("transfer", "noop"):
+            inputs = draw(st.lists(st.sampled_from(coins), min_size=1,
+                                   max_size=2, unique=True))
+        elif kind == "mint":
+            inputs = []
+        else:
+            inputs = [draw(st.sampled_from(coins))]
+        client = draw(st.sampled_from(signers[inputs[0]] if inputs
+                                      else accounts))
+        needed = [client]  # the client pays with its own gas
+        for coin in inputs:
+            needed += [s for s in signers[coin] if s not in needed]
+        action = {"at": 5 + GAP * step, "client": client, "action": kind,
+                  "inputs": inputs, "gas": f"gas_{client}",
+                  "signers": needed}
+        if kind == "transfer":
+            action["to"] = draw(st.sampled_from(accounts))
+            for coin in inputs:
+                signers[coin] = [action["to"]]
+        elif kind == "swap":
+            first, second = inputs
+            signers[first], signers[second] = signers[second], signers[first]
+        elif kind == "mint":
+            name = action["new_object"] = f"minted{step}"
+            action["amount"] = balance[name] = draw(st.integers(0, 20))
+            if draw(st.booleans()):
+                action["to"] = draw(st.sampled_from(accounts))
+            # a mint without `to` belongs to the owner of its gas
+            signers[name] = [action.get("to", client)]
+        elif kind in ("credit", "debit"):
+            coin, = inputs
+            top = 20 if kind == "credit" else balance[coin]
+            action["amount"] = amount = draw(st.integers(0, top))
+            balance[coin] += amount if kind == "credit" else -amount
+        script.append(action)
+
+    return {
+        "committee": {"n": 4, "f": 1},
+        "seed": draw(st.integers(0, 2**32)),
+        "ticks": GAP * len(script) + 2000, "epoch_length": 10**6,
+        "accounts": accounts, "objects": objects, "script": script,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios())
+def test_sequential_actions_all_finalize(data):
+    note(yaml.safe_dump(data, sort_keys=False))
+    trace = run(Scenario.from_dict(data))
+    assert trace.quiesced
+    assert [e["status"] for e in trace.select("driver_done")] == [
+        "finalized"] * len(data["script"])
+    assert check_invariants(trace) == []

@@ -346,6 +346,53 @@ def test_record_key_check_flags_planted_clashes():
         "m:4 passes tick", "m:5 passes actor", "m:6 passes kind"]
 
 
+# What a trace records of a key, a key list or a counter-delta list is a
+# tuple memoized on the value (`ObjectKey.ids`, `EffectSummary.consumed_ids`
+# and the like), shared by every validator that records it; an emit site
+# that hexes inside a comprehension builds the payload again for each event.
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def hexing_emits(tree: ast.Module, module: str) -> list[str]:
+    """Calls of emit whose arguments call `.hex()` inside a comprehension."""
+    found = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call) or _callee_name(call) != "emit":
+            continue
+        args = [*call.args, *(k.value for k in call.keywords)]
+        if any(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "hex"
+               for arg in args for comp in ast.walk(arg)
+               if isinstance(comp, COMPREHENSIONS)
+               for node in ast.walk(comp)):
+            found.append(f"{module}:{call.lineno} hexes in a comprehension")
+    return found
+
+
+def test_emit_sites_pass_shared_payloads():
+    found = []
+    for name in ("validator", "client"):
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        found += hexing_emits(tree, name)
+    assert found == []
+
+
+def test_hexing_emit_check_flags_planted_sites():
+    planted = ast.parse(
+        "def a(self, env, keys, plan):\n"
+        "    self.emit('x', keys=[[k.object_id.hex(), k.version]\n"
+        "                         for k in keys])\n"
+        "    self.emit('y', keys=plan.consumed_ids, tx=plan.digest.hex())\n"
+        "    env.emit('z', **{'c': {d.hex(): 1 for d in keys}})\n"
+        "    emit('w', tuple(k.hex() for k in keys))\n"
+        "    rows = [k.hex() for k in keys]\n"
+        "    self.emit('v', keys=rows, ids=[k.ids for k in keys])\n")
+    assert hexing_emits(planted, "m") == [
+        "m:2 hexes in a comprehension", "m:5 hexes in a comprehension",
+        "m:6 hexes in a comprehension"]
+
+
 # The loader checks each action field that `scenario.FIELDS` declares, so a
 # field the client workflows read without declaring it reaches them as
 # written, of any type and spelling.

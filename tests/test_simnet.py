@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fastpath.authenticators import PublicKey, commit
 from fastpath.client import (
     MAX_RETRIES,
     FastPathDriver,
@@ -54,8 +55,10 @@ from fastpath.validator import ValidatorState
 from tests.scenario_builders import (
     bounded_spend,
     double_send,
+    gas_objects,
     plain_transfer,
     swap_deadlock,
+    transfer_flood,
     unauthorized_unlock,
 )
 
@@ -489,6 +492,75 @@ def test_one_index_gives_what_each_checker_finds_alone(name):
             "client_safety", "convergence"}
 
 
+# --- a live trace shares its payload tuples; a parsed one holds lists ------
+
+@pytest.mark.parametrize("name", [
+    *sorted(p.name for p in SCENARIOS.glob("*.yaml")), "transfer_flood",
+    "doctored"])
+def test_a_parsed_trace_gets_the_verdicts_of_the_live_one(name):
+    if name == "doctored":
+        trace = _doctored_trace()
+    elif name == "transfer_flood":
+        trace = run(transfer_flood(1))
+    else:
+        trace = run(Scenario.load(str(SCENARIOS / name)))
+    parsed = Trace.parse(trace.serialize())
+    assert parsed.select("seq_exec")[0]["consumed"] == [
+        list(key) for key in trace.select("seq_exec")[0]["consumed"]]
+    assert check_invariants(parsed) == check_invariants(trace)
+    assert bool(check_invariants(trace)) == (name == "doctored")
+
+
+def test_validators_share_one_payload_per_execution():
+    trace = run(transfer_flood(1))
+    fast = {}
+    for event in trace.select("fast_exec"):
+        fast.setdefault(event["tx"], []).append(event)
+    assert len(fast) == 12
+    for first, *others in fast.values():
+        assert isinstance(first["consumed"], tuple) and len(others) >= 2
+        for event in others:
+            assert event["consumed"] is first["consumed"]
+            assert event["produced"] is first["produced"]
+    locks = {}
+    for event in trace.select("lock_set"):
+        assert locks.setdefault(tuple(event["key"]), event["key"]) \
+            is event["key"]
+
+
+def test_a_recipient_spends_two_objects_sent_to_it_in_one_run():
+    # both transfers to bob carry the commitment the run made for him once
+    runner = Runner(Scenario.from_dict({
+        "committee": {"n": 4, "f": 1},
+        "seed": 7, "ticks": 5000, "epoch_length": 4000,
+        "accounts": ["alice", "bob", "carol"],
+        "objects": ([{"name": "c1", "kind": "owned", "owner": {"pk": "alice"},
+                      "contents": 5},
+                     {"name": "c2", "kind": "owned", "owner": {"pk": "carol"},
+                      "contents": 6, "hidden": True}]
+                    + gas_objects("alice", ["ga"])
+                    + gas_objects("bob", ["gb"])
+                    + gas_objects("carol", ["gc"])),
+        "script": [
+            {"at": 5, "client": "alice", "action": "transfer",
+             "inputs": ["c1"], "gas": "ga", "to": "bob"},
+            {"at": 100, "client": "carol", "action": "transfer",
+             "inputs": ["c2"], "gas": "gc", "to": "bob"},
+            {"at": 200, "client": "bob", "action": "transfer",
+             "inputs": ["c1"], "gas": "gb", "to": "carol"},
+            {"at": 300, "client": "bob", "action": "transfer",
+             "inputs": ["c2"], "gas": "gb", "to": "alice"},
+        ]}))
+    trace = runner.run()
+    assert [e["status"] for e in trace.select("driver_done")] == [
+        "finalized"] * 4
+    assert check_invariants(trace) == []
+    bob = commit(PublicKey(runner.account_pk["bob"]))
+    assert runner.commitments["bob"] == bob
+    assert [e["actor"] for e in trace.select("driver_done")][2:] == [
+        "bob", "bob"]
+
+
 def test_a_checker_reads_events_appended_after_its_last_call():
     trace = _clean_trace()
     before = check_invariants(trace)
@@ -505,6 +577,16 @@ def test_network_spec_rejects_an_empty_delay_range():
     with pytest.raises(ScenarioError):
         Scenario.from_dict({"committee": {"n": 4, "f": 1},
                             "network": {"min_delay": 5, "max_delay": 2}})
+
+
+def test_network_spec_copy_is_checked():
+    # `_replace` builds through `_make`, which goes through the constructor
+    with pytest.raises(ValueError):
+        NetworkSpec()._replace(min_delay=9)
+    with pytest.raises(ValueError):
+        NetworkSpec(2, 4)._replace(max_delay=1)
+    assert NetworkSpec()._replace(max_delay=9) == NetworkSpec(1, 9)
+    assert type(NetworkSpec._make([2, 3, 0, 0.5])) is NetworkSpec
 
 
 def test_clients_use_the_run_keys():

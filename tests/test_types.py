@@ -32,6 +32,23 @@ def test_malformed_committee_rejected():
         assert err.value.code == ErrorCode.MALFORMED_COMMITTEE
 
 
+def test_committee_copy_is_checked():
+    # `_replace` builds through `_make`, which goes through the constructor
+    with pytest.raises(ProtocolError) as err:
+        CommitteeParams(4, 1)._replace(f=3)
+    assert err.value.code == ErrorCode.MALFORMED_COMMITTEE
+    assert CommitteeParams(4, 1)._replace(n=7) == CommitteeParams(7, 1)
+    assert type(CommitteeParams._make([7, 2])) is CommitteeParams
+
+
+def test_object_key_ids_are_its_trace_form():
+    key = ObjectKey(bytes(range(32)), 3)
+    assert key.ids == (bytes(range(32)).hex(), 3)
+    assert key.ids is key.ids
+    assert hash(key) == hash((bytes(range(32)), 3))
+    assert key == (bytes(range(32)), 3) and key.bump() == ObjectKey(key[0], 4)
+
+
 @pytest.mark.parametrize("kind, owner", [
     (ObjectKind.OWNED, None), (ObjectKind.COMMUTATIVE, None),
     (ObjectKind.SHARED, b"o" * 32), (ObjectKind.READ_ONLY, b"o" * 32)])
