@@ -6,7 +6,8 @@ them replies and timer ticks, and they broadcast requests, assemble
 quorums, and settle on an outcome. The fast path takes two request/reply
 rounds (transaction votes, then certificate effects); the unlock path
 takes a vote round followed by sequencer submission and a wait for the
-sequenced execution's effect signatures.
+sequenced execution's effect signatures. A driver arms its retry tick with
+`env.set_timer(driver)`, and the harness picks how far ahead it falls.
 
 Drivers send the protocol values themselves: a `Transaction`, its
 `Certificate` or an `UnlockRqt`. Validators answer with the `CertSign` or
@@ -43,7 +44,6 @@ from .types import (
     verify_certificate,
 )
 
-RETRY_DELAY = 50
 MAX_RETRIES = 20
 
 
@@ -240,8 +240,10 @@ class _Driver:
     finishes the driver, the i-th `EffectCert` taking every member's i-th
     sign. Once `phase == "done"`, the driver holds its `status`,
     `effect_certs` and `confirmed` keys, and `on_done(driver)` has run. The
-    retry tick resends `_resend`'s request to every validator that has not
-    answered."""
+    retry tick, armed by `start` and by each retry with `env.set_timer(self)`
+    (the environment picks its delay), resends `_resend`'s request to every
+    validator that has not answered; `MAX_RETRIES` retries end in
+    `timeout`."""
 
     kind = ""
     finalized = ""  # the status a quorum of matching executions ends in
@@ -324,7 +326,7 @@ class _Driver:
         for vid in range(self.params.n):
             if vid not in answered:
                 env.send_validator(vid, request)
-        env.set_timer(RETRY_DELAY, self)
+        env.set_timer(self)
 
 
 class FastPathDriver(_Driver):
@@ -351,7 +353,7 @@ class FastPathDriver(_Driver):
                 env.send_validator(vid, self.tx)
         else:
             env.broadcast(self.tx)
-        env.set_timer(RETRY_DELAY, self)
+        env.set_timer(self)
 
     def on_message(self, env, msg) -> None:
         self._tally(env, msg)
@@ -418,7 +420,7 @@ class FastUnlockDriver(_Driver):
         env.emit("unlock_started", rqt=self.rqt.hexdigest,
                  authorized=self.authorized, keys=self.rqt.key_ids)
         env.broadcast(self.rqt)
-        env.set_timer(RETRY_DELAY, self)
+        env.set_timer(self)
 
     def on_message(self, env, msg) -> None:
         self._tally(env, msg)

@@ -11,8 +11,14 @@ queue entry is `(src, dst, msg)`, and popping it calls the `dst` actor's
 (`("script", client, action)`) and an epoch change (`("script", vid,
 "epoch_change")`) come from `script`; a client's retry tick (`("timer",
 client, driver)`) comes from `timer` and carries the driver that armed it.
-Only sends cross the network; script entries and ticks are never dropped
-or counted as sent.
+It falls `5 * max_delay + 1` ticks after it is armed (see `workflows.py`)
+and stays queued after its driver finishes. Only sends cross the network;
+script entries and ticks are never dropped or counted as sent.
+
+A run stops at an empty queue or at the first entry past `tick_limit`;
+`ticks` is the tick of the last entry popped, idle retry ticks included.
+The run is quiesced unless something other than a finished driver's retry
+tick is left: then the limit cut it short.
 
 Every message is a protocol value, and the receiver dispatches on its
 type. A sequencer submission is the item itself: an `UnlockCert` (from a
@@ -185,15 +191,14 @@ class Runner:
                 self._push(self.scenario.epoch_length,
                            ("script", f"v{vid}", "epoch_change"))
 
-        quiesced = True
         last_tick = 0
-        while self._heap:
+        while self._heap and self._heap[0][0] <= self.scenario.tick_limit:
             tick, _, _, (src, dst, msg) = heapq.heappop(self._heap)
-            if tick > self.scenario.tick_limit:
-                quiesced = False
-                break
             self.now = last_tick = self.recorder.tick = tick
             self._actors[dst].handle(src, msg)
+        # what is left past the limit would only tick finished drivers
+        quiesced = all(src == "timer" and msg.phase == "done"
+                       for *_, (src, _, msg) in self._heap)
 
         snapshots = {a.name: {**a.state.snapshot(), "crashed": a.crashed}
                      for a in self.validators}

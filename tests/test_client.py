@@ -177,7 +177,7 @@ class RecordingEnv:
     def send_validator(self, vid, msg):
         pass
 
-    def set_timer(self, delay, token):
+    def set_timer(self, token):
         pass
 
     def submit_sequencer(self, item):

@@ -8,18 +8,24 @@ without `to`, credits, debits and noops. The strategy follows every coin's
 owner through the script, so each action is sent by one of the coin's
 owners and signed by keys that open its owner term. With honest validators
 and no drops, every action must end `finalized` and every checker pass.
-A drawn scenario that fails is a bug to fix, never one to filter out.
+The same holds when links drop up to three messages and one validator
+(at most f) runs any fault kind: retries make up for the drops. A drawn
+scenario that fails is a bug to fix, never one to filter out.
 """
 
 import yaml
 from hypothesis import given, note, settings, strategies as st
 
 from fastpath.simnet import Scenario, check_invariants, run
+from fastpath.simnet.faults import FAULTS
 
 ACCOUNTS = ("a", "b", "c", "d")
 # Ticks between actions. A fast path over the default 1-8 tick delays
 # takes two round trips, at most 32 ticks.
 GAP = 100
+# With drops, each of the three lost messages can cost one retry window of
+# 5 * 8 + 1 ticks (see `ClientActor.set_timer`) on top of those trips.
+LOSSY_GAP = 250
 TX_KINDS = ("transfer", "swap", "mint", "credit", "debit", "noop")
 
 
@@ -44,7 +50,7 @@ def owner_terms(draw, accounts):
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, gap=GAP):
     accounts = list(ACCOUNTS[:draw(st.integers(2, 4))])
     objects = [{"name": f"gas_{a}", "kind": "owned", "owner": {"pk": a},
                 "contents": 100, "hidden": draw(st.booleans())}
@@ -79,7 +85,7 @@ def scenarios(draw):
         needed = [client]  # the client pays with its own gas
         for coin in inputs:
             needed += [s for s in signers[coin] if s not in needed]
-        action = {"at": 5 + GAP * step, "client": client, "action": kind,
+        action = {"at": 5 + gap * step, "client": client, "action": kind,
                   "inputs": inputs, "gas": f"gas_{client}",
                   "signers": needed}
         if kind == "transfer":
@@ -106,17 +112,40 @@ def scenarios(draw):
     return {
         "committee": {"n": 4, "f": 1},
         "seed": draw(st.integers(0, 2**32)),
-        "ticks": GAP * len(script) + 2000, "epoch_length": 10**6,
+        "ticks": gap * len(script) + 2000, "epoch_length": 10**6,
         "accounts": accounts, "objects": objects, "script": script,
     }
 
 
-@settings(max_examples=60, deadline=None)
-@given(scenarios())
-def test_sequential_actions_all_finalize(data):
+@st.composite
+def lossy_scenarios(draw):
+    """A generated scenario whose links drop up to three messages, with one
+    validator running a fault kind drawn from `FAULTS`."""
+    data = draw(scenarios(gap=LOSSY_GAP))
+    data["network"] = {"drop_budget": 3,
+                       "drop_rate": draw(st.sampled_from((0.1, 0.3, 0.6)))}
+    data["faults"] = {str(draw(st.integers(0, 3))): {
+        "kind": draw(st.sampled_from(sorted(FAULTS))),
+        "at": draw(st.integers(0, data["ticks"]))}}
+    return data
+
+
+def assert_all_finalize(data):
     note(yaml.safe_dump(data, sort_keys=False))
     trace = run(Scenario.from_dict(data))
     assert trace.quiesced
     assert [e["status"] for e in trace.select("driver_done")] == [
         "finalized"] * len(data["script"])
     assert check_invariants(trace) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios())
+def test_sequential_actions_all_finalize(data):
+    assert_all_finalize(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lossy_scenarios())
+def test_sequential_actions_all_finalize_despite_drops_and_a_fault(data):
+    assert_all_finalize(data)

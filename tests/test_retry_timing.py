@@ -1,0 +1,121 @@
+"""When a client retries, and when a run that hits its tick limit is done.
+
+A driver's retry tick falls `5 * max_delay + 1` ticks after it is armed,
+once every reply of a fault-free exchange is overdue. With every hop at the
+worst case (`min_delay = max_delay`), a fault-free transfer and a
+fault-free unlock never retry; a planted delay one tick shorter does, so
+the property can fail. A retry tick stays queued after its driver is done,
+and such idle ticks past the limit do not make a finished run look cut off.
+"""
+
+import copy
+import itertools
+import pathlib
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fastpath.simnet import Scenario, check_invariants, run
+from fastpath.simnet.invariants import check_convergence, check_unlock_liveness
+from fastpath.simnet.workflows import ClientActor
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+AT = 5
+
+
+def worst_case(delay: int, n: int, seed: int, script=None) -> Scenario:
+    """A fault-free, drop-free run where every hop takes `delay` ticks: by
+    default alice transfers one coin and unlocks another, both at `AT`."""
+    coin = {"kind": "owned", "owner": {"pk": "alice"}, "contents": 10}
+    return Scenario.from_dict({
+        "committee": {"n": n, "f": (n - 1) // 3},
+        "seed": seed, "ticks": 5000, "epoch_length": 4000,
+        "network": {"min_delay": delay, "max_delay": delay},
+        "accounts": ["alice", "bob"],
+        "objects": [{**coin, "name": name}
+                    for name in ("coin", "coin2", "gas", "ugas")],
+        "script": script or [
+            {"at": AT, "client": "alice", "action": "transfer",
+             "inputs": ["coin"], "gas": "gas", "to": "bob"},
+            {"at": AT, "client": "alice", "action": "unlock",
+             "keys": ["coin2"], "gas": "ugas"}],
+    })
+
+
+def driver_retries(trace) -> dict[str, int]:
+    """Retries of each finished driver, by its kind and status."""
+    return {f"{e['kind']}:{e['status']}": e["retries"] for e in trace.events
+            if e["kind"].endswith("_driver_finished")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(delay=st.integers(1, 8), n=st.sampled_from((4, 7)),
+       seed=st.integers(0, 2**32))
+def test_worst_case_delays_never_retry(delay, n, seed):
+    trace = run(worst_case(delay, n, seed))
+    assert trace.quiesced
+    assert driver_retries(trace) == {"fast_driver_finished:finalized": 0,
+                                     "unlock_driver_finished:unlocked": 0}
+
+
+def test_retry_check_flags_a_planted_early_retry(monkeypatch):
+    # one tick short, a retry tick can pop before a reply due on its tick
+    def early(actor, driver):
+        actor.runner.schedule_timer(
+            actor.name, 5 * actor.runner.scenario.network.max_delay, driver)
+
+    monkeypatch.setattr(ClientActor, "set_timer", early)
+    retried = [any(driver_retries(run(worst_case(delay, n, seed))).values())
+               for delay, n, seed in itertools.product(range(1, 9), (4, 7),
+                                                       range(3))]
+    assert any(retried)
+
+
+@pytest.mark.parametrize("delay", [1, 4, 8])
+def test_a_partial_broadcast_reaches_the_rest_when_the_retry_falls(delay):
+    # the first round reaches v0 and v1, short of a quorum of 4; the retry
+    # tick resends, and v2 and v3 lock the coin one hop after it
+    trace = run(worst_case(delay, 4, 1, script=[
+        {"at": AT, "client": "alice", "action": "transfer",
+         "inputs": ["coin"], "gas": "gas", "to": "bob", "first_to": [0, 1]}]))
+    first_lock = {}
+    for event in trace.select("lock_set"):
+        first_lock.setdefault(event["actor"], event["tick"])
+    retry_tick = AT + 5 * delay + 1
+    assert first_lock == {"v0": AT + delay, "v1": AT + delay,
+                          "v2": retry_tick + delay, "v3": retry_tick + delay}
+    assert driver_retries(trace) == {"fast_driver_finished:finalized": 1}
+
+
+def _cut(name: str, past_last_event: int = 1):
+    """The bundled scenario's full run, and a run whose tick limit falls
+    just past the full run's last event."""
+    scenario = Scenario.load(str(SCENARIOS / name))
+    full = run(scenario)
+    limit = full.events[-1]["tick"] + past_last_event
+    return full, run(scenario._replace(tick_limit=limit))
+
+
+@pytest.mark.parametrize("name", ["double_send.yaml", "bounded_counter.yaml"])
+def test_idle_retry_ticks_past_the_limit_leave_the_run_quiesced(name):
+    full, cut = _cut(name)
+    # the full run popped idle retry ticks after its last event
+    assert full.ticks > cut.ticks == full.events[-1]["tick"]
+    assert cut.events == full.events
+    assert cut.quiesced and check_invariants(cut) == []
+
+    # both checkers that skip truncated runs judge this one
+    diverged = copy.deepcopy(cut)
+    objects = diverged.snapshots["v0"]["objects"]
+    objects[next(iter(objects))]["0"] = "c" * 32
+    assert check_convergence(diverged)
+    hung = copy.copy(cut)
+    hung.events = [e for e in cut.events if "rqt" not in e
+                   or e["kind"] not in ("effect_cert", "unlock_superseded",
+                                        "unlock_refused")]
+    assert check_unlock_liveness(hung)
+
+
+def test_a_limit_that_cuts_messages_in_flight_is_not_quiesced():
+    _, cut = _cut("swap_deadlock.yaml")
+    assert not cut.quiesced
