@@ -8,7 +8,12 @@ fast path blocks and the counter is consolidated through the unlock flow,
 which settles every outstanding certificate and reissues the counter at
 the next version with fresh budgets. Each consolidation at least halves
 what is left, so a counter of value M fully drains within about log2(M)
-consolidations.
+consolidations. No budget bounds an unlock's replacement, which runs on the
+consensus path without a certificate, so its debit is checked against the
+counter's value: the limit plus every settled delta must cover it
+(`CounterLocal.covers`). A certified debit is not checked there: its
+quorum's budgets bound it, and it may be sequenced before the credit whose
+released budget it spent.
 
 A validator's replica of each such object, with all of its bookkeeping,
 lives here in `CounterLocal`; the validator calls its methods and emits.
@@ -109,10 +114,20 @@ class CounterLocal:
         if self.flavor in (FLAVOR_BOUNDED, FLAVOR_GROW):
             self.settled.setdefault(tx_digest, delta.delta)
 
+    def value(self) -> int:
+        """A bounded counter's value on the consensus path: its limit plus
+        every settled delta."""
+        return self.limit + sum(self.settled.values())
+
+    def covers(self, delta: CounterDelta) -> bool:
+        """Whether a bounded counter's value, less `delta`'s debit, stays
+        non-negative."""
+        return self.flavor != FLAVOR_BOUNDED or self.value() + delta.delta >= 0
+
     def reissue(self, params: CommitteeParams) -> int:
         """Move to the next version holding what is still unspent, with a
         fresh budget; returns that new limit."""
-        self.limit = max(self.limit + sum(self.settled.values()), 0)
+        self.limit = max(self.value(), 0)
         self.budget = initial_budget(self.limit, params)
         self.version += 1
         self.settled = {}

@@ -30,6 +30,21 @@ so only a drop, a fault or a partial first broadcast makes a retry. A finished
 driver is its own result: `on_done(driver)` reads its `status`,
 `effect_certs` and `confirmed` keys. An unlock driver submits its
 `UnlockCert` to the sequencer as it is.
+
+A bounded-counter spend (`spend_loop`) debits either fixed `amounts` in
+order or, greedily, as much of `target` as a fresh per-validator budget
+allows. Each debit takes the one path that can serve it, by the counter's
+limit at the client's version and that limit's fresh budget: an amount
+above the limit ends the spend, since no consolidation makes room; one
+above the budget rides a consolidation as the unlock's replacement, the
+consensus path; any other goes on the fast path. A fast-path rejection
+consolidates and tries again; a greedy debit that leaves target unmet
+consolidates at once, since it drained the budgets. The spend ends with
+one `spend_done` event, whose `reason` is absent when the target is met,
+the amounts are spent or the counter is empty, and otherwise one of
+`over_limit`, `out_of_gas`, `out_of_unlock_gas`, `consolidate_<status>` for
+an unlock that did not end `unlocked`, or the status of a debit that ended
+neither finalized, rejected nor locked (`timeout`, `superseded`).
 """
 
 from __future__ import annotations
@@ -389,33 +404,39 @@ class ClientActor:
                   consolidations=state["consolidations"], **reason)
 
     def _spend_step(self, action: dict, state: dict) -> None:
+        """Send the next debit down the one path that can serve it, by the
+        rule the module docstring gives."""
         limit = self._counter_limit(action["counter"])
         amounts = state["amounts"]
         if (state["remaining"] <= 0 or limit <= 0
                 or amounts == []):  # the fixed list of amounts is spent
             self._spend_done(action, state)
             return
+        budget = initial_budget(limit, self.runner.scenario.params)
         if amounts is not None:
             amount = int(amounts[0])
-        else:
-            budget = initial_budget(limit, self.runner.scenario.params)
-            amount = min(budget, state["remaining"])
-            if amount == 0:
-                self._spend_via_replacement(action, state)
-                return
+        else:  # greedy: the budget, or the rest once budgets round to zero
+            amount = (min(budget, state["remaining"])
+                      or min(state["remaining"], limit))
+        if amount > limit:
+            self._spend_done(action, state, reason="over_limit")
+            return
         if not state["gas_pool"]:
             self._spend_done(action, state, reason="out_of_gas")
             return
         tx = self._build_tx({**action, "action": "debit", "amount": amount,
                              "inputs": [action["counter"]],
                              "gas": state["gas_pool"][0]})
+        if amount > budget:  # only consensus can carry it
+            state["gas_pool"].pop(0)
+            self._consolidate(action, state, replacement=tx)
+            return
 
         def done(driver):
             if driver.status == "finalized":
                 self._update_view(driver.effect_certs)
-                state["remaining"] -= amount
-                if amounts is not None:
-                    amounts.pop(0)
+                self._spent(state, amount)
+                if amounts is not None or state["remaining"] <= 0:
                     self._spend_step(action, state)
                 else:
                     # greedy mode drained the budgets; consolidate right away
@@ -427,6 +448,12 @@ class ClientActor:
                 self._spend_done(action, state, reason=driver.status)
 
         self._launch(FastPathDriver, tx, done)
+
+    @staticmethod
+    def _spent(state: dict, amount: int) -> None:
+        state["remaining"] -= amount
+        if state["amounts"] is not None:
+            state["amounts"].pop(0)
 
     def _consolidate(self, action: dict, state: dict,
                      replacement: Transaction | None = None) -> None:
@@ -451,20 +478,7 @@ class ClientActor:
             if replacement is not None and any(
                     c.effects.tx_digest == replacement.digest
                     for c in driver.effect_certs):
-                state["remaining"] -= replacement.params.amount
+                self._spent(state, replacement.params.amount)
             self._spend_step(action, state)
 
         self._launch(FastUnlockDriver, rqt, done)
-
-    def _spend_via_replacement(self, action: dict, state: dict) -> None:
-        """Budgets rounded to zero: push the remainder through consensus."""
-        amount = min(state["remaining"],
-                     self._counter_limit(action["counter"]))
-        if amount <= 0 or not state["gas_pool"]:
-            self._spend_done(action, state, reason="exhausted")
-            return
-        replacement = self._build_tx({**action, "action": "debit",
-                                      "amount": amount,
-                                      "inputs": [action["counter"]],
-                                      "gas": state["gas_pool"].pop(0)})
-        self._consolidate(action, state, replacement)

@@ -601,7 +601,8 @@ class ValidatorState:
             for key in rqt.object_keys:
                 self._undo_fast(key)
             if rqt.multi:
-                sign = self._execute_sequenced(rqt.replacement_tx, via="unlock")
+                sign = self._execute_sequenced(rqt.replacement_tx, via="unlock",
+                                               uncertified=True)
                 if sign is not None:
                     signs.append(sign)
                 consolidated = self._consolidate_listed(rqt)
@@ -742,10 +743,14 @@ class ValidatorState:
                   effects=effects.hexdigest, via=via,
                   consumed=effects.consumed_ids, counters=effects.counter_ids)
 
-    def _execute_sequenced(self, tx: Transaction, via: str) -> EffectSign | None:
+    def _execute_sequenced(self, tx: Transaction, via: str,
+                           uncertified: bool = False) -> EffectSign | None:
         """Execute on the consensus path; idempotent over the tx digest: an
         already executed transaction is settled and acknowledged (`<via>_ack`)
-        with the signature it has."""
+        with the signature it has. An `uncertified` transaction (an unlock's
+        replacement), which no budget bounded, fails if it would overdraw a
+        bounded counter; a certificate's debits are bounded by its quorum's
+        budgets, and may be sequenced before the credit that funded them."""
         if tx.digest in self.executed:
             sign = self.executed[tx.digest]
             self._settle_delta(tx.digest, sign.effects.counter_deltas)
@@ -756,6 +761,10 @@ class ValidatorState:
             shared = tuple(self.objects[oid][self.latest[oid]]
                            for oid in tx.shared_inputs)
             plan = execute(tx, loaded, shared)
+            if uncertified and not all(self.counters[d.object_id].covers(d)
+                                       for d in plan.counter_deltas):
+                raise ProtocolError(ErrorCode.INSUFFICIENT_BALANCE,
+                                    "debit exceeds the counter's value")
         except ProtocolError as err:
             self.emit("sequenced_exec_failed", tx=tx.hexdigest,
                       via=via, code=err.code.value)

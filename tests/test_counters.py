@@ -208,6 +208,39 @@ def consolidate_through_unlock(certified, checkpointed, limit):
     assert err.value.code == ErrorCode.STALE_VERSION
 
 
+@pytest.mark.parametrize("sequenced", ["carried", "checkpointed"])
+def test_a_debit_sequenced_before_its_funding_credit_executes_everywhere(
+        sequenced):
+    # a counter of 10 has a budget of 6; a credit of 20 releases 10 more,
+    # which funds a certified debit of 16 that reaches v0-v2 only. The
+    # debit is sequenced first: carried by the unlock, which runs it in
+    # digest order, or checkpointed. v3 executes it afresh before the
+    # credit is settled, and must still agree with the others
+    from tests.test_validator import drive_unlock, make_rqt
+    w = spender_world(limit=10)
+    w.add_owned("bobgas", "bob", 30)
+    states = w.states()
+    credit_cert = w.cert(credit(w, 20, "bobgas"))
+    debit_cert = next(c for c in (w.cert(debit(w, 16, f"g{i}"))
+                                  for i in range(7))
+                      if c.tx.digest < credit_cert.tx.digest)
+    for s in states:
+        s.process_cert(credit_cert)
+    for s in states[:3]:
+        s.process_cert(debit_cert)
+    if sequenced == "checkpointed":
+        for s in states:
+            s.process_checkpoint_cert(debit_cert)
+            s.process_checkpoint_cert(credit_cert)
+    pool_key = w.key("pool")
+    outs = drive_unlock(w, states, make_rqt(w, [pool_key], "g7", "alice",
+                                            ["alice"]))
+    assert len({tuple(sign.effects.hexdigest for sign in out.signs)
+                for out in outs}) == 1
+    assert {s.counters[pool_key.object_id].limit for s in states} == {14}
+    assert all(debit_cert.tx.digest in s.executed for s in states)
+
+
 # --- replicated data structures -------------------------------------------------
 
 COUNTER = b"\x07" * 32

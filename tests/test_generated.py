@@ -9,15 +9,23 @@ owner through the script, so each action is sent by one of the coin's
 owners and signed by keys that open its owner term. With honest validators
 and no drops, every action must end `finalized` and every checker pass.
 The same holds when links drop up to three messages and one validator
-(at most f) runs any fault kind: retries make up for the drops. A drawn
-scenario that fails is a bug to fix, never one to filter out.
+(at most f) runs any fault kind: retries make up for the drops.
+
+A third profile draws one bounded-counter spend, greedy or of fixed
+amounts, beside at most one validator that grants itself an infinite
+budget. Its oracle is what the spend ends with: a greedy spend always meets
+its target within the consolidation bound, and a fixed one spends the
+longest prefix of its amounts that the limit holds. A drawn scenario that
+fails is a bug to fix, never one to filter out.
 """
 
 import yaml
 from hypothesis import given, note, settings, strategies as st
 
+from fastpath.counters import initial_budget
 from fastpath.simnet import Scenario, check_invariants, run
 from fastpath.simnet.faults import FAULTS
+from fastpath.types import CommitteeParams
 
 ACCOUNTS = ("a", "b", "c", "d")
 # Ticks between actions. A fast path over the default 1-8 tick delays
@@ -149,3 +157,63 @@ def test_sequential_actions_all_finalize(data):
 @given(lossy_scenarios())
 def test_sequential_actions_all_finalize_despite_drops_and_a_fault(data):
     assert_all_finalize(data)
+
+
+@st.composite
+def counter_spends(draw):
+    """One spend of a bounded counter: greedy towards a target, or a list of
+    fixed amounts, some of which may not fit."""
+    limit = draw(st.integers(1, 200))
+    action = {"at": 5, "client": "a", "action": "spend_loop",
+              "counter": "pool", "signers": ["a"],
+              "gas_pool": [f"g{i}" for i in range(10)],
+              "unlock_gas_pool": [f"u{i}" for i in range(10)]}
+    if draw(st.booleans()):
+        action["target"] = draw(st.integers(1, limit))
+    else:
+        action["amounts"] = draw(st.lists(st.integers(1, limit + 20),
+                                          min_size=1, max_size=4))
+        action["target"] = sum(action["amounts"])
+    data = {
+        "committee": {"n": 4, "f": 1},
+        "seed": draw(st.integers(0, 2**32)),
+        "ticks": 20000, "epoch_length": 10**6,
+        "accounts": ["a"],
+        "objects": [{"name": "pool", "kind": "commutative",
+                     "flavor": "bounded", "limit": limit,
+                     "owner": {"pk": "a"}}]
+        + [{"name": name, "kind": "owned", "owner": {"pk": "a"},
+            "contents": 30}
+           for name in action["gas_pool"] + action["unlock_gas_pool"]],
+        "script": [action],
+    }
+    if draw(st.booleans()):
+        data["faults"] = {str(draw(st.integers(0, 3))): {
+            "kind": "infinite_budget"}}
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(counter_spends())
+def test_a_counter_spend_ends_where_its_amounts_and_limit_say(data):
+    note(yaml.safe_dump(data, sort_keys=False))
+    action, = data["script"]
+    limit = data["objects"][0]["limit"]
+    trace = run(Scenario.from_dict(data))
+    assert trace.quiesced
+    assert check_invariants(trace) == []
+    done, = trace.select("spend_done")
+    if "amounts" in action:
+        spent = 0
+        for amount in action["amounts"]:
+            if spent + amount > limit:
+                break
+            spent += amount
+        assert done["remaining"] == action["target"] - spent
+        assert done.get("reason") in (None, "over_limit")
+        assert done["consolidations"] <= len(action["amounts"])
+    else:
+        budget = initial_budget(limit, CommitteeParams(4, 1))
+        assert done["remaining"] == 0
+        assert done["consolidations"] <= limit.bit_length() + 1
+        assert (done["consolidations"] == 0) == (action["target"] <= budget)

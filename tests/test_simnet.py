@@ -691,6 +691,117 @@ def test_checker_flags_overspent_counter():
     assert check_bounded_counters(doctored)
 
 
+def _fixed_spend(amounts, **options):
+    trace = run(bounded_spend(9, amounts=amounts, target=sum(amounts),
+                              **options))
+    assert trace.quiesced
+    assert check_invariants(trace) == []
+    done, = trace.select("spend_done")
+    return trace, done
+
+
+def _counter_limits(trace) -> set[int]:
+    oid = trace.meta["objects"]["pool"]["oid"]
+    return {snap["counters"][oid]["limit"] for snap in trace.snapshots.values()}
+
+
+def _gas_versions(trace, prefix: str) -> set[tuple[int, ...]]:
+    oids = [trace.meta["objects"][f"{prefix}{i}"]["oid"] for i in range(10)]
+    return {tuple(snap["latest"][oid] for oid in oids)
+            for snap in trace.snapshots.values()}
+
+
+def test_a_fixed_spend_stops_once_the_counter_cannot_hold_its_next_amount():
+    # a fresh budget of 66 covers each 40, so the second and the fourth are
+    # sent and meet drained budgets (the infinite-budget validator still
+    # sees them); after two consolidations 20 is left, and 40 > 20 ends it
+    trace, done = _fixed_spend([40, 40, 40, 40], fault="infinite_budget")
+    assert (done["reason"], done["consolidations"], done["remaining"]) \
+        == ("over_limit", 2, 80)
+    assert trace.select("budget_reject")
+    assert _counter_limits(trace) == {20}
+    assert _gas_versions(trace, "u") == {(1, 1) + (0,) * 8}
+
+
+def test_a_fixed_amount_above_a_fresh_budget_rides_a_consolidation():
+    # after 33 + 33 the counter holds 34, whose budget of 22 cannot take
+    # the last 33: it goes through consensus as the unlock's replacement
+    trace, done = _fixed_spend([33, 33, 33])
+    assert (done["remaining"], done["consolidations"]) == (0, 2)
+    assert "reason" not in done
+    assert _counter_limits(trace) == {1}
+    assert {e["actor"] for e in trace.select("seq_exec")
+            if e["via"] == "unlock"} == {"v0", "v1", "v2", "v3"}
+
+    trace, done = _fixed_spend([70])
+    assert (done["remaining"], done["consolidations"]) == (0, 1)
+    assert _counter_limits(trace) == {30}
+
+
+def test_a_replacement_chosen_from_a_stale_limit_is_refused():
+    # after 50 on the fast path the client still sees a limit of 100, so 70
+    # (above the budget of 66) rides a consolidation; validators refuse it,
+    # and the limit the consolidation reports, 50, ends the spend
+    trace, done = _fixed_spend([50, 70])
+    assert (done["reason"], done["remaining"], done["consolidations"]) \
+        == ("over_limit", 70, 1)
+    assert len(trace.select("sequenced_exec_failed")) == 4
+    assert _counter_limits(trace) == {50}
+
+
+def test_an_amount_above_the_limit_sends_nothing():
+    trace, done = _fixed_spend([150])
+    assert (done["reason"], done["remaining"], done["consolidations"]) \
+        == ("over_limit", 150, 0)
+    assert trace.sent == 0
+
+
+def test_a_greedy_spend_that_meets_its_target_does_not_consolidate():
+    trace = run(bounded_spend(9, target=50))
+    done, = trace.select("spend_done")
+    assert (done["remaining"], done["consolidations"]) == (0, 0)
+    assert not trace.select("consolidate")
+    assert _gas_versions(trace, "u") == {(0,) * 10}
+    assert check_invariants(trace) == []
+
+
+def _unlock_with_replacement(debit: int) -> Scenario:
+    """A counter of 47, debited 9 on the fast path, then unlocked with a
+    replacement that debits `debit` through consensus."""
+    return Scenario.from_dict({
+        "committee": {"n": 4, "f": 1},
+        "seed": 3, "ticks": 5000, "epoch_length": 50000,
+        "network": {"min_delay": 1, "max_delay": 4},
+        "accounts": ["alice"],
+        "objects": (
+            [{"name": "pool", "kind": "commutative", "flavor": "bounded",
+              "limit": 47, "owner": {"pk": "alice"}}]
+            + gas_objects("alice", ["g0", "g1", "u0"], 30)),
+        "script": [
+            {"at": 5, "client": "alice", "action": "debit",
+             "inputs": ["pool"], "gas": "g0", "amount": 9},
+            {"at": 100, "client": "alice", "action": "unlock",
+             "keys": ["pool"], "gas": "u0",
+             "replacement": {"action": "debit", "inputs": ["pool"],
+                             "gas": "g1", "amount": debit}},
+        ],
+    })
+
+
+@pytest.mark.parametrize("debit, refused", [(38, False), (39, True),
+                                             (500, True)])
+def test_a_replacement_debit_is_checked_against_the_counter(debit, refused):
+    # 47 - 9 = 38 is left: a larger replacement fails on every validator,
+    # and the consolidation goes ahead without it
+    trace = run(_unlock_with_replacement(debit))
+    assert {(e["actor"], e["code"]) for e in trace.select(
+        "sequenced_exec_failed")} == ({
+            (f"v{i}", "InsufficientBalance") for i in range(4)}
+            if refused else set())
+    assert _counter_limits(trace) == {38 if refused else 0}
+    assert check_invariants(trace) == []
+
+
 def test_crash_fault_tolerated():
     scenario = swap_deadlock(55, fault="crash")
     trace = run(scenario)
