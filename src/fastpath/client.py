@@ -6,8 +6,14 @@ them replies and timer ticks, and they broadcast requests, assemble
 quorums, and settle on an outcome. The fast path takes two request/reply
 rounds (transaction votes, then certificate effects); the unlock path
 takes a vote round followed by sequencer submission and a wait for the
-sequenced execution's effect signatures. A driver arms its retry tick with
-`env.set_timer(driver)`, and the harness picks how far ahead it falls.
+sequenced execution's effect signatures. Each time a driver starts an
+exchange it arms a retry tick for that exchange alone, with
+`env.set_timer(driver, hops)`: `hops` counts the one-way trips until its
+last reply is due, and the harness picks how long a hop may take. A request
+(a transaction, an unlock request or a retry's resend) and a certificate
+broadcast are 2 hops; an `UnlockCert` submitted to the sequencer is 3
+(client -> sequencer -> validator -> client). A tick armed for an earlier
+exchange is ignored.
 
 Drivers send the protocol values themselves: a `Transaction`, its
 `Certificate` or an `UnlockRqt`. Validators answer with the `CertSign` or
@@ -239,11 +245,16 @@ class _Driver:
     and verifies; a quorum reporting the same effects in the same order
     finishes the driver, the i-th `EffectCert` taking every member's i-th
     sign. Once `phase == "done"`, the driver holds its `status`,
-    `effect_certs` and `confirmed` keys, and `on_done(driver)` has run. The
-    retry tick, armed by `start` and by each retry with `env.set_timer(self)`
-    (the environment picks its delay), resends `_resend`'s request to every
-    validator that has not answered; `MAX_RETRIES` retries end in
-    `timeout`."""
+    `effect_certs` and `confirmed` keys, and `on_done(driver)` has run.
+
+    Each exchange the driver starts arms a retry tick for that exchange
+    alone, with `env.set_timer(self, hops)`: `start` and each retry for
+    the 2 hops of a request, a fast-path certificate broadcast for 2, an
+    unlock certificate's sequencer submission for 3. The driver keeps the
+    tick due as `due`; a tick that pops before it was armed for an earlier
+    exchange and is ignored. A tick that is due resends `_resend`'s
+    request to every validator that has not answered; `MAX_RETRIES`
+    retries end in `timeout`."""
 
     kind = ""
     finalized = ""  # the status a quorum of matching executions ends in
@@ -265,6 +276,7 @@ class _Driver:
         self.confirmed: set[ObjectKey] = set()
         self.round_trips = 0
         self.retries = 0
+        self.due = 0  # the tick the current exchange's retry tick falls on
 
     def _tally(self, env, msg) -> None:
         if self.phase == "done" or msg.subject != self.subject \
@@ -316,8 +328,8 @@ class _Driver:
             self.on_done(self)
 
     def _retry(self, env) -> None:
-        if self.phase == "done":
-            return
+        if self.phase == "done" or env.now < self.due:
+            return  # finished, or armed for an exchange since replaced
         self.retries += 1
         if self.retries > MAX_RETRIES:
             self._finish(env, "timeout")
@@ -326,7 +338,7 @@ class _Driver:
         for vid in range(self.params.n):
             if vid not in answered:
                 env.send_validator(vid, request)
-        env.set_timer(self)
+        self.due = env.set_timer(self, 2)
 
 
 class FastPathDriver(_Driver):
@@ -353,7 +365,7 @@ class FastPathDriver(_Driver):
                 env.send_validator(vid, self.tx)
         else:
             env.broadcast(self.tx)
-        env.set_timer(self)
+        self.due = env.set_timer(self, 2)
 
     def on_message(self, env, msg) -> None:
         self._tally(env, msg)
@@ -371,6 +383,7 @@ class FastPathDriver(_Driver):
             self._finish(env, "certified_abandoned")
             return
         env.broadcast(self.cert)
+        self.due = env.set_timer(self, 2)
 
     def _maybe_refuse(self, env) -> None:
         # too many distinct rejectors for any quorum to remain reachable
@@ -420,7 +433,7 @@ class FastUnlockDriver(_Driver):
         env.emit("unlock_started", rqt=self.rqt.hexdigest,
                  authorized=self.authorized, keys=self.rqt.key_ids)
         env.broadcast(self.rqt)
-        env.set_timer(self)
+        self.due = env.set_timer(self, 2)
 
     def on_message(self, env, msg) -> None:
         self._tally(env, msg)
@@ -436,6 +449,7 @@ class FastUnlockDriver(_Driver):
                  carried=[c.tx.hexdigest for c in self.ucert.carried_union()],
                  authorized=self.authorized, keys=self.rqt.key_ids)
         env.submit_sequencer(self.ucert)
+        self.due = env.set_timer(self, 3)
 
     def _superseded(self, env) -> None:
         env.emit("unlock_superseded", rqt=self.rqt.hexdigest)
@@ -461,8 +475,17 @@ class FastUnlockDriver(_Driver):
             self._finish(env, "unauthorized")
 
     def _cert_fields(self, cert: EffectCert) -> dict:
-        return {"tx": cert.effects.tx_digest.hex(), "tx_kind": "unlock",
-                "amount": 0, "rqt": self.rqt.hexdigest, "path": "unlock"}
+        """Label the certificate with the transaction it executed: the
+        replacement or a carried certificate's; a no-op or a consolidation
+        is the unlock's own."""
+        txs = [c.tx for c in self.ucert.carried_union()] if self.ucert else []
+        txs.append(self.rqt.replacement_tx)
+        tx = next((t for t in txs if t is not None
+                   and t.digest == cert.effects.tx_digest), None)
+        return {"tx": cert.effects.tx_digest.hex(),
+                "tx_kind": tx.kind.value if tx else "unlock",
+                "amount": tx.params.amount if tx else 0,
+                "rqt": self.rqt.hexdigest, "path": "unlock"}
 
     def _resend(self):
         if self.phase == "vote":

@@ -11,9 +11,11 @@ queue entry is `(src, dst, msg)`, and popping it calls the `dst` actor's
 (`("script", client, action)`) and an epoch change (`("script", vid,
 "epoch_change")`) come from `script`; a client's retry tick (`("timer",
 client, driver)`) comes from `timer` and carries the driver that armed it.
-It falls `5 * max_delay + 1` ticks after it is armed (see `workflows.py`)
-and stays queued after its driver finishes. Only sends cross the network;
-script entries and ticks are never dropped or counted as sent.
+It falls `hops * max_delay + 1` ticks after it is armed, `hops` being the
+one-way trips of the exchange its driver just started (see `workflows.py`),
+and stays queued after its driver finishes or starts its next exchange.
+Only sends cross the network; script entries and ticks are never dropped
+or counted as sent.
 
 A run stops at an empty queue or at the first entry past `tick_limit`;
 `ticks` is the tick of the last entry popped, idle retry ticks included.

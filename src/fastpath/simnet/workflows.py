@@ -24,9 +24,12 @@ transaction or unlock request a driver carries. Every validator answer (a
 `CertSign` or `UnlockVote`, a `Rejection` or an `Outcome`) names that digest
 as its `subject` and reaches the newest driver launched for it. A retry
 tick carries the driver that armed it, so it reaches that driver alone,
-even when a newer driver has since taken over its digest. It falls once
-every reply of a fault-free exchange is overdue (`ClientActor.set_timer`),
-so only a drop, a fault or a partial first broadcast makes a retry. A finished
+even when a newer driver has since taken over its digest. A driver arms one
+for each exchange it starts, and it falls once every reply of that
+exchange, fault-free, is overdue (`ClientActor.set_timer`): 2 hops for a
+request or a certificate broadcast, 3 for a sequencer submission. A tick
+armed for an earlier exchange of the same driver is ignored, so only a
+drop, a fault or a partial first broadcast makes a retry. A finished
 driver is its own result: `on_done(driver)` reads its `status`,
 `effect_certs` and `confirmed` keys. An unlock driver submits its
 `UnlockCert` to the sequencer as it is.
@@ -95,14 +98,14 @@ class ClientActor:
     def submit_sequencer(self, ucert) -> None:
         self.runner.submit_item(self.name, ucert)
 
-    def set_timer(self, driver) -> None:
-        # The longest fault-free exchange a driver waits on is five hops of
-        # at most `max_delay` each: its votes (client -> validator ->
-        # client), then a sequenced outcome (client -> sequencer ->
-        # validator -> client). One tick more, because entries due on the
-        # same tick pop in a seeded shuffle: a reply due then arrives first.
-        self.runner.schedule_timer(
-            self.name, 5 * self.runner.scenario.network.max_delay + 1, driver)
+    def set_timer(self, driver, hops: int) -> int:
+        # The exchange the driver just started is over, fault-free, once its
+        # `hops` one-way trips have each taken at most `max_delay`. One tick
+        # more, because entries due on the same tick pop in a seeded
+        # shuffle: a reply due then arrives first. Returns the tick due.
+        delay = hops * self.runner.scenario.network.max_delay + 1
+        self.runner.schedule_timer(self.name, delay, driver)
+        return self.now + delay
 
     # -- message plumbing --
 

@@ -660,27 +660,35 @@ class ValidatorState:
         self.emit("gas_consumed", rqt=rqt.hexdigest, key=key.ids)
 
     def _undo_fast(self, key: ObjectKey) -> None:
-        tx_digest = self.key_fast_tx.pop(key, None)
-        if tx_digest is None:
-            return
-        plan = self.fast_records.pop(tx_digest, None)
-        if plan is None:
-            return
-        for k in plan.consumed:
-            self.key_fast_tx.pop(k, None)
-        for k in (o.key for o in plan.produced):
-            versions = self.objects.get(k.object_id, {})
-            versions.pop(k.version, None)
-            if versions:
-                self.latest[k.object_id] = max(versions)
-            else:
-                self.objects.pop(k.object_id, None)
-                self.latest.pop(k.object_id, None)
-        for delta in plan.counter_deltas:
-            self.counters[delta.object_id].unapply(tx_digest, delta)
-        self.executed.pop(tx_digest, None)
-        self.executed_unsequenced.discard(tx_digest)
-        self.emit("undo", tx=tx_digest.hex(), keys=plan.consumed_ids)
+        """Take back the fast-path execution that consumed `key`. A debit or
+        credit consumes only its gas, so for a bounded counter also take
+        back every one whose deltas touch it: the no-commit quorum reserved
+        the counter, so none of them can finalize."""
+        doomed = [self.key_fast_tx.pop(key, None)]
+        local = self.counters.get(key.object_id)
+        if local is not None and local.flavor == FLAVOR_BOUNDED:
+            doomed += [d for d, plan in self.fast_records.items()
+                       if any(c.object_id == key.object_id
+                              for c in plan.counter_deltas)]
+        for tx_digest in doomed:
+            plan = self.fast_records.pop(tx_digest, None)
+            if plan is None:
+                continue
+            for k in plan.consumed:
+                self.key_fast_tx.pop(k, None)
+            for k in (o.key for o in plan.produced):
+                versions = self.objects.get(k.object_id, {})
+                versions.pop(k.version, None)
+                if versions:
+                    self.latest[k.object_id] = max(versions)
+                else:
+                    self.objects.pop(k.object_id, None)
+                    self.latest.pop(k.object_id, None)
+            for delta in plan.counter_deltas:
+                self.counters[delta.object_id].unapply(tx_digest, delta)
+            self.executed.pop(tx_digest, None)
+            self.executed_unsequenced.discard(tx_digest)
+            self.emit("undo", tx=tx_digest.hex(), keys=plan.consumed_ids)
 
     def _execute_noop(self, rqt: UnlockRqt) -> EffectSign:
         """Version-bumping no-op over the listed keys; a bounded counter is

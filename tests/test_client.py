@@ -86,6 +86,23 @@ def test_single_carried_certificate_survives_union(world):
     assert [c.tx.digest for c in ucert.carried_union()] == [cert.tx.digest]
 
 
+def test_unlock_effect_certs_name_the_transaction_they_executed(world):
+    # a carried certificate's execution is labelled with its transaction;
+    # any other execution (here a no-op) is the unlock's own
+    rqt = simple_rqt(world)
+    cert = world.cert(world.transfer("coin", "gas", "alice", "bob"))
+    driver = FastUnlockDriver(rqt, world.params)
+    env = RecordingEnv()
+    driver.start(env)
+    for v in range(quorum(world.params)):
+        driver.on_message(env, vote(rqt, v, (cert,) if v == 1 else ()))
+    assert driver.phase == "sequenced"
+    labels = [driver._cert_fields(EffectCert(EffectSummary(d, (), ()), ()))
+              for d in (cert.tx.digest, rqt.digest)]
+    assert [(f["tx_kind"], f["amount"], f["path"]) for f in labels] == [
+        ("transfer", 0, "unlock"), ("unlock", 0, "unlock")]
+
+
 def test_below_quorum_is_incomplete(world):
     rqt = simple_rqt(world)
     with pytest.raises(ProtocolError) as err:
@@ -177,8 +194,8 @@ class RecordingEnv:
     def send_validator(self, vid, msg):
         pass
 
-    def set_timer(self, token):
-        pass
+    def set_timer(self, token, hops):
+        return 0
 
     def submit_sequencer(self, item):
         self.events.append("submitted")

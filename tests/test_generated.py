@@ -32,7 +32,8 @@ ACCOUNTS = ("a", "b", "c", "d")
 # takes two round trips, at most 32 ticks.
 GAP = 100
 # With drops, each of the three lost messages can cost one retry window of
-# 5 * 8 + 1 ticks (see `ClientActor.set_timer`) on top of those trips.
+# at most 3 * 8 + 1 ticks (see `ClientActor.set_timer`) on top of those
+# trips.
 LOSSY_GAP = 250
 TX_KINDS = ("transfer", "swap", "mint", "credit", "debit", "noop")
 

@@ -732,6 +732,12 @@ def test_a_fixed_amount_above_a_fresh_budget_rides_a_consolidation():
     assert _counter_limits(trace) == {1}
     assert {e["actor"] for e in trace.select("seq_exec")
             if e["via"] == "unlock"} == {"v0", "v1", "v2", "v3"}
+    # each effect certificate names the transaction it executed; the
+    # consolidations keep the unlock's label
+    assert [(e["tx_kind"], e["amount"], e["path"])
+            for e in trace.select("effect_cert")] == [
+        ("debit", 33, "fast"), ("debit", 33, "fast"), ("unlock", 0, "unlock"),
+        ("debit", 33, "unlock"), ("unlock", 0, "unlock")]
 
     trace, done = _fixed_spend([70])
     assert (done["remaining"], done["consolidations"]) == (0, 1)
@@ -800,6 +806,39 @@ def test_a_replacement_debit_is_checked_against_the_counter(debit, refused):
             if refused else set())
     assert _counter_limits(trace) == {38 if refused else 0}
     assert check_invariants(trace) == []
+
+
+def test_a_no_commit_unlock_takes_back_a_debit_whose_vote_missed_the_quorum():
+    # a counter of 10 is credited 20, then debited 16 with the certificate
+    # sent to v0-v2 only, then unlocked. v0, v2 and v3 vote before they see
+    # the certificate, so the unlock carries none; v1 executes the debit
+    # first and votes after the quorum. The no-commit unlock must take the
+    # debit back on v1 too, though it consumed only its gas
+    trace = run(Scenario.from_dict({
+        "committee": {"n": 4, "f": 1},
+        "seed": 27, "ticks": 5000, "epoch_length": 50000,
+        "network": {"min_delay": 1, "max_delay": 20},
+        "accounts": ["alice"],
+        "objects": (
+            [{"name": "pool", "kind": "commutative", "flavor": "bounded",
+              "limit": 10, "owner": {"pk": "alice"}}]
+            + gas_objects("alice", ["g0", "g1", "u0"], 30)),
+        "script": [
+            {"at": 5, "client": "alice", "action": "credit",
+             "inputs": ["pool"], "gas": "g1", "amount": 20},
+            {"at": 40, "client": "alice", "action": "debit",
+             "inputs": ["pool"], "gas": "g0", "amount": 16,
+             "cert_to": [0, 1, 2]},
+            {"at": 60, "client": "alice", "action": "unlock",
+             "keys": ["pool"], "gas": "u0"},
+        ],
+    }))
+    debit, = (e["tx"] for e in trace.select("cert_assembled")
+              if e["tx"] not in {x["tx"] for x in trace.select("effect_cert")})
+    assert [e["actor"] for e in trace.select("undo") if e["tx"] == debit] \
+        == ["v1"]
+    assert check_invariants(trace) == []
+    assert len({str(snap["counters"]) for snap in trace.snapshots.values()}) == 1
 
 
 def test_crash_fault_tolerated():
