@@ -339,7 +339,8 @@ def _check_action(action: dict, where: str, required, declared,
     """ScenarioError for the first field of `action`, or of its replacement,
     that is missing, holds the wrong type or an int outside [0, 2**63),
     names an account or object `declared` does not hold, or names a
-    validator outside [0, n)."""
+    validator outside [0, n); and for a replacement whose action is not a
+    transaction's."""
     for f in required:
         if action.get(f) is None:
             raise ScenarioError(f"{where}: missing {f}")
@@ -366,8 +367,12 @@ def _check_action(action: dict, where: str, required, declared,
                 raise ScenarioError(f"{where}: bad {f} validator {vid!r}")
             _number(vid, f"{where}: {f} validator", 0, n - 1)
     if action.get("replacement"):
-        _check_action(action["replacement"], f"{where}: replacement",
-                      ("action", "gas"), declared, n)
+        replacement = action["replacement"]
+        _check_action(replacement, f"{where}: replacement", ("action", "gas"),
+                      declared, n)
+        if replacement["action"] not in TX_ACTIONS:
+            raise ScenarioError(f"{where}: replacement: unknown action "
+                                f"{replacement['action']!r}")
 
 
 def term_from_spec(spec: dict, account_keys: dict[str, bytes]) -> AuthTerm:

@@ -2,10 +2,10 @@
 
 `ClientActor` turns a script action into signed transactions and unlock
 requests, drives them with the drivers of `fastpath.client`, and runs the
-workflows built on them: recovery of a blocked transaction (unlock, then
-retry), the double send, and the bounded-counter spend loop. The harness a
-client runs in (network, validator and sequencer actors, queue) is
-`runner.py`.
+workflows built on them: a transaction with its recovery from a lock
+(unlock, then retry), the unlock action, the double send, and the
+bounded-counter spend loop. The harness a client runs in (network,
+validator and sequencer actors, queue) is `runner.py`.
 
 Clients learn owners only from what the protocol shows them, kept in
 maps that all clients of a run share: `seen`, every object version clients
@@ -29,10 +29,14 @@ for each exchange it starts, and it falls once every reply of that
 exchange, fault-free, is overdue (`ClientActor.set_timer`): 2 hops for a
 request or a certificate broadcast, 3 for a sequencer submission. A tick
 armed for an earlier exchange of the same driver is ignored, so only a
-drop, a fault or a partial first broadcast makes a retry. A finished
-driver is its own result: `on_done(driver)` reads its `status`,
-`effect_certs` and `confirmed` keys. An unlock driver submits its
-`UnlockCert` to the sequencer as it is.
+drop, a fault or a partial first broadcast makes a retry. An unlock driver
+submits its `UnlockCert` to the sequencer as it is. Each action but the
+double send is a generator workflow: it yields a driver class, a subject and
+driver options, and the driver's `on_done` resumes it with the finished
+driver, whose `status`, `effect_certs` and `confirmed` keys are its result.
+The double send settles its two drivers in one callback and hands a lock to
+the transaction workflow. Lock recovery, consolidation and the unlock action
+share one unlock step, `_unlock`.
 
 A bounded-counter spend (`spend_loop`) debits either fixed `amounts` in
 order or, greedily, as much of `target` as a fresh per-validator budget
@@ -47,7 +51,8 @@ one `spend_done` event, whose `reason` is absent when the target is met,
 the amounts are spent or the counter is empty, and otherwise one of
 `over_limit`, `out_of_gas`, `out_of_unlock_gas`, `consolidate_<status>` for
 an unlock that did not end `unlocked`, or the status of a debit that ended
-neither finalized, rejected nor locked (`timeout`, `superseded`).
+neither finalized, rejected nor locked (`timeout`, `superseded`). A
+consolidation is the unlock step on the counter.
 """
 
 from __future__ import annotations
@@ -189,8 +194,6 @@ class ClientActor:
         inputs = tuple(self.key_of(n) for n in input_names)
         gas_key = self.key_of(gas_name)
         shared = tuple(self._oid(n) for n in action.get("shared", []))
-        kind = (TxKind(action["action"]) if action["action"] in TX_ACTIONS
-                else TxKind.NOOP)
         params = TxParams(
             amount=int(action.get("amount", 0)),
             new_owner=(self._owner_for(action["to"]) if action.get("to")
@@ -200,8 +203,8 @@ class ClientActor:
             item=(action["item"].encode() if action.get("item") else None),
             memo=action.get("memo", "").encode(),
         )
-        tx = Transaction(inputs, shared, kind, params, gas_key,
-                         int(action.get("epoch", 0)))
+        tx = Transaction(inputs, shared, TxKind(action["action"]), params,
+                         gas_key, int(action.get("epoch", 0)))
         return self._sign_tx(tx, action.get("signers", [self.name]))
 
     def _sign_tx(self, tx: Transaction, signers) -> Transaction:
@@ -231,130 +234,128 @@ class ClientActor:
         self.drivers[subject.digest] = driver
         driver.start(self)
 
+    def _run(self, workflow, driver=None) -> None:
+        """Resume `workflow` with the driver it waits on, and launch the
+        driver it yields next, whose `on_done` resumes it again."""
+        if driver is not None:
+            driver.on_done = None  # a workflow keeping it would close a cycle
+        try:
+            driver_cls, subject, options = workflow.send(driver)
+        except StopIteration:
+            return
+        self._launch(driver_cls, subject,
+                     functools.partial(self._run, workflow), **options)
+
     # -- actions --
 
     def _start_action(self, action: dict) -> None:
         name = action["action"]
         if name in TX_ACTIONS:
-            self._launch_tx(action, self._build_tx(action),
-                            int(action.get("max_recoveries", 2)),
-                            first_to=action.get("first_to"),
-                            cert_to=action.get("cert_to"))
+            self._run(self._transact(action, self._build_tx(action),
+                                     int(action.get("max_recoveries", 2)),
+                                     first_to=action.get("first_to"),
+                                     cert_to=action.get("cert_to")))
         elif name == "unlock":
-            self._run_unlock_action(action)
+            self._run(self._unlock_action(action))
         elif name == "double_send":
             self._run_double_send(action)
         elif name == "spend_loop":
-            self._run_spend_loop(action)
+            self._run(self._spend(action))
 
     def _finish_action(self, action: dict, driver, status: str) -> None:
         self.emit("driver_done", action=action["action"], status=status,
                   rounds=driver.round_trips, retries=driver.retries)
 
-    def _launch_tx(self, action: dict, tx: Transaction, recoveries: int,
-                   retried: bool = False, first_to=None, cert_to=None) -> None:
-        """Drive `tx` on the fast path; a locked result recovers while
-        `on_locked: unlock` and `recoveries` allow it."""
+    def _unlock(self, action: dict, keys, gas: str,
+                replacement: Transaction | None = None, **options):
+        """Unlock `keys`, paying with the object named `gas`, `replacement`
+        riding as the unlock's transaction; returns the finished driver. A
+        sequenced unlock that ends `unlocked` or `superseded` paid its gas,
+        so clients see its effects and the gas at its next version."""
+        gas_key = self.key_of(gas)
+        rqt = UnlockRqt(tuple(keys), replacement, gas_key,
+                        int(action.get("epoch", 0)), self.pk)
+        # unauthorized: sign, but only prove control of the gas object
+        proved = ([*keys, gas_key] if options.get("authorized", True)
+                  else [gas_key])
+        rqt = rqt._replace(evidence=self._evidence(
+            rqt.signing_digest, action.get("signers", [self.name]), proved,
+            {k.object_id for k in [*keys, gas_key]}))
+        driver = yield FastUnlockDriver, rqt, options
+        if driver.status == "unlocked" or (
+                driver.status == "superseded" and driver.ucert is not None):
+            self._update_view(driver.effect_certs)
+            self.runner.versions[gas_key.object_id] = gas_key.version + 1
+        return driver
 
-        def done(driver):
-            if driver.status == "finalized":
-                self._update_view(driver.effect_certs)
-                status = "finalized_after_unlock" if retried else "finalized"
-            elif driver.status == "locked" and recoveries > 0 \
-                    and action.get("on_locked") == "unlock":
-                self._recover(action, tx, recoveries)
-                return
-            else:
-                status = (f"retry_{driver.status}" if retried
-                          else driver.status)
-            self._finish_action(action, driver, status)
-
-        self._launch(FastPathDriver, tx, done, first_to=first_to,
-                     cert_to=cert_to)
-
-    def _recover(self, action: dict, tx: Transaction, recoveries: int,
-                 keys=None, gas_pool=None, retry: bool = True) -> None:
-        """Unlock every owned input of the blocked transaction (or `keys`),
-        then retry it if `retry` and it did not finalize by the unlock."""
-        keys = tuple(keys) if keys is not None else self._owned_keys(tx)
-        signers = action.get("signers", [self.name])
-        if gas_pool is None:
+    def _transact(self, action: dict, tx: Transaction, recoveries: int,
+                  locked: bool = False, **options):
+        """Drive `tx` on the fast path. A locked result, or `locked` on
+        entry, recovers while `recoveries` last (a fast-path lock also needs
+        `on_locked: unlock`): unlock every owned input, then retry the
+        transaction unless the unlock executed it."""
+        retried = False
+        while True:
+            if not locked:
+                driver = yield FastPathDriver, tx, options
+                status = driver.status
+                if status == "finalized":
+                    self._update_view(driver.effect_certs)
+                    self._finish_action(
+                        action, driver,
+                        "finalized_after_unlock" if retried else status)
+                    return
+                if status != "locked" or recoveries <= 0 \
+                        or action.get("on_locked") != "unlock":
+                    self._finish_action(action, driver, f"retry_{status}"
+                                        if retried else status)
+                    return
+            keys = self._owned_keys(tx)
             pool = action.get("unlock_gas")
             gas_pool = list(pool) if isinstance(pool, list) else [pool]
-        if not gas_pool:
-            self.emit("driver_done", action=action["action"],
-                      status="unlock_out_of_gas", rounds=0, retries=0)
-            return
-        gas_name, rest_pool = gas_pool[0], gas_pool[1:]
-        rqt = self._make_unlock_rqt(keys, None, gas_name, signers,
-                                    int(action.get("epoch", 0)))
-
-        def unlock_done(driver):
-            if driver.status == "superseded" and recoveries > 0:
-                # another sequenced outcome beat us to part of the key set;
-                # release whatever is still reserved, without retrying the
-                # now-dead transaction. Gas was spent only if our unlock
-                # certificate reached the sequencer; otherwise it sits
-                # wedged under this request's lock and gets unlocked too.
-                remaining = [k for k in keys if k not in driver.confirmed]
-                if driver.ucert is not None:
-                    self.runner.versions[rqt.gas.object_id] = rqt.gas.version + 1
-                elif rqt.gas not in remaining:
-                    remaining.append(rqt.gas)
-                if remaining:
-                    self._recover(action, tx, recoveries - 1, keys=remaining,
-                                  gas_pool=rest_pool, retry=False)
-                else:
+            retry = True
+            while True:
+                if not gas_pool:
+                    self.emit("driver_done", action=action["action"],
+                              status="unlock_out_of_gas", rounds=0, retries=0)
+                    return
+                driver = yield from self._unlock(action, keys, gas_pool.pop(0))
+                if driver.status != "superseded" or recoveries <= 0:
+                    break
+                # another sequenced outcome took part of the keys, so the
+                # transaction is dead: release the rest, and the gas too when
+                # no unlock certificate reached the sequencer to spend it
+                recoveries -= 1
+                retry = False
+                keys = [k for k in keys if k not in driver.confirmed]
+                if driver.ucert is None and driver.rqt.gas not in keys:
+                    keys.append(driver.rqt.gas)
+                if not keys:
                     self._finish_action(action, driver, "superseded")
-                return
+                    return
             if driver.status != "unlocked":
                 self._finish_action(action, driver, f"unlock_{driver.status}")
                 return
-            self._update_view(driver.effect_certs)
-            self.runner.versions[rqt.gas.object_id] = rqt.gas.version + 1
             finalized = any(c.effects.tx_digest == tx.digest
                             for c in driver.effect_certs)
             if finalized or not retry:
-                self._finish_action(action, driver,
-                                    "finalized_by_unlock" if finalized
-                                    else "unlocked")
+                self._finish_action(action, driver, "finalized_by_unlock"
+                                    if finalized else "unlocked")
                 return
-            rebuilt = retry_after_unlock(tx, driver.effect_certs[0])
-            self._launch_tx(action, self._sign_tx(rebuilt, signers),
-                            recoveries - 1, retried=True)
+            tx = self._sign_tx(retry_after_unlock(tx, driver.effect_certs[0]),
+                               action.get("signers", [self.name]))
+            recoveries -= 1
+            retried, locked, options = True, False, {}
 
-        self._launch(FastUnlockDriver, rqt, unlock_done)
-
-    def _make_unlock_rqt(self, keys, replacement, gas_name, signers,
-                         epoch: int, authorized: bool = True) -> UnlockRqt:
-        gas_key = self.key_of(gas_name)
-        rqt = UnlockRqt(tuple(keys), replacement, gas_key, epoch, self.pk)
-        # unauthorized: sign, but only prove control of the gas object
-        proved = [*keys, gas_key] if authorized else [gas_key]
-        evidence = self._evidence(rqt.signing_digest, signers, proved,
-                                  {k.object_id for k in keys}
-                                  | {gas_key.object_id})
-        return rqt._replace(evidence=evidence)
-
-    def _run_unlock_action(self, action: dict) -> None:
+    def _unlock_action(self, action: dict):
         keys = [self.key_of(n) for n in action["keys"]]
-        authorized = action.get("authorized", True)
-        replacement = None
-        if action.get("replacement"):
-            replacement = self._build_tx(action["replacement"])
-        rqt = self._make_unlock_rqt(keys, replacement, action["gas"],
-                                    action.get("signers", [self.name]),
-                                    int(action.get("epoch", 0)), authorized)
-
-        def done(driver):
-            if driver.status == "unlocked" or (
-                    driver.status == "superseded" and driver.ucert is not None):
-                self._update_view(driver.effect_certs)
-                self.runner.versions[rqt.gas.object_id] = rqt.gas.version + 1
-            self._finish_action(action, driver, driver.status)
-
-        self._launch(FastUnlockDriver, rqt, done, authorized=authorized,
-                     wait_all=action.get("wait_all", False))
+        replacement = (self._build_tx(action["replacement"])
+                       if action.get("replacement") else None)
+        driver = yield from self._unlock(
+            action, keys, action["gas"], replacement,
+            authorized=action.get("authorized", True),
+            wait_all=action.get("wait_all", False))
+        self._finish_action(action, driver, driver.status)
 
     def _run_double_send(self, action: dict) -> None:
         """Buggy-wallet behavior: the same intent submitted twice as two
@@ -376,8 +377,9 @@ class ClientActor:
                 self.emit("driver_done", action="double_send", status="finalized",
                           rounds=2, retries=0)
             elif "locked" in statuses:
-                self._recover({**action, "action": "transfer",
-                               "memo": "dup-a"}, first, 1)
+                self._run(self._transact({**action, "action": "transfer",
+                                          "memo": "dup-a"}, first, 1,
+                                         locked=True))
             else:
                 self.emit("driver_done", action="double_send",
                           status=statuses[0], rounds=2, retries=0)
@@ -387,101 +389,69 @@ class ClientActor:
         self._launch(FastPathDriver, second, functools.partial(settle, "second"),
                      first_to=action.get("first_to_second"))
 
-    # -- bounded-counter spend loop --
-
-    def _run_spend_loop(self, action: dict) -> None:
-        target = action.get("target", self._counter_limit(action["counter"]))
-        state = {
-            "remaining": int(target),
-            "amounts": (list(action["amounts"])
-                        if isinstance(action.get("amounts"), list) else None),
-            "gas_pool": list(action["gas_pool"]),
-            "unlock_gas_pool": list(action["unlock_gas_pool"]),
-            "consolidations": 0,
-        }
-        self._spend_step(action, state)
-
-    def _spend_done(self, action: dict, state: dict, **reason) -> None:
-        self.emit("spend_done", counter=self._oid(action["counter"]).hex(),
-                  remaining=state["remaining"],
-                  consolidations=state["consolidations"], **reason)
-
-    def _spend_step(self, action: dict, state: dict) -> None:
-        """Send the next debit down the one path that can serve it, by the
-        rule the module docstring gives."""
-        limit = self._counter_limit(action["counter"])
-        amounts = state["amounts"]
-        if (state["remaining"] <= 0 or limit <= 0
-                or amounts == []):  # the fixed list of amounts is spent
-            self._spend_done(action, state)
-            return
-        budget = initial_budget(limit, self.runner.scenario.params)
-        if amounts is not None:
-            amount = int(amounts[0])
-        else:  # greedy: the budget, or the rest once budgets round to zero
-            amount = (min(budget, state["remaining"])
-                      or min(state["remaining"], limit))
-        if amount > limit:
-            self._spend_done(action, state, reason="over_limit")
-            return
-        if not state["gas_pool"]:
-            self._spend_done(action, state, reason="out_of_gas")
-            return
-        tx = self._build_tx({**action, "action": "debit", "amount": amount,
-                             "inputs": [action["counter"]],
-                             "gas": state["gas_pool"][0]})
-        if amount > budget:  # only consensus can carry it
-            state["gas_pool"].pop(0)
-            self._consolidate(action, state, replacement=tx)
-            return
-
-        def done(driver):
-            if driver.status == "finalized":
-                self._update_view(driver.effect_certs)
-                self._spent(state, amount)
-                if amounts is not None or state["remaining"] <= 0:
-                    self._spend_step(action, state)
-                else:
-                    # greedy mode drained the budgets; consolidate right away
-                    self._consolidate(action, state)
-            elif driver.status in ("rejected", "locked"):
-                state["gas_pool"].pop(0)  # parts of this gas may now be locked
-                self._consolidate(action, state)
+    def _spend(self, action: dict):
+        """The spend loop: each debit takes the path the module docstring
+        gives."""
+        counter = action["counter"]
+        remaining = int(action.get("target", self._counter_limit(counter)))
+        amounts = list(action["amounts"]) if "amounts" in action else None
+        gas_pool = list(action["gas_pool"])
+        unlock_gas_pool = list(action["unlock_gas_pool"])
+        consolidations = 0
+        reason = None
+        while True:
+            limit = self._counter_limit(counter)
+            if remaining <= 0 or limit <= 0 or amounts == []:  # [] all spent
+                break
+            budget = initial_budget(limit, self.runner.scenario.params)
+            if amounts is not None:
+                amount = int(amounts[0])
+            else:  # greedy: the budget, or the rest once budgets round to zero
+                amount = min(budget, remaining) or min(remaining, limit)
+            if amount > limit:
+                reason = "over_limit"
+                break
+            if not gas_pool:
+                reason = "out_of_gas"
+                break
+            tx = self._build_tx({**action, "action": "debit", "amount": amount,
+                                 "inputs": [counter], "gas": gas_pool[0]})
+            replacement = None
+            if amount > budget:  # only consensus can carry it
+                gas_pool.pop(0)
+                replacement = tx
             else:
-                self._spend_done(action, state, reason=driver.status)
-
-        self._launch(FastPathDriver, tx, done)
-
-    @staticmethod
-    def _spent(state: dict, amount: int) -> None:
-        state["remaining"] -= amount
-        if state["amounts"] is not None:
-            state["amounts"].pop(0)
-
-    def _consolidate(self, action: dict, state: dict,
-                     replacement: Transaction | None = None) -> None:
-        if not state["unlock_gas_pool"]:
-            self._spend_done(action, state, reason="out_of_unlock_gas")
-            return
-        keys = [self.key_of(action["counter"])]
-        rqt = self._make_unlock_rqt(keys, replacement,
-                                    state["unlock_gas_pool"][0],
-                                    action.get("signers", [self.name]),
-                                    int(action.get("epoch", 0)))
-
-        def done(driver):
-            state["unlock_gas_pool"].pop(0)
+                driver = yield FastPathDriver, tx, {}
+                if driver.status == "finalized":
+                    self._update_view(driver.effect_certs)
+                    remaining -= amount
+                    if amounts is not None:
+                        amounts.pop(0)
+                        continue
+                    if remaining <= 0:
+                        continue
+                    # greedy mode drained the budgets; consolidate right away
+                elif driver.status in ("rejected", "locked"):
+                    gas_pool.pop(0)  # parts of this gas may now be locked
+                else:
+                    reason = driver.status
+                    break
+            if not unlock_gas_pool:
+                reason = "out_of_unlock_gas"
+                break
+            driver = yield from self._unlock(
+                action, [self.key_of(counter)], unlock_gas_pool.pop(0),
+                replacement)
             if driver.status != "unlocked":
-                self._spend_done(action, state,
-                                 reason=f"consolidate_{driver.status}")
-                return
-            state["consolidations"] += 1
-            self._update_view(driver.effect_certs)
-            self.runner.versions[rqt.gas.object_id] = rqt.gas.version + 1
+                reason = f"consolidate_{driver.status}"
+                break
+            consolidations += 1
             if replacement is not None and any(
                     c.effects.tx_digest == replacement.digest
                     for c in driver.effect_certs):
-                self._spent(state, replacement.params.amount)
-            self._spend_step(action, state)
-
-        self._launch(FastUnlockDriver, rqt, done)
+                remaining -= amount
+                if amounts is not None:
+                    amounts.pop(0)
+        self.emit("spend_done", counter=self._oid(counter).hex(),
+                  remaining=remaining, consolidations=consolidations,
+                  **({"reason": reason} if reason else {}))

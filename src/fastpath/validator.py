@@ -390,6 +390,14 @@ class ValidatorState:
         """Whether a debit of this counter draws on the local budget."""
         return local.flavor == FLAVOR_BOUNDED
 
+    def _bounded(self, oid: bytes) -> CounterLocal | None:
+        """The local state of the bounded counter `oid`, or None when `oid`
+        is not a bounded counter."""
+        local = self.counters.get(oid)
+        if local is not None and local.flavor == FLAVOR_BOUNDED:
+            return local
+        return None
+
     # -- certificate execution (fast-path step two) --
 
     def process_cert(self, cert: Certificate) -> Outcome:
@@ -512,9 +520,7 @@ class ValidatorState:
         # between this vote and the consolidation.
         reserve_all = (not rqt.multi) or not carried
         for key in rqt.object_keys:
-            local = self.counters.get(key.object_id)
-            bounded = local is not None and local.flavor == FLAVOR_BOUNDED
-            if reserve_all or bounded:
+            if reserve_all or self._bounded(key.object_id) is not None:
                 self._set_unlock(key, UNLOCKED)
 
         ordered = tuple(carried[d] for d in sorted(carried))
@@ -530,8 +536,8 @@ class ValidatorState:
             entry = self.lock_db.get(key)
             if entry is not None and entry.cert is not None:
                 carried.setdefault(entry.cert.tx.digest, entry.cert)
-            local = self.counters.get(key.object_id)
-            if local is not None and local.flavor == FLAVOR_BOUNDED:
+            local = self._bounded(key.object_id)
+            if local is not None:
                 for cert in local.unsettled():
                     carried.setdefault(cert.tx.digest, cert)
         return carried
@@ -665,8 +671,7 @@ class ValidatorState:
         back every one whose deltas touch it: the no-commit quorum reserved
         the counter, so none of them can finalize."""
         doomed = [self.key_fast_tx.pop(key, None)]
-        local = self.counters.get(key.object_id)
-        if local is not None and local.flavor == FLAVOR_BOUNDED:
+        if self._bounded(key.object_id) is not None:
             doomed += [d for d, plan in self.fast_records.items()
                        if any(c.object_id == key.object_id
                               for c in plan.counter_deltas)]
@@ -696,8 +701,8 @@ class ValidatorState:
         inputs, limits = [], []
         for key in rqt.object_keys:
             inputs.append(self._check_key(key))
-            local = self.counters.get(key.object_id)
-            if local is not None and local.flavor == FLAVOR_BOUNDED:
+            local = self._bounded(key.object_id)
+            if local is not None:
                 limits.append(local.reissue(self.params))
                 self._emit_consolidate(key.object_id)
             else:
@@ -719,9 +724,8 @@ class ValidatorState:
         what is still unspent; its budget and bookkeeping restart from that."""
         inputs, limits = [], []
         for key in rqt.object_keys:
-            local = self.counters.get(key.object_id)
-            if (local is not None and local.flavor == FLAVOR_BOUNDED
-                    and self.unlock_db.get(key) != CONFIRMED):
+            local = self._bounded(key.object_id)
+            if local is not None and self.unlock_db.get(key) != CONFIRMED:
                 inputs.append(self.get_object(key))
                 limits.append(local.reissue(self.params))
         if not inputs:

@@ -302,6 +302,7 @@ def _setting(*path_and_value):
     _setting("script", 0, "cert_to", [4]),
     _setting("script", 0, "replacement",
              {"action": "transfer", "gas": "g2", "first_to_second": [-1]}),
+    _setting("script", 0, "replacement", {"action": "trasnfer", "gas": "g2"}),
     _setting("objects", 0, "contents", "lots"), _setting("seed", "abc"),
     _setting("accounts", ["alice", "bob", "v1"]),
     _setting("accounts", ["alice", "bob", "seq"]),

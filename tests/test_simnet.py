@@ -3,6 +3,7 @@ import gc
 import heapq
 import pathlib
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from fastpath.client import (
     UnlockVote,
 )
 from fastpath.sequencer import EndOfEpoch
+from fastpath.simnet import workflows
 from fastpath.simnet.invariants import (
     check_bounded_counters,
     check_byzantine_bound,
@@ -204,21 +206,53 @@ def test_different_seed_different_schedule():
     assert a != b
 
 
+def _run_without_cycle_collector(scenario):
+    """The trace, the client workflows left alive once the run has let go
+    of its actor graph, and the unreachable objects the cycle collector
+    then finds. A suspended workflow is counted by itself: the collector
+    closes a generator caught in a cycle, which frees the cycle before it
+    is counted."""
+    gc.collect()
+    gc.disable()
+    try:
+        trace = run(scenario)
+        alive = sum(1 for o in gc.get_objects()
+                    if isinstance(o, types.GeneratorType)
+                    and o.gi_code.co_filename == workflows.__file__)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    return trace, alive, unreachable
+
+
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")),
                          ids=lambda path: path.stem)
 def test_finished_run_leaves_no_cyclic_garbage(path):
     # a finished run releases its actor graph, so refcounting frees all of
     # it and the cycle collector finds nothing left to trace
-    scenario = Scenario.load(str(path))
-    gc.collect()
-    gc.disable()
-    try:
-        trace = run(scenario)
-        unreachable = gc.collect()
-    finally:
-        gc.enable()
+    trace, alive, unreachable = _run_without_cycle_collector(
+        Scenario.load(str(path)))
     assert trace.quiesced
-    assert unreachable == 0
+    assert (alive, unreachable) == (0, 0)
+
+
+@pytest.mark.parametrize("build, seed, ticks", [
+    (swap_deadlock, 1, 25),  # bob's first unlock in flight
+    (swap_deadlock, 1, 40),  # bob's second unlock, after a superseded one
+    (bounded_spend, 1, 25),  # a consolidation in flight
+    (bounded_spend, 1, 40),  # the debit after it in flight
+    (double_send, 2, 40),  # the unlock after both sends locked
+    (double_send, 2, 53),  # the retry after that unlock
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_a_run_cut_mid_action_leaves_no_cyclic_garbage(build, seed, ticks):
+    # the tick limit leaves a workflow suspended while it holds the driver
+    # it last resumed with; refcounting still frees it with the run
+    scenario = build(seed)._replace(tick_limit=ticks)
+    trace, alive, unreachable = _run_without_cycle_collector(scenario)
+    assert not trace.quiesced
+    finished = trace.select("driver_done") + trace.select("spend_done")
+    assert len(finished) < len(scenario.script)
+    assert (alive, unreachable) == (0, 0)
 
 
 def test_trace_round_trips_through_serialization():
@@ -769,6 +803,53 @@ def test_a_greedy_spend_that_meets_its_target_does_not_consolidate():
     assert not trace.select("consolidate")
     assert _gas_versions(trace, "u") == {(0,) * 10}
     assert check_invariants(trace) == []
+
+
+def _checked_run(scenario, **action_fields):
+    """Run `scenario` with `action_fields` set on every script action."""
+    trace = run(scenario._replace(script=[{**action, **action_fields}
+                                          for action in scenario.script]))
+    assert trace.quiesced
+    assert check_invariants(trace) == []
+    return trace
+
+
+def test_a_spend_that_runs_out_of_gas_ends_out_of_gas():
+    # the first 40 finalizes on the fast path; the second meets drained
+    # budgets, and the spend drops its gas, which may now be locked, before
+    # it consolidates; the third finds the gas pool empty
+    trace = _checked_run(bounded_spend(9, amounts=[40, 40, 40], target=120,
+                                       gas_count=1))
+    assert trace.select("budget_reject")
+    assert trace.select("spend_done") == [{
+        "tick": 34, "actor": "alice", "kind": "spend_done",
+        "counter": trace.meta["objects"]["pool"]["oid"], "remaining": 80,
+        "consolidations": 1, "reason": "out_of_gas"}]
+
+
+def test_a_spend_that_runs_out_of_unlock_gas_ends_out_of_unlock_gas():
+    # the second 40 meets drained budgets, and nothing can pay for the
+    # consolidation it needs
+    trace = _checked_run(bounded_spend(9, amounts=[40, 40, 40], target=120,
+                                       gas_count=1), unlock_gas_pool=[])
+    assert not trace.select("unlock_started")
+    assert trace.select("spend_done") == [{
+        "tick": 21, "actor": "alice", "kind": "spend_done",
+        "counter": trace.meta["objects"]["pool"]["oid"], "remaining": 80,
+        "consolidations": 0, "reason": "out_of_unlock_gas"}]
+
+
+def test_a_lock_recovery_without_unlock_gas_ends_unlock_out_of_gas():
+    # the swap locks and has nothing to pay an unlock with, so it ends
+    # without sending one; the transfer finalizes after one retry
+    trace = _checked_run(swap_deadlock(1), unlock_gas=[])
+    assert not trace.select("unlock_started")
+    assert trace.select("driver_done") == [
+        {"tick": 19, "actor": "bob", "kind": "driver_done", "action": "swap",
+         "status": "unlock_out_of_gas", "rounds": 0, "retries": 0},
+        {"tick": 28, "actor": "alice", "kind": "driver_done",
+         "action": "transfer", "status": "finalized", "rounds": 2,
+         "retries": 1}]
 
 
 def _unlock_with_replacement(debit: int) -> Scenario:
