@@ -68,7 +68,8 @@ class UnlockRqt(_UnlockRqt):
     """Request to move the listed object versions off the fast path.
 
     With a replacement transaction this runs the multi-object protocol
-    (the replacement executes if no prior certificate surfaces); without
+    (the replacement executes if no prior certificate surfaces, or after
+    those that surface when only bounded counters are listed); without
     one, each listed key is released by a version-bumping no-op. A fresh
     gas object pays for the sequenced step. `evidence` may be absent for
     delay-gated unauthenticated requests.

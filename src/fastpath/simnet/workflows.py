@@ -41,17 +41,20 @@ share one unlock step, `_unlock`.
 A bounded-counter spend (`spend_loop`) debits either fixed `amounts` in
 order or, greedily, as much of `target` as a fresh per-validator budget
 allows. Each debit takes the one path that can serve it, by the counter's
-limit at the client's version and that limit's fresh budget: an amount
-above the limit ends the spend, since no consolidation makes room; one
-above the budget rides a consolidation as the unlock's replacement, the
+limit at the client's version and what the spend's own fast-path debits
+at that version left of the limit's fresh budget: an amount above the
+limit ends the spend, since no consolidation makes room; one above the
+budget left rides a consolidation as the unlock's replacement, the
 consensus path; any other goes on the fast path. A fast-path rejection
-consolidates and tries again; a greedy debit that leaves target unmet
-consolidates at once, since it drained the budgets. The spend ends with
-one `spend_done` event, whose `reason` is absent when the target is met,
-the amounts are spent or the counter is empty, and otherwise one of
-`over_limit`, `out_of_gas`, `out_of_unlock_gas`, `consolidate_<status>` for
-an unlock that did not end `unlocked`, or the status of a debit that ended
-neither finalized, rejected nor locked (`timeout`, `superseded`). A
+(another client's debits drained the budgets) consolidates and tries
+again; a greedy debit that leaves target unmet consolidates at once. A
+debit or consolidation that ends `superseded` met a counter that another
+client's consolidation reissued: the spend drops that gas and goes on.
+The spend ends with one `spend_done` event, whose `reason` is absent when
+the target is met, the amounts are spent or the counter is empty, and
+otherwise one of `over_limit`, `out_of_gas`, `out_of_unlock_gas`,
+`consolidate_<status>` for an unlock that ended neither `unlocked` nor
+`superseded`, or the status of a debit that ended `timeout`. A
 consolidation is the unlock step on the counter.
 """
 
@@ -399,11 +402,14 @@ class ClientActor:
         unlock_gas_pool = list(action["unlock_gas_pool"])
         consolidations = 0
         reason = None
+        version = spent = 0  # own fast-path debits at the counter version seen
         while True:
             limit = self._counter_limit(counter)
             if remaining <= 0 or limit <= 0 or amounts == []:  # [] all spent
                 break
-            budget = initial_budget(limit, self.runner.scenario.params)
+            if self.key_of(counter).version != version:  # reissued since
+                version, spent = self.key_of(counter).version, 0
+            budget = initial_budget(limit, self.runner.scenario.params) - spent
             if amounts is not None:
                 amount = int(amounts[0])
             else:  # greedy: the budget, or the rest once budgets round to zero
@@ -425,14 +431,17 @@ class ClientActor:
                 if driver.status == "finalized":
                     self._update_view(driver.effect_certs)
                     remaining -= amount
+                    spent += amount
                     if amounts is not None:
                         amounts.pop(0)
                         continue
                     if remaining <= 0:
                         continue
                     # greedy mode drained the budgets; consolidate right away
-                elif driver.status in ("rejected", "locked"):
+                elif driver.status in ("rejected", "locked", "superseded"):
                     gas_pool.pop(0)  # parts of this gas may now be locked
+                    if driver.status == "superseded":
+                        continue  # another consolidation reissued the counter
                 else:
                     reason = driver.status
                     break
@@ -442,6 +451,8 @@ class ClientActor:
             driver = yield from self._unlock(
                 action, [self.key_of(counter)], unlock_gas_pool.pop(0),
                 replacement)
+            if driver.status == "superseded":
+                continue  # another consolidation reissued the counter
             if driver.status != "unlocked":
                 reason = f"consolidate_{driver.status}"
                 break

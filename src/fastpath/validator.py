@@ -581,7 +581,9 @@ class ValidatorState:
 
     def process_unlock_cert(self, ucert: UnlockCert) -> Outcome:
         """Execute a sequenced unlock certificate once; the outcome is stored
-        as the reply sent to the requester, and to anyone asking again."""
+        as the reply sent to the requester, and to anyone asking again.
+        The replacement runs if no certificate is carried, or after those
+        carried if only bounded counters are listed: it commutes with them."""
         rqt = ucert.rqt
         if rqt.digest in self.unlock_outcomes:
             return self.unlock_outcomes[rqt.digest]
@@ -631,6 +633,12 @@ class ValidatorState:
                     signs.append(sign)
                 for key in owned_keys:
                     self._confirm(key)
+            if rqt.multi and all(self._bounded(k.object_id) is not None
+                                 for k in rqt.object_keys):
+                sign = self._execute_sequenced(rqt.replacement_tx, via="unlock",
+                                               uncertified=True)
+                if sign is not None:
+                    signs.append(sign)
             consolidated = self._consolidate_listed(rqt)
             if consolidated is not None:
                 signs.append(consolidated)

@@ -241,6 +241,69 @@ def test_a_debit_sequenced_before_its_funding_credit_executes_everywhere(
     assert all(debit_cert.tx.digest in s.executed for s in states)
 
 
+def unlock_beside_a_carried_debit(amount, owned=False):
+    """A certified debit of 40 runs on the fast path everywhere and is not
+    yet checkpointed when the counter of 100 is unlocked with a replacement
+    debit of `amount`, the unlock also listing an owned coin if `owned`.
+    Returns each validator's recorded events, its state, the fast debit,
+    the replacement and the unlock outcomes."""
+    from tests.test_validator import make_rqt, recorded
+    from fastpath.client import assemble_unlock_cert
+    w = spender_world()
+    w.add_owned("coin", "alice", 10)
+    states, events = zip(*(recorded(w, vid) for vid in range(4)))
+    fast = w.cert(debit(w, 40, "g0"))
+    for s in states:
+        s.process_cert(fast)
+    replacement = debit(w, amount, "g2")
+    keys = [w.key("pool")] + ([w.key("coin")] if owned else [])
+    rqt = make_rqt(w, keys, "g1", "alice", ["alice"], replacement=replacement)
+    ucert = assemble_unlock_cert([s.process_unlock_rqt(rqt) for s in states],
+                                 rqt, w.params)
+    assert [c.tx.digest for c in ucert.carried_union()] == [fast.tx.digest]
+    outs = [s.process_unlock_cert(ucert) for s in states]
+    assert {out.status for out in outs} == {"executed"}
+    return events, states, fast, replacement, outs
+
+
+def test_a_counter_unlock_runs_a_covered_replacement_after_what_it_carried():
+    # 100 - 40 leaves 60, which covers the replacement's 50: both run,
+    # and the counter is reissued holding 10
+    events, states, fast, replacement, outs = unlock_beside_a_carried_debit(50)
+    for s, out in zip(states, outs):
+        assert [sign.effects.tx_digest for sign in out.signs][:2] == [
+            fast.tx.digest, replacement.digest]
+        assert replacement.digest in s.executed
+        assert s.counters[fast.tx.inputs[0].object_id].limit == 10
+    for log in events:
+        assert not [f for kind, f in log if kind == "sequenced_exec_failed"]
+
+
+def test_a_counter_unlock_refuses_an_uncovered_replacement_and_consolidates():
+    # 60 is left after the carried 40, so a replacement of 61 fails on
+    # every validator; the counter is still reissued, holding 60
+    events, states, fast, replacement, outs = unlock_beside_a_carried_debit(61)
+    for s, log in zip(states, events):
+        assert [(f["tx"], f["via"], f["code"]) for kind, f in log
+                if kind == "sequenced_exec_failed"] == [
+            (replacement.hexdigest, "unlock",
+             ErrorCode.INSUFFICIENT_BALANCE.value)]
+        assert replacement.digest not in s.executed
+        local = s.counters[fast.tx.inputs[0].object_id]
+        assert (local.limit, local.version) == (60, 1)
+
+
+def test_an_unlock_listing_an_owned_key_drops_its_replacement_when_it_carries():
+    # the owned coin keeps the rule that a surfaced certificate displaces
+    # the replacement, though 20 is covered
+    events, states, fast, replacement, outs = unlock_beside_a_carried_debit(
+        20, owned=True)
+    for s in states:
+        assert fast.tx.digest in s.executed
+        assert replacement.digest not in s.executed
+        assert s.counters[fast.tx.inputs[0].object_id].limit == 60
+
+
 # --- replicated data structures -------------------------------------------------
 
 COUNTER = b"\x07" * 32

@@ -12,11 +12,13 @@ The same holds when links drop up to three messages and one validator
 (at most f) runs any fault kind: retries make up for the drops.
 
 A third profile draws one bounded-counter spend, greedy or of fixed
-amounts, beside at most one validator that grants itself an infinite
-budget. Its oracle is what the spend ends with: a greedy spend always meets
-its target within the consolidation bound, and a fixed one spends the
-longest prefix of its amounts that the limit holds. A drawn scenario that
-fails is a bug to fix, never one to filter out.
+amounts, or two at once under an `any` owner, beside at most one validator
+that grants itself an infinite budget. Its oracle is what each spend ends
+with. A lone greedy spend always meets its target within the consolidation
+bound; a lone fixed one spends the longest prefix of its amounts that the
+limit holds, and sends no debit that a budget refuses, since it counts its
+own. Of two spends, neither may give a `reason` other than `over_limit`.
+A drawn scenario that fails is a bug to fix, never one to filter out.
 """
 
 import yaml
@@ -160,50 +162,70 @@ def test_sequential_actions_all_finalize_despite_drops_and_a_fault(data):
     assert_all_finalize(data)
 
 
-@st.composite
-def counter_spends(draw):
-    """One spend of a bounded counter: greedy towards a target, or a list of
-    fixed amounts, some of which may not fit."""
-    limit = draw(st.integers(1, 200))
-    action = {"at": 5, "client": "a", "action": "spend_loop",
-              "counter": "pool", "signers": ["a"],
-              "gas_pool": [f"g{i}" for i in range(10)],
-              "unlock_gas_pool": [f"u{i}" for i in range(10)]}
+def spend_action(draw, client, limit):
+    """A spend by `client`: greedy towards a target, or a list of fixed
+    amounts, some of which may not fit."""
+    action = {"at": 5, "client": client, "action": "spend_loop",
+              "counter": "pool", "signers": [client],
+              "gas_pool": [f"{client}g{i}" for i in range(10)],
+              "unlock_gas_pool": [f"{client}u{i}" for i in range(10)]}
     if draw(st.booleans()):
         action["target"] = draw(st.integers(1, limit))
     else:
         action["amounts"] = draw(st.lists(st.integers(1, limit + 20),
                                           min_size=1, max_size=4))
         action["target"] = sum(action["amounts"])
-    data = {
-        "committee": {"n": 4, "f": 1},
-        "seed": draw(st.integers(0, 2**32)),
-        "ticks": 20000, "epoch_length": 10**6,
-        "accounts": ["a"],
+    return action
+
+
+def spend_scenario(limit, script, seed):
+    """The spends of `script` on one bounded counter of `limit`, owned by
+    the one spender or by `any` of the two, each paying with its own gas."""
+    clients = [action["client"] for action in script]
+    owner = ({"pk": clients[0]} if len(clients) == 1 else
+             {"any": [{"pk": client} for client in clients]})
+    return {
+        "committee": {"n": 4, "f": 1}, "seed": seed,
+        "ticks": 20000, "epoch_length": 10**6, "accounts": clients,
         "objects": [{"name": "pool", "kind": "commutative",
-                     "flavor": "bounded", "limit": limit,
-                     "owner": {"pk": "a"}}]
-        + [{"name": name, "kind": "owned", "owner": {"pk": "a"},
+                     "flavor": "bounded", "limit": limit, "owner": owner}]
+        + [{"name": name, "kind": "owned", "owner": {"pk": action["client"]},
             "contents": 30}
+           for action in script
            for name in action["gas_pool"] + action["unlock_gas_pool"]],
-        "script": [action],
+        "script": script,
     }
+
+
+@st.composite
+def counter_spends(draw, clients=("a",)):
+    """Spends of one bounded counter that start together, one per client,
+    beside at most one infinite-budget validator."""
+    limit = draw(st.integers(1, 200))
+    script = [spend_action(draw, client, limit) for client in clients]
+    data = spend_scenario(limit, script, draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
         data["faults"] = {str(draw(st.integers(0, 3))): {
             "kind": "infinite_budget"}}
     return data
 
 
+def run_spends(data):
+    trace = run(Scenario.from_dict(data))
+    assert trace.quiesced
+    assert check_invariants(trace) == []
+    done = trace.select("spend_done")
+    assert sorted(e["actor"] for e in done) == data["accounts"]
+    return trace, done
+
+
 @settings(max_examples=60, deadline=None)
 @given(counter_spends())
 def test_a_counter_spend_ends_where_its_amounts_and_limit_say(data):
     note(yaml.safe_dump(data, sort_keys=False))
+    trace, (done,) = run_spends(data)
     action, = data["script"]
     limit = data["objects"][0]["limit"]
-    trace = run(Scenario.from_dict(data))
-    assert trace.quiesced
-    assert check_invariants(trace) == []
-    done, = trace.select("spend_done")
     if "amounts" in action:
         spent = 0
         for amount in action["amounts"]:
@@ -213,8 +235,37 @@ def test_a_counter_spend_ends_where_its_amounts_and_limit_say(data):
         assert done["remaining"] == action["target"] - spent
         assert done.get("reason") in (None, "over_limit")
         assert done["consolidations"] <= len(action["amounts"])
+        # it counts its own debits, so none is sent past its budget
+        assert not trace.select("budget_reject")
     else:
         budget = initial_budget(limit, CommitteeParams(4, 1))
         assert done["remaining"] == 0
         assert done["consolidations"] <= limit.bit_length() + 1
         assert (done["consolidations"] == 0) == (action["target"] <= budget)
+
+
+@settings(max_examples=30, deadline=None)
+@given(counter_spends(clients=("a", "b")))
+def test_two_spends_of_one_counter_end_only_for_want_of_counter(data):
+    # either spend may take what the other was counting on, or reissue the
+    # counter under it; neither may give up for that
+    note(yaml.safe_dump(data, sort_keys=False))
+    trace, done = run_spends(data)
+    assert {e.get("reason") for e in done} <= {None, "over_limit"}
+
+
+def test_a_debit_that_meets_a_budget_the_other_spender_drained_consolidates():
+    # each spender sees a fresh budget of 66 for its 40; every validator
+    # signs a's first and refuses b's, which then consolidates the counter
+    # and spends its 40 of the 60 reissued
+    script = [{"at": 5, "client": client, "action": "spend_loop",
+               "counter": "pool", "signers": [client], "amounts": [40],
+               "target": 40, "gas_pool": [f"{client}g0", f"{client}g1"],
+               "unlock_gas_pool": [f"{client}u0"]} for client in ("a", "b")]
+    data = spend_scenario(100, script, seed=0)
+    trace, done = run_spends(data)
+    assert {(e["actor"], e["amount"]) for e in trace.select("budget_reject")} \
+        == {(f"v{vid}", 40) for vid in range(4)}
+    assert [e["limit"] for e in trace.select("consolidate")] == [60] * 4
+    assert [(e["actor"], e["remaining"], e["consolidations"], e.get("reason"))
+            for e in done] == [("a", 0, 0, None), ("b", 0, 1, None)]

@@ -746,32 +746,36 @@ def _gas_versions(trace, prefix: str) -> set[tuple[int, ...]]:
 
 
 def test_a_fixed_spend_stops_once_the_counter_cannot_hold_its_next_amount():
-    # a fresh budget of 66 covers each 40, so the second and the fourth are
-    # sent and meet drained budgets (the infinite-budget validator still
-    # sees them); after two consolidations 20 is left, and 40 > 20 ends it
+    # a fresh budget of 66 covers the first 40; the 26 left of it cannot
+    # take the second, which rides the consolidation without being sent on
+    # the fast path. 20 is left, and 40 > 20 ends the spend
     trace, done = _fixed_spend([40, 40, 40, 40], fault="infinite_budget")
     assert (done["reason"], done["consolidations"], done["remaining"]) \
-        == ("over_limit", 2, 80)
-    assert trace.select("budget_reject")
+        == ("over_limit", 1, 80)
+    assert not trace.select("budget_reject")
+    assert [(e["tx_kind"], e["amount"], e["path"])
+            for e in trace.select("effect_cert")] == [
+        ("debit", 40, "fast"), ("debit", 40, "unlock"), ("unlock", 0, "unlock")]
     assert _counter_limits(trace) == {20}
-    assert _gas_versions(trace, "u") == {(1, 1) + (0,) * 8}
+    assert _gas_versions(trace, "u") == {(1,) + (0,) * 9}
 
 
 def test_a_fixed_amount_above_a_fresh_budget_rides_a_consolidation():
-    # after 33 + 33 the counter holds 34, whose budget of 22 cannot take
-    # the last 33: it goes through consensus as the unlock's replacement
+    # 33 + 33 spend the whole fresh budget of 66, so the last 33 goes
+    # through consensus as the replacement of the one consolidation
     trace, done = _fixed_spend([33, 33, 33])
-    assert (done["remaining"], done["consolidations"]) == (0, 2)
+    assert (done["remaining"], done["consolidations"]) == (0, 1)
+    assert not trace.select("budget_reject")
     assert "reason" not in done
     assert _counter_limits(trace) == {1}
     assert {e["actor"] for e in trace.select("seq_exec")
             if e["via"] == "unlock"} == {"v0", "v1", "v2", "v3"}
     # each effect certificate names the transaction it executed; the
-    # consolidations keep the unlock's label
+    # consolidation keeps the unlock's label
     assert [(e["tx_kind"], e["amount"], e["path"])
             for e in trace.select("effect_cert")] == [
-        ("debit", 33, "fast"), ("debit", 33, "fast"), ("unlock", 0, "unlock"),
-        ("debit", 33, "unlock"), ("unlock", 0, "unlock")]
+        ("debit", 33, "fast"), ("debit", 33, "fast"), ("debit", 33, "unlock"),
+        ("unlock", 0, "unlock")]
 
     trace, done = _fixed_spend([70])
     assert (done["remaining"], done["consolidations"]) == (0, 1)
@@ -780,8 +784,9 @@ def test_a_fixed_amount_above_a_fresh_budget_rides_a_consolidation():
 
 def test_a_replacement_chosen_from_a_stale_limit_is_refused():
     # after 50 on the fast path the client still sees a limit of 100, so 70
-    # (above the budget of 66) rides a consolidation; validators refuse it,
-    # and the limit the consolidation reports, 50, ends the spend
+    # (above the 16 left of the budget of 66) rides a consolidation;
+    # validators refuse it, and the limit the consolidation reports, 50,
+    # ends the spend
     trace, done = _fixed_spend([50, 70])
     assert (done["reason"], done["remaining"], done["consolidations"]) \
         == ("over_limit", 70, 1)
@@ -815,26 +820,27 @@ def _checked_run(scenario, **action_fields):
 
 
 def test_a_spend_that_runs_out_of_gas_ends_out_of_gas():
-    # the first 40 finalizes on the fast path; the second meets drained
-    # budgets, and the spend drops its gas, which may now be locked, before
-    # it consolidates; the third finds the gas pool empty
-    trace = _checked_run(bounded_spend(9, amounts=[40, 40, 40], target=120,
+    # 70 is above the fresh budget of 66, so it rides a consolidation with
+    # the only gas object; the 10 after it finds the gas pool empty
+    trace = _checked_run(bounded_spend(9, amounts=[70, 10], target=80,
                                        gas_count=1))
-    assert trace.select("budget_reject")
+    assert [(e["tx_kind"], e["amount"]) for e in trace.select("effect_cert")] \
+        == [("debit", 70), ("unlock", 0)]
     assert trace.select("spend_done") == [{
-        "tick": 34, "actor": "alice", "kind": "spend_done",
-        "counter": trace.meta["objects"]["pool"]["oid"], "remaining": 80,
+        "tick": 18, "actor": "alice", "kind": "spend_done",
+        "counter": trace.meta["objects"]["pool"]["oid"], "remaining": 10,
         "consolidations": 1, "reason": "out_of_gas"}]
 
 
 def test_a_spend_that_runs_out_of_unlock_gas_ends_out_of_unlock_gas():
-    # the second 40 meets drained budgets, and nothing can pay for the
-    # consolidation it needs
+    # the first 40 leaves 26 of the budget, so the second needs a
+    # consolidation to ride, and nothing can pay for it
     trace = _checked_run(bounded_spend(9, amounts=[40, 40, 40], target=120,
                                        gas_count=1), unlock_gas_pool=[])
     assert not trace.select("unlock_started")
+    assert not trace.select("budget_reject")
     assert trace.select("spend_done") == [{
-        "tick": 21, "actor": "alice", "kind": "spend_done",
+        "tick": 16, "actor": "alice", "kind": "spend_done",
         "counter": trace.meta["objects"]["pool"]["oid"], "remaining": 80,
         "consolidations": 0, "reason": "out_of_unlock_gas"}]
 
