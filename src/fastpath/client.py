@@ -62,6 +62,7 @@ class _UnlockRqt(NamedTuple):
     epoch: int
     requester: bytes
     evidence: Evidence | None = None
+    certs: tuple[Certificate, ...] = ()
 
 
 class UnlockRqt(_UnlockRqt):
@@ -72,7 +73,9 @@ class UnlockRqt(_UnlockRqt):
     those that surface when only bounded counters are listed); without
     one, each listed key is released by a version-bumping no-op. A fresh
     gas object pays for the sequenced step. `evidence` may be absent for
-    delay-gated unauthenticated requests.
+    delay-gated unauthenticated requests. `certs` ride it: certificates over
+    a listed bounded counter, which voters carry and the unlock executes.
+    Each authenticates itself, so they enter `digest` only when present.
     """
 
     def signing_bytes(self) -> bytes:
@@ -91,6 +94,8 @@ class UnlockRqt(_UnlockRqt):
         extra = self.evidence.canonical_bytes() if self.evidence else b""
         repl = (self.replacement_tx.signing_bytes()
                 if self.replacement_tx else b"")
+        if self.certs:
+            extra += enc_seq(c.tx.digest for c in self.certs)
         return tagged_digest("unlock-rqt",
                              self.signing_bytes() + enc_bytes(repl) + extra)
 

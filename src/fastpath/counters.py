@@ -12,9 +12,9 @@ consolidations. No budget bounds an unlock's replacement, which runs on the
 consensus path without a certificate, so its debit is checked against the
 counter's value: the limit plus every settled delta must cover it
 (`CounterLocal.covers`), after the deltas of any certificates the unlock
-carries. A certified debit is not checked there: its quorum's budgets
-bound it, and it may be sequenced before the credit whose released budget
-it spent.
+carries, broadcast or riding its request. A certified debit is not
+checked there: its quorum's budgets bound it, and it may be sequenced
+before the credit whose released budget it spent.
 
 A validator's replica of each such object, with all of its bookkeeping,
 lives here in `CounterLocal`; the validator calls its methods and emits.

@@ -19,8 +19,8 @@ or counted as sent.
 
 A run stops at an empty queue or at the first entry past `tick_limit`;
 `ticks` is the tick of the last entry popped, idle retry ticks included.
-The run is quiesced unless something other than a finished driver's retry
-tick is left: then the limit cut it short.
+The run is quiesced if all that is left would reach gone or finished
+drivers (retry ticks, late replies); else the limit cut it short.
 
 Every message is a protocol value, and the receiver dispatches on its
 type. A sequencer submission is the item itself: an `UnlockCert` (from a
@@ -198,9 +198,7 @@ class Runner:
             tick, _, _, (src, dst, msg) = heapq.heappop(self._heap)
             self.now = last_tick = self.recorder.tick = tick
             self._actors[dst].handle(src, msg)
-        # what is left past the limit would only tick finished drivers
-        quiesced = all(src == "timer" and msg.phase == "done"
-                       for *_, (src, _, msg) in self._heap)
+        quiesced = all(self._idle(*entry) for *_, entry in self._heap)
 
         snapshots = {a.name: {**a.state.snapshot(), "crashed": a.crashed}
                      for a in self.validators}
@@ -230,6 +228,15 @@ class Runner:
                       dropped=self.network.dropped)
         self._release()
         return trace
+
+    def _idle(self, src: str, dst: str, msg) -> bool:
+        """Whether an entry is a retry tick or a client-bound reply whose
+        driver (as `ClientActor.handle` picks it) is gone or finished."""
+        if src == "script" or dst not in self.clients:
+            return False
+        driver = msg if src == "timer" else self.clients[dst].drivers.get(
+            msg.subject)
+        return driver is None or driver.phase == "done"
 
     def _release(self) -> None:
         """Cut the run's reference cycles (actors and runner point at each

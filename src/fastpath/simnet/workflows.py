@@ -44,18 +44,22 @@ allows. Each debit takes the one path that can serve it, by the counter's
 limit at the client's version and what the spend's own fast-path debits
 at that version left of the limit's fresh budget: an amount above the
 limit ends the spend, since no consolidation makes room; one above the
-budget left rides a consolidation as the unlock's replacement, the
-consensus path; any other goes on the fast path. A fast-path rejection
+budget left rides a consolidation (the unlock step on the counter) as its
+replacement; any other goes on the fast path. A fast-path rejection
 (another client's debits drained the budgets) consolidates and tries
-again; a greedy debit that leaves target unmet consolidates at once. A
-debit or consolidation that ends `superseded` met a counter that another
-client's consolidation reissued: the spend drops that gas and goes on.
-The spend ends with one `spend_done` event, whose `reason` is absent when
-the target is met, the amounts are spent or the counter is empty, and
-otherwise one of `over_limit`, `out_of_gas`, `out_of_unlock_gas`,
+again. A debit that a consolidation follows at once, a greedy one that
+leaves target unmet or a fixed one that leaves less budget than the next
+amount, which fits the limit, is only certified: its certificate rides
+that consolidation (`UnlockRqt.certs`), which executes it. It rides while
+gas is left for the consolidation (and, fixed, for the next amount), on a
+counter that the spender's key alone owns. A debit or consolidation that
+ends `superseded` met a counter that another client's consolidation
+reissued: the spend drops that gas, as it does a rider's that did not
+run, and goes on. The spend ends with one `spend_done` event, whose `reason` is absent
+when the target is met, the amounts are spent or the counter is empty,
+and otherwise one of `over_limit`, `out_of_gas`, `out_of_unlock_gas`,
 `consolidate_<status>` for an unlock that ended neither `unlocked` nor
-`superseded`, or the status of a debit that ended `timeout`. A
-consolidation is the unlock step on the counter.
+`superseded`, or the status of a debit that ended `timeout`.
 """
 
 from __future__ import annotations
@@ -270,14 +274,14 @@ class ClientActor:
                   rounds=driver.round_trips, retries=driver.retries)
 
     def _unlock(self, action: dict, keys, gas: str,
-                replacement: Transaction | None = None, **options):
+                replacement: Transaction | None = None, certs=(), **options):
         """Unlock `keys`, paying with the object named `gas`, `replacement`
-        riding as the unlock's transaction; returns the finished driver. A
-        sequenced unlock that ends `unlocked` or `superseded` paid its gas,
-        so clients see its effects and the gas at its next version."""
+        and `certs` riding; returns the finished driver. A sequenced unlock
+        that ends `unlocked` or `superseded` paid its gas, so clients see its
+        effects and the gas at its next version."""
         gas_key = self.key_of(gas)
         rqt = UnlockRqt(tuple(keys), replacement, gas_key,
-                        int(action.get("epoch", 0)), self.pk)
+                        int(action.get("epoch", 0)), self.pk, certs=certs)
         # unauthorized: sign, but only prove control of the gas object
         proved = ([*keys, gas_key] if options.get("authorized", True)
                   else [gas_key])
@@ -403,6 +407,10 @@ class ClientActor:
         consolidations = 0
         reason = None
         version = spent = 0  # own fast-path debits at the counter version seen
+        # a rider is lost if another spender's consolidation comes first, so
+        # debits ride only on a counter that this client's key alone owns
+        obj = self.seen_at(self.key_of(counter))
+        alone = obj is not None and obj.owner == self._owner_for(self.name)
         while True:
             limit = self._counter_limit(counter)
             if remaining <= 0 or limit <= 0 or amounts == []:  # [] all spent
@@ -422,13 +430,23 @@ class ClientActor:
                 break
             tx = self._build_tx({**action, "action": "debit", "amount": amount,
                                  "inputs": [counter], "gas": gas_pool[0]})
-            replacement = None
+            replacement, certs = None, ()
             if amount > budget:  # only consensus can carry it
                 gas_pool.pop(0)
                 replacement = tx
             else:
-                driver = yield FastPathDriver, tx, {}
-                if driver.status == "finalized":
+                nxt = int(amounts[1]) if amounts and len(amounts) > 1 else 0
+                ride = alone and bool(unlock_gas_pool) and (
+                    remaining > amount if amounts is None
+                    else budget - amount < nxt <= limit and len(gas_pool) > 1)
+                driver = yield FastPathDriver, tx, {"cert_to": ()} if ride else {}
+                if driver.status == "certified_abandoned":
+                    certs = (driver.cert,)
+                    if nxt:  # the next amount rides as the replacement
+                        replacement = self._build_tx({
+                            **action, "action": "debit", "amount": nxt,
+                            "inputs": [counter], "gas": gas_pool.pop(1)})
+                elif driver.status == "finalized":
                     self._update_view(driver.effect_certs)
                     remaining -= amount
                     spent += amount
@@ -450,19 +468,21 @@ class ClientActor:
                 break
             driver = yield from self._unlock(
                 action, [self.key_of(counter)], unlock_gas_pool.pop(0),
-                replacement)
+                replacement, certs)
+            ran = {c.effects.tx_digest for c in driver.effect_certs}
+            if certs and tx.digest not in ran:
+                gas_pool.pop(0)  # a rider that did not run counts nothing
             if driver.status == "superseded":
                 continue  # another consolidation reissued the counter
             if driver.status != "unlocked":
                 reason = f"consolidate_{driver.status}"
                 break
             consolidations += 1
-            if replacement is not None and any(
-                    c.effects.tx_digest == replacement.digest
-                    for c in driver.effect_certs):
-                remaining -= amount
-                if amounts is not None:
-                    amounts.pop(0)
+            for done in (tx if certs else None, replacement):
+                if done is not None and done.digest in ran:
+                    remaining -= done.params.amount
+                    if amounts is not None:
+                        amounts.remove(done.params.amount)
         self.emit("spend_done", counter=self._oid(counter).hex(),
                   remaining=remaining, consolidations=consolidations,
                   **({"reason": reason} if reason else {}))

@@ -493,6 +493,10 @@ class ValidatorState:
         return True
 
     def process_unlock_rqt(self, rqt: UnlockRqt) -> UnlockVote:
+        """Vote on an unlock request. Each of its riders (`certs`) must be a
+        valid certificate of this epoch spending a listed bounded counter.
+        The vote carries them, but no other unlock does: a rider runs only
+        if its own unlock does, so its requester knows whether it ran."""
         if rqt.epoch != self.epoch:
             raise ProtocolError(ErrorCode.WRONG_EPOCH, "unlock epoch mismatch")
         if not rqt.object_keys or len(set(rqt.object_keys)) != len(rqt.object_keys):
@@ -511,9 +515,17 @@ class ValidatorState:
             raise ProtocolError(ErrorCode.BAD_EVIDENCE, "unlock not authorized")
         if rqt.replacement_tx is not None:
             self._check_replacement_evidence(rqt)
+        for cert in rqt.certs:
+            if cert.tx.epoch != self.epoch or not verify_certificate(
+                    cert, self.params, self.scheme):
+                raise ProtocolError(ErrorCode.INVALID_CERTIFICATE, "bad rider")
+            if not any(self._bounded(k.object_id) for k in cert.tx.inputs
+                       if k in rqt.object_keys):
+                raise ProtocolError(ErrorCode.BAD_TRANSACTION, "rider off list")
         self._lock_unlock_gas(rqt)
 
         carried = self._carried(rqt)
+        carried.update((cert.tx.digest, cert) for cert in rqt.certs)
         # single protocol reserves the keys unconditionally; the multi
         # protocol only when nothing was certified. Bounded counters are
         # always reserved so no further fast-path spend can finalize

@@ -304,6 +304,67 @@ def test_an_unlock_listing_an_owned_key_drops_its_replacement_when_it_carries():
         assert s.counters[fast.tx.inputs[0].object_id].limit == 60
 
 
+# --- certificates riding an unlock request ----------------------------------
+
+def rider_unlock(w, rider):
+    """An unlock of the pool paid with g1, with `rider` riding it."""
+    from tests.test_validator import make_rqt
+    rqt = make_rqt(w, [w.key("pool")], "g1", "alice", ["alice"])
+    return rqt._replace(certs=(rider,))
+
+
+@pytest.mark.parametrize("case", ["too_few_signs", "wrong_epoch",
+                                  "unlisted_counter"])
+def test_an_unlock_refuses_a_bad_rider_and_locks_nothing(case):
+    w = spender_world()
+    w.add_counter("other", "alice", "bounded", 100)
+    if case == "too_few_signs":
+        rider = w.cert(debit(w, 40, "g0"), signers=range(2))
+    elif case == "wrong_epoch":
+        rider = w.cert(w.tx(TxKind.DEBIT, ["pool"], "g0", ["alice"],
+                            epoch=1, amount=40))
+    else:
+        rider = w.cert(w.tx(TxKind.DEBIT, ["other"], "g0", ["alice"],
+                            amount=40))
+    s = w.state()
+    with pytest.raises(ProtocolError) as err:
+        s.process_unlock_rqt(rider_unlock(w, rider))
+    assert err.value.code == (ErrorCode.BAD_TRANSACTION
+                              if case == "unlisted_counter"
+                              else ErrorCode.INVALID_CERTIFICATE)
+    assert not s.lock_db and not s.unlock_db
+    assert not s.counters[w.key("pool").object_id].seen
+
+
+def test_a_rider_is_carried_and_executed_once_by_the_sequenced_unlock():
+    from tests.test_validator import recorded
+    from fastpath.client import assemble_unlock_cert
+    w = spender_world()
+    states, events = zip(*(recorded(w, vid) for vid in range(4)))
+    rider = w.cert(debit(w, 40, "g0"))
+    rqt = rider_unlock(w, rider)
+    # the rider names the request, but no signature covers it
+    bare = rqt._replace(certs=())
+    assert rqt.digest != bare.digest
+    assert rqt.signing_digest == bare.signing_digest
+    votes = [s.process_unlock_rqt(rqt) for s in states]
+    assert [[c.tx.digest for c in v.carried] for v in votes] \
+        == [[rider.tx.digest]] * 4
+    ucert = assemble_unlock_cert(votes, rqt, w.params)
+    outs = [s.process_unlock_cert(ucert) for s in states]
+    assert [s.process_unlock_cert(ucert) for s in states] == outs
+    for s, log, out in zip(states, events, outs):
+        assert out.status == "executed"
+        assert out.signs[0].effects.tx_digest == rider.tx.digest
+        assert [(f["tx"], f["via"]) for kind, f in log
+                if kind in ("seq_exec", "fast_exec")
+                and f["tx"] == rider.tx.hexdigest] \
+            == [(rider.tx.hexdigest, "unlock")]
+        local = s.counters[w.key("pool").object_id]
+        assert (local.limit, local.version) == (60, 1)
+        assert s.latest[w.key("g0").object_id] == 1
+
+
 # --- replicated data structures -------------------------------------------------
 
 COUNTER = b"\x07" * 32

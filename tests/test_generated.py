@@ -18,7 +18,8 @@ with. A lone greedy spend always meets its target within the consolidation
 bound; a lone fixed one spends the longest prefix of its amounts that the
 limit holds, and sends no debit that a budget refuses, since it counts its
 own. Of two spends, neither may give a `reason` other than `over_limit`.
-A drawn scenario that fails is a bug to fix, never one to filter out.
+A drawn scenario that fails is a bug to fix, never one to filter out; one
+that failed, two greedy spends of a shared counter, is kept as a fixed test.
 """
 
 import yaml
@@ -269,3 +270,20 @@ def test_a_debit_that_meets_a_budget_the_other_spender_drained_consolidates():
     assert [e["limit"] for e in trace.select("consolidate")] == [60] * 4
     assert [(e["actor"], e["remaining"], e["consolidations"], e.get("reason"))
             for e in done] == [("a", 0, 0, None), ("b", 0, 1, None)]
+
+
+def test_spends_of_a_shared_counter_do_not_ride_their_certificates():
+    # under an `any` owner either spender's consolidation can come first
+    # and reissue the counter without the other's rider. At this seed,
+    # riding spends kept losing their riders until one ran out of unlock
+    # gas; each spend here finalizes its debits on the fast path instead
+    script = [{"at": 5, "client": client, "action": "spend_loop",
+               "counter": "pool", "signers": [client], "target": target,
+               "gas_pool": [f"{client}g{i}" for i in range(10)],
+               "unlock_gas_pool": [f"{client}u{i}" for i in range(10)]}
+              for client, target in (("a", 19), ("b", 27))]
+    trace, done = run_spends(spend_scenario(28, script, seed=646))
+    assert {e.get("reason") for e in done} == {None}
+    assert trace.select("consolidate")
+    assert "certified_abandoned" not in {
+        e["status"] for e in trace.select("fast_driver_finished")}

@@ -9,7 +9,8 @@ fault-free transfer and a fault-free unlock never retry; a planted tick one
 tick shorter, or a sequencer submission armed for 2 hops, does, so the
 property can fail. With drops, no fault-free driver runs out of retries. A
 retry tick stays queued after its driver is done, and such idle ticks past
-the limit do not make a finished run look cut off.
+the limit do not make a finished run look cut off; nor does a late reply to
+a finished driver. A message still on its way to a validator does.
 """
 
 import copy
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from fastpath.simnet import Scenario, check_invariants, run
 from fastpath.simnet.invariants import check_convergence, check_unlock_liveness
+from fastpath.simnet.runner import Runner
 from fastpath.simnet.workflows import ClientActor
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -157,6 +159,38 @@ def test_idle_retry_ticks_past_the_limit_leave_the_run_quiesced(name):
     assert check_unlock_liveness(hung)
 
 
-def test_a_limit_that_cuts_messages_in_flight_is_not_quiesced():
-    _, cut = _cut("swap_deadlock.yaml", 1)
+def _left_queued(monkeypatch):
+    """Record (src, dst, message type) of each entry a run leaves queued
+    past its limit, in the order they would pop."""
+    left = []
+    release = Runner._release
+
+    def record(runner):
+        left.extend((src, dst, type(msg).__name__)
+                    for *_, (src, dst, msg) in sorted(runner._heap))
+        release(runner)
+
+    monkeypatch.setattr(Runner, "_release", record)
+    return left
+
+
+def test_a_late_reply_to_a_finished_driver_leaves_the_run_quiesced(
+        monkeypatch):
+    # bob's unlock finished on a quorum of outcomes; v1's comes after the
+    # limit, and would reach a driver that ignores it
+    left = _left_queued(monkeypatch)
+    full, cut = _cut("swap_deadlock.yaml", 1)
+    assert left == [("v1", "bob", "Outcome"), ("timer", "bob",
+                                                "FastUnlockDriver")]
+    assert cut.events == full.events
+    assert cut.quiesced and check_invariants(cut) == []
+
+
+def test_a_limit_that_cuts_messages_in_flight_is_not_quiesced(monkeypatch):
+    # the sequencer's last checkpoint slot is still on its way to v2 and v3
+    left = _left_queued(monkeypatch)
+    _, cut = _cut("double_send.yaml", -1)
+    assert left == [("seq", "v2", "SequencedItem"),
+                    ("seq", "v3", "SequencedItem"),
+                    ("timer", "alice", "FastPathDriver")]
     assert not cut.quiesced

@@ -748,21 +748,24 @@ def _gas_versions(trace, prefix: str) -> set[tuple[int, ...]]:
 def test_a_fixed_spend_stops_once_the_counter_cannot_hold_its_next_amount():
     # a fresh budget of 66 covers the first 40; the 26 left of it cannot
     # take the second, which rides the consolidation without being sent on
-    # the fast path. 20 is left, and 40 > 20 ends the spend
+    # the fast path. So the first is certified and its certificate rides
+    # that consolidation too. 20 is left, and 40 > 20 ends the spend
     trace, done = _fixed_spend([40, 40, 40, 40], fault="infinite_budget")
     assert (done["reason"], done["consolidations"], done["remaining"]) \
         == ("over_limit", 1, 80)
     assert not trace.select("budget_reject")
     assert [(e["tx_kind"], e["amount"], e["path"])
             for e in trace.select("effect_cert")] == [
-        ("debit", 40, "fast"), ("debit", 40, "unlock"), ("unlock", 0, "unlock")]
+        ("debit", 40, "unlock"), ("debit", 40, "unlock"),
+        ("unlock", 0, "unlock")]
     assert _counter_limits(trace) == {20}
     assert _gas_versions(trace, "u") == {(1,) + (0,) * 9}
 
 
 def test_a_fixed_amount_above_a_fresh_budget_rides_a_consolidation():
     # 33 + 33 spend the whole fresh budget of 66, so the last 33 goes
-    # through consensus as the replacement of the one consolidation
+    # through consensus as the replacement of the one consolidation, and
+    # the second's certificate rides it
     trace, done = _fixed_spend([33, 33, 33])
     assert (done["remaining"], done["consolidations"]) == (0, 1)
     assert not trace.select("budget_reject")
@@ -774,8 +777,8 @@ def test_a_fixed_amount_above_a_fresh_budget_rides_a_consolidation():
     # consolidation keeps the unlock's label
     assert [(e["tx_kind"], e["amount"], e["path"])
             for e in trace.select("effect_cert")] == [
-        ("debit", 33, "fast"), ("debit", 33, "fast"), ("debit", 33, "unlock"),
-        ("unlock", 0, "unlock")]
+        ("debit", 33, "fast"), ("debit", 33, "unlock"),
+        ("debit", 33, "unlock"), ("unlock", 0, "unlock")]
 
     trace, done = _fixed_spend([70])
     assert (done["remaining"], done["consolidations"]) == (0, 1)
@@ -783,8 +786,8 @@ def test_a_fixed_amount_above_a_fresh_budget_rides_a_consolidation():
 
 
 def test_a_replacement_chosen_from_a_stale_limit_is_refused():
-    # after 50 on the fast path the client still sees a limit of 100, so 70
-    # (above the 16 left of the budget of 66) rides a consolidation;
+    # the 50 leaves the client a limit of 100, so 70 (above the 16 left of
+    # the budget of 66) rides a consolidation with the 50's certificate;
     # validators refuse it, and the limit the consolidation reports, 50,
     # ends the spend
     trace, done = _fixed_spend([50, 70])
@@ -843,6 +846,45 @@ def test_a_spend_that_runs_out_of_unlock_gas_ends_out_of_unlock_gas():
         "tick": 16, "actor": "alice", "kind": "spend_done",
         "counter": trace.meta["objects"]["pool"]["oid"], "remaining": 80,
         "consolidations": 0, "reason": "out_of_unlock_gas"}]
+
+
+def test_a_greedy_debit_rides_the_consolidation_that_follows_it():
+    # the ladder 66, 22, 8, 2, 1 leaves the target unmet at each step, so
+    # each debit is certified, never broadcast, and its certificate rides
+    # the consolidation after it; the last unit is a replacement, since the
+    # budget rounds to zero
+    trace = _checked_run(bounded_spend(9))
+    done, = trace.select("spend_done")
+    assert (done["remaining"], done["consolidations"]) == (0, 6)
+    riders = [e["tx"] for e in trace.select("fast_driver_finished")]
+    assert [e["status"] for e in trace.select("fast_driver_finished")] \
+        == ["certified_abandoned"] * 5
+    assert not trace.select("cert_forwarded")  # no validator got one
+    debits = [e for e in trace.select("effect_cert")
+              if e["tx_kind"] == "debit"]
+    assert [(e["amount"], e["path"]) for e in debits] \
+        == [(66, "unlock"), (22, "unlock"), (8, "unlock"), (2, "unlock"),
+            (1, "unlock"), (1, "unlock")]
+    assert [e["tx"] for e in debits[:5]] == riders
+
+
+def test_a_greedy_debit_with_no_unlock_gas_left_finalizes_on_the_fast_path():
+    # the one unlock gas pays for the first debit's consolidation; the next
+    # debit has nothing to ride, so it finalizes on the fast path, and the
+    # consolidation it then needs cannot be paid for
+    trace = _checked_run(bounded_spend(9), unlock_gas_pool=["u0"])
+    assert [(e["tx_kind"], e["amount"], e["path"])
+            for e in trace.select("effect_cert")] == [
+        ("debit", 66, "unlock"), ("unlock", 0, "unlock"),
+        ("debit", 22, "fast")]
+    assert [e["status"] for e in trace.select("fast_driver_finished")] \
+        == ["certified_abandoned", "finalized"]
+    # no certificate was left unexecuted
+    assert {e["tx"] for e in trace.select("cert_assembled")} \
+        <= {e["tx"] for e in trace.select("effect_cert")}
+    done, = trace.select("spend_done")
+    assert (done["reason"], done["remaining"], done["consolidations"]) \
+        == ("out_of_unlock_gas", 12, 1)
 
 
 def test_a_lock_recovery_without_unlock_gas_ends_unlock_out_of_gas():
