@@ -71,11 +71,13 @@ class UnlockRqt(_UnlockRqt):
     With a replacement transaction this runs the multi-object protocol
     (the replacement executes if no prior certificate surfaces, or after
     those that surface when only bounded counters are listed); without
-    one, each listed key is released by a version-bumping no-op. A fresh
-    gas object pays for the sequenced step. `evidence` may be absent for
-    delay-gated unauthenticated requests. `certs` ride it: certificates over
-    a listed bounded counter, which voters carry and the unlock executes.
-    Each authenticates itself, so they enter `digest` only when present.
+    one, each listed key that is not a bounded counter is released by a
+    version-bumping no-op. Each listed bounded counter is reissued by the
+    consolidation that follows. A fresh gas object pays for the sequenced
+    step. `evidence` may be absent for delay-gated unauthenticated
+    requests. `certs` ride it: certificates over a listed bounded counter,
+    which voters carry and the unlock executes. Each authenticates itself,
+    so they enter `digest` only when present.
     """
 
     def signing_bytes(self) -> bytes:
@@ -394,12 +396,8 @@ class FastPathDriver(_Driver):
     def _maybe_refuse(self, env) -> None:
         # too many distinct rejectors for any quorum to remain reachable
         if len(self.rejections) > self.params.n - quorum(self.params):
-            codes = sorted(set(self.rejections.values()))
-            status = ("locked" if ErrorCode.CONFLICTING_LOCK.value in codes
-                      else "rejected")
-            env.emit("fast_path_blocked", tx=self.tx.hexdigest,
-                     status=status, codes=codes)
-            self._finish(env, status)
+            locked = ErrorCode.CONFLICTING_LOCK.value in self.rejections.values()
+            self._finish(env, "locked" if locked else "rejected")
 
     def _cert_fields(self, cert: EffectCert) -> dict:
         return {"tx": self.tx.hexdigest, "tx_kind": self.tx.kind.value,

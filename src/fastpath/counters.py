@@ -57,7 +57,8 @@ class CounterLocal:
     are what consolidation replies carry); `settled` holds the signed
     delta of every certificate acknowledged by the sequenced stream.
     `grown` is a grow counter's log of credits; a set keeps its `added`
-    items and its `removed` tombstones.
+    items and its `removed` tombstones. `drawn` holds each debit the budget
+    paid for since the counter was last reissued.
     """
 
     def __init__(self, flavor: str, limit: int = 0, budget: int = 0,
@@ -71,14 +72,17 @@ class CounterLocal:
         self.grown: dict[bytes, int] = {}
         self.added: set[bytes] = set()
         self.removed: set[bytes] = set()
+        self.drawn: set[bytes] = set()
 
-    def try_debit(self, amount: int) -> bool:
-        """Atomically subtract from the budget; restore and refuse if it
-        would go negative."""
+    def try_debit(self, tx_digest: bytes, amount: int) -> bool:
+        """Atomically subtract the debit `tx_digest`'s amount from the
+        budget and note it drawn; restore and refuse if it would go
+        negative."""
         remaining = self.budget - amount
         if remaining < 0:
             return False
         self.budget = remaining
+        self.drawn.add(tx_digest)
         return True
 
     def apply(self, tx_digest: bytes, delta: CounterDelta) -> int | None:
@@ -133,6 +137,7 @@ class CounterLocal:
         self.version += 1
         self.settled = {}
         self.seen = {}
+        self.drawn = set()
         return self.limit
 
     def snapshot(self) -> dict:

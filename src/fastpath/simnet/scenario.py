@@ -78,8 +78,7 @@ REQUIRED_FIELDS = {**{name: ("gas",) for name in TX_ACTIONS},
 # reads and is kept as written. A `replacement` is an action of its own;
 # `on_locked` names the one recovery there is, `unlock`.
 FIELDS = {
-    **dict.fromkeys(("at", "amount", "epoch", "max_recoveries", "target"),
-                    (int, None)),
+    **dict.fromkeys(("at", "amount", "epoch", "target"), (int, None)),
     **dict.fromkeys(("action", "new_object", "item", "memo", "on_locked"),
                     (str, None)),
     **dict.fromkeys(("authorized", "wait_all"), (bool, None)),

@@ -85,6 +85,10 @@ from ..types import (
 )
 from .scenario import TX_ACTIONS, object_id_for
 
+# Recoveries a scripted transaction makes from a lock: unlocks that end
+# superseded, and retries after an unlock.
+MAX_RECOVERIES = 2
+
 
 class ClientActor:
     def __init__(self, runner, name: str):
@@ -259,7 +263,7 @@ class ClientActor:
         name = action["action"]
         if name in TX_ACTIONS:
             self._run(self._transact(action, self._build_tx(action),
-                                     int(action.get("max_recoveries", 2)),
+                                     MAX_RECOVERIES,
                                      first_to=action.get("first_to"),
                                      cert_to=action.get("cert_to")))
         elif name == "unlock":

@@ -13,7 +13,10 @@ none -> unlocked -> confirmed, or none -> confirmed.
 
 Fast-path executions are provisional until sequenced: the pre-image of
 each consumed key is retained so that a no-commit unlock can undo exactly
-one layer before re-executing on the consensus path.
+one layer before re-executing on the consensus path. A sequenced unlock
+runs in one pass (`process_unlock_cert`): its no-op releases the listed
+keys that are not bounded counters, and its consolidation alone reissues
+each listed bounded counter.
 
 Execution is pure, so each plan is memoized on the message all validators
 share, keyed by the content of its inputs: a transaction's dry run, fast-path
@@ -359,8 +362,9 @@ class ValidatorState:
 
         if tx.kind == TxKind.DEBIT and commutative:
             local = self.counters[commutative[0].object_id]
-            if self._budgeted(local):
-                if not local.try_debit(tx.params.amount):
+            # a debit asked again, say by a resend, draws nothing more
+            if self._budgeted(local) and tx.digest not in local.drawn:
+                if not local.try_debit(tx.digest, tx.params.amount):
                     self.emit("budget_reject", counter=commutative[0].object_id.hex(),
                               amount=tx.params.amount, budget=local.budget)
                     raise ProtocolError(ErrorCode.BUDGET_EXHAUSTED,
@@ -372,7 +376,6 @@ class ValidatorState:
             if key not in self.lock_db:
                 self.lock_db[key] = LockEntry(tx.digest, self.clock)
                 self.emit("lock_set", key=key.ids, tx=tx.hexdigest)
-        self.emit("tx_signed", tx=tx.hexdigest)
         return CertSign.make(tx, self.vid, self.scheme)
 
     def _signable(self, key: ObjectKey) -> Object:
@@ -594,8 +597,13 @@ class ValidatorState:
     def process_unlock_cert(self, ucert: UnlockCert) -> Outcome:
         """Execute a sequenced unlock certificate once; the outcome is stored
         as the reply sent to the requester, and to anyone asking again.
-        The replacement runs if no certificate is carried, or after those
-        carried if only bounded counters are listed: it commutes with them."""
+        One pass: with nothing carried, take back the fast layer of the
+        listed keys; run the carried certificates; run the replacement if
+        nothing is carried, or if only bounded counters are listed (it
+        commutes with what they carried); with neither a replacement nor
+        anything carried, release the keys by the no-op; consolidate the
+        listed bounded counters; with nothing carried, confirm every listed
+        key."""
         rqt = ucert.rqt
         if rqt.digest in self.unlock_outcomes:
             return self.unlock_outcomes[rqt.digest]
@@ -614,51 +622,37 @@ class ValidatorState:
             return out
 
         carried = ucert.carried_union()
-        signs: list[EffectSign] = []
         if not carried:
             # no-commit case: nothing over these keys can ever finalize on
             # the fast path, so discard the provisional layer and replace it
             for key in rqt.object_keys:
                 self._undo_fast(key)
-            if rqt.multi:
-                sign = self._execute_sequenced(rqt.replacement_tx, via="unlock",
-                                               uncertified=True)
-                if sign is not None:
-                    signs.append(sign)
-                consolidated = self._consolidate_listed(rqt)
-                if consolidated is not None:
-                    signs.append(consolidated)
-            else:
-                signs.append(self._execute_noop(rqt))
+        signs = []
+        for cert in carried:
+            owned_keys = self._owned_input_keys(cert.tx)
+            if any(self.unlock_db.get(k) == CONFIRMED for k in owned_keys):
+                self.emit("unlock_cert_skip", rqt=rqt.hexdigest,
+                          tx=cert.tx.hexdigest)
+                continue
+            signs.append(self._execute_sequenced(cert.tx, via="unlock"))
+            for key in owned_keys:
+                self._confirm(key)
+        if rqt.multi and (not carried or all(
+                self._bounded(k.object_id) is not None for k in rqt.object_keys)):
+            signs.append(self._execute_sequenced(
+                rqt.replacement_tx, via="unlock", uncertified=True))
+        elif not carried:
+            signs.append(self._execute_noop(rqt))
+        signs.append(self._consolidate_listed(rqt))
+        if not carried:
             for key in rqt.object_keys:
                 self._confirm(key)
-            branch = "replacement" if rqt.multi else "noop"
-        else:
-            for cert in carried:
-                owned_keys = self._owned_input_keys(cert.tx)
-                if any(self.unlock_db.get(k) == CONFIRMED for k in owned_keys):
-                    self.emit("unlock_cert_skip", rqt=rqt.hexdigest,
-                              tx=cert.tx.hexdigest)
-                    continue
-                sign = self._execute_sequenced(cert.tx, via="unlock")
-                if sign is not None:
-                    signs.append(sign)
-                for key in owned_keys:
-                    self._confirm(key)
-            if rqt.multi and all(self._bounded(k.object_id) is not None
-                                 for k in rqt.object_keys):
-                sign = self._execute_sequenced(rqt.replacement_tx, via="unlock",
-                                               uncertified=True)
-                if sign is not None:
-                    signs.append(sign)
-            consolidated = self._consolidate_listed(rqt)
-            if consolidated is not None:
-                signs.append(consolidated)
-            # listed keys the carried executions did not touch stay
-            # unlocked: a later no-commit unlock can still release them
-            branch = "carried"
+        # with certificates carried, listed keys their executions did not
+        # touch stay unlocked: a later no-commit unlock can still release them
+        signs = tuple(s for s in signs if s is not None)
+        branch = "carried" if carried else "replacement" if rqt.multi else "noop"
 
-        out = Outcome(rqt.digest, "executed", self.vid, tuple(signs))
+        out = Outcome(rqt.digest, "executed", self.vid, signs)
         self.unlock_outcomes[rqt.digest] = out
         self.emit("unlock_exec", rqt=rqt.hexdigest, branch=branch,
                   effects=[s.effects.hexdigest for s in signs],
@@ -715,20 +709,16 @@ class ValidatorState:
             self.executed_unsequenced.discard(tx_digest)
             self.emit("undo", tx=tx_digest.hex(), keys=plan.consumed_ids)
 
-    def _execute_noop(self, rqt: UnlockRqt) -> EffectSign:
-        """Version-bumping no-op over the listed keys; a bounded counter is
-        reissued, other contents are untouched."""
-        inputs, limits = [], []
-        for key in rqt.object_keys:
-            inputs.append(self._check_key(key))
-            local = self._bounded(key.object_id)
-            if local is not None:
-                limits.append(local.reissue(self.params))
-                self._emit_consolidate(key.object_id)
-            else:
-                limits.append(None)
-        effects = _memoized(rqt, inputs, ("unlock-noop", tuple(limits)),
-                            _reissued, "unlock-noop", rqt, inputs, limits)
+    def _execute_noop(self, rqt: UnlockRqt) -> EffectSign | None:
+        """Version-bumping no-op over the listed keys that are not bounded
+        counters, contents untouched; None when there are none. The
+        consolidation reissues the counters."""
+        inputs = [self._check_key(k) for k in rqt.object_keys
+                  if self._bounded(k.object_id) is None]
+        if not inputs:
+            return None
+        effects = _memoized(rqt, inputs, ("unlock-noop",), _reissued,
+                            "unlock-noop", rqt, inputs, [None] * len(inputs))
         for obj in effects.produced:
             self._put_object(obj)
         # each validator's rows are its own lists, which readers may edit
@@ -753,16 +743,14 @@ class ValidatorState:
         effects = _memoized(rqt, inputs, ("consolidate", tuple(limits)),
                             _reissued, "consolidate", rqt, inputs, limits)
         for key, fresh in zip(effects.consumed, effects.produced):
-            self._emit_consolidate(key.object_id)
+            local = self.counters[key.object_id]
+            self.emit("consolidate", counter=key.object_id.hex(),
+                      limit=local.limit, budget=local.budget,
+                      version=local.version)
             self._put_object(fresh)
             self._confirm(key)
         self._emit_seq_exec(effects, via="consolidate")
         return EffectSign.make(effects, self.vid, self.scheme)
-
-    def _emit_consolidate(self, oid: bytes) -> None:
-        local = self.counters[oid]
-        self.emit("consolidate", counter=oid.hex(), limit=local.limit,
-                  budget=local.budget, version=local.version)
 
     def _settle_delta(self, tx_digest: bytes, deltas) -> None:
         for delta in deltas:
@@ -820,9 +808,9 @@ class ValidatorState:
             self.emit("checkpoint_skip", tx=tx.hexdigest, reason="stale_epoch")
             return
 
-        already = tx.digest in self.executed
-        if not already and any(self.unlock_db.get(k) == CONFIRMED
-                               for k in self._owned_input_keys(tx)):
+        if tx.digest not in self.executed and any(
+                self.unlock_db.get(k) == CONFIRMED
+                for k in self._owned_input_keys(tx)):
             self.emit("checkpoint_skip", tx=tx.hexdigest, reason="confirmed")
             return
 
@@ -831,9 +819,6 @@ class ValidatorState:
             return
         for key in sign.effects.consumed:
             self._confirm(key)
-        self.emit("checkpoint_exec", tx=tx.hexdigest,
-                  mode="already" if already else "fresh",
-                  effects=sign.effects.hexdigest)
 
     # -- epoch change --
 

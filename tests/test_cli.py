@@ -291,7 +291,6 @@ def _setting(*path_and_value):
     _recovery_without_unlock_gas, _undeclared_recipient, _undeclared_input,
     _owner_deeper_than_bound,
     _setting("script", 0, "at", "soon"), _setting("script", 0, "amount", "ten"),
-    _setting("script", 0, "max_recoveries", "many"),
     _setting("script", 0, "memo", 5),
     _setting("faults", {"x": {"kind": "crash"}}),
     _setting("faults", {"1": "crash"}),

@@ -76,6 +76,23 @@ def test_debit_beyond_budget_restores_and_rejects():
     assert local.budget == 4
 
 
+def test_a_debit_asked_again_draws_its_budget_once():
+    # a driver's resend polls the voters again with the same debit
+    w = spender_world()
+    state = w.state()
+    local = state.counters[w.objects["pool"].key.object_id]
+    tx = debit(w, 40, "g0")
+    for _ in range(2):
+        assert state.process_tx(tx).verify(w.scheme)
+        assert local.budget == 26
+    with pytest.raises(ProtocolError) as err:
+        state.process_tx(debit(w, 40, "g1"))
+    assert err.value.code == ErrorCode.BUDGET_EXHAUSTED
+    # a reissued counter starts a fresh budget and a fresh record
+    local.reissue(PARAMS)
+    assert local.budget == 66 and local.drawn == set()
+
+
 def test_two_debits_of_thirty_against_fifty():
     # oracle: serialize both orders; the atomic subtract forces exactly one
     # rejection either way

@@ -3,9 +3,9 @@
 `execute` stores each successful plan on the transaction instance, keyed by
 the content of its inputs and shared objects. A sequenced unlock stores its
 plans on the `UnlockRqt` instance its certificate carries: the no-op keyed
-by the listed objects and each bounded counter's reissued limit, the
-consolidation by the counters and their limits, and the gas payment by the
-gas object. The key is content because validators can hold different
+by the listed objects that are not bounded counters, the consolidation by
+the counters and their reissued limits, and the gas payment by the gas
+object. The key is content because validators can hold different
 objects under one version, or reissue a counter at a different limit.
 `Evidence.signer_set` stores each signer set on the evidence, keyed by
 message and scheme. Every caller sharing an instance must share the result,
@@ -130,7 +130,7 @@ def test_validators_share_unlock_plans(branch):
     carried = [debit_cert(world)] if branch == "consolidate" else []
     _, outcomes = unlock(world, states, ["coin", "pool"], carried)
     assert all(o.status == "executed" for o in outcomes)
-    # the no-op, or the consolidation after the carried debit, signs last
+    # the consolidation of the pool signs last
     first = outcomes[0].signs[-1].effects
     assert all(o.signs[-1].effects is first for o in outcomes)
     assert first.produced
@@ -154,13 +154,18 @@ def test_unlock_plans_follow_content():
         contents=IntValue(20))
     states[2].counters[world.key("pool").object_id].settled[b"d" * 32] = -30
     rqt, outcomes = unlock(world, states, ["coin", "pool"])
-    effects = [o.signs[0].effects for o in outcomes]
-    assert effects[0] is effects[3]
-    assert len({id(e) for e in effects}) == 3
-    assert len({e.digest for e in effects}) == 3
-    assert effects[1].produced[0].contents == IntValue(7)
-    assert effects[2].produced[1].contents.limit == 70
-    assert effects[0].produced[1].contents.limit == 100
+    # the no-op releases the coin, then the consolidation reissues the pool
+    assert all(len(o.signs) == 2 for o in outcomes)
+    noops = [o.signs[0].effects for o in outcomes]
+    assert noops[0] is noops[2] is noops[3] is not noops[1]
+    assert noops[0].digest != noops[1].digest
+    assert noops[1].produced[0].contents == IntValue(7)
+    assert noops[0].produced[0].contents == IntValue(100)
+    reissues = [o.signs[1].effects for o in outcomes]
+    assert reissues[0] is reissues[1] is reissues[3] is not reissues[2]
+    assert reissues[0].digest != reissues[2].digest
+    assert reissues[2].produced[0].contents.limit == 70
+    assert reissues[0].produced[0].contents.limit == 100
     paid = [s.get_object(world.key("gas2", 1)) for s in states]
     assert paid[0] is paid[2] is paid[3] is not paid[1]
     assert paid[1].contents == IntValue(19)
@@ -205,7 +210,8 @@ def test_noop_events_get_their_own_rows():
     assert rows[0] == rows[1]
     rows[0][0][3] = "edited"
     rows[0].append("edited")
-    assert rows[1] == rows[2] and rows[1][0][3] is True and len(rows[1]) == 2
+    # the pool is reissued by the consolidation, so the coin has the one row
+    assert rows[1] == rows[2] and rows[1][0][3] is True and len(rows[1]) == 1
 
 
 class RejectingScheme(KeyedDigestScheme):

@@ -393,6 +393,91 @@ def test_hexing_emit_check_flags_planted_sites():
         "m:6 hexes in a comprehension"]
 
 
+# Every event kind the program emits has a reader (a checker, the CLI, the
+# benchmark or a test) that names the kind in a string outside an emit call;
+# a mention in prose is no reader. These kinds wait for the ROADMAP item
+# that will read them.
+UNREAD_KINDS = {
+    # item 3: epoch change, checked from the trace
+    "epoch_pause", "end_of_epoch_sent", "epoch_advanced",
+    # item 5: every path the paper describes runs under --explore
+    "budget_credit", "unlock_cert_skip", "unlock_cert_invalid",
+    # item 12: metrics and pointed violations, computed from the trace
+    "budget_debit", "unlock_rejected", "unlock_vote",
+}
+# This file's allowlist and planted sources name kinds without reading them.
+READERS = [path for directory in ("perfbench", "tests")
+           for path in sorted((ROOT / directory).rglob("*.py"))
+           if path.name != "test_hygiene.py"]
+
+
+def _emitted_kind(call: ast.Call) -> tuple[str, str] | None:
+    """The kind an emit call records, as written (a `*` for each field of
+    an f-string) and as the regex a reader's string must match. It is the
+    last positional argument: an actor's `emit` is the recorder's, bound to
+    the actor's name."""
+    kind = call.args[-1] if call.args else None
+    if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
+        return kind.value, re.escape(kind.value)
+    if isinstance(kind, ast.JoinedStr):
+        parts = [(v.value, re.escape(v.value)) if isinstance(v, ast.Constant)
+                 else ("*", r"\w+") for v in kind.values]
+        return "".join(p for p, _ in parts), "".join(r for _, r in parts)
+    return None
+
+
+def unread_kinds(modules: dict[str, ast.Module],
+                 others: list[ast.Module]) -> list[str]:
+    """Kinds that `modules` emit and that no string constant outside an emit
+    call, in any module, `others` included, names; each at its first emit."""
+    first, named = {}, set()
+    for module, tree in modules.items():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and _callee_name(call) == "emit":
+                kind = _emitted_kind(call)
+                if kind is not None and kind not in first:
+                    first[kind] = f"{module}:{call.lineno} {kind[0]}"
+    for tree in [*modules.values(), *others]:
+        emitting = {id(node) for call in ast.walk(tree)
+                    if isinstance(call, ast.Call) and _callee_name(call) == "emit"
+                    for node in ast.walk(call)}
+        named |= {node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and id(node) not in emitting}
+    return [site for (_, pattern), site in first.items()
+            if not any(re.fullmatch(pattern, name) for name in named)]
+
+
+def test_every_emitted_kind_has_a_reader():
+    modules = {".".join(path.relative_to(SRC).with_suffix("").parts):
+               ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    unread = unread_kinds(modules, [ast.parse(path.read_text())
+                                    for path in READERS])
+    assert [site for site in unread
+            if site.split()[-1] not in UNREAD_KINDS] == []
+    # a kind that gains a reader, or is no longer emitted, leaves the list
+    assert sorted(site.split()[-1] for site in unread) == sorted(UNREAD_KINDS)
+
+
+def test_unread_kind_check_flags_planted_kinds():
+    emitting = ast.parse(
+        "def a(self, env, recorder):\n"
+        "    self.emit('read', x=1)\n"
+        "    env.emit('lonely')\n"
+        "    recorder.emit('net', 'dropped', src='a')\n"
+        "    self.emit(f'{self.kind}_finished', ok=True)\n"
+        "    self.emit(f'{self.kind}_orphaned')\n"
+        "    self.emit('lonely', again=True)\n"
+        "    return 'net'\n")
+    reading = ast.parse(
+        "def check(trace, emit):\n"
+        "    '''A dropped message is no reader of dropped.'''\n"
+        "    emit('lonely')\n"
+        "    return trace.select('read'), trace.select('fast_finished')\n")
+    assert unread_kinds({"m": emitting}, [reading]) == [
+        "m:3 lonely", "m:4 dropped", "m:6 *_orphaned"]
+
+
 # The loader checks each action field that `scenario.FIELDS` declares, so a
 # field the client workflows read without declaring it reaches them as
 # written, of any type and spelling.

@@ -145,8 +145,8 @@ def test_cert_with_shared_input_is_deferred(world):
     assert out.status == "deferred"
     # sequenced delivery then executes it with an assigned shared version
     state.process_checkpoint_cert(world.cert(tx))
-    assert [f["mode"] for kind, f in events if kind == "checkpoint_exec"] \
-        == ["fresh"]
+    assert [f["via"] for kind, f in events if kind == "seq_exec"] \
+        == ["checkpoint"]
     assert state.latest[world.objects["board"].key.object_id] == 1
 
 
@@ -345,8 +345,8 @@ def test_checkpoint_after_fast_execution_is_idempotent(world):
     state.process_cert(cert)
     snapshot = state.snapshot()
     state.process_checkpoint_cert(cert)
-    assert [f["mode"] for kind, f in events if kind == "checkpoint_exec"] \
-        == ["already"]
+    assert [f["via"] for kind, f in events if kind == "seq_exec"] \
+        == ["checkpoint_ack"]
     assert state.snapshot()["objects"] == snapshot["objects"]
     assert state.unlock_db[world.key("coin")] == CONFIRMED
 
