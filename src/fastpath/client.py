@@ -21,8 +21,9 @@ Drivers send the protocol values themselves: a `Transaction`, its
 an `Outcome`. Every answer names its signer and its `subject`, the digest
 of the transaction or unlock request it is about. Both drivers count
 answers with one tally, `_Driver._tally`: a quorum of matching effect
-signatures is finality, and a quorum of `superseded` outcomes means that
-consensus settled the keys first.
+signatures is finality, a quorum of `superseded` outcomes means that
+consensus settled the keys first, and f+1 refusals of a sequenced unlock
+certificate mean that no quorum will execute it.
 """
 
 from __future__ import annotations
@@ -210,8 +211,9 @@ def retry_after_unlock(tx: Transaction, unlock_effects: EffectCert) -> Transacti
 # --- replies -------------------------------------------------------------------
 
 class Rejection(NamedTuple):
-    """A validator refused the request about `subject`; an `AlreadyConfirmed`
-    refusal lists the keys consensus had settled."""
+    """A validator refused the request, or the sequenced unlock certificate,
+    about `subject`; an `AlreadyConfirmed` refusal lists the keys consensus
+    had settled."""
 
     subject: bytes
     code: str
@@ -247,8 +249,12 @@ class _Driver:
 
     Only replies about the driver's subject from committee members count.
     Votes and rejections count in the vote phase: a quorum of verified
-    votes goes to `_certify`, and `_maybe_refuse` judges the rejections. A
-    quorum of `superseded` outcomes ends the driver as superseded. An
+    votes goes to `_certify`, and `_maybe_refuse` judges the rejections. In
+    the `sequenced` phase (an unlock's) only `InvalidUnlockCert` rejections
+    count, refusals of the sequenced certificate itself: f+1 of them leave
+    fewer than a quorum that could execute it, and `_refuse` ends the
+    driver as `invalid`. A quorum of `superseded` outcomes ends the driver
+    as superseded. An
     `executed` outcome counts when each of its signs is its sender's own
     and verifies; a quorum reporting the same effects in the same order
     finishes the driver, the i-th `EffectCert` taking every member's i-th
@@ -278,6 +284,7 @@ class _Driver:
         self.votes: dict[int, object] = {}
         self.rejections: dict[int, str] = {}
         self.superseded: set[int] = set()
+        self.invalid: set[int] = set()  # refused the sequenced certificate
         self.outcome_groups: dict[tuple, dict[int, Outcome]] = {}
         self.status = ""
         self.effect_certs: list[EffectCert] = []
@@ -300,6 +307,12 @@ class _Driver:
                     s.signer == msg.signer and s.verify(self.scheme)
                     for s in msg.signs):
                 self._count_execution(env, msg)
+        elif self.phase == "sequenced":
+            if isinstance(msg, Rejection) \
+                    and msg.code == ErrorCode.INVALID_UNLOCK_CERT.value:
+                self.invalid.add(msg.signer)
+                if len(self.invalid) >= validity_threshold(self.params):
+                    self._refuse(env, [msg.code], "invalid")
         elif self.phase != "vote":
             return
         elif isinstance(msg, Rejection):
@@ -474,9 +487,12 @@ class FastUnlockDriver(_Driver):
             self._superseded(env)
         elif len(codes) - confirmed_says > spare or (
                 everyone_answered and confirmed_says == 0):
-            codes = sorted(set(codes))
-            env.emit("unlock_refused", rqt=self.rqt.hexdigest, codes=codes)
-            self._finish(env, "unauthorized")
+            self._refuse(env, codes, "unauthorized")
+
+    def _refuse(self, env, codes, status: str) -> None:
+        env.emit("unlock_refused", rqt=self.rqt.hexdigest,
+                 codes=sorted(set(codes)))
+        self._finish(env, status)
 
     def _cert_fields(self, cert: EffectCert) -> dict:
         """Label the certificate with the transaction it executed: the

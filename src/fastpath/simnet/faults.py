@@ -96,11 +96,10 @@ class ValidatorActor:
             except ProtocolError as err:
                 self.emit("unlock_cert_invalid", rqt=rqt.hexdigest,
                           code=err.code.value)
-                out = None
-            if out is not None:
-                client = self.runner.client_of_pk.get(rqt.requester)
-                if client is not None:
-                    self.runner.send(self.name, client, out)
+                out = Rejection(rqt.digest, err.code.value, self.state.vid)
+            client = self.runner.client_of_pk.get(rqt.requester)
+            if client is not None:
+                self.runner.send(self.name, client, out)
         elif isinstance(payload, Certificate):
             self.state.process_checkpoint_cert(payload)
         else:

@@ -24,7 +24,7 @@ actions with tick triggers. Schema:
          owner: {pk: alice}}
     script:
       - {at: 5, client: alice, action: transfer, inputs: [coin], gas: g1,
-         to: bob, signers: [alice], on_locked: unlock, unlock_gas: g2}
+         to: bob, signers: [alice], unlock_gas: [g2]}
 
 The fault kinds are the keys of `faults.FAULTS`, where each kind's class
 says what it does; `crash` stops at tick `at`. At most f validators may be
@@ -67,27 +67,26 @@ FAULT_KINDS = FAULTS.keys()
 COVERED_KINDS = frozenset({"honest", "crash"})
 TX_ACTIONS = ("transfer", "swap", "noop", "mint", "credit", "debit")
 ACTIONS = {*TX_ACTIONS, "unlock", "double_send", "spend_loop"}
-# Fields an action cannot run without; recovering by unlock (`on_locked:
-# unlock`, and every double send) also spends `unlock_gas`.
+# Fields an action cannot run without. A transaction that names
+# `unlock_gas` recovers from a lock by unlock, paying with that pool; a
+# double send always does.
 REQUIRED_FIELDS = {**{name: ("gas",) for name in TX_ACTIONS},
                    "double_send": ("gas", "unlock_gas"),
                    "unlock": ("keys", "gas"),
                    "spend_loop": ("counter", "gas_pool", "unlock_gas_pool")}
 # Every action field a run reads: its type, and whether it names accounts
 # or objects (one name, or a list of names). An int field holds what int()
-# reads and is kept as written. A `replacement` is an action of its own;
-# `on_locked` names the one recovery there is, `unlock`.
+# reads and is kept as written. A `replacement` is an action of its own.
 FIELDS = {
     **dict.fromkeys(("at", "amount", "epoch", "target"), (int, None)),
-    **dict.fromkeys(("action", "new_object", "item", "memo", "on_locked"),
-                    (str, None)),
+    **dict.fromkeys(("action", "new_object", "item", "memo"), (str, None)),
     **dict.fromkeys(("authorized", "wait_all"), (bool, None)),
     **dict.fromkeys(("amounts", "first_to", "first_to_second", "cert_to"),
                     (list, None)),
     "replacement": (dict, None), "to": (str, "account"),
     "signers": (list, "account"), "gas": (str, "object"),
-    "counter": (str, "object"), "unlock_gas": ((str, list), "object"),
-    **dict.fromkeys(("inputs", "shared", "keys", "gas_pool",
+    "counter": (str, "object"),
+    **dict.fromkeys(("inputs", "shared", "keys", "gas_pool", "unlock_gas",
                      "unlock_gas_pool"), (list, "object"))}
 # Every validator runs in this one process, which bounds the committee.
 MAX_COMMITTEE = 100
@@ -284,10 +283,8 @@ class Scenario(NamedTuple):
                 raise ScenarioError(f"script entry {i}: unknown action {name!r}")
             if action.get("client") not in accounts:
                 raise ScenarioError(f"script entry {i}: unknown client")
-            required = REQUIRED_FIELDS[name]
-            if action.get("on_locked") == "unlock":
-                required += ("unlock_gas",)
-            _check_action(action, f"script entry {i} ({name})", required,
+            _check_action(action, f"script entry {i} ({name})",
+                          REQUIRED_FIELDS[name],
                           {"account": account_keys, "object": object_names},
                           params.n)
             if name == "mint" and action.get("new_object"):
@@ -355,8 +352,6 @@ def _check_action(action: dict, where: str, required, declared,
             if names and (not isinstance(name, str)
                           or name not in declared[names]):
                 raise ScenarioError(f"{where}: undeclared {f} {name!r}")
-    if action.get("on_locked", "unlock") != "unlock":
-        raise ScenarioError(f"{where}: bad on_locked {action['on_locked']!r}")
     for amount in action.get("amounts", []):
         _number(amount, f"{where}: amounts", 0)
     # a validator index is sent to as written, so it must be an int itself

@@ -30,13 +30,14 @@ exchange, fault-free, is overdue (`ClientActor.set_timer`): 2 hops for a
 request or a certificate broadcast, 3 for a sequencer submission. A tick
 armed for an earlier exchange of the same driver is ignored, so only a
 drop, a fault or a partial first broadcast makes a retry. An unlock driver
-submits its `UnlockCert` to the sequencer as it is. Each action but the
-double send is a generator workflow: it yields a driver class, a subject and
-driver options, and the driver's `on_done` resumes it with the finished
-driver, whose `status`, `effect_certs` and `confirmed` keys are its result.
-The double send settles its two drivers in one callback and hands a lock to
-the transaction workflow. Lock recovery, consolidation and the unlock action
-share one unlock step, `_unlock`.
+submits its `UnlockCert` to the sequencer as it is. Each action is a
+generator workflow: it yields a list of (driver class, subject, driver
+options), and once every driver of the list has finished it resumes with
+the finished drivers in the order they finished. A driver's `status`,
+`effect_certs` and `confirmed` keys are its result. A transaction, the
+double send among them, recovers from a lock when its action names
+`unlock_gas`. Lock recovery, consolidation and the unlock action share one
+unlock step, `_unlock`.
 
 A bounded-counter spend (`spend_loop`) debits either fixed `amounts` in
 order or, greedily, as much of `target` as a fresh per-validator budget
@@ -245,31 +246,44 @@ class ClientActor:
         self.drivers[subject.digest] = driver
         driver.start(self)
 
-    def _run(self, workflow, driver=None) -> None:
-        """Resume `workflow` with the driver it waits on, and launch the
-        driver it yields next, whose `on_done` resumes it again."""
-        if driver is not None:
-            driver.on_done = None  # a workflow keeping it would close a cycle
+    def _run(self, workflow, drivers=None) -> None:
+        """Resume `workflow` with the finished `drivers` it waits on, and
+        launch those it yields next; the last of them to finish resumes it
+        with them all, in the order they finished."""
         try:
-            driver_cls, subject, options = workflow.send(driver)
+            launches = workflow.send(drivers)
         except StopIteration:
             return
-        self._launch(driver_cls, subject,
-                     functools.partial(self._run, workflow), **options)
+        finished = []
+
+        def on_done(driver):
+            driver.on_done = None  # a workflow keeping it would close a cycle
+            finished.append(driver)
+            if len(finished) == len(launches):
+                self._run(workflow, finished)
+
+        for driver_cls, subject, options in launches:
+            self._launch(driver_cls, subject, on_done, **options)
 
     # -- actions --
 
     def _start_action(self, action: dict) -> None:
         name = action["action"]
         if name in TX_ACTIONS:
-            self._run(self._transact(action, self._build_tx(action),
-                                     MAX_RECOVERIES,
-                                     first_to=action.get("first_to"),
-                                     cert_to=action.get("cert_to")))
+            self._run(self._transact(action, [(self._build_tx(action), {
+                "first_to": action.get("first_to"),
+                "cert_to": action.get("cert_to")})], MAX_RECOVERIES))
         elif name == "unlock":
             self._run(self._unlock_action(action))
         elif name == "double_send":
-            self._run_double_send(action)
+            # buggy-wallet behavior: one intent sent as two byte-distinct
+            # conflicting transactions, each to part of the committee
+            dup = {**action, "action": "transfer"}
+            self._run(self._transact(action, [
+                (self._build_tx({**dup, "memo": "dup-a"}),
+                 {"first_to": action.get("first_to")}),
+                (self._build_tx({**dup, "memo": "dup-b"}),
+                 {"first_to": action.get("first_to_second")})], 1))
         elif name == "spend_loop":
             self._run(self._spend(action))
 
@@ -292,38 +306,40 @@ class ClientActor:
         rqt = rqt._replace(evidence=self._evidence(
             rqt.signing_digest, action.get("signers", [self.name]), proved,
             {k.object_id for k in [*keys, gas_key]}))
-        driver = yield FastUnlockDriver, rqt, options
+        driver, = yield [(FastUnlockDriver, rqt, options)]
         if driver.status == "unlocked" or (
                 driver.status == "superseded" and driver.ucert is not None):
             self._update_view(driver.effect_certs)
             self.runner.versions[gas_key.object_id] = gas_key.version + 1
         return driver
 
-    def _transact(self, action: dict, tx: Transaction, recoveries: int,
-                  locked: bool = False, **options):
-        """Drive `tx` on the fast path. A locked result, or `locked` on
-        entry, recovers while `recoveries` last (a fast-path lock also needs
-        `on_locked: unlock`): unlock every owned input, then retry the
-        transaction unless the unlock executed it."""
+    def _transact(self, action: dict, sends, recoveries: int):
+        """Drive the first attempt's `sends`, (transaction, driver options)
+        pairs, on the fast path together. The attempt ends finalized if
+        any send finalized, locked if any locked, and otherwise as the
+        first send to finish. A lock recovers while `recoveries` last, when
+        the action names `unlock_gas`: unlock every owned input of the
+        first send, then retry it unless the unlock executed it."""
+        tx = sends[0][0]
         retried = False
         while True:
-            if not locked:
-                driver = yield FastPathDriver, tx, options
-                status = driver.status
-                if status == "finalized":
-                    self._update_view(driver.effect_certs)
-                    self._finish_action(
-                        action, driver,
-                        "finalized_after_unlock" if retried else status)
-                    return
-                if status != "locked" or recoveries <= 0 \
-                        or action.get("on_locked") != "unlock":
-                    self._finish_action(action, driver, f"retry_{status}"
-                                        if retried else status)
-                    return
+            drivers = yield [(FastPathDriver, *send) for send in sends]
+            driver = next((d for status in ("finalized", "locked")
+                           for d in drivers if d.status == status), drivers[0])
+            status = driver.status
+            if status == "finalized":
+                self._update_view(driver.effect_certs)
+                self._finish_action(
+                    action, driver,
+                    "finalized_after_unlock" if retried else status)
+                return
+            if status != "locked" or recoveries <= 0 \
+                    or "unlock_gas" not in action:
+                self._finish_action(action, driver, f"retry_{status}"
+                                    if retried else status)
+                return
             keys = self._owned_keys(tx)
-            pool = action.get("unlock_gas")
-            gas_pool = list(pool) if isinstance(pool, list) else [pool]
+            gas_pool = list(action["unlock_gas"])
             retry = True
             while True:
                 if not gas_pool:
@@ -356,7 +372,7 @@ class ClientActor:
             tx = self._sign_tx(retry_after_unlock(tx, driver.effect_certs[0]),
                                action.get("signers", [self.name]))
             recoveries -= 1
-            retried, locked, options = True, False, {}
+            retried, sends = True, [(tx, {})]
 
     def _unlock_action(self, action: dict):
         keys = [self.key_of(n) for n in action["keys"]]
@@ -367,38 +383,6 @@ class ClientActor:
             authorized=action.get("authorized", True),
             wait_all=action.get("wait_all", False))
         self._finish_action(action, driver, driver.status)
-
-    def _run_double_send(self, action: dict) -> None:
-        """Buggy-wallet behavior: the same intent submitted twice as two
-        byte-distinct conflicting transactions."""
-        first = self._build_tx({**action, "action": "transfer", "memo": "dup-a"})
-        second = self._build_tx({**action, "action": "transfer", "memo": "dup-b"})
-        # (status, effect certificates) per finished driver; holding the
-        # drivers themselves would close a reference cycle through `settle`
-        outcomes: dict[str, tuple] = {}
-
-        def settle(slot, driver):
-            outcomes[slot] = driver.status, driver.effect_certs
-            if len(outcomes) < 2:
-                return
-            statuses = [status for status, _ in outcomes.values()]
-            if "finalized" in statuses:
-                self._update_view(next(certs for status, certs in outcomes.values()
-                                       if status == "finalized"))
-                self.emit("driver_done", action="double_send", status="finalized",
-                          rounds=2, retries=0)
-            elif "locked" in statuses:
-                self._run(self._transact({**action, "action": "transfer",
-                                          "memo": "dup-a"}, first, 1,
-                                         locked=True))
-            else:
-                self.emit("driver_done", action="double_send",
-                          status=statuses[0], rounds=2, retries=0)
-
-        self._launch(FastPathDriver, first, functools.partial(settle, "first"),
-                     first_to=action.get("first_to"))
-        self._launch(FastPathDriver, second, functools.partial(settle, "second"),
-                     first_to=action.get("first_to_second"))
 
     def _spend(self, action: dict):
         """The spend loop: each debit takes the path the module docstring
@@ -443,7 +427,8 @@ class ClientActor:
                 ride = alone and bool(unlock_gas_pool) and (
                     remaining > amount if amounts is None
                     else budget - amount < nxt <= limit and len(gas_pool) > 1)
-                driver = yield FastPathDriver, tx, {"cert_to": ()} if ride else {}
+                driver, = yield [(FastPathDriver, tx,
+                                  {"cert_to": ()} if ride else {})]
                 if driver.status == "certified_abandoned":
                     certs = (driver.cert,)
                     if nxt:  # the next amount rides as the replacement

@@ -27,11 +27,11 @@ def swap_deadlock(seed, n=4, fault=None, fault_vid=0):
             {"at": 5, "client": "bob", "action": "swap",
              "inputs": ["obj_a", "obj_b"], "gas": "gas_bob",
              "signers": ["alice", "bob"], "first_to": list(range(n // 2)),
-             "on_locked": "unlock", "unlock_gas": ["gb2", "gb3"]},
+             "unlock_gas": ["gb2", "gb3"]},
             {"at": 5, "client": "alice", "action": "transfer",
              "inputs": ["obj_a"], "gas": "gas_alice", "to": "carol",
              "signers": ["alice"], "first_to": list(range(n // 2, n)),
-             "on_locked": "unlock", "unlock_gas": ["ga2", "ga3"]},
+             "unlock_gas": ["ga2", "ga3"]},
         ],
     }
     if fault:
@@ -55,7 +55,7 @@ def double_send(seed, n=4, fault=None, fault_vid=0):
              "inputs": ["coin"], "gas": "g1", "to": "bob",
              "signers": ["alice"], "first_to": list(range(n // 2)),
              "first_to_second": list(range(n // 2, n)),
-             "on_locked": "unlock", "unlock_gas": ["g2", "g3"]},
+             "unlock_gas": ["g2", "g3"]},
         ],
     }
     if fault:

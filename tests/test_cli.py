@@ -257,10 +257,6 @@ def _unknown_owner_account(data):
     data["objects"][0]["owner"] = {"pk": "mallory"}
 
 
-def _recovery_without_unlock_gas(data):
-    data["script"][0]["on_locked"] = "unlock"
-
-
 def _undeclared_recipient(data):
     data["script"][0]["to"] = "nobody"
 
@@ -288,8 +284,7 @@ def _setting(*path_and_value):
 
 @pytest.mark.parametrize("mutate", [
     _bogus_kind, _unnamed_object, _unknown_owner_account, _without_gas,
-    _recovery_without_unlock_gas, _undeclared_recipient, _undeclared_input,
-    _owner_deeper_than_bound,
+    _undeclared_recipient, _undeclared_input, _owner_deeper_than_bound,
     _setting("script", 0, "at", "soon"), _setting("script", 0, "amount", "ten"),
     _setting("script", 0, "memo", 5),
     _setting("faults", {"x": {"kind": "crash"}}),
@@ -307,7 +302,7 @@ def _setting(*path_and_value):
     _setting("accounts", ["alice", "bob", "seq"]),
     _setting("script", 0, "authorized", "false"),
     _setting("script", 0, "wait_all", "yes"),
-    _setting("script", 0, "on_locked", "unlok")])
+    _setting("script", 0, "unlock_gas", "g2")])
 @pytest.mark.parametrize("mode", [[], ["--explore", "2"]])
 def test_malformed_scenario_is_exit_2(tmp_path, capsys, mutate, mode):
     data = yaml.safe_load((SCENARIOS / "epoch_change.yaml").read_text())

@@ -221,6 +221,29 @@ def test_out_of_range_unlock_votes_are_dropped(world):
     assert driver.ucert is None and "submitted" not in env.events
 
 
+def test_a_sequenced_unlock_ends_invalid_on_f_plus_1_refusals(world):
+    # v3 refused the request in the vote phase, and v1 refuses it again when
+    # asked after sequencing (its epoch moved on): neither refused the
+    # sequenced certificate, so only v0's and v2's refusals count
+    rqt = simple_rqt(world)
+    env = RecordingEnv()
+    driver = FastUnlockDriver(rqt, world.params)
+    driver.start(env)
+    invalid = ErrorCode.INVALID_UNLOCK_CERT.value
+    driver.on_message(env, Rejection(rqt.digest, invalid, 3))
+    for v in range(quorum(world.params)):
+        driver.on_message(env, vote(rqt, v))
+    assert driver.phase == "sequenced"
+    for reply in (Rejection(rqt.digest, invalid, 0),
+                  Rejection(rqt.digest, ErrorCode.WRONG_EPOCH.value, 1),
+                  Rejection(rqt.digest, invalid, 0)):
+        driver.on_message(env, reply)
+    assert driver.phase == "sequenced" and driver.invalid == {0}
+    driver.on_message(env, Rejection(rqt.digest, invalid, 2))
+    assert driver.status == "invalid" and driver.invalid == {0, 2}
+    assert env.events[-2:] == ["unlock_refused", "unlock_driver_finished"]
+
+
 def test_out_of_range_tx_votes_are_dropped(world):
     tx = world.transfer("coin", "gas", "alice", "bob")
     n = world.params.n
@@ -329,6 +352,14 @@ def _unlock_driver(world, env):
     return driver
 
 
+def _sequenced_driver(world, env):
+    driver = _unlock_driver(world, env)
+    for v in range(quorum(world.params)):
+        driver.on_message(env, vote(driver.rqt, v))
+    assert driver.phase == "sequenced"
+    return driver
+
+
 # a driver in a phase where the reply can settle it, and that reply as sent
 # by a claimed validator index
 SENDER_CASES = {
@@ -349,6 +380,8 @@ SENDER_CASES = {
         d.rqt.digest, ErrorCode.ALREADY_CONFIRMED.value, s)),
     "unlock_ignored": (_unlock_driver, lambda d, s: Outcome(
         d.rqt.digest, "superseded", s)),
+    "unlock_cert_invalid": (_sequenced_driver, lambda d, s: Rejection(
+        d.rqt.digest, ErrorCode.INVALID_UNLOCK_CERT.value, s)),
     "unlock_executed": (_unlock_driver, lambda d, s: Outcome(
         d.rqt.digest, "executed", s,
         (effect_sign(EffectSummary(b"\x06" * 32, (), ()), s),))),

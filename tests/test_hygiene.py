@@ -401,7 +401,7 @@ UNREAD_KINDS = {
     # item 3: epoch change, checked from the trace
     "epoch_pause", "end_of_epoch_sent", "epoch_advanced",
     # item 5: every path the paper describes runs under --explore
-    "budget_credit", "unlock_cert_skip", "unlock_cert_invalid",
+    "budget_credit", "unlock_cert_skip",
     # item 12: metrics and pointed violations, computed from the trace
     "budget_debit", "unlock_rejected", "unlock_vote",
 }
@@ -481,9 +481,9 @@ def test_unread_kind_check_flags_planted_kinds():
 # The loader checks each action field that `scenario.FIELDS` declares, so a
 # field the client workflows read without declaring it reaches them as
 # written, of any type and spelling.
-def undeclared_action_fields(tree: ast.Module, declared) -> list[str]:
-    """Fields read as `action.get("f", ...)` or `action["f"]` that
-    `declared` lacks, each at its first line."""
+def action_reads(tree: ast.Module, names=("action",)) -> dict[str, int]:
+    """Fields read as `d.get("f", ...)` or `d["f"]` from a dict named in
+    `names`, each with its first line."""
     found = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
@@ -493,13 +493,19 @@ def undeclared_action_fields(tree: ast.Module, declared) -> list[str]:
             target, field = node.value, node.slice
         else:
             continue
-        if isinstance(target, ast.Name) and target.id == "action" \
-                and isinstance(field, ast.Constant) \
-                and field.value not in declared:
+        if isinstance(target, ast.Name) and target.id in names \
+                and isinstance(field, ast.Constant):
             found[field.value] = min(found.get(field.value, node.lineno),
                                      node.lineno)
-    return [f"{line} {field}" for field, line in sorted(found.items(),
-                                                        key=lambda f: f[1])]
+    return found
+
+
+def undeclared_action_fields(tree: ast.Module, declared) -> list[str]:
+    """Fields read from `action` that `declared` lacks, each at its first
+    line."""
+    return [f"{line} {field}" for field, line
+            in sorted(action_reads(tree).items(), key=lambda f: f[1])
+            if field not in declared]
 
 
 def test_workflows_read_only_declared_action_fields():
@@ -518,6 +524,37 @@ def test_action_field_check_flags_planted_fields():
         "    again = {**action, 'extra': 1}\n"
         "    return action['bogus'], action.get('gas'), action.get('fast')\n")
     assert undeclared_action_fields(planted, {"gas"}) == ["3 fast", "6 bogus"]
+
+
+# The dual: every declared field is a knob that the run reads, by a constant
+# key from an action or its replacement, outside the loader that checks it.
+# A field that nothing reads would be checked, written and then ignored.
+def unread_declared_fields(trees, declared) -> list[str]:
+    read = set()
+    for tree in trees:
+        read |= action_reads(tree, ("action", "replacement")).keys()
+    return sorted(set(declared) - read)
+
+
+def test_every_declared_action_field_is_read():
+    from fastpath.simnet.scenario import FIELDS
+
+    trees = [ast.parse(path.read_text())
+             for path in sorted((SRC / "simnet").glob("*.py"))
+             if path.name != "scenario.py"]
+    assert unread_declared_fields(trees, FIELDS) == []
+
+
+def test_unread_field_check_flags_planted_fields():
+    planted = [
+        ast.parse("def run(action, replacement, other, name):\n"
+                  "    return (action['gas'], replacement.get('to'),\n"
+                  "            other['memo'], action.get(name))\n"),
+        ast.parse("present = 'inputs' in action\n"
+                  "script = [{'at': 1, 'signers': ['alice']}]\n")]
+    declared = dict.fromkeys(("gas", "to", "memo", "inputs", "at", "signers"))
+    assert unread_declared_fields(planted, declared) == [
+        "at", "inputs", "memo", "signers"]
 
 
 def _span_targets() -> list[tuple[str, str, str]]:

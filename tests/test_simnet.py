@@ -6,6 +6,7 @@ import random
 import types
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from fastpath.authenticators import PublicKey, commit
@@ -25,6 +26,7 @@ from fastpath.simnet.invariants import (
     check_client_safety,
     check_conflicting_execution,
     check_convergence,
+    check_drop_budget,
     check_gas_conservation,
     check_invariants,
     check_starvation_freedom,
@@ -332,6 +334,28 @@ def test_double_send_deadlocks_then_recovers():
     assert any(s in ("finalized_after_unlock", "finalized") for s in statuses)
 
 
+def test_a_finalized_double_send_reports_the_finalizing_sends_retries():
+    # each send first reaches half the committee, so the one that finalizes
+    # does so after a retry reaches the rest
+    trace = run(double_send(0))
+    statuses = [(e["status"], e["retries"])
+                for e in trace.select("fast_driver_finished")]
+    assert statuses == [("locked", 1), ("finalized", 1)]
+    done, = trace.select("driver_done")
+    assert (done["action"], done["status"], done["rounds"], done["retries"]) \
+        == ("double_send", "finalized", 2, 1)
+
+
+def test_a_recovered_double_send_keeps_its_action_name():
+    # both sends lock; the unlock and the retry still report the double send
+    trace = run(double_send(2))
+    assert [e["status"] for e in trace.select("unlock_driver_finished")] \
+        == ["unlocked"]
+    done, = trace.select("driver_done")
+    assert (done["action"], done["status"]) \
+        == ("double_send", "finalized_after_unlock")
+
+
 def test_unauthorized_unlock_never_assembles():
     trace = run(unauthorized_unlock(3))
     assert trace.quiesced
@@ -443,6 +467,37 @@ def test_checker_flags_diverged_stores():
     oid = next(iter(doctored.snapshots["v0"]["objects"]))
     doctored.snapshots["v0"]["objects"][oid]["0"] = "c" * 32
     assert check_convergence(doctored)
+
+
+def test_checker_flags_drops_over_the_budget():
+    doctored = copy.copy(_clean_trace())
+    assert check_drop_budget(doctored) == []
+    doctored.dropped = doctored.meta["drop_budget"] + 1
+    assert [v.message for v in check_drop_budget(doctored)] == [
+        f"dropped {doctored.dropped} > budget {doctored.meta['drop_budget']}"]
+
+
+def test_checker_flags_two_effect_variants_at_one_validator():
+    doctored = copy.deepcopy(_clean_trace())
+    # the variant goes before the real record, so the last effects each
+    # validator reports still agree across validators
+    first = doctored.select("seq_exec")[0]
+    doctored.events.insert(doctored.events.index(first),
+                           {**first, "effects": "0" * 64})
+    assert [v.message for v in check_conflicting_execution(doctored)] == [
+        f"{first['actor']} produced two effect variants for"
+        f" {first['tx'][:16]}"]
+
+
+@pytest.mark.parametrize("aspect,value", [
+    ("settled", {"x" * 64: 1}), ("limit", 1), ("version", 7)])
+def test_checker_flags_diverged_counters(aspect, value):
+    doctored = run(bounded_spend(9))
+    assert check_convergence(doctored) == []
+    oid, counter = next(iter(doctored.snapshots["v1"]["counters"].items()))
+    counter[aspect] = value
+    assert [v.message for v in check_convergence(doctored)] == [
+        f"v1 and v0 disagree on counter {oid[:16]} {aspect}"]
 
 
 # --- checkers judge events in trace order, on the trace as it is now --------
@@ -1078,6 +1133,26 @@ def test_clock_skew_can_strand_time_bound_policies():
     window_oid = trace.meta["objects"]["window"]["oid"]
     for snap in trace.snapshots.values():
         assert snap["latest"][window_oid] == 0  # stranded until epoch end
+
+
+@pytest.mark.parametrize("at", [195, *range(197, 204)])
+def test_an_unlock_sequenced_past_the_epoch_boundary_ends_invalid(at):
+    # the unlock gathers its votes in epoch 0, but every validator has
+    # advanced to epoch 1 when its certificate is sequenced: each refuses
+    # the certificate, and the requester ends the unlock on f+1 refusals
+    # instead of resending until the retry limit
+    data = yaml.safe_load((SCENARIOS / "epoch_change.yaml").read_text())
+    data["script"] = [{"at": at, "client": "alice", "action": "unlock",
+                       "keys": ["coin2"], "gas": "g3", "signers": ["alice"]}]
+    trace = run(Scenario.from_dict(data))
+    assert trace.quiesced
+    assert check_invariants(trace) == []
+    assert len(trace.select("unlock_cert_invalid")) == 4
+    refused, = trace.select("unlock_refused")
+    assert refused["codes"] == ["InvalidUnlockCert"]
+    done, = trace.select("driver_done")
+    assert done["status"] == "invalid" and done["tick"] < at + 20
+    assert trace.sent < 40
 
 
 def test_shared_object_transaction_finalizes_after_sequencing():
