@@ -224,7 +224,9 @@ class Rejection(NamedTuple):
 class Outcome(NamedTuple):
     """What a validator did with a certificate or a sequenced unlock
     certificate: `executed`, with its executions' effect signs in order;
-    `deferred`; or `superseded`, with the keys consensus settled first."""
+    `deferred`; or `superseded`. `confirmed` holds the keys consensus
+    settled first: all that superseded it, or those an executed unlock
+    left out."""
 
     subject: bytes
     status: str  # executed | deferred | superseded
@@ -254,12 +256,13 @@ class _Driver:
     count, refusals of the sequenced certificate itself: f+1 of them leave
     fewer than a quorum that could execute it, and `_refuse` ends the
     driver as `invalid`. A quorum of `superseded` outcomes ends the driver
-    as superseded. An
-    `executed` outcome counts when each of its signs is its sender's own
-    and verifies; a quorum reporting the same effects in the same order
-    finishes the driver, the i-th `EffectCert` taking every member's i-th
-    sign. Once `phase == "done"`, the driver holds its `status`,
-    `effect_certs` and `confirmed` keys, and `on_done(driver)` has run.
+    as superseded. An `executed` outcome counts when each of its signs is
+    its sender's own and verifies; a quorum reporting the same effects in
+    the same order, and the same `confirmed` keys, finishes the driver, the
+    i-th `EffectCert` taking every member's i-th sign, and its keys alone
+    become the driver's `confirmed`. Once `phase == "done"`, the driver
+    holds its `status`, `effect_certs` and `confirmed` keys, and
+    `on_done(driver)` has run.
 
     Each exchange the driver starts arms a retry tick for that exchange
     alone, with `env.set_timer(self, hops)`: `start` and each retry for
@@ -327,12 +330,13 @@ class _Driver:
 
     def _count_execution(self, env, msg: Outcome) -> None:
         group = self.outcome_groups.setdefault(
-            tuple(s.effects.digest for s in msg.signs), {})
+            (tuple(s.effects.digest for s in msg.signs), msg.confirmed), {})
         group.setdefault(msg.signer, msg)
         if len(group) >= quorum(self.params):
             rows = [group[vid].signs for vid in sorted(group)]
             self.effect_certs = [EffectCert(signs[0].effects, signs)
                                  for signs in zip(*rows)]
+            self.confirmed = set(msg.confirmed)
             for cert in self.effect_certs:
                 _emit_effect_cert(env, cert.effects, **self._cert_fields(cert))
             self._finish(env, self.finalized)
@@ -474,8 +478,9 @@ class FastUnlockDriver(_Driver):
 
     def _maybe_refuse(self, env) -> None:
         """Decide how a rejected unlock ends once enough validators have
-        spoken: settled-by-consensus reads as superseded, anything else as
-        unauthorized; ambiguous mixes wait for more replies."""
+        spoken: settled-by-consensus reads as superseded, refusals all for
+        the epoch as wrong_epoch, anything else as unauthorized; ambiguous
+        mixes wait for more replies."""
         spare = self.params.n - quorum(self.params)
         if len(self.rejections) <= spare:
             return
@@ -487,7 +492,8 @@ class FastUnlockDriver(_Driver):
             self._superseded(env)
         elif len(codes) - confirmed_says > spare or (
                 everyone_answered and confirmed_says == 0):
-            self._refuse(env, codes, "unauthorized")
+            self._refuse(env, codes, "wrong_epoch" if set(codes) == {
+                ErrorCode.WRONG_EPOCH.value} else "unauthorized")
 
     def _refuse(self, env, codes, status: str) -> None:
         env.emit("unlock_refused", rqt=self.rqt.hexdigest,

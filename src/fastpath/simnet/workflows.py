@@ -36,8 +36,8 @@ options), and once every driver of the list has finished it resumes with
 the finished drivers in the order they finished. A driver's `status`,
 `effect_certs` and `confirmed` keys are its result. A transaction, the
 double send among them, recovers from a lock when its action names
-`unlock_gas`. Lock recovery, consolidation and the unlock action share one
-unlock step, `_unlock`.
+`unlock_gas`, and is not retried once consensus settled one of its keys.
+Lock recovery, consolidation and the unlock action share `_unlock`.
 
 A bounded-counter spend (`spend_loop`) debits either fixed `amounts` in
 order or, greedily, as much of `target` as a fresh per-validator budget
@@ -315,11 +315,11 @@ class ClientActor:
 
     def _transact(self, action: dict, sends, recoveries: int):
         """Drive the first attempt's `sends`, (transaction, driver options)
-        pairs, on the fast path together. The attempt ends finalized if
-        any send finalized, locked if any locked, and otherwise as the
-        first send to finish. A lock recovers while `recoveries` last, when
-        the action names `unlock_gas`: unlock every owned input of the
-        first send, then retry it unless the unlock executed it."""
+        pairs, on the fast path together. The attempt ends finalized if any
+        send finalized, locked if any locked, and otherwise as the first send
+        to finish. A lock recovers while `recoveries` last, when the action
+        names `unlock_gas`: unlock every owned input of the first send, then
+        retry it unless the unlock executed it or names a settled key."""
         tx = sends[0][0]
         retried = False
         while True:
@@ -349,9 +349,9 @@ class ClientActor:
                 driver = yield from self._unlock(action, keys, gas_pool.pop(0))
                 if driver.status != "superseded" or recoveries <= 0:
                     break
-                # another sequenced outcome took part of the keys, so the
-                # transaction is dead: release the rest, and the gas too when
-                # no unlock certificate reached the sequencer to spend it
+                # consensus settled the keys, so the transaction is dead:
+                # release any left, and the gas too when no unlock
+                # certificate reached the sequencer to spend it
                 recoveries -= 1
                 retry = False
                 keys = [k for k in keys if k not in driver.confirmed]
@@ -365,7 +365,7 @@ class ClientActor:
                 return
             finalized = any(c.effects.tx_digest == tx.digest
                             for c in driver.effect_certs)
-            if finalized or not retry:
+            if finalized or not retry or driver.confirmed:
                 self._finish_action(action, driver, "finalized_by_unlock"
                                     if finalized else "unlocked")
                 return

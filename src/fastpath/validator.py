@@ -16,7 +16,9 @@ each consumed key is retained so that a no-commit unlock can undo exactly
 one layer before re-executing on the consensus path. A sequenced unlock
 runs in one pass (`process_unlock_cert`): its no-op releases the listed
 keys that are not bounded counters, and its consolidation alone reissues
-each listed bounded counter.
+each listed bounded counter. Keys that consensus settled first (the other
+side of a swap won) are left out, and the outcome names them; only when
+all are settled, or any one under a replacement, is the unlock superseded.
 
 Execution is pure, so each plan is memoized on the message all validators
 share, keyed by the content of its inputs: a transaction's dry run, fast-path
@@ -496,7 +498,8 @@ class ValidatorState:
         return True
 
     def process_unlock_rqt(self, rqt: UnlockRqt) -> UnlockVote:
-        """Vote on an unlock request. Each of its riders (`certs`) must be a
+        """Vote on an unlock request, unless the settled keys supersede it
+        (`_settled`). Each of its riders (`certs`) must be a
         valid certificate of this epoch spending a listed bounded counter.
         The vote carries them, but no other unlock does: a rider runs only
         if its own unlock does, so its requester knows whether it ran."""
@@ -508,9 +511,8 @@ class ValidatorState:
             oid = key.object_id
             if oid not in self.latest or key.version > self.latest[oid]:
                 raise ProtocolError(ErrorCode.MISSING_OBJECT, repr(key))
-        settled = tuple(k for k in rqt.object_keys
-                        if self.unlock_db.get(k) == CONFIRMED)
-        if settled:
+        settled, superseded = self._settled(rqt)
+        if superseded:
             raise ProtocolError(ErrorCode.ALREADY_CONFIRMED,
                                 f"{len(settled)} keys settled", keys=settled)
 
@@ -542,6 +544,15 @@ class ValidatorState:
         self.emit("unlock_vote", rqt=rqt.hexdigest,
                   carried=[c.tx.hexdigest for c in ordered])
         return UnlockVote.make(rqt.digest, ordered, self.vid, self.scheme)
+
+    def _settled(self, rqt: UnlockRqt) -> tuple[tuple[ObjectKey, ...], bool]:
+        """The listed keys that consensus has settled, and whether they
+        supersede the unlock: all of them do, and so does any one of them
+        when a replacement, which cannot run over a settled key, rides."""
+        settled = tuple(k for k in rqt.object_keys
+                        if self.unlock_db.get(k) == CONFIRMED)
+        return settled, bool(settled) and (
+            rqt.multi or len(settled) == len(rqt.object_keys))
 
     def _carried(self, rqt: UnlockRqt) -> dict[bytes, Certificate]:
         """The certificates a vote carries, by tx digest: those locking a
@@ -597,13 +608,17 @@ class ValidatorState:
     def process_unlock_cert(self, ucert: UnlockCert) -> Outcome:
         """Execute a sequenced unlock certificate once; the outcome is stored
         as the reply sent to the requester, and to anyone asking again.
-        One pass: with nothing carried, take back the fast layer of the
-        listed keys; run the carried certificates; run the replacement if
-        nothing is carried, or if only bounded counters are listed (it
-        commutes with what they carried); with neither a replacement nor
-        anything carried, release the keys by the no-op; consolidate the
-        listed bounded counters; with nothing carried, confirm every listed
-        key."""
+        It is `superseded` when consensus settled every listed key, or any
+        one with a replacement riding. Otherwise it acts on the unsettled
+        keys, and its `executed` outcome names the settled ones in
+        `confirmed`; a carried certificate with a settled owned input can
+        no longer run, so it counts as not carried. One pass: with nothing
+        carried, take back the fast layer of the keys; run the carried
+        certificates; run the replacement if nothing is carried, or if only
+        bounded counters are listed (it commutes with what they carried);
+        with neither a replacement nor anything carried, release the keys
+        by the no-op; consolidate the listed bounded counters; with nothing
+        carried, confirm the keys."""
         rqt = ucert.rqt
         if rqt.digest in self.unlock_outcomes:
             return self.unlock_outcomes[rqt.digest]
@@ -612,28 +627,29 @@ class ValidatorState:
 
         self._consume_unlock_gas(rqt)
 
-        settled = tuple(k for k in rqt.object_keys
-                        if self.unlock_db.get(k) == CONFIRMED)
-        if settled:
+        settled, superseded = self._settled(rqt)
+        if superseded:
             out = Outcome(rqt.digest, "superseded", self.vid,
                           confirmed=settled)
             self.unlock_outcomes[rqt.digest] = out
             self.emit("unlock_ignored", rqt=rqt.hexdigest)
             return out
 
-        carried = ucert.carried_union()
+        keys = [k for k in rqt.object_keys if k not in settled]
+        # a certificate over a settled owned input can no longer run; two
+        # that share an owned key cannot both be certified
+        carried = []
+        for cert in ucert.carried_union():
+            owned_keys = self._owned_input_keys(cert.tx)
+            if not any(self.unlock_db.get(k) == CONFIRMED for k in owned_keys):
+                carried.append((cert, owned_keys))
         if not carried:
             # no-commit case: nothing over these keys can ever finalize on
             # the fast path, so discard the provisional layer and replace it
-            for key in rqt.object_keys:
+            for key in keys:
                 self._undo_fast(key)
         signs = []
-        for cert in carried:
-            owned_keys = self._owned_input_keys(cert.tx)
-            if any(self.unlock_db.get(k) == CONFIRMED for k in owned_keys):
-                self.emit("unlock_cert_skip", rqt=rqt.hexdigest,
-                          tx=cert.tx.hexdigest)
-                continue
+        for cert, owned_keys in carried:
             signs.append(self._execute_sequenced(cert.tx, via="unlock"))
             for key in owned_keys:
                 self._confirm(key)
@@ -642,17 +658,17 @@ class ValidatorState:
             signs.append(self._execute_sequenced(
                 rqt.replacement_tx, via="unlock", uncertified=True))
         elif not carried:
-            signs.append(self._execute_noop(rqt))
+            signs.append(self._execute_noop(rqt, keys))
         signs.append(self._consolidate_listed(rqt))
         if not carried:
-            for key in rqt.object_keys:
+            for key in keys:
                 self._confirm(key)
         # with certificates carried, listed keys their executions did not
         # touch stay unlocked: a later no-commit unlock can still release them
         signs = tuple(s for s in signs if s is not None)
         branch = "carried" if carried else "replacement" if rqt.multi else "noop"
 
-        out = Outcome(rqt.digest, "executed", self.vid, signs)
+        out = Outcome(rqt.digest, "executed", self.vid, signs, settled)
         self.unlock_outcomes[rqt.digest] = out
         self.emit("unlock_exec", rqt=rqt.hexdigest, branch=branch,
                   effects=[s.effects.hexdigest for s in signs],
@@ -709,11 +725,11 @@ class ValidatorState:
             self.executed_unsequenced.discard(tx_digest)
             self.emit("undo", tx=tx_digest.hex(), keys=plan.consumed_ids)
 
-    def _execute_noop(self, rqt: UnlockRqt) -> EffectSign | None:
-        """Version-bumping no-op over the listed keys that are not bounded
-        counters, contents untouched; None when there are none. The
-        consolidation reissues the counters."""
-        inputs = [self._check_key(k) for k in rqt.object_keys
+    def _execute_noop(self, rqt: UnlockRqt, keys) -> EffectSign | None:
+        """Version-bumping no-op over `keys`, the listed keys that consensus
+        has not settled, except bounded counters, contents untouched; None
+        when there are none. The consolidation reissues the counters."""
+        inputs = [self._check_key(k) for k in keys
                   if self._bounded(k.object_id) is None]
         if not inputs:
             return None

@@ -280,7 +280,7 @@ def test_out_of_range_effect_signs_do_not_finalize(world):
         driver.on_message(env, Outcome(tx.digest, "executed", signer,
                                        (effect_sign(effects, signer),)))
     assert driver.phase != "done"
-    assert sorted(driver.outcome_groups[(effects.digest,)]) == [0, 1]
+    assert sorted(driver.outcome_groups[((effects.digest,), ())]) == [0, 1]
 
     rqt = simple_rqt(world)
     unlock = FastUnlockDriver(rqt, world.params)
@@ -312,6 +312,33 @@ def test_outcome_counts_only_its_senders_own_signs(world):
         assert driver.status == driver.finalized
         cert, = driver.effect_certs
         assert verify_effect_cert(cert, world.params)
+
+
+def test_settled_keys_come_only_from_the_quorum_that_finishes(world):
+    # v0 names coin as settled, first in a superseded reply and then in an
+    # executed one; the others' executed outcomes name nothing. They finish
+    # the driver, and coin stays out of `confirmed`, so no single reply can
+    # cancel the client's retry
+    noop = EffectSummary(b"\x06" * 32, (), ())
+    coin = world.key("coin")
+    env = RecordingEnv()
+    driver = _sequenced_driver(world, env)
+    driver.on_message(env, Outcome(driver.subject, "superseded", 0,
+                                   confirmed=(coin,)))
+    driver.on_message(env, Outcome(driver.subject, "executed", 0,
+                                   (effect_sign(noop, 0),), (coin,)))
+    for sender in range(1, quorum(world.params) + 1):
+        driver.on_message(env, Outcome(driver.subject, "executed", sender,
+                                       (effect_sign(noop, sender),)))
+    assert driver.status == "unlocked" and driver.confirmed == set()
+    assert sorted(driver.outcome_groups[((noop.digest,), ())]) == [1, 2, 3]
+
+    # a quorum naming coin settled does report it
+    driver = _sequenced_driver(world, env)
+    for sender in range(quorum(world.params)):
+        driver.on_message(env, Outcome(driver.subject, "executed", sender,
+                                       (effect_sign(noop, sender),), (coin,)))
+    assert driver.status == "unlocked" and driver.confirmed == {coin}
 
 
 def test_outcomes_listing_the_same_effects_in_another_order_do_not_mix(world):

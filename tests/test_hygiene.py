@@ -401,7 +401,7 @@ UNREAD_KINDS = {
     # item 3: epoch change, checked from the trace
     "epoch_pause", "end_of_epoch_sent", "epoch_advanced",
     # item 5: every path the paper describes runs under --explore
-    "budget_credit", "unlock_cert_skip",
+    "budget_credit",
     # item 12: metrics and pointed violations, computed from the trace
     "budget_debit", "unlock_rejected", "unlock_vote",
 }

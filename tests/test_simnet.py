@@ -240,7 +240,7 @@ def test_finished_run_leaves_no_cyclic_garbage(path):
 
 @pytest.mark.parametrize("build, seed, ticks", [
     (swap_deadlock, 1, 25),  # bob's first unlock in flight
-    (swap_deadlock, 1, 40),  # bob's second unlock, after a superseded one
+    (swap_deadlock, 7, 38),  # bob's retried swap, after his unlock
     (bounded_spend, 1, 25),  # a consolidation in flight
     (bounded_spend, 1, 40),  # the debit after it in flight
     (double_send, 2, 40),  # the unlock after both sends locked
@@ -324,6 +324,24 @@ def test_swap_deadlock_recovers_both_objects():
             for snap in trace.snapshots.values():
                 assert snap["latest"][oid] >= 1
     assert "finalized_after_unlock" in statuses
+
+
+def test_a_lost_race_is_released_by_one_unlock():
+    # the loser's unlock is sequenced after consensus settled the contended
+    # object: it releases the rest of its keys itself, and the action ends
+    # `unlocked` with no second unlock
+    scenario = Scenario.load(str(SCENARIOS / "swap_deadlock.yaml"))
+    lost = 0
+    for seed in [scenario.seed] + [derive_seed(scenario.seed, i)
+                                   for i in range(50)]:
+        trace = run(scenario.with_seed(seed))
+        assert check_invariants(trace) == []
+        for done in trace.select("driver_done"):
+            if done["status"] == "unlocked":
+                lost += 1
+                assert [e["actor"] for e in trace.select("unlock_started")
+                        ].count(done["actor"]) == 1
+    assert lost > 0
 
 
 def test_double_send_deadlocks_then_recovers():
@@ -1153,6 +1171,23 @@ def test_an_unlock_sequenced_past_the_epoch_boundary_ends_invalid(at):
     done, = trace.select("driver_done")
     assert done["status"] == "invalid" and done["tick"] < at + 20
     assert trace.sent < 40
+
+
+@pytest.mark.parametrize("at", [204, 300])
+def test_an_unlock_for_a_left_epoch_ends_wrong_epoch(at):
+    # the validators have moved to epoch 1 before the request, built for
+    # epoch 0, reaches them: every refusal is WrongEpoch, which says nothing
+    # of the requester's authority
+    data = yaml.safe_load((SCENARIOS / "epoch_change.yaml").read_text())
+    data["script"] = [{"at": at, "client": "alice", "action": "unlock",
+                       "keys": ["coin2"], "gas": "g3", "signers": ["alice"]}]
+    trace = run(Scenario.from_dict(data))
+    assert trace.quiesced
+    assert check_invariants(trace) == []
+    refused, = trace.select("unlock_refused")
+    assert refused["codes"] == ["WrongEpoch"]
+    done, = trace.select("driver_done")
+    assert done["status"] == "wrong_epoch"
 
 
 def test_shared_object_transaction_finalizes_after_sequencing():

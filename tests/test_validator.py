@@ -40,6 +40,13 @@ def drive_unlock(world, states, rqt):
     return [s.process_unlock_cert(ucert) for s in states]
 
 
+def settle_coin(world, states):
+    """Settle `coin` on every state by a checkpointed transfer to bob."""
+    cert = world.cert(world.transfer("coin", "gas", "alice", "bob"))
+    for state in states:
+        state.process_checkpoint_cert(cert)
+
+
 # --- transaction signing -----------------------------------------------------
 
 def test_sign_fresh_transaction_sets_lock(world):
@@ -226,6 +233,36 @@ def test_unlock_on_confirmed_key_rejected(world):
     assert err.value.keys == (world.key("coin"),)
 
 
+def test_unlock_vote_refuses_only_when_every_key_is_settled(world):
+    state = world.state()
+    coin, bcoin = world.key("coin"), world.key("bcoin")
+    settle_coin(world, [state])
+    # one key of two settled: the vote is cast over both
+    both = make_rqt(world, [coin, bcoin], "gas2", "alice", ["alice", "bob"])
+    assert state.process_unlock_rqt(both).rqt_digest == both.digest
+    # every key settled: refused, naming the keys
+    alone = make_rqt(world, [coin], "bgas", "alice", ["alice", "bob"])
+    with pytest.raises(ProtocolError) as err:
+        state.process_unlock_rqt(alone)
+    assert err.value.code == ErrorCode.ALREADY_CONFIRMED
+    assert err.value.keys == (coin,)
+
+
+def test_replacement_unlock_vote_refuses_on_any_settled_key(world):
+    state = world.state()
+    coin, bcoin = world.key("coin"), world.key("bcoin")
+    settle_coin(world, [state])
+    replacement = world.tx(TxKind.SWAP, ["coin", "bcoin"], "bgas",
+                           ["alice", "bob"])
+    rqt = make_rqt(world, [coin, bcoin], "gas2", "alice", ["alice", "bob"],
+                   replacement=replacement)
+    with pytest.raises(ProtocolError) as err:
+        state.process_unlock_rqt(rqt)
+    assert err.value.code == ErrorCode.ALREADY_CONFIRMED
+    assert err.value.keys == (coin,)
+    assert world.key("gas2") not in state.lock_db
+
+
 # --- sequenced unlock certificates ---------------------------------------------------
 
 def test_no_commit_unlock_executes_version_bump(world):
@@ -377,6 +414,64 @@ def test_unlock_after_checkpoint_is_ignored_but_pays_gas(world):
     for state in states:
         out = state.process_unlock_cert(ucert)
         assert out.status == "superseded"
+        assert state.latest[world.key("gas2").object_id] == 1
+
+
+def test_unlock_with_some_keys_settled_releases_the_rest(world):
+    # the other side won coin; the unlock still pays its gas and releases
+    # bcoin by a no-op over bcoin alone, and its outcome names coin
+    states = world.states()
+    coin, bcoin = world.key("coin"), world.key("bcoin")
+    rqt = make_rqt(world, [coin, bcoin], "gas2", "alice", ["alice", "bob"])
+    votes = [s.process_unlock_rqt(rqt) for s in states]
+    ucert = assemble_unlock_cert(votes, rqt, world.params)
+    settle_coin(world, states)
+    for state in states:
+        out = state.process_unlock_cert(ucert)
+        assert (out.status, out.confirmed) == ("executed", (coin,))
+        noop, = out.signs
+        assert noop.effects.consumed == (bcoin,)
+        assert [o.key for o in noop.effects.produced] == [world.key("bcoin", 1)]
+        assert state.latest[world.key("gas2").object_id] == 1
+        assert state.unlock_db[bcoin] == CONFIRMED
+        # coin stays at the transfer's version, owned by bob
+        assert state.latest[coin.object_id] == 1
+        assert state.get_object(world.key("coin", 1)).owner \
+            == commit(PublicKey(world.account("bob")))
+
+
+def test_unlock_with_every_key_settled_is_superseded(world):
+    states = world.states()
+    coin, bcoin = world.key("coin"), world.key("bcoin")
+    rqt = make_rqt(world, [coin, bcoin], "gas2", "alice", ["alice", "bob"])
+    votes = [s.process_unlock_rqt(rqt) for s in states]
+    ucert = assemble_unlock_cert(votes, rqt, world.params)
+    settle_coin(world, states)
+    bcert = world.cert(world.tx(TxKind.NOOP, ["bcoin"], "bgas", ["bob"]))
+    for state in states:
+        state.process_checkpoint_cert(bcert)
+        out = state.process_unlock_cert(ucert)
+        assert (out.status, out.confirmed) == ("superseded", (coin, bcoin))
+        assert state.latest[world.key("gas2").object_id] == 1
+        assert state.latest[bcoin.object_id] == 1  # the checkpoint's bump only
+
+
+def test_replacement_unlock_with_one_settled_key_is_superseded(world):
+    # the replacement spends coin too, so it cannot run once coin is settled
+    states = world.states()
+    coin, bcoin = world.key("coin"), world.key("bcoin")
+    replacement = world.tx(TxKind.SWAP, ["coin", "bcoin"], "bgas",
+                           ["alice", "bob"])
+    rqt = make_rqt(world, [coin, bcoin], "gas2", "alice", ["alice", "bob"],
+                   replacement=replacement)
+    votes = [s.process_unlock_rqt(rqt) for s in states]
+    ucert = assemble_unlock_cert(votes, rqt, world.params)
+    settle_coin(world, states)
+    for state in states:
+        out = state.process_unlock_cert(ucert)
+        assert (out.status, out.confirmed) == ("superseded", (coin,))
+        assert replacement.digest not in state.executed
+        assert state.latest[bcoin.object_id] == 0
         assert state.latest[world.key("gas2").object_id] == 1
 
 
