@@ -254,15 +254,16 @@ class _Driver:
     votes goes to `_certify`, and `_maybe_refuse` judges the rejections. In
     the `sequenced` phase (an unlock's) only `InvalidUnlockCert` rejections
     count, refusals of the sequenced certificate itself: f+1 of them leave
-    fewer than a quorum that could execute it, and `_refuse` ends the
-    driver as `invalid`. A quorum of `superseded` outcomes ends the driver
-    as superseded. An `executed` outcome counts when each of its signs is
+    fewer than a quorum that could execute it, and they end the driver as
+    `invalid`. A quorum of `superseded` outcomes ends the driver as
+    superseded. An `executed` outcome counts when each of its signs is
     its sender's own and verifies; a quorum reporting the same effects in
     the same order, and the same `confirmed` keys, finishes the driver, the
     i-th `EffectCert` taking every member's i-th sign, and its keys alone
     become the driver's `confirmed`. Once `phase == "done"`, the driver
-    holds its `status`, `effect_certs` and `confirmed` keys, and
-    `on_done(driver)` has run.
+    holds its `status`, `effect_certs` and `confirmed` keys, its one trace
+    record of the end is `<kind>_driver_finished` (a refused unlock's lists
+    the refusal `codes`), and `on_done(driver)` has run.
 
     Each exchange the driver starts arms a retry tick for that exchange
     alone, with `env.set_timer(self, hops)`: `start` and each retry for
@@ -305,7 +306,7 @@ class _Driver:
                 self.superseded.add(msg.signer)
                 self.confirmed.update(msg.confirmed)
                 if len(self.superseded) >= quorum(self.params):
-                    self._superseded(env)
+                    self._finish(env, "superseded")
             elif msg.status == "executed" and all(
                     s.signer == msg.signer and s.verify(self.scheme)
                     for s in msg.signs):
@@ -315,7 +316,7 @@ class _Driver:
                     and msg.code == ErrorCode.INVALID_UNLOCK_CERT.value:
                 self.invalid.add(msg.signer)
                 if len(self.invalid) >= validity_threshold(self.params):
-                    self._refuse(env, [msg.code], "invalid")
+                    self._finish(env, "invalid", codes=[msg.code])
         elif self.phase != "vote":
             return
         elif isinstance(msg, Rejection):
@@ -341,14 +342,11 @@ class _Driver:
                 _emit_effect_cert(env, cert.effects, **self._cert_fields(cert))
             self._finish(env, self.finalized)
 
-    def _superseded(self, env) -> None:
-        self._finish(env, "superseded")
-
-    def _finish(self, env, status: str) -> None:
+    def _finish(self, env, status: str, **fields) -> None:
         self.status = status
         self.phase = "done"
         env.emit(f"{self.kind}_driver_finished", **self.label, status=status,
-                 rounds=self.round_trips, retries=self.retries)
+                 rounds=self.round_trips, retries=self.retries, **fields)
         if self.on_done:
             self.on_done(self)
 
@@ -441,12 +439,11 @@ class FastUnlockDriver(_Driver):
 
     def __init__(self, rqt: UnlockRqt, params: CommitteeParams,
                  scheme=crypto.DEFAULT_SCHEME, authorized: bool = True,
-                 on_done=None, wait_all: bool = False):
+                 on_done=None):
         super().__init__(rqt.digest, {"rqt": rqt.hexdigest}, params, scheme,
                          on_done)
         self.rqt = rqt
         self.authorized = authorized
-        self.wait_all = wait_all  # gather every validator's vote, not just a quorum
         self.ucert: UnlockCert | None = None
 
     def start(self, env) -> None:
@@ -460,8 +457,6 @@ class FastUnlockDriver(_Driver):
         self._tally(env, msg)
 
     def _certify(self, env) -> None:
-        if self.wait_all and len(self.votes) + len(self.rejections) < self.params.n:
-            return
         self.ucert = assemble_unlock_cert(
             self.votes.values(), self.rqt, self.params, self.scheme)
         self.phase = "sequenced"
@@ -471,10 +466,6 @@ class FastUnlockDriver(_Driver):
                  authorized=self.authorized, keys=self.rqt.key_ids)
         env.submit_sequencer(self.ucert)
         self.due = env.set_timer(self, 3)
-
-    def _superseded(self, env) -> None:
-        env.emit("unlock_superseded", rqt=self.rqt.hexdigest)
-        self._finish(env, "superseded")
 
     def _maybe_refuse(self, env) -> None:
         """Decide how a rejected unlock ends once enough validators have
@@ -489,16 +480,12 @@ class FastUnlockDriver(_Driver):
         everyone_answered = len(self.votes) + len(self.rejections) >= self.params.n
         if confirmed_says >= validity_threshold(self.params) or (
                 everyone_answered and confirmed_says > 0):
-            self._superseded(env)
+            self._finish(env, "superseded")
         elif len(codes) - confirmed_says > spare or (
                 everyone_answered and confirmed_says == 0):
-            self._refuse(env, codes, "wrong_epoch" if set(codes) == {
-                ErrorCode.WRONG_EPOCH.value} else "unauthorized")
-
-    def _refuse(self, env, codes, status: str) -> None:
-        env.emit("unlock_refused", rqt=self.rqt.hexdigest,
-                 codes=sorted(set(codes)))
-        self._finish(env, status)
+            codes = sorted(set(codes))
+            self._finish(env, "wrong_epoch" if codes == [
+                ErrorCode.WRONG_EPOCH.value] else "unauthorized", codes=codes)
 
     def _cert_fields(self, cert: EffectCert) -> dict:
         """Label the certificate with the transaction it executed: the

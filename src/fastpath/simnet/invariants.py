@@ -285,8 +285,8 @@ def check_starvation_freedom(trace: Trace | TraceIndex) -> list[Violation]:
 
 def check_unlock_liveness(trace: Trace | TraceIndex) -> list[Violation]:
     """On quiescent runs, every authorized unlock reaches a terminal
-    outcome (its effect certificates, superseded, or refused by the
-    validators) within the epoch-length bound; truncated runs are
+    outcome, its first `unlock_driver_finished` record that is not a
+    `timeout`, within the epoch-length bound; truncated runs are
     inconclusive and report nothing."""
     if not trace.quiesced:
         return []
@@ -294,13 +294,9 @@ def check_unlock_liveness(trace: Trace | TraceIndex) -> list[Violation]:
     index = _indexed(trace)
     bound = index.meta.get("epoch_length", 0)
     completions: dict[str, int] = {}
-    for event in index.of("effect_cert", "unlock_superseded",
-                          "unlock_refused"):
-        rqt = event.get("rqt")
-        if rqt is None:
-            continue
-        if event["kind"] != "effect_cert" or event.get("path") == "unlock":
-            completions.setdefault(rqt, event["tick"])
+    for event in index.of("unlock_driver_finished"):
+        if event["status"] != "timeout":
+            completions.setdefault(event["rqt"], event["tick"])
     for event in index.of("unlock_started"):
         if not event.get("authorized", True):
             continue

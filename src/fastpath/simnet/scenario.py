@@ -80,7 +80,7 @@ REQUIRED_FIELDS = {**{name: ("gas",) for name in TX_ACTIONS},
 FIELDS = {
     **dict.fromkeys(("at", "amount", "epoch", "target"), (int, None)),
     **dict.fromkeys(("action", "new_object", "item", "memo"), (str, None)),
-    **dict.fromkeys(("authorized", "wait_all"), (bool, None)),
+    "authorized": (bool, None),
     **dict.fromkeys(("amounts", "first_to", "first_to_second", "cert_to"),
                     (list, None)),
     "replacement": (dict, None), "to": (str, "account"),

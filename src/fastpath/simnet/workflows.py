@@ -380,8 +380,7 @@ class ClientActor:
                        if action.get("replacement") else None)
         driver = yield from self._unlock(
             action, keys, action["gas"], replacement,
-            authorized=action.get("authorized", True),
-            wait_all=action.get("wait_all", False))
+            authorized=action.get("authorized", True))
         self._finish_action(action, driver, driver.status)
 
     def _spend(self, action: dict):

@@ -502,7 +502,8 @@ class ValidatorState:
         (`_settled`). Each of its riders (`certs`) must be a
         valid certificate of this epoch spending a listed bounded counter.
         The vote carries them, but no other unlock does: a rider runs only
-        if its own unlock does, so its requester knows whether it ran."""
+        if its own unlock does, so its requester knows whether it ran. The
+        vote itself leaves no trace record."""
         if rqt.epoch != self.epoch:
             raise ProtocolError(ErrorCode.WRONG_EPOCH, "unlock epoch mismatch")
         if not rqt.object_keys or len(set(rqt.object_keys)) != len(rqt.object_keys):
@@ -540,10 +541,8 @@ class ValidatorState:
             if reserve_all or self._bounded(key.object_id) is not None:
                 self._set_unlock(key, UNLOCKED)
 
-        ordered = tuple(carried[d] for d in sorted(carried))
-        self.emit("unlock_vote", rqt=rqt.hexdigest,
-                  carried=[c.tx.hexdigest for c in ordered])
-        return UnlockVote.make(rqt.digest, ordered, self.vid, self.scheme)
+        return UnlockVote.make(rqt.digest, carried.values(), self.vid,
+                               self.scheme)
 
     def _settled(self, rqt: UnlockRqt) -> tuple[tuple[ObjectKey, ...], bool]:
         """The listed keys that consensus has settled, and whether they
@@ -659,7 +658,7 @@ class ValidatorState:
                 rqt.replacement_tx, via="unlock", uncertified=True))
         elif not carried:
             signs.append(self._execute_noop(rqt, keys))
-        signs.append(self._consolidate_listed(rqt))
+        signs.append(self._consolidate_listed(rqt, keys))
         if not carried:
             for key in keys:
                 self._confirm(key)
@@ -728,7 +727,8 @@ class ValidatorState:
     def _execute_noop(self, rqt: UnlockRqt, keys) -> EffectSign | None:
         """Version-bumping no-op over `keys`, the listed keys that consensus
         has not settled, except bounded counters, contents untouched; None
-        when there are none. The consolidation reissues the counters."""
+        when there are none. The consolidation reissues the counters; the
+        trace records the no-op as its `seq_exec` (via `noop`)."""
         inputs = [self._check_key(k) for k in keys
                   if self._bounded(k.object_id) is None]
         if not inputs:
@@ -737,21 +737,16 @@ class ValidatorState:
                             "unlock-noop", rqt, inputs, [None] * len(inputs))
         for obj in effects.produced:
             self._put_object(obj)
-        # each validator's rows are its own lists, which readers may edit
-        self.emit("noop_applied", rqt=rqt.hexdigest,
-                  keys=[[*o.key.ids, fresh.key.version,
-                         fresh.contents == o.contents]
-                        for o, fresh in zip(inputs, effects.produced)])
         self._emit_seq_exec(effects, via="noop")
         return EffectSign.make(effects, self.vid, self.scheme)
 
-    def _consolidate_listed(self, rqt: UnlockRqt) -> EffectSign | None:
-        """Reissue every listed bounded counter at the next version holding
+    def _consolidate_listed(self, rqt: UnlockRqt, keys) -> EffectSign | None:
+        """Reissue each bounded counter in `keys` at the next version holding
         what is still unspent; its budget and bookkeeping restart from that."""
         inputs, limits = [], []
-        for key in rqt.object_keys:
+        for key in keys:
             local = self._bounded(key.object_id)
-            if local is not None and self.unlock_db.get(key) != CONFIRMED:
+            if local is not None:
                 inputs.append(self.get_object(key))
                 limits.append(local.reissue(self.params))
         if not inputs:

@@ -22,7 +22,7 @@ from fastpath.simnet.invariants import (
     check_per_key_linearity,
     check_unlock_monotonic,
 )
-from fastpath.simnet.runner import derive_seed, run
+from fastpath.simnet.runner import Runner, derive_seed, run
 from fastpath.types import CommitteeParams, TxKind, quorum
 
 from tests.conftest import World
@@ -96,18 +96,30 @@ def test_04_unlock_liveness_noop_case():
     for i in range(25):
         started = time.perf_counter()
         scenario = swap_deadlock(derive_seed(4000, i))
-        trace = run(scenario)
+        runner = Runner(scenario)
+        trace = runner.run()
         slowest = max(slowest, time.perf_counter() - started)
         if not trace.quiesced:
             failures.append((i, "did not quiesce"))
             continue
-        noops = trace.select("noop_applied")
+        # each no-op step is a seq_exec via noop; the same validator's
+        # unlock_exec that lists its effects lists the versions they produced
+        produced = {(e["actor"], effects): e["produced"]
+                    for e in trace.select("unlock_exec")
+                    for effects in e["effects"]}
+        noops = [e for e in trace.select("seq_exec") if e["via"] == "noop"]
         if not noops:
             failures.append((i, "no no-op unlock happened"))
             continue
+        states = {a.name: a.state for a in runner.validators}
         for event in noops:
-            for oid, old, new, unchanged in event["keys"]:
-                if new != old + 1 or not unchanged:
+            objects = states[event["actor"]].objects
+            fresh = dict(produced[(event["actor"], event["effects"])])
+            for oid, old in event["consumed"]:
+                new = fresh.get(oid)
+                versions = objects[bytes.fromhex(oid)]
+                if new != old + 1 or (versions[old].contents
+                                      != versions[new].contents):
                     failures.append((i, f"{oid[:8]} {old}->{new}"))
         starts = {e["rqt"]: e["tick"] for e in trace.select("unlock_started")}
         for event in trace.select("effect_cert"):
@@ -192,7 +204,9 @@ def test_07_gas_consumed_exactly_once_in_all_three_outcomes():
         return counts
 
     # outcome one: the unlock certificate carries and executes a certificate
-    trace = run(gas_case_carried(13))
+    # at this seed v0, which alone executed the certificate, is among the
+    # voters whose votes make the unlock certificate
+    trace = run(gas_case_carried(15))
     execs = [e for e in trace.select("unlock_exec") if e["branch"] == "carried"]
     if len(execs) != 4 or not trace.quiesced:
         failures.append("carried-branch execution missing")

@@ -179,14 +179,16 @@ def test_retry_leaves_untouched_inputs_alone(world):
 
 
 class RecordingEnv:
-    """The simulator as a driver sees it: records emitted event kinds and
-    sequencer submissions, and sends nothing."""
+    """The simulator as a driver sees it: records emitted event kinds, the
+    last record's fields and sequencer submissions, and sends nothing."""
 
     def __init__(self):
         self.events = []
+        self.fields = {}
 
     def emit(self, kind, **fields):
         self.events.append(kind)
+        self.fields = fields
 
     def broadcast(self, msg):
         pass
@@ -241,7 +243,9 @@ def test_a_sequenced_unlock_ends_invalid_on_f_plus_1_refusals(world):
     assert driver.phase == "sequenced" and driver.invalid == {0}
     driver.on_message(env, Rejection(rqt.digest, invalid, 2))
     assert driver.status == "invalid" and driver.invalid == {0, 2}
-    assert env.events[-2:] == ["unlock_refused", "unlock_driver_finished"]
+    assert env.events[-1] == "unlock_driver_finished"
+    assert env.fields["status"] == "invalid"
+    assert env.fields["codes"] == [invalid]
 
 
 def test_out_of_range_tx_votes_are_dropped(world):

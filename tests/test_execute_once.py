@@ -201,19 +201,6 @@ def test_shared_consolidation_keeps_the_per_key_event_order():
                           ("unlock_db_set", "pool2", "confirmed")]
 
 
-def test_noop_events_get_their_own_rows():
-    # tests and tools edit trace records in place
-    world = unlock_world()
-    states, events = recording_states(world)
-    unlock(world, states, ["coin", "pool"])
-    rows = [next(f["keys"] for k, f in log if k == "noop_applied") for log in events]
-    assert rows[0] == rows[1]
-    rows[0][0][3] = "edited"
-    rows[0].append("edited")
-    # the pool is reissued by the consolidation, so the coin has the one row
-    assert rows[1] == rows[2] and rows[1][0][3] is True and len(rows[1]) == 1
-
-
 class RejectingScheme(KeyedDigestScheme):
     def verify(self, public_key, message, signature):
         return False

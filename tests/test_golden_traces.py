@@ -11,7 +11,10 @@ that moves one on purpose regenerates both files with
 
     PYTHONPATH=src python tests/test_golden_traces.py
 
-and says why the schedule changed.
+and says why the schedule changed. A change that stops recording an event
+kind moves every digest whose run recorded it, with the schedule unmoved.
+If a fault kind's pinned runs then record nothing that the honest runs do
+not, `FAULT_BASE_SEED` moves on to the next base its rule allows.
 """
 
 import hashlib
@@ -34,7 +37,7 @@ EXPLORE_SEEDS = 3
 # but infinite_budget, which only a bounded counter's drain exercises. The
 # base is the first from 5 up at which every kind changes the events of at
 # least one of its runs.
-FAULT_BASE_SEED = 6
+FAULT_BASE_SEED = 7
 FAULT_BUILDERS = {"infinite_budget": bounded_spend}
 
 

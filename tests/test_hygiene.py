@@ -403,7 +403,7 @@ UNREAD_KINDS = {
     # item 5: every path the paper describes runs under --explore
     "budget_credit",
     # item 12: metrics and pointed violations, computed from the trace
-    "budget_debit", "unlock_rejected", "unlock_vote",
+    "budget_debit", "unlock_rejected",
 }
 # This file's allowlist and planted sources name kinds without reading them.
 READERS = [path for directory in ("perfbench", "tests")

@@ -156,9 +156,8 @@ def test_idle_retry_ticks_past_the_limit_leave_the_run_quiesced(name):
     objects[next(iter(objects))]["0"] = "c" * 32
     assert check_convergence(diverged)
     hung = copy.copy(cut)
-    hung.events = [e for e in cut.events if "rqt" not in e
-                   or e["kind"] not in ("effect_cert", "unlock_superseded",
-                                        "unlock_refused")]
+    hung.events = [e for e in cut.events
+                   if e["kind"] != "unlock_driver_finished"]
     assert check_unlock_liveness(hung)
 
 

@@ -152,8 +152,8 @@ def test_unlock_liveness_counts_a_refusal_but_not_a_hang_or_a_late_end():
         {k: v for k, v in action.items() if k != "authorized"}
         for action in base.script]))
     started, = trace.select("unlock_started")
-    refused, = trace.select("unlock_refused")
-    assert trace.quiesced and started["authorized"]
+    refused, = trace.select("unlock_driver_finished")
+    assert trace.quiesced and started["authorized"] and refused["codes"]
     assert check_unlock_liveness(trace) == []
 
     def doctored(edit):
@@ -164,14 +164,13 @@ def test_unlock_liveness_counts_a_refusal_but_not_a_hang_or_a_late_end():
 
     def timed_out(event):
         # no refusal: the driver ran out of retries instead
-        if event["kind"] == "unlock_refused":
-            return None
         if event["kind"] == "unlock_driver_finished":
+            del event["codes"]
             event["status"] = "timeout"
         return event
 
     def late(event):
-        if event["kind"] == "unlock_refused":
+        if event["kind"] == "unlock_driver_finished":
             event["tick"] = started["tick"] + trace.meta["epoch_length"] + 1
         return event
 
@@ -342,6 +341,34 @@ def test_a_lost_race_is_released_by_one_unlock():
                 assert [e["actor"] for e in trace.select("unlock_started")
                         ].count(done["actor"]) == 1
     assert lost > 0
+
+
+def test_a_recovery_whose_keys_were_all_settled_ends_superseded():
+    # two transfers of one coin with one gas deadlock it; each recovers
+    # with its own unlock gas. The first unlock sequenced releases the coin
+    # and its retry finalizes; the other unlock finds every key it lists
+    # settled, so its action ends superseded, and that finish is the
+    # unlock's completion
+    data = yaml.safe_load((SCENARIOS / "double_send.yaml").read_text())
+    data["script"] = [
+        {"at": 5, "client": "alice", "action": "transfer", "inputs": ["coin"],
+         "gas": "g1", "to": "bob", "signers": ["alice"], "memo": memo,
+         "first_to": first_to, "unlock_gas": [gas]}
+        for memo, first_to, gas in (("a", [0, 1], "g2"), ("b", [2, 3], "g3"))]
+    for i in range(50):
+        trace = run(Scenario.from_dict({**data, "seed": derive_seed(3, i)}))
+        assert trace.quiesced and check_invariants(trace) == []
+        assert sorted(e["status"] for e in trace.select("driver_done")) == [
+            "finalized_after_unlock", "superseded"]
+        finished = trace.select("unlock_driver_finished")
+        assert sorted(e["status"] for e in finished) == [
+            "superseded", "unlocked"]
+        hung = copy.copy(trace)
+        hung.events = [e for e in trace.events
+                       if e["kind"] != "unlock_driver_finished"
+                       or e["status"] != "superseded"]
+        violation, = check_unlock_liveness(hung)
+        assert "never completed" in violation.message
 
 
 def test_double_send_deadlocks_then_recovers():
@@ -550,19 +577,20 @@ def test_a_sequenced_execution_after_an_undo_survives_it():
     assert check_per_key_linearity(_bare_trace(events[:2] + events[3:])) == []
 
 
-@pytest.mark.parametrize("late_kind", ["effect_cert", "unlock_refused"])
-def test_unlock_liveness_takes_the_first_completion_in_trace_order(late_kind):
+@pytest.mark.parametrize("late_status", ["unlocked", "unauthorized"])
+def test_unlock_liveness_takes_the_first_completion_in_trace_order(
+        late_status):
     # the first completion in the trace is at tick 50, 40 ticks after the
     # start (bound 30); a later record claims an earlier tick
     rqt = "r" * 64
-    kinds = {"effect_cert", "unlock_refused"}
-    first_kind, = kinds - {late_kind}
-    completion = {"rqt": rqt, "path": "unlock", "tx": "t" * 64,
-                  "produced": [], "counters": []}
+    statuses = {"unlocked", "unauthorized"}
+    first_status, = statuses - {late_status}
+    completion = {"kind": "unlock_driver_finished", "rqt": rqt,
+                  "rounds": 2, "retries": 0}
     trace = _bare_trace([
         {"kind": "unlock_started", "rqt": rqt, "authorized": True, "tick": 10},
-        {**completion, "kind": first_kind, "tick": 50},
-        {**completion, "kind": late_kind, "tick": 20}])
+        {**completion, "status": first_status, "tick": 50},
+        {**completion, "status": late_status, "tick": 20}])
     assert [v.message for v in check_unlock_liveness(trace)] == [
         f"unlock {'r' * 16} took 40 ticks (bound 30)"]
 
@@ -1166,7 +1194,7 @@ def test_an_unlock_sequenced_past_the_epoch_boundary_ends_invalid(at):
     assert trace.quiesced
     assert check_invariants(trace) == []
     assert len(trace.select("unlock_cert_invalid")) == 4
-    refused, = trace.select("unlock_refused")
+    refused, = trace.select("unlock_driver_finished")
     assert refused["codes"] == ["InvalidUnlockCert"]
     done, = trace.select("driver_done")
     assert done["status"] == "invalid" and done["tick"] < at + 20
@@ -1184,7 +1212,7 @@ def test_an_unlock_for_a_left_epoch_ends_wrong_epoch(at):
     trace = run(Scenario.from_dict(data))
     assert trace.quiesced
     assert check_invariants(trace) == []
-    refused, = trace.select("unlock_refused")
+    refused, = trace.select("unlock_driver_finished")
     assert refused["codes"] == ["WrongEpoch"]
     done, = trace.select("driver_done")
     assert done["status"] == "wrong_epoch"
