@@ -212,13 +212,12 @@ def retry_after_unlock(tx: Transaction, unlock_effects: EffectCert) -> Transacti
 
 class Rejection(NamedTuple):
     """A validator refused the request, or the sequenced unlock certificate,
-    about `subject`; an `AlreadyConfirmed` refusal lists the keys consensus
-    had settled."""
+    about `subject`. A refusal never says that consensus settled a key: an
+    `Outcome` does."""
 
     subject: bytes
     code: str
     signer: int
-    keys: tuple[ObjectKey, ...] = ()
 
 
 class Outcome(NamedTuple):
@@ -255,15 +254,15 @@ class _Driver:
     the `sequenced` phase (an unlock's) only `InvalidUnlockCert` rejections
     count, refusals of the sequenced certificate itself: f+1 of them leave
     fewer than a quorum that could execute it, and they end the driver as
-    `invalid`. A quorum of `superseded` outcomes ends the driver as
-    superseded. An `executed` outcome counts when each of its signs is
-    its sender's own and verifies; a quorum reporting the same effects in
-    the same order, and the same `confirmed` keys, finishes the driver, the
-    i-th `EffectCert` taking every member's i-th sign, and its keys alone
-    become the driver's `confirmed`. Once `phase == "done"`, the driver
-    holds its `status`, `effect_certs` and `confirmed` keys, its one trace
-    record of the end is `<kind>_driver_finished` (a refused unlock's lists
-    the refusal `codes`), and `on_done(driver)` has run.
+    `invalid`. A quorum of `superseded` outcomes, and nothing else, ends
+    the driver as superseded. An `executed` outcome counts when each of its
+    signs is its sender's own and verifies; a quorum reporting the same
+    effects in the same order, and the same `confirmed` keys, finishes the
+    driver, the i-th `EffectCert` taking every member's i-th sign, and its
+    keys alone become the driver's `confirmed`. Once `phase == "done"`, the
+    driver holds its `status`, `effect_certs` and `confirmed` keys, its one
+    trace record of the end is `<kind>_driver_finished` (a refused unlock's
+    lists the refusal `codes`), and `on_done(driver)` has run.
 
     Each exchange the driver starts arms a retry tick for that exchange
     alone, with `env.set_timer(self, hops)`: `start` and each retry for
@@ -321,8 +320,6 @@ class _Driver:
             return
         elif isinstance(msg, Rejection):
             self.rejections.setdefault(msg.signer, msg.code)
-            if msg.code == ErrorCode.ALREADY_CONFIRMED.value:
-                self.confirmed.update(msg.keys)
             self._maybe_refuse(env)
         elif msg.verify(self.scheme):
             self.votes.setdefault(msg.signer, msg)
@@ -468,22 +465,12 @@ class FastUnlockDriver(_Driver):
         self.due = env.set_timer(self, 3)
 
     def _maybe_refuse(self, env) -> None:
-        """Decide how a rejected unlock ends once enough validators have
-        spoken: settled-by-consensus reads as superseded, refusals all for
-        the epoch as wrong_epoch, anything else as unauthorized; ambiguous
-        mixes wait for more replies."""
-        spare = self.params.n - quorum(self.params)
-        if len(self.rejections) <= spare:
-            return
-        codes = list(self.rejections.values())
-        confirmed_says = codes.count(ErrorCode.ALREADY_CONFIRMED.value)
-        everyone_answered = len(self.votes) + len(self.rejections) >= self.params.n
-        if confirmed_says >= validity_threshold(self.params) or (
-                everyone_answered and confirmed_says > 0):
-            self._finish(env, "superseded")
-        elif len(codes) - confirmed_says > spare or (
-                everyone_answered and confirmed_says == 0):
-            codes = sorted(set(codes))
+        """End a refused unlock once too many validators refuse for any
+        quorum to vote: `wrong_epoch` when every refusal is for the epoch,
+        `unauthorized` otherwise, listing the refusal `codes`. A refusal
+        never supersedes an unlock; only its sequenced outcomes do."""
+        if len(self.rejections) > self.params.n - quorum(self.params):
+            codes = sorted(set(self.rejections.values()))
             self._finish(env, "wrong_epoch" if codes == [
                 ErrorCode.WRONG_EPOCH.value] else "unauthorized", codes=codes)
 

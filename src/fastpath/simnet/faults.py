@@ -83,8 +83,7 @@ class ValidatorActor:
             except ProtocolError as err:
                 self.emit("unlock_rejected", rqt=rqt.hexdigest,
                           code=err.code.value)
-                reply = Rejection(rqt.digest, err.code.value, self.state.vid,
-                                  tuple(err.keys))
+                reply = Rejection(rqt.digest, err.code.value, self.state.vid)
         self.runner.send(self.name, src, reply)
 
     def _on_sequenced(self, item: SequencedItem) -> None:

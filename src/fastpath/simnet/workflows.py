@@ -36,8 +36,9 @@ options), and once every driver of the list has finished it resumes with
 the finished drivers in the order they finished. A driver's `status`,
 `effect_certs` and `confirmed` keys are its result. A transaction, the
 double send among them, recovers from a lock when its action names
-`unlock_gas`, and is not retried once consensus settled one of its keys.
-Lock recovery, consolidation and the unlock action share `_unlock`.
+`unlock_gas`, by one unlock per recovery paid by its first object, and is
+not retried once consensus settled one of its keys. Lock recovery,
+consolidation and the unlock action share `_unlock`.
 
 A bounded-counter spend (`spend_loop`) debits either fixed `amounts` in
 order or, greedily, as much of `target` as a fresh per-validator budget
@@ -86,8 +87,7 @@ from ..types import (
 )
 from .scenario import TX_ACTIONS, object_id_for
 
-# Recoveries a scripted transaction makes from a lock: unlocks that end
-# superseded, and retries after an unlock.
+# Retries after an unlock that a scripted transaction makes from a lock.
 MAX_RECOVERIES = 2
 
 
@@ -294,9 +294,9 @@ class ClientActor:
     def _unlock(self, action: dict, keys, gas: str,
                 replacement: Transaction | None = None, certs=(), **options):
         """Unlock `keys`, paying with the object named `gas`, `replacement`
-        and `certs` riding; returns the finished driver. A sequenced unlock
-        that ends `unlocked` or `superseded` paid its gas, so clients see its
-        effects and the gas at its next version."""
+        and `certs` riding; returns the finished driver. An unlock ends
+        `unlocked` or `superseded` only once sequenced, which paid its gas,
+        so clients see its effects and the gas at its next version."""
         gas_key = self.key_of(gas)
         rqt = UnlockRqt(tuple(keys), replacement, gas_key,
                         int(action.get("epoch", 0)), self.pk, certs=certs)
@@ -307,8 +307,7 @@ class ClientActor:
             rqt.signing_digest, action.get("signers", [self.name]), proved,
             {k.object_id for k in [*keys, gas_key]}))
         driver, = yield [(FastUnlockDriver, rqt, options)]
-        if driver.status == "unlocked" or (
-                driver.status == "superseded" and driver.ucert is not None):
+        if driver.status in ("unlocked", "superseded"):
             self._update_view(driver.effect_certs)
             self.runner.versions[gas_key.object_id] = gas_key.version + 1
         return driver
@@ -318,8 +317,10 @@ class ClientActor:
         pairs, on the fast path together. The attempt ends finalized if any
         send finalized, locked if any locked, and otherwise as the first send
         to finish. A lock recovers while `recoveries` last, when the action
-        names `unlock_gas`: unlock every owned input of the first send, then
-        retry it unless the unlock executed it or names a settled key."""
+        names `unlock_gas`: one unlock of every owned input of the first
+        send, paid by the first `unlock_gas` object, then a retry unless the
+        unlock executed the send or names a settled key. A superseded unlock
+        found every key settled, and the action ends `superseded`."""
         tx = sends[0][0]
         retried = False
         while True:
@@ -338,34 +339,20 @@ class ClientActor:
                 self._finish_action(action, driver, f"retry_{status}"
                                     if retried else status)
                 return
-            keys = self._owned_keys(tx)
-            gas_pool = list(action["unlock_gas"])
-            retry = True
-            while True:
-                if not gas_pool:
-                    self.emit("driver_done", action=action["action"],
-                              status="unlock_out_of_gas", rounds=0, retries=0)
-                    return
-                driver = yield from self._unlock(action, keys, gas_pool.pop(0))
-                if driver.status != "superseded" or recoveries <= 0:
-                    break
-                # consensus settled the keys, so the transaction is dead:
-                # release any left, and the gas too when no unlock
-                # certificate reached the sequencer to spend it
-                recoveries -= 1
-                retry = False
-                keys = [k for k in keys if k not in driver.confirmed]
-                if driver.ucert is None and driver.rqt.gas not in keys:
-                    keys.append(driver.rqt.gas)
-                if not keys:
-                    self._finish_action(action, driver, "superseded")
-                    return
+            if not action["unlock_gas"]:
+                self.emit("driver_done", action=action["action"],
+                          status="unlock_out_of_gas", rounds=0, retries=0)
+                return
+            driver = yield from self._unlock(action, self._owned_keys(tx),
+                                             action["unlock_gas"][0])
             if driver.status != "unlocked":
-                self._finish_action(action, driver, f"unlock_{driver.status}")
+                self._finish_action(action, driver, "superseded"
+                                    if driver.status == "superseded"
+                                    else f"unlock_{driver.status}")
                 return
             finalized = any(c.effects.tx_digest == tx.digest
                             for c in driver.effect_certs)
-            if finalized or not retry or driver.confirmed:
+            if finalized or driver.confirmed:
                 self._finish_action(action, driver, "finalized_by_unlock"
                                     if finalized else "unlocked")
                 return

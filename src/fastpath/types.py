@@ -61,7 +61,6 @@ class ErrorCode(str, enum.Enum):
     OBJECT_UNLOCKED = "ObjectUnlocked"
     WRONG_EPOCH = "WrongEpoch"
     INVALID_CERTIFICATE = "InvalidCertificate"
-    ALREADY_CONFIRMED = "AlreadyConfirmed"
     BAD_GAS = "BadGas"
     INVALID_UNLOCK_CERT = "InvalidUnlockCert"
     INSUFFICIENT_BALANCE = "InsufficientBalance"
@@ -76,10 +75,9 @@ class ErrorCode(str, enum.Enum):
 
 
 class ProtocolError(Exception):
-    def __init__(self, code: ErrorCode, detail: str = "", keys: tuple = ()):
+    def __init__(self, code: ErrorCode, detail: str = ""):
         super().__init__(f"{code.value}: {detail}" if detail else code.value)
         self.code = code
-        self.keys = keys  # object keys the error is about, when that helps
 
 
 # --- committee ---------------------------------------------------------------

@@ -498,12 +498,13 @@ class ValidatorState:
         return True
 
     def process_unlock_rqt(self, rqt: UnlockRqt) -> UnlockVote:
-        """Vote on an unlock request, unless the settled keys supersede it
-        (`_settled`). Each of its riders (`certs`) must be a
-        valid certificate of this epoch spending a listed bounded counter.
-        The vote carries them, but no other unlock does: a rider runs only
-        if its own unlock does, so its requester knows whether it ran. The
-        vote itself leaves no trace record."""
+        """Vote on an unlock request, over settled keys too: `_set_unlock`
+        leaves them settled, and only the sequenced step decides whether
+        they supersede it (`process_unlock_cert`). Each of its riders
+        (`certs`) must be a valid certificate of this epoch spending a
+        listed bounded counter. The vote carries them, but no other unlock
+        does: a rider runs only if its own unlock does, so its requester
+        knows whether it ran. The vote itself leaves no trace record."""
         if rqt.epoch != self.epoch:
             raise ProtocolError(ErrorCode.WRONG_EPOCH, "unlock epoch mismatch")
         if not rqt.object_keys or len(set(rqt.object_keys)) != len(rqt.object_keys):
@@ -512,11 +513,6 @@ class ValidatorState:
             oid = key.object_id
             if oid not in self.latest or key.version > self.latest[oid]:
                 raise ProtocolError(ErrorCode.MISSING_OBJECT, repr(key))
-        settled, superseded = self._settled(rqt)
-        if superseded:
-            raise ProtocolError(ErrorCode.ALREADY_CONFIRMED,
-                                f"{len(settled)} keys settled", keys=settled)
-
         if not self.check_auto_unlock(rqt, self.clock, self.auto_unlock_delay):
             raise ProtocolError(ErrorCode.BAD_EVIDENCE, "unlock not authorized")
         if rqt.replacement_tx is not None:

@@ -116,6 +116,33 @@ def bounded_spend(seed, amounts=None, target=100, limit=100, fault=None,
     return Scenario.from_dict(data)
 
 
+def counter_race(seed, fault=None, fault_vid=0):
+    """Concurrent debits of one bounded counter: each of the 8 clients of
+    its `any` owner debits 15 on the fast path at tick 5. Together they ask
+    for more than the limit of 100, so per-validator budgets must refuse
+    some."""
+    names = [f"c{i}" for i in range(8)]
+    objects = [{"name": "pool", "kind": "commutative", "flavor": "bounded",
+                "limit": 100, "owner": {"any": [{"pk": c} for c in names]}}]
+    script = []
+    for c in names:
+        objects += gas_objects(c, [f"{c}g", f"{c}u0", f"{c}u1"], 30)
+        script.append({"at": 5, "client": c, "action": "debit",
+                       "inputs": ["pool"], "gas": f"{c}g", "amount": 15,
+                       "signers": [c], "unlock_gas": [f"{c}u0", f"{c}u1"]})
+    data = {
+        "committee": {"n": 4, "f": 1},
+        "seed": seed, "ticks": 20000, "delta": 300, "epoch_length": 15000,
+        "network": {"min_delay": 1, "max_delay": 4},
+        "accounts": names,
+        "objects": objects,
+        "script": script,
+    }
+    if fault:
+        data["faults"] = {str(fault_vid): {"kind": fault}}
+    return Scenario.from_dict(data)
+
+
 def epoch_change(seed):
     return Scenario.from_dict({
         "committee": {"n": 4, "f": 1},

@@ -28,6 +28,7 @@ from fastpath.types import CommitteeParams, TxKind, quorum
 from tests.conftest import World
 from tests.scenario_builders import (
     bounded_spend,
+    counter_race,
     double_send,
     epoch_change,
     gas_case_carried,
@@ -300,6 +301,16 @@ def test_09_bounded_counter_safety_under_adversary():
                                   amounts=[40, 40, 40, 40], target=160,
                                   fault="infinite_budget"))
         checker_hits.extend(check_bounded_counters(trace))
+    # concurrent debits that ask for more than the limit: the batch must
+    # reach the budgets, finalizing debits on the fast path and refusing some
+    fast_debits = budget_rejects = 0
+    for i in range(40):
+        trace = run(counter_race(derive_seed(9300, i),
+                                 fault="infinite_budget"))
+        checker_hits.extend(check_invariants(trace))
+        fast_debits += len({e["tx"] for e in trace.select("effect_cert")
+                            if e["tx_kind"] == "debit" and e["path"] == "fast"})
+        budget_rejects += len(trace.select("budget_reject"))
 
     # honest-only bound: spend before any consolidation stays within what
     # the per-validator budgets can cover
@@ -326,9 +337,12 @@ def test_09_bounded_counter_safety_under_adversary():
             over_limit.append((i, spent))
     elapsed = time.perf_counter() - started
     report(9, "bounded counter safety",
-           not checker_hits and not over_limit and elapsed < 120.0,
-           f"1050 seeds, {elapsed:.1f}s, pre-consolidation bound "
-           f"{honest_bound}")
+           not checker_hits and not over_limit and elapsed < 120.0
+           and fast_debits > 0 and budget_rejects > 0,
+           f"1090 seeds, {elapsed:.1f}s, pre-consolidation bound "
+           f"{honest_bound}, race: {fast_debits} fast-path debits, "
+           f"{budget_rejects} budget rejects, checkers hit: "
+           f"{sorted({v.checker for v in checker_hits})}")
 
 
 def test_10_consolidation_round_bound():

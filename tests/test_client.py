@@ -248,6 +248,26 @@ def test_a_sequenced_unlock_ends_invalid_on_f_plus_1_refusals(world):
     assert env.fields["codes"] == [invalid]
 
 
+@pytest.mark.parametrize("code", ["AlreadyConfirmed",
+                                  ErrorCode.BAD_EVIDENCE.value])
+def test_refusals_past_the_spare_end_an_unlock_unauthorized(world, code):
+    # two votes, then two refusals: no quorum can vote any more. A refusal
+    # never supersedes an unlock, whatever its code says; "AlreadyConfirmed"
+    # is the code validators once sent over settled keys
+    rqt = simple_rqt(world)
+    env = RecordingEnv()
+    driver = FastUnlockDriver(rqt, world.params)
+    driver.start(env)
+    for reply in (vote(rqt, 0), vote(rqt, 1),
+                  Rejection(rqt.digest, ErrorCode.BAD_GAS.value, 2)):
+        driver.on_message(env, reply)
+    assert driver.phase == "vote"
+    driver.on_message(env, Rejection(rqt.digest, code, 3))
+    assert driver.status == "unauthorized" and driver.confirmed == set()
+    assert env.events[-1] == "unlock_driver_finished"
+    assert env.fields["codes"] == sorted([ErrorCode.BAD_GAS.value, code])
+
+
 def test_out_of_range_tx_votes_are_dropped(world):
     tx = world.transfer("coin", "gas", "alice", "bob")
     n = world.params.n
@@ -407,8 +427,6 @@ SENDER_CASES = {
         (effect_sign(EffectSummary(d.tx.digest, (), ()), s),))),
     "unlock_refused": (_unlock_driver, lambda d, s: Rejection(
         d.rqt.digest, ErrorCode.BAD_EVIDENCE.value, s)),
-    "unlock_confirmed": (_unlock_driver, lambda d, s: Rejection(
-        d.rqt.digest, ErrorCode.ALREADY_CONFIRMED.value, s)),
     "unlock_ignored": (_unlock_driver, lambda d, s: Outcome(
         d.rqt.digest, "superseded", s)),
     "unlock_cert_invalid": (_sequenced_driver, lambda d, s: Rejection(

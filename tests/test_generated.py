@@ -20,6 +20,8 @@ limit holds, and sends no debit that a budget refuses, since it counts its
 own. Of two spends, neither may give a `reason` other than `over_limit`.
 A drawn scenario that fails is a bug to fix, never one to filter out; one
 that failed, two greedy spends of a shared counter, is kept as a fixed test.
+So is a two-spender draw in which one consolidation is superseded at its
+sequenced step, with what that consolidation paid.
 """
 
 import yaml
@@ -28,6 +30,9 @@ from hypothesis import given, note, settings, strategies as st
 from fastpath.counters import initial_budget
 from fastpath.simnet import Scenario, check_invariants, run
 from fastpath.simnet.faults import FAULTS
+from fastpath.simnet.invariants import check_gas_conservation
+from fastpath.simnet.runner import Runner
+from fastpath.simnet.scenario import object_id_for
 from fastpath.types import CommitteeParams
 
 ACCOUNTS = ("a", "b", "c", "d")
@@ -287,3 +292,30 @@ def test_spends_of_a_shared_counter_do_not_ride_their_certificates():
     assert trace.select("consolidate")
     assert "certified_abandoned" not in {
         e["status"] for e in trace.select("fast_driver_finished")}
+
+
+def test_a_consolidation_the_other_spender_overtook_is_superseded_and_paid():
+    # one spender's consolidation lists a counter version that the other's
+    # consolidation reissued first. Every validator votes on it, the
+    # sequenced step supersedes it, and its unlock gas is paid and seen
+    script = [{"at": 5, "client": client, "action": "spend_loop",
+               "counter": "pool", "signers": [client], "target": target,
+               "gas_pool": [f"{client}g{i}" for i in range(10)],
+               "unlock_gas_pool": [f"{client}u{i}" for i in range(10)]}
+              for client, target in (("a", 35), ("b", 85))]
+    runner = Runner(Scenario.from_dict(spend_scenario(122, script, seed=12)))
+    trace = runner.run()
+    assert trace.quiesced and check_invariants(trace) == []
+    assert check_gas_conservation(trace) == []
+    end, = [e for e in trace.select("unlock_driver_finished")
+            if e["status"] == "superseded"]
+    assert sorted(e["actor"] for e in trace.select("unlock_ignored")
+                  if e["rqt"] == end["rqt"]) == ["v0", "v1", "v2", "v3"]
+    # each of a spender's unlocks pays with the next of its unlock gas pool
+    started = [e["rqt"] for e in trace.select("unlock_started")
+               if e["actor"] == end["actor"]]
+    gas = object_id_for(f"{end['actor']}u{started.index(end['rqt'])}")
+    assert runner.versions[gas] == 1
+    assert {v.state.latest[gas] for v in runner.validators} == {1}
+    assert {e.get("reason") for e in trace.select("spend_done")} \
+        <= {None, "over_limit"}

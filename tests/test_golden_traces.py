@@ -3,8 +3,8 @@
 A run is deterministic in its seed, so the sha256 of a serialized trace
 pins the whole schedule: every delivery order, tiebreak and recorded
 field. Each bundled scenario is pinned at its own seed and at the first
-three explore seeds. No bundled scenario declares a fault, so each fault
-kind is pinned as well, on a builder run where that kind changes the
+three explore seeds. Only counter_race.yaml declares a fault, so each
+fault kind is pinned as well, on a builder run where that kind changes the
 events (`golden_fault_traces.json`). A change that is meant to leave
 behaviour alone (a speed-up, a refactor) must keep every digest; a change
 that moves one on purpose regenerates both files with

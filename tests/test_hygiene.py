@@ -478,6 +478,48 @@ def test_unread_kind_check_flags_planted_kinds():
         "m:3 lonely", "m:4 dropped", "m:6 *_orphaned"]
 
 
+# Every `ErrorCode` member is raised or judged somewhere in src: a code that
+# no validator sends and no driver reads is a refusal the protocol lost.
+def unnamed_error_codes(modules: dict[str, ast.Module]) -> list[str]:
+    """Members of the `ErrorCode` class that no `ErrorCode.<member>`
+    outside the class names, in any of `modules`; each at its definition."""
+    defined, named = {}, set()
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "ErrorCode":
+                defined.update((target.id, f"{module}:{stmt.lineno} {target.id}")
+                               for stmt in node.body
+                               if isinstance(stmt, ast.Assign)
+                               for target in stmt.targets)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "ErrorCode":
+                named.add(node.attr)
+    return [site for name, site in defined.items() if name not in named]
+
+
+def test_every_error_code_is_named_in_src():
+    modules = {".".join(path.relative_to(SRC).with_suffix("").parts):
+               ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    assert unnamed_error_codes(modules) == []
+
+
+def test_error_code_check_flags_planted_codes():
+    defining = ast.parse(
+        "class ErrorCode(str, enum.Enum):\n"
+        "    SENT = 'Sent'\n"
+        "    LOST = 'Lost'\n"
+        "    JUDGED = 'Judged'\n")
+    using = ast.parse(
+        "def f(msg, other):\n"
+        "    '''ErrorCode.LOST in prose is no use.'''\n"
+        "    if msg.code == ErrorCode.JUDGED.value:\n"
+        "        raise ProtocolError(ErrorCode.SENT)\n"
+        "    return other.LOST, 'Lost'\n")
+    assert unnamed_error_codes({"types": defining, "m": using}) == [
+        "types:3 LOST"]
+
+
 # The loader checks each action field that `scenario.FIELDS` declares, so a
 # field the client workflows read without declaring it reaches them as
 # written, of any type and spelling.

@@ -3,6 +3,7 @@ import pytest
 from fastpath.authenticators import PublicKey, commit
 from fastpath.client import UnlockRqt, assemble_unlock_cert
 from fastpath.types import (
+    GAS_FEE,
     ErrorCode,
     IntValue,
     ObjectKey,
@@ -222,45 +223,61 @@ def test_unlock_gas_is_validated_and_locked(world):
     assert err.value.code == ErrorCode.BAD_GAS
 
 
-def test_unlock_on_confirmed_key_rejected(world):
+def test_unlock_vote_over_a_confirmed_key_is_cast(world):
+    # the vote is cast and locks its gas; the key stays confirmed, and the
+    # sequenced step decides whether it supersedes the unlock
     states = world.states()
-    rqt = make_rqt(world, [world.key("coin")], "gas2", "alice", ["alice"])
-    drive_unlock(world, states, rqt)
-    retry = make_rqt(world, [world.key("coin")], "gas", "alice", ["alice"])
-    with pytest.raises(ProtocolError) as err:
-        states[0].process_unlock_rqt(retry)
-    assert err.value.code == ErrorCode.ALREADY_CONFIRMED
-    assert err.value.keys == (world.key("coin"),)
+    coin = world.key("coin")
+    drive_unlock(world, states,
+                 make_rqt(world, [coin], "gas2", "alice", ["alice"]))
+    retry = make_rqt(world, [coin], "gas", "alice", ["alice"])
+    assert states[0].process_unlock_rqt(retry).rqt_digest == retry.digest
+    assert states[0].unlock_db[coin] == CONFIRMED
+    assert states[0].lock_db[world.key("gas")].holder == retry.digest
 
 
-def test_unlock_vote_refuses_only_when_every_key_is_settled(world):
-    state = world.state()
+def test_an_unlock_voted_over_settled_keys_is_superseded_when_sequenced(world):
+    states = world.states()
     coin, bcoin = world.key("coin"), world.key("bcoin")
-    settle_coin(world, [state])
+    settle_coin(world, states)
     # one key of two settled: the vote is cast over both
     both = make_rqt(world, [coin, bcoin], "gas2", "alice", ["alice", "bob"])
-    assert state.process_unlock_rqt(both).rqt_digest == both.digest
-    # every key settled: refused, naming the keys
-    alone = make_rqt(world, [coin], "bgas", "alice", ["alice", "bob"])
-    with pytest.raises(ProtocolError) as err:
-        state.process_unlock_rqt(alone)
-    assert err.value.code == ErrorCode.ALREADY_CONFIRMED
-    assert err.value.keys == (coin,)
+    assert states[0].process_unlock_rqt(both).rqt_digest == both.digest
+    # every key settled: voted too, then superseded at the sequenced step,
+    # which names the settled keys and pays the gas once
+    rqt = make_rqt(world, [coin], "bgas", "alice", ["alice", "bob"])
+    ucert = assemble_unlock_cert([s.process_unlock_rqt(rqt) for s in states],
+                                 rqt, world.params)
+    bgas = world.key("bgas")
+    paid = world.objects["bgas"].contents.amount - GAS_FEE
+    for state in states:
+        out = state.process_unlock_cert(ucert)
+        assert (out.status, out.confirmed) == ("superseded", (coin,))
+        assert state.process_unlock_cert(ucert) is out
+        assert state.latest[bgas.object_id] == 1
+        assert state.get_object(world.key("bgas", 1)).contents.amount == paid
+        assert state.unlock_db[coin] == CONFIRMED
 
 
-def test_replacement_unlock_vote_refuses_on_any_settled_key(world):
-    state = world.state()
+def test_a_replacement_voted_over_a_settled_key_is_superseded_when_sequenced(
+        world):
+    # the replacement spends coin, settled before the votes: each validator
+    # votes, and the sequenced step supersedes the unlock and pays its gas
+    states = world.states()
     coin, bcoin = world.key("coin"), world.key("bcoin")
-    settle_coin(world, [state])
+    settle_coin(world, states)
     replacement = world.tx(TxKind.SWAP, ["coin", "bcoin"], "bgas",
                            ["alice", "bob"])
     rqt = make_rqt(world, [coin, bcoin], "gas2", "alice", ["alice", "bob"],
                    replacement=replacement)
-    with pytest.raises(ProtocolError) as err:
-        state.process_unlock_rqt(rqt)
-    assert err.value.code == ErrorCode.ALREADY_CONFIRMED
-    assert err.value.keys == (coin,)
-    assert world.key("gas2") not in state.lock_db
+    ucert = assemble_unlock_cert([s.process_unlock_rqt(rqt) for s in states],
+                                 rqt, world.params)
+    for state in states:
+        out = state.process_unlock_cert(ucert)
+        assert (out.status, out.confirmed) == ("superseded", (coin,))
+        assert replacement.digest not in state.executed
+        assert state.latest[bcoin.object_id] == 0
+        assert state.latest[world.key("gas2").object_id] == 1
 
 
 # --- sequenced unlock certificates ---------------------------------------------------
