@@ -71,14 +71,16 @@ class UnlockRqt(_UnlockRqt):
 
     With a replacement transaction this runs the multi-object protocol
     (the replacement executes if no prior certificate surfaces, or after
-    those that surface when only bounded counters are listed); without
-    one, each listed key that is not a bounded counter is released by a
-    version-bumping no-op. Each listed bounded counter is reissued by the
-    consolidation that follows. A fresh gas object pays for the sequenced
-    step. `evidence` may be absent for delay-gated unauthenticated
-    requests. `certs` ride it: certificates over a listed bounded counter,
-    which voters carry and the unlock executes. Each authenticates itself,
-    so they enter `digest` only when present.
+    those that surface when only bounded counters are listed). If none
+    surfaces, a version-bumping no-op releases each listed key that is
+    neither a bounded counter nor consumed by the replacement; each listed
+    bounded counter is reissued by the consolidation that follows. It is
+    superseded only when consensus settled every listed key first. A fresh
+    gas object pays for the sequenced step. `evidence` may be absent for
+    delay-gated unauthenticated requests. `certs` ride it: certificates
+    over a listed bounded counter, which voters carry and the unlock
+    executes. Each authenticates itself, so they enter `digest` only when
+    present.
     """
 
     def signing_bytes(self) -> bytes:

@@ -18,7 +18,8 @@ runs in one pass (`process_unlock_cert`): its no-op releases the listed
 keys that are not bounded counters, and its consolidation alone reissues
 each listed bounded counter. Keys that consensus settled first (the other
 side of a swap won) are left out, and the outcome names them; only when
-all are settled, or any one under a replacement, is the unlock superseded.
+all are settled is the unlock superseded. A replacement runs before the
+no-op, which releases every listed key the replacement did not consume.
 
 Execution is pure, so each plan is memoized on the message all validators
 share, keyed by the content of its inputs: a transaction's dry run, fast-path
@@ -540,15 +541,6 @@ class ValidatorState:
         return UnlockVote.make(rqt.digest, carried.values(), self.vid,
                                self.scheme)
 
-    def _settled(self, rqt: UnlockRqt) -> tuple[tuple[ObjectKey, ...], bool]:
-        """The listed keys that consensus has settled, and whether they
-        supersede the unlock: all of them do, and so does any one of them
-        when a replacement, which cannot run over a settled key, rides."""
-        settled = tuple(k for k in rqt.object_keys
-                        if self.unlock_db.get(k) == CONFIRMED)
-        return settled, bool(settled) and (
-            rqt.multi or len(settled) == len(rqt.object_keys))
-
     def _carried(self, rqt: UnlockRqt) -> dict[bytes, Certificate]:
         """The certificates a vote carries, by tx digest: those locking a
         listed key, and each unsettled spend of a listed bounded counter."""
@@ -603,16 +595,16 @@ class ValidatorState:
     def process_unlock_cert(self, ucert: UnlockCert) -> Outcome:
         """Execute a sequenced unlock certificate once; the outcome is stored
         as the reply sent to the requester, and to anyone asking again.
-        It is `superseded` when consensus settled every listed key, or any
-        one with a replacement riding. Otherwise it acts on the unsettled
-        keys, and its `executed` outcome names the settled ones in
-        `confirmed`; a carried certificate with a settled owned input can
-        no longer run, so it counts as not carried. One pass: with nothing
-        carried, take back the fast layer of the keys; run the carried
-        certificates; run the replacement if nothing is carried, or if only
-        bounded counters are listed (it commutes with what they carried);
-        with neither a replacement nor anything carried, release the keys
-        by the no-op; consolidate the listed bounded counters; with nothing
+        It is `superseded` exactly when consensus settled every listed key.
+        Otherwise it acts on the unsettled keys, and its `executed` outcome
+        names the settled ones in `confirmed`; a carried certificate with a
+        settled owned input can no longer run, so it counts as not carried.
+        One pass: with nothing carried, take back the fast layer of the
+        keys; run the carried certificates; run the replacement if nothing
+        is carried, or if only bounded counters are listed (it commutes
+        with what they carried); with nothing carried, release by the no-op
+        every key the replacement did not consume (a failed one consumed
+        none); consolidate the listed bounded counters; with nothing
         carried, confirm the keys."""
         rqt = ucert.rqt
         if rqt.digest in self.unlock_outcomes:
@@ -622,8 +614,9 @@ class ValidatorState:
 
         self._consume_unlock_gas(rqt)
 
-        settled, superseded = self._settled(rqt)
-        if superseded:
+        settled = tuple(k for k in rqt.object_keys
+                        if self.unlock_db.get(k) == CONFIRMED)
+        if len(settled) == len(rqt.object_keys):
             out = Outcome(rqt.digest, "superseded", self.vid,
                           confirmed=settled)
             self.unlock_outcomes[rqt.digest] = out
@@ -648,12 +641,16 @@ class ValidatorState:
             signs.append(self._execute_sequenced(cert.tx, via="unlock"))
             for key in owned_keys:
                 self._confirm(key)
+        replaced = None
         if rqt.multi and (not carried or all(
                 self._bounded(k.object_id) is not None for k in rqt.object_keys)):
-            signs.append(self._execute_sequenced(
-                rqt.replacement_tx, via="unlock", uncertified=True))
-        elif not carried:
-            signs.append(self._execute_noop(rqt, keys))
+            replaced = self._execute_sequenced(
+                rqt.replacement_tx, via="unlock", uncertified=True)
+            signs.append(replaced)
+        if not carried:
+            spent = replaced.effects.consumed if replaced else ()
+            signs.append(self._execute_noop(
+                rqt, [k for k in keys if k not in spent]))
         signs.append(self._consolidate_listed(rqt, keys))
         if not carried:
             for key in keys:
@@ -721,10 +718,11 @@ class ValidatorState:
             self.emit("undo", tx=tx_digest.hex(), keys=plan.consumed_ids)
 
     def _execute_noop(self, rqt: UnlockRqt, keys) -> EffectSign | None:
-        """Version-bumping no-op over `keys`, the listed keys that consensus
-        has not settled, except bounded counters, contents untouched; None
-        when there are none. The consolidation reissues the counters; the
-        trace records the no-op as its `seq_exec` (via `noop`)."""
+        """Version-bumping no-op over `keys`, the listed keys that neither
+        consensus nor the replacement settled, except bounded counters,
+        contents untouched; None when there are none. The consolidation
+        reissues the counters; the trace records the no-op as its
+        `seq_exec` (via `noop`)."""
         inputs = [self._check_key(k) for k in keys
                   if self._bounded(k.object_id) is None]
         if not inputs:

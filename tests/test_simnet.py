@@ -1038,6 +1038,35 @@ def test_a_replacement_debit_is_checked_against_the_counter(debit, refused):
     assert check_invariants(trace) == []
 
 
+def test_a_replacement_that_cannot_pay_its_gas_leaves_its_key_spendable():
+    # the replacement's gas holds nothing, so it fails on every validator;
+    # the no-op releases coin in its place, and the later transfer of coin
+    # finalizes instead of meeting a key confirmed at v0
+    trace = run(Scenario.from_dict({
+        "committee": {"n": 4, "f": 1},
+        "seed": 3, "ticks": 5000, "epoch_length": 50000,
+        "network": {"min_delay": 1, "max_delay": 4},
+        "accounts": ["alice", "bob"],
+        "objects": [{"name": name, "kind": "owned", "owner": {"pk": "alice"},
+                     "contents": amount} for name, amount in (
+                         ("coin", 10), ("poor", 0), ("ug", 50), ("g2", 50))],
+        "script": [
+            {"at": 5, "client": "alice", "action": "unlock", "keys": ["coin"],
+             "gas": "ug", "replacement": {"action": "transfer",
+                                          "inputs": ["coin"], "gas": "poor",
+                                          "to": "bob"}},
+            {"at": 200, "client": "alice", "action": "transfer",
+             "inputs": ["coin"], "gas": "g2", "to": "bob"},
+        ],
+    }))
+    assert {(e["actor"], e["code"]) for e in trace.select(
+        "sequenced_exec_failed")} == {(f"v{i}", "InsufficientGas")
+                                      for i in range(4)}
+    assert [(e["action"], e["status"]) for e in trace.select("driver_done")] \
+        == [("unlock", "unlocked"), ("transfer", "finalized")]
+    assert check_invariants(trace) == []
+
+
 def test_a_no_commit_unlock_takes_back_a_debit_whose_vote_missed_the_quorum():
     # a counter of 10 is credited 20, then debited 16 with the certificate
     # sent to v0-v2 only, then unlocked. v0, v2 and v3 vote before they see

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastpath.authenticators import PublicKey, commit
 from fastpath.client import UnlockRqt, assemble_unlock_cert
@@ -11,6 +12,7 @@ from fastpath.types import (
     TxKind,
 )
 from fastpath.validator import CONFIRMED, UNLOCKED
+from tests.conftest import World
 
 
 def make_rqt(world, keys, gas, requester, signers, replacement=None,
@@ -259,10 +261,30 @@ def test_an_unlock_voted_over_settled_keys_is_superseded_when_sequenced(world):
         assert state.unlock_db[coin] == CONFIRMED
 
 
-def test_a_replacement_voted_over_a_settled_key_is_superseded_when_sequenced(
-        world):
+def assert_released_past_a_failed_replacement(world, states, ucert,
+                                              replacement):
+    """Each state runs `ucert` once: coin was settled, so the replacement
+    cannot run, and the no-op releases bcoin, which a transaction at v1 may
+    then spend; the gas is paid once."""
+    coin, bcoin = world.key("coin"), world.key("bcoin")
+    for state in states:
+        out = state.process_unlock_cert(ucert)
+        assert (out.status, out.confirmed) == ("executed", (coin,))
+        assert replacement.digest not in state.executed
+        noop, = out.signs
+        assert noop.effects.consumed == (bcoin,)
+        assert state.latest[bcoin.object_id] == 1
+        assert state.unlock_db[bcoin] == CONFIRMED
+        assert state.latest[world.key("gas2").object_id] == 1
+    spend = world.tx(TxKind.NOOP, [world.key("bcoin", 1)], "bgas", ["bob"])
+    for state in states:
+        assert state.process_tx(spend).verify(world.scheme)
+
+
+def test_a_replacement_voted_over_a_settled_key_releases_the_rest(world):
     # the replacement spends coin, settled before the votes: each validator
-    # votes, and the sequenced step supersedes the unlock and pays its gas
+    # votes, and at the sequenced step the replacement fails, the no-op
+    # releases bcoin and the unlock pays its gas
     states = world.states()
     coin, bcoin = world.key("coin"), world.key("bcoin")
     settle_coin(world, states)
@@ -272,12 +294,8 @@ def test_a_replacement_voted_over_a_settled_key_is_superseded_when_sequenced(
                    replacement=replacement)
     ucert = assemble_unlock_cert([s.process_unlock_rqt(rqt) for s in states],
                                  rqt, world.params)
-    for state in states:
-        out = state.process_unlock_cert(ucert)
-        assert (out.status, out.confirmed) == ("superseded", (coin,))
-        assert replacement.digest not in state.executed
-        assert state.latest[bcoin.object_id] == 0
-        assert state.latest[world.key("gas2").object_id] == 1
+    assert_released_past_a_failed_replacement(world, states, ucert,
+                                              replacement)
 
 
 # --- sequenced unlock certificates ---------------------------------------------------
@@ -473,8 +491,9 @@ def test_unlock_with_every_key_settled_is_superseded(world):
         assert state.latest[bcoin.object_id] == 1  # the checkpoint's bump only
 
 
-def test_replacement_unlock_with_one_settled_key_is_superseded(world):
-    # the replacement spends coin too, so it cannot run once coin is settled
+def test_replacement_unlock_with_one_settled_key_releases_the_rest(world):
+    # the replacement spends coin too, so it cannot run once coin is settled;
+    # the unlock is not superseded, since bcoin is not settled
     states = world.states()
     coin, bcoin = world.key("coin"), world.key("bcoin")
     replacement = world.tx(TxKind.SWAP, ["coin", "bcoin"], "bgas",
@@ -484,12 +503,83 @@ def test_replacement_unlock_with_one_settled_key_is_superseded(world):
     votes = [s.process_unlock_rqt(rqt) for s in states]
     ucert = assemble_unlock_cert(votes, rqt, world.params)
     settle_coin(world, states)
+    assert_released_past_a_failed_replacement(world, states, ucert,
+                                              replacement)
+
+
+def test_a_listed_key_the_replacement_skips_is_released_by_the_noop(world):
+    # the replacement spends coin alone; bcoin, listed too, is released by
+    # the no-op rather than confirmed at v0, and a spend of it signs
+    states = world.states()
+    coin, bcoin = world.key("coin"), world.key("bcoin")
+    replacement = world.transfer("coin", "gas", "alice", "bob")
+    rqt = make_rqt(world, [coin, bcoin], "gas2", "alice", ["alice", "bob"],
+                   replacement=replacement)
+    for out, state in zip(drive_unlock(world, states, rqt), states):
+        assert (out.status, out.confirmed) == ("executed", ())
+        assert [s.effects.consumed for s in out.signs] \
+            == [replacement.inputs, (bcoin,)]
+        assert state.latest[coin.object_id] == state.latest[bcoin.object_id] \
+            == 1
+        assert state.unlock_db[bcoin] == CONFIRMED
+    spend = world.tx(TxKind.NOOP, [world.key("bcoin", 1)], "bgas", ["bob"])
     for state in states:
-        out = state.process_unlock_cert(ucert)
-        assert (out.status, out.confirmed) == ("superseded", (coin,))
-        assert replacement.digest not in state.executed
-        assert state.latest[bcoin.object_id] == 0
-        assert state.latest[world.key("gas2").object_id] == 1
+        assert state.process_tx(spend).verify(world.scheme)
+
+
+def _stranding_world() -> World:
+    """Alice's coins k0-k2, a settling gas for each, the unlock's gas, and a
+    replacement gas that can pay (rich) and one that cannot (poor)."""
+    world = World()
+    for i in range(3):
+        world.add_owned(f"k{i}", "alice", 10)
+        world.add_owned(f"s{i}", "alice", 50)
+    for name, amount in (("ug", 50), ("rich", 50), ("poor", 0)):
+        world.add_owned(name, "alice", amount)
+    return world
+
+
+STRANDING_WORLD = _stranding_world()
+
+
+@st.composite
+def stranding_unlocks(draw):
+    """Listed keys, a settled subset that is not all of them, and no
+    replacement or a transfer of some listed keys paid by `rich` or `poor`."""
+    listed = draw(st.lists(st.sampled_from(["k0", "k1", "k2"]), min_size=1,
+                           unique=True))
+    settled = draw(st.lists(st.sampled_from(listed), max_size=len(listed) - 1,
+                            unique=True))
+    spent = draw(st.none() | st.lists(st.sampled_from(listed), min_size=1,
+                                      unique=True))
+    return listed, settled, spent, draw(st.sampled_from(["rich", "poor"]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(stranding_unlocks())
+def test_an_unlock_that_carries_nothing_strands_no_unsettled_key(drawn):
+    # whatever the replacement does, every listed key consensus had not
+    # settled leaves its listed version, and none stays unlocked
+    listed, settled, spent, gas = drawn
+    world = STRANDING_WORLD
+    states = world.states()
+    bob = commit(PublicKey(world.account("bob")))
+    replacement = None if spent is None else world.tx(
+        TxKind.TRANSFER, spent, gas, ["alice"], new_owner=bob)
+    rqt = make_rqt(world, [world.key(n) for n in listed], "ug", "alice",
+                   ["alice"], replacement=replacement)
+    ucert = assemble_unlock_cert([s.process_unlock_rqt(rqt) for s in states],
+                                 rqt, world.params)
+    for name in settled:
+        cert = world.cert(world.tx(TxKind.NOOP, [name], "s" + name[1],
+                                   ["alice"]))
+        for state in states:
+            state.process_checkpoint_cert(cert)
+    for state in states:
+        assert state.process_unlock_cert(ucert).status == "executed"
+        for key in (world.key(n) for n in listed if n not in settled):
+            assert state.unlock_db.get(key) != UNLOCKED
+            assert state.latest[key.object_id] > key.version
 
 
 # --- auto unlock -----------------------------------------------------------------------
