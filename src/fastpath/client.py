@@ -191,25 +191,6 @@ def assemble_unlock_cert(votes, rqt: UnlockRqt, params: CommitteeParams,
     return UnlockCert(rqt, ordered)
 
 
-def retry_after_unlock(tx: Transaction, unlock_effects: EffectCert) -> Transaction:
-    """Rebuild a transaction against the versions the unlock produced.
-
-    Inputs whose object ids appear in the unlock's produced set move to
-    the fresh versions; evidence is dropped since the rebuilt transaction
-    has a new digest and must be re-signed.
-    """
-    bumped = {obj.key.object_id: obj.key.version
-              for obj in unlock_effects.effects.produced}
-
-    def remap(key: ObjectKey) -> ObjectKey:
-        if key.object_id in bumped:
-            return ObjectKey(key.object_id, bumped[key.object_id])
-        return key
-
-    return tx._replace(inputs=tuple(remap(k) for k in tx.inputs),
-                       gas=remap(tx.gas), evidence=None)
-
-
 # --- replies -------------------------------------------------------------------
 
 class Rejection(NamedTuple):

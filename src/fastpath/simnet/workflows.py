@@ -2,10 +2,10 @@
 
 `ClientActor` turns a script action into signed transactions and unlock
 requests, drives them with the drivers of `fastpath.client`, and runs the
-workflows built on them: a transaction with its recovery from a lock
-(unlock, then retry), the unlock action, the double send, and the
-bounded-counter spend loop. The harness a client runs in (network,
-validator and sequencer actors, queue) is `runner.py`.
+workflows built on them: a transaction with its recovery when the fast
+path blocks, the unlock action, the double send, and the bounded-counter
+spend loop. The harness a client runs in (network, validator and
+sequencer actors, queue) is `runner.py`.
 
 Clients learn owners only from what the protocol shows them, kept in
 maps that all clients of a run share: `seen`, every object version clients
@@ -34,34 +34,35 @@ submits its `UnlockCert` to the sequencer as it is. Each action is a
 generator workflow: it yields a list of (driver class, subject, driver
 options), and once every driver of the list has finished it resumes with
 the finished drivers in the order they finished. A driver's `status`,
-`effect_certs` and `confirmed` keys are its result. A transaction, the
-double send among them, recovers from a lock when its action names
-`unlock_gas`, by one unlock per recovery paid by its first object, and is
-not retried once consensus settled one of its keys. Lock recovery,
-consolidation and the unlock action share `_unlock`.
+`effect_certs` and `confirmed` keys are its result.
+
+One rule, `_recovery`, answers a fast-path attempt that f+1 validators
+blocked, by a lock or by a budget, with the paper's fast unlock: a lock
+unlocks the owned inputs; a debit refused for its bounded counter
+consolidates the counter and its owned inputs, riding as the replacement;
+a debit that a reissue overtook retries at the new version. A transaction
+(the double send too) recovers when its action names `unlock_gas`, paying
+each unlock with its first object. `_unlock` serves every unlock.
 
 A bounded-counter spend (`spend_loop`) debits either fixed `amounts` in
 order or, greedily, as much of `target` as a fresh per-validator budget
 allows. Each debit takes the one path that can serve it, by the counter's
-limit at the client's version and what the spend's own fast-path debits
-at that version left of the limit's fresh budget: an amount above the
-limit ends the spend, since no consolidation makes room; one above the
-budget left rides a consolidation (the unlock step on the counter) as its
-replacement; any other goes on the fast path. A fast-path rejection
-(another client's debits drained the budgets) consolidates and tries
-again. A debit that a consolidation follows at once, a greedy one that
-leaves target unmet or a fixed one that leaves less budget than the next
-amount, which fits the limit, is only certified: its certificate rides
-that consolidation (`UnlockRqt.certs`), which executes it. It rides while
-gas is left for the consolidation (and, fixed, for the next amount), on a
-counter that the spender's key alone owns. A debit or consolidation that
-ends `superseded` met a counter that another client's consolidation
-reissued: the spend drops that gas, as it does a rider's that did not
-run, and goes on. The spend ends with one `spend_done` event, whose `reason` is absent
+limit at the client's version less the spend's own fast-path debits at
+that version: an amount above the limit ends the spend; one above the
+budget left rides a consolidation (an unlock of the counter) as its
+replacement; any other goes on the fast path, and `_recovery` answers it
+if it does not finalize. A debit that a consolidation follows at once (a
+greedy one that leaves target unmet, or a fixed one that leaves less
+budget than the next amount, which fits the limit) is only certified: its
+certificate rides that consolidation (`UnlockRqt.certs`), while gas is
+left, on a counter that the spender's key alone owns. A superseded
+consolidation or an overtaken debit met a counter that another client
+reissued: the spend goes on, dropping the gas of an overtaken debit or of
+a rider that did not run. `spend_done` ends it; its `reason` is absent
 when the target is met, the amounts are spent or the counter is empty,
-and otherwise one of `over_limit`, `out_of_gas`, `out_of_unlock_gas`,
+and otherwise `over_limit`, `out_of_gas`, `out_of_unlock_gas`,
 `consolidate_<status>` for an unlock that ended neither `unlocked` nor
-`superseded`, or the status of a debit that ended `timeout`.
+`superseded`, or the status of a debit that nothing recovers.
 """
 
 from __future__ import annotations
@@ -70,14 +71,10 @@ import functools
 
 from ..authenticators import AuthContext, Evidence, PublicKey, annotate, \
     commit, find_path, reveal_from
-from ..client import (
-    FastPathDriver,
-    FastUnlockDriver,
-    UnlockRqt,
-    retry_after_unlock,
-)
-from ..counters import initial_budget
+from ..client import FastPathDriver, FastUnlockDriver, UnlockRqt
+from ..counters import FLAVOR_BOUNDED, initial_budget
 from ..types import (
+    ErrorCode,
     Object,
     ObjectKey,
     ObjectKind,
@@ -87,8 +84,13 @@ from ..types import (
 )
 from .scenario import TX_ACTIONS, object_id_for
 
-# Retries after an unlock that a scripted transaction makes from a lock.
+# Retries that a scripted transaction makes after `_recovery`.
 MAX_RECOVERIES = 2
+# A debit's refusals that a consolidation answers: a drained budget, another
+# consolidation's reservation, a counter version not reached or left behind.
+COUNTER_REFUSALS = {e.value for e in (
+    ErrorCode.BUDGET_EXHAUSTED, ErrorCode.OBJECT_UNLOCKED,
+    ErrorCode.MISSING_OBJECT, ErrorCode.STALE_VERSION)}
 
 
 class ClientActor:
@@ -166,13 +168,14 @@ class ClientActor:
         return versions[max(known)] if known else None
 
     def _kind(self, key: ObjectKey) -> ObjectKind | None:
-        obj = self.seen_at(key)
-        return obj.kind if obj is not None else None
+        return getattr(self.seen_at(key), "kind", None)
+
+    def _contents(self, key: ObjectKey):
+        return getattr(self.seen_at(key), "contents", None)
 
     def _counter_limit(self, name: str) -> int:
         """The spendable credit of the counter at this client's version."""
-        obj = self.seen_at(self.key_of(name))
-        return getattr(obj.contents, "limit", 0) if obj is not None else 0
+        return getattr(self._contents(self.key_of(name)), "limit", 0)
 
     def _evidence(self, message: bytes, signer_names, object_keys,
                   all_oids) -> Evidence:
@@ -270,7 +273,7 @@ class ClientActor:
     def _start_action(self, action: dict) -> None:
         name = action["action"]
         if name in TX_ACTIONS:
-            self._run(self._transact(action, [(self._build_tx(action), {
+            self._run(self._transact(action, [(action, {
                 "first_to": action.get("first_to"),
                 "cert_to": action.get("cert_to")})], MAX_RECOVERIES))
         elif name == "unlock":
@@ -280,16 +283,16 @@ class ClientActor:
             # conflicting transactions, each to part of the committee
             dup = {**action, "action": "transfer"}
             self._run(self._transact(action, [
-                (self._build_tx({**dup, "memo": "dup-a"}),
-                 {"first_to": action.get("first_to")}),
-                (self._build_tx({**dup, "memo": "dup-b"}),
+                ({**dup, "memo": "dup-a"}, {"first_to": action.get("first_to")}),
+                ({**dup, "memo": "dup-b"},
                  {"first_to": action.get("first_to_second")})], 1))
         elif name == "spend_loop":
             self._run(self._spend(action))
 
     def _finish_action(self, action: dict, driver, status: str) -> None:
         self.emit("driver_done", action=action["action"], status=status,
-                  rounds=driver.round_trips, retries=driver.retries)
+                  rounds=driver.round_trips if driver else 0,
+                  retries=driver.retries if driver else 0)
 
     def _unlock(self, action: dict, keys, gas: str,
                 replacement: Transaction | None = None, certs=(), **options):
@@ -312,54 +315,65 @@ class ClientActor:
             self.runner.versions[gas_key.object_id] = gas_key.version + 1
         return driver
 
+    def _recovery(self, tx: Transaction, driver):
+        """The one recovery rule (module docstring) for an attempt of `tx`
+        that `driver` did not finalize: the unlock that answers what blocked
+        it, as its keys and replacement; () to retry without one; None when
+        nothing recovers it."""
+        counter = next((k for k in tx.inputs if tx.kind == TxKind.DEBIT and
+                        getattr(self._contents(k), "flavor", None)
+                        == FLAVOR_BOUNDED), None)
+        if driver.status == "locked":
+            return self._owned_keys(tx), None
+        if counter and driver.status == "rejected" \
+                and set(driver.rejections.values()) <= COUNTER_REFUSALS:
+            return (counter, *self._owned_keys(tx)), tx
+        if counter and driver.status == "superseded":
+            return ()
+        return None
+
     def _transact(self, action: dict, sends, recoveries: int):
-        """Drive the first attempt's `sends`, (transaction, driver options)
-        pairs, on the fast path together. The attempt ends finalized if any
-        send finalized, locked if any locked, and otherwise as the first send
-        to finish. A lock recovers while `recoveries` last, when the action
-        names `unlock_gas`: one unlock of every owned input of the first
-        send, paid by the first `unlock_gas` object, then a retry unless the
-        unlock executed the send or names a settled key. A superseded unlock
-        found every key settled, and the action ends `superseded`."""
-        tx = sends[0][0]
+        """Drive the first attempt's `sends`, (action to build, driver
+        options) pairs, on the fast path together. The attempt ends
+        finalized if any send finalized, locked if any locked, and otherwise
+        as the first send to finish. The first send recovers while
+        `recoveries` last, rebuilt at the versions clients see, unless its
+        unlock ran it, names a settled owned key or was superseded."""
         retried = False
         while True:
-            drivers = yield [(FastPathDriver, *send) for send in sends]
+            txs = [self._build_tx(build) for build, _ in sends]
+            drivers = yield [(FastPathDriver, tx, options)
+                             for tx, (_, options) in zip(txs, sends)]
             driver = next((d for status in ("finalized", "locked")
                            for d in drivers if d.status == status), drivers[0])
-            status = driver.status
+            status, end = driver.status, None
+            plan = (None if status == "finalized" or recoveries <= 0
+                    or "unlock_gas" not in action
+                    else self._recovery(txs[0], driver))
             if status == "finalized":
                 self._update_view(driver.effect_certs)
-                self._finish_action(
-                    action, driver,
-                    "finalized_after_unlock" if retried else status)
+                end = "finalized_after_unlock" if retried else status
+            elif plan is None:
+                end = f"retry_{status}" if retried else status
+            elif plan and not action["unlock_gas"]:
+                driver, end = None, "unlock_out_of_gas"
+            elif plan:
+                keys, replacement = plan
+                driver = yield from self._unlock(
+                    action, keys, action["unlock_gas"][0], replacement)
+                ran = any(c.effects.tx_digest == txs[0].digest
+                          for c in driver.effect_certs)
+                if driver.status != "unlocked":
+                    end = ("superseded" if driver.status == "superseded"
+                           else f"unlock_{driver.status}")
+                elif ran or any(self._kind(k) == ObjectKind.OWNED
+                                for k in driver.confirmed):
+                    end = "finalized_by_unlock" if ran else "unlocked"
+            if end:
+                self._finish_action(action, driver, end)
                 return
-            if status != "locked" or recoveries <= 0 \
-                    or "unlock_gas" not in action:
-                self._finish_action(action, driver, f"retry_{status}"
-                                    if retried else status)
-                return
-            if not action["unlock_gas"]:
-                self.emit("driver_done", action=action["action"],
-                          status="unlock_out_of_gas", rounds=0, retries=0)
-                return
-            driver = yield from self._unlock(action, self._owned_keys(tx),
-                                             action["unlock_gas"][0])
-            if driver.status != "unlocked":
-                self._finish_action(action, driver, "superseded"
-                                    if driver.status == "superseded"
-                                    else f"unlock_{driver.status}")
-                return
-            finalized = any(c.effects.tx_digest == tx.digest
-                            for c in driver.effect_certs)
-            if finalized or driver.confirmed:
-                self._finish_action(action, driver, "finalized_by_unlock"
-                                    if finalized else "unlocked")
-                return
-            tx = self._sign_tx(retry_after_unlock(tx, driver.effect_certs[0]),
-                               action.get("signers", [self.name]))
             recoveries -= 1
-            retried, sends = True, [(tx, {})]
+            retried, sends = True, [(sends[0][0], {})]
 
     def _unlock_action(self, action: dict):
         keys = [self.key_of(n) for n in action["keys"]]
@@ -371,8 +385,7 @@ class ClientActor:
         self._finish_action(action, driver, driver.status)
 
     def _spend(self, action: dict):
-        """The spend loop: each debit takes the path the module docstring
-        gives."""
+        """The spend loop of the module docstring."""
         counter = action["counter"]
         remaining = int(action.get("target", self._counter_limit(counter)))
         amounts = list(action["amounts"]) if "amounts" in action else None
@@ -404,7 +417,7 @@ class ClientActor:
                 break
             tx = self._build_tx({**action, "action": "debit", "amount": amount,
                                  "inputs": [counter], "gas": gas_pool[0]})
-            replacement, certs = None, ()
+            keys, replacement, certs = [self.key_of(counter)], None, ()
             if amount > budget:  # only consensus can carry it
                 gas_pool.pop(0)
                 replacement = tx
@@ -431,19 +444,20 @@ class ClientActor:
                     if remaining <= 0:
                         continue
                     # greedy mode drained the budgets; consolidate right away
-                elif driver.status in ("rejected", "locked", "superseded"):
-                    gas_pool.pop(0)  # parts of this gas may now be locked
-                    if driver.status == "superseded":
-                        continue  # another consolidation reissued the counter
                 else:
-                    reason = driver.status
-                    break
+                    plan = self._recovery(tx, driver)
+                    if plan is None:
+                        reason = driver.status
+                        break
+                    if not plan:  # its overtaken certificate holds the gas
+                        gas_pool.pop(0)
+                        continue
+                    keys, replacement = plan
             if not unlock_gas_pool:
                 reason = "out_of_unlock_gas"
                 break
             driver = yield from self._unlock(
-                action, [self.key_of(counter)], unlock_gas_pool.pop(0),
-                replacement, certs)
+                action, keys, unlock_gas_pool.pop(0), replacement, certs)
             ran = {c.effects.tx_digest for c in driver.effect_certs}
             if certs and tx.digest not in ran:
                 gas_pool.pop(0)  # a rider that did not run counts nothing

@@ -116,11 +116,12 @@ def bounded_spend(seed, amounts=None, target=100, limit=100, fault=None,
     return Scenario.from_dict(data)
 
 
-def counter_race(seed, fault=None, fault_vid=0):
+def counter_race(seed, fault=None, fault_vid=0, amount=15):
     """Concurrent debits of one bounded counter: each of the 8 clients of
-    its `any` owner debits 15 on the fast path at tick 5. Together they ask
-    for more than the limit of 100, so per-validator budgets must refuse
-    some."""
+    its `any` owner debits `amount` on the fast path at tick 5. At 15 they
+    ask for more than the limit of 100, so per-validator budgets must refuse
+    some; at 10 the limit covers them all, and the budgets still refuse
+    some on the fast path."""
     names = [f"c{i}" for i in range(8)]
     objects = [{"name": "pool", "kind": "commutative", "flavor": "bounded",
                 "limit": 100, "owner": {"any": [{"pk": c} for c in names]}}]
@@ -128,7 +129,7 @@ def counter_race(seed, fault=None, fault_vid=0):
     for c in names:
         objects += gas_objects(c, [f"{c}g", f"{c}u0", f"{c}u1"], 30)
         script.append({"at": 5, "client": c, "action": "debit",
-                       "inputs": ["pool"], "gas": f"{c}g", "amount": 15,
+                       "inputs": ["pool"], "gas": f"{c}g", "amount": amount,
                        "signers": [c], "unlock_gas": [f"{c}u0", f"{c}u1"]})
     data = {
         "committee": {"n": 4, "f": 1},

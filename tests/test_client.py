@@ -22,7 +22,6 @@ from fastpath.client import (
     UnlockRqt,
     UnlockVote,
     assemble_unlock_cert,
-    retry_after_unlock,
 )
 from fastpath.crypto import DEFAULT_SCHEME
 from fastpath.types import (
@@ -31,12 +30,7 @@ from fastpath.types import (
     EffectSign,
     EffectSummary,
     ErrorCode,
-    IntValue,
-    Object,
-    ObjectKey,
-    ObjectKind,
     ProtocolError,
-    TxKind,
     quorum,
     verify_effect_cert,
 )
@@ -146,36 +140,6 @@ def test_unlock_cert_verify_rejects_bad_vote(world):
     votes = (vote(rqt, 0), vote(rqt, 1),
              UnlockVote(rqt.digest, (), 2, b"\x00" * 32))
     assert not UnlockCert(rqt, votes).verify(world.params)
-
-
-def test_retry_after_unlock_bumps_versions(world):
-    tx = world.transfer("coin", "gas", "alice", "bob")
-    produced = tuple(
-        Object(ObjectKey(world.key(n).object_id, 1), ObjectKind.OWNED,
-               world.objects[n].owner, world.objects[n].contents)
-        for n in ("coin", "gas"))
-    effects = EffectSummary(b"\x01" * 32, tuple(tx.inputs), produced)
-    signs = tuple(EffectSign.make(effects, v, DEFAULT_SCHEME)
-                  for v in range(3))
-    rebuilt = retry_after_unlock(tx, EffectCert(effects, signs))
-    assert all(k.version == 1 for k in rebuilt.inputs)
-    assert rebuilt.gas.version == 1
-    assert rebuilt.digest != tx.digest
-    assert rebuilt.evidence is None
-
-
-def test_retry_leaves_untouched_inputs_alone(world):
-    tx = world.tx(TxKind.SWAP, ["coin", "bcoin"], "gas", ["alice", "bob"])
-    coin_new = Object(ObjectKey(world.key("coin").object_id, 1),
-                      ObjectKind.OWNED, world.objects["coin"].owner,
-                      IntValue(100))
-    effects = EffectSummary(b"\x02" * 32, (world.key("coin"),), (coin_new,))
-    signs = tuple(EffectSign.make(effects, v, DEFAULT_SCHEME)
-                  for v in range(3))
-    rebuilt = retry_after_unlock(tx, EffectCert(effects, signs))
-    versions = {k.object_id: k.version for k in rebuilt.inputs}
-    assert versions[world.key("coin").object_id] == 1
-    assert versions[world.key("bcoin").object_id] == 0
 
 
 class RecordingEnv:

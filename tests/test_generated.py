@@ -260,10 +260,34 @@ def test_two_spends_of_one_counter_end_only_for_want_of_counter(data):
     assert {e.get("reason") for e in done} <= {None, "over_limit"}
 
 
+def test_a_debit_refused_for_budget_reservation_or_version_consolidates():
+    # a draw of the two-spender property's shape. f+1 validators refuse
+    # b's greedy 117 for budget (`Rejected`), and later a's 13 for a counter
+    # another consolidation reserved (`ObjectUnlocked`) or reissued at a
+    # version they have not reached (`MissingObject`). Each refusal
+    # consolidates the counter with the debit riding: neither spend ends
+    # `rejected`, and b's 117 runs on the unlock path
+    script = [{"at": 5, "client": client, "action": "spend_loop",
+               "counter": "pool", "signers": [client],
+               "gas_pool": [f"{client}g{i}" for i in range(10)],
+               "unlock_gas_pool": [f"{client}u{i}" for i in range(10)],
+               **fields}
+              for client, fields in (("a", {"amounts": [58, 13], "target": 71}),
+                                     ("b", {"target": 143}))]
+    data = spend_scenario(176, script, seed=288115412)
+    data["faults"] = {"2": {"kind": "infinite_budget"}}
+    trace, done = run_spends(data)
+    assert {e.get("reason") for e in done} <= {None, "over_limit"}
+    refused = {e["tx"] for e in trace.select("fast_driver_finished")
+               if e["status"] == "rejected"}
+    assert [(e["actor"], e["amount"]) for e in trace.select("effect_cert")
+            if e["tx"] in refused] == [("b", 117)]
+
+
 def test_a_debit_that_meets_a_budget_the_other_spender_drained_consolidates():
     # each spender sees a fresh budget of 66 for its 40; every validator
     # signs a's first and refuses b's, which then consolidates the counter
-    # and spends its 40 of the 60 reissued
+    # with its debit riding, so the counter is reissued at 100 - 40 - 40
     script = [{"at": 5, "client": client, "action": "spend_loop",
                "counter": "pool", "signers": [client], "amounts": [40],
                "target": 40, "gas_pool": [f"{client}g0", f"{client}g1"],
@@ -272,9 +296,12 @@ def test_a_debit_that_meets_a_budget_the_other_spender_drained_consolidates():
     trace, done = run_spends(data)
     assert {(e["actor"], e["amount"]) for e in trace.select("budget_reject")} \
         == {(f"v{vid}", 40) for vid in range(4)}
-    assert [e["limit"] for e in trace.select("consolidate")] == [60] * 4
-    assert [(e["actor"], e["remaining"], e["consolidations"], e.get("reason"))
-            for e in done] == [("a", 0, 0, None), ("b", 0, 1, None)]
+    assert [e["limit"] for e in trace.select("consolidate")] == [20] * 4
+    assert sorted((e["actor"], e["path"]) for e in trace.select("effect_cert")
+                  if e["tx_kind"] == "debit") == [("a", "fast"), ("b", "unlock")]
+    assert sorted((e["actor"], e["remaining"], e["consolidations"],
+                   e.get("reason")) for e in done) \
+        == [("a", 0, 0, None), ("b", 0, 1, None)]
 
 
 def test_spends_of_a_shared_counter_do_not_ride_their_certificates():
@@ -295,20 +322,23 @@ def test_spends_of_a_shared_counter_do_not_ride_their_certificates():
 
 
 def test_a_consolidation_the_other_spender_overtook_is_superseded_and_paid():
-    # one spender's consolidation lists a counter version that the other's
-    # consolidation reissued first. Every validator votes on it, the
-    # sequenced step supersedes it, and its unlock gas is paid and seen
+    # one spender's consolidation, which lists only the counter, lists a
+    # version that the other's consolidation reissued first. Every
+    # validator votes on it, the sequenced step supersedes it, and its
+    # unlock gas is paid and seen
     script = [{"at": 5, "client": client, "action": "spend_loop",
                "counter": "pool", "signers": [client], "target": target,
                "gas_pool": [f"{client}g{i}" for i in range(10)],
                "unlock_gas_pool": [f"{client}u{i}" for i in range(10)]}
               for client, target in (("a", 35), ("b", 85))]
-    runner = Runner(Scenario.from_dict(spend_scenario(122, script, seed=12)))
+    runner = Runner(Scenario.from_dict(spend_scenario(122, script, seed=13)))
     trace = runner.run()
     assert trace.quiesced and check_invariants(trace) == []
     assert check_gas_conservation(trace) == []
+    keys = {e["rqt"]: e["keys"] for e in trace.select("unlock_started")}
     end, = [e for e in trace.select("unlock_driver_finished")
             if e["status"] == "superseded"]
+    assert [oid for oid, _ in keys[end["rqt"]]] == [object_id_for("pool").hex()]
     assert sorted(e["actor"] for e in trace.select("unlock_ignored")
                   if e["rqt"] == end["rqt"]) == ["v0", "v1", "v2", "v3"]
     # each of a spender's unlocks pays with the next of its unlock gas pool

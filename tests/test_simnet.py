@@ -58,6 +58,7 @@ from fastpath.validator import ValidatorState
 
 from tests.scenario_builders import (
     bounded_spend,
+    counter_race,
     double_send,
     gas_objects,
     plain_transfer,
@@ -986,6 +987,18 @@ def test_a_greedy_debit_with_no_unlock_gas_left_finalizes_on_the_fast_path():
     done, = trace.select("spend_done")
     assert (done["reason"], done["remaining"], done["consolidations"]) \
         == ("out_of_unlock_gas", 12, 1)
+
+
+def test_debits_the_counter_covers_are_never_left_rejected():
+    # eight concurrent debits of 10 from a counter of 100: the budgets
+    # refuse some on the fast path, and each refused one consolidates the
+    # counter with the debit riding, so none ends `rejected`
+    for i in range(4):
+        trace = run(counter_race(derive_seed(20, i), amount=10))
+        assert trace.quiesced and check_invariants(trace) == []
+        assert trace.select("budget_reject")
+        statuses = [e["status"] for e in trace.select("driver_done")]
+        assert len(statuses) == 8 and "rejected" not in statuses
 
 
 def test_a_lock_recovery_without_unlock_gas_ends_unlock_out_of_gas():

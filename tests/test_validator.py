@@ -200,6 +200,32 @@ def test_unlock_vote_carries_known_certificate(world):
     assert [c.tx.digest for c in vote.carried] == [tx.digest]
 
 
+@pytest.mark.parametrize("replaced", [True, False])
+def test_a_vote_that_carries_a_certificate_reserves_by_the_protocol(
+        world, replaced):
+    # a voter that carries a certificate over `coin` reserves the other
+    # listed keys only for an unlock without a replacement (`reserve_all`
+    # in `process_unlock_rqt`); left unreserved, `bcoin` still signs there
+    world.add_owned("bgas2", "bob", 50)
+    state = world.state()
+    state.process_cert(world.cert(world.transfer("coin", "gas", "alice",
+                                                  "carol")))
+    swap = world.tx(TxKind.SWAP, ["coin", "bcoin"], "bgas", ["alice", "bob"])
+    rqt = make_rqt(world, [world.key("coin"), world.key("bcoin")], "gas2",
+                   "alice", ["alice", "bob"],
+                   replacement=swap if replaced else None)
+    assert len(state.process_unlock_rqt(rqt).carried) == 1
+    later = world.transfer("bcoin", "bgas2", "bob", "carol")
+    if replaced:
+        assert world.key("bcoin") not in state.unlock_db
+        assert state.process_tx(later).verify(world.scheme)
+    else:
+        assert state.unlock_db[world.key("bcoin")] == UNLOCKED
+        with pytest.raises(ProtocolError) as err:
+            state.process_tx(later)
+        assert err.value.code == ErrorCode.OBJECT_UNLOCKED
+
+
 def test_unauthorized_unlock_changes_nothing(world):
     world.add_owned("egas", "eve", 50)
     state = world.state()
