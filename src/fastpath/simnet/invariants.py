@@ -15,10 +15,12 @@ fresh index.
 Covered claims: finalized effects are never reverted; sequenced execution
 per object version is unique and bit-identical across honest validators;
 unlock table entries move only forward; per-object versions stay gapless;
-each sequenced unlock consumes its gas exactly once; unauthorized
-requesters never assemble an unlock certificate; authorized unlocks
-complete within the epoch bound on quiescent runs; and bounded-counter
-debit totals never exceed the credit the counter actually had.
+each sequenced unlock consumes its gas exactly once; every key that
+consensus settled was consumed, so none is left settled at its last
+version; unauthorized requesters never assemble an unlock certificate;
+authorized unlocks complete within the epoch bound on quiescent runs; and
+bounded-counter debit totals never exceed the credit the counter actually
+had.
 """
 
 from __future__ import annotations
@@ -382,6 +384,23 @@ def check_convergence(trace: Trace | TraceIndex) -> list[Violation]:
     return out
 
 
+def check_settled_keys_consumed(trace: Trace | TraceIndex) -> list[Violation]:
+    """Every key that a live honest validator holds `confirmed` has a later
+    version there: consensus settled it, so an execution consumed it."""
+    out = []
+    index = _indexed(trace)
+    for name in index.live_honest:
+        snap = index.snapshots[name]
+        latest, objects = snap.get("latest", {}), snap.get("objects", {})
+        for key, state in snap.get("unlock_db", {}).items():
+            oid, _, version = key.rpartition(":")
+            if state == "confirmed" and (version not in objects.get(oid, ())
+                                         or version == str(latest.get(oid))):
+                out.append(Violation("settled_keys_consumed", f"{name}: {oid[:16]}"
+                                     f" v{version} is confirmed, not consumed"))
+    return out
+
+
 CHECKERS = [
     ("byzantine_bound", check_byzantine_bound),
     ("drop_budget", check_drop_budget),
@@ -395,6 +414,7 @@ CHECKERS = [
     ("unlock_liveness", check_unlock_liveness),
     ("bounded_counter_safety", check_bounded_counters),
     ("convergence", check_convergence),
+    ("settled_keys_consumed", check_settled_keys_consumed),
 ]
 
 

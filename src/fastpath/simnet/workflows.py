@@ -42,7 +42,10 @@ unlocks the owned inputs; a debit refused for its bounded counter
 consolidates the counter and its owned inputs, riding as the replacement;
 a debit that a reissue overtook retries at the new version. A transaction
 (the double send too) recovers when its action names `unlock_gas`, paying
-each unlock with its first object. `_unlock` serves every unlock.
+each unlock with its first object, unless it debits more than its counter,
+as clients see it, holds. Recoveries need no cap: each either pays an
+unlock, and gas that can no longer pay ends the action `unlock_<status>`,
+or retries after a consolidation some client paid for.
 
 A bounded-counter spend (`spend_loop`) debits either fixed `amounts` in
 order or, greedily, as much of `target` as a fresh per-validator budget
@@ -73,19 +76,10 @@ from ..authenticators import AuthContext, Evidence, PublicKey, annotate, \
     commit, find_path, reveal_from
 from ..client import FastPathDriver, FastUnlockDriver, UnlockRqt
 from ..counters import FLAVOR_BOUNDED, initial_budget
-from ..types import (
-    ErrorCode,
-    Object,
-    ObjectKey,
-    ObjectKind,
-    Transaction,
-    TxKind,
-    TxParams,
-)
+from ..types import ErrorCode, Object, ObjectKey, ObjectKind, Transaction, \
+    TxKind, TxParams
 from .scenario import TX_ACTIONS, object_id_for
 
-# Retries that a scripted transaction makes after `_recovery`.
-MAX_RECOVERIES = 2
 # A debit's refusals that a consolidation answers: a drained budget, another
 # consolidation's reservation, a counter version not reached or left behind.
 COUNTER_REFUSALS = {e.value for e in (
@@ -173,9 +167,15 @@ class ClientActor:
     def _contents(self, key: ObjectKey):
         return getattr(self.seen_at(key), "contents", None)
 
-    def _counter_limit(self, name: str) -> int:
-        """The spendable credit of the counter at this client's version."""
-        return getattr(self._contents(self.key_of(name)), "limit", 0)
+    def _counter_limit(self, oid: bytes) -> int:
+        """The spendable credit of counter `oid` at the version clients see."""
+        key = ObjectKey(oid, self.runner.versions.get(oid, 0))
+        return getattr(self._contents(key), "limit", 0)
+
+    def _debited_counter(self, tx: Transaction) -> ObjectKey | None:
+        """The bounded counter that `tx` debits, if any."""
+        return next((k for k in tx.inputs if tx.kind == TxKind.DEBIT and getattr(
+            self._contents(k), "flavor", None) == FLAVOR_BOUNDED), None)
 
     def _evidence(self, message: bytes, signer_names, object_keys,
                   all_oids) -> Evidence:
@@ -275,7 +275,7 @@ class ClientActor:
         if name in TX_ACTIONS:
             self._run(self._transact(action, [(action, {
                 "first_to": action.get("first_to"),
-                "cert_to": action.get("cert_to")})], MAX_RECOVERIES))
+                "cert_to": action.get("cert_to")})]))
         elif name == "unlock":
             self._run(self._unlock_action(action))
         elif name == "double_send":
@@ -285,7 +285,7 @@ class ClientActor:
             self._run(self._transact(action, [
                 ({**dup, "memo": "dup-a"}, {"first_to": action.get("first_to")}),
                 ({**dup, "memo": "dup-b"},
-                 {"first_to": action.get("first_to_second")})], 1))
+                 {"first_to": action.get("first_to_second")})]))
         elif name == "spend_loop":
             self._run(self._spend(action))
 
@@ -320,9 +320,7 @@ class ClientActor:
         that `driver` did not finalize: the unlock that answers what blocked
         it, as its keys and replacement; () to retry without one; None when
         nothing recovers it."""
-        counter = next((k for k in tx.inputs if tx.kind == TxKind.DEBIT and
-                        getattr(self._contents(k), "flavor", None)
-                        == FLAVOR_BOUNDED), None)
+        counter = self._debited_counter(tx)
         if driver.status == "locked":
             return self._owned_keys(tx), None
         if counter and driver.status == "rejected" \
@@ -332,13 +330,13 @@ class ClientActor:
             return ()
         return None
 
-    def _transact(self, action: dict, sends, recoveries: int):
+    def _transact(self, action: dict, sends):
         """Drive the first attempt's `sends`, (action to build, driver
         options) pairs, on the fast path together. The attempt ends
         finalized if any send finalized, locked if any locked, and otherwise
-        as the first send to finish. The first send recovers while
-        `recoveries` last, rebuilt at the versions clients see, unless its
-        unlock ran it, names a settled owned key or was superseded."""
+        as the first send to finish. The first send recovers, rebuilt at the
+        versions clients see, until its unlock runs it, names a settled owned
+        key or is superseded, or its counter cannot cover it any more."""
         retried = False
         while True:
             txs = [self._build_tx(build) for build, _ in sends]
@@ -347,8 +345,10 @@ class ClientActor:
             driver = next((d for status in ("finalized", "locked")
                            for d in drivers if d.status == status), drivers[0])
             status, end = driver.status, None
-            plan = (None if status == "finalized" or recoveries <= 0
-                    or "unlock_gas" not in action
+            counter = self._debited_counter(txs[0])
+            plan = (None if status == "finalized" or "unlock_gas" not in action
+                    or counter and txs[0].params.amount
+                    > self._counter_limit(counter.object_id)
                     else self._recovery(txs[0], driver))
             if status == "finalized":
                 self._update_view(driver.effect_certs)
@@ -372,7 +372,6 @@ class ClientActor:
             if end:
                 self._finish_action(action, driver, end)
                 return
-            recoveries -= 1
             retried, sends = True, [(sends[0][0], {})]
 
     def _unlock_action(self, action: dict):
@@ -387,7 +386,8 @@ class ClientActor:
     def _spend(self, action: dict):
         """The spend loop of the module docstring."""
         counter = action["counter"]
-        remaining = int(action.get("target", self._counter_limit(counter)))
+        oid = self._oid(counter)
+        remaining = int(action.get("target", self._counter_limit(oid)))
         amounts = list(action["amounts"]) if "amounts" in action else None
         gas_pool = list(action["gas_pool"])
         unlock_gas_pool = list(action["unlock_gas_pool"])
@@ -399,7 +399,7 @@ class ClientActor:
         obj = self.seen_at(self.key_of(counter))
         alone = obj is not None and obj.owner == self._owner_for(self.name)
         while True:
-            limit = self._counter_limit(counter)
+            limit = self._counter_limit(oid)
             if remaining <= 0 or limit <= 0 or amounts == []:  # [] all spent
                 break
             if self.key_of(counter).version != version:  # reissued since
@@ -472,6 +472,6 @@ class ClientActor:
                     remaining -= done.params.amount
                     if amounts is not None:
                         amounts.remove(done.params.amount)
-        self.emit("spend_done", counter=self._oid(counter).hex(),
+        self.emit("spend_done", counter=oid.hex(),
                   remaining=remaining, consolidations=consolidations,
                   **({"reason": reason} if reason else {}))

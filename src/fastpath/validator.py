@@ -407,6 +407,8 @@ class ValidatorState:
     # -- certificate execution (fast-path step two) --
 
     def process_cert(self, cert: Certificate) -> Outcome:
+        """Execute a certificate on the fast path once: `superseded` if an
+        input is settled (`_settled`), deferred if one is unlocked or shared."""
         if cert.tx.epoch != self.epoch or not verify_certificate(
                 cert, self.params, self.scheme):
             raise ProtocolError(ErrorCode.INVALID_CERTIFICATE, "bad quorum or epoch")
@@ -437,10 +439,9 @@ class ValidatorState:
             if obj is not None and obj.kind == ObjectKind.COMMUTATIVE:
                 self.counters[key.object_id].note_seen(cert)
 
-        states = [self.unlock_db.get(k) for k in tx.inputs]
-        if any(s == CONFIRMED for s in states):
+        if self._settled(tx):
             return Outcome(tx.digest, "superseded", self.vid)
-        if any(s == UNLOCKED for s in states):
+        if any(self.unlock_db.get(k) == UNLOCKED for k in tx.inputs):
             self.emit("cert_deferred", tx=tx.hexdigest, reason="unlocked")
             return Outcome(tx.digest, "deferred", self.vid)
         if tx.shared_inputs:
@@ -594,18 +595,18 @@ class ValidatorState:
 
     def process_unlock_cert(self, ucert: UnlockCert) -> Outcome:
         """Execute a sequenced unlock certificate once; the outcome is stored
-        as the reply sent to the requester, and to anyone asking again.
-        It is `superseded` exactly when consensus settled every listed key.
+        as the reply sent to the requester, and to anyone asking again. It is
+        `superseded` exactly when consensus settled every listed key.
         Otherwise it acts on the unsettled keys, and its `executed` outcome
         names the settled ones in `confirmed`; a carried certificate with a
-        settled owned input can no longer run, so it counts as not carried.
-        One pass: with nothing carried, take back the fast layer of the
-        keys; run the carried certificates; run the replacement if nothing
-        is carried, or if only bounded counters are listed (it commutes
-        with what they carried); with nothing carried, release by the no-op
-        every key the replacement did not consume (a failed one consumed
-        none); consolidate the listed bounded counters; with nothing
-        carried, confirm the keys."""
+        settled input (`_settled`) can no longer run, so it counts as not
+        carried, and one that runs confirms the keys it consumed. One pass:
+        with nothing carried, take back the fast layer of the keys; run the
+        carried certificates; run the replacement if nothing is carried, or if
+        only bounded counters are listed (it commutes with what they carried);
+        with nothing carried, release by the no-op every key the replacement
+        did not consume (a failed one consumed none); consolidate the listed
+        bounded counters; with nothing carried, confirm the keys."""
         rqt = ucert.rqt
         if rqt.digest in self.unlock_outcomes:
             return self.unlock_outcomes[rqt.digest]
@@ -624,23 +625,16 @@ class ValidatorState:
             return out
 
         keys = [k for k in rqt.object_keys if k not in settled]
-        # a certificate over a settled owned input can no longer run; two
-        # that share an owned key cannot both be certified
-        carried = []
-        for cert in ucert.carried_union():
-            owned_keys = self._owned_input_keys(cert.tx)
-            if not any(self.unlock_db.get(k) == CONFIRMED for k in owned_keys):
-                carried.append((cert, owned_keys))
+        # two certificates that share an owned key cannot both be certified
+        carried = [cert for cert in ucert.carried_union()
+                   if not self._settled(cert.tx)]
         if not carried:
             # no-commit case: nothing over these keys can ever finalize on
             # the fast path, so discard the provisional layer and replace it
             for key in keys:
                 self._undo_fast(key)
-        signs = []
-        for cert, owned_keys in carried:
-            signs.append(self._execute_sequenced(cert.tx, via="unlock"))
-            for key in owned_keys:
-                self._confirm(key)
+        signs = [self._execute_confirmed(cert.tx, via="unlock")
+                 for cert in carried]
         replaced = None
         if rqt.multi and (not carried or all(
                 self._bounded(k.object_id) is not None for k in rqt.object_keys)):
@@ -668,13 +662,10 @@ class ValidatorState:
                             for ids in s.effects.produced_ids])
         return out
 
-    def _owned_input_keys(self, tx: Transaction) -> list[ObjectKey]:
-        keys = []
-        for key in tx.inputs:
-            obj = self.get_object(key)
-            if obj is None or obj.kind == ObjectKind.OWNED:
-                keys.append(key)
-        return keys
+    def _settled(self, tx: Transaction) -> bool:
+        """Whether consensus settled an input of `tx`, so it cannot run: an
+        execution consumed it, or a consolidation reissued its counter."""
+        return any(self.unlock_db.get(k) == CONFIRMED for k in tx.inputs)
 
     def _consume_unlock_gas(self, rqt: UnlockRqt) -> None:
         key = rqt.gas
@@ -802,9 +793,19 @@ class ValidatorState:
         self._emit_seq_exec(plan, via=via)
         return sign
 
+    def _execute_confirmed(self, tx: Transaction, via: str) -> EffectSign | None:
+        """Execute a certificate on the consensus path and confirm the keys
+        it consumed; a failed execution confirms none."""
+        sign = self._execute_sequenced(tx, via)
+        for key in sign.effects.consumed if sign else ():
+            self._confirm(key)
+        return sign
+
     # -- sequenced checkpoint certificates --
 
     def process_checkpoint_cert(self, cert: Certificate) -> None:
+        """Run a sequenced certificate (`_execute_confirmed`), unless it is of an
+        earlier epoch, or unexecuted here with a settled input (`_settled`)."""
         tx = cert.tx
         self.sequenced_certs.add(tx.digest)
         self.executed_unsequenced.discard(tx.digest)
@@ -813,17 +814,11 @@ class ValidatorState:
             self.emit("checkpoint_skip", tx=tx.hexdigest, reason="stale_epoch")
             return
 
-        if tx.digest not in self.executed and any(
-                self.unlock_db.get(k) == CONFIRMED
-                for k in self._owned_input_keys(tx)):
+        if tx.digest not in self.executed and self._settled(tx):
             self.emit("checkpoint_skip", tx=tx.hexdigest, reason="confirmed")
             return
 
-        sign = self._execute_sequenced(tx, via="checkpoint")
-        if sign is None:
-            return
-        for key in sign.effects.consumed:
-            self._confirm(key)
+        self._execute_confirmed(tx, via="checkpoint")
 
     # -- epoch change --
 

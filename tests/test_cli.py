@@ -32,7 +32,7 @@ def test_bundled_swap_deadlock_passes(capsys):
     assert lines["quiesced"] == "true"
     # every registered checker reports exactly once
     checks = [k for k in lines if k.startswith("check.")]
-    assert len(checks) == len(set(checks)) == 12
+    assert len(checks) == len(set(checks)) == 13
     assert all(lines[k] == "pass" for k in checks)
 
 
@@ -80,7 +80,7 @@ def test_check_only_round_trip(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--check-only", str(out)]) == 0
     printed = capsys.readouterr().out
-    assert printed.count("check.") == 12
+    assert printed.count("check.") == 13
 
 
 def test_check_only_flags_doctored_trace(tmp_path, capsys):

@@ -398,11 +398,11 @@ def test_hexing_emit_check_flags_planted_sites():
 # a mention in prose is no reader. These kinds wait for the ROADMAP item
 # that will read them.
 UNREAD_KINDS = {
-    # item 3: epoch change, checked from the trace
+    # item 4: epoch change, checked from the trace
     "epoch_pause", "end_of_epoch_sent", "epoch_advanced",
-    # item 5: every path the paper describes runs under --explore
+    # item 8: every path the paper describes runs under --explore
     "budget_credit",
-    # item 12: metrics and pointed violations, computed from the trace
+    # item 16: metrics and pointed violations, computed from the trace
     "budget_debit", "unlock_rejected",
 }
 # This file's allowlist and planted sources name kinds without reading them.

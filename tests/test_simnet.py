@@ -992,13 +992,27 @@ def test_a_greedy_debit_with_no_unlock_gas_left_finalizes_on_the_fast_path():
 def test_debits_the_counter_covers_are_never_left_rejected():
     # eight concurrent debits of 10 from a counter of 100: the budgets
     # refuse some on the fast path, and each refused one consolidates the
-    # counter with the debit riding, so none ends `rejected`
+    # counter with the debit riding, so every one finalizes
     for i in range(4):
         trace = run(counter_race(derive_seed(20, i), amount=10))
         assert trace.quiesced and check_invariants(trace) == []
         assert trace.select("budget_reject")
         statuses = [e["status"] for e in trace.select("driver_done")]
-        assert len(statuses) == 8 and "rejected" not in statuses
+        assert len(statuses) == 8
+        assert all(s.startswith("finalized") for s in statuses), statuses
+
+
+def test_the_race_finalizes_every_debit_its_limit_covers():
+    # eight concurrent debits of 15 from a counter of 100: the limit covers
+    # six, and each finalizes; the other two recover until the counter, as
+    # clients see it, cannot cover them, and end `retry_rejected`
+    for i in (0, 2, 3):
+        trace = run(counter_race(derive_seed(9300, i)))
+        assert trace.quiesced and check_invariants(trace) == []
+        statuses = [e["status"] for e in trace.select("driver_done")]
+        finalized = [s for s in statuses if s.startswith("finalized")]
+        assert len(finalized) == 6 and 15 * len(finalized) <= 100
+        assert statuses.count("retry_rejected") == 2, statuses
 
 
 def test_a_lock_recovery_without_unlock_gas_ends_unlock_out_of_gas():

@@ -553,6 +553,35 @@ def test_a_listed_key_the_replacement_skips_is_released_by_the_noop(world):
         assert state.process_tx(spend).verify(world.scheme)
 
 
+def test_a_carried_debit_over_a_reissued_counter_is_not_run(world):
+    # a consolidation reissues the counter; a debit certificate of its old
+    # version, which then locks its gas, rides the gas's unlock. It can no
+    # longer run, so it counts as not carried, and the no-op releases the
+    # gas at its next version, where a new debit signs
+    world.add_counter("pool", "alice", "bounded", 100)
+    states = world.states()
+    pool, gas = world.key("pool"), world.key("gas")
+    cert = world.cert(world.tx(TxKind.DEBIT, ["pool"], "gas", ["alice"],
+                               amount=10))
+    drive_unlock(world, states, make_rqt(world, [pool], "gas2", "alice",
+                                         ["alice"]))
+    for state in states:
+        assert state.process_cert(cert).status == "superseded"
+    rqt = make_rqt(world, [gas], world.key("gas2", 1), "alice", ["alice"])
+    ucert = assemble_unlock_cert([s.process_unlock_rqt(rqt) for s in states],
+                                 rqt, world.params)
+    assert [c.tx.digest for c in ucert.carried_union()] == [cert.tx.digest]
+    for state in states:
+        assert state.process_unlock_cert(ucert).status == "executed"
+        assert cert.tx.digest not in state.executed
+        assert state.unlock_db[gas] == CONFIRMED
+        assert state.latest[gas.object_id] == 1
+    spend = world.tx(TxKind.DEBIT, [world.key("pool", 1)], world.key("gas", 1),
+                     ["alice"], amount=10)
+    for state in states:
+        assert state.process_tx(spend).verify(world.scheme)
+
+
 def _stranding_world() -> World:
     """Alice's coins k0-k2, a settling gas for each, the unlock's gas, and a
     replacement gas that can pay (rich) and one that cannot (poor)."""
