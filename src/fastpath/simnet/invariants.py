@@ -141,22 +141,20 @@ def check_conflicting_execution(trace: Trace | TraceIndex) -> list[Violation]:
         for oid, version in event["consumed"]:
             keys[(oid, version)].add(tx)
     for actor, keys in sorted(key_execs.items()):
-        for key in sorted(keys):
-            txs = keys[key]
-            if len(txs) > 1:
-                out.append(Violation(
-                    "conflicting_execution",
-                    f"{actor} sequenced {len(txs)} executions over"
-                    f" {key[0][:16]} v{key[1]}"))
+        for key in sorted(k for k, txs in keys.items() if len(txs) > 1):
+            out.append(Violation(
+                "conflicting_execution",
+                f"{actor} sequenced {len(keys[key])} executions over"
+                f" {key[0][:16]} v{key[1]}"))
     names = sorted(per_validator)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            common = per_validator[a].keys() & per_validator[b].keys()
-            for tx in sorted(common):
-                if per_validator[a][tx] != per_validator[b][tx]:
-                    out.append(Violation(
-                        "conflicting_execution",
-                        f"{a} and {b} disagree on effects of {tx[:16]}"))
+            ours, theirs = per_validator[a], per_validator[b]
+            for tx in sorted(tx for tx, effects in ours.items()
+                             if tx in theirs and effects != theirs[tx]):
+                out.append(Violation(
+                    "conflicting_execution",
+                    f"{a} and {b} disagree on effects of {tx[:16]}"))
     return out
 
 
@@ -180,13 +178,11 @@ def check_per_key_linearity(trace: Trace | TraceIndex) -> list[Violation]:
             for oid, version in event["consumed"]:
                 book[(oid, version)].add(event["tx"])
     for actor, book in sorted(surviving.items()):
-        for key in sorted(book):
-            txs = book[key]
-            if len(txs) > 1:
-                out.append(Violation(
-                    "per_key_linearity",
-                    f"{actor}: {len(txs)} surviving executions consumed"
-                    f" {key[0][:16]} v{key[1]}"))
+        for key in sorted(k for k, txs in book.items() if len(txs) > 1):
+            out.append(Violation(
+                "per_key_linearity",
+                f"{actor}: {len(book[key])} surviving executions consumed"
+                f" {key[0][:16]} v{key[1]}"))
     return out
 
 

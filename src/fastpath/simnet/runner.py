@@ -5,8 +5,9 @@ scripted action lives in `workflows.py`. The runner holds what clients
 know of objects and owners: it seeds that from genesis, clients add what
 they see.
 
-One priority queue drives validators, clients, and the sequencer. Every
-queue entry is `(src, dst, msg)`, and popping it calls the `dst` actor's
+One bucket queue drives validators, clients, and the sequencer: a list
+of entries per due tick, under a heap of those ticks. Every queue entry
+is `(src, dst, msg)`, and popping it calls the `dst` actor's
 `handle(src, msg)`. A send comes from an actor; a scripted action
 (`("script", client, action)`) and an epoch change (`("script", vid,
 "epoch_change")`) come from `script`; a client's retry tick (`("timer",
@@ -48,8 +49,9 @@ releases its actors, so that no reference cycle outlives it.
 from __future__ import annotations
 
 import functools
-import heapq
+import itertools
 import random
+from heapq import heappop, heappush
 
 from .. import crypto
 from ..authenticators import AuthTerm, Revealed, event_facts
@@ -121,8 +123,10 @@ class Runner:
         self.network = _Network(scenario.network, random.Random(scenario.seed))
         self._order = random.Random(b"order:" + enc_u64(scenario.seed))
         self.now = 0
-        self._heap: list = []
-        self._push_count = 0
+        self._buckets: dict[int, list] = {}
+        self._ticks: list[int] = []
+        self._delivering = float("-inf")
+        self._pushes = itertools.count()  # insertion counter
 
         self.account_pk: dict[str, bytes] = {}
         self.account_sk: dict[str, bytes] = {}
@@ -164,9 +168,20 @@ class Runner:
     # -- event queue --
 
     def _push(self, tick: int, entry) -> None:
-        self._push_count += 1
-        heapq.heappush(self._heap, (tick, self._order.random(),
-                                    self._push_count, entry))
+        """Queue `entry` in `tick`'s bucket, with one order draw. Delays are
+        at least one tick, so a bucket is complete once its delivery starts."""
+        bucket = self._buckets.get(tick)
+        if bucket is None:
+            if tick <= self._delivering:
+                raise ValueError(f"tick {tick} is not past {self._delivering}")
+            bucket = self._buckets[tick] = []
+            heappush(self._ticks, tick)
+        bucket.append((self._order.random(), next(self._pushes), entry))
+
+    def queued(self):
+        """The pending `(src, dst, msg)` entries, in pop order."""
+        return (entry for tick in sorted(self._buckets)
+                for *_, entry in sorted(self._buckets[tick]))
 
     def send(self, src: str, dst: str, msg, protected: bool = False) -> None:
         self.network.sent += 1
@@ -185,6 +200,7 @@ class Runner:
     # -- main loop --
 
     def run(self) -> Trace:
+        """Queue the script, then sort and deliver each due tick's bucket."""
         for action in self.scenario.script:
             self._push(int(action.get("at", 0)),
                        ("script", action["client"], action))
@@ -193,12 +209,15 @@ class Runner:
                 self._push(self.scenario.epoch_length,
                            ("script", f"v{vid}", "epoch_change"))
 
-        last_tick = 0
-        while self._heap and self._heap[0][0] <= self.scenario.tick_limit:
-            tick, _, _, (src, dst, msg) = heapq.heappop(self._heap)
-            self.now = last_tick = self.recorder.tick = tick
-            self._actors[dst].handle(src, msg)
-        quiesced = all(self._idle(*entry) for *_, entry in self._heap)
+        ticks, buckets, actors = self._ticks, self._buckets, self._actors
+        while ticks and ticks[0] <= self.scenario.tick_limit:
+            tick = self.now = self._delivering = heappop(ticks)
+            self.recorder.tick = tick
+            bucket = buckets.pop(tick)
+            bucket.sort()
+            for _, _, (src, dst, msg) in bucket:
+                actors[dst].handle(src, msg)
+        quiesced = all(self._idle(*entry) for entry in self.queued())
 
         snapshots = {a.name: {**a.state.snapshot(), "crashed": a.crashed}
                      for a in self.validators}
@@ -224,7 +243,7 @@ class Runner:
         }
         trace = Trace(meta=meta, events=self.recorder.events,
                       snapshots=snapshots, quiesced=quiesced,
-                      ticks=last_tick, sent=self.network.sent,
+                      ticks=self.now, sent=self.network.sent,
                       dropped=self.network.dropped)
         self._release()
         return trace
@@ -246,7 +265,7 @@ class Runner:
             actor.runner = None
         for client in self.clients.values():
             client.drivers.clear()
-        self._heap.clear()
+        self._buckets.clear()
 
 
 def run(scenario: Scenario) -> Trace:

@@ -25,7 +25,7 @@ sequenced step, with what that consolidation paid.
 """
 
 import yaml
-from hypothesis import given, note, settings, strategies as st
+from hypothesis import example, given, note, settings, strategies as st
 
 from fastpath.counters import initial_budget
 from fastpath.simnet import Scenario, check_invariants, run
@@ -168,13 +168,19 @@ def test_sequential_actions_all_finalize_despite_drops_and_a_fault(data):
     assert_all_finalize(data)
 
 
+def spend(client, **fields):
+    """A spend_loop action by `client`, with ten gas objects in each pool."""
+    return {"at": 5, "client": client, "action": "spend_loop",
+            "counter": "pool", "signers": [client],
+            "gas_pool": [f"{client}g{i}" for i in range(10)],
+            "unlock_gas_pool": [f"{client}u{i}" for i in range(10)],
+            **fields}
+
+
 def spend_action(draw, client, limit):
     """A spend by `client`: greedy towards a target, or a list of fixed
     amounts, some of which may not fit."""
-    action = {"at": 5, "client": client, "action": "spend_loop",
-              "counter": "pool", "signers": [client],
-              "gas_pool": [f"{client}g{i}" for i in range(10)],
-              "unlock_gas_pool": [f"{client}u{i}" for i in range(10)]}
+    action = spend(client)
     if draw(st.booleans()):
         action["target"] = draw(st.integers(1, limit))
     else:
@@ -252,6 +258,11 @@ def test_a_counter_spend_ends_where_its_amounts_and_limit_say(data):
 
 @settings(max_examples=30, deadline=None)
 @given(counter_spends(clients=("a", "b")))
+# a's greedy debits took the whole budget, and b's debit of 1 was refused
+# until b ran out of gas
+@example({**spend_scenario(82, [spend("a", target=82), spend("b", target=1)],
+                           seed=4),
+          "faults": {"0": {"kind": "infinite_budget"}}})
 def test_two_spends_of_one_counter_end_only_for_want_of_counter(data):
     # either spend may take what the other was counting on, or reissue the
     # counter under it; neither may give up for that
@@ -267,13 +278,7 @@ def test_a_debit_refused_for_budget_reservation_or_version_consolidates():
     # version they have not reached (`MissingObject`). Each refusal
     # consolidates the counter with the debit riding: neither spend ends
     # `rejected`, and b's 117 runs on the unlock path
-    script = [{"at": 5, "client": client, "action": "spend_loop",
-               "counter": "pool", "signers": [client],
-               "gas_pool": [f"{client}g{i}" for i in range(10)],
-               "unlock_gas_pool": [f"{client}u{i}" for i in range(10)],
-               **fields}
-              for client, fields in (("a", {"amounts": [58, 13], "target": 71}),
-                                     ("b", {"target": 143}))]
+    script = [spend("a", amounts=[58, 13], target=71), spend("b", target=143)]
     data = spend_scenario(176, script, seed=288115412)
     data["faults"] = {"2": {"kind": "infinite_budget"}}
     trace, done = run_spends(data)

@@ -169,7 +169,7 @@ def _left_queued(monkeypatch):
 
     def record(runner):
         left.extend((src, dst, type(msg).__name__)
-                    for *_, (src, dst, msg) in sorted(runner._heap))
+                    for src, dst, msg in runner.queued())
         release(runner)
 
     monkeypatch.setattr(Runner, "_release", record)

@@ -1,6 +1,5 @@
 import copy
 import gc
-import heapq
 import pathlib
 import random
 import types
@@ -83,7 +82,7 @@ def _same_tick_pops(seed):
                     .with_seed(seed))
     for i in range(30):
         runner.schedule_timer("alice", 10, str(i))
-    return [heapq.heappop(runner._heap)[-1][2] for _ in range(30)]
+    return [token for _, _, token in runner.queued()]
 
 
 def test_same_tick_order_is_a_seeded_shuffle():
@@ -94,6 +93,37 @@ def test_same_tick_order_is_a_seeded_shuffle():
     assert order == _same_tick_pops(1)
     assert order != [str(i) for i in range(30)]
     assert order != _same_tick_pops(2)
+
+
+def test_a_run_pops_by_tick_draw_and_count_and_refuses_a_due_tick():
+    # 60 timers on 3 ticks: the run delivers them in the order of their
+    # (tick, order draw, push count), one draw taken per push
+    runner = Runner(Scenario.load(str(SCENARIOS / "swap_deadlock.yaml")))
+    draws = random.Random()
+    draws.setstate(runner._order.getstate())
+    pick = random.Random(3)
+    pushed = []
+    for count in range(1, 61):
+        delay = pick.choice((2, 5, 5, 9, 9, 9))
+        runner.schedule_timer("alice", delay, count)
+        pushed.append((delay, draws.random(), count))
+    popped = []
+    sink = types.SimpleNamespace(handle=lambda src, msg: popped.append(msg))
+    runner._actors = dict.fromkeys(runner._actors, sink)
+    runner.run()
+    assert [msg for msg in popped if isinstance(msg, int)] \
+        == [count for *_, count in sorted(pushed)]
+
+    # a push for the tick being delivered would miss its sorted bucket
+    runner = Runner(Scenario.load(str(SCENARIOS / "swap_deadlock.yaml")))
+
+    def push_late(src, msg):
+        if msg != "late":
+            runner.schedule_timer("alice", 0, "late")
+    runner._actors = dict.fromkeys(
+        runner._actors, types.SimpleNamespace(handle=push_late))
+    with pytest.raises(ValueError, match="is not past"):
+        runner.run()
 
 
 def test_replies_reach_the_newest_driver_and_ticks_the_one_that_armed_them(
