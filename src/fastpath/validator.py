@@ -21,6 +21,9 @@ side of a swap won) are left out, and the outcome names them; only when
 all are settled is the unlock superseded. A replacement runs before the
 no-op, which releases every listed key the replacement did not consume.
 
+One rule (`_admit`) admits a transaction to be signed and an unlock's
+replacement alike: inputs of the right kind, owners' consent, a free mint id.
+
 Execution is pure, so each plan is memoized on the message all validators
 share, keyed by the content of its inputs: a transaction's dry run, fast-path
 and sequenced execution on the `Transaction`; an unlock's no-op, counter
@@ -331,34 +334,10 @@ class ValidatorState:
         if tx.digest in self.executed:
             return CertSign.make(tx, self.vid, self.scheme)
 
-        loaded: dict[ObjectKey, Object] = {}
-        owned, commutative = [], []
-        for key in tx.inputs:
-            obj = loaded[key] = self._signable(key)
-            if obj.kind == ObjectKind.OWNED:
-                owned.append(key)
-            elif obj.kind == ObjectKind.COMMUTATIVE:
-                commutative.append(key)
-            elif obj.kind == ObjectKind.SHARED:
-                raise ProtocolError(ErrorCode.BAD_TRANSACTION,
-                                    "shared objects go in shared_inputs")
-        for oid in tx.shared_inputs:
-            if oid not in self.latest:
-                raise ProtocolError(ErrorCode.MISSING_OBJECT, oid.hex())
-
-        oids = {k.object_id for k in tx.inputs} | set(tx.shared_inputs)
-        ctx = self._auth_ctx(tx.evidence, tx.digest, oids)
-        debited = commutative if tx.kind == TxKind.DEBIT else []
-        for key in owned + debited:
-            if not self._evidence_ok(tx.evidence, loaded[key], ctx):
-                raise ProtocolError(ErrorCode.BAD_EVIDENCE, repr(key))
-
+        loaded, owned, commutative = self._admit(tx, self._signable)
         for key in tx.inputs:
             if self.unlock_db.get(key) == UNLOCKED:
                 raise ProtocolError(ErrorCode.OBJECT_UNLOCKED, repr(key))
-
-        if tx.kind == TxKind.MINT and tx.params.new_object_id in self.latest:
-            raise ProtocolError(ErrorCode.BAD_TRANSACTION, "minted id exists")
         execute(tx, loaded)  # dry run: reject unexecutable transactions up front
 
         self._check_locks(tx, owned)
@@ -380,6 +359,39 @@ class ValidatorState:
                 self.lock_db[key] = LockEntry(tx.digest, self.clock)
                 self.emit("lock_set", key=key.ids, tx=tx.hexdigest)
         return CertSign.make(tx, self.vid, self.scheme)
+
+    def _admit(self, tx: Transaction, load):
+        """The one admission rule, over the inputs `load(key)` gives: no
+        shared object among `inputs`, each `shared_inputs` id a shared
+        object held here, consent from the owner of every owned input and
+        of a debited commutative one, and a mint's id not held here.
+        Returns the loaded inputs and the owned and commutative keys."""
+        loaded: dict[ObjectKey, Object] = {}
+        owned, commutative = [], []
+        for key in tx.inputs:
+            obj = loaded[key] = load(key)
+            if obj.kind == ObjectKind.OWNED:
+                owned.append(key)
+            elif obj.kind == ObjectKind.COMMUTATIVE:
+                commutative.append(key)
+            elif obj.kind == ObjectKind.SHARED:
+                raise ProtocolError(ErrorCode.BAD_TRANSACTION,
+                                    "shared objects go in shared_inputs")
+        for oid in tx.shared_inputs:
+            if oid not in self.latest:
+                raise ProtocolError(ErrorCode.MISSING_OBJECT, oid.hex())
+            if self.objects[oid][self.latest[oid]].kind != ObjectKind.SHARED:
+                raise ProtocolError(ErrorCode.BAD_TRANSACTION, "not shared")
+
+        oids = {k.object_id for k in tx.inputs} | set(tx.shared_inputs)
+        ctx = self._auth_ctx(tx.evidence, tx.digest, oids)
+        debited = commutative if tx.kind == TxKind.DEBIT else []
+        for key in owned + debited:
+            if not self._evidence_ok(tx.evidence, loaded[key], ctx):
+                raise ProtocolError(ErrorCode.BAD_EVIDENCE, repr(key))
+        if tx.kind == TxKind.MINT and tx.params.new_object_id in self.latest:
+            raise ProtocolError(ErrorCode.BAD_TRANSACTION, "minted id exists")
+        return loaded, owned, commutative
 
     def _signable(self, key: ObjectKey) -> Object:
         """The input object a transaction may be signed over: the latest."""
@@ -506,7 +518,9 @@ class ValidatorState:
         (`certs`) must be a valid certificate of this epoch spending a
         listed bounded counter. The vote carries them, but no other unlock
         does: a rider runs only if its own unlock does, so its requester
-        knows whether it ran. The vote itself leaves no trace record."""
+        knows whether it ran. Its replacement passes `_admit` over the
+        version of each input named, or else the latest held, before the
+        vote. The vote itself leaves no trace record."""
         if rqt.epoch != self.epoch:
             raise ProtocolError(ErrorCode.WRONG_EPOCH, "unlock epoch mismatch")
         if not rqt.object_keys or len(set(rqt.object_keys)) != len(rqt.object_keys):
@@ -518,7 +532,8 @@ class ValidatorState:
         if not self.check_auto_unlock(rqt, self.clock, self.auto_unlock_delay):
             raise ProtocolError(ErrorCode.BAD_EVIDENCE, "unlock not authorized")
         if rqt.replacement_tx is not None:
-            self._check_replacement_evidence(rqt)
+            rqt.replacement_tx.validate()
+            self._admit(rqt.replacement_tx, self._held)
         for cert in rqt.certs:
             if cert.tx.epoch != self.epoch or not verify_certificate(
                     cert, self.params, self.scheme):
@@ -556,20 +571,10 @@ class ValidatorState:
                     carried.setdefault(cert.tx.digest, cert)
         return carried
 
-    def _check_replacement_evidence(self, rqt: UnlockRqt) -> None:
-        tx = rqt.replacement_tx
-        tx.validate()
-        ctx = self._auth_ctx(tx.evidence, tx.digest,
-                             {k.object_id for k in tx.inputs})
-        for key in tx.inputs:
-            obj = self.get_object(key) or self.get_object(
-                ObjectKey(key.object_id, self.latest.get(key.object_id, -1)))
-            if obj is None:
-                raise ProtocolError(ErrorCode.MISSING_OBJECT, repr(key))
-            if obj.kind == ObjectKind.OWNED and not self._evidence_ok(
-                    tx.evidence, obj, ctx):
-                raise ProtocolError(ErrorCode.BAD_EVIDENCE,
-                                    f"replacement input {key!r}")
+    def _held(self, key: ObjectKey) -> Object:
+        """The version of `key` named, or else the latest held."""
+        return self.get_object(key) or self._check_key(
+            ObjectKey(key.object_id, self.latest.get(key.object_id, -1)))
 
     def _lock_unlock_gas(self, rqt: UnlockRqt) -> None:
         key = rqt.gas

@@ -405,13 +405,27 @@ def _unlock_claims_authority(data):
     del data["script"][0]["authorized"]
 
 
+def _replacement_shares_a_later_mint(data):
+    # at tick 5 no validator holds `fresh`, which the mint makes at tick 50
+    data["objects"] += [{"name": name, "kind": "owned", "owner": {"pk": "eve"},
+                         "contents": 50} for name in ("e1", "e2", "e3")]
+    data["script"][:0] = [
+        {"at": 50, "client": "eve", "action": "mint", "gas": "e1",
+         "new_object": "fresh"},
+        {"at": 5, "client": "eve", "action": "unlock", "keys": ["e2"],
+         "gas": "e3", "replacement": {"action": "noop", "shared": ["fresh"],
+                                      "gas": "e2"}}]
+
+
 # Honest validators refuse each of these unlocks: their gas cannot pay
-# (BadGas), or the requester holds no authority over the key
-# (BadEvidence). A refusal is a terminal outcome, not a hung unlock.
+# (BadGas), the requester holds no authority over the key (BadEvidence),
+# or the replacement names a shared input no validator holds
+# (MissingObject). A refusal is a terminal outcome, not a hung unlock.
 @pytest.mark.parametrize("name, mutate", [
     ("swap_deadlock.yaml", _object_contents("gb2", 0)),
     ("double_send.yaml", _object_contents("g2", -1609)),
-    ("unauthorized_unlock.yaml", _unlock_claims_authority)],
+    ("unauthorized_unlock.yaml", _unlock_claims_authority),
+    ("unauthorized_unlock.yaml", _replacement_shares_a_later_mint)],
     ids=lambda value: getattr(value, "__name__", value))
 def test_refused_unlock_is_not_a_liveness_violation(tmp_path, capsys, name,
                                                      mutate):

@@ -118,13 +118,24 @@ def test_credit_needs_no_owner_evidence():
 
 
 def test_debit_requires_owner_evidence():
+    # bob debits alice's pool, signing for his gas alone: refused both when
+    # he asks for signatures and as the replacement of an unlock of his gas
+    from tests.test_validator import make_rqt
     w = spender_world()
     w.add_owned("bobgas", "bob", 30)
+    w.add_owned("bobgas2", "bob", 30)
     state = w.state()
+    local = state.counters[w.objects["pool"].key.object_id]
+    budget = local.budget
     tx = w.tx(TxKind.DEBIT, ["pool"], "bobgas", ["bob"], amount=5)
-    with pytest.raises(ProtocolError) as err:
-        state.process_tx(tx)
-    assert err.value.code == ErrorCode.BAD_EVIDENCE
+    rqt = make_rqt(w, [w.key("bobgas")], "bobgas2", "bob", ["bob"],
+                   replacement=tx)
+    for door, message in ((state.process_tx, tx),
+                          (state.process_unlock_rqt, rqt)):
+        with pytest.raises(ProtocolError) as err:
+            door(message)
+        assert err.value.code == ErrorCode.BAD_EVIDENCE
+        assert (local.budget, local.settled) == (budget, {})
 
 
 def test_credit_cert_releases_half_to_budget():

@@ -50,6 +50,7 @@ from fastpath.simnet.scenario import (
     NetworkSpec,
     Scenario,
     ScenarioError,
+    materialize_genesis,
 )
 from fastpath.simnet.trace import Trace
 from fastpath.types import CertSign, Certificate, IntValue, Object
@@ -1093,6 +1094,58 @@ def test_a_replacement_debit_is_checked_against_the_counter(debit, refused):
             if refused else set())
     assert _counter_limits(trace) == {38 if refused else 0}
     assert check_invariants(trace) == []
+
+
+def _alice_and_mallory(script, seed: int = 3) -> Scenario:
+    """Alice holds `coin`, gas `ga` and `pool`, a bounded counter of 100;
+    mallory holds `m` and gas `mg`."""
+    return Scenario.from_dict({
+        "committee": {"n": 4, "f": 1},
+        "seed": seed, "ticks": 5000, "epoch_length": 50000,
+        "network": {"min_delay": 1, "max_delay": 4},
+        "accounts": ["alice", "bob", "mallory"],
+        "objects": (
+            [{"name": "pool", "kind": "commutative", "flavor": "bounded",
+              "limit": 100, "owner": {"pk": "alice"}}]
+            + gas_objects("alice", ["coin", "ga"], 50)
+            + gas_objects("mallory", ["m", "mg"], 50)),
+        "script": script,
+    })
+
+
+@pytest.mark.parametrize("replacement", [
+    {"action": "debit", "inputs": ["pool"], "gas": "m", "amount": 60},
+    {"action": "mint", "new_object": "coin", "gas": "m", "amount": 1000}],
+    ids=["debit", "mint"])
+def test_a_replacement_takes_nothing_its_requester_does_not_own(replacement):
+    # mallory unlocks her own coin with a replacement that debits alice's
+    # counter or mints over alice's coin: no honest validator votes for it
+    scenario = _alice_and_mallory([
+        {"at": 5, "client": "mallory", "action": "unlock", "keys": ["m"],
+         "gas": "mg", "replacement": replacement}])
+    trace = run(scenario)
+    assert [e["status"] for e in trace.select("driver_done")] \
+        == ["unauthorized"]
+    alices = {g.obj.key.object_id.hex(): {"0": g.obj.fingerprint}
+              for g in materialize_genesis(scenario)
+              if g.spec.name in ("coin", "pool")}
+    pool = trace.meta["objects"]["pool"]["oid"]
+    for actor, snap in trace.snapshots.items():
+        assert {oid: snap["objects"][oid] for oid in alices} == alices, actor
+        assert snap["counters"][pool]["settled"] == {}, actor
+    assert check_invariants(trace) == []
+
+
+def test_a_shared_input_cannot_be_an_owned_object():
+    # mallory's noop names alice's coin as a shared input beside alice's
+    # transfer of it; sequenced, it would consume the coin without her
+    # consent, and the two executions would conflict
+    script = [{"at": 5, "client": "alice", "action": "transfer",
+               "inputs": ["coin"], "gas": "ga", "to": "bob"},
+              {"at": 5, "client": "mallory", "action": "noop",
+               "shared": ["coin"], "gas": "mg"}]
+    assert [i for i in range(20) if check_invariants(run(
+        _alice_and_mallory(script, derive_seed(3, i))))] == []
 
 
 def test_a_replacement_that_cannot_pay_its_gas_leaves_its_key_spendable():

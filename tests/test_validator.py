@@ -12,7 +12,7 @@ from fastpath.types import (
     TxKind,
 )
 from fastpath.validator import CONFIRMED, UNLOCKED
-from tests.conftest import World
+from tests.conftest import World, oid_of
 
 
 def make_rqt(world, keys, gas, requester, signers, replacement=None,
@@ -236,6 +236,39 @@ def test_unauthorized_unlock_changes_nothing(world):
     assert err.value.code == ErrorCode.BAD_EVIDENCE
     assert world.key("coin") not in state.unlock_db
     assert world.key("egas") not in state.lock_db
+
+
+@pytest.mark.parametrize("door, kind, inputs, shared, code", [
+    # bob's coin named as a shared input
+    ("sign", TxKind.NOOP, ["coin"], ["bcoin"], ErrorCode.BAD_TRANSACTION),
+    ("replacement", TxKind.NOOP, ["coin"], ["bcoin"],
+     ErrorCode.BAD_TRANSACTION),
+    ("replacement", TxKind.NOOP, ["coin"], ["ghost"], ErrorCode.MISSING_OBJECT),
+    ("replacement", TxKind.NOOP, ["coin", "board"], [],
+     ErrorCode.BAD_TRANSACTION),
+    # a mint over bob's coin
+    ("replacement", TxKind.MINT, [], [], ErrorCode.BAD_TRANSACTION)],
+    ids=["owned-shared-sign", "owned-shared", "unheld-shared",
+         "shared-among-inputs", "mint-over-held"])
+def test_one_admission_rule_for_both_doors(world, door, kind, inputs, shared,
+                                           code):
+    # alice's transaction is refused when she asks for signatures, and as
+    # the replacement of an unlock of her coin, which then reserves nothing
+    world.add_shared("board")
+    state = world.state()
+    world.add_shared("ghost")  # no validator holds it
+    tx = world.tx(kind, inputs, "gas", ["alice"], shared=shared,
+                  new_object_id=oid_of("bcoin") if kind == TxKind.MINT
+                  else None)
+    with pytest.raises(ProtocolError) as err:
+        if door == "sign":
+            state.process_tx(tx)
+        else:
+            state.process_unlock_rqt(make_rqt(
+                world, [world.key("coin")], "gas2", "alice", ["alice"],
+                replacement=tx))
+    assert err.value.code == code
+    assert state.unlock_db == {} and state.lock_db == {}
 
 
 def test_unlock_gas_is_validated_and_locked(world):
@@ -720,7 +753,6 @@ def test_debit_below_zero_rejected(world):
 
 
 def test_mint_creates_version_zero(world):
-    from tests.conftest import oid_of
     state = world.state()
     tx = world.tx(TxKind.MINT, [], "gas", ["alice"],
                   new_object_id=oid_of("fresh"), amount=5,
