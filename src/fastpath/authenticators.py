@@ -28,6 +28,10 @@ below, and `nonce_part` is 0x00 for no nonce or 0x01 plus the 32-byte nonce.
     Threshold       label 0x06  params  = u64 need + u32(count) + u64 weights
     AllOf           label 0x07  params  = empty
     AnyOf           label 0x08  params  = empty
+
+Terms are named tuples whose `label` is a class attribute, so they compare
+as plain tuples: `AllOf((a, b)) == AnyOf((a, b))`. No map may be keyed by
+a term across kinds.
 """
 
 from __future__ import annotations

@@ -157,6 +157,11 @@ class UnlockCert(_UnlockCert):
         return tagged_digest("unlock-cert", body)
 
     def carried_union(self) -> tuple[Certificate, ...]:
+        """The votes' certificates, one per transaction, in digest order."""
+        return self._carried
+
+    @cached_property
+    def _carried(self) -> tuple[Certificate, ...]:
         by_digest = {}
         for vote in self.votes:
             for cert in vote.carried:

@@ -155,9 +155,9 @@ class Runner:
             fault = scenario.faults.get(vid, Fault("honest"))
             actor_cls, state_cls = FAULTS[fault.kind]
             self.validators.append(actor_cls(self, vid, fault, state_cls))
+        objects = [entry.obj for entry in genesis]
         for actor in self.validators:
-            for entry in genesis:
-                actor.state.seed_object(entry.obj)
+            actor.state.seed(objects)
         self.seq_actor = SequencerActor(self)
         self.clients = {name: ClientActor(self, name)
                         for name in scenario.accounts}

@@ -406,14 +406,21 @@ class GenesisObject(NamedTuple):
 
 
 def materialize_genesis(scenario: Scenario) -> list[GenesisObject]:
-    """Build every genesis object, committing to its owner term."""
-    out = []
+    """Build every genesis object, committing to its owner term. Objects
+    under one unhidden bare key share one tree, keyed by the key's bytes."""
+    out, bare = [], {}
     for spec in scenario.objects:
         tree = owner = None
         if spec.term is not None:
-            stream = (NonceStream(nonce_seed_for(spec.name)) if spec.hidden
-                      else None)
-            tree = annotate(spec.term, stream)
+            if spec.hidden:
+                tree = annotate(spec.term,
+                                NonceStream(nonce_seed_for(spec.name)))
+            elif type(spec.term) is PublicKey:
+                if spec.term.pk not in bare:
+                    bare[spec.term.pk] = annotate(spec.term)
+                tree = bare[spec.term.pk]
+            else:
+                tree = annotate(spec.term)
             owner = reveal_root(tree)
         if spec.kind == ObjectKind.COMMUTATIVE:
             contents = CounterValue(spec.flavor, spec.limit)

@@ -17,10 +17,11 @@ instance: encodings, digests and their hex (`hexdigest`) are lock-free
 failure), `verified_once` checks remember their verdict per (committee,
 scheme), `Evidence.signer_set` remembers its signer set per (message,
 scheme), `authenticators.reveal_root` remembers each reveal's Merkle root,
-and `validator.execute` remembers its plan per input content. What traces
-record of a value is memoized too, as tuples every event shares:
-`ObjectKey.ids`, an `EffectSummary`'s `consumed_ids`, `produced_ids` and
-`counter_ids`, and `UnlockRqt.key_ids`. A type that memoizes subclasses
+`client.UnlockCert.carried_union` its sorted union of carried certificates,
+and `validator.execute` its plan per input content. What traces record of
+a value is memoized too, as values every event shares: `ObjectKey.ids` and
+its `"oid:v"` `label`, an `EffectSummary`'s `consumed_ids`, `produced_ids`
+and `counter_ids`, and `UnlockRqt.key_ids`. A type that memoizes subclasses
 its named tuple without `__slots__`, so each instance keeps a `__dict__`
 for the memo: `ObjectKey`, `Object`, `Transaction`, `CertSign`,
 `Certificate`, `EffectSummary`, `Evidence`, `Revealed` and the three
@@ -187,8 +188,9 @@ class ObjectKey(_ObjectKey):
     """An object version. A named tuple, so hashing and equality run in C;
     the hash equals `hash((object_id, version))`."""
 
-    # the key as traces record it
+    # the key as traces record it, and as snapshots name it
     ids = cached_property(lambda self: (self.object_id.hex(), self.version))
+    label = cached_property(lambda self: "%s:%d" % self.ids)
 
     def canonical_bytes(self) -> bytes:
         return enc_bytes(self.object_id) + enc_u64(self.version)

@@ -251,16 +251,18 @@ class ValidatorState:
 
     # -- plumbing --
 
-    def seed_object(self, obj: Object) -> None:
-        """Install a genesis object (and counter bookkeeping if commutative)."""
-        self._put_object(obj)
-        if obj.kind == ObjectKind.COMMUTATIVE:
-            contents = obj.contents
-            budget = (initial_budget(contents.limit, self.params)
-                      if contents.flavor == FLAVOR_BOUNDED else 0)
-            self.counters[obj.key.object_id] = CounterLocal(
-                flavor=contents.flavor, limit=contents.limit, budget=budget,
-                version=obj.key.version)
+    def seed(self, objects) -> None:
+        """Install the genesis objects (one version per id) and counters."""
+        for obj in objects:
+            oid, version = obj.key
+            self.objects[oid] = {version: obj}
+            self.latest[oid] = version
+            if obj.kind == ObjectKind.COMMUTATIVE:
+                flavor, limit = obj.contents
+                budget = (initial_budget(limit, self.params)
+                          if flavor == FLAVOR_BOUNDED else 0)
+                self.counters[oid] = CounterLocal(flavor, limit, budget,
+                                                  version)
 
     def _put_object(self, obj: Object) -> None:
         oid = obj.key.object_id
@@ -867,20 +869,20 @@ class ValidatorState:
     # -- snapshots --
 
     def snapshot(self) -> dict:
-        objects = {}
+        objects, latest = {}, {}
         for oid in sorted(self.objects):
-            versions = self.objects[oid]
-            objects[oid.hex()] = {
-                str(v): versions[v].fingerprint
-                for v in sorted(versions)}
+            versions, top = self.objects[oid], self.latest[oid]
+            hex_oid = versions[top].key.ids[0]
+            latest[hex_oid] = top
+            objects[hex_oid] = {
+                str(v): versions[v].fingerprint for v in sorted(versions)}
         return {
             "validator": self.vid,
             "epoch": self.epoch,
             "objects": objects,
-            "latest": {oid.hex(): v for oid, v in sorted(self.latest.items())},
-            "unlock_db": {"%s:%d" % k.ids: v
-                          for k, v in sorted(self.unlock_db.items())},
-            "locks": {"%s:%d" % k.ids: e.holder.hex()
+            "latest": latest,
+            "unlock_db": {k.label: v for k, v in sorted(self.unlock_db.items())},
+            "locks": {k.label: e.holder.hex()
                       for k, e in sorted(self.lock_db.items())},
             "executed": sorted(d.hex() for d in self.executed),
             "counters": {oid.hex(): self.counters[oid].snapshot()

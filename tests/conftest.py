@@ -92,8 +92,7 @@ class World:
 
     def state(self, vid: int = 0, **kwargs) -> ValidatorState:
         state = ValidatorState(vid, self.params, scheme=self.scheme, **kwargs)
-        for obj in self.objects.values():
-            state.seed_object(obj)
+        state.seed(self.objects.values())
         return state
 
     def states(self) -> list[ValidatorState]:

@@ -8,13 +8,15 @@ the counters and their reissued limits, and the gas payment by the gas
 object. The key is content because validators can hold different
 objects under one version, or reissue a counter at a different limit.
 `Evidence.signer_set` stores each signer set on the evidence, keyed by
-message and scheme. Every caller sharing an instance must share the result,
-and every caller with different content must get its own.
+message and scheme. `UnlockCert.carried_union` stores its sorted union on
+the certificate that every validator and the driver share. Every caller
+sharing an instance must share the result, and every caller with different
+content must get its own.
 """
 
 import pytest
 
-from fastpath.client import assemble_unlock_cert
+from fastpath.client import UnlockVote, assemble_unlock_cert
 from fastpath.crypto import KeyedDigestScheme
 from fastpath.types import ErrorCode, IntValue, ProtocolError, TxKind
 from fastpath.validator import execute
@@ -215,3 +217,21 @@ def test_signer_set_is_per_message_and_scheme(world):
         assert evidence.signer_set(tx.digest, world.scheme) == alice
         assert evidence.signer_set(b"other message", world.scheme) == frozenset()
         assert evidence.signer_set(tx.digest, rejecting) == frozenset()
+
+
+def test_carried_union_is_sorted_once_per_certificate(world):
+    rqt = make_rqt(world, [world.key("coin")], "gas2", "alice", ["alice"])
+    certs = sorted((world.cert(world.transfer("coin", "gas", "alice", "bob")),
+                    world.cert(world.transfer("bcoin", "bgas", "bob", "alice"))),
+                   key=lambda c: c.tx.digest)
+    votes = [UnlockVote.make(rqt.digest, carried, v, world.scheme)
+             for v, carried in enumerate(([certs[1]], [certs[0]], [], []))]
+    ucert = assemble_unlock_cert(votes[:3], rqt, world.params)
+    union = ucert.carried_union()
+    assert union == tuple(certs)
+    assert ucert.carried_union() is union
+    assert ucert.__dict__["_carried"] is union
+    # a copy with other votes is a new instance and computes its own union
+    other = ucert._replace(votes=tuple(votes[1:]))
+    assert "_carried" not in other.__dict__
+    assert other.carried_union() == (certs[0],)

@@ -158,6 +158,19 @@ def assert_all_finalize(data):
 
 @settings(max_examples=60, deadline=None)
 @given(scenarios())
+# `all` and `any` over the same keys compare equal as terms: genesis must
+# still give them different owners, or a alone cannot open the `any` coin
+@example({
+    "committee": {"n": 4, "f": 1}, "seed": 3, "ticks": GAP + 2000,
+    "epoch_length": 10**6, "accounts": ["a", "b"],
+    "objects": [{"name": f"gas_{a}", "kind": "owned", "owner": {"pk": a},
+                 "contents": 100, "hidden": False} for a in ("a", "b")] + [
+        {"name": f"coin{i}", "kind": "owned",
+         "owner": {shape: [{"pk": "a"}, {"pk": "b"}]}, "contents": 5,
+         "hidden": False} for i, shape in enumerate(("all", "any"))],
+    "script": [{"at": 5, "client": "a", "action": "transfer",
+                "inputs": ["coin1"], "gas": "gas_a", "signers": ["a"],
+                "to": "b"}]})
 def test_sequential_actions_all_finalize(data):
     assert_all_finalize(data)
 

@@ -17,6 +17,7 @@ from fastpath.client import (
     UnlockCert,
     UnlockVote,
 )
+from fastpath.crypto import user_keypair
 from fastpath.sequencer import EndOfEpoch
 from fastpath.simnet import workflows
 from fastpath.simnet.invariants import (
@@ -1134,6 +1135,36 @@ def test_a_replacement_takes_nothing_its_requester_does_not_own(replacement):
         assert {oid: snap["objects"][oid] for oid in alices} == alices, actor
         assert snap["counters"][pool]["settled"] == {}, actor
     assert check_invariants(trace) == []
+
+
+def test_genesis_shares_one_tree_per_unhidden_bare_key():
+    # `all` and `any` over the same keys compare equal as tuples, yet they
+    # are different owners; a hidden object draws its own nonces
+    pair = [{"pk": "alice"}, {"pk": "bob"}]
+    hidden = {"kind": "owned", "owner": {"pk": "bob"}, "contents": 1,
+              "hidden": True}
+    scenario = Scenario.from_dict({
+        "committee": {"n": 4, "f": 1}, "seed": 1, "ticks": 100,
+        "accounts": ["alice", "bob"],
+        "objects": gas_objects("alice", ["coin", "gas"]) + [
+            {"name": "pool", "kind": "commutative", "flavor": "bounded",
+             "limit": 100, "owner": {"pk": "alice"}},
+            {"name": "both", "kind": "owned", "owner": {"all": pair},
+             "contents": 1},
+            {"name": "either", "kind": "owned", "owner": {"any": pair},
+             "contents": 1},
+            {"name": "h1", **hidden}, {"name": "h2", **hidden}],
+        "script": []})
+    genesis = {g.spec.name: g for g in materialize_genesis(scenario)}
+    both, either = genesis["both"], genesis["either"]
+    assert both.spec.term == either.spec.term
+    assert both.obj.owner != either.obj.owner
+    assert genesis["coin"].tree is genesis["gas"].tree is genesis["pool"].tree
+    assert {genesis[n].obj.owner for n in ("coin", "gas", "pool")} == {
+        commit(PublicKey(user_keypair("alice")[1]))}
+    h1, h2 = genesis["h1"], genesis["h2"]
+    assert h1.tree is not h2.tree
+    assert h1.obj.owner != h2.obj.owner
 
 
 def test_a_shared_input_cannot_be_an_owned_object():
