@@ -108,6 +108,11 @@ class UnlockRqt(_UnlockRqt):
     key_ids = cached_property(
         lambda self: tuple(k.ids for k in self.object_keys))
 
+    @cached_property
+    def included_oids(self) -> frozenset[bytes]:
+        """Ids of the objects it includes, for owner terms: listed keys, gas."""
+        return frozenset(k.object_id for k in (*self.object_keys, self.gas))
+
     @property
     def multi(self) -> bool:
         return self.replacement_tx is not None

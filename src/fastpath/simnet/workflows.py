@@ -178,14 +178,14 @@ class ClientActor:
             self._contents(k), "flavor", None) == FLAVOR_BOUNDED), None)
 
     def _evidence(self, message: bytes, signer_names, object_keys,
-                  all_oids) -> Evidence:
+                  included_oids) -> Evidence:
         """Signatures over `message`, and a reveal for each of
         `object_keys` whose owner term the clients can open and the signers
-        can satisfy."""
+        can satisfy, with the request's `included_oids`."""
         keys = [(self.runner.account_sk[n], self.runner.account_pk[n])
                 for n in signer_names]
         ctx = AuthContext(signers=frozenset(pk for _, pk in keys),
-                          included_oids=frozenset(all_oids),
+                          included_oids=included_oids,
                           local_time=self.now,
                           event_oracle=self.runner.event_oracle)
         reveals = []
@@ -226,8 +226,8 @@ class ClientActor:
         # a commutative input needs its owner's consent only to be debited
         keys = [k for k in tx.inputs if tx.kind == TxKind.DEBIT
                 or self._kind(k) != ObjectKind.COMMUTATIVE]
-        all_oids = {k.object_id for k in tx.inputs} | set(tx.shared_inputs)
-        return tx.with_evidence(self._evidence(tx.digest, signers, keys, all_oids))
+        return tx.with_evidence(self._evidence(tx.digest, signers, keys,
+                                               tx.included_oids))
 
     def _owned_keys(self, tx: Transaction) -> tuple[ObjectKey, ...]:
         return tuple(k for k in tx.inputs if self._kind(k) == ObjectKind.OWNED)
@@ -308,7 +308,7 @@ class ClientActor:
                   else [gas_key])
         rqt = rqt._replace(evidence=self._evidence(
             rqt.signing_digest, action.get("signers", [self.name]), proved,
-            {k.object_id for k in [*keys, gas_key]}))
+            rqt.included_oids))
         driver, = yield [(FastUnlockDriver, rqt, options)]
         if driver.status in ("unlocked", "superseded"):
             self._update_view(driver.effect_certs)

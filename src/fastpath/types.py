@@ -306,6 +306,11 @@ class Transaction(_Transaction):
 
     hexdigest = cached_property(lambda self: self.digest.hex())
 
+    @cached_property
+    def included_oids(self) -> frozenset[bytes]:
+        """Ids of the objects it includes, for owner terms: inputs, shared inputs."""
+        return frozenset(k.object_id for k in self.inputs).union(self.shared_inputs)
+
     def validate(self) -> None:
         """Raise `BAD_TRANSACTION` for bad inputs; only a success is stored."""
         if "_valid" in self.__dict__:

@@ -23,6 +23,8 @@ no-op, which releases every listed key the replacement did not consume.
 
 One rule (`_admit`) admits a transaction to be signed and an unlock's
 replacement alike: inputs of the right kind, owners' consent, a free mint id.
+One check (`_consents`) judges each owner's consent, there and for an unlock's
+keys and gas alike, over the objects the request includes (`included_oids`).
 
 Execution is pure, so each plan is memoized on the message all validators
 share, keyed by the content of its inputs: a transaction's dry run, fast-path
@@ -283,24 +285,22 @@ class ValidatorState:
                                 f"{key!r} behind v{self.latest[oid]}")
         return self.objects[oid][key.version]
 
-    def _auth_ctx(self, evidence, message: bytes, oids) -> AuthContext:
-        """What this validator knows when judging `evidence` over `message`:
-        the keys that signed it, the objects included, its own clock."""
-        signers = (evidence.signer_set(message, self.scheme)
-                   if evidence else frozenset())
-        return AuthContext(signers=signers, included_oids=frozenset(oids),
-                           local_time=self.clock,
-                           event_oracle=self.event_oracle)
-
-    def _evidence_ok(self, evidence, obj: Object, ctx: AuthContext) -> bool:
-        if evidence is None or obj.owner is None:
-            return False
-        pair = evidence.for_object(obj.key.object_id)
-        if pair is None:
-            return False
-        reveal, path = pair
+    def _consents(self, evidence, message: bytes, oids, objects) -> bool:
+        """Whether `evidence` proves that the owner of each of `objects`
+        consents to `message`, judged by its signers, the request's
+        `included_oids` (`oids`) and this validator's clock. No object needs
+        no proof; a missing or ownerless object never consents."""
+        if evidence is None:
+            return not objects
+        ctx = AuthContext(signers=evidence.signer_set(message, self.scheme),
+                          included_oids=oids, local_time=self.clock,
+                          event_oracle=self.event_oracle)
         try:
-            return verify_reveal(obj.owner, reveal, path, ctx)
+            return all(
+                obj is not None and obj.owner is not None
+                and (pair := evidence.for_object(obj.key.object_id)) is not None
+                and verify_reveal(obj.owner, *pair, ctx)
+                for obj in objects)
         except (PathError, RevealError):
             return False
 
@@ -385,12 +385,10 @@ class ValidatorState:
             if self.objects[oid][self.latest[oid]].kind != ObjectKind.SHARED:
                 raise ProtocolError(ErrorCode.BAD_TRANSACTION, "not shared")
 
-        oids = {k.object_id for k in tx.inputs} | set(tx.shared_inputs)
-        ctx = self._auth_ctx(tx.evidence, tx.digest, oids)
         debited = commutative if tx.kind == TxKind.DEBIT else []
-        for key in owned + debited:
-            if not self._evidence_ok(tx.evidence, loaded[key], ctx):
-                raise ProtocolError(ErrorCode.BAD_EVIDENCE, repr(key))
+        if not self._consents(tx.evidence, tx.digest, tx.included_oids,
+                              [loaded[k] for k in owned + debited]):
+            raise ProtocolError(ErrorCode.BAD_EVIDENCE, "no owner consent")
         if tx.kind == TxKind.MINT and tx.params.new_object_id in self.latest:
             raise ProtocolError(ErrorCode.BAD_TRANSACTION, "minted id exists")
         return loaded, owned, commutative
@@ -490,28 +488,15 @@ class ValidatorState:
 
     # -- unlock votes (consensus-path entry) --
 
-    def unlock_authorized(self, rqt: UnlockRqt) -> bool:
-        if rqt.evidence is None:
-            return False
-        oids = {k.object_id for k in rqt.object_keys} | {rqt.gas.object_id}
-        ctx = self._auth_ctx(rqt.evidence, rqt.signing_digest, oids)
-        for key in rqt.object_keys:
-            obj = self.get_object(key)
-            if obj is None or not self._evidence_ok(rqt.evidence, obj, ctx):
-                return False
-        return True
-
     def check_auto_unlock(self, rqt: UnlockRqt, now: int, delta: int) -> bool:
         """Unauthenticated requests are honored only after every listed key
         has been locked for at least `delta` ticks; authenticated requests
         pass immediately."""
-        if self.unlock_authorized(rqt):
+        if self._consents(rqt.evidence, rqt.signing_digest, rqt.included_oids,
+                          [self.get_object(k) for k in rqt.object_keys]):
             return True
-        for key in rqt.object_keys:
-            entry = self.lock_db.get(key)
-            if entry is None or now - entry.since < delta:
-                return False
-        return True
+        entries = [self.lock_db.get(k) for k in rqt.object_keys]
+        return all(e is not None and now - e.since >= delta for e in entries)
 
     def process_unlock_rqt(self, rqt: UnlockRqt) -> UnlockVote:
         """Vote on an unlock request, over settled keys too: `_set_unlock`
@@ -580,23 +565,18 @@ class ValidatorState:
 
     def _lock_unlock_gas(self, rqt: UnlockRqt) -> None:
         key = rqt.gas
-        oid = key.object_id
-        if (oid not in self.latest or key.version != self.latest[oid]):
+        if self.latest.get(key.object_id) != key.version:
             raise ProtocolError(ErrorCode.BAD_GAS, "gas not current")
-        obj = self.objects[oid][key.version]
+        obj = self.get_object(key)
         if obj.kind != ObjectKind.OWNED or not isinstance(obj.contents, IntValue) \
                 or obj.contents.amount < GAS_FEE:
             raise ProtocolError(ErrorCode.BAD_GAS, "gas unusable")
-        if rqt.evidence is None:
-            raise ProtocolError(ErrorCode.BAD_GAS, "gas needs owner evidence")
-        ctx = self._auth_ctx(rqt.evidence, rqt.signing_digest, {oid})
-        if not self._evidence_ok(rqt.evidence, obj, ctx):
-            raise ProtocolError(ErrorCode.BAD_GAS, "gas evidence invalid")
-        entry = self.lock_db.get(key)
-        if entry is not None and entry.holder != rqt.digest:
+        if not self._consents(rqt.evidence, rqt.signing_digest,
+                              rqt.included_oids, [obj]):
+            raise ProtocolError(ErrorCode.BAD_GAS, "no gas owner consent")
+        entry = self.lock_db.setdefault(key, LockEntry(rqt.digest, self.clock))
+        if entry.holder != rqt.digest:
             raise ProtocolError(ErrorCode.BAD_GAS, "gas already locked")
-        if entry is None:
-            self.lock_db[key] = LockEntry(rqt.digest, self.clock)
 
     # -- sequenced unlock certificates --
 

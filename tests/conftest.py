@@ -124,8 +124,8 @@ class World:
         shared_ids = tuple(self.objects[n].key.object_id for n in shared)
         tx = Transaction(tuple(keys), shared_ids, kind, TxParams(**params),
                          gas_key, epoch)
-        oids = {k.object_id for k in keys} | set(shared_ids)
-        return tx.with_evidence(self.evidence(tx.digest, signers, sorted(oids)))
+        return tx.with_evidence(self.evidence(tx.digest, signers,
+                                              sorted(tx.included_oids)))
 
     def transfer(self, coin, gas, signer: str, to: str, **kw) -> Transaction:
         return self.tx(TxKind.TRANSFER, [coin], gas, [signer],

@@ -162,9 +162,8 @@ def test_06_multi_unlock_branch_against_brute_force():
     keys = (world.key("k1"), world.key("k2"))
     bare = UnlockRqt(keys, replacement, world.key("gU"), 0,
                      world.account("alice"))
-    evidence = world.evidence(
-        bare.signing_digest, ["alice"],
-        sorted({k.object_id for k in keys} | {bare.gas.object_id}))
+    evidence = world.evidence(bare.signing_digest, ["alice"],
+                              sorted(bare.included_oids))
     rqt = UnlockRqt(keys, replacement, bare.gas, 0, world.account("alice"),
                     evidence)
 

@@ -39,8 +39,7 @@ from fastpath.types import (
 def simple_rqt(world, key_names=("coin",), gas="gas2"):
     keys = tuple(world.key(n) for n in key_names)
     rqt = UnlockRqt(keys, None, world.key(gas), 0, world.account("alice"))
-    oids = sorted({k.object_id for k in keys} | {rqt.gas.object_id})
-    ev = world.evidence(rqt.signing_digest, ["alice"], oids)
+    ev = world.evidence(rqt.signing_digest, ["alice"], sorted(rqt.included_oids))
     return UnlockRqt(keys, None, rqt.gas, 0, world.account("alice"), ev)
 
 

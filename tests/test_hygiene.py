@@ -831,3 +831,45 @@ def test_runner_compares_no_fault_kind():
                 for node in ast.walk(operand)
                 if isinstance(node, ast.Constant)}
     assert not compared & set(FAULTS)
+
+
+# Owner consent is judged in one place: in the validator, only `_consents`
+# builds an `AuthContext` or calls `verify_reveal`, so a second consent
+# path, over an included set of its own, cannot come back unnoticed.
+CONSENT_CALLS = {"AuthContext", "verify_reveal"}
+
+
+def consent_calls_outside(tree: ast.Module, judge: str = "_consents"
+                          ) -> list[str]:
+    """Calls of `CONSENT_CALLS` outside the function named `judge`, in line
+    order."""
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == judge
+              for node in ast.walk(fn)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and _callee_name(node) in CONSENT_CALLS and id(node) not in inside]
+    return [f"{node.lineno} calls {_callee_name(node)}"
+            for node in sorted(calls, key=lambda node: node.lineno)]
+
+
+def test_one_function_judges_owner_consent():
+    tree = ast.parse((SRC / "validator.py").read_text())
+    judge, = [fn for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_consents"]
+    assert {_callee_name(node) for node in ast.walk(judge)
+            if isinstance(node, ast.Call)} >= CONSENT_CALLS
+    assert consent_calls_outside(tree) == []
+
+
+def test_consent_check_flags_a_planted_second_call_site():
+    planted = ast.parse(
+        "class ValidatorState:\n"
+        "    def _consents(self, evidence, message, oids, objects):\n"
+        "        ctx = AuthContext(included_oids=oids)\n"
+        "        return all(verify_reveal(o.owner, ctx) for o in objects)\n"
+        "    def _gas_ok(self, rqt, obj):\n"
+        "        ctx = AuthContext(included_oids={rqt.gas.object_id})\n"
+        "        return authenticators.verify_reveal(obj.owner, ctx)\n"
+        "ok = verify_reveal(root, reveal, path, ctx)\n")
+    assert consent_calls_outside(planted) == [
+        "6 calls AuthContext", "7 calls verify_reveal", "8 calls verify_reveal"]

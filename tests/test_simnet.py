@@ -441,6 +441,37 @@ def test_unauthorized_unlock_never_assembles():
     assert check_invariants(trace) == []
 
 
+@pytest.mark.parametrize("owner, status, codes", [
+    ({"oid": "x"}, "unlocked", None),
+    ({"all": [{"pk": "alice"}, {"oid": "x"}]}, "unlocked", None),
+    ({"oid": "y"}, "unauthorized", ["BadGas"]),
+])
+def test_an_unlocks_gas_owner_consents_over_the_keys_it_lists(
+        owner, status, codes):
+    # alice unlocks her coin x paying with gas ug, whose owner term names an
+    # object: it is met when that object is among the listed keys, as it
+    # would be by a transfer of x that ug pays for, and only then
+    def scenario(seed):
+        return Scenario.from_dict({
+            "committee": {"n": 4, "f": 1}, "seed": seed, "ticks": 6000,
+            "delta": 300, "epoch_length": 5000,
+            "network": {"min_delay": 1, "max_delay": 4},
+            "accounts": ["alice"],
+            "objects": [{"name": name, "kind": "owned",
+                         "owner": {"pk": "alice"}, "contents": 10}
+                        for name in ("x", "y")]
+                       + [{"name": "ug", "kind": "owned", "owner": owner,
+                           "contents": 50}],
+            "script": [{"at": 5, "client": "alice", "action": "unlock",
+                        "keys": ["x"], "gas": "ug"}]})
+
+    for i in range(4):
+        trace = run(scenario(derive_seed(11, i)))
+        assert trace.quiesced and check_invariants(trace) == []
+        finished, = trace.select("unlock_driver_finished")
+        assert (finished["status"], finished.get("codes")) == (status, codes)
+
+
 def test_explore_schedules_aggregates():
     assert explore_schedules(plain_transfer(0), 3) == []
 

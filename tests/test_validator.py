@@ -20,8 +20,7 @@ def make_rqt(world, keys, gas, requester, signers, replacement=None,
     rqt = UnlockRqt(tuple(keys), replacement,
                     world.key(gas) if isinstance(gas, str) else gas,
                     epoch, world.account(requester))
-    oids = sorted({k.object_id for k in rqt.object_keys}
-                  | {rqt.gas.object_id})
+    oids = sorted(rqt.included_oids)
     if not evidence:
         oids = [rqt.gas.object_id]
     ev = world.evidence(rqt.signing_digest, signers, oids)
