@@ -4,13 +4,15 @@ Each checker reads a recorded trace (events plus final snapshots) and
 returns violations; an empty result across all of them means every claim
 held on this schedule. Checkers quantify over honest validators only:
 events from Byzantine actors are evidence of behavior, not subjects of
-the guarantees. The registry below is fixed so run summaries enumerate
-every checker exactly once.
+the guarantees. The registry, `CHECKERS`, is an explicit ordered list,
+so run summaries enumerate every checker exactly once.
 
 `check_invariants` reads the trace once: one pass builds a `TraceIndex`,
 and every checker reads that index, only the kinds of event it judges,
-instead of the events. A checker called alone on a `Trace` builds a
-fresh index.
+instead of the events. To add a checker, write its judge, a generator
+that yields one message per violation it finds in a `TraceIndex`, under
+`@checker(name)`, and list it in `CHECKERS`; perfbench then reports it
+as `invariants.<name>.ms_per_run`, which `BENCHMARK.json` must declare.
 
 Covered claims: finalized effects are never reverted; sequenced execution
 per object version is unique and bit-identical across honest validators;
@@ -25,8 +27,9 @@ had.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Iterator
+from collections import Counter, defaultdict
+from collections.abc import Callable, Iterator
+from functools import wraps
 from itertools import chain
 from typing import NamedTuple
 
@@ -77,29 +80,42 @@ class TraceIndex:
         return map(self._events.__getitem__, positions)
 
 
-def _indexed(trace: Trace | TraceIndex) -> TraceIndex:
-    return trace if isinstance(trace, TraceIndex) else TraceIndex(trace)
+def checker(name: str):
+    """Declare the checker `name` over a judge that yields one message per
+    violation in a `TraceIndex`: the public function takes a `Trace` or
+    its index and returns `Violation(name, message)` for each message."""
+    def declare(judge: Callable[[TraceIndex], Iterator[str]]):
+        @wraps(judge)
+        def check(trace: Trace | TraceIndex) -> list[Violation]:
+            index = trace if isinstance(trace, TraceIndex) \
+                else TraceIndex(trace)
+            return [Violation(name, message) for message in judge(index)]
+        check.name = name
+        return check
+    return declare
 
 
-def check_byzantine_bound(trace: Trace | TraceIndex) -> list[Violation]:
-    error = fault_bound_error(trace.meta.get("faults", {}).values(),
-                              trace.meta["f"])
-    return [Violation("byzantine_bound", error)] if error else []
+@checker("byzantine_bound")
+def check_byzantine_bound(index: TraceIndex) -> Iterator[str]:
+    """No more validators are faulty than the scenario's `f` allows."""
+    error = fault_bound_error(index.meta.get("faults", {}).values(),
+                              index.meta["f"])
+    if error:
+        yield error
 
 
-def check_drop_budget(trace: Trace | TraceIndex) -> list[Violation]:
-    budget = trace.meta.get("drop_budget", 0)
-    if trace.dropped > budget:
-        return [Violation("drop_budget",
-                          f"dropped {trace.dropped} > budget {budget}")]
-    return []
+@checker("drop_budget")
+def check_drop_budget(index: TraceIndex) -> Iterator[str]:
+    """The network dropped no more messages than its `drop_budget`."""
+    budget = index.meta.get("drop_budget", 0)
+    if index.dropped > budget:
+        yield f"dropped {index.dropped} > budget {budget}"
 
 
-def check_client_safety(trace: Trace | TraceIndex) -> list[Violation]:
+@checker("client_safety")
+def check_client_safety(index: TraceIndex) -> Iterator[str]:
     """Finalized effects must be present in every live honest validator's
     final state: an effect certificate is a promise of permanence."""
-    out = []
-    index = _indexed(trace)
     stores = [(name, index.snapshots[name].get("objects", {}))
               for name in index.live_honest]
     no_versions: dict = {}
@@ -109,18 +125,14 @@ def check_client_safety(trace: Trace | TraceIndex) -> list[Violation]:
             for name, objects in stores:
                 stored = objects.get(oid, no_versions).get(version_key)
                 if stored != fingerprint:
-                    out.append(Violation(
-                        "client_safety",
-                        f"finalized tx {event['tx'][:16]} output {oid[:16]}"
-                        f" v{version} missing or altered at {name}"))
-    return out
+                    yield (f"finalized tx {event['tx'][:16]} output {oid[:16]}"
+                           f" v{version} missing or altered at {name}")
 
 
-def check_conflicting_execution(trace: Trace | TraceIndex) -> list[Violation]:
+@checker("conflicting_execution")
+def check_conflicting_execution(index: TraceIndex) -> Iterator[str]:
     """Sequenced executions: per object version at most one, and the same
     transaction with bit-identical effects at every honest validator."""
-    out = []
-    index = _indexed(trace)
     honest = index.honest
     per_validator = defaultdict(dict)
     key_execs = defaultdict(lambda: defaultdict(set))
@@ -133,36 +145,28 @@ def check_conflicting_execution(trace: Trace | TraceIndex) -> list[Violation]:
         prior = txs.get(tx)
         effects = event["effects"]
         if prior is not None and prior != effects:
-            out.append(Violation(
-                "conflicting_execution",
-                f"{actor} produced two effect variants for {tx[:16]}"))
+            yield f"{actor} produced two effect variants for {tx[:16]}"
         txs[tx] = effects
         keys = key_execs[actor]
         for oid, version in event["consumed"]:
             keys[(oid, version)].add(tx)
     for actor, keys in sorted(key_execs.items()):
         for key in sorted(k for k, txs in keys.items() if len(txs) > 1):
-            out.append(Violation(
-                "conflicting_execution",
-                f"{actor} sequenced {len(keys[key])} executions over"
-                f" {key[0][:16]} v{key[1]}"))
+            yield (f"{actor} sequenced {len(keys[key])} executions over"
+                   f" {key[0][:16]} v{key[1]}")
     names = sorted(per_validator)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             ours, theirs = per_validator[a], per_validator[b]
             for tx in sorted(tx for tx, effects in ours.items()
                              if tx in theirs and effects != theirs[tx]):
-                out.append(Violation(
-                    "conflicting_execution",
-                    f"{a} and {b} disagree on effects of {tx[:16]}"))
-    return out
+                yield f"{a} and {b} disagree on effects of {tx[:16]}"
 
 
-def check_per_key_linearity(trace: Trace | TraceIndex) -> list[Violation]:
+@checker("per_key_linearity")
+def check_per_key_linearity(index: TraceIndex) -> Iterator[str]:
     """At most one surviving state-mutating execution per object version,
     across the fast, unlock, and checkpoint paths."""
-    out = []
-    index = _indexed(trace)
     honest = index.honest
     surviving = defaultdict(lambda: defaultdict(set))
     no_txs: set[str] = set()
@@ -179,20 +183,17 @@ def check_per_key_linearity(trace: Trace | TraceIndex) -> list[Violation]:
                 book[(oid, version)].add(event["tx"])
     for actor, book in sorted(surviving.items()):
         for key in sorted(k for k, txs in book.items() if len(txs) > 1):
-            out.append(Violation(
-                "per_key_linearity",
-                f"{actor}: {len(book[key])} surviving executions consumed"
-                f" {key[0][:16]} v{key[1]}"))
-    return out
+            yield (f"{actor}: {len(book[key])} surviving executions consumed"
+                   f" {key[0][:16]} v{key[1]}")
 
 
 _ALLOWED_TRANSITIONS = {("none", "unlocked"), ("none", "confirmed"),
                         ("unlocked", "confirmed")}
 
 
-def check_unlock_monotonic(trace: Trace | TraceIndex) -> list[Violation]:
-    out = []
-    index = _indexed(trace)
+@checker("unlock_monotonic")
+def check_unlock_monotonic(index: TraceIndex) -> Iterator[str]:
+    """Honest unlock-table entries only move forward."""
     honest = index.honest
     states: dict[tuple, str] = {}
     for event in index.of("unlock_db_set"):
@@ -203,17 +204,14 @@ def check_unlock_monotonic(trace: Trace | TraceIndex) -> list[Violation]:
         prev_seen = states.get(key, "none")
         prev, state = event["prev"], event["state"]
         if prev != prev_seen or (prev, state) not in _ALLOWED_TRANSITIONS:
-            out.append(Violation(
-                "unlock_monotonic",
-                f"{actor} moved {event['key'][0][:16]}"
-                f" v{event['key'][1]} {prev_seen}->{state}"))
+            yield (f"{actor} moved {event['key'][0][:16]}"
+                   f" v{event['key'][1]} {prev_seen}->{state}")
         states[key] = state
-    return out
 
 
-def check_version_continuity(trace: Trace | TraceIndex) -> list[Violation]:
-    out = []
-    index = _indexed(trace)
+@checker("version_continuity")
+def check_version_continuity(index: TraceIndex) -> Iterator[str]:
+    """Each object's versions in an honest final state are gapless."""
     # objects share a few version sets, so each set is judged once: its
     # sorted versions if they have a gap, else None
     gapped: dict[tuple, list[int] | None] = {}
@@ -229,67 +227,49 @@ def check_version_continuity(trace: Trace | TraceIndex) -> list[Violation]:
                 gapped[keys] = None if present == expected else present
             present = gapped[keys]
             if present is not None:
-                out.append(Violation(
-                    "version_continuity",
-                    f"{name}: object {oid[:16]} versions {present} have gaps"))
-    return out
+                yield f"{name}: object {oid[:16]} versions {present} have gaps"
 
 
-def check_gas_conservation(trace: Trace | TraceIndex) -> list[Violation]:
+@checker("gas_conservation")
+def check_gas_conservation(index: TraceIndex) -> Iterator[str]:
     """Every sequenced unlock certificate pays with its gas object exactly
     once per honest validator, in all outcome cases."""
-    out = []
-    index = _indexed(trace)
     honest = index.honest
-    consumed: dict[tuple, int] = {}
-    for event in index.of("gas_consumed"):
-        actor = event.get("actor")
-        if actor in honest:
-            pair = (actor, event["rqt"])
-            consumed[pair] = consumed.get(pair, 0) + 1
-    outcomes: set[tuple] = set()
-    for event in index.of("unlock_exec", "unlock_ignored"):
-        actor = event.get("actor")
-        if actor in honest:
-            outcomes.add((actor, event["rqt"]))
+    consumed = Counter((event.get("actor"), event["rqt"])
+                       for event in index.of("gas_consumed")
+                       if event.get("actor") in honest)
+    outcomes = {(event.get("actor"), event["rqt"])
+                for event in index.of("unlock_exec", "unlock_ignored")
+                if event.get("actor") in honest}
     for pair in sorted(outcomes):
         count = consumed.get(pair, 0)
         if count != 1:
-            out.append(Violation(
-                "gas_conservation",
-                f"{pair[0]} consumed unlock gas {count} times for"
-                f" rqt {pair[1][:16]}"))
-    return out
+            yield (f"{pair[0]} consumed unlock gas {count} times for"
+                   f" rqt {pair[1][:16]}")
 
 
-def check_starvation_freedom(trace: Trace | TraceIndex) -> list[Violation]:
-    out = []
-    index = _indexed(trace)
+@checker("starvation_freedom")
+def check_starvation_freedom(index: TraceIndex) -> Iterator[str]:
+    """No unauthorized unlock certificate is assembled or executed."""
     unauthorized = set()
     for event in index.of("ucert_assembled"):
         if not event.get("authorized", True):
             unauthorized.add(event["rqt"])
-            out.append(Violation(
-                "starvation_freedom",
-                f"unauthorized requester assembled unlock cert"
-                f" {event['rqt'][:16]}"))
+            yield (f"unauthorized requester assembled unlock cert"
+                   f" {event['rqt'][:16]}")
     for event in index.of("unlock_exec"):
         if event["actor"] in index.honest and event["rqt"] in unauthorized:
-            out.append(Violation(
-                "starvation_freedom",
-                f"{event['actor']} executed an unauthorized unlock"))
-    return out
+            yield f"{event['actor']} executed an unauthorized unlock"
 
 
-def check_unlock_liveness(trace: Trace | TraceIndex) -> list[Violation]:
+@checker("unlock_liveness")
+def check_unlock_liveness(index: TraceIndex) -> Iterator[str]:
     """On quiescent runs, every authorized unlock reaches a terminal
     outcome, its first `unlock_driver_finished` record that is not a
     `timeout`, within the epoch-length bound; truncated runs are
     inconclusive and report nothing."""
-    if not trace.quiesced:
-        return []
-    out = []
-    index = _indexed(trace)
+    if not index.quiesced:
+        return
     bound = index.meta.get("epoch_length", 0)
     completions: dict[str, int] = {}
     for event in index.of("unlock_driver_finished"):
@@ -300,28 +280,21 @@ def check_unlock_liveness(trace: Trace | TraceIndex) -> list[Violation]:
             continue
         done_at = completions.get(event["rqt"])
         if done_at is None:
-            out.append(Violation(
-                "unlock_liveness",
-                f"authorized unlock {event['rqt'][:16]} never completed"))
+            yield f"authorized unlock {event['rqt'][:16]} never completed"
         elif done_at - event["tick"] > bound:
-            out.append(Violation(
-                "unlock_liveness",
-                f"unlock {event['rqt'][:16]} took {done_at - event['tick']}"
-                f" ticks (bound {bound})"))
-    return out
+            yield (f"unlock {event['rqt'][:16]} took {done_at - event['tick']}"
+                   f" ticks (bound {bound})")
 
 
-def check_bounded_counters(trace: Trace | TraceIndex) -> list[Violation]:
+@checker("bounded_counter_safety")
+def check_bounded_counters(index: TraceIndex) -> Iterator[str]:
     """Across everything that finalized, a bounded counter's debits never
     exceed its initial credit plus finalized credits."""
-    out = []
-    limits = {}
-    for name, spec in trace.meta.get("objects", {}).items():
-        if spec.get("flavor") == "bounded":
-            limits[spec["oid"]] = spec["limit"]
+    limits = {spec["oid"]: spec["limit"]
+              for spec in index.meta.get("objects", {}).values()
+              if spec.get("flavor") == "bounded"}
     if not limits:
-        return out
-    index = _indexed(trace)
+        return
     honest = index.honest
     finalized: dict[str, list] = {}
     for event in index.of("effect_cert", "seq_exec"):
@@ -343,48 +316,38 @@ def check_bounded_counters(trace: Trace | TraceIndex) -> list[Violation]:
     for oid in sorted(limits):
         allowed = limits[oid] + credits[oid]
         if debits[oid] > allowed:
-            out.append(Violation(
-                "bounded_counter_safety",
-                f"counter {oid[:16]} finalized debits {debits[oid]}"
-                f" exceed allowed {allowed}"))
-    return out
+            yield (f"counter {oid[:16]} finalized debits {debits[oid]}"
+                   f" exceed allowed {allowed}")
 
 
-def check_convergence(trace: Trace | TraceIndex) -> list[Violation]:
+@checker("convergence")
+def check_convergence(index: TraceIndex) -> Iterator[str]:
     """After quiescence, live honest validators agree on object state and
     on the sequenced counter history."""
-    if not trace.quiesced:
-        return []
-    out = []
-    index = _indexed(trace)
+    if not index.quiesced:
+        return
     names = index.live_honest
     if len(names) < 2:
-        return out
+        return
     baseline = index.snapshots[names[0]]
     for name in names[1:]:
         snap = index.snapshots[name]
         for field_name in ("objects", "latest"):
             if snap.get(field_name) != baseline.get(field_name):
-                out.append(Violation(
-                    "convergence",
-                    f"{name} and {names[0]} disagree on {field_name}"))
+                yield f"{name} and {names[0]} disagree on {field_name}"
         base_counters = baseline.get("counters", {})
         for oid, local in snap.get("counters", {}).items():
             other = base_counters.get(oid, {})
             for aspect in ("settled", "members", "value", "limit", "version"):
                 if local.get(aspect) != other.get(aspect):
-                    out.append(Violation(
-                        "convergence",
-                        f"{name} and {names[0]} disagree on counter"
-                        f" {oid[:16]} {aspect}"))
-    return out
+                    yield (f"{name} and {names[0]} disagree on counter"
+                           f" {oid[:16]} {aspect}")
 
 
-def check_settled_keys_consumed(trace: Trace | TraceIndex) -> list[Violation]:
+@checker("settled_keys_consumed")
+def check_settled_keys_consumed(index: TraceIndex) -> Iterator[str]:
     """Every key that a live honest validator holds `confirmed` has a later
     version there: consensus settled it, so an execution consumed it."""
-    out = []
-    index = _indexed(trace)
     for name in index.live_honest:
         snap = index.snapshots[name]
         latest, objects = snap.get("latest", {}), snap.get("objects", {})
@@ -392,36 +355,32 @@ def check_settled_keys_consumed(trace: Trace | TraceIndex) -> list[Violation]:
             oid, _, version = key.rpartition(":")
             if state == "confirmed" and (version not in objects.get(oid, ())
                                          or version == str(latest.get(oid))):
-                out.append(Violation("settled_keys_consumed", f"{name}: {oid[:16]}"
-                                     f" v{version} is confirmed, not consumed"))
-    return out
+                yield (f"{name}: {oid[:16]} v{version}"
+                       " is confirmed, not consumed")
 
 
-CHECKERS = [
-    ("byzantine_bound", check_byzantine_bound),
-    ("drop_budget", check_drop_budget),
-    ("client_safety", check_client_safety),
-    ("conflicting_execution", check_conflicting_execution),
-    ("per_key_linearity", check_per_key_linearity),
-    ("unlock_monotonic", check_unlock_monotonic),
-    ("version_continuity", check_version_continuity),
-    ("gas_conservation", check_gas_conservation),
-    ("starvation_freedom", check_starvation_freedom),
-    ("unlock_liveness", check_unlock_liveness),
-    ("bounded_counter_safety", check_bounded_counters),
-    ("convergence", check_convergence),
-    ("settled_keys_consumed", check_settled_keys_consumed),
-]
+CHECKERS = [(check.name, check) for check in (
+    check_byzantine_bound,
+    check_drop_budget,
+    check_client_safety,
+    check_conflicting_execution,
+    check_per_key_linearity,
+    check_unlock_monotonic,
+    check_version_continuity,
+    check_gas_conservation,
+    check_starvation_freedom,
+    check_unlock_liveness,
+    check_bounded_counters,
+    check_convergence,
+    check_settled_keys_consumed,
+)]
 
 
 def check_invariants(trace: Trace) -> list[Violation]:
     """Run every registered checker on one index of the trace; empty
     result means all claims held."""
     index = TraceIndex(trace)
-    out: list[Violation] = []
-    for _, checker in CHECKERS:
-        out.extend(checker(index))
-    return out
+    return [violation for _, check in CHECKERS for violation in check(index)]
 
 
 def verdicts(violations: list[Violation]) -> dict[str, str]:

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pathlib
 import re
@@ -873,3 +874,78 @@ def test_consent_check_flags_a_planted_second_call_site():
         "ok = verify_reveal(root, reveal, path, ctx)\n")
     assert consent_calls_outside(planted) == [
         "6 calls AuthContext", "7 calls verify_reveal", "8 calls verify_reveal"]
+
+
+# A checker names its violations in one place: in `invariants.py` only
+# `checker` builds a `Violation`, and every registered checker is a
+# generator judge declared through it, listed under the name it reports.
+def violations_built_outside(tree: ast.Module, wrapper: str = "checker"
+                             ) -> list[str]:
+    """Calls of `Violation` outside the function named `wrapper`, by line."""
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == wrapper
+              for node in ast.walk(fn)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and _callee_name(node) == "Violation" and id(node) not in inside]
+    return [f"{node.lineno} builds a Violation"
+            for node in sorted(calls, key=lambda node: node.lineno)]
+
+
+def undeclared_checkers(checkers, declared) -> list[str]:
+    """Registry entries that are not `(check.name, check)` for a `check`
+    that `declared` (the decorator) built over a generator judge. Every
+    function the decorator builds shares its inner function's code."""
+    probe = declared("probe")(lambda index: iter(()))
+    found = []
+    for name, check in checkers:
+        if getattr(check, "__code__", None) is not probe.__code__:
+            found.append(f"{name} is not declared through the decorator")
+        elif not inspect.isgeneratorfunction(check.__wrapped__):
+            found.append(f"{name} judges with no generator")
+        elif check.name != name:
+            found.append(f"{name} reports as {check.name}")
+    return found
+
+
+def test_one_function_builds_every_violation():
+    tree = ast.parse((SRC / "simnet" / "invariants.py").read_text())
+    assert violations_built_outside(tree) == []
+    from fastpath.simnet.invariants import CHECKERS, checker
+
+    assert CHECKERS
+    assert undeclared_checkers(CHECKERS, checker) == []
+
+
+def test_violation_check_flags_planted_checkers():
+    from fastpath.simnet.invariants import checker
+
+    planted = ast.parse(
+        "def checker(name):\n"
+        "    def declare(judge):\n"
+        "        def check(trace):\n"
+        "            return [Violation(name, m) for m in judge(trace)]\n"
+        "        return check\n"
+        "    return declare\n"
+        "def check_own(trace):\n"
+        "    return [Violation('own', 'message')]\n"
+        "EMPTY = invariants.Violation('none', '')\n")
+    assert violations_built_outside(planted) == [
+        "8 builds a Violation", "9 builds a Violation"]
+
+    @checker("good")
+    def check_good(index):
+        yield from ()
+
+    @checker("elsewhere")
+    def check_misnamed(index):
+        yield from ()
+
+    def check_plain(trace):
+        return []
+
+    listed = [("good", check_good), ("plain", check_plain),
+              ("listed", checker("listed")(lambda index: [])),
+              ("misnamed", check_misnamed)]
+    assert undeclared_checkers(listed, checker) == [
+        "plain is not declared through the decorator",
+        "listed judges with no generator", "misnamed reports as elsewhere"]

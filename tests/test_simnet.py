@@ -36,6 +36,7 @@ from fastpath.simnet.invariants import (
     check_version_continuity,
     verdicts,
     CHECKERS,
+    Violation,
 )
 from fastpath.simnet.faults import FAULTS, ValidatorActor
 from fastpath.simnet.runner import (
@@ -608,6 +609,23 @@ def test_checker_flags_diverged_counters(aspect, value):
     assert [v.message for v in check_convergence(doctored)] == [
         f"v1 and v0 disagree on counter {oid[:16]} {aspect}"]
 
+
+
+@pytest.mark.parametrize("offset", [0, 1], ids=["latest", "unheld"])
+def test_checker_flags_a_confirmed_key_left_unconsumed(offset):
+    # a key consensus settled was consumed, so it has a later version; one
+    # confirmed at its object's latest version, or at a version v0 does not
+    # hold, was never spent there
+    trace = run(Scenario.load(str(SCENARIOS / "swap_deadlock.yaml")))
+    assert check_invariants(trace) == []
+    snap = trace.snapshots["v0"]
+    oid, latest = sorted(snap["latest"].items())[0]
+    version = latest + offset
+    assert (str(version) in snap["objects"][oid]) == (offset == 0)
+    snap["unlock_db"][f"{oid}:{version}"] = "confirmed"
+    assert check_invariants(trace) == [Violation(
+        "settled_keys_consumed",
+        f"v0: {oid[:16]} v{version} is confirmed, not consumed")]
 
 # --- checkers judge events in trace order, on the trace as it is now --------
 
