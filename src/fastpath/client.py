@@ -76,11 +76,11 @@ class UnlockRqt(_UnlockRqt):
     neither a bounded counter nor consumed by the replacement; each listed
     bounded counter is reissued by the consolidation that follows. It is
     superseded only when consensus settled every listed key first. A fresh
-    gas object pays for the sequenced step. `evidence` may be absent for
-    delay-gated unauthenticated requests. `certs` ride it: certificates
-    over a listed bounded counter, which voters carry and the unlock
-    executes. Each authenticates itself, so they enter `digest` only when
-    present.
+    gas object pays for the sequenced step, and `evidence` must prove its
+    owner's consent: a delay-gated request proves only its gas, as
+    `authorized: false` does. `certs` ride it: certificates over a listed
+    bounded counter, which voters carry and the unlock executes. Each
+    authenticates itself, so they enter `digest` only when present.
     """
 
     def signing_bytes(self) -> bytes:
@@ -255,7 +255,8 @@ class _Driver:
     keys alone become the driver's `confirmed`. Once `phase == "done"`, the
     driver holds its `status`, `effect_certs` and `confirmed` keys, its one
     trace record of the end is `<kind>_driver_finished` (a refused unlock's
-    lists the refusal `codes`), and `on_done(driver)` has run.
+    lists the refusal `codes`), and it has reported its end with
+    `env.finished(self)`, its last report to the env.
 
     Each exchange the driver starts arms a retry tick for that exchange
     alone, with `env.set_timer(self, hops)`: `start` and each retry for
@@ -270,12 +271,11 @@ class _Driver:
     finalized = ""  # the status a quorum of matching executions ends in
 
     def __init__(self, subject: bytes, label: dict, params: CommitteeParams,
-                 scheme, on_done):
+                 scheme):
         self.subject = subject
         self.label = label
         self.params = params
         self.scheme = scheme
-        self.on_done = on_done
         self.phase = "vote"
         self.votes: dict[int, object] = {}
         self.rejections: dict[int, str] = {}
@@ -337,8 +337,7 @@ class _Driver:
         self.phase = "done"
         env.emit(f"{self.kind}_driver_finished", **self.label, status=status,
                  rounds=self.round_trips, retries=self.retries, **fields)
-        if self.on_done:
-            self.on_done(self)
+        env.finished(self)
 
     def _retry(self, env) -> None:
         if self.phase == "done" or env.now < self.due:
@@ -362,10 +361,8 @@ class FastPathDriver(_Driver):
     finalized = "finalized"
 
     def __init__(self, tx: Transaction, params: CommitteeParams,
-                 scheme=crypto.DEFAULT_SCHEME, on_done=None, first_to=None,
-                 cert_to=None):
-        super().__init__(tx.digest, {"tx": tx.hexdigest}, params, scheme,
-                         on_done)
+                 scheme=crypto.DEFAULT_SCHEME, first_to=None, cert_to=None):
+        super().__init__(tx.digest, {"tx": tx.hexdigest}, params, scheme)
         self.tx = tx
         self.first_to = first_to  # initial partial broadcast; retries reach everyone
         self.cert_to = cert_to  # submit the certificate here and walk away
@@ -428,10 +425,8 @@ class FastUnlockDriver(_Driver):
     finalized = "unlocked"
 
     def __init__(self, rqt: UnlockRqt, params: CommitteeParams,
-                 scheme=crypto.DEFAULT_SCHEME, authorized: bool = True,
-                 on_done=None):
-        super().__init__(rqt.digest, {"rqt": rqt.hexdigest}, params, scheme,
-                         on_done)
+                 scheme=crypto.DEFAULT_SCHEME, authorized: bool = True):
+        super().__init__(rqt.digest, {"rqt": rqt.hexdigest}, params, scheme)
         self.rqt = rqt
         self.authorized = authorized
         self.ucert: UnlockCert | None = None

@@ -20,8 +20,8 @@ or counted as sent.
 
 A run stops at an empty queue or at the first entry past `tick_limit`;
 `ticks` is the tick of the last entry popped, idle retry ticks included.
-The run is quiesced if all that is left would reach gone or finished
-drivers (retry ticks, late replies); else the limit cut it short.
+The run is quiesced if all that is left reaches no running driver of its
+client (retry ticks, late replies); else the limit cut it short.
 
 Every message is a protocol value, and the receiver dispatches on its
 type. A sequencer submission is the item itself: an `UnlockCert` (from a
@@ -249,22 +249,19 @@ class Runner:
         return trace
 
     def _idle(self, src: str, dst: str, msg) -> bool:
-        """Whether an entry is a retry tick or a client-bound reply whose
-        driver (as `ClientActor.handle` picks it) is gone or finished."""
-        if src == "script" or dst not in self.clients:
-            return False
-        driver = msg if src == "timer" else self.clients[dst].drivers.get(
-            msg.subject)
-        return driver is None or driver.phase == "done"
+        """Whether an entry is a retry tick or a client-bound reply that
+        reaches no running driver (`ClientActor.reached`)."""
+        return src != "script" and dst in self.clients \
+            and self.clients[dst].reached(src, msg) is None
 
     def _release(self) -> None:
         """Cut the run's reference cycles (actors and runner point at each
-        other; drivers hold `on_done` closures over their client), so that
+        other; a suspended workflow's frame holds its client), so that
         refcounting frees the run without the cycle collector."""
         for actor in self._actors.values():
             actor.runner = None
         for client in self.clients.values():
-            client.drivers.clear()
+            client.waiting.clear()
         self._buckets.clear()
 
 

@@ -19,22 +19,24 @@ ownership. The pure work of building a transaction is done once per run:
 owner commitment, and every reveal is cut from the stored tree
 (`authenticators.reveal_from`).
 
-A client holds one driver table keyed by subject digest, the digest of the
-transaction or unlock request a driver carries. Every validator answer (a
-`CertSign` or `UnlockVote`, a `Rejection` or an `Outcome`) names that digest
-as its `subject` and reaches the newest driver launched for it. A retry
-tick carries the driver that armed it, so it reaches that driver alone,
-even when a newer driver has since taken over its digest. A driver arms one
-for each exchange it starts, and it falls once every reply of that
-exchange, fault-free, is overdue (`ClientActor.set_timer`): 2 hops for a
+A client alone knows its drivers: each reports every step to it as its env,
+and its end (`finished`) last. Each action is a generator workflow: it
+yields a batch, a list of (driver class, subject, driver options), and
+resumes once all of the batch's drivers have finished, with them in the
+order they finished; a driver's `status`, `effect_certs` and `confirmed`
+keys are its result. `waiting` holds each running driver's batch, `drivers`
+the newest driver per subject digest, that of the transaction or unlock
+request it carries. Every validator answer (a `CertSign` or `UnlockVote`, a
+`Rejection` or an `Outcome`) names that digest as its `subject` and reaches
+that driver; a retry tick reaches the driver that armed it, even once a
+newer one took over its digest. `reached` picks the driver, if it still
+runs: the rest stops at the client, and the runner asks `reached` whether a
+run quiesced. Each exchange a driver starts arms a tick that falls once all
+its replies, fault-free, are overdue (`ClientActor.set_timer`): 2 hops for a
 request or a certificate broadcast, 3 for a sequencer submission. A tick
-armed for an earlier exchange of the same driver is ignored, so only a
-drop, a fault or a partial first broadcast makes a retry. An unlock driver
-submits its `UnlockCert` to the sequencer as it is. Each action is a
-generator workflow: it yields a list of (driver class, subject, driver
-options), and once every driver of the list has finished it resumes with
-the finished drivers in the order they finished. A driver's `status`,
-`effect_certs` and `confirmed` keys are its result.
+armed for an earlier exchange of the same driver is ignored, so only a drop,
+a fault or a partial first broadcast makes a retry. An unlock driver submits
+its `UnlockCert` to the sequencer as it is.
 
 One rule, `_recovery`, answers a fast-path attempt that f+1 validators
 blocked, by a lock or by a budget, with the paper's fast unlock: a lock
@@ -93,7 +95,8 @@ class ClientActor:
         self.name = name
         self.emit = functools.partial(runner.recorder.emit, name)
         self.pk = runner.account_pk[name]
-        self.drivers: dict[bytes, object] = {}
+        self.drivers: dict[bytes, object] = {}  # the newest per subject
+        self.waiting: dict[object, tuple] = {}  # each running driver's batch
 
     # -- driver environment --
 
@@ -120,17 +123,26 @@ class ClientActor:
         self.runner.schedule_timer(self.name, delay, driver)
         return self.now + delay
 
+    def finished(self, driver) -> None:
+        workflow, done, size = self.waiting.pop(driver)
+        done.append(driver)
+        if len(done) == size:
+            self._run(workflow, done)
+
     # -- message plumbing --
+
+    def reached(self, src: str, msg):
+        """The running driver a retry tick or a reply reaches, or None."""
+        driver = msg if src == "timer" else self.drivers.get(msg.subject)
+        return driver if driver in self.waiting else None
 
     def handle(self, src: str, msg) -> None:
         if src == "script":
             self._start_action(msg)
-        elif src == "timer":
-            msg.on_timer(self)
-        else:
-            driver = self.drivers.get(msg.subject)
-            if driver is not None:
-                driver.on_message(self, msg)
+        elif (driver := self.reached(src, msg)) and src == "timer":
+            driver.on_timer(self)
+        elif driver:
+            driver.on_message(self, msg)
 
     # -- building blocks --
 
@@ -241,32 +253,20 @@ class ClientActor:
                 if version > versions.get(oid, -1):
                     versions[oid] = version
 
-    def _launch(self, driver_cls, subject, on_done, **options) -> None:
-        """Start a driver for `subject`, a transaction or an unlock request;
-        replies about its digest reach the driver."""
-        driver = driver_cls(subject, self.runner.scenario.params,
-                            self.runner.scheme, on_done=on_done, **options)
-        self.drivers[subject.digest] = driver
-        driver.start(self)
-
     def _run(self, workflow, drivers=None) -> None:
         """Resume `workflow` with the finished `drivers` it waits on, and
-        launch those it yields next; the last of them to finish resumes it
-        with them all, in the order they finished."""
+        start the batch it yields next (module docstring)."""
         try:
             launches = workflow.send(drivers)
         except StopIteration:
             return
-        finished = []
-
-        def on_done(driver):
-            driver.on_done = None  # a workflow keeping it would close a cycle
-            finished.append(driver)
-            if len(finished) == len(launches):
-                self._run(workflow, finished)
-
+        batch = (workflow, [], len(launches))
         for driver_cls, subject, options in launches:
-            self._launch(driver_cls, subject, on_done, **options)
+            driver = driver_cls(subject, self.runner.scenario.params,
+                                self.runner.scheme, **options)
+            self.drivers[subject.digest] = driver
+            self.waiting[driver] = batch
+            driver.start(self)
 
     # -- actions --
 

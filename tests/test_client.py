@@ -165,6 +165,9 @@ class RecordingEnv:
     def submit_sequencer(self, item):
         self.events.append("submitted")
 
+    def finished(self, driver):
+        pass
+
 
 def test_out_of_range_unlock_votes_are_dropped(world):
     rqt = simple_rqt(world)

@@ -949,3 +949,58 @@ def test_violation_check_flags_planted_checkers():
     assert undeclared_checkers(listed, checker) == [
         "plain is not declared through the decorator",
         "listed judges with no generator", "misnamed reports as elsewhere"]
+
+
+# A client alone knows its drivers: the runner asks `ClientActor.reached`
+# which running driver an entry reaches, and never reads a client's driver
+# table or a driver's phase; a driver reports its end to its env, not to a
+# callback it was built with.
+def names_used(tree: ast.Module, names=("drivers", "phase")) -> list[str]:
+    """Uses of `names`, as a name, an attribute or a parameter, in line
+    order."""
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.arg: "arg"}
+    found = [(node.lineno, getattr(node, field[type(node)]))
+             for node in ast.walk(tree) if type(node) in field]
+    return [f"{line} names {name}" for line, name in sorted(found)
+            if name in names]
+
+
+def methods_taking(tree: ast.Module, param: str = "on_done") -> list[str]:
+    """Methods of any class in `tree` with a parameter named `param`."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and param in {
+                    a.arg for a in (*fn.args.posonlyargs, *fn.args.args,
+                                    *fn.args.kwonlyargs)}:
+                found.append(f"{fn.lineno} {cls.name}.{fn.name}")
+    return found
+
+
+def test_the_runner_leaves_drivers_to_their_client():
+    runner = ast.parse((SRC / "simnet" / "runner.py").read_text())
+    assert names_used(runner) == []
+    takers = [f"{path.relative_to(SRC)}:{found}"
+              for path in sorted(SRC.rglob("*.py"))
+              for found in methods_taking(ast.parse(path.read_text()))]
+    assert takers == []
+
+
+def test_driver_seam_checks_flag_planted_uses():
+    planted = ast.parse(
+        "class Runner:\n"
+        "    def _idle(self, dst, msg):\n"
+        "        driver = self.clients[dst].drivers.get(msg.subject)\n"
+        "        return driver is None or driver.phase == 'done'\n"
+        "class Driver:\n"
+        "    def __init__(self, subject, on_done=None):\n"
+        "        self.phase = 'vote'\n"
+        "    def start(self, env, *, on_done):\n"
+        "        pass\n"
+        "def launch(drivers, on_done):\n"
+        "    pass\n")
+    assert names_used(planted) == ["3 names drivers", "4 names phase",
+                                   "7 names phase", "10 names drivers"]
+    assert methods_taking(planted) == ["6 Driver.__init__", "8 Driver.start"]

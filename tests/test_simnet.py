@@ -146,8 +146,10 @@ def test_replies_reach_the_newest_driver_and_ticks_the_one_that_armed_them(
     client = runner.clients["alice"]
     tx = client._build_tx({"action": "transfer", "inputs": ["coin"],
                            "gas": "gas_a", "to": "bob"})
-    client._launch(FastPathDriver, tx, None)
-    client._launch(FastPathDriver, tx, None)
+
+    def send_twice():
+        yield [(FastPathDriver, tx, {}), (FastPathDriver, tx, {})]
+    client._run(send_twice())
     runner.run()
     older, newer = launched
     assert newer.status == "finalized"
@@ -1031,6 +1033,54 @@ def test_a_spend_that_runs_out_of_unlock_gas_ends_out_of_unlock_gas():
         "consolidations": 0, "reason": "out_of_unlock_gas"}]
 
 
+def test_a_debit_that_nothing_recovers_ends_the_spend_with_its_status():
+    # built for an epoch the validators have not reached, the first debit is
+    # refused WrongEpoch, a refusal no consolidation answers
+    trace = _checked_run(bounded_spend(9, amounts=[10, 10]), epoch=1)
+    assert {e["code"] for e in trace.select("tx_rejected")} == {"WrongEpoch"}
+    assert [e["status"] for e in trace.select("fast_driver_finished")] \
+        == ["rejected"]
+    assert not trace.select("unlock_started")
+    done, = trace.select("spend_done")
+    assert (done["reason"], done["remaining"], done["consolidations"]) \
+        == ("rejected", 100, 0)
+
+
+def test_an_overtaken_debit_drops_its_gas_and_the_spend_goes_on():
+    # bob's debit of 70 exceeds every budget, so his recovery consolidates
+    # the counter he and alice share; at this seed it reissues the counter
+    # before alice's first debit executes anywhere, so that debit ends
+    # superseded. Its gas, g0, stays with its certificate: alice drops it
+    # and pays both of her debits at the new version with g1.
+    owners = {"any": [{"pk": "alice"}, {"pk": "bob"}]}
+    trace = _checked_run(Scenario.from_dict({
+        "committee": {"n": 4, "f": 1},
+        "seed": derive_seed(11, 1), "ticks": 20000, "delta": 300,
+        "epoch_length": 15000, "network": {"min_delay": 1, "max_delay": 4},
+        "accounts": ["alice", "bob"],
+        "objects": [{"name": "pool", "kind": "commutative",
+                     "flavor": "bounded", "limit": 100, "owner": owners}]
+        + gas_objects("alice", ["g0", "g1", "g2", "u0", "u1"], 30)
+        + gas_objects("bob", ["bg", "bu0", "bu1"], 30),
+        "script": [
+            {"at": 5, "client": "alice", "action": "spend_loop",
+             "counter": "pool", "amounts": [10, 10],
+             "gas_pool": ["g0", "g1", "g2"], "unlock_gas_pool": ["u0", "u1"],
+             "signers": ["alice"]},
+            {"at": 3, "client": "bob", "action": "debit", "inputs": ["pool"],
+             "gas": "bg", "amount": 70, "signers": ["bob"],
+             "unlock_gas": ["bu0", "bu1"]}]}))
+    assert [e["status"] for e in trace.select("fast_driver_finished")
+            if e["actor"] == "alice"] \
+        == ["superseded", "finalized", "finalized"]
+    names = {o["oid"]: name for name, o in trace.meta["objects"].items()}
+    paid = [(e["amount"], [names.get(p[0]) for p in e["produced"]])
+            for e in trace.select("effect_cert") if e["actor"] == "alice"]
+    assert paid == [(10, ["g1"]), (10, ["g1"])]
+    done, = trace.select("spend_done")
+    assert "reason" not in done and done["remaining"] == 80
+
+
 def test_a_greedy_debit_rides_the_consolidation_that_follows_it():
     # the ladder 66, 22, 8, 2, 1 leaves the target unmet at each step, so
     # each debit is certified, never broadcast, and its certificate rides
@@ -1435,6 +1485,38 @@ def test_an_unlock_for_a_left_epoch_ends_wrong_epoch(at):
     assert refused["codes"] == ["WrongEpoch"]
     done, = trace.select("driver_done")
     assert done["status"] == "wrong_epoch"
+
+
+def test_a_lazy_forwarders_certificate_is_sequenced_at_the_epoch_change():
+    # The client walks away once it sends the certificate to v3 alone, which
+    # never forwards one. At the epoch change v3 submits the certificates
+    # still waiting for a checkpoint slot, and the sequencer orders this one
+    # before or after the end-of-epoch quorum: every live honest validator
+    # runs it in epoch 0, or every one skips it as stale.
+    data = yaml.safe_load((SCENARIOS / "epoch_change.yaml").read_text())
+    data["faults"] = {"3": {"kind": "lazy_forwarder"}}
+    data["script"] = [{"at": 10, "client": "alice", "action": "transfer",
+                       "inputs": ["coin"], "gas": "g1", "to": "bob",
+                       "signers": ["alice"], "cert_to": [3]}]
+    seen = set()
+    for i in range(8):
+        trace = run(Scenario.from_dict(
+            {**data, "seed": derive_seed(data["seed"], i)}))
+        assert trace.quiesced
+        assert check_invariants(trace) == []
+        tx, = [e["tx"] for e in trace.select("cert_assembled")]
+        slot, = [e for e in trace.select("sequenced")
+                 if e["item_kind"] == "checkpoint"]
+        assert slot["tick"] > data["epoch_length"]
+        ends = [(e["actor"], e["kind"], e.get("via", e.get("reason")))
+                for e in trace.events if e.get("tx") == tx
+                and e["kind"] in ("seq_exec", "checkpoint_skip")
+                and e["actor"] != "v3"]
+        assert sorted(actor for actor, *_ in ends) == ["v0", "v1", "v2"]
+        outcome, = {tuple(end) for _, *end in ends}
+        seen.add(outcome)
+    assert seen == {("seq_exec", "checkpoint"),
+                    ("checkpoint_skip", "stale_epoch")}
 
 
 def test_shared_object_transaction_finalizes_after_sequencing():

@@ -428,6 +428,30 @@ def test_undo_single_layer_then_noop(world):
     assert states[0].get_object(world.key("gas", 1)).contents == IntValue(50)
 
 
+def test_no_commit_unlock_takes_back_a_fast_path_mint(world):
+    # Validator 0 alone ran a mint on the fast path; the quorum that votes
+    # the unlock of its gas saw no certificate. Taking the mint back leaves
+    # no version of the minted id, so the id leaves validator 0's store, and
+    # all four end with the same objects and latest versions, as the
+    # convergence checker compares them.
+    states = world.states()
+    fresh = oid_of("fresh")
+    mint = world.tx(TxKind.MINT, [], "gas", ["alice"], new_object_id=fresh,
+                    amount=7)
+    states[0].process_cert(world.cert(mint))
+    assert states[0].latest[fresh] == 0
+    rqt = make_rqt(world, [world.key("gas")], "gas2", "alice", ["alice"])
+    votes = [s.process_unlock_rqt(rqt) for s in states[1:]]
+    ucert = assemble_unlock_cert(votes, rqt, world.params)
+    assert ucert.carried_union() == ()
+    for state in states:
+        assert state.process_unlock_cert(ucert).status == "executed"
+    assert mint.digest not in states[0].executed
+    assert fresh not in states[0].objects and fresh not in states[0].latest
+    views = [(s.snapshot()["objects"], s.snapshot()["latest"]) for s in states]
+    assert all(view == views[0] for view in views)
+
+
 def test_replacement_transaction_runs_only_without_certificates(world):
     states = world.states()
     replacement = world.transfer("coin", "gas", "alice", "bob")
@@ -720,6 +744,25 @@ def test_auto_unlock_accepted_after_delay(world):
     state.clock = 120
     vote = state.process_unlock_rqt(rqt)
     assert vote.carried == ()
+
+
+def test_an_unlock_without_evidence_is_refused_for_its_gas(world):
+    # The delay lets a request through that proves no consent for its keys,
+    # but its gas still needs its owner's: with no evidence at all, the
+    # request is refused even past the delay, and no key is unlocked.
+    world.add_owned("egas", "eve", 50)
+    state = world.state(auto_unlock_delay=100)
+    state.clock = 10
+    state.process_tx(world.transfer("coin", "gas", "alice", "bob"))
+    bare = UnlockRqt((world.key("coin"),), None, world.key("egas"), 0,
+                     world.account("eve"))
+    assert bare.evidence is None
+    state.clock = 120
+    assert state.check_auto_unlock(bare, now=120, delta=100)
+    with pytest.raises(ProtocolError, match="no gas owner consent") as err:
+        state.process_unlock_rqt(bare)
+    assert err.value.code == ErrorCode.BAD_GAS
+    assert state.unlock_db == {} and world.key("egas") not in state.lock_db
 
 
 # --- execution semantics ----------------------------------------------------------------
