@@ -8,8 +8,9 @@ from a plain single-owner address until used. A transaction proves
 authorization by revealing just the branches a chosen path needs, keeping
 the rest of the policy hidden.
 
-One tree shape serves commits and reveals: a commitment is the root of the
-fully revealed tree, and a reveal hides the branches a path does not need.
+One tree shape serves commits, proofs and reveals: a commitment is the
+root of the fully revealed tree, a prover searches that tree for a path,
+and a reveal hides the branches the path does not need.
 
 Node hashing rules (fixed so commitments are reproducible):
 
@@ -307,32 +308,18 @@ def _eval(node, path: AuthPath, ctx: AuthContext, depth: int) -> bool:
                if _eval(node.children[i], sub, ctx, depth + 1)) >= need
 
 
-def find_path(term: AuthTerm, ctx: AuthContext) -> AuthPath | None:
-    """Prover-side search for a satisfying path; None if nothing satisfies.
-
-    Selections are made in child order, and threshold selection stops as
-    soon as enough weight accumulates, keeping the eventual reveal small.
-    """
-    label, fields, children = term.label, _term_fields(term), _term_children(term)
-    if label in _LEAF_LABELS:
-        return LEAF if _leaf_true(label, fields, ctx) else None
-    if label == LABEL_ALL:
-        subs = []
-        for child in children:
-            sub = find_path(child, ctx)
-            if sub is None:
-                return None
-            subs.append(sub)
-        return AllPath(tuple(subs))
-    if label == LABEL_ANY:
-        for i, child in enumerate(children):
-            sub = find_path(child, ctx)
-            if sub is not None:
-                return AnyPath(i, sub)
-        return None
-    need, weights = fields
-    picked = []
-    total = 0
+def find_path(node: Revealed, ctx: AuthContext) -> AuthPath | None:
+    """Prover-side search of an annotated tree for a satisfying path; None
+    if nothing satisfies. One weighted selection serves every branch kind:
+    an all-of branch needs every child and an any-of branch one, each child
+    at weight one. It tries children in order and stops once enough weight
+    accumulates, keeping the eventual reveal small."""
+    kind, children = node.kind, node.children
+    if kind in _LEAF_LABELS:
+        return LEAF if _leaf_true(kind, node.fields, ctx) else None
+    need, weights = node.fields if kind == LABEL_THRESHOLD else (
+        len(children) if kind == LABEL_ALL else 1, (1,) * len(children))
+    picked, total = [], 0
     for i, child in enumerate(children):
         if total >= need:
             break
@@ -340,9 +327,13 @@ def find_path(term: AuthTerm, ctx: AuthContext) -> AuthPath | None:
         if sub is not None:
             picked.append((i, sub))
             total += weights[i]
-    if total >= need:
-        return ThresholdPath(tuple(picked))
-    return None
+    if total < need:
+        return None
+    if kind == LABEL_ALL:
+        return AllPath(tuple(sub for _, sub in picked))
+    if kind == LABEL_ANY:
+        return AnyPath(*picked[0])
+    return ThresholdPath(tuple(picked))
 
 
 # --- commitments -------------------------------------------------------------

@@ -2,18 +2,20 @@
 reply shapes.
 
 Drivers are event-driven state machines: the surrounding harness feeds
-them replies and timer ticks, and they broadcast requests, assemble
-quorums, and settle on an outcome. The fast path takes two request/reply
-rounds (transaction votes, then certificate effects); the unlock path
-takes a vote round followed by sequencer submission and a wait for the
-sequenced execution's effect signatures. Each time a driver starts an
-exchange it arms a retry tick for that exchange alone, with
+them replies and timer ticks, and they send requests, assemble quorums,
+and settle on an outcome. Each reports through the env it is handed:
+`send(vids, msg)` to the validators it names, `submit_sequencer`,
+`set_timer`, `emit`, and `finished` last. The fast path takes two
+request/reply rounds (transaction votes, then certificate effects); the
+unlock path takes a vote round followed by sequencer submission and a wait
+for the sequenced execution's effect signatures. Each time a driver starts
+an exchange it arms a retry tick for that exchange alone, with
 `env.set_timer(driver, hops)`: `hops` counts the one-way trips until its
 last reply is due, and the harness picks how long a hop may take. A request
 (a transaction, an unlock request or a retry's resend) and a certificate
-broadcast are 2 hops; an `UnlockCert` submitted to the sequencer is 3
-(client -> sequencer -> validator -> client). A tick armed for an earlier
-exchange is ignored.
+sent to validators are 2 hops; an `UnlockCert` submitted to the sequencer
+is 3 (client -> sequencer -> validator -> client). A tick armed for an
+earlier exchange is ignored.
 
 Drivers send the protocol values themselves: a `Transaction`, its
 `Certificate` or an `UnlockRqt`. Validators answer with the `CertSign` or
@@ -256,16 +258,17 @@ class _Driver:
     driver holds its `status`, `effect_certs` and `confirmed` keys, its one
     trace record of the end is `<kind>_driver_finished` (a refused unlock's
     lists the refusal `codes`), and it has reported its end with
-    `env.finished(self)`, its last report to the env.
+    `env.finished(self)`, its last report to the env. Its others are
+    `env.send(vids, msg)`, one call per exchange to the validators it names,
+    `env.submit_sequencer`, `env.set_timer` and `env.emit`.
 
     Each exchange the driver starts arms a retry tick for that exchange
-    alone, with `env.set_timer(self, hops)`: `start` and each retry for
-    the 2 hops of a request, a fast-path certificate broadcast for 2, an
-    unlock certificate's sequencer submission for 3. The driver keeps the
-    tick due as `due`; a tick that pops before it was armed for an earlier
-    exchange and is ignored. A tick that is due resends `_resend`'s
-    request to every validator that has not answered; `MAX_RETRIES`
-    retries end in `timeout`."""
+    alone, with `env.set_timer(self, hops)`: 2 hops for `start`, for each
+    retry and for a fast-path certificate, 3 for an unlock certificate's
+    sequencer submission. The driver keeps the tick due as `due`; a tick
+    that pops before then was armed for an earlier exchange and is ignored.
+    A tick that is due resends `_resend`'s request to every validator that
+    has not answered; `MAX_RETRIES` retries end in `timeout`."""
 
     kind = ""
     finalized = ""  # the status a quorum of matching executions ends in
@@ -347,9 +350,8 @@ class _Driver:
             self._finish(env, "timeout")
             return
         answered, request = self._resend()
-        for vid in range(self.params.n):
-            if vid not in answered:
-                env.send_validator(vid, request)
+        env.send([vid for vid in range(self.params.n) if vid not in answered],
+                 request)
         self.due = env.set_timer(self, 2)
 
 
@@ -364,17 +366,14 @@ class FastPathDriver(_Driver):
                  scheme=crypto.DEFAULT_SCHEME, first_to=None, cert_to=None):
         super().__init__(tx.digest, {"tx": tx.hexdigest}, params, scheme)
         self.tx = tx
-        self.first_to = first_to  # initial partial broadcast; retries reach everyone
+        self.first_to = first_to  # the first send's validators; retries reach everyone
         self.cert_to = cert_to  # submit the certificate here and walk away
         self.cert: Certificate | None = None
 
     def start(self, env) -> None:
         self.round_trips = 1
-        if self.first_to is not None:
-            for vid in self.first_to:
-                env.send_validator(vid, self.tx)
-        else:
-            env.broadcast(self.tx)
+        env.send(range(self.params.n) if self.first_to is None
+                 else self.first_to, self.tx)
         self.due = env.set_timer(self, 2)
 
     def on_message(self, env, msg) -> None:
@@ -387,13 +386,12 @@ class FastPathDriver(_Driver):
         self.round_trips += 1
         env.emit("cert_assembled", tx=self.tx.hexdigest,
                  signers=sorted(self.votes))
-        if self.cert_to is not None:
-            for vid in self.cert_to:
-                env.send_validator(vid, self.cert)
+        env.send(range(self.params.n) if self.cert_to is None
+                 else self.cert_to, self.cert)
+        if self.cert_to is None:
+            self.due = env.set_timer(self, 2)
+        else:
             self._finish(env, "certified_abandoned")
-            return
-        env.broadcast(self.cert)
-        self.due = env.set_timer(self, 2)
 
     def _maybe_refuse(self, env) -> None:
         # too many distinct rejectors for any quorum to remain reachable
@@ -435,7 +433,7 @@ class FastUnlockDriver(_Driver):
         self.round_trips = 1
         env.emit("unlock_started", rqt=self.rqt.hexdigest,
                  authorized=self.authorized, keys=self.rqt.key_ids)
-        env.broadcast(self.rqt)
+        env.send(range(self.params.n), self.rqt)
         self.due = env.set_timer(self, 2)
 
     def on_message(self, env, msg) -> None:

@@ -130,9 +130,10 @@ class CounterLocal:
         return self.flavor != FLAVOR_BOUNDED or self.value() + delta.delta >= 0
 
     def reissue(self, params: CommitteeParams) -> int:
-        """Move to the next version holding what is still unspent, with a
-        fresh budget; returns that new limit."""
-        self.limit = max(self.value(), 0)
+        """Move to the next version holding what is still unspent, at
+        most the largest u64 a limit encodes, with a fresh budget; returns
+        that new limit."""
+        self.limit = min(max(self.value(), 0), 2**64 - 1)
         self.budget = initial_budget(self.limit, params)
         self.version += 1
         self.settled = {}

@@ -73,7 +73,7 @@ class ValidatorActor:
         self.runner.send(self.name, src, reply)
 
     def _forward(self, cert: Certificate) -> None:
-        self.runner.submit_item(self.name, cert)
+        self.runner.send(self.name, "seq", cert)
 
     def _on_unlock_rqt(self, src: str, rqt: UnlockRqt) -> None:
         reply = self.state.unlock_outcomes.get(rqt.digest)
@@ -107,12 +107,12 @@ class ValidatorActor:
 
     def _on_epoch_change(self) -> None:
         for cert in self.state.begin_epoch_change():
-            self.runner.submit_item(self.name, cert)
+            self.runner.send(self.name, "seq", cert)
         self._submit_end_of_epoch()
 
     def _submit_end_of_epoch(self) -> None:
         if self.state.end_of_epoch_ready():
-            self.runner.submit_item(self.name, self.state.make_end_of_epoch())
+            self.runner.send(self.name, "seq", self.state.make_end_of_epoch())
 
 
 class Crash(ValidatorActor):

@@ -36,10 +36,10 @@ both derived from the scenario seed: the order stream and the network
 stream (delays and drops). A delay is randint's own draw, inlined:
 `getrandbits(k)`, k the bit length of the delay span, until it falls
 below the span. Actors never iterate unordered collections, so a seed
-fully determines the trace. Message links between clients and
-validators lose at most `drop_budget` messages (eventually reliable);
-links to and from the sequencer model the consensus black box and only
-jitter.
+fully determines the trace. `send` alone decides, from the link, whether
+a message can be lost: links between clients and validators lose at most
+`drop_budget` messages (eventually reliable); links to and from the
+sequencer model the consensus black box and only jitter.
 
 Each actor's `emit`, which its validator state machine calls too, is the
 run's `TraceRecorder.emit` bound to the actor's name. A finished run
@@ -54,7 +54,7 @@ import random
 from heapq import heappop, heappush
 
 from .. import crypto
-from ..authenticators import AuthTerm, Revealed, event_facts
+from ..authenticators import Revealed, event_facts
 from ..crypto import user_keypair
 from ..encoding import digest, enc_u64
 from ..sequencer import ITEM_KINDS, Sequencer
@@ -111,7 +111,7 @@ class SequencerActor:
                   item_kind=ITEM_KINDS[type(item.payload)],
                   item=item.payload_digest.hex())
         for vid in range(self.runner.scenario.params.n):
-            self.runner.send(self.name, f"v{vid}", item, protected=True)
+            self.runner.send(self.name, f"v{vid}", item)
 
 
 class Runner:
@@ -134,7 +134,7 @@ class Runner:
         # what clients know of objects and owners (see workflows.py)
         self.seen: dict[bytes, dict[int, Object]] = {}
         self.versions: dict[bytes, int] = {}
-        self.owner_terms: dict[bytes, tuple[AuthTerm, Revealed]] = {}
+        self.owner_trees: dict[bytes, Revealed] = {}
         self.object_ids: dict[str, bytes] = {}
         self.commitments: dict[str, bytes] = {}
 
@@ -148,7 +148,7 @@ class Runner:
             self.object_ids[entry.spec.name] = entry.obj.key.object_id
             self.seen[entry.obj.key.object_id] = {0: entry.obj}
             if entry.tree is not None:
-                self.owner_terms[entry.obj.owner] = entry.spec.term, entry.tree
+                self.owner_trees[entry.obj.owner] = entry.tree
 
         self.validators = []
         for vid in range(scenario.params.n):
@@ -183,16 +183,15 @@ class Runner:
         return (entry for tick in sorted(self._buckets)
                 for *_, entry in sorted(self._buckets[tick]))
 
-    def send(self, src: str, dst: str, msg, protected: bool = False) -> None:
+    def send(self, src: str, dst: str, msg) -> None:
+        """Queue `msg` after a network delay. Only a link between a client
+        and a validator drops it; one to or from `seq` never does."""
         self.network.sent += 1
-        if not protected and self.network.should_drop():
+        if "seq" not in (src, dst) and self.network.should_drop():
             self.network.dropped += 1
             self.recorder.emit("net", "drop", src=src, dst=dst)
             return
         self._push(self.now + self.network.delay(), (src, dst, msg))
-
-    def submit_item(self, src: str, payload) -> None:
-        self.send(src, "seq", payload, protected=True)
 
     def schedule_timer(self, actor: str, delay: int, token) -> None:
         self._push(self.now + delay, ("timer", actor, token))

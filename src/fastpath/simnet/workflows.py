@@ -10,14 +10,13 @@ sequencer actors, queue) is `runner.py`.
 Clients learn owners only from what the protocol shows them, kept in
 maps that all clients of a run share: `seen`, every object version clients
 saw (genesis, and each output of a finalized effect certificate),
-`versions`, the version each object is spent at next, and `owner_terms`,
-the owner term behind each commitment they can open, with its committed
-tree. A key's kind, owner and counter limit are those of the object seen at
-its version, or at the latest earlier version seen; `execute` alone decides
-ownership. The pure work of building a transaction is done once per run:
-`object_ids` holds each object name's id, `commitments` each recipient's
-owner commitment, and every reveal is cut from the stored tree
-(`authenticators.reveal_from`).
+`versions`, the version each object is spent at next, and `owner_trees`,
+the committed tree behind each commitment they can open. A key's kind,
+owner and counter limit are those of the object seen at its version, or at
+the latest earlier version seen; `execute` alone decides ownership. The
+pure work of building a transaction is done once per run: `object_ids`
+holds each object name's id, `commitments` each recipient's owner
+commitment, and each proof and its reveal come from the stored tree.
 
 A client alone knows its drivers: each reports every step to it as its env,
 and its end (`finished`) last. Each action is a generator workflow: it
@@ -33,10 +32,10 @@ newer one took over its digest. `reached` picks the driver, if it still
 runs: the rest stops at the client, and the runner asks `reached` whether a
 run quiesced. Each exchange a driver starts arms a tick that falls once all
 its replies, fault-free, are overdue (`ClientActor.set_timer`): 2 hops for a
-request or a certificate broadcast, 3 for a sequencer submission. A tick
-armed for an earlier exchange of the same driver is ignored, so only a drop,
-a fault or a partial first broadcast makes a retry. An unlock driver submits
-its `UnlockCert` to the sequencer as it is.
+request or a certificate, 3 for a sequencer submission. A tick armed for an
+earlier exchange of the same driver is ignored, so only a drop, a fault or
+a partial first send makes a retry. An unlock driver submits its
+`UnlockCert` to the sequencer as it is.
 
 One rule, `_recovery`, answers a fast-path attempt that f+1 validators
 blocked, by a lock or by a budget, with the paper's fast unlock: a lock
@@ -104,15 +103,12 @@ class ClientActor:
     def now(self) -> int:
         return self.runner.now
 
-    def broadcast(self, msg) -> None:
-        for vid in range(self.runner.scenario.params.n):
+    def send(self, vids, msg) -> None:
+        for vid in vids:
             self.runner.send(self.name, f"v{vid}", msg)
 
-    def send_validator(self, vid: int, msg) -> None:
-        self.runner.send(self.name, f"v{vid}", msg)
-
     def submit_sequencer(self, ucert) -> None:
-        self.runner.submit_item(self.name, ucert)
+        self.runner.send(self.name, "seq", ucert)
 
     def set_timer(self, driver, hops: int) -> int:
         # The exchange the driver just started is over, fault-free, once its
@@ -162,7 +158,7 @@ class ClientActor:
         if owner is None:
             term = PublicKey(self.runner.account_pk[account])
             owner = self.runner.commitments[account] = commit(term)
-            self.runner.owner_terms[owner] = term, annotate(term)
+            self.runner.owner_trees[owner] = annotate(term)
         return owner
 
     def seen_at(self, key: ObjectKey) -> Object | None:
@@ -203,11 +199,10 @@ class ClientActor:
         reveals = []
         for key in object_keys:
             obj = self.seen_at(key)
-            opened = self.runner.owner_terms.get(obj.owner) if obj else None
-            if opened is None:
+            tree = self.runner.owner_trees.get(obj.owner) if obj else None
+            if tree is None:
                 continue  # no owner, or one that no client can open
-            term, tree = opened
-            path = find_path(term, ctx)
+            path = find_path(tree, ctx)
             if path is None:
                 continue  # cannot authorize this object; validators will say so
             reveals.append((key.object_id, reveal_from(tree, path), path))

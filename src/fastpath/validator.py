@@ -188,6 +188,9 @@ def _execute(tx: Transaction, loaded: dict[ObjectKey, Object],
             if balance < 0:
                 raise ProtocolError(ErrorCode.INSUFFICIENT_BALANCE,
                                     f"{target.contents.amount} - {params.amount} < 0")
+            if balance >= 2**63:  # a balance is an i64
+                raise ProtocolError(ErrorCode.BAD_TRANSACTION,
+                                    f"balance {balance} overflows")
             produced.append(Object(target.key.bump(), target.kind, target.owner,
                                    IntValue(balance)))
 

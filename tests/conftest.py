@@ -8,6 +8,7 @@ from fastpath.authenticators import (
     Evidence,
     NonceStream,
     PublicKey,
+    annotate,
     build_reveal,
     commit,
     find_path,
@@ -107,7 +108,7 @@ class World:
             term = self.terms.get(oid)
             if term is None:
                 continue
-            path = find_path(term, ctx)
+            path = find_path(annotate(term), ctx)
             if path is None:
                 continue
             seed = self.nonce_seeds.get(oid)

@@ -110,7 +110,7 @@ def test_any_selection_against_truth_table():
         for index, child in enumerate(term.children):
             got = evaluate(term, AnyPath(index, LEAF), context)
             assert got == oracle_sat(child, context)
-        findable = find_path(term, context)
+        findable = find_path(annotate(term), context)
         assert (findable is not None) == oracle_sat(term, context)
 
 
@@ -271,7 +271,7 @@ def test_hidden_commitment_looks_like_plain_address():
 def test_single_signer_covers_repeated_key_leaves():
     term = AllOf((PublicKey(A), PublicKey(A), PublicKey(A)))
     context = ctx(signers=[A])
-    path = find_path(term, context)
+    path = find_path(annotate(term), context)
     assert path is not None
     assert evaluate(term, path, context)
 
@@ -314,7 +314,7 @@ def _ctx_strategy():
 @settings(max_examples=120, deadline=None)
 @given(_term_strategy(), _ctx_strategy(), st.sets(st.sampled_from([A, B, C])))
 def test_monotone_in_signers(term, context, extra):
-    path = find_path(term, context)
+    path = find_path(annotate(term), context)
     if path is None:
         return
     assert evaluate(term, path, context)
@@ -328,7 +328,7 @@ def test_monotone_in_signers(term, context, extra):
 @settings(max_examples=120, deadline=None)
 @given(_term_strategy(time_free=False, depth=5), _ctx_strategy())
 def test_reveal_soundness(term, context):
-    path = find_path(term, context)
+    path = find_path(annotate(term), context)
     if path is None:
         return
     root = commit(term, NonceStream(b"prop"))
@@ -340,7 +340,7 @@ def test_reveal_soundness(term, context):
 @settings(max_examples=120, deadline=None)
 @given(_term_strategy(time_free=False), _ctx_strategy())
 def test_find_path_agrees_with_truth_table(term, context):
-    path = find_path(term, context)
+    path = find_path(annotate(term), context)
     assert (path is not None) == oracle_sat(term, context)
     if path is not None:
         assert evaluate(term, path, context)
@@ -377,7 +377,7 @@ def test_a_reveal_cut_from_a_kept_tree_is_the_one_built_afresh(
     assert reveal_root(tree) == root
     for signers in signer_sets:  # one tree serves every reveal, in any order
         context = ctx(signers=signers)
-        path = find_path(term, context)
+        path = find_path(tree, context)
         if path is None:
             continue
         reveal = reveal_from(tree, path)

@@ -440,6 +440,55 @@ def test_refused_unlock_is_not_a_liveness_violation(tmp_path, capsys, name,
         "unlock_driver_finished"))
 
 
+def _credits(objects, script):
+    gas = [{"name": f"g{i}", "kind": "owned", "owner": {"pk": "alice"},
+            "contents": 50} for i in range(3)]
+    return {"committee": {"n": 4, "f": 1}, "seed": 1, "ticks": 2000,
+            "network": {"min_delay": 1, "max_delay": 4},
+            "accounts": ["alice"], "objects": objects + gas, "script": script}
+
+
+I64_MAX = 2**63 - 1
+# A credit that would carry a balance (an i64) or a reissued counter limit
+# (a u64) past what its encoding holds: validators refuse the first before
+# any state changes, and the reissue saturates the second.
+OVERFLOWS = {
+    "balance": _credits(
+        [{"name": "coin", "kind": "owned", "owner": {"pk": "alice"},
+          "contents": I64_MAX}],
+        [{"at": 5, "client": "alice", "action": "credit", "inputs": ["coin"],
+          "gas": "g0", "amount": 5}]),
+    "limit": _credits(
+        [{"name": "pool", "kind": "commutative", "flavor": "bounded",
+          "limit": I64_MAX, "owner": {"pk": "alice"}}],
+        [{"at": 5, "client": "alice", "action": "credit", "inputs": ["pool"],
+          "gas": "g0", "amount": I64_MAX},
+         {"at": 6, "client": "alice", "action": "credit", "inputs": ["pool"],
+          "gas": "g1", "amount": I64_MAX},
+         {"at": 50, "client": "alice", "action": "unlock", "keys": ["pool"],
+          "gas": "g2"}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+def test_an_overflowing_credit_passes_every_checker(tmp_path, capsys, name):
+    trace = run(Scenario.from_dict(copy.deepcopy(OVERFLOWS[name])))
+    assert trace.quiesced and invariants.check_invariants(trace) == []
+    if name == "balance":
+        assert {e["code"] for e in trace.select("tx_rejected")} \
+            == {"BadTransaction"}
+        assert trace.select("driver_done")[0]["status"] == "rejected"
+    else:
+        assert trace.select("driver_done")[-1]["status"] == "unlocked"
+        assert {c["limit"] for snap in trace.snapshots.values()
+                for c in snap["counters"].values()} == {2**64 - 1}
+    path = tmp_path / "overflow.yaml"
+    path.write_text(yaml.safe_dump(OVERFLOWS[name]))
+    assert main(["--scenario", str(path)]) == 0
+    assert main(["--scenario", str(path), "--explore", "5"]) == 0
+    assert "violating_runs=0" in capsys.readouterr().out
+
+
 def test_mint_declares_its_object_for_later_actions():
     data = yaml.safe_load((SCENARIOS / "epoch_change.yaml").read_text())
     data["script"].insert(0, {"at": 10, "client": "alice", "action": "mint",

@@ -153,10 +153,7 @@ class RecordingEnv:
         self.events.append(kind)
         self.fields = fields
 
-    def broadcast(self, msg):
-        pass
-
-    def send_validator(self, vid, msg):
+    def send(self, vids, msg):
         pass
 
     def set_timer(self, token, hops):

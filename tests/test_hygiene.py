@@ -401,8 +401,6 @@ def test_hexing_emit_check_flags_planted_sites():
 UNREAD_KINDS = {
     # item 4: epoch change, checked from the trace
     "epoch_pause", "end_of_epoch_sent", "epoch_advanced",
-    # item 8: every path the paper describes runs under --explore
-    "budget_credit",
     # item 16: metrics and pointed violations, computed from the trace
     "budget_debit", "unlock_rejected",
 }
@@ -1004,3 +1002,62 @@ def test_driver_seam_checks_flag_planted_uses():
     assert names_used(planted) == ["3 names drivers", "4 names phase",
                                    "7 names phase", "10 names drivers"]
     assert methods_taking(planted) == ["6 Driver.__init__", "8 Driver.start"]
+
+
+# Whether a message can be lost is its link's to decide: only `Runner.send`
+# asks the network to drop it, no sender marks a message protected, and a
+# driver reaches validators through its env's one `send`.
+REPLACED_SENDS = {"submit_item", "broadcast", "send_validator"}
+
+
+def send_bypasses(tree: ast.Module) -> list[str]:
+    """Calls of `should_drop` outside `Runner.send`, calls passing
+    `protected=`, and uses of `REPLACED_SENDS`, in line order."""
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "Runner"
+              for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "send"
+              for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if _callee_name(node) == "should_drop" and id(node) not in inside:
+                found.append((node.lineno, "calls should_drop"))
+            if any(k.arg == "protected" for k in node.keywords):
+                found.append((node.lineno, "passes protected"))
+        for field in ("id", "attr", "arg", "name"):
+            if getattr(node, field, None) in REPLACED_SENDS:
+                found.append((node.lineno, f"names {getattr(node, field)}"))
+    return [f"{line} {what}" for line, what in sorted(found)]
+
+
+def test_the_link_alone_decides_a_drop():
+    runner = ast.parse((SRC / "simnet" / "runner.py").read_text())
+    send, = [fn for cls in ast.walk(runner) if isinstance(cls, ast.ClassDef)
+             and cls.name == "Runner" for fn in cls.body
+             if isinstance(fn, ast.FunctionDef) and fn.name == "send"]
+    assert "should_drop" in {_callee_name(node) for node in ast.walk(send)
+                             if isinstance(node, ast.Call)}
+    found = [f"{path.relative_to(SRC)}:{site}"
+             for path in sorted(SRC.rglob("*.py"))
+             for site in send_bypasses(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_send_check_flags_planted_bypasses():
+    planted = ast.parse(
+        "class Runner:\n"
+        "    def send(self, src, dst, msg):\n"
+        "        return self.network.should_drop()\n"
+        "    def submit_item(self, src, payload):\n"
+        "        self.send(src, 'seq', payload, protected=True)\n"
+        "class ClientActor:\n"
+        "    def send(self, vids, msg):\n"
+        "        if not self.runner.network.should_drop():\n"
+        "            self.runner.broadcast(msg)\n"
+        "def retry(env, send_validator):\n"
+        "    env.send_validator(0, b'')\n")
+    assert send_bypasses(planted) == [
+        "4 names submit_item", "5 passes protected", "8 calls should_drop",
+        "9 names broadcast", "10 names send_validator",
+        "11 names send_validator"]

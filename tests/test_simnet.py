@@ -165,8 +165,14 @@ def test_a_validator_sends_each_certificate_to_the_sequencer_once(monkeypatch):
                                           faults={1: Fault("lazy_forwarder")})
     runner = Runner(scenario)
     submitted = []
-    monkeypatch.setattr(runner, "submit_item",
-                        lambda src, payload: submitted.append((src, payload)))
+    send = runner.send
+
+    def recording_send(src, dst, msg):
+        if dst == "seq":
+            submitted.append((src, msg))
+        send(src, dst, msg)
+
+    monkeypatch.setattr(runner, "send", recording_send)
     tx = runner.clients["alice"]._build_tx({
         "action": "transfer", "inputs": ["coin"], "gas": "gas_a", "to": "bob"})
     cert = Certificate(tx, tuple(CertSign.make(tx, vid, runner.scheme)
@@ -223,12 +229,12 @@ def test_validators_answer_in_four_shapes_and_sequence_three(monkeypatch):
     seen = {"client": set(), "seq": set()}
     send = Runner.send
 
-    def recording_send(runner, src, dst, msg, protected=False):
+    def recording_send(runner, src, dst, msg):
         if dst == "seq":
             seen["seq"].add(type(msg))
         elif dst in runner.clients:
             seen["client"].add(type(msg))
-        send(runner, src, dst, msg, protected)
+        send(runner, src, dst, msg)
 
     monkeypatch.setattr(Runner, "send", recording_send)
     for path in sorted(SCENARIOS.glob("*.yaml")):
@@ -1338,6 +1344,34 @@ def test_a_no_commit_unlock_takes_back_a_debit_whose_vote_missed_the_quorum():
         == ["v1"]
     assert check_invariants(trace) == []
     assert len({str(snap["counters"]) for snap in trace.snapshots.values()}) == 1
+
+
+def test_a_no_commit_unlock_takes_back_a_fast_path_credit():
+    # a credit of 10 whose certificate reaches v0 alone: v0 executes it and
+    # releases half to its budget, and the unlock that follows carries no
+    # certificate, so v0 takes the credit back (`CounterLocal.unapply`)
+    trace = run(Scenario.from_dict({
+        "committee": {"n": 4, "f": 1},
+        "seed": derive_seed(39, 58), "ticks": 5000,
+        "network": {"min_delay": 1, "max_delay": 4},
+        "accounts": ["alice"],
+        "objects": (
+            [{"name": "pool", "kind": "commutative", "flavor": "bounded",
+              "limit": 100, "owner": {"pk": "alice"}}]
+            + gas_objects("alice", ["g1", "g2"])),
+        "script": [
+            {"at": 5, "client": "alice", "action": "credit",
+             "inputs": ["pool"], "gas": "g1", "amount": 10, "cert_to": [0]},
+            {"at": 10, "client": "alice", "action": "unlock",
+             "keys": ["pool"], "gas": "g2"},
+        ],
+    }))
+    credit, = (e["tx"] for e in trace.select("cert_assembled"))
+    assert [(e["actor"], e["kind"], e.get("amount")) for e in trace.events
+            if e["kind"] in ("budget_credit", "undo")] == [
+        ("v0", "budget_credit", 5), ("v0", "undo", None)]
+    assert trace.select("undo")[0]["tx"] == credit
+    assert trace.quiesced and check_invariants(trace) == []
 
 
 def test_crash_fault_tolerated():
